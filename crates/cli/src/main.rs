@@ -360,7 +360,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_live(args: &[String]) -> Result<(), String> {
-    use spector_dispatch::LiveCollector;
     use spector_live::{LiveConfig, LiveEngine, LiveSummary};
 
     let apps: usize = parse_flag(args, "--apps", 50)?;
@@ -410,7 +409,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             )
         })
         .transpose()?;
-    let collector = LiveCollector::new(LiveEngine::start(
+    let live = LiveEngine::start(
         std::sync::Arc::new(knowledge.clone()),
         LiveConfig {
             shards,
@@ -418,14 +417,14 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             telemetry: telemetry.clone(),
             ..Default::default()
         },
-    ));
+    );
     eprintln!(
         "streaming campaign through {shards} shard(s), batches of {batch_events}, \
          {events} monkey events per app"
     );
     let progress = |done: usize| {
         if snapshot_every > 0 && done.is_multiple_of(snapshot_every) {
-            let snapshot = collector.snapshot();
+            let snapshot = live.snapshot();
             if let Some(writer) = &store {
                 if let Err(error) = writer
                     .lock()
@@ -451,7 +450,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         &corpus,
         &knowledge,
         &campaign_config,
-        Some(&collector),
+        Some(&live),
         Some(&progress),
         store.as_ref(),
     )
@@ -459,7 +458,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     if let Some(writer) = store {
         seal_store(writer, seed, apps, events, &outcome.failures)?;
     }
-    let (live, live_metrics) = collector.finish_with_metrics();
+    let (live, live_metrics) = live.finish_with_metrics();
     if let Some(path) = &metrics_out {
         write_metrics(&live_metrics, path)?;
     }
@@ -473,15 +472,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
 
     // The engine guarantees its final summary equals the offline
     // pipeline's; verify on every invocation and fail loudly if not.
-    let offline = LiveSummary::from_analyses(&outcome.analyses);
-    let equivalent = live.flows == offline.flows
-        && live.unattributed_flows == offline.unattributed_flows
-        && live.per_library == offline.per_library
-        && live.per_domain_category == offline.per_domain_category
-        && live.total_sent == offline.total_sent
-        && live.total_recv == offline.total_recv
-        && live.unjoined_reports() == offline.unjoined_reports();
-    if !equivalent {
+    if live.offline_view() != LiveSummary::from_analyses(&outcome.analyses) {
         return Err("live summary diverged from the offline pipeline".into());
     }
     eprintln!(

@@ -18,10 +18,10 @@
 //!    non-builtin frame, and derive the *origin-library* and its
 //!    *2-level* reduction.
 //! 3. **Pipeline** ([`pipeline`]) — join supervisor reports with TCP
-//!    stream epochs by connection 4-tuple, recover destination domains
-//!    from captured DNS, categorize libraries (LibRadar aggregate +
-//!    majority vote) and domains (Table I tokenizer), and compute
-//!    per-app totals.
+//!    stream epochs by connection 4-tuple ([`join`], the one join the
+//!    streaming engine shares), recover destination domains from
+//!    captured DNS, categorize libraries (LibRadar aggregate + majority
+//!    vote) and domains (Table I tokenizer), and compute per-app totals.
 //! 4. **Coverage** ([`coverage`]) — executed ∩ dex methods over dex
 //!    methods.
 //! 5. **Cost** ([`cost`]) — the §IV-D monetary and energy models.
@@ -52,6 +52,7 @@ pub mod baseline;
 pub mod cost;
 pub mod coverage;
 pub mod experiment;
+pub mod join;
 pub mod knowledge;
 pub mod pipeline;
 pub mod policy;
@@ -59,6 +60,7 @@ pub mod policy;
 pub use attribution::{Attribution, OriginKind};
 pub use coverage::CoverageReport;
 pub use experiment::{run_app, ExperimentConfig, ExperimentError, RawRun};
+pub use join::{ClaimOutcome, ReportJoin};
 pub use knowledge::Knowledge;
 pub use pipeline::{
     analyze_run, analyze_run_instrumented, analyze_run_oracle, origin_label, AnalyzedFlow,

@@ -17,7 +17,7 @@
 //! 5. categorize destination domains by tokenizing their vendor labels;
 //! 6. compute method coverage.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -25,16 +25,17 @@ use spector_hooks::supervisor::decode_reports_classified;
 use spector_hooks::{LedgerRecord, ReportErrorKind, SocketReport};
 use spector_libradar::{DetectTier, LibCategory};
 use spector_netsim::flows::{DnsMap, FlowTable};
-use spector_netsim::shape::{classify_shape, resolve_flow_domain, FlowShape, IpFamily};
+use spector_netsim::shape::{FlowShape, IpFamily};
 use spector_netsim::CaptureIndex;
 use spector_sampling::SamplingLedger;
 use spector_telemetry::{Counter, Histogram, StageRecorder, Telemetry, SIZE_BOUNDS_BYTES};
 use spector_vtcat::DomainCategory;
 
-use crate::attribution::{attribute, Attribution, OriginKind};
+use crate::attribution::OriginKind;
 use crate::coverage::{compute_coverage, CoverageReport};
 use crate::experiment::RawRun;
-use crate::knowledge::{Knowledge, LibraryVerdict};
+use crate::join::{ClaimOutcome, ReportJoin};
+use crate::knowledge::Knowledge;
 
 /// One fully-analyzed TCP flow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -503,10 +504,7 @@ pub fn analyze_run_instrumented(
         integrity,
         sampling,
         pt,
-        |origin| {
-            pt.library_verdict
-                .time(|| knowledge.library_verdict_tiered(origin))
-        },
+        ReportJoin::new(),
     )
 }
 
@@ -592,18 +590,17 @@ pub fn analyze_run_oracle(raw: &RawRun, knowledge: &Knowledge, collector_port: u
         integrity,
         sampling,
         PipelineTelemetry::disabled_ref(),
-        |origin| knowledge.library_verdict_tiered_oracle(origin),
+        ReportJoin::oracle(),
     )
 }
 
-/// The report↔flow join shared by [`analyze_run`] and
-/// [`analyze_run_oracle`] — steps 3–6 of the pipeline. `verdict`
-/// resolves an origin-library to `((category, is_ant, is_common),
-/// tier)`; the fast path memoizes, the oracle recomputes. Balance
-/// counters land in `pt` at the branch they describe, so the
-/// join-balance invariant is structural, not arithmetic.
+/// Drives a [`ReportJoin`] over one run's finished tables — steps 3–6
+/// of the pipeline, shared by [`analyze_run`] and
+/// [`analyze_run_oracle`]. Balance counters land in `pt` at the branch
+/// they describe, so the join-balance invariant is structural, not
+/// arithmetic.
 #[allow(clippy::too_many_arguments)]
-fn join_reports<F>(
+fn join_reports(
     raw: &RawRun,
     knowledge: &Knowledge,
     flow_table: &FlowTable,
@@ -612,100 +609,30 @@ fn join_reports<F>(
     integrity: RunIntegrity,
     sampling: SamplingLedger,
     pt: &PipelineTelemetry,
-    mut verdict: F,
-) -> AppAnalysis
-where
-    F: FnMut(&str) -> (LibraryVerdict, DetectTier),
-{
-    // Join each report with its stream epoch. Claims are keyed by
-    // `(epoch, stream slot)`: the connect-time report (stream `None`)
-    // covers slot 0, explicit per-stream reports cover their own
-    // ordinal, and a slot's bytes must be counted once — a duplicated
-    // report datagram re-claims an already-claimed slot and is skipped.
-    let mut flows = Vec::with_capacity(reports.len());
-    let mut matched: HashSet<(usize, u32)> = HashSet::new();
+    mut join: ReportJoin,
+) -> AppAnalysis {
     let mut reports_without_flow = 0usize;
-    let mut detect = DetectStats::default();
     pt.reports_total.add(reports.len() as u64);
-    pt.flow_join.time(|| {
+    let flows: Vec<AnalyzedFlow> = pt.flow_join.time(|| {
         for report in reports {
-            let Some(idx) = flow_table.lookup_epoch(&report.pair, report.timestamp_micros) else {
-                reports_without_flow += 1;
-                pt.reports_without_flow.inc();
-                continue;
-            };
-            let slot = report.stream.unwrap_or(0);
-            if !matched.insert((idx, slot)) {
-                pt.duplicate_reports.inc();
-                continue;
-            }
-            let flow = &flow_table.flows()[idx];
-            // Volume resolution: a legacy report (stream `None`) on a
-            // single-stream epoch claims the whole epoch — the
-            // pre-pooling behavior, byte for byte. On a multi-stream
-            // epoch the connect report covers stream 0 and explicit
-            // stream reports take their own ordinal's split, so the
-            // per-stream rows sum exactly to the connection totals.
-            let (volumes, stream) = match (report.stream, flow.stream_count() > 1) {
-                (None, false) => (flow.stream_volumes(None), None),
-                (None, true) => (flow.stream_volumes(Some(0)), Some(0)),
-                (Some(k), _) => (flow.stream_volumes(Some(k)), Some(k)),
-            };
-            let (sent_bytes, recv_bytes, sent_payload, recv_payload) = volumes;
-
-            let attribution: Attribution = pt
-                .attribute
-                .time(|| attribute(&report.frames, &knowledge.builtin));
-            let (lib_category, is_ant, is_common) = match &attribution.origin {
-                OriginKind::Library { origin_library, .. } => {
-                    let (v, tier) = verdict(origin_library);
-                    detect.record(origin_library, tier);
-                    pt.record_detect(tier);
-                    v
+            match join.claim(report, flow_table, knowledge, pt) {
+                ClaimOutcome::Claimed => pt.flows_attributed.inc(),
+                ClaimOutcome::Duplicate => pt.duplicate_reports.inc(),
+                ClaimOutcome::NoFlow => {
+                    reports_without_flow += 1;
+                    pt.reports_without_flow.inc();
                 }
-                OriginKind::Builtin => (LibCategory::Unknown, false, false),
-            };
-            let (domain, domain_category) = pt.domain_categorize.time(|| {
-                let domain = resolve_flow_domain(&flow.first_payload, &flow.pair, dns_map)
-                    .map(str::to_owned);
-                let category = domain
-                    .as_deref()
-                    .map(|d| knowledge.domain_category(d))
-                    .unwrap_or(DomainCategory::Unknown);
-                (domain, category)
-            });
-            let http_user_agent = spector_netsim::http::HttpRequest::parse(&flow.first_payload)
-                .map(|request| request.user_agent);
-            pt.flows_attributed.inc();
-            pt.flow_bytes.record(sent_bytes + recv_bytes);
-            flows.push(AnalyzedFlow {
-                domain,
-                domain_category,
-                origin: attribution.origin,
-                lib_category,
-                is_ant,
-                is_common,
-                sent_bytes,
-                recv_bytes,
-                sent_payload,
-                recv_payload,
-                start_micros: flow.start_micros,
-                http_user_agent,
-                family: IpFamily::of(&flow.pair),
-                shape: classify_shape(&flow.first_payload),
-                stream,
-            });
+            }
         }
+        join.rows(flow_table, dns_map, knowledge, pt)
+            .inspect(|flow| pt.flow_bytes.record(flow.total_bytes()))
+            .collect()
     });
-
-    // An epoch is attributed once any of its stream slots is claimed.
-    let matched_epochs: HashSet<usize> = matched.iter().map(|&(idx, _)| idx).collect();
-    let unattributed_flows = flow_table.len().saturating_sub(matched_epochs.len());
+    let unattributed_flows = join.unattributed(flow_table);
     pt.flows_unattributed.add(unattributed_flows as u64);
     let coverage = pt
         .coverage
         .time(|| compute_coverage(&raw.executed_methods, &raw.dex_signatures));
-    let report_packets = reports.len();
 
     AppAnalysis {
         package: raw.package.clone(),
@@ -715,9 +642,9 @@ where
         reports_without_flow,
         coverage,
         dns_packets: dns_map.dns_packet_count,
-        report_packets,
+        report_packets: reports.len(),
         integrity,
-        detect,
+        detect: join.into_detect(),
         sampling,
     }
 }

@@ -43,9 +43,9 @@
 //! checkpointing — byte-identical to the pre-hardening dispatcher.
 //!
 //! With [`run_corpus_live`], each worker additionally streams its
-//! finished run's capture through a [`LiveCollector`] — the bridge to
-//! the `spector-live` online attribution engine — so a campaign can be
-//! watched while it runs.
+//! finished run's capture into a `spector-live` [`LiveEngine`] — the
+//! online attribution engine — so a campaign can be watched while it
+//! runs.
 
 pub mod resilience;
 pub mod store;
@@ -58,13 +58,13 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crossbeam::channel;
-use libspector::experiment::{resolver_for, run_app, ExperimentConfig, RawRun};
+use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::{analyze_run_instrumented, AppAnalysis, PipelineTelemetry};
 use serde::{Deserialize, Serialize};
 use spector_corpus::Corpus;
 use spector_faults::{perturb_capture, FaultPlan, FaultTelemetry, PerturbStats};
-use spector_live::{LiveEngine, LiveSummary};
+use spector_live::LiveEngine;
 use spector_telemetry::{Counter, Histogram, StageRecorder, Telemetry, LATENCY_BOUNDS_MICROS};
 
 pub use resilience::RetryPolicy;
@@ -185,46 +185,6 @@ impl CampaignOutcome {
     }
 }
 
-/// Dispatch-side adapter to the streaming engine: feeds each worker's
-/// finished [`RawRun`] into a [`LiveEngine`] as one run's event
-/// stream, keyed by the app's corpus index. Snapshots may be taken
-/// from any thread while the campaign runs.
-pub struct LiveCollector {
-    engine: LiveEngine,
-}
-
-impl LiveCollector {
-    /// Wraps a running engine.
-    pub fn new(engine: LiveEngine) -> Self {
-        LiveCollector { engine }
-    }
-
-    /// Streams one finished run into the engine as run `index`.
-    pub fn observe(&self, index: u32, raw: &RawRun) {
-        self.engine.push_run(index, &raw.capture);
-    }
-
-    /// A consistent point-in-time summary of the campaign so far.
-    pub fn snapshot(&self) -> LiveSummary {
-        self.engine.snapshot()
-    }
-
-    /// [`LiveCollector::snapshot`] plus the engine's merged telemetry.
-    pub fn snapshot_full(&self) -> (LiveSummary, spector_telemetry::MetricsSnapshot) {
-        self.engine.snapshot_full()
-    }
-
-    /// Closes the stream and returns the final summary.
-    pub fn finish(self) -> LiveSummary {
-        self.engine.finish()
-    }
-
-    /// [`LiveCollector::finish`] plus the final merged telemetry.
-    pub fn finish_with_metrics(self) -> (LiveSummary, spector_telemetry::MetricsSnapshot) {
-        self.engine.finish_with_metrics()
-    }
-}
-
 /// Runs every app in `corpus` and returns the campaign outcome.
 ///
 /// `progress` (if given) is called after each finished app — success
@@ -244,22 +204,23 @@ pub fn run_corpus(
 }
 
 /// [`run_corpus`], additionally streaming every successful run's
-/// capture through `collector` (run id = app index) the moment the
-/// run finishes — before its offline analysis. The returned outcome
-/// is identical to [`run_corpus`]'s; the collector's final summary is
-/// the live view of the same campaign.
+/// capture into `live` (run id = app index) the moment the run
+/// finishes — before its offline analysis. The returned outcome is
+/// identical to [`run_corpus`]'s; the engine's final summary is the
+/// live view of the same campaign. Snapshots may be taken from any
+/// thread while the campaign runs.
 pub fn run_corpus_live(
     corpus: &Corpus,
     knowledge: &Knowledge,
     config: &DispatchConfig,
-    collector: &LiveCollector,
+    live: &LiveEngine,
     progress: Option<&(dyn Fn(usize) + Sync)>,
 ) -> CampaignOutcome {
     let campaign = CampaignConfig {
         dispatch: config.clone(),
         ..Default::default()
     };
-    run_campaign(corpus, knowledge, &campaign, Some(collector), progress)
+    run_campaign(corpus, knowledge, &campaign, Some(live), progress)
         .expect("io is impossible without checkpoint/resume")
 }
 
@@ -337,7 +298,7 @@ fn run_one_app(
     knowledge: &Knowledge,
     config: &CampaignConfig,
     resolver: &std::collections::HashMap<String, std::net::Ipv4Addr>,
-    collector: Option<&LiveCollector>,
+    live: Option<&LiveEngine>,
     instruments: &CampaignInstruments,
     index: usize,
 ) -> (Result<AppAnalysis, AppFailure>, PerturbStats, u32) {
@@ -405,8 +366,8 @@ fn run_one_app(
                     raw.capture = capture;
                     stats = perturbed;
                 }
-                if let Some(collector) = collector {
-                    collector.observe(index as u32, &raw);
+                if let Some(live) = live {
+                    live.push_run(index as u32, &raw.capture);
                 }
                 instruments.app_virtual_micros.record(raw.duration_micros);
                 Ok((
@@ -472,10 +433,10 @@ pub fn run_campaign(
     corpus: &Corpus,
     knowledge: &Knowledge,
     config: &CampaignConfig,
-    collector: Option<&LiveCollector>,
+    live: Option<&LiveEngine>,
     progress: Option<&(dyn Fn(usize) + Sync)>,
 ) -> io::Result<CampaignOutcome> {
-    run_campaign_stored(corpus, knowledge, config, collector, progress, None)
+    run_campaign_stored(corpus, knowledge, config, live, progress, None)
 }
 
 /// [`run_campaign`] with a durable write path: every successful
@@ -494,7 +455,7 @@ pub fn run_campaign_stored(
     corpus: &Corpus,
     knowledge: &Knowledge,
     config: &CampaignConfig,
-    collector: Option<&LiveCollector>,
+    live: Option<&LiveEngine>,
     progress: Option<&(dyn Fn(usize) + Sync)>,
     store: Option<&Mutex<spector_store::StoreWriter>>,
 ) -> io::Result<CampaignOutcome> {
@@ -579,7 +540,7 @@ pub fn run_campaign_stored(
                         knowledge,
                         config,
                         resolver,
-                        collector,
+                        live,
                         instruments,
                         index,
                     );
@@ -813,29 +774,25 @@ mod tests {
 
     #[test]
     fn live_collector_sees_the_campaign_as_it_runs() {
-        use spector_live::{LiveConfig, LiveEngine};
+        use spector_live::{LiveConfig, LiveSummary};
         use std::sync::Arc;
 
         let corpus = tiny_corpus(4, 26);
         let knowledge = Knowledge::from_corpus(&corpus);
-        let collector = LiveCollector::new(LiveEngine::start(
+        let live = LiveEngine::start(
             Arc::new(knowledge.clone()),
             LiveConfig {
                 shards: 2,
                 ..Default::default()
             },
-        ));
-        let outcome = run_corpus_live(&corpus, &knowledge, &quick_dispatch(2), &collector, None);
-        let live = collector.finish();
+        );
+        let outcome = run_corpus_live(&corpus, &knowledge, &quick_dispatch(2), &live, None);
+        let live = live.finish();
         assert_eq!(outcome.analyses.len(), 4);
-        let offline = spector_live::LiveSummary::from_analyses(&outcome.analyses);
-        assert_eq!(live.flows, offline.flows);
-        assert_eq!(live.per_library, offline.per_library);
-        assert_eq!(live.total_sent, offline.total_sent);
-        assert_eq!(live.total_recv, offline.total_recv);
-        assert_eq!(live.unjoined_reports(), offline.unjoined_reports());
-        assert_eq!(live.reports_truncated, offline.reports_truncated);
-        assert_eq!(live.reports_malformed, offline.reports_malformed);
         assert_eq!(live.dropped_events, 0);
+        assert_eq!(
+            live.offline_view(),
+            LiveSummary::from_analyses(&outcome.analyses)
+        );
     }
 }

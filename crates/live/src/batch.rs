@@ -1,11 +1,9 @@
 //! Producer-side ingress: peek, route, batch — decode happens on the
 //! shard that owns the bytes.
 //!
-//! The first-generation engine decoded every frame on the pushing
-//! thread and cloned a [`LiveEvent`] into each shard channel, so the
-//! producer was the throughput ceiling: shards beyond two were
-//! decoration. This module is the replacement ingress half of the
-//! two-phase design:
+//! Decoding every frame on the pushing thread would make the producer
+//! the throughput ceiling, so this module is only the cheap ingress
+//! half of a two-phase design:
 //!
 //! 1. **Peek** — [`spector_netsim::peek_frame`] walks the raw frame's
 //!    headers *structurally* (no checksum verification, no payload
@@ -144,13 +142,14 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use spector_dex::sha256::Sha256;
-    use spector_hooks::SupervisorConfig;
+    use spector_hooks::{decode_report_datagram, SupervisorConfig};
+    use spector_netsim::packet::{decode_frame_ref, TransportRef};
     use spector_netsim::{Clock, NetStack};
 
     use super::*;
-    use crate::event::{events_from_run, shard_of, LiveEventKind};
+    use crate::event::shard_of;
 
-    fn scripted() -> (Vec<CapturedPacket>, u16) {
+    fn scripted() -> (Vec<CapturedPacket>, SocketPair, u16) {
         let config = SupervisorConfig::default();
         let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let ip = stack.resolve("cdn.example.net", Ipv4Addr::new(93, 184, 216, 34));
@@ -167,43 +166,43 @@ mod tests {
         stack.udp_send(config.collector_ip, config.collector_port, b"not a report");
         stack.tcp_transfer(sock, 200, 4_000);
         stack.tcp_close(sock);
-        (stack.into_capture(), config.collector_port)
+        (stack.into_capture(), pair, config.collector_port)
     }
 
-    /// The peek route of every decodable frame agrees with the shard
-    /// the post-decode event router would have chosen.
+    /// The peek route of every frame agrees with the shard the full
+    /// shard-side decode would have chosen.
     #[test]
     fn peek_route_matches_post_decode_routing() {
-        let (capture, port) = scripted();
-        let shards = 8;
-        let events: Vec<_> = events_from_run(3, &capture, port).collect();
-        let mut event_iter = events.iter();
+        let (capture, _, port) = scripted();
+        let (run, shards) = (3, 8);
         for packet in &capture {
-            let route = classify_route(&packet.data, port);
-            // The noise collector datagram decodes as a frame but not
-            // as a report: classify_wire drops it, so it has no event.
-            if matches!(route, Route::Fallback) {
-                continue;
-            }
-            let event = event_iter.next().expect("routable frame has an event");
-            match (&event.kind, route) {
-                (LiveEventKind::Dns { .. }, Route::Broadcast) => {}
-                (_, Route::Pair(pair)) => {
-                    assert_eq!(
-                        shard_of(event.run, &pair, shards),
-                        shard_of(event.run, &event.routing_pair().unwrap(), shards),
-                        "peek route must equal post-decode route"
-                    );
+            let frame = decode_frame_ref(&packet.data).expect("scripted frames decode");
+            let decoded = match frame.transport {
+                TransportRef::Tcp { .. } => Some(frame.pair),
+                TransportRef::Udp { payload } if frame.pair.dst_port == port => {
+                    decode_report_datagram(0, payload)
+                        .ok()
+                        .map(|report| report.report.pair)
                 }
-                (kind, route) => panic!("route {route:?} disagrees with event {kind:?}"),
+                TransportRef::Udp { .. } => None,
+            };
+            match (classify_route(&packet.data, port), decoded) {
+                (Route::Pair(peeked), Some(decoded)) => assert_eq!(
+                    shard_of(run, &peeked, shards),
+                    shard_of(run, &decoded, shards),
+                    "peek route must equal post-decode route"
+                ),
+                // The DNS lane, and the noise collector datagram that
+                // decodes as a frame but not as a report.
+                (Route::Broadcast | Route::Fallback, None) => {}
+                (route, decoded) => panic!("route {route:?} disagrees with decode {decoded:?}"),
             }
         }
-        assert!(event_iter.next().is_none());
     }
 
     #[test]
     fn garbage_and_truncation_fall_back_deterministically() {
-        let (capture, port) = scripted();
+        let (capture, _, port) = scripted();
         assert_eq!(classify_route(&[0xde, 0xad], port), Route::Fallback);
         let frame = &capture[0].data;
         assert_eq!(
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn collector_noise_falls_back_but_real_reports_route_by_embedded_pair() {
-        let (capture, port) = scripted();
+        let (capture, report_pair, port) = scripted();
         let routes: Vec<Route> = capture
             .iter()
             .map(|p| classify_route(&p.data, port))
@@ -229,12 +228,6 @@ mod tests {
         assert_eq!(routes.iter().filter(|r| **r == Route::Fallback).count(), 1);
         // The real report routes by its embedded pair, which is the
         // TCP flow's pair — same canonical shard as the flow.
-        let report_pair = events_from_run(0, &capture, port)
-            .find_map(|e| match &e.kind {
-                LiveEventKind::Report(tr) => Some(tr.report.pair),
-                _ => None,
-            })
-            .unwrap();
         assert!(routes.contains(&Route::Pair(report_pair)));
     }
 }

@@ -1,186 +1,13 @@
-//! The unit of streaming input: one capture-or-collector event.
+//! The engine's shard key: `(run, canonical 4-tuple)`.
 //!
-//! The offline pipeline partitions a finished capture into three views
-//! (flow table, DNS map, report payloads). Streaming sees the same
-//! wire data as one interleaved sequence, so [`LiveEvent`] performs
-//! that partition *per event*, at ingress:
-//!
-//! * TCP segments become [`LiveEventKind::Tcp`] — the flow-accounting
-//!   lane;
-//! * UDP datagrams addressed to the collector port become
-//!   [`LiveEventKind::Report`] when they decode as supervisor reports
-//!   (undecodable collector datagrams are dropped, exactly like the
-//!   skip in [`spector_hooks::supervisor::decode_reports`]);
-//! * every other UDP datagram becomes [`LiveEventKind::Dns`] — the
-//!   [`spector_netsim::DnsMap`] lane, which itself ignores non-port-53
-//!   traffic, so routing collector datagrams away from it changes
-//!   nothing (unless the collector listens on port 53, which the
-//!   supervisor never does).
-//!
-//! Each event carries the `run` it belongs to. A campaign streams many
-//! apps through one engine, and the simulated emulators are
-//! deterministic — different runs reuse identical ephemeral ports — so
-//! the 4-tuple alone is not a safe join key across apps. `(run,
-//! canonical 4-tuple)` is.
+//! A campaign streams many apps through one engine, and the simulated
+//! emulators are deterministic — different runs reuse identical
+//! ephemeral ports — so the 4-tuple alone is not a safe join key
+//! across apps. `(run, canonical 4-tuple)` is: TCP segments and the
+//! reports describing them hash to the same shard, which is where the
+//! run's joiner for that pair lives.
 
-use libspector::Knowledge;
-use spector_hooks::{decode_report_datagram, LedgerRecord, ReportParseError, TimestampedReport};
-use spector_netsim::pcap::CapturedPacket;
-use spector_netsim::{SocketPair, WireEvent};
-
-/// What one event carries, after ingress classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiveEventKind {
-    /// A TCP segment, pre-summarized for flow accounting.
-    Tcp {
-        /// Capture timestamp, microseconds of virtual time.
-        timestamp_micros: u64,
-        /// 4-tuple as seen on the wire.
-        pair: SocketPair,
-        /// TCP flag bits.
-        flags: u8,
-        /// Full payload length.
-        payload_len: usize,
-        /// Leading payload bytes, capped at
-        /// [`spector_netsim::flows::FIRST_PAYLOAD_CAP`].
-        head: Vec<u8>,
-        /// Total frame length on the wire.
-        wire_len: usize,
-    },
-    /// A non-collector UDP datagram (the DNS lane).
-    Dns {
-        /// Capture timestamp, microseconds of virtual time.
-        timestamp_micros: u64,
-        /// 4-tuple as seen on the wire.
-        pair: SocketPair,
-        /// Full datagram payload.
-        payload: Vec<u8>,
-    },
-    /// A decoded Socket Supervisor report datagram.
-    Report(TimestampedReport),
-    /// A decoded end-of-run sampling-ledger datagram.
-    Ledger {
-        /// Capture timestamp of the carrying datagram, microseconds.
-        timestamp_micros: u64,
-        /// The decoded record.
-        record: LedgerRecord,
-    },
-}
-
-/// One streaming input event, tagged with the app run it belongs to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveEvent {
-    /// Identifier of the app run this event was observed in. Joiner
-    /// state is kept per run, never shared across runs.
-    pub run: u32,
-    /// The classified event.
-    pub kind: LiveEventKind,
-}
-
-impl LiveEvent {
-    /// Classifies one decoded wire event into a live event, or `None`
-    /// for collector-port datagrams that are not valid reports.
-    pub fn from_wire(run: u32, event: WireEvent, collector_port: u16) -> Option<LiveEvent> {
-        Self::classify_wire(run, event, collector_port).ok()
-    }
-
-    /// [`from_wire`](Self::from_wire), surfacing *why* a collector-port
-    /// datagram was dropped: the structured report parse error, with
-    /// its truncated/malformed classification, so ingress can count
-    /// what it discards (the engine's degraded-mode accounting).
-    pub fn classify_wire(
-        run: u32,
-        event: WireEvent,
-        collector_port: u16,
-    ) -> Result<LiveEvent, ReportParseError> {
-        let kind = match event {
-            WireEvent::Tcp {
-                timestamp_micros,
-                pair,
-                flags,
-                payload_len,
-                head,
-                wire_len,
-            } => LiveEventKind::Tcp {
-                timestamp_micros,
-                pair,
-                flags,
-                payload_len,
-                head,
-                wire_len,
-            },
-            WireEvent::Udp {
-                timestamp_micros,
-                pair,
-                payload,
-            } => {
-                if pair.dst_port == collector_port {
-                    if LedgerRecord::is_ledger_payload(&payload) {
-                        LiveEventKind::Ledger {
-                            timestamp_micros,
-                            record: LedgerRecord::decode(&payload)?,
-                        }
-                    } else {
-                        LiveEventKind::Report(decode_report_datagram(timestamp_micros, &payload)?)
-                    }
-                } else {
-                    LiveEventKind::Dns {
-                        timestamp_micros,
-                        pair,
-                        payload,
-                    }
-                }
-            }
-        };
-        Ok(LiveEvent { run, kind })
-    }
-
-    /// The event's delivery timestamp on the virtual clock: capture
-    /// time for packets, datagram arrival time for reports. This is
-    /// what advances the joiner's watermark.
-    pub fn timestamp_micros(&self) -> u64 {
-        match &self.kind {
-            LiveEventKind::Tcp {
-                timestamp_micros, ..
-            }
-            | LiveEventKind::Dns {
-                timestamp_micros, ..
-            }
-            | LiveEventKind::Ledger {
-                timestamp_micros, ..
-            } => *timestamp_micros,
-            LiveEventKind::Report(report) => report.arrival_micros,
-        }
-    }
-
-    /// The key the engine shards by: the canonical 4-tuple for TCP
-    /// segments and reports (a report must land on the shard holding
-    /// its flow's epochs), `None` for DNS and ledger events, which are
-    /// broadcast to every shard (DNS so each can resolve domains
-    /// locally; ledgers are accumulated on shard 0 only, like the DNS
-    /// packet count, so the merged totals stay shard-count invariant).
-    pub fn routing_pair(&self) -> Option<SocketPair> {
-        match &self.kind {
-            LiveEventKind::Tcp { pair, .. } => Some(pair.canonical()),
-            LiveEventKind::Report(report) => Some(report.report.pair.canonical()),
-            LiveEventKind::Dns { .. } | LiveEventKind::Ledger { .. } => None,
-        }
-    }
-}
-
-/// A finished run's capture as a live event stream, in capture (=
-/// virtual-clock) order: the replay adapter behind the equivalence
-/// guarantee and the `libspector live` subcommand. Undecodable frames
-/// and non-report collector datagrams are skipped, exactly as the
-/// offline views skip them.
-pub fn events_from_run<'a>(
-    run: u32,
-    packets: &'a [CapturedPacket],
-    collector_port: u16,
-) -> impl Iterator<Item = LiveEvent> + 'a {
-    spector_netsim::events_from_capture(packets)
-        .filter_map(move |event| LiveEvent::from_wire(run, event, collector_port))
-}
+use spector_netsim::SocketPair;
 
 /// Shard routing: stable hash of `(run, canonical pair)` reduced to a
 /// shard index. Uses an FNV-1a over the tuple's bytes so the mapping
@@ -222,21 +49,19 @@ pub fn shard_of(run: u32, pair: &SocketPair, shards: usize) -> usize {
     (hash % shards.max(1) as u64) as usize
 }
 
-/// Convenience re-export so joiner code can take `&Knowledge` without
-/// importing libspector everywhere.
-pub type SharedKnowledge = std::sync::Arc<Knowledge>;
-
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
 
     use spector_dex::sha256::Sha256;
     use spector_hooks::{SocketReport, SupervisorConfig};
-    use spector_netsim::{Clock, NetStack};
+    use spector_netsim::pcap::CapturedPacket;
+    use spector_netsim::{CaptureIndex, Clock, NetStack};
 
     use super::*;
+    use crate::batch::{classify_route, Route};
 
-    fn capture_with_everything() -> (Vec<CapturedPacket>, u16) {
+    fn capture_with_everything() -> (Vec<CapturedPacket>, SocketPair, u16) {
         let config = SupervisorConfig::default();
         let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let ip = stack.resolve("cdn.example.net", Ipv4Addr::new(93, 184, 216, 34));
@@ -250,64 +75,55 @@ mod tests {
             frames: vec!["com.sdk.Net.call".into()],
         };
         stack.udp_send(config.collector_ip, config.collector_port, &report.encode());
-        // Noise on the collector port: must be dropped, not mis-laned.
+        // Noise on the collector port: must fall back, not mis-lane.
         stack.udp_send(config.collector_ip, config.collector_port, b"not a report");
         stack.tcp_transfer(sock, 200, 4_000);
         stack.tcp_close(sock);
-        (stack.into_capture(), config.collector_port)
+        (stack.into_capture(), pair, config.collector_port)
     }
 
+    /// The producer's routes partition a capture the way the offline
+    /// index does: TCP segments and valid reports route by pair, the
+    /// DNS lane broadcasts, and the noise datagram falls back.
     #[test]
     fn ingress_classification_matches_offline_partition() {
-        let (capture, port) = capture_with_everything();
-        let events: Vec<LiveEvent> = events_from_run(7, &capture, port).collect();
-        let reports = events
+        let (capture, _, port) = capture_with_everything();
+        let routes: Vec<Route> = capture
             .iter()
-            .filter(|e| matches!(e.kind, LiveEventKind::Report(_)))
-            .count();
-        let dns = events
-            .iter()
-            .filter(|e| matches!(e.kind, LiveEventKind::Dns { .. }))
-            .count();
-        let tcp = events
-            .iter()
-            .filter(|e| matches!(e.kind, LiveEventKind::Tcp { .. }))
-            .count();
-        let index = spector_netsim::CaptureIndex::build(&capture, port);
-        assert_eq!(reports, 1, "one valid report, the noise datagram dropped");
-        assert_eq!(dns, index.dns.dns_packet_count);
+            .map(|packet| classify_route(&packet.data, port))
+            .collect();
+        let count = |wanted: fn(&Route) -> bool| routes.iter().filter(|r| wanted(r)).count();
+        let index = CaptureIndex::build(&capture, port);
         let tcp_packets: usize = index.flows.flows().iter().map(|f| f.packet_count).sum();
-        assert_eq!(tcp, tcp_packets);
-        assert!(tcp >= 3, "handshake at minimum");
-        assert!(events.iter().all(|e| e.run == 7));
+        assert!(tcp_packets >= 3, "handshake at minimum");
+        assert_eq!(count(|r| matches!(r, Route::Pair(_))), tcp_packets + 1);
+        assert_eq!(
+            count(|r| matches!(r, Route::Broadcast)),
+            index.dns.dns_packet_count
+        );
+        assert_eq!(
+            count(|r| matches!(r, Route::Fallback)),
+            1,
+            "only the noise datagram is unroutable"
+        );
     }
 
     #[test]
     fn report_routes_to_its_flows_shard() {
-        let (capture, port) = capture_with_everything();
-        let events: Vec<LiveEvent> = events_from_run(0, &capture, port).collect();
-        let tcp_shard = events
+        let (capture, pair, port) = capture_with_everything();
+        let shards: Vec<usize> = capture
             .iter()
-            .find_map(|e| match &e.kind {
-                LiveEventKind::Tcp { pair, .. } if pair.dst_port == 443 || pair.src_port == 443 => {
-                    Some(shard_of(e.run, pair, 8))
+            .filter_map(|packet| match classify_route(&packet.data, port) {
+                Route::Pair(routed) if routed.canonical() == pair.canonical() => {
+                    Some(shard_of(0, &routed, 8))
                 }
                 _ => None,
             })
-            .unwrap();
-        let report_shard = events
-            .iter()
-            .find_map(|e| match &e.kind {
-                LiveEventKind::Report(tr) => Some(shard_of(e.run, &tr.report.pair, 8)),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(tcp_shard, report_shard);
-        // DNS broadcasts: no routing pair.
-        assert!(events
-            .iter()
-            .filter(|e| matches!(e.kind, LiveEventKind::Dns { .. }))
-            .all(|e| e.routing_pair().is_none()));
+            .collect();
+        // Both directions of every TCP segment of the flow, plus its
+        // report datagram (routed by the embedded pair), land together.
+        assert!(shards.len() >= 4, "handshake plus the report");
+        assert!(shards.iter().all(|&shard| shard == shard_of(0, &pair, 8)));
     }
 
     #[test]

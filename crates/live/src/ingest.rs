@@ -35,7 +35,8 @@
 //!
 //! # Shutdown
 //!
-//! [`IngestServer::shutdown`] stops accepting, lets every connection
+//! [`IngestServer::shutdown`] stops accepting — after serving every
+//! connection the kernel had already queued — lets every connection
 //! handler drain what its peer already sent (handlers end at EOF or
 //! after an idle read-timeout once the flag is up), joins all
 //! threads, and hands the engine back — callers then `finish()` or
@@ -46,6 +47,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -107,6 +109,8 @@ pub struct IngestServer {
     tcp_addr: SocketAddr,
     udp_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Tells the accept loop which connection is shutdown's wake-up.
+    wake: mpsc::Sender<SocketAddr>,
     accept_handle: JoinHandle<Vec<JoinHandle<()>>>,
     udp_handle: JoinHandle<()>,
 }
@@ -123,6 +127,7 @@ impl IngestServer {
         let udp_addr = udp.local_addr()?;
         udp.set_read_timeout(Some(config.read_timeout))?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        let (wake, wake_rx) = mpsc::channel::<SocketAddr>();
 
         let accept_handle = {
             let engine = Arc::clone(&engine);
@@ -131,11 +136,21 @@ impl IngestServer {
             let counters = counters.clone();
             std::thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+                let mut wake_addr = None;
                 for stream in listener.incoming() {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
                     let Ok(stream) = stream else { continue };
+                    // Shutdown raises the flag before it connects, and
+                    // the accept queue is FIFO: every connection ahead
+                    // of its wake-up is a real client already queued,
+                    // served like any other.
+                    if shutdown.load(Ordering::SeqCst) {
+                        let wake_addr = *wake_addr.get_or_insert_with(|| {
+                            wake_rx.recv().expect("shutdown sends its wake-up address")
+                        });
+                        if stream.peer_addr().ok() == Some(wake_addr) {
+                            break;
+                        }
+                    }
                     counters.connections.inc();
                     let engine = Arc::clone(&engine);
                     let shutdown = Arc::clone(&shutdown);
@@ -161,6 +176,7 @@ impl IngestServer {
             tcp_addr,
             udp_addr,
             shutdown,
+            wake,
             accept_handle,
             udp_handle,
         })
@@ -183,14 +199,20 @@ impl IngestServer {
         self.engine.snapshot()
     }
 
-    /// Graceful drain: stop accepting, let handlers finish reading
-    /// what peers already sent, join every thread, and return the
-    /// engine for finishing.
+    /// Graceful drain: serve every connection already queued, stop
+    /// accepting, let handlers finish reading what peers already sent,
+    /// join every thread, and return the engine for finishing.
     pub fn shutdown(self) -> LiveEngine {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Wake the (blocking) accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.tcp_addr);
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the (blocking) accept loop with a connection of our own,
+        // kept open until the loop has seen it and left.
+        let wake =
+            TcpStream::connect(self.tcp_addr).expect("connecting to the own ingest listener");
+        self.wake
+            .send(wake.local_addr().expect("wake-up connection address"))
+            .expect("ingest accept loop is running");
         let handlers = self.accept_handle.join().expect("ingest accept panicked");
+        drop(wake);
         for handler in handlers {
             handler.join().expect("ingest connection handler panicked");
         }
@@ -453,6 +475,45 @@ mod tests {
         assert_eq!(
             live, expected,
             "socket ingress must equal in-process ingress"
+        );
+    }
+
+    /// Clients that finished before `shutdown()` are served in full even
+    /// when the accept loop has not taken their connections yet, and the
+    /// wake-up connection is not counted as a client.
+    #[test]
+    fn shutdown_serves_every_queued_connection() {
+        let captures: Vec<_> = (0..16).map(|i| scripted_capture(40 + i * 7)).collect();
+        let frames: usize = captures.iter().map(Vec::len).sum();
+        let engine = LiveEngine::start(
+            knowledge(),
+            LiveConfig {
+                shards: 2,
+                telemetry: Telemetry::enabled(),
+                ..Default::default()
+            },
+        );
+        let server = IngestServer::start(engine, IngestConfig::default()).unwrap();
+        // Connect every client before any sends, so connections queue
+        // up behind the accept loop, then shut down the moment the last
+        // one has finished.
+        let clients: Vec<IngestClient> = captures
+            .iter()
+            .map(|_| IngestClient::connect(server.tcp_addr()).unwrap())
+            .collect();
+        for (run, (mut client, capture)) in clients.into_iter().zip(&captures).enumerate() {
+            client.send_run(run as u32, capture).unwrap();
+            client.finish().unwrap();
+        }
+        let (summary, metrics) = server.shutdown().finish_with_metrics();
+        assert_eq!(summary.events, frames as u64, "no queued record is lost");
+        assert_eq!(
+            metrics.counter("spector_ingest_connections_total"),
+            captures.len() as u64
+        );
+        assert_eq!(
+            metrics.counter("spector_ingest_records_total"),
+            frames as u64
         );
     }
 

@@ -1,22 +1,25 @@
 //! The incremental report↔flow joiner.
 //!
 //! One [`LiveJoiner`] holds one run's streaming state: the growing
-//! flow table, the growing DNS map, the set of claimed stream epochs,
-//! and a bounded buffer of reports that arrived before the packets
-//! they describe.
+//! flow table, the growing DNS map, the run's [`ReportJoin`], and a
+//! bounded buffer of reports that arrived before the packets they
+//! describe.
 //!
 //! # Join semantics (and why they equal the offline join)
 //!
-//! The offline pipeline joins each report against the *finished* flow
-//! table: the epoch of the report's 4-tuple active at hook time, first
-//! claimant wins. Streaming cannot see the future, but it does not
-//! need to: the virtual clock is monotone in capture order, so every
-//! epoch that opens *after* a report is delivered has a start time
-//! strictly greater than the report's hook timestamp and can never be
-//! the "active at hook time" epoch. An incremental
+//! The claim and row rules are not reimplemented here: they are
+//! [`ReportJoin`]'s, the same type the offline pipeline drives over a
+//! finished capture. What differs is only the table. Streaming cannot
+//! see the future, but it does not need to: the virtual clock is
+//! monotone in capture order, so every epoch that opens *after* a
+//! report is delivered has a start time strictly greater than the
+//! report's hook timestamp and can never be the "active at hook time"
+//! epoch. An incremental
 //! [`lookup_epoch`](spector_netsim::FlowTable::lookup_epoch) against
 //! the table-so-far therefore returns the same epoch the offline join
-//! would — whenever the report's pair has any epoch at all.
+//! would — whenever the report's pair has any epoch at all. Rows are
+//! emitted at snapshot time against the table as it stands, which at
+//! end of stream *is* the offline table.
 //!
 //! The one genuine ordering hazard is **report-before-SYN**: the hook
 //! fires at `connect` time, and a collector can observe the datagram
@@ -41,14 +44,12 @@
 //! of a finished capture, `evicted + orphaned` equals the offline
 //! join's `reports_without_flow` exactly.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use libspector::knowledge::Knowledge;
-use libspector::{attribution::attribute, origin_label};
+use libspector::{ClaimOutcome, PipelineTelemetry, ReportJoin};
 use spector_hooks::{SocketReport, TimestampedReport};
-use spector_netsim::shape::{classify_shape, resolve_flow_domain, FlowShape, IpFamily};
 use spector_netsim::{DnsMap, FlowTableBuilder, SocketPair};
-use spector_vtcat::DomainCategory;
 
 use crate::summary::LiveSummary;
 
@@ -71,23 +72,6 @@ impl Default for JoinerConfig {
     }
 }
 
-/// A joined report: the epoch it claimed plus the attribution verdict,
-/// resolved at claim time (the stack trace is dropped afterwards).
-#[derive(Debug, Clone)]
-struct Claim {
-    /// Index into the flow table's epoch array.
-    epoch: usize,
-    /// The report's raw stream ordinal (`None` for connect-time
-    /// reports). Volume resolution happens at snapshot time, against
-    /// the stream split as of the latest delivered segment — exactly
-    /// like domains and byte counters.
-    stream: Option<u32>,
-    /// Per-library accounting label ([`libspector::origin_label`]).
-    label: String,
-    /// Origin is on the AnT list.
-    is_ant: bool,
-}
-
 /// A report waiting for its flow's first TCP segment.
 #[derive(Debug, Clone)]
 struct PendingReport {
@@ -103,13 +87,16 @@ struct PendingReport {
 pub struct LiveJoiner {
     flows: FlowTableBuilder,
     dns: DnsMap,
-    claimed: HashSet<(usize, u32)>,
-    claims: Vec<Claim>,
+    join: ReportJoin,
     pending: VecDeque<PendingReport>,
     watermark: u64,
     evicted: usize,
     report_packets: usize,
     config: JoinerConfig,
+    /// This joiner's fold as of its last snapshot, dropped by the next
+    /// delivered event: a run that has not moved since is not folded
+    /// again.
+    folded: Option<LiveSummary>,
 }
 
 impl LiveJoiner {
@@ -119,21 +106,6 @@ impl LiveJoiner {
             config,
             ..Default::default()
         }
-    }
-
-    /// Largest delivery timestamp seen so far.
-    pub fn watermark(&self) -> u64 {
-        self.watermark
-    }
-
-    /// Reports currently waiting for their flow.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Pending reports evicted by TTL so far.
-    pub fn evicted(&self) -> usize {
-        self.evicted
     }
 
     /// Delivers one TCP segment: advances the watermark, grows the
@@ -191,44 +163,25 @@ impl LiveJoiner {
         }
     }
 
-    /// Attempts the offline join rule against the table-so-far.
-    /// Returns `true` when the report is consumed — either it claimed
-    /// a fresh epoch or it duplicated an already-claimed one (the
-    /// offline join skips duplicates the same way). `false` means the
-    /// pair has no epochs yet.
+    /// Runs the shared claim rule against the table-so-far. Returns
+    /// `true` when the report is consumed — it claimed a fresh slot or
+    /// duplicated a claimed one — and `false` when its pair has no
+    /// epochs yet.
     fn try_join(&mut self, report: &SocketReport, knowledge: &Knowledge) -> bool {
-        let Some(epoch) = self
-            .flows
-            .table()
-            .lookup_epoch(&report.pair, report.timestamp_micros)
-        else {
-            return false;
-        };
-        // One claim per (epoch, stream slot), mirroring the offline
-        // join: the connect-time report covers slot 0, explicit stream
-        // reports their own ordinal.
-        let slot = report.stream.unwrap_or(0);
-        if self.claimed.insert((epoch, slot)) {
-            let attribution = attribute(&report.frames, &knowledge.builtin);
-            let label = origin_label(&attribution.origin).to_owned();
-            let is_ant = match &attribution.origin {
-                libspector::OriginKind::Library { origin_library, .. } => {
-                    knowledge.library_verdict(origin_library).1
-                }
-                libspector::OriginKind::Builtin => false,
-            };
-            self.claims.push(Claim {
-                epoch,
-                stream: report.stream,
-                label,
-                is_ant,
-            });
-        }
-        true
+        let outcome = self.join.claim(
+            report,
+            self.flows.table(),
+            knowledge,
+            PipelineTelemetry::disabled_ref(),
+        );
+        outcome != ClaimOutcome::NoFlow
     }
 
     /// Advances the watermark and evicts timed-out pending reports.
+    /// Every delivered event passes through here, so this is also where
+    /// the cached fold goes stale.
     fn advance(&mut self, timestamp_micros: u64) {
+        self.folded = None;
         if timestamp_micros > self.watermark {
             self.watermark = timestamp_micros;
         }
@@ -244,120 +197,82 @@ impl LiveJoiner {
         }
     }
 
-    /// Accumulates this joiner's current state into a summary. Domains
-    /// and flow volumes are resolved *now*, against the DNS map and
-    /// byte counters as of the latest delivered event — a mid-stream
-    /// snapshot sees partial volumes and possibly unresolved domains;
-    /// the final snapshot equals the offline analysis.
+    /// Folds this joiner's current rows into a summary. The shared row
+    /// rule reads volumes and domains *now*, against the tables as of
+    /// the latest delivered event — a mid-stream snapshot sees partial
+    /// volumes and possibly unresolved domains; the final snapshot
+    /// equals the offline analysis.
     ///
     /// `include_dns` guards the DNS datagram counter: DNS events are
     /// broadcast to every shard, so exactly one shard (shard 0) must
     /// contribute the count.
-    pub fn snapshot_into(&self, knowledge: &Knowledge, include_dns: bool, out: &mut LiveSummary) {
-        let table = self.flows.table();
-        out.flows += self.claims.len();
-        let claimed_epochs: HashSet<usize> = self.claims.iter().map(|c| c.epoch).collect();
-        out.unattributed_flows += table.len().saturating_sub(claimed_epochs.len());
-        out.orphaned_reports += self.pending.len();
-        out.evicted_reports += self.evicted;
-        out.report_packets += self.report_packets;
+    pub fn snapshot_into(
+        &mut self,
+        knowledge: &Knowledge,
+        include_dns: bool,
+        out: &mut LiveSummary,
+    ) {
         if include_dns {
             out.dns_packets += self.dns.dns_packet_count;
         }
-        for claim in &self.claims {
-            let flow = &table.flows()[claim.epoch];
-            // The offline join's volume-resolution rule, applied to the
-            // stream split as of now.
-            let (sent, recv, _, _) = match (claim.stream, flow.stream_count() > 1) {
-                (None, false) => flow.stream_volumes(None),
-                (None, true) => flow.stream_volumes(Some(0)),
-                (Some(k), _) => flow.stream_volumes(Some(k)),
+        let folded = self.folded.get_or_insert_with(|| {
+            let table = self.flows.table();
+            let mut folded = LiveSummary {
+                unattributed_flows: self.join.unattributed(table),
+                orphaned_reports: self.pending.len(),
+                evicted_reports: self.evicted,
+                report_packets: self.report_packets,
+                ..LiveSummary::default()
             };
-            let pooled = claim.stream.is_some() || flow.stream_count() > 1;
-            out.total_sent += sent;
-            out.total_recv += recv;
-            if claim.is_ant {
-                out.ant_bytes += sent + recv;
+            let pt = PipelineTelemetry::disabled_ref();
+            for flow in self.join.rows(table, &self.dns, knowledge, pt) {
+                folded.add_flow(&flow);
             }
-            match IpFamily::of(&flow.pair) {
-                IpFamily::V6 => out.flows_v6 += 1,
-                IpFamily::V4 => {}
-            }
-            match classify_shape(&flow.first_payload) {
-                FlowShape::TlsLike => out.flows_tls += 1,
-                FlowShape::ConnectProxy => out.flows_proxied += 1,
-                FlowShape::Plain => {}
-            }
-            if pooled {
-                out.pooled_streams += 1;
-            }
-            let volume = out.per_library.entry(claim.label.clone()).or_default();
-            volume.add_flow(sent, recv);
-            let category = resolve_flow_domain(&flow.first_payload, &flow.pair, &self.dns)
-                .map(|domain| knowledge.domain_category(domain))
-                .unwrap_or(DomainCategory::Unknown);
-            let volume = out
-                .per_domain_category
-                .entry(LiveSummary::domain_category_label(category))
-                .or_default();
-            volume.add_flow(sent, recv);
-        }
+            folded
+        });
+        out.merge(folded);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     use spector_dex::sha256::Sha256;
     use spector_hooks::SupervisorConfig;
+    use spector_netsim::packet::{decode_frame_ref, TransportRef};
+    use spector_netsim::pcap::CapturedPacket;
     use spector_netsim::{Clock, NetStack};
 
     use super::*;
-    use crate::event::{events_from_run, LiveEventKind};
+    use crate::{LiveConfig, LiveEngine};
 
-    fn knowledge() -> Knowledge {
-        Knowledge::new(Default::default(), Default::default(), Default::default())
+    /// A one-shard engine: its raw-frame decode feeds one joiner per
+    /// run, so these tests drive the joiner the way production does.
+    fn engine(pending_ttl_micros: u64) -> LiveEngine {
+        LiveEngine::start(
+            Arc::new(Knowledge::new(
+                Default::default(),
+                Default::default(),
+                Default::default(),
+            )),
+            LiveConfig {
+                joiner: JoinerConfig { pending_ttl_micros },
+                ..Default::default()
+            },
+        )
     }
 
-    fn feed(joiner: &mut LiveJoiner, events: Vec<crate::event::LiveEvent>, knowledge: &Knowledge) {
-        for event in events {
-            match event.kind {
-                LiveEventKind::Tcp {
-                    timestamp_micros,
-                    pair,
-                    flags,
-                    payload_len,
-                    head,
-                    wire_len,
-                } => joiner.on_tcp(
-                    timestamp_micros,
-                    pair,
-                    flags,
-                    payload_len,
-                    &head,
-                    wire_len,
-                    knowledge,
-                ),
-                LiveEventKind::Dns {
-                    timestamp_micros,
-                    pair,
-                    payload,
-                } => joiner.on_dns(timestamp_micros, &pair, &payload),
-                LiveEventKind::Report(report) => joiner.on_report(&report, knowledge),
-                // Summary-level accounting, not joiner state.
-                LiveEventKind::Ledger { .. } => {}
-            }
-        }
-    }
-
-    fn scripted_capture() -> (Vec<spector_netsim::pcap::CapturedPacket>, u16) {
+    /// One flow plus its connect-time report datagram, and the index of
+    /// that datagram in the capture.
+    fn scripted_capture() -> (Vec<CapturedPacket>, usize) {
         let config = SupervisorConfig::default();
         let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let ip = stack.resolve("api.example.net", Ipv4Addr::new(198, 51, 100, 7));
         let sock = stack.tcp_connect(ip, 443);
         let pair = stack.socket_pair(sock).unwrap();
-        let report = spector_hooks::SocketReport {
+        let report = SocketReport {
             stream: None,
             apk_sha256: Sha256::digest(b"apk"),
             pair,
@@ -370,65 +285,26 @@ mod tests {
         stack.udp_send(config.collector_ip, config.collector_port, &report.encode());
         stack.tcp_transfer(sock, 300, 9_000);
         stack.tcp_close(sock);
-        (stack.into_capture(), config.collector_port)
-    }
-
-    #[test]
-    fn in_order_stream_joins_immediately() {
-        let (capture, port) = scripted_capture();
-        let knowledge = knowledge();
-        let mut joiner = LiveJoiner::new(JoinerConfig::default());
-        feed(
-            &mut joiner,
-            events_from_run(0, &capture, port).collect(),
-            &knowledge,
-        );
-        assert_eq!(joiner.pending_len(), 0, "in-order reports never pend");
-        assert_eq!(joiner.evicted(), 0);
-        let mut summary = LiveSummary::default();
-        joiner.snapshot_into(&knowledge, true, &mut summary);
-        assert_eq!(summary.flows, 1);
-        assert_eq!(summary.unattributed_flows, 0);
-        assert!(summary.per_library.contains_key("com.vendor.sdk"));
-    }
-
-    #[test]
-    fn report_before_syn_pends_then_joins() {
-        let (capture, port) = scripted_capture();
-        let knowledge = knowledge();
-        let mut events: Vec<_> = events_from_run(0, &capture, port).collect();
-        // Move the report datagram to the very front of the stream.
-        let report_idx = events
+        let capture = stack.into_capture();
+        let report_at = capture
             .iter()
-            .position(|e| matches!(e.kind, LiveEventKind::Report(_)))
-            .unwrap();
-        let report = events.remove(report_idx);
-        events.insert(0, report);
-
-        let mut joiner = LiveJoiner::new(JoinerConfig::default());
-        for (i, event) in events.iter().enumerate() {
-            feed(&mut joiner, vec![event.clone()], &knowledge);
-            if i == 0 {
-                assert_eq!(joiner.pending_len(), 1, "report must pend before its SYN");
-            }
-        }
-        assert_eq!(
-            joiner.pending_len(),
-            0,
-            "SYN ingest must resolve the report"
-        );
-        let mut summary = LiveSummary::default();
-        joiner.snapshot_into(&knowledge, true, &mut summary);
-        assert_eq!(summary.flows, 1);
-        assert_eq!(summary.evicted_reports, 0);
-        assert_eq!(summary.orphaned_reports, 0);
+            .position(|packet| {
+                matches!(
+                    decode_frame_ref(&packet.data),
+                    Ok(frame) if matches!(frame.transport, TransportRef::Udp { .. })
+                        && frame.pair.dst_port == config.collector_port
+                )
+            })
+            .expect("the report datagram is captured");
+        (capture, report_at)
     }
 
-    #[test]
-    fn orphan_report_evicts_after_ttl_and_is_counted() {
-        let (capture, port) = scripted_capture();
-        let knowledge = knowledge();
-        let orphan = spector_hooks::SocketReport {
+    /// A report datagram whose 4-tuple never carries packets, captured
+    /// at the very start of the virtual clock.
+    fn orphan_frame() -> CapturedPacket {
+        let config = SupervisorConfig::default();
+        let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
+        let orphan = SocketReport {
             stream: None,
             apk_sha256: Sha256::digest(b"apk"),
             pair: SocketPair::new(
@@ -440,82 +316,82 @@ mod tests {
             timestamp_micros: 10,
             frames: vec!["com.lost.Sdk.go".into()],
         };
-        let mut joiner = LiveJoiner::new(JoinerConfig {
-            pending_ttl_micros: 1_000,
-        });
-        joiner.on_report(
-            &TimestampedReport {
-                arrival_micros: 10,
-                report: orphan,
-            },
-            &knowledge,
+        stack.udp_send(config.collector_ip, config.collector_port, &orphan.encode());
+        stack.into_capture().pop().unwrap()
+    }
+
+    #[test]
+    fn in_order_stream_joins_immediately() {
+        let (capture, report_at) = scripted_capture();
+        let engine = engine(JoinerConfig::default().pending_ttl_micros);
+        engine.push_run(0, &capture[..=report_at]);
+        assert_eq!(
+            engine.snapshot().orphaned_reports,
+            0,
+            "in-order reports never pend"
         );
-        assert_eq!(joiner.pending_len(), 1);
+        engine.push_run(0, &capture[report_at + 1..]);
+        let summary = engine.finish();
+        assert_eq!(summary.flows, 1);
+        assert_eq!(summary.unattributed_flows, 0);
+        assert_eq!(summary.evicted_reports, 0);
+        assert!(summary.per_library.contains_key("com.vendor.sdk"));
+    }
+
+    #[test]
+    fn report_before_syn_pends_then_joins() {
+        let (mut capture, report_at) = scripted_capture();
+        // Move the report datagram to the very front of the stream.
+        let report = capture.remove(report_at);
+        capture.insert(0, report);
+        let engine = engine(JoinerConfig::default().pending_ttl_micros);
+        engine.push_run(0, &capture[..1]);
+        assert_eq!(
+            engine.snapshot().orphaned_reports,
+            1,
+            "report must pend before its SYN"
+        );
+        engine.push_run(0, &capture[1..]);
+        let summary = engine.finish();
+        assert_eq!(summary.flows, 1, "SYN ingest must resolve the report");
+        assert_eq!(summary.evicted_reports, 0);
+        assert_eq!(summary.orphaned_reports, 0);
+    }
+
+    #[test]
+    fn orphan_report_evicts_after_ttl_and_is_counted() {
+        let (capture, _) = scripted_capture();
+        let engine = engine(1_000);
+        engine.push_run(0, &[orphan_frame()]);
+        assert_eq!(engine.snapshot().orphaned_reports, 1);
         // Stream the real traffic; its timestamps blow past the TTL.
-        feed(
-            &mut joiner,
-            events_from_run(0, &capture, port).collect(),
-            &knowledge,
-        );
-        assert_eq!(joiner.pending_len(), 0);
-        assert_eq!(joiner.evicted(), 1);
-        let mut summary = LiveSummary::default();
-        joiner.snapshot_into(&knowledge, true, &mut summary);
+        engine.push_run(0, &capture);
+        let summary = engine.finish();
+        assert_eq!(summary.orphaned_reports, 0);
         assert_eq!(summary.evicted_reports, 1);
         assert_eq!(summary.flows, 1, "the real flow still joins");
     }
 
     #[test]
     fn duplicate_reports_claim_one_epoch() {
-        let (capture, port) = scripted_capture();
-        let knowledge = knowledge();
-        let mut events: Vec<_> = events_from_run(0, &capture, port).collect();
-        let report = events
-            .iter()
-            .find(|e| matches!(e.kind, LiveEventKind::Report(_)))
-            .cloned()
-            .unwrap();
-        events.push(report);
-        let mut joiner = LiveJoiner::new(JoinerConfig::default());
-        feed(&mut joiner, events, &knowledge);
-        let mut summary = LiveSummary::default();
-        joiner.snapshot_into(&knowledge, true, &mut summary);
+        let (mut capture, report_at) = scripted_capture();
+        capture.push(capture[report_at].clone());
+        let engine = engine(JoinerConfig::default().pending_ttl_micros);
+        engine.push_run(0, &capture);
+        let summary = engine.finish();
         assert_eq!(summary.flows, 1, "duplicate must not double-claim");
         assert_eq!(summary.report_packets, 2);
-        assert_eq!(summary.orphaned_reports + summary.evicted_reports, 0);
+        assert_eq!(summary.unjoined_reports(), 0);
     }
 
     #[test]
     fn stalled_stream_never_evicts() {
-        let knowledge = knowledge();
-        let orphan = spector_hooks::SocketReport {
-            stream: None,
-            apk_sha256: Sha256::digest(b"apk"),
-            pair: SocketPair::new(
-                Ipv4Addr::new(10, 0, 2, 15),
-                61_001,
-                Ipv4Addr::new(203, 0, 113, 81),
-                443,
-            ),
-            timestamp_micros: 50,
-            frames: vec!["com.lost.Sdk.go".into()],
-        };
-        let mut joiner = LiveJoiner::new(JoinerConfig {
-            pending_ttl_micros: 1_000,
-        });
-        joiner.on_report(
-            &TimestampedReport {
-                arrival_micros: 50,
-                report: orphan,
-            },
-            &knowledge,
-        );
-        // No further events: the watermark holds, so nothing expires —
+        let engine = engine(1_000);
+        engine.push_run(0, &[orphan_frame()]);
+        // No further frames: the watermark holds, so nothing expires —
         // the report is orphaned, not evicted.
-        assert_eq!(joiner.pending_len(), 1);
-        assert_eq!(joiner.evicted(), 0);
-        let mut summary = LiveSummary::default();
-        joiner.snapshot_into(&knowledge, true, &mut summary);
+        let summary = engine.finish();
         assert_eq!(summary.orphaned_reports, 1);
+        assert_eq!(summary.evicted_reports, 0);
     }
 }

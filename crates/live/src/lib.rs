@@ -39,11 +39,14 @@
 //!
 //! * [`batch`] is the producer half: [`classify_route`] peeks and
 //!   routes, [`IngressBatcher`] accumulates per-shard [`RawBatch`]es.
-//! * [`LiveEvent`] ([`event`]) remains the pre-decoded ingress unit
-//!   for [`LiveEngine::push`]; broadcast copies share one `Arc`.
-//! * [`LiveJoiner`] ([`joiner`]) is the incremental report↔flow join —
-//!   the streaming twin of the offline join, with a pending buffer for
-//!   out-of-order arrivals and TTL eviction on the virtual clock.
+//!   Raw frames are the only ingress: every frame reaches a joiner
+//!   through the shard's classified decode.
+//! * [`shard_of`] ([`event`]) is the `(run, canonical 4-tuple)` shard
+//!   key.
+//! * [`LiveJoiner`] ([`joiner`]) drives libspector's one report↔flow
+//!   join ([`libspector::ReportJoin`]) over a growing flow table, and
+//!   adds only a pending buffer for out-of-order arrivals with TTL
+//!   eviction on the virtual clock.
 //! * [`LiveEngine`] ([`shard`]) owns N shard threads fed by bounded
 //!   channels with an explicit backpressure policy
 //!   ([`OverflowPolicy`]); sharding changes throughput, never results —
@@ -52,8 +55,9 @@
 //! * [`IngestServer`] ([`ingest`]) is the service boundary: a loopback
 //!   TCP/UDP listener speaking a 16-byte-header record framing,
 //!   feeding the same batched ingress with the same backpressure.
-//! * [`LiveSummary`] ([`summary`]) is the mergeable snapshot, directly
-//!   comparable with the offline pipeline via
+//! * [`LiveSummary`] ([`summary`]) is the mergeable snapshot, a fold
+//!   over attributed flow rows, directly comparable with the offline
+//!   pipeline via [`LiveSummary::offline_view`] and
 //!   [`LiveSummary::from_analyses`].
 //!
 //! # Event ordering semantics
@@ -86,18 +90,20 @@
 //!
 //! # Offline equivalence
 //!
-//! The equivalence argument, in one paragraph: the virtual clock is
-//! monotone in capture order, so when a report is delivered, every
-//! epoch of its 4-tuple that the offline join could select already
-//! exists — epochs opened later start strictly after the report's
-//! hook time and are never selected by `lookup_epoch`. First-claimant
-//! -wins is preserved because per-key delivery order matches capture
-//! order, and the per-run, per-shard claim set sees reports for one
-//! pair in that order. Byte counters are read at snapshot time from
-//! the table-so-far, which at end-of-stream *is* the offline flow
-//! table. The integration test `live_equivalence` asserts the
-//! resulting identity field for field against
-//! [`libspector::analyze_run`].
+//! The claim and row rules are the offline pipeline's own
+//! ([`libspector::ReportJoin`]), so the equivalence argument covers
+//! only what differs: an incremental versus a finished flow table. The
+//! virtual clock is monotone in capture order, so when a report is
+//! delivered, every epoch of its 4-tuple that the offline join could
+//! select already exists — epochs opened later start strictly after
+//! the report's hook time and are never selected by `lookup_epoch`.
+//! First-claimant-wins is preserved because per-key delivery order
+//! matches capture order, and the per-run, per-shard join sees reports
+//! for one pair in that order. Rows are read at snapshot time from the
+//! table-so-far, which at end-of-stream *is* the offline flow table.
+//! The integration test `live_equivalence` asserts the resulting
+//! identity as one whole-struct equality,
+//! `live.offline_view() == LiveSummary::from_analyses(&analyses)`.
 
 pub mod batch;
 pub mod event;
@@ -107,7 +113,7 @@ pub mod shard;
 pub mod summary;
 
 pub use batch::{classify_route, fallback_shard, RawBatch, RawFrame, RawItem, Route};
-pub use event::{events_from_run, shard_of, LiveEvent, LiveEventKind};
+pub use event::shard_of;
 pub use ingest::{encode_record, IngestClient, IngestConfig, IngestServer, RECORD_HEADER_LEN};
 pub use joiner::{JoinerConfig, LiveJoiner};
 pub use shard::{IngressBatcher, LiveConfig, LiveEngine, OverflowPolicy};

@@ -20,8 +20,8 @@
 //! The queues are bounded by [`LiveConfig::queue_capacity`]. When a
 //! queue is full, [`OverflowPolicy`] decides: `Block` stalls the
 //! producer (lossless — the default, and what the equivalence
-//! guarantee assumes), `DropNewest` sheds the incoming event or batch
-//! and increments a counter surfaced as
+//! guarantee assumes), `DropNewest` sheds the incoming batch and
+//! counts every frame in it into a counter surfaced as
 //! [`LiveSummary::dropped_events`] — dropping is *never* silent.
 //!
 //! # Snapshot consistency
@@ -52,7 +52,7 @@ use spector_sampling::SamplingLedger;
 use spector_telemetry::{Counter, Histogram, MetricsSnapshot, Telemetry, COUNT_BOUNDS};
 
 use crate::batch::{classify_route, fallback_shard, RawBatch, RawFrame, RawItem, Route};
-use crate::event::{shard_of, LiveEvent, LiveEventKind};
+use crate::event::shard_of;
 use crate::joiner::{JoinerConfig, LiveJoiner};
 use crate::summary::LiveSummary;
 
@@ -61,8 +61,8 @@ use crate::summary::LiveSummary;
 pub enum OverflowPolicy {
     /// Stall the producer until the shard catches up (lossless).
     Block,
-    /// Shed the incoming event and count it (lossy but bounded-latency;
-    /// the drop count is reported in every summary).
+    /// Shed the incoming batch and count its frames (lossy but
+    /// bounded-latency; the drop count is reported in every summary).
     DropNewest,
 }
 
@@ -71,8 +71,8 @@ pub enum OverflowPolicy {
 pub struct LiveConfig {
     /// Number of shard threads. Clamped to at least 1.
     pub shards: usize,
-    /// Per-shard queue capacity, in messages (an event or a whole
-    /// batch each occupy one slot). Clamped to at least 1.
+    /// Per-shard queue capacity, in messages (a whole batch occupies
+    /// one slot). Clamped to at least 1.
     pub queue_capacity: usize,
     /// Full-queue policy.
     pub overflow: OverflowPolicy,
@@ -107,10 +107,7 @@ impl Default for LiveConfig {
 }
 
 enum ShardMsg {
-    /// A single pre-classified event (the test/example path). Shared,
-    /// so broadcast delivery clones the `Arc`, never the event.
-    Event(Arc<LiveEvent>),
-    /// A batch of raw frames to decode shard-side (the hot path).
+    /// A batch of raw frames to decode shard-side.
     Batch(RawBatch),
     Snapshot(Sender<(LiveSummary, MetricsSnapshot)>),
     /// Test-only: acknowledge, then block until the gate closes — lets
@@ -193,14 +190,14 @@ struct ShardErrors {
     frames_bad_checksum: usize,
     reports_truncated: usize,
     reports_malformed: usize,
-    /// Sampling-ledger accounting decoded by this shard. Raw ledger
-    /// datagrams land on exactly one (fallback) shard; pre-classified
-    /// ledger events are broadcast and accumulated on shard 0 only —
-    /// either way the merged total is shard-count-invariant.
+    /// Sampling-ledger accounting decoded by this shard. Ledger
+    /// datagrams land on exactly one (fallback) shard, so the merged
+    /// total is shard-count-invariant.
     sampling: SamplingLedger,
 }
 
-/// The running engine. `push`/`push_run` are `&self` and thread-safe;
+/// The running engine. `push_run`/`push_raw_run`/`batcher` are `&self`
+/// and thread-safe;
 /// `snapshot` can be called at any time from any thread; `finish`
 /// consumes the engine, drains the shards, and returns the final
 /// summary.
@@ -287,28 +284,6 @@ impl LiveEngine {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Delivers one pre-classified event: routed to its pair's shard,
-    /// or broadcast to every shard for DNS — by `Arc` clone, never a
-    /// deep event clone. Under `Block` this may stall until the shard
-    /// catches up; under `DropNewest` it never stalls but may shed
-    /// (counted).
-    pub fn push(&self, event: LiveEvent) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        self.events_counter.inc();
-        let shard = event
-            .routing_pair()
-            .map(|pair| shard_of(event.run, &pair, self.senders.len()));
-        let event = Arc::new(event);
-        match shard {
-            Some(shard) => self.deliver(shard, event),
-            None => {
-                for shard in 0..self.senders.len() {
-                    self.deliver(shard, Arc::clone(&event));
-                }
-            }
-        }
-    }
-
     /// A fresh per-producer batcher. Each producer thread (or call)
     /// owns its own buffers, so `&self` stays thread-safe; dropping
     /// the batcher flushes whatever is left.
@@ -347,28 +322,6 @@ impl LiveEngine {
         let mut batcher = self.batcher();
         for frame in frames {
             batcher.push_raw(run, frame.timestamp_micros, Arc::clone(&frame.data));
-        }
-    }
-
-    fn deliver(&self, shard: usize, event: Arc<LiveEvent>) {
-        match self.overflow {
-            OverflowPolicy::Block => {
-                if self.senders[shard].send(ShardMsg::Event(event)).is_err() {
-                    panic!("live shard terminated while engine running");
-                }
-            }
-            OverflowPolicy::DropNewest => {
-                match self.senders[shard].try_send(ShardMsg::Event(event)) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                        self.dropped_counter.inc();
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        panic!("live shard terminated while engine running")
-                    }
-                }
-            }
         }
     }
 
@@ -573,14 +526,6 @@ fn shard_loop(
     let telemetry = ShardTelemetry::new(shard_idx, telemetry_enabled);
     while let Ok(msg) = receiver.recv() {
         match msg {
-            ShardMsg::Event(event) => on_event(
-                &event,
-                &mut joiners,
-                &joiner_config,
-                &knowledge,
-                &telemetry,
-                &mut errors,
-            ),
             ShardMsg::Batch(batch) => {
                 for item in batch.items {
                     on_raw_item(
@@ -597,7 +542,7 @@ fn shard_loop(
             }
             ShardMsg::Snapshot(reply) => {
                 let _ = reply.send((
-                    partial_summary(shard_idx, &joiners, &errors, &knowledge),
+                    partial_summary(shard_idx, &mut joiners, &errors, &knowledge),
                     telemetry.snapshot(),
                 ));
             }
@@ -609,71 +554,9 @@ fn shard_loop(
         }
     }
     (
-        partial_summary(shard_idx, &joiners, &errors, &knowledge),
+        partial_summary(shard_idx, &mut joiners, &errors, &knowledge),
         telemetry.snapshot(),
     )
-}
-
-/// Applies one pre-classified event to this shard's joiner state.
-fn on_event(
-    event: &LiveEvent,
-    joiners: &mut HashMap<u32, LiveJoiner>,
-    joiner_config: &JoinerConfig,
-    knowledge: &Knowledge,
-    telemetry: &ShardTelemetry,
-    errors: &mut ShardErrors,
-) {
-    let joiner = joiners
-        .entry(event.run)
-        .or_insert_with(|| LiveJoiner::new(joiner_config.clone()));
-    match &event.kind {
-        LiveEventKind::Tcp {
-            timestamp_micros,
-            pair,
-            flags,
-            payload_len,
-            head,
-            wire_len,
-        } => {
-            telemetry.tcp_events.inc();
-            telemetry.count_family(pair);
-            joiner.on_tcp(
-                *timestamp_micros,
-                *pair,
-                *flags,
-                *payload_len,
-                head,
-                *wire_len,
-                knowledge,
-            )
-        }
-        LiveEventKind::Dns {
-            timestamp_micros,
-            pair,
-            payload,
-        } => {
-            // Broadcast event: counted on shard 0 only, so the merged
-            // count is shard-count-independent.
-            if telemetry.count_dns {
-                telemetry.dns_events.inc();
-                telemetry.count_family(pair);
-            }
-            joiner.on_dns(*timestamp_micros, pair, payload)
-        }
-        LiveEventKind::Report(report) => {
-            telemetry.report_events.inc();
-            telemetry.count_family(&report.report.pair);
-            joiner.on_report(report, knowledge)
-        }
-        LiveEventKind::Ledger { record, .. } => {
-            // Broadcast event: accumulated on shard 0 only, like the
-            // DNS count, so the merged ledger is shard-count-invariant.
-            if telemetry.count_dns {
-                telemetry.ledger_events.inc();
-                errors.sampling.merge(&record.ledger);
-            }
-        }
-    }
 }
 
 /// The shard-local half of the two-phase ingress: the full classified
@@ -782,12 +665,12 @@ fn on_raw_item(
 /// the exact sum over owners.
 fn partial_summary(
     shard_idx: usize,
-    joiners: &HashMap<u32, LiveJoiner>,
+    joiners: &mut HashMap<u32, LiveJoiner>,
     errors: &ShardErrors,
     knowledge: &Knowledge,
 ) -> LiveSummary {
     let mut summary = LiveSummary::default();
-    for joiner in joiners.values() {
+    for joiner in joiners.values_mut() {
         joiner.snapshot_into(knowledge, shard_idx == 0, &mut summary);
     }
     summary.frames_truncated = errors.frames_truncated;
@@ -910,56 +793,17 @@ mod tests {
         assert!(done.events > mid.events);
     }
 
-    #[test]
-    fn drop_newest_sheds_exactly_the_overflow_and_counts_it() {
-        let capacity = 4usize;
+    /// A one-shard `DropNewest` engine whose shard is parked: after the
+    /// ack its queue is empty and the consumer provably idle, so
+    /// overflow is deterministic. Dropping the returned gate unparks.
+    fn parked_engine(capacity: usize, batch_events: usize) -> (LiveEngine, Sender<()>) {
         let engine = LiveEngine::start(
             knowledge(),
             LiveConfig {
                 shards: 1,
                 queue_capacity: capacity,
                 overflow: OverflowPolicy::DropNewest,
-                ..Default::default()
-            },
-        );
-        // Park the shard: after the ack, the queue is empty and the
-        // consumer is provably idle, so overflow is deterministic.
-        let (ack_tx, ack_rx) = bounded(1);
-        let (gate_tx, gate_rx) = bounded::<()>(1);
-        assert!(engine.senders[0]
-            .send(ShardMsg::Park {
-                ack: ack_tx,
-                gate: gate_rx,
-            })
-            .is_ok());
-        ack_rx.recv().unwrap();
-
-        let capture = scripted_capture(90);
-        let events: Vec<LiveEvent> =
-            crate::event::events_from_run(0, &capture, engine.collector_port()).collect();
-        assert!(events.len() > capacity + 3);
-        for event in &events {
-            engine.push(event.clone());
-        }
-        let expected_drops = (events.len() - capacity) as u64;
-        assert_eq!(engine.dropped_events(), expected_drops);
-        drop(gate_tx); // unpark; the shard drains what fit in the queue
-        let summary = engine.finish();
-        assert_eq!(summary.events, events.len() as u64);
-        assert_eq!(summary.dropped_events, expected_drops);
-    }
-
-    /// The batched path sheds whole batches, counting every item.
-    #[test]
-    fn drop_newest_counts_every_item_of_a_shed_batch() {
-        let capacity = 2usize;
-        let engine = LiveEngine::start(
-            knowledge(),
-            LiveConfig {
-                shards: 1,
-                queue_capacity: capacity,
-                overflow: OverflowPolicy::DropNewest,
-                batch_events: 1,
+                batch_events,
                 ..Default::default()
             },
         );
@@ -972,15 +816,39 @@ mod tests {
             })
             .unwrap_or_else(|_| panic!("park message rejected"));
         ack_rx.recv().unwrap();
+        (engine, gate_tx)
+    }
 
-        // batch_events = 1: every frame ships as its own batch, so
-        // exactly `capacity` batches fit and the rest shed, one item
-        // each.
-        let capture = scripted_capture(33);
+    /// batch_events = 1: every frame ships as its own batch, so exactly
+    /// `capacity` frames fit and the rest shed, one each.
+    #[test]
+    fn drop_newest_sheds_exactly_the_overflow_and_counts_it() {
+        let capacity = 4usize;
+        let (engine, gate) = parked_engine(capacity, 1);
+        let capture = scripted_capture(90);
+        assert!(capture.len() > capacity + 3);
         engine.push_run(0, &capture);
         let expected_drops = (capture.len() - capacity) as u64;
         assert_eq!(engine.dropped_events(), expected_drops);
-        drop(gate_tx);
+        drop(gate); // unpark; the shard drains what fit in the queue
+        let summary = engine.finish();
+        assert_eq!(summary.events, capture.len() as u64);
+        assert_eq!(summary.dropped_events, expected_drops);
+    }
+
+    /// The batched path sheds whole batches, counting every item.
+    #[test]
+    fn drop_newest_counts_every_item_of_a_shed_batch() {
+        let (capacity, batch_events) = (2usize, 3usize);
+        let (engine, gate) = parked_engine(capacity, batch_events);
+        // Exactly `capacity` full batches fit; every later batch —
+        // including the partial tail flushed at the end — sheds whole.
+        let capture = scripted_capture(33);
+        assert!(capture.len() > (capacity + 1) * batch_events);
+        engine.push_run(0, &capture);
+        let expected_drops = (capture.len() - capacity * batch_events) as u64;
+        assert_eq!(engine.dropped_events(), expected_drops);
+        drop(gate);
         let summary = engine.finish();
         assert_eq!(summary.events, capture.len() as u64);
         assert_eq!(summary.dropped_events, expected_drops);

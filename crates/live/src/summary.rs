@@ -1,17 +1,17 @@
 //! What the live engine reports: mergeable traffic counters.
 //!
-//! [`LiveSummary`] is the snapshot type. Per-shard partial summaries
+//! [`LiveSummary`] is the snapshot type, a fold over attributed flow
+//! rows: the shards fold the rows their joiners emit and the offline
+//! side folds [`AppAnalysis::flows`], both through one
+//! [`add_flow`](LiveSummary::add_flow). Per-shard partial summaries
 //! [`merge`](LiveSummary::merge) associatively into the engine-wide
-//! view, and [`LiveSummary::from_analyses`] projects the *offline*
-//! pipeline's [`AppAnalysis`] values onto the same shape — the two
-//! sides of the offline-equivalence guarantee: replaying a finished
-//! campaign's captures through the live engine and comparing against
-//! `from_analyses` of the batch results must agree field for field
+//! view. Live/offline equivalence is one whole-struct equality:
+//! `live.offline_view() == LiveSummary::from_analyses(&analyses)`
 //! (asserted by `tests/live_equivalence.rs`).
 
 use std::collections::BTreeMap;
 
-use libspector::{origin_label, AppAnalysis};
+use libspector::{origin_label, AnalyzedFlow, AppAnalysis, FlowShape, IpFamily};
 use serde::{Deserialize, Serialize};
 use spector_sampling::SamplingLedger;
 use spector_vtcat::DomainCategory;
@@ -50,8 +50,8 @@ impl LiveVolume {
 /// A point-in-time view of everything the engine has attributed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LiveSummary {
-    /// Events accepted at ingress (counted at `push`/`push_run`,
-    /// before sharding; a broadcast DNS frame counts once, and raw
+    /// Raw frames accepted at ingress (counted by the producer's
+    /// batcher, before sharding; a broadcast DNS frame counts once, and
     /// frames count whether or not their shard-local decode succeeds —
     /// failures show up in the error ledger below).
     pub events: u64,
@@ -171,16 +171,43 @@ impl LiveSummary {
         }
     }
 
-    /// Projects offline per-app analyses onto the live summary shape —
-    /// the reference side of the equivalence guarantee. Offline joins
-    /// never evict, so the whole `reports_without_flow` count lands in
-    /// `orphaned_reports`; compare against a live summary with
-    /// [`unjoined_reports`](Self::unjoined_reports). The streaming-only
-    /// counters (`events`, `dropped_events`) are zero.
+    /// Folds one attributed flow row into the summary.
+    pub fn add_flow(&mut self, flow: &AnalyzedFlow) {
+        self.flows += 1;
+        self.total_sent += flow.sent_bytes;
+        self.total_recv += flow.recv_bytes;
+        if flow.is_ant {
+            self.ant_bytes += flow.total_bytes();
+        }
+        if flow.family == IpFamily::V6 {
+            self.flows_v6 += 1;
+        }
+        match flow.shape {
+            FlowShape::TlsLike => self.flows_tls += 1,
+            FlowShape::ConnectProxy => self.flows_proxied += 1,
+            FlowShape::Plain => {}
+        }
+        if flow.stream.is_some() {
+            self.pooled_streams += 1;
+        }
+        self.per_library
+            .entry(origin_label(&flow.origin).to_owned())
+            .or_default()
+            .add_flow(flow.sent_bytes, flow.recv_bytes);
+        self.per_domain_category
+            .entry(Self::domain_category_label(flow.domain_category))
+            .or_default()
+            .add_flow(flow.sent_bytes, flow.recv_bytes);
+    }
+
+    /// Folds offline per-app analyses into the live summary shape — the
+    /// reference side of the equivalence guarantee. Offline joins never
+    /// evict, so the whole `reports_without_flow` count lands in
+    /// `orphaned_reports`, and the streaming-only counters (`events`,
+    /// `dropped_events`) are zero.
     pub fn from_analyses<'a>(analyses: impl IntoIterator<Item = &'a AppAnalysis>) -> LiveSummary {
         let mut summary = LiveSummary::default();
         for analysis in analyses {
-            summary.flows += analysis.flows.len();
             summary.unattributed_flows += analysis.unattributed_flows;
             summary.orphaned_reports += analysis.reports_without_flow;
             summary.dns_packets += analysis.dns_packets;
@@ -192,35 +219,26 @@ impl LiveSummary {
             summary.frames_bad_checksum += analysis.integrity.frames_bad_checksum;
             summary.sampling.merge(&analysis.sampling);
             for flow in &analysis.flows {
-                summary.total_sent += flow.sent_bytes;
-                summary.total_recv += flow.recv_bytes;
-                if flow.is_ant {
-                    summary.ant_bytes += flow.total_bytes();
-                }
-                if flow.family == libspector::IpFamily::V6 {
-                    summary.flows_v6 += 1;
-                }
-                match flow.shape {
-                    libspector::FlowShape::TlsLike => summary.flows_tls += 1,
-                    libspector::FlowShape::ConnectProxy => summary.flows_proxied += 1,
-                    libspector::FlowShape::Plain => {}
-                }
-                if flow.stream.is_some() {
-                    summary.pooled_streams += 1;
-                }
-                summary
-                    .per_library
-                    .entry(origin_label(&flow.origin).to_owned())
-                    .or_default()
-                    .add_flow(flow.sent_bytes, flow.recv_bytes);
-                summary
-                    .per_domain_category
-                    .entry(Self::domain_category_label(flow.domain_category))
-                    .or_default()
-                    .add_flow(flow.sent_bytes, flow.recv_bytes);
+                summary.add_flow(flow);
             }
         }
         summary
+    }
+
+    /// The projection that defines live/offline equivalence: a final
+    /// live summary of finished runs equals
+    /// [`from_analyses`](Self::from_analyses) of the same runs as a
+    /// whole struct once the streaming-only counters are zeroed and
+    /// evicted reports are folded into the orphaned ones (offline,
+    /// every unjoined report is `reports_without_flow`).
+    pub fn offline_view(&self) -> LiveSummary {
+        LiveSummary {
+            events: 0,
+            dropped_events: 0,
+            orphaned_reports: self.unjoined_reports(),
+            evicted_reports: 0,
+            ..self.clone()
+        }
     }
 
     /// Compact fixed-width table of the summary for terminal display.

@@ -3,10 +3,12 @@
 //!
 //! The supervisor's report datagrams race the capture path, so the
 //! engine may see a report displaced relative to its flow's TCP
-//! segments. The property: for any displacement within a bounded
-//! window (in either direction), the final summary is identical to
-//! in-order delivery — joins land on the same epochs, duplicates
-//! still claim once, and orphans are still counted, never lost.
+//! segments. The property: for any displacement of report datagram
+//! frames within a bounded window (in either direction), streamed
+//! through the raw-frame path, the final summary is identical to
+//! in-order delivery and to the offline analysis of the in-order
+//! capture — joins land on the same epochs, duplicates still claim
+//! once, and orphans are still counted, never lost.
 //!
 //! The second family pins the two-phase ingress: for every frame the
 //! fault injector can produce (truncated, bit-flipped, reordered) and
@@ -17,20 +19,22 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
+use libspector::experiment::RawRun;
 use libspector::knowledge::Knowledge;
+use libspector::pipeline::analyze_run;
 use proptest::prelude::*;
 use spector_dex::sha256::Sha256;
 use spector_faults::{perturb_capture, FaultPlan, FaultProfile};
 use spector_hooks::{decode_report_datagram, SocketReport, SupervisorConfig};
 use spector_live::{
-    classify_route, events_from_run, fallback_shard, shard_of, JoinerConfig, LiveConfig,
-    LiveEngine, LiveEvent, LiveEventKind, LiveJoiner, LiveSummary, Route,
+    classify_route, fallback_shard, shard_of, JoinerConfig, LiveConfig, LiveEngine, LiveSummary,
+    Route,
 };
 use spector_netsim::packet::{decode_frame_ref, SocketPair, TransportRef};
 use spector_netsim::pcap::CapturedPacket;
 use spector_netsim::{Clock, NetStack};
 
-/// Maximum displacement (in events, either direction) a report may
+/// Maximum displacement (in frames, either direction) a report may
 /// suffer relative to its in-order position.
 const WINDOW: usize = 12;
 
@@ -130,90 +134,67 @@ fn scripted_modern_capture(transfers: &[(u64, u64)]) -> (Vec<CapturedPacket>, u1
     (stack.into_capture(), config.collector_port)
 }
 
-/// Displaces each report event by a bounded signed offset (derived
-/// from `offsets`, raw values in `0..=2*WINDOW` mapping to
-/// `-WINDOW..=WINDOW`), keeping all packet events in capture order —
+/// Displaces each report datagram frame by a bounded signed offset
+/// (derived from `offsets`, raw values in `0..=2*WINDOW` mapping to
+/// `-WINDOW..=WINDOW`), keeping every other frame in capture order —
 /// the per-key FIFO assumption the engine documents.
-fn displace(events: &[LiveEvent], offsets: &[usize]) -> Vec<LiveEvent> {
-    let mut keyed: Vec<(usize, usize, LiveEvent)> = Vec::with_capacity(events.len());
+fn displace(capture: &[CapturedPacket], port: u16, offsets: &[usize]) -> Vec<CapturedPacket> {
+    let mut keyed: Vec<(usize, usize, &CapturedPacket)> = Vec::with_capacity(capture.len());
     let mut report_no = 0usize;
-    for (i, event) in events.iter().enumerate() {
-        let key = if matches!(event.kind, LiveEventKind::Report(_)) {
+    for (i, packet) in capture.iter().enumerate() {
+        let is_report = matches!(
+            decode_frame_ref(&packet.data),
+            Ok(frame) if matches!(frame.transport, TransportRef::Udp { .. })
+                && frame.pair.dst_port == port
+        );
+        let key = if is_report {
             let raw = offsets[report_no % offsets.len()];
             report_no += 1;
             let shift = raw as isize - WINDOW as isize;
-            (i as isize + shift).clamp(0, events.len() as isize - 1) as usize
+            (i as isize + shift).clamp(0, capture.len() as isize - 1) as usize
         } else {
             i
         };
-        keyed.push((key, i, event.clone()));
+        keyed.push((key, i, packet));
     }
     keyed.sort_by_key(|&(key, seq, _)| (key, seq));
-    keyed.into_iter().map(|(_, _, event)| event).collect()
+    keyed
+        .into_iter()
+        .map(|(_, _, packet)| packet.clone())
+        .collect()
 }
 
-/// Never-evict joiner config: displaced reports must pend, not expire,
-/// so convergence is exact.
-fn patient() -> JoinerConfig {
-    JoinerConfig {
-        pending_ttl_micros: u64::MAX,
-    }
-}
-
-fn run_joiner(events: &[LiveEvent], knowledge: &Knowledge) -> LiveSummary {
-    let mut joiner = LiveJoiner::new(patient());
-    for event in events {
-        match &event.kind {
-            LiveEventKind::Tcp {
-                timestamp_micros,
-                pair,
-                flags,
-                payload_len,
-                head,
-                wire_len,
-            } => joiner.on_tcp(
-                *timestamp_micros,
-                *pair,
-                *flags,
-                *payload_len,
-                head,
-                *wire_len,
-                knowledge,
-            ),
-            LiveEventKind::Dns {
-                timestamp_micros,
-                pair,
-                payload,
-            } => joiner.on_dns(*timestamp_micros, pair, payload),
-            LiveEventKind::Report(report) => joiner.on_report(report, knowledge),
-            // Ledgers are summary-level accounting, not joiner state;
-            // the scripted captures here are exact runs anyway.
-            LiveEventKind::Ledger { .. } => {}
-        }
-    }
-    let mut summary = LiveSummary::default();
-    joiner.snapshot_into(knowledge, true, &mut summary);
-    summary
-}
-
-fn run_engine(events: &[LiveEvent], knowledge: &Knowledge, shards: usize) -> LiveSummary {
+/// Streams one run's frames through a never-evict engine: displaced
+/// reports must pend, not expire, so convergence is exact.
+fn run_engine(capture: &[CapturedPacket], knowledge: &Knowledge, shards: usize) -> LiveSummary {
     let engine = LiveEngine::start(
         Arc::new(knowledge.clone()),
         LiveConfig {
             shards,
-            joiner: patient(),
+            joiner: JoinerConfig {
+                pending_ttl_micros: u64::MAX,
+            },
             ..Default::default()
         },
     );
-    for event in events {
-        engine.push(event.clone());
-    }
-    let mut summary = engine.finish();
-    // The engine counts deliveries; a bare joiner does not. Blank the
-    // transport-level counters so the join results compare directly.
-    summary.events = 0;
-    summary.dropped_events = 0;
-    summary
+    engine.push_run(0, capture);
+    engine.finish()
+}
+
+/// The offline pipeline's answer for one in-order capture.
+fn offline_view(capture: &[CapturedPacket], knowledge: &Knowledge, port: u16) -> LiveSummary {
+    let raw = RawRun {
+        package: "com.prop.app".into(),
+        app_category: "Tools".into(),
+        apk_sha256: Sha256::digest(b"prop-apk"),
+        capture: capture.to_vec(),
+        executed_methods: Default::default(),
+        dex_signatures: Default::default(),
+        monkey: Default::default(),
+        runtime_stats: Default::default(),
+        duration_micros: 0,
+    };
+    LiveSummary::from_analyses(&[analyze_run(&raw, knowledge, port)])
 }
 
 fn knowledge() -> Knowledge {
@@ -410,13 +391,13 @@ proptest! {
     ) {
         let (capture, port) = scripted_capture(&transfers, orphans);
         let knowledge = knowledge();
-        let in_order: Vec<LiveEvent> = events_from_run(0, &capture, port).collect();
-        let shuffled = displace(&in_order, &offsets);
+        let shuffled = displace(&capture, port, &offsets);
 
-        let baseline = run_joiner(&in_order, &knowledge);
-        let converged = run_joiner(&shuffled, &knowledge);
+        let baseline = run_engine(&capture, &knowledge, 1);
+        let converged = run_engine(&shuffled, &knowledge, 1);
         prop_assert_eq!(&converged, &baseline,
             "bounded reordering must not change the final summary");
+        prop_assert_eq!(converged.offline_view(), offline_view(&capture, &knowledge, port));
         prop_assert_eq!(baseline.flows, transfers.len());
         prop_assert_eq!(baseline.unjoined_reports(), orphans,
             "every flowless report stays visible as orphaned/evicted");
@@ -432,13 +413,13 @@ proptest! {
     ) {
         let (capture, port) = scripted_capture(&transfers, orphans);
         let knowledge = knowledge();
-        let in_order: Vec<LiveEvent> = events_from_run(0, &capture, port).collect();
-        let shuffled = displace(&in_order, &offsets);
+        let shuffled = displace(&capture, port, &offsets);
 
-        let baseline = run_joiner(&in_order, &knowledge);
+        let baseline = run_engine(&capture, &knowledge, 1);
         let one = run_engine(&shuffled, &knowledge, 1);
         let three = run_engine(&shuffled, &knowledge, 3);
         prop_assert_eq!(&one, &baseline);
         prop_assert_eq!(&three, &baseline);
+        prop_assert_eq!(three.offline_view(), offline_view(&capture, &knowledge, port));
     }
 }

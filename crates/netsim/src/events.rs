@@ -1,76 +1,18 @@
-//! Capture as an *event stream*.
+//! The capture as a stream of raw frames, and the routing peek.
 //!
 //! The offline pipeline sees a capture as a finished array of packets;
 //! the streaming engine (`spector-live`) sees the same wire data one
-//! decoded event at a time, in virtual-clock order. [`WireEvent`] is
-//! that per-packet unit: an owned, channel-crossing summary of one
-//! decoded frame. TCP payloads are carried as their length plus a head
-//! capped at [`FIRST_PAYLOAD_CAP`] bytes — exactly what
-//! [`FlowTableBuilder::ingest_meta`] consumes — so streaming a capture
-//! never copies bulk payload bytes. UDP payloads (DNS answers,
-//! supervisor report datagrams) are small and carried whole, because
-//! their consumers parse the full datagram.
+//! raw frame at a time, in virtual-clock order, and decodes each frame
+//! on the shard that owns it. Routing a frame to that shard needs only
+//! its 4-tuple, which [`peek_frame`] extracts without the full decode.
 //!
-//! Feeding a capture's event stream through the incremental builders
-//! reproduces the batch views bit for bit (asserted by the tests
-//! below): `events_from_capture ∘ ingest ≡ from_capture`.
+//! Feeding a capture's decoded segments through the incremental
+//! builders, as the shards do, reproduces the batch views bit for bit
+//! (asserted by the tests below).
 
-use crate::flows::FIRST_PAYLOAD_CAP;
 use crate::packet::{
-    decode_frame_ref, SocketPair, TransportRef, ETH_HEADER_LEN, IPV4_HEADER_LEN, IPV6_HEADER_LEN,
-    TCP_HEADER_LEN, UDP_HEADER_LEN,
+    SocketPair, ETH_HEADER_LEN, IPV4_HEADER_LEN, IPV6_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
 };
-use crate::pcap::CapturedPacket;
-
-/// One decoded capture event, owned and safe to send across threads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireEvent {
-    /// A TCP segment, pre-summarized for flow accounting.
-    Tcp {
-        /// Capture timestamp, microseconds of virtual time.
-        timestamp_micros: u64,
-        /// 4-tuple as seen on the wire (sender's perspective).
-        pair: SocketPair,
-        /// TCP flag bits.
-        flags: u8,
-        /// Full payload length in bytes.
-        payload_len: usize,
-        /// Leading payload bytes, capped at [`FIRST_PAYLOAD_CAP`].
-        head: Vec<u8>,
-        /// Total frame length on the wire.
-        wire_len: usize,
-    },
-    /// A UDP datagram, carried whole.
-    Udp {
-        /// Capture timestamp, microseconds of virtual time.
-        timestamp_micros: u64,
-        /// 4-tuple as seen on the wire.
-        pair: SocketPair,
-        /// Full datagram payload.
-        payload: Vec<u8>,
-    },
-}
-
-impl WireEvent {
-    /// The event's capture timestamp (the virtual clock reading).
-    pub fn timestamp_micros(&self) -> u64 {
-        match self {
-            WireEvent::Tcp {
-                timestamp_micros, ..
-            }
-            | WireEvent::Udp {
-                timestamp_micros, ..
-            } => *timestamp_micros,
-        }
-    }
-
-    /// The event's 4-tuple as seen on the wire.
-    pub fn pair(&self) -> &SocketPair {
-        match self {
-            WireEvent::Tcp { pair, .. } | WireEvent::Udp { pair, .. } => pair,
-        }
-    }
-}
 
 /// The transport half of a [`PeekedFrame`]: just enough to route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +43,8 @@ pub struct PeekedFrame<'a> {
 /// routing peek of the live engine's two-phase ingress — the full
 /// classified decode ([`decode_frame_ref`]) runs later, on the shard
 /// that owns the bytes.
+///
+/// [`decode_frame_ref`]: crate::packet::decode_frame_ref
 ///
 /// Every check here is a strict subset of [`decode_frame_ref`]'s
 /// checks, so `peek_frame(raw).is_none()` implies
@@ -191,41 +135,15 @@ pub fn peek_frame(raw: &[u8]) -> Option<PeekedFrame<'_>> {
     }
 }
 
-/// Decodes one captured packet into an event. Returns `None` for
-/// undecodable frames — a capture is untrusted input and event
-/// consumers must tolerate noise, exactly like the batch views.
-pub fn decode_event(packet: &CapturedPacket) -> Option<WireEvent> {
-    let frame = decode_frame_ref(&packet.data).ok()?;
-    Some(match frame.transport {
-        TransportRef::Tcp { flags, payload, .. } => WireEvent::Tcp {
-            timestamp_micros: packet.timestamp_micros,
-            pair: frame.pair,
-            flags,
-            payload_len: payload.len(),
-            head: payload[..payload.len().min(FIRST_PAYLOAD_CAP)].to_vec(),
-            wire_len: frame.wire_len,
-        },
-        TransportRef::Udp { payload } => WireEvent::Udp {
-            timestamp_micros: packet.timestamp_micros,
-            pair: frame.pair,
-            payload: payload.to_vec(),
-        },
-    })
-}
-
-/// The capture as an event stream, in capture (= virtual-clock) order.
-/// Undecodable packets are skipped.
-pub fn events_from_capture(packets: &[CapturedPacket]) -> impl Iterator<Item = WireEvent> + '_ {
-    packets.iter().filter_map(decode_event)
-}
-
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
 
     use super::*;
     use crate::clock::Clock;
-    use crate::flows::{DnsMap, FlowTable, FlowTableBuilder};
+    use crate::flows::{DnsMap, FlowTable, FlowTableBuilder, FIRST_PAYLOAD_CAP};
+    use crate::packet::{decode_frame_ref, TransportRef};
+    use crate::pcap::CapturedPacket;
     use crate::stack::NetStack;
 
     fn busy_capture() -> Vec<CapturedPacket> {
@@ -247,40 +165,33 @@ mod tests {
         capture
     }
 
+    /// The shard-side feed — one decoded frame at a time, TCP heads
+    /// capped at [`FIRST_PAYLOAD_CAP`] — reproduces the batch views.
     #[test]
     fn event_stream_reproduces_batch_views() {
         let capture = busy_capture();
         let mut flows = FlowTableBuilder::default();
         let mut dns = DnsMap::default();
-        for event in events_from_capture(&capture) {
-            match event {
-                WireEvent::Tcp {
-                    timestamp_micros,
-                    pair,
-                    flags,
-                    payload_len,
-                    head,
-                    wire_len,
-                } => {
-                    flows.ingest_meta(timestamp_micros, pair, flags, payload_len, &head, wire_len);
+        for packet in &capture {
+            let Ok(frame) = decode_frame_ref(&packet.data) else {
+                continue;
+            };
+            match frame.transport {
+                TransportRef::Tcp { flags, payload, .. } => {
+                    flows.ingest_meta(
+                        packet.timestamp_micros,
+                        frame.pair,
+                        flags,
+                        payload.len(),
+                        &payload[..payload.len().min(FIRST_PAYLOAD_CAP)],
+                        frame.wire_len,
+                    );
                 }
-                WireEvent::Udp { pair, payload, .. } => dns.ingest(&pair, &payload),
+                TransportRef::Udp { payload } => dns.ingest(&frame.pair, payload),
             }
         }
         assert_eq!(flows.finish(), FlowTable::from_capture(&capture));
         assert_eq!(dns, DnsMap::from_capture(&capture));
-    }
-
-    #[test]
-    fn events_are_clock_ordered_and_skip_noise() {
-        let capture = busy_capture();
-        let events: Vec<WireEvent> = events_from_capture(&capture).collect();
-        // One event per decodable packet; the trailing garbage is gone.
-        assert_eq!(events.len(), capture.len() - 1);
-        let stamps: Vec<u64> = events.iter().map(WireEvent::timestamp_micros).collect();
-        let mut sorted = stamps.clone();
-        sorted.sort_unstable();
-        assert_eq!(stamps, sorted, "virtual clock must be monotone");
     }
 
     #[test]
@@ -337,19 +248,5 @@ mod tests {
             peek_frame(&corrupted).map(|p| p.pair),
             Some(decode_frame_ref(&tcp.data).unwrap().pair)
         );
-    }
-
-    #[test]
-    fn tcp_heads_are_capped() {
-        let capture = busy_capture();
-        for event in events_from_capture(&capture) {
-            if let WireEvent::Tcp {
-                payload_len, head, ..
-            } = event
-            {
-                assert!(head.len() <= FIRST_PAYLOAD_CAP);
-                assert_eq!(head.len(), payload_len.min(FIRST_PAYLOAD_CAP));
-            }
-        }
     }
 }

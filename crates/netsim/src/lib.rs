@@ -25,9 +25,9 @@
 //!   DNS map, and the supervisor's report datagrams — in a single
 //!   decode pass over the packets, borrowing payloads instead of
 //!   copying them ([`CaptureIndex`]);
-//! * [`events`] re-expresses a capture as an owned per-packet event
-//!   stream in virtual-clock order — the unit the streaming
-//!   (`spector-live`) engine consumes;
+//! * [`events`] peeks a raw frame's 4-tuple without the full decode —
+//!   how the streaming (`spector-live`) engine routes raw frames to the
+//!   shard that decodes them;
 //! * [`clock`] is the deterministic virtual clock everything is stamped
 //!   with.
 //!
@@ -60,7 +60,7 @@ pub mod stack;
 
 pub use capture::CaptureIndex;
 pub use clock::Clock;
-pub use events::{events_from_capture, peek_frame, PeekedFrame, PeekedTransport, WireEvent};
+pub use events::{peek_frame, PeekedFrame, PeekedTransport};
 pub use flows::{DnsMap, FlowTable, FlowTableBuilder, StreamStat, TcpFlow};
 pub use packet::{canonical_ip, FrameErrorCounts, FrameErrorKind, SocketPair};
 pub use shape::{classify_shape, resolve_flow_domain, FlowShape, IpFamily};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use libspector::knowledge::Knowledge;
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus_live, DispatchConfig, LiveCollector};
+use spector_dispatch::{run_corpus_live, DispatchConfig};
 use spector_live::{LiveConfig, LiveEngine, LiveSummary};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let mut dispatch = DispatchConfig::default();
     dispatch.experiment.monkey.events = 200;
 
-    let engine = LiveEngine::start(
+    let live = LiveEngine::start(
         Arc::new(knowledge.clone()),
         LiveConfig {
             shards: 2,
@@ -35,21 +35,20 @@ fn main() {
             ..Default::default()
         },
     );
-    let collector = LiveCollector::new(engine);
 
     let total = corpus.apps.len();
     println!("streaming {total} apps through 2 shards...\n");
     let outcome = {
-        let collector = &collector;
+        let live = &live;
         run_corpus_live(
             &corpus,
             &knowledge,
             &dispatch,
-            collector,
+            live,
             Some(&move |done| {
                 println!(
                     "[{done:>2}/{total}] {}",
-                    spector_analysis::live::brief(&collector.snapshot())
+                    spector_analysis::live::brief(&live.snapshot())
                 );
             }),
         )
@@ -61,15 +60,14 @@ fn main() {
         );
     }
 
-    let live = collector.finish();
+    let live = live.finish();
     println!("\n{}", spector_analysis::live::render(&live));
 
     // The punchline: the streaming view is the offline answer.
-    let offline = LiveSummary::from_analyses(&outcome.analyses);
-    assert_eq!(live.flows, offline.flows);
-    assert_eq!(live.per_library, offline.per_library);
-    assert_eq!(live.total_sent, offline.total_sent);
-    assert_eq!(live.total_recv, offline.total_recv);
+    assert_eq!(
+        live.offline_view(),
+        LiveSummary::from_analyses(&outcome.analyses)
+    );
     println!(
         "offline equivalence: OK ({} flows, {} libraries)",
         live.flows,

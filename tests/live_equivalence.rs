@@ -1,9 +1,10 @@
 //! Streaming-vs-offline equivalence: the tentpole guarantee of the
 //! `spector-live` engine. Replaying finished runs through the live
-//! engine — any shard count — must produce byte-identical per-library
-//! and per-domain-category volumes to [`libspector::analyze_run`],
-//! with every unjoined report explicitly accounted as orphaned or
-//! evicted, matching the offline `reports_without_flow` count.
+//! engine — any shard count, any batch size — must produce exactly the
+//! summary [`libspector::analyze_run`] yields for the same runs, with
+//! every unjoined report accounted as orphaned or evicted. One
+//! projection defines "exactly": `live.offline_view() ==
+//! LiveSummary::from_analyses(&analyses)`, whole-struct.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -19,32 +20,45 @@ use spector_live::{LiveConfig, LiveEngine, LiveSummary};
 use spector_netsim::packet::SocketPair;
 use spector_netsim::{Clock, NetStack};
 
-fn campaign(apps: usize, seed: u64) -> (Knowledge, Vec<RawRun>, u16) {
-    campaign_with_fraction(apps, seed, configured_modern_fraction())
+/// What a fixture campaign's wire looks like.
+#[derive(Debug, Clone, Copy)]
+struct Inputs {
+    /// Obfuscation applied to the corpus before knowledge extraction,
+    /// so verdict lookups fall through to the exact-fingerprint or
+    /// structural cascade tiers.
+    obfuscation: ObfuscationTier,
+    /// Supervisor sampling rate: below 1.0 the report stream is thinned
+    /// at capture time and each run carries a sampling-ledger datagram.
+    sample_rate: f64,
+    /// Share of modern ops (IPv6, TLS-like framing, CONNECT proxying,
+    /// pooled connections); 0.0 is a pure IPv4 plain-HTTP wire.
+    modern_fraction: f64,
 }
 
-fn campaign_with_fraction(
-    apps: usize,
-    seed: u64,
-    modern_fraction: f64,
-) -> (Knowledge, Vec<RawRun>, u16) {
+const LEGACY: Inputs = Inputs {
+    obfuscation: ObfuscationTier::None,
+    sample_rate: 1.0,
+    modern_fraction: 0.0,
+};
+
+fn campaign(apps: usize, seed: u64, inputs: Inputs) -> (Knowledge, Vec<RawRun>, u16) {
     let mut corpus = Corpus::generate(&CorpusConfig {
         apps,
         seed,
         appgen: AppGenConfig {
             method_scale: 0.006,
-            modern_fraction,
+            modern_fraction: inputs.modern_fraction,
             ..Default::default()
         },
         ..Default::default()
     });
-    if let Some(tier) = configured_obfuscation() {
-        obfuscate_corpus(&mut corpus, tier, seed ^ 0x0bf5);
+    if inputs.obfuscation != ObfuscationTier::None {
+        obfuscate_corpus(&mut corpus, inputs.obfuscation, seed ^ 0x0bf5);
     }
     let resolver = resolver_for(&corpus.domains);
     let mut config = ExperimentConfig::default();
     config.monkey.events = 120;
-    config.supervisor.sampling.rate = configured_sample_rate();
+    config.supervisor.sampling.rate = inputs.sample_rate;
     config.supervisor.sampling.seed = seed ^ 0x5a4d;
     let runs: Vec<RawRun> = corpus
         .apps
@@ -65,154 +79,94 @@ fn campaign_with_fraction(
     (knowledge, runs, config.supervisor.collector_port)
 }
 
-/// Shard-count override for the CI test matrix: `LIVE_SHARDS=8`
-/// replays the equivalence suite at that width. Defaults stay as
-/// written in each test so a plain `cargo test` exercises the
-/// canonical 1/2/4 mix.
-fn configured_shards(default: usize) -> usize {
-    std::env::var("LIVE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Obfuscation override for the CI matrix: `OBFUSCATION_TIER=rename`
-/// (or `mangle`/`junk`) obfuscates the fixture corpus before knowledge
-/// extraction, so equivalence is also proven when verdict lookups fall
-/// through to the exact-fingerprint or structural cascade tiers. Unset
-/// or `none` leaves the corpus canonical (pure trie-tier lookups).
-fn configured_obfuscation() -> Option<ObfuscationTier> {
-    std::env::var("OBFUSCATION_TIER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t != ObfuscationTier::None)
-}
-
-/// Sampling-rate override for the CI matrix: `SAMPLE_RATE=0.25` thins
-/// the supervisor's report stream at capture time, so equivalence is
-/// also proven over a sampled wire — both sides consume the same
-/// thinned bytes plus the run's sampling ledger datagram. Unset or
-/// `1.0` keeps the exact (byte-identical) wire.
-fn configured_sample_rate() -> f64 {
-    std::env::var("SAMPLE_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// Batch-size override for the CI matrix: `LIVE_BATCH_EVENTS=1`
-/// replays the suite with every frame shipped as its own batch, the
-/// adversarial extreme of the batched ingress.
-fn configured_batch(default: usize) -> usize {
-    std::env::var("LIVE_BATCH_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Protocol-mix override for the CI matrix: `PROTOCOL_MIX=modern`
-/// regenerates the fixture corpus with a 60% share of modern ops
-/// (IPv6, TLS-like framing, CONNECT proxying, pooled connections), so
-/// every equivalence test in this file also runs over the modern wire.
-/// Unset or `legacy` keeps the corpus pure IPv4 plain HTTP.
-fn configured_modern_fraction() -> f64 {
-    match std::env::var("PROTOCOL_MIX").as_deref() {
-        Ok("modern") => 0.6,
-        _ => 0.0,
-    }
-}
-
 fn offline(knowledge: &Knowledge, runs: &[RawRun], port: u16) -> Vec<AppAnalysis> {
     runs.iter()
         .map(|raw| analyze_run(raw, knowledge, port))
         .collect()
 }
 
+/// A running engine of the given geometry with every run pushed.
 fn stream(
     knowledge: &Knowledge,
     runs: &[RawRun],
     port: u16,
     shards: usize,
-) -> (LiveSummary, LiveEngine) {
+    batch_events: usize,
+) -> LiveEngine {
     let engine = LiveEngine::start(
         Arc::new(knowledge.clone()),
         LiveConfig {
             shards,
             collector_port: port,
-            batch_events: configured_batch(64),
+            batch_events,
             ..Default::default()
         },
     );
     for (index, raw) in runs.iter().enumerate() {
         engine.push_run(index as u32, &raw.capture);
     }
-    (engine.snapshot(), engine)
+    engine
 }
 
-/// Field-for-field identity between a final live summary and the
-/// offline projection of the same runs.
+/// The one equivalence: a live summary of the runs, projected, equals
+/// the offline fold of their analyses as a whole struct.
 fn assert_equivalent(live: &LiveSummary, analyses: &[AppAnalysis]) {
-    let offline = LiveSummary::from_analyses(analyses);
-    assert_eq!(live.flows, offline.flows);
-    assert_eq!(live.unattributed_flows, offline.unattributed_flows);
-    assert_eq!(
-        live.per_library, offline.per_library,
-        "per-library volumes must be byte-identical"
-    );
-    assert_eq!(
-        live.per_domain_category, offline.per_domain_category,
-        "per-domain-category volumes must be byte-identical"
-    );
-    assert_eq!(live.total_sent, offline.total_sent);
-    assert_eq!(live.total_recv, offline.total_recv);
-    assert_eq!(live.ant_bytes, offline.ant_bytes);
-    assert_eq!(live.dns_packets, offline.dns_packets);
-    assert_eq!(live.report_packets, offline.report_packets);
-    assert_eq!(
-        live.unjoined_reports(),
-        offline.unjoined_reports(),
-        "orphaned + evicted must equal offline reports_without_flow"
-    );
-    // The degraded-mode ledgers: the shard-local classified decode must
-    // count exactly what the offline RunIntegrity accounting counts.
-    assert_eq!(live.frames_truncated, offline.frames_truncated);
-    assert_eq!(live.frames_malformed, offline.frames_malformed);
-    assert_eq!(live.frames_bad_checksum, offline.frames_bad_checksum);
-    assert_eq!(live.reports_truncated, offline.reports_truncated);
-    assert_eq!(live.reports_malformed, offline.reports_malformed);
-    // The sampled-tracing ledgers: shards must account suppressed
-    // reports exactly as the offline decode does (all-zero on an
-    // exact wire).
-    assert_eq!(
-        live.sampling, offline.sampling,
-        "sampling ledgers must merge to identical totals"
-    );
-    // The socket-realism counters: family, shape, and pooled-stream
-    // accounting must agree wherever the classification runs.
-    assert_eq!(live.flows_v6, offline.flows_v6);
-    assert_eq!(live.flows_tls, offline.flows_tls);
-    assert_eq!(live.flows_proxied, offline.flows_proxied);
-    assert_eq!(live.pooled_streams, offline.pooled_streams);
+    assert_eq!(live.offline_view(), LiveSummary::from_analyses(analyses));
+}
+
+/// The in-process sweep: every input combination — obfuscation {none,
+/// rename, mangle} × sample rate {1.0, 0.25} × wire {legacy, modern} —
+/// is generated once and streamed at every geometry — shards {1, 2, 8}
+/// × batch {1, 64} — 72 streams, each equivalent to the offline
+/// analyses of its inputs.
+#[test]
+fn every_input_streams_equivalently_at_every_geometry() {
+    let mut streams = 0;
+    for obfuscation in [
+        ObfuscationTier::None,
+        ObfuscationTier::Rename,
+        ObfuscationTier::Mangle,
+    ] {
+        for sample_rate in [1.0, 0.25] {
+            for modern_fraction in [0.0, 0.6] {
+                let inputs = Inputs {
+                    obfuscation,
+                    sample_rate,
+                    modern_fraction,
+                };
+                let (knowledge, runs, port) = campaign(3, 77, inputs);
+                let expected = LiveSummary::from_analyses(&offline(&knowledge, &runs, port));
+                for shards in [1usize, 2, 8] {
+                    for batch_events in [1usize, 64] {
+                        let live = stream(&knowledge, &runs, port, shards, batch_events).finish();
+                        assert_eq!(
+                            live.offline_view(),
+                            expected,
+                            "{inputs:?} at {shards} shard(s), batches of {batch_events}"
+                        );
+                        streams += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(streams, 72);
 }
 
 /// Modern socket realism: a campaign mixing IPv4, IPv6, TLS-like,
-/// CONNECT-proxied, and pooled multi-stream flows must stream to
-/// byte-identical summaries at 1, 2, and 8 shards — per-library and
-/// per-domain-category volumes, shape counters, and the decode-error
-/// ledgers alike.
+/// CONNECT-proxied, and pooled multi-stream flows streams to identical
+/// summaries at 1, 2, and 8 shards.
 #[test]
 fn protocol_mix_streams_to_identical_volumes_at_any_width() {
-    let (knowledge, runs, port) = campaign_with_fraction(5, 76, 0.6);
+    let inputs = Inputs {
+        modern_fraction: 0.6,
+        ..LEGACY
+    };
+    let (knowledge, runs, port) = campaign(5, 76, inputs);
     let analyses = offline(&knowledge, &runs, port);
     let offline_view = LiveSummary::from_analyses(&analyses);
-    assert!(
-        offline_view.flows_v6 > 0,
-        "mixed corpus must produce IPv6 flows"
-    );
-    assert!(
-        offline_view.flows_tls > 0,
-        "mixed corpus must produce TLS-like flows"
-    );
+    assert!(offline_view.flows_v6 > 0, "mixed corpus must produce IPv6");
+    assert!(offline_view.flows_tls > 0, "mixed corpus must produce TLS");
     assert!(
         offline_view.flows_proxied > 0,
         "mixed corpus must produce CONNECT-proxied flows"
@@ -221,29 +175,24 @@ fn protocol_mix_streams_to_identical_volumes_at_any_width() {
         offline_view.pooled_streams > 0,
         "mixed corpus must produce pooled multi-stream connections"
     );
-    let mut at_width: Vec<LiveSummary> = Vec::new();
     for shards in [1usize, 2, 8] {
-        let (live, engine) = stream(&knowledge, &runs, port, shards);
-        engine.finish();
+        let live = stream(&knowledge, &runs, port, shards, 64).finish();
         assert_eq!(live.dropped_events, 0);
         assert_equivalent(&live, &analyses);
-        at_width.push(live);
     }
-    assert_eq!(at_width[0], at_width[1]);
-    assert_eq!(at_width[0], at_width[2]);
 }
 
 #[test]
 fn finished_campaign_streams_to_identical_volumes() {
-    let (knowledge, runs, port) = campaign(5, 71);
+    let (knowledge, runs, port) = campaign(5, 71, LEGACY);
     let analyses = offline(&knowledge, &runs, port);
     assert!(analyses.iter().any(|a| !a.flows.is_empty()));
-    let (live, engine) = stream(&knowledge, &runs, port, configured_shards(1));
+    let engine = stream(&knowledge, &runs, port, 1, 64);
+    let live = engine.snapshot();
     assert_eq!(live.dropped_events, 0, "Block policy never drops");
     assert_equivalent(&live, &analyses);
     // finish() after a snapshot returns the same final state.
-    let final_summary = engine.finish();
-    assert_equivalent(&final_summary, &analyses);
+    assert_eq!(engine.finish(), live);
 }
 
 /// The adversarial extreme of the batched ingress: every frame ships
@@ -251,22 +200,10 @@ fn finished_campaign_streams_to_identical_volumes() {
 /// property of routing + shard-local decode, not of batch geometry.
 #[test]
 fn tiny_batches_preserve_equivalence_at_any_width() {
-    let (knowledge, runs, port) = campaign(3, 74);
+    let (knowledge, runs, port) = campaign(3, 74, LEGACY);
     let analyses = offline(&knowledge, &runs, port);
     for (shards, batch_events) in [(1usize, 1usize), (2, 1), (8, 3)] {
-        let engine = LiveEngine::start(
-            Arc::new(knowledge.clone()),
-            LiveConfig {
-                shards,
-                collector_port: port,
-                batch_events,
-                ..Default::default()
-            },
-        );
-        for (index, raw) in runs.iter().enumerate() {
-            engine.push_run(index as u32, &raw.capture);
-        }
-        let live = engine.finish();
+        let live = stream(&knowledge, &runs, port, shards, batch_events).finish();
         assert_eq!(live.dropped_events, 0);
         assert_equivalent(&live, &analyses);
     }
@@ -274,13 +211,12 @@ fn tiny_batches_preserve_equivalence_at_any_width() {
 
 /// Chaos-damaged captures stream to the same answer the offline
 /// pipeline computes from the same damaged bytes — including the
-/// frame/report error ledgers, at every shard width. This is the
-/// equivalence guarantee extended to the degraded-mode accounting:
-/// truncated frames and corrupted reports are *counted*, identically,
-/// wherever the decode runs.
+/// frame/report error ledgers, at every shard width: truncated frames
+/// and corrupted reports are *counted*, identically, wherever the
+/// decode runs.
 #[test]
 fn chaos_damaged_streams_stay_equivalent() {
-    let (knowledge, runs, port) = campaign(4, 75);
+    let (knowledge, runs, port) = campaign(4, 75, LEGACY);
     let plan = FaultPlan::new(0xBAD5EED, FaultProfile::heavy());
     let damaged: Vec<RawRun> = runs
         .into_iter()
@@ -301,48 +237,32 @@ fn chaos_damaged_streams_stay_equivalent() {
             > 0,
         "heavy chaos at this scale must damage something on the wire"
     );
-    let mut at_width: Vec<LiveSummary> = Vec::new();
     for shards in [1usize, 2, 8] {
-        let (live, engine) = stream(&knowledge, &damaged, port, shards);
-        engine.finish();
+        let live = stream(&knowledge, &damaged, port, shards, 64).finish();
         assert_equivalent(&live, &analyses);
-        at_width.push(live);
     }
-    // And the widths agree with each other field for field.
-    assert_eq!(at_width[0], at_width[1]);
-    assert_eq!(at_width[0], at_width[2]);
 }
 
 #[test]
 fn shard_count_is_invisible_in_the_summary() {
-    let (knowledge, runs, port) = campaign(4, 72);
+    let (knowledge, runs, port) = campaign(4, 72, LEGACY);
     let analyses = offline(&knowledge, &runs, port);
-    let (one, engine_one) = stream(&knowledge, &runs, port, 1);
-    let (four, engine_four) = stream(&knowledge, &runs, port, configured_shards(4));
+    let one = stream(&knowledge, &runs, port, 1, 64).finish();
+    let four = stream(&knowledge, &runs, port, 4, 64).finish();
     assert_eq!(one, four, "sharding changes throughput, never results");
     assert_equivalent(&one, &analyses);
-    engine_one.finish();
-    engine_four.finish();
 }
 
 #[test]
 fn mid_campaign_snapshots_equal_offline_prefixes() {
-    let (knowledge, runs, port) = campaign(4, 73);
+    let (knowledge, runs, port) = campaign(4, 73, LEGACY);
     let analyses = offline(&knowledge, &runs, port);
-    let engine = LiveEngine::start(
-        Arc::new(knowledge.clone()),
-        LiveConfig {
-            shards: configured_shards(2),
-            collector_port: port,
-            ..Default::default()
-        },
-    );
+    let engine = stream(&knowledge, &[], port, 2, 64);
     for (index, raw) in runs.iter().enumerate() {
         engine.push_run(index as u32, &raw.capture);
         // After each whole run, the live view equals the offline view
         // of exactly the runs streamed so far.
-        let snapshot = engine.snapshot();
-        assert_equivalent(&snapshot, &analyses[..=index]);
+        assert_equivalent(&engine.snapshot(), &analyses[..=index]);
     }
     engine.finish();
 }
@@ -398,9 +318,14 @@ fn duplicates_and_orphans_account_identically() {
     let analysis = analyze_run(&raw, &knowledge, config.collector_port);
     assert_eq!(analysis.reports_without_flow, 1);
 
-    let engine = LiveEngine::start(Arc::new(knowledge.clone()), LiveConfig::default());
-    engine.push_run(0, &raw.capture);
-    let live = engine.finish();
+    let live = stream(
+        &knowledge,
+        std::slice::from_ref(&raw),
+        config.collector_port,
+        1,
+        64,
+    )
+    .finish();
     assert_eq!(live.flows, 1, "duplicate claimed once");
     assert_eq!(live.report_packets, 3);
     assert_eq!(live.unjoined_reports(), 1, "the orphan is visible");
