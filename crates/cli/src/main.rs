@@ -1,31 +1,27 @@
 //! `libspector` — run measurement campaigns over a synthetic app store.
-//!
-//! ```text
-//! libspector run    --apps 200 --seed 42 --events 1000 [--workers 0]
-//!                   [--out campaign.json] [--method-scale 0.02]
-//!                   [--chaos none|light|heavy] [--chaos-seed S]
-//!                   [--max-failures N] [--checkpoint FILE]
-//!                   [--checkpoint-every N] [--resume FILE]
-//! libspector report --campaign campaign.json
-//! libspector sweep  --apps 50 --seed 42 --events 10,100,500,1000
-//! ```
+//! Campaigns persist in a `spector-store` directory (`run --store DIR`),
+//! which `query`, `baseline`, `policy`, `export` and `shapes` read back;
+//! see `USAGE` for every subcommand.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Mutex;
 
 use libspector::knowledge::Knowledge;
+use libspector::pipeline::AppAnalysis;
 use spector_analysis::FullReport;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_dispatch::{
-    run_campaign_stored, run_corpus, save_campaign, AppFailure, Campaign, CampaignConfig,
-    CheckpointConfig, DispatchConfig, RetryPolicy,
+    run_campaign_stored, run_corpus, AppFailure, CampaignConfig, CampaignFingerprint,
+    DispatchConfig, RetryPolicy,
 };
 use spector_faults::{FaultPlan, FaultProfile};
 use spector_sampling::{SamplingConfig, TraceBudget};
 use spector_store::{
     CampaignKind, CampaignMeta, CampaignSealRecord, StoreOptions, StoreReader, StoreTelemetry,
-    StoreWriter, StoredFailure, DEFAULT_SEAL_EVERY,
+    StoreWriter, DEFAULT_SEAL_EVERY,
 };
+use spector_telemetry::Telemetry;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,7 +34,6 @@ fn main() -> ExitCode {
         "live" => cmd_live(&args[1..]),
         "query" => cmd_query(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
-        "report" => cmd_report(&args[1..]),
         "sweep" => cmd_sweep(&args[1..]),
         "baseline" => cmd_baseline(&args[1..]),
         "policy" => cmd_policy(&args[1..]),
@@ -65,16 +60,17 @@ libspector — context-aware network traffic analysis (simulated reproduction)
 
 USAGE:
   libspector run    --apps N [--seed S] [--events E] [--workers W]
-                    [--out FILE] [--method-scale F]
+                    [--method-scale F]
                     [--modern-fraction F]  (IPv6/pooled/TLS-like/CONNECT traffic share)
-                    [--chaos none|light|heavy] [--chaos-seed S]
-                    [--max-failures N] [--checkpoint FILE]
-                    [--checkpoint-every N] [--resume FILE]
+                    [--chaos none|light|heavy] [--chaos-seed S] [--max-failures N]
                     [--sample-rate F]    (per-socket report sampling, default 1.0)
                     [--trace-budget N [--trace-budget-window MICROS]]
                     [--metrics FILE]  (also writes FILE.prom)
                     [--store DIR]     (durable columnar campaign store)
-                    [--store-seal-every N]  (analyses per sealed segment)
+                    [--store-seal-every N]  (analyses per sealed segment: the
+                                             checkpoint cadence)
+                    [--resume]        (continue the store's unsealed campaign;
+                                       needs --store, same settings)
   libspector live   --apps N [--seed S] [--events E] [--workers W]
                     [--shards K] [--batch-events B] [--snapshot-every N]
                     [--modern-fraction F]
@@ -86,12 +82,14 @@ USAGE:
                      byte-identical to what `run` printed; integrity counts
                      — ok/rejected/orphaned/unsealed — go to stderr)
   libspector metrics --file FILE [--prometheus]  (per-stage profile table)
-  libspector report --campaign FILE
   libspector sweep  --apps N [--seed S] --events E1,E2,...
-  libspector baseline --campaign FILE          (DNS-only classifier comparison)
-  libspector policy   --campaign FILE [--min-mb F]  (blacklist suggestion + what-if)
-  libspector export   --campaign FILE --out DIR     (CSV per table/figure)
-  libspector shapes   --campaign FILE                (check paper shapes)
+  libspector baseline --store DIR [--campaign N]   (DNS-only classifier comparison)
+  libspector policy   --store DIR [--campaign N] [--min-mb F]
+                      (blacklist suggestion + what-if)
+  libspector export   --store DIR [--campaign N] --out DIR  (CSV per table/figure)
+  libspector shapes   --store DIR [--campaign N]   (check paper shapes)
+                    (these read one stored campaign: --campaign N, or the
+                     store's only campaign)
   libspector detect-quality [--apps N] [--seed S] [--method-scale F]
                     [--obf-seed S]   (cascade precision/recall per obfuscation level)
 ";
@@ -163,54 +161,42 @@ fn build_corpus(apps: usize, seed: u64, method_scale: f64, modern_fraction: f64)
     })
 }
 
-/// Opens `dir` as a store and registers a new campaign for this
-/// invocation.
+/// Opens `dir` as a store for this invocation's campaign. `run`
+/// passes its fingerprint and `--resume` (`resumable`); `live`
+/// campaigns record no fingerprint and always start fresh.
 fn open_store_writer(
     dir: &str,
-    seed: u64,
-    apps: usize,
-    events: u32,
-    kind: CampaignKind,
+    meta: &CampaignMeta,
+    resumable: Option<(&CampaignFingerprint, bool)>,
     seal_every: usize,
-    telemetry: &spector_telemetry::Telemetry,
-) -> Result<std::sync::Mutex<StoreWriter>, String> {
-    let meta = CampaignMeta {
-        seed,
-        apps,
-        monkey_events: events as usize,
-        kind,
-    };
+    telemetry: &Telemetry,
+) -> Result<Mutex<StoreWriter>, String> {
     let options = StoreOptions {
         seal_every,
         telemetry: StoreTelemetry::new(telemetry),
     };
-    let writer = StoreWriter::create(std::path::Path::new(dir), &meta, options)
-        .map_err(|e| format!("opening store {dir}: {e}"))?;
+    let writer = match resumable {
+        Some((fingerprint, resume)) => {
+            StoreWriter::open(Path::new(dir), meta, fingerprint, resume, options)
+        }
+        None => StoreWriter::create(Path::new(dir), meta, options),
+    }
+    .map_err(|e| format!("opening store {dir}: {e}"))?;
     eprintln!("store: writing campaign {} to {dir}", writer.campaign_id());
-    Ok(std::sync::Mutex::new(writer))
+    Ok(Mutex::new(writer))
 }
 
 /// Seals the store campaign, preserving the failure ledger.
 fn seal_store(
-    writer: std::sync::Mutex<StoreWriter>,
-    seed: u64,
-    apps: usize,
-    events: u32,
+    writer: Mutex<StoreWriter>,
+    meta: &CampaignMeta,
     failures: &[AppFailure],
 ) -> Result<(), String> {
     let seal = CampaignSealRecord {
-        seed,
-        apps,
-        monkey_events: events as usize,
-        failures: failures
-            .iter()
-            .map(|f| StoredFailure {
-                index: f.index,
-                package: f.package.clone(),
-                error: f.error.clone(),
-                attempts: f.attempts,
-            })
-            .collect(),
+        seed: meta.seed,
+        apps: meta.apps,
+        monkey_events: meta.monkey_events,
+        failures: failures.to_vec(),
     };
     writer
         .into_inner()
@@ -226,21 +212,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let workers: usize = parse_flag(args, "--workers", 0)?;
     let method_scale: f64 = parse_flag(args, "--method-scale", 0.02)?;
     let modern_fraction: f64 = parse_flag(args, "--modern-fraction", 0.0)?;
-    let out: Option<String> = flag(args, "--out");
     let chaos_profile: FaultProfile = parse_flag(args, "--chaos", FaultProfile::none())?;
     let chaos_seed: u64 = parse_flag(args, "--chaos-seed", seed)?;
     let max_failures: usize = parse_flag(args, "--max-failures", 0)?;
-    let checkpoint: Option<String> = flag(args, "--checkpoint");
-    let checkpoint_every: usize = parse_flag(args, "--checkpoint-every", 25)?;
-    let resume: Option<String> = flag(args, "--resume");
     let metrics_out: Option<String> = flag(args, "--metrics");
     let store_dir: Option<String> = flag(args, "--store");
     let seal_every: usize = parse_flag(args, "--store-seal-every", DEFAULT_SEAL_EVERY)?;
+    let resume = args.iter().any(|a| a == "--resume");
+    if resume && store_dir.is_none() {
+        return Err(
+            "--resume needs --store DIR (it continues that store's unsealed campaign)".into(),
+        );
+    }
     let sampling = parse_sampling(args, seed)?;
 
-    let corpus = build_corpus(apps, seed, method_scale, modern_fraction);
-    eprintln!("scanning corpus (LibRadar aggregate + domain labels)");
-    let knowledge = Knowledge::from_corpus(&corpus);
     let mut dispatch = DispatchConfig {
         workers,
         ..Default::default()
@@ -267,9 +252,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         eprintln!("chaos enabled: seed {}", plan.seed());
     }
     let telemetry = if metrics_out.is_some() {
-        spector_telemetry::Telemetry::enabled()
+        Telemetry::enabled()
     } else {
-        spector_telemetry::Telemetry::disabled()
+        Telemetry::disabled()
     };
     let config = CampaignConfig {
         dispatch,
@@ -279,28 +264,34 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         } else {
             RetryPolicy::never()
         },
-        checkpoint: checkpoint.map(|path| CheckpointConfig {
-            path: PathBuf::from(path),
-            every: checkpoint_every,
-        }),
-        resume_from: resume.map(PathBuf::from),
         telemetry: telemetry.clone(),
         ..Default::default()
     };
+    let meta = CampaignMeta {
+        seed,
+        apps,
+        monkey_events: events as usize,
+        kind: CampaignKind::Run,
+    };
+    // The store opens before the corpus is built, so a refused resume
+    // costs nothing.
     let store = store_dir
         .as_deref()
         .map(|dir| {
+            let fingerprint = config.fingerprint(apps);
             open_store_writer(
                 dir,
-                seed,
-                apps,
-                events,
-                CampaignKind::Run,
+                &meta,
+                Some((&fingerprint, resume)),
                 seal_every,
                 &telemetry,
             )
         })
         .transpose()?;
+
+    let corpus = build_corpus(apps, seed, method_scale, modern_fraction);
+    eprintln!("scanning corpus (LibRadar aggregate + domain labels)");
+    let knowledge = Knowledge::from_corpus(&corpus);
     eprintln!("running campaign ({events} monkey events per app)");
     let progress = |done: usize| {
         if done.is_multiple_of(50) {
@@ -315,9 +306,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         Some(&progress),
         store.as_ref(),
     )
-    .map_err(|e| format!("campaign checkpoint i/o: {e}"))?;
+    .map_err(|e| format!("campaign store i/o: {e}"))?;
     if let Some(writer) = store {
-        seal_store(writer, seed, apps, events, &outcome.failures)?;
+        seal_store(writer, &meta, &outcome.failures)?;
     }
     for failure in &outcome.failures {
         eprintln!(
@@ -335,25 +326,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(path) = &metrics_out {
         write_metrics(&telemetry.snapshot(), path)?;
     }
-    let failures = outcome.failures;
-    let analyses = outcome.analyses;
-    let report = FullReport::build(&analyses);
-    println!("{}", report.render());
-    if let Some(out) = out {
-        let campaign = Campaign {
-            seed,
-            apps,
-            monkey_events: events,
-            analyses,
-            failures: failures.clone(),
-        };
-        save_campaign(&campaign, &PathBuf::from(&out)).map_err(|e| e.to_string())?;
-        eprintln!("campaign saved to {out}");
-    }
-    if failures.len() > max_failures {
+    println!("{}", FullReport::build(&outcome.analyses).render());
+    if outcome.failures.len() > max_failures {
         return Err(format!(
             "{} app(s) failed, exceeding --max-failures {max_failures}",
-            failures.len()
+            outcome.failures.len()
         ));
     }
     Ok(())
@@ -391,23 +368,19 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     }
 
     let telemetry = if metrics_out.is_some() {
-        spector_telemetry::Telemetry::enabled()
+        Telemetry::enabled()
     } else {
-        spector_telemetry::Telemetry::disabled()
+        Telemetry::disabled()
+    };
+    let meta = CampaignMeta {
+        seed,
+        apps,
+        monkey_events: events as usize,
+        kind: CampaignKind::Live,
     };
     let store = store_dir
         .as_deref()
-        .map(|dir| {
-            open_store_writer(
-                dir,
-                seed,
-                apps,
-                events,
-                CampaignKind::Live,
-                seal_every,
-                &telemetry,
-            )
-        })
+        .map(|dir| open_store_writer(dir, &meta, None, seal_every, &telemetry))
         .transpose()?;
     let live = LiveEngine::start(
         std::sync::Arc::new(knowledge.clone()),
@@ -440,8 +413,8 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             );
         }
     };
-    // Matches what `run_corpus_live` builds: dispatch telemetry stays
-    // default so the metrics snapshot remains the live engine's alone.
+    // Dispatch telemetry stays default so the metrics snapshot remains
+    // the live engine's alone.
     let campaign_config = CampaignConfig {
         dispatch: dispatch.clone(),
         ..Default::default()
@@ -456,7 +429,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| format!("campaign store i/o: {e}"))?;
     if let Some(writer) = store {
-        seal_store(writer, seed, apps, events, &outcome.failures)?;
+        seal_store(writer, &meta, &outcome.failures)?;
     }
     let (live, live_metrics) = live.finish_with_metrics();
     if let Some(path) = &metrics_out {
@@ -484,46 +457,16 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+/// Opens `--store DIR` for reading and reports on stderr what open
+/// found: rejected segments, orphans, unsealed campaigns.
+fn open_store_reader(args: &[String], telemetry: &Telemetry) -> Result<StoreReader, String> {
     let dir = flag(args, "--store").ok_or("missing --store DIR")?;
-    let campaign: Option<u32> = match flag(args, "--campaign") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value {raw:?} for --campaign"))?,
-        ),
-    };
-    let campaigns: Option<Vec<u32>> = match flag(args, "--campaigns") {
-        None => campaign.map(|c| vec![c]),
-        Some(_) if campaign.is_some() => {
-            return Err("--campaign and --campaigns are mutually exclusive".into());
-        }
-        Some(raw) => Some(
-            raw.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|_| format!("bad campaign id {s:?}"))
-                })
-                .collect::<Result<Vec<u32>, String>>()?,
-        ),
-    };
-    let top: usize = parse_flag(args, "--top", 20)?;
-    let report = args.iter().any(|a| a == "--report");
-    let metrics_out: Option<String> = flag(args, "--metrics");
-
-    let telemetry = if metrics_out.is_some() {
-        spector_telemetry::Telemetry::enabled()
-    } else {
-        spector_telemetry::Telemetry::disabled()
-    };
-    let reader =
-        StoreReader::open_with(std::path::Path::new(&dir), StoreTelemetry::new(&telemetry))
-            .map_err(|e| format!("opening store {dir}: {e}"))?;
-    for (file, kind) in &reader.integrity().rejected {
+    let reader = StoreReader::open_with(Path::new(&dir), StoreTelemetry::new(telemetry))
+        .map_err(|e| format!("opening store {dir}: {e}"))?;
+    let integrity = reader.integrity();
+    for (file, kind) in &integrity.rejected {
         eprintln!("warning: rejected segment {file}: {}", kind.label());
     }
-    let integrity = reader.integrity();
     eprintln!(
         "store integrity: {} segment(s) ok, {} rejected, {} orphaned, {} unsealed campaign(s)",
         integrity.segments_ok,
@@ -531,22 +474,80 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         integrity.orphaned_segments,
         integrity.unsealed_campaigns,
     );
+    Ok(reader)
+}
 
+/// The campaigns `--campaign N` or `--campaigns N1,N2,...` select, or
+/// `None` for neither. An id the manifest does not list is an error,
+/// never an empty answer.
+fn selected_campaigns(args: &[String], reader: &StoreReader) -> Result<Option<Vec<u32>>, String> {
+    let ids: Vec<u32> = match (flag(args, "--campaign"), flag(args, "--campaigns")) {
+        (None, None) => return Ok(None),
+        (Some(_), Some(_)) => {
+            return Err("--campaign and --campaigns are mutually exclusive".into());
+        }
+        (Some(raw), None) => vec![raw
+            .parse()
+            .map_err(|_| format!("invalid value {raw:?} for --campaign"))?],
+        (None, Some(raw)) => raw
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|_| format!("bad campaign id {s:?}"))
+            })
+            .collect::<Result<_, String>>()?,
+    };
+    let listed: Vec<u32> = reader.campaigns().iter().map(|c| c.id).collect();
+    if let Some(unknown) = ids.iter().find(|id| !listed.contains(id)) {
+        return Err(format!(
+            "store holds no campaign {unknown} (it lists {listed:?})"
+        ));
+    }
+    Ok(Some(ids))
+}
+
+/// The one campaign a command reads: the selected one, or the store's
+/// only campaign.
+fn one_campaign(args: &[String], reader: &StoreReader) -> Result<u32, String> {
+    match selected_campaigns(args, reader)?.as_deref() {
+        Some([id]) => Ok(*id),
+        Some(_) => Err("this command reads exactly one campaign".into()),
+        None => match reader.campaigns() {
+            [only] => Ok(only.id),
+            [] => Err("store holds no campaigns".into()),
+            _ => Err("store holds several campaigns; pick one with --campaign N".into()),
+        },
+    }
+}
+
+/// The analyses of the one campaign `--store DIR [--campaign N]`
+/// selects, in corpus order.
+fn stored_analyses(args: &[String]) -> Result<Vec<AppAnalysis>, String> {
+    let reader = open_store_reader(args, &Telemetry::disabled())?;
+    let id = one_campaign(args, &reader)?;
+    Ok(reader.campaign_analyses(id))
+}
+
+fn cmd_query(args: &[String]) -> Result<(), String> {
+    let top: usize = parse_flag(args, "--top", 20)?;
+    let report = args.iter().any(|a| a == "--report");
+    let metrics_out: Option<String> = flag(args, "--metrics");
+
+    let telemetry = if metrics_out.is_some() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let reader = open_store_reader(args, &telemetry)?;
     if report {
         // The stored campaign's standard report: byte-identical to the
         // stdout `libspector run` produced for the same campaign.
-        let id = match campaigns.as_deref() {
-            Some([id]) => *id,
-            Some(_) => return Err("--report takes exactly one campaign".into()),
-            None => match reader.campaigns() {
-                [only] => only.id,
-                [] => return Err(format!("store {dir} holds no campaigns")),
-                _ => return Err("--report needs --campaign N (store holds several)".into()),
-            },
-        };
+        let id = one_campaign(args, &reader)?;
         let full = spector_analysis::storeq::report_from_store(&reader, id);
         println!("{}", full.render());
     } else {
+        let campaigns = selected_campaigns(args, &reader)?;
         let stats = spector_analysis::storeq::compute(&reader, campaigns.as_deref());
         print!("{}", spector_analysis::storeq::render(&stats, top));
     }
@@ -566,15 +567,6 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     } else {
         print!("{}", spector_analysis::profile::render_profile(&snapshot));
     }
-    Ok(())
-}
-
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let path = flag(args, "--campaign").ok_or("missing --campaign FILE")?;
-    let campaign =
-        spector_dispatch::load_campaign(&PathBuf::from(&path)).map_err(|e| e.to_string())?;
-    let report = FullReport::build(&campaign.analyses);
-    println!("{}", report.render());
     Ok(())
 }
 
@@ -613,10 +605,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let path = flag(args, "--campaign").ok_or("missing --campaign FILE")?;
-    let campaign =
-        spector_dispatch::load_campaign(&PathBuf::from(&path)).map_err(|e| e.to_string())?;
-    let comparison = libspector::baseline::compare(&campaign.analyses);
+    let comparison = libspector::baseline::compare(&stored_analyses(args)?);
     println!("DNS-only baseline vs context-aware attribution");
     println!(
         "  total {:.2} MB | agree {:.2} MB | conflict {:.2} MB | invisible {:.2} MB",
@@ -636,11 +625,9 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
 
 fn cmd_policy(args: &[String]) -> Result<(), String> {
     use libspector::policy::{apply, suggest_blacklist, Action, Matcher, Policy};
-    let path = flag(args, "--campaign").ok_or("missing --campaign FILE")?;
     let min_mb: f64 = parse_flag(args, "--min-mb", 0.5)?;
-    let campaign =
-        spector_dispatch::load_campaign(&PathBuf::from(&path)).map_err(|e| e.to_string())?;
-    let suggestions = suggest_blacklist(&campaign.analyses, (min_mb * 1_048_576.0) as u64);
+    let analyses = stored_analyses(args)?;
+    let suggestions = suggest_blacklist(&analyses, (min_mb * 1_048_576.0) as u64);
     if suggestions.is_empty() {
         println!("no AnT origin exceeds {min_mb} MB; nothing to suggest");
         return Ok(());
@@ -655,24 +642,21 @@ fn cmd_policy(args: &[String]) -> Result<(), String> {
             Action::Block,
         );
     }
-    let report = apply(&policy, &campaign.analyses);
+    let report = apply(&policy, &analyses);
     println!(
         "what-if: block {} of {} flows, {:.2} MB; {} apps fully silenced; saves ${:.3}/hour per app",
         report.blocked_flows,
         report.flows,
         report.blocked_bytes as f64 / 1_048_576.0,
         report.fully_blocked_apps,
-        report.hourly_savings_usd(&libspector::cost::DataPlan::default(), campaign.analyses.len()),
+        report.hourly_savings_usd(&libspector::cost::DataPlan::default(), analyses.len()),
     );
     Ok(())
 }
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
-    let path = flag(args, "--campaign").ok_or("missing --campaign FILE")?;
     let out = flag(args, "--out").ok_or("missing --out DIR")?;
-    let campaign =
-        spector_dispatch::load_campaign(&PathBuf::from(&path)).map_err(|e| e.to_string())?;
-    let report = FullReport::build(&campaign.analyses);
+    let report = FullReport::build(&stored_analyses(args)?);
     let written = spector_analysis::export::export_all(&report, &PathBuf::from(&out))
         .map_err(|e| e.to_string())?;
     println!(
@@ -702,10 +686,7 @@ fn cmd_detect_quality(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_shapes(args: &[String]) -> Result<(), String> {
-    let path = flag(args, "--campaign").ok_or("missing --campaign FILE")?;
-    let campaign =
-        spector_dispatch::load_campaign(&PathBuf::from(&path)).map_err(|e| e.to_string())?;
-    let report = FullReport::build(&campaign.analyses);
+    let report = FullReport::build(&stored_analyses(args)?);
     let checks = spector_analysis::paper::compare_to_paper(&report);
     print!("{}", spector_analysis::paper::render_checks(&checks));
     let holding = checks.iter().filter(|c| c.holds).count();

@@ -34,25 +34,24 @@
 //!   backoff and deterministic jitter; real errors are not.
 //! * **Deadlines** — a per-app virtual-clock deadline turns a wedged
 //!   run into a retryable failure instead of a stuck worker.
-//! * **Checkpointing** — the collector persists a fingerprinted
-//!   [`CampaignCheckpoint`] every N results; a killed campaign resumes
-//!   from it without re-running completed apps, and produces the same
-//!   [`CampaignOutcome`] an uninterrupted run would have.
+//! * **Resume** — [`run_campaign_stored`] appends every analysis to a
+//!   `spector-store` campaign as it lands. A writer reopened over a
+//!   killed campaign's sealed segments (`StoreWriter::open` with
+//!   `resume`, under [`CampaignConfig::fingerprint`]) prefills those
+//!   apps, so only the rest re-run, and the outcome is the one an
+//!   uninterrupted run would have produced.
 //!
 //! [`run_corpus`] remains the simple facade: no chaos, no retries, no
-//! checkpointing — byte-identical to the pre-hardening dispatcher.
+//! store — byte-identical to the pre-hardening dispatcher.
 //!
-//! With [`run_corpus_live`], each worker additionally streams its
-//! finished run's capture into a `spector-live` [`LiveEngine`] — the
-//! online attribution engine — so a campaign can be watched while it
-//! runs.
+//! Given a `spector-live` [`LiveEngine`] — the online attribution
+//! engine — each worker additionally streams its finished run's
+//! capture into it, so a campaign can be watched while it runs.
 
 pub mod resilience;
-pub mod store;
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -65,13 +64,13 @@ use serde::{Deserialize, Serialize};
 use spector_corpus::Corpus;
 use spector_faults::{perturb_capture, FaultPlan, FaultTelemetry, PerturbStats};
 use spector_live::LiveEngine;
+use spector_sampling::SamplingConfig;
 use spector_telemetry::{Counter, Histogram, StageRecorder, Telemetry, LATENCY_BOUNDS_MICROS};
 
 pub use resilience::RetryPolicy;
-pub use store::{
-    load_campaign, load_checkpoint, save_campaign, save_checkpoint, Campaign, CampaignCheckpoint,
-    CampaignFingerprint, CheckpointEntry,
-};
+/// One app whose experiment could not run: the record the store's
+/// campaign seal preserves.
+pub use spector_store::StoredFailure as AppFailure;
 
 /// Campaign settings.
 #[derive(Debug, Clone, Default)]
@@ -83,18 +82,9 @@ pub struct DispatchConfig {
     pub experiment: ExperimentConfig,
 }
 
-/// Periodic checkpoint settings for [`run_campaign`].
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Where the checkpoint file lives (atomically replaced).
-    pub path: PathBuf,
-    /// Write a checkpoint every this many finished apps (min 1).
-    pub every: usize,
-}
-
 /// Everything [`run_campaign`] needs beyond the corpus: pool settings
 /// plus the resilience knobs. The default is exactly [`run_corpus`]'s
-/// behavior — no chaos, single attempt, no deadline, no checkpoint.
+/// behavior — no chaos, single attempt, no deadline.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Worker pool and per-app experiment settings.
@@ -106,15 +96,10 @@ pub struct CampaignConfig {
     /// Per-app virtual-clock deadline, microseconds: a run whose
     /// virtual duration exceeds this counts as a hang (retryable).
     pub deadline_micros: Option<u64>,
-    /// Periodic checkpointing; `None` disables it.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Resume from this checkpoint file if it exists (a missing file
-    /// starts fresh; a fingerprint mismatch is an error).
-    pub resume_from: Option<PathBuf>,
     /// Telemetry sink for campaign/pipeline/fault metrics. The default
     /// disabled handle reduces every instrumentation touch point to one
     /// branch; it never affects results, so it is deliberately not part
-    /// of the checkpoint fingerprint.
+    /// of the campaign fingerprint.
     pub telemetry: Telemetry,
 }
 
@@ -125,15 +110,32 @@ impl Default for CampaignConfig {
             chaos: None,
             retry: RetryPolicy::never(),
             deadline_micros: None,
-            checkpoint: None,
-            resume_from: None,
             telemetry: Telemetry::disabled(),
         }
     }
 }
 
+/// What a resumable store campaign is keyed by: resuming a campaign
+/// under different settings would stitch two different experiments
+/// together, so resume refuses anything but an exact match.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CampaignFingerprint {
+    /// Apps in the corpus.
+    pub apps: usize,
+    /// Base monkey seed (per-app seeds derive from it).
+    pub seed: u64,
+    /// Monkey events per app.
+    pub monkey_events: u32,
+    /// The chaos plan, if any — a resumed chaos campaign must replay
+    /// the same faults.
+    pub chaos: Option<FaultPlan>,
+    /// Sampling and budget settings — resuming under a different rate
+    /// would mix differently-thinned runs.
+    pub sampling: SamplingConfig,
+}
+
 impl CampaignConfig {
-    /// The identity this campaign checkpoints under.
+    /// The identity this campaign is stored and resumed under.
     pub fn fingerprint(&self, apps: usize) -> CampaignFingerprint {
         CampaignFingerprint {
             apps,
@@ -143,21 +145,6 @@ impl CampaignConfig {
             sampling: self.dispatch.experiment.supervisor.sampling,
         }
     }
-}
-
-/// One app whose experiment could not run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AppFailure {
-    /// Index of the app in the corpus.
-    pub index: usize,
-    /// The app's package name.
-    pub package: String,
-    /// Rendered experiment error (the last attempt's).
-    pub error: String,
-    /// Attempts spent before giving up (1 = failed first try, no
-    /// retries allowed or the failure was not retryable).
-    #[serde(default)]
-    pub attempts: u32,
 }
 
 /// Everything a campaign produced: successful analyses in app order,
@@ -200,28 +187,7 @@ pub fn run_corpus(
         ..Default::default()
     };
     run_campaign(corpus, knowledge, &campaign, None, progress)
-        .expect("io is impossible without checkpoint/resume")
-}
-
-/// [`run_corpus`], additionally streaming every successful run's
-/// capture into `live` (run id = app index) the moment the run
-/// finishes — before its offline analysis. The returned outcome is
-/// identical to [`run_corpus`]'s; the engine's final summary is the
-/// live view of the same campaign. Snapshots may be taken from any
-/// thread while the campaign runs.
-pub fn run_corpus_live(
-    corpus: &Corpus,
-    knowledge: &Knowledge,
-    config: &DispatchConfig,
-    live: &LiveEngine,
-    progress: Option<&(dyn Fn(usize) + Sync)>,
-) -> CampaignOutcome {
-    let campaign = CampaignConfig {
-        dispatch: config.clone(),
-        ..Default::default()
-    };
-    run_campaign(corpus, knowledge, &campaign, Some(live), progress)
-        .expect("io is impossible without checkpoint/resume")
+        .expect("io is impossible without a store")
 }
 
 /// Pre-fetched telemetry handles for one campaign, cloned into every
@@ -245,8 +211,6 @@ pub struct CampaignInstruments {
     /// `spector_campaign_retries_total`: attempts beyond each app's
     /// first try.
     pub retries: Counter,
-    /// `spector_campaign_checkpoints_total`: checkpoint files written.
-    pub checkpoints: Counter,
     /// `spector_campaign_app_virtual_micros`: each successful run's
     /// virtual-clock duration — deterministic, unlike the wall spans.
     pub app_virtual_micros: Histogram,
@@ -262,7 +226,6 @@ impl CampaignInstruments {
             apps_ok: telemetry.counter("spector_campaign_apps_ok_total"),
             apps_failed: telemetry.counter("spector_campaign_apps_failed_total"),
             retries: telemetry.counter("spector_campaign_retries_total"),
-            checkpoints: telemetry.counter("spector_campaign_checkpoints_total"),
             app_virtual_micros: telemetry.histogram(
                 "spector_campaign_app_virtual_micros",
                 &LATENCY_BOUNDS_MICROS,
@@ -419,15 +382,14 @@ fn run_one_app(
 }
 
 /// Runs a hardened campaign: [`run_corpus`] plus chaos injection,
-/// panic isolation, bounded retries, per-app deadlines, and
-/// checkpoint/resume. With the default [`CampaignConfig`] the outcome
-/// is byte-identical to [`run_corpus`].
+/// panic isolation, bounded retries and per-app deadlines. With the
+/// default [`CampaignConfig`] the outcome is byte-identical to
+/// [`run_corpus`].
 ///
 /// # Errors
 ///
-/// Returns an error when the resume checkpoint exists but does not
-/// match this campaign's fingerprint, or when a checkpoint write
-/// fails. The experiment itself cannot error: every app failure is
+/// Only [`run_campaign_stored`]'s store errors, which cannot occur
+/// here: without a store there is no I/O, and every app failure is
 /// recorded in the outcome.
 pub fn run_campaign(
     corpus: &Corpus,
@@ -441,16 +403,26 @@ pub fn run_campaign(
 
 /// [`run_campaign`] with a durable write path: every successful
 /// analysis is appended to `store` the moment the collector loop sees
-/// it — incrementally, beside the checkpoints — so a campaign's
-/// records hit disk as it runs instead of only living in the returned
-/// [`CampaignOutcome`]. Analyses prefilled from a resume checkpoint
-/// are appended too (the writer registered a fresh store campaign, so
-/// nothing is double-counted).
+/// it, so a campaign's records hit disk as it runs instead of only
+/// living in the returned [`CampaignOutcome`].
+///
+/// A writer reopened over a killed campaign hands over the analyses
+/// that campaign already sealed; those apps are prefilled, not re-run.
+/// Failed apps and the unsealed tail re-run, replaying the same
+/// `(seed, app, attempt)` fault schedule, so `retried` and `injected`
+/// count only the re-run apps. Open such a writer under this config's
+/// [`CampaignConfig::fingerprint`].
 ///
 /// The writer rides in a `Mutex` because the caller keeps using it
 /// after the campaign (live snapshot flushes, the final seal):
 /// appends happen only from the single collector loop, so the lock is
 /// uncontended here.
+///
+/// # Errors
+///
+/// Returns the first store append error (the campaign still runs to
+/// completion first), or `InvalidData` when the resumed records name
+/// an app outside the corpus.
 pub fn run_campaign_stored(
     corpus: &Corpus,
     knowledge: &Knowledge,
@@ -460,40 +432,20 @@ pub fn run_campaign_stored(
     store: Option<&Mutex<spector_store::StoreWriter>>,
 ) -> io::Result<CampaignOutcome> {
     let apps = corpus.apps.len();
-    let fingerprint = config.fingerprint(apps);
     let instruments = CampaignInstruments::new(&config.telemetry);
 
     let mut results: Vec<Option<Result<AppAnalysis, AppFailure>>> = Vec::new();
     results.resize_with(apps, || None);
-    let mut retried: usize = 0;
-    let mut injected = PerturbStats::default();
-    if let Some(path) = &config.resume_from {
-        match load_checkpoint(path, &fingerprint) {
-            Ok(checkpoint) => {
-                retried = checkpoint.retried;
-                injected = checkpoint.injected;
-                for (slot, entry) in results.iter_mut().zip(checkpoint.results) {
-                    *slot = entry.map(|entry| match entry {
-                        CheckpointEntry::Analysis(analysis) => Ok(analysis),
-                        CheckpointEntry::Failure(failure) => Err(failure),
-                    });
-                }
-            }
-            // No checkpoint yet: a fresh campaign that will write one.
-            Err(error) if error.kind() == io::ErrorKind::NotFound => {}
-            Err(error) => return Err(error),
-        }
-    }
     if let Some(store) = store {
-        // Checkpoint-resumed analyses belong to this writer's (new)
-        // store campaign as much as freshly-computed ones do.
-        let mut writer = store.lock().expect("store writer poisoned");
-        for (index, slot) in results.iter().enumerate() {
-            if let Some(Ok(analysis)) = slot {
-                writer
-                    .append_analysis(index as u32, analysis)
-                    .map_err(io::Error::from)?;
-            }
+        let resumed = store.lock().expect("store writer poisoned").take_resumed();
+        for (index, analysis) in resumed {
+            let slot = results.get_mut(index as usize).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("resumed store campaign holds app {index}, corpus has {apps}"),
+                )
+            })?;
+            *slot = Some(Ok(analysis));
         }
     }
     let pending: Vec<usize> = (0..apps).filter(|i| results[*i].is_none()).collect();
@@ -515,7 +467,8 @@ pub fn run_campaign_stored(
         channel::bounded::<(usize, Result<AppAnalysis, AppFailure>, PerturbStats, u32)>(queue);
 
     let done = AtomicUsize::new(apps - pending.len());
-    let mut checkpoint_error: Option<io::Error> = None;
+    let mut retried: usize = 0;
+    let mut injected = PerturbStats::default();
     let mut store_error: Option<io::Error> = None;
     crossbeam::scope(|scope| {
         scope.spawn(|_| {
@@ -554,7 +507,6 @@ pub fn run_campaign_stored(
         }
         drop(job_rx);
         drop(result_tx);
-        let mut since_checkpoint = 0usize;
         for (index, result, stats, extra_attempts) in result_rx.iter() {
             retried += extra_attempts as usize;
             instruments.retries.add(extra_attempts as u64);
@@ -575,31 +527,11 @@ pub fn run_campaign_stored(
                 Err(_) => instruments.apps_failed.inc(),
             }
             results[index] = Some(result);
-            if let Some(checkpoint) = &config.checkpoint {
-                since_checkpoint += 1;
-                if since_checkpoint >= checkpoint.every.max(1) && checkpoint_error.is_none() {
-                    since_checkpoint = 0;
-                    let snapshot = snapshot_checkpoint(&fingerprint, &results, retried, &injected);
-                    if let Err(error) = save_checkpoint(&snapshot, &checkpoint.path) {
-                        checkpoint_error = Some(error);
-                    } else {
-                        instruments.checkpoints.inc();
-                    }
-                }
-            }
         }
     })
     .expect("worker panicked outside isolation");
-    if let Some(error) = checkpoint_error {
-        return Err(error);
-    }
     if let Some(error) = store_error {
         return Err(error);
-    }
-    if let Some(checkpoint) = &config.checkpoint {
-        let snapshot = snapshot_checkpoint(&fingerprint, &results, retried, &injected);
-        save_checkpoint(&snapshot, &checkpoint.path)?;
-        instruments.checkpoints.inc();
     }
 
     let mut outcome = CampaignOutcome {
@@ -615,28 +547,6 @@ pub fn run_campaign_stored(
     }
     debug_assert_eq!(outcome.total(), corpus.apps.len());
     Ok(outcome)
-}
-
-fn snapshot_checkpoint(
-    fingerprint: &CampaignFingerprint,
-    results: &[Option<Result<AppAnalysis, AppFailure>>],
-    retried: usize,
-    injected: &PerturbStats,
-) -> CampaignCheckpoint {
-    CampaignCheckpoint {
-        fingerprint: fingerprint.clone(),
-        results: results
-            .iter()
-            .map(|slot| {
-                slot.as_ref().map(|result| match result {
-                    Ok(analysis) => CheckpointEntry::Analysis(analysis.clone()),
-                    Err(failure) => CheckpointEntry::Failure(failure.clone()),
-                })
-            })
-            .collect(),
-        retried,
-        injected: *injected,
-    }
 }
 
 #[cfg(test)]
@@ -786,7 +696,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        let outcome = run_corpus_live(&corpus, &knowledge, &quick_dispatch(2), &live, None);
+        let config = CampaignConfig {
+            dispatch: quick_dispatch(2),
+            ..Default::default()
+        };
+        let outcome = run_campaign(&corpus, &knowledge, &config, Some(&live), None).unwrap();
         let live = live.finish();
         assert_eq!(outcome.analyses.len(), 4);
         assert_eq!(live.dropped_events, 0);

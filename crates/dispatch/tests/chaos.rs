@@ -4,20 +4,29 @@
 //! accounting invariant holds and no panic escapes the pool; for the
 //! *same* plan, results are byte-identical across worker counts; and
 //! for the zero-fault plan, the hardened path reproduces the plain
-//! `run_corpus` output exactly. Byte identity is asserted on the
-//! serialized outcome, not field samples.
+//! `run_corpus` output exactly; and a campaign killed mid-run resumes
+//! from its store campaign's sealed segments (its checkpoint) to the
+//! uninterrupted outcome. Byte identity is asserted on the serialized
+//! outcome, not field samples.
 
-use std::path::PathBuf;
-use std::sync::Once;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, Once};
 
 use libspector::knowledge::Knowledge;
 use proptest::prelude::*;
+use spector_analysis::{storeq, FullReport};
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_dispatch::{
-    load_checkpoint, run_campaign, run_corpus, save_checkpoint, CampaignConfig, CampaignOutcome,
-    CheckpointConfig, DispatchConfig, RetryPolicy,
+    run_campaign, run_campaign_stored, run_corpus, CampaignConfig, CampaignOutcome, DispatchConfig,
+    RetryPolicy,
 };
 use spector_faults::{FaultPlan, FaultProfile};
+use spector_store::{
+    CampaignKind, CampaignMeta, CampaignSealRecord, StoreOptions, StoreReader, StoreWriter,
+    MANIFEST_FILE,
+};
 
 /// Injected panics are expected here; keep them out of test output.
 /// (The hook is process-global, but every test in this binary that
@@ -73,9 +82,66 @@ fn outcome_bytes(outcome: &CampaignOutcome) -> Vec<u8> {
     serde_json::to_vec(outcome).expect("outcome serializes")
 }
 
-fn temp_checkpoint(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spector-chaos-{}", std::process::id()));
-    dir.join(format!("{name}.json"))
+fn temp_store(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("spector-chaos-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn store_meta(corpus: &Corpus, config: &CampaignConfig) -> CampaignMeta {
+    CampaignMeta {
+        seed: config.dispatch.experiment.monkey.seed,
+        apps: corpus.apps.len(),
+        monkey_events: config.dispatch.experiment.monkey.events as usize,
+        kind: CampaignKind::Run,
+    }
+}
+
+/// Opens `dir` for `config`'s campaign, sealing a segment per analysis.
+fn open_store(
+    dir: &Path,
+    corpus: &Corpus,
+    config: &CampaignConfig,
+    resume: bool,
+) -> io::Result<StoreWriter> {
+    let options = StoreOptions {
+        seal_every: 1,
+        ..StoreOptions::default()
+    };
+    let fingerprint = config.fingerprint(corpus.apps.len());
+    let meta = store_meta(corpus, config);
+    Ok(StoreWriter::open(
+        dir,
+        &meta,
+        &fingerprint,
+        resume,
+        options,
+    )?)
+}
+
+/// Runs `config`'s campaign into `writer` and seals it.
+fn run_stored(
+    corpus: &Corpus,
+    knowledge: &Knowledge,
+    config: &CampaignConfig,
+    writer: StoreWriter,
+    progress: Option<&(dyn Fn(usize) + Sync)>,
+) -> CampaignOutcome {
+    let writer = Mutex::new(writer);
+    let outcome =
+        run_campaign_stored(corpus, knowledge, config, None, progress, Some(&writer)).unwrap();
+    let meta = store_meta(corpus, config);
+    writer
+        .into_inner()
+        .unwrap()
+        .finish(&CampaignSealRecord {
+            seed: meta.seed,
+            apps: meta.apps,
+            monkey_events: meta.monkey_events,
+            failures: outcome.failures.clone(),
+        })
+        .unwrap();
+    outcome
 }
 
 fn arb_profile() -> impl Strategy<Value = FaultProfile> {
@@ -270,33 +336,31 @@ fn resumed_campaign_matches_uninterrupted_run() {
     silence_panics();
     let corpus = tiny_corpus(5, 38);
     let knowledge = Knowledge::from_corpus(&corpus);
-    let plan = FaultPlan::new(41, FaultProfile::light());
-    let path = temp_checkpoint("resume");
-
-    // The uninterrupted reference run, checkpointing as it goes.
-    let mut config = chaos_config(2, plan);
-    config.checkpoint = Some(CheckpointConfig {
-        path: path.clone(),
-        every: 1,
-    });
+    let config = chaos_config(2, FaultPlan::new(41, FaultProfile::light()));
     let uninterrupted = run_campaign(&corpus, &knowledge, &config, None, None).unwrap();
 
-    // Simulate a mid-run kill: strip the final checkpoint back to two
-    // completed apps, exactly what an interrupted collector leaves.
-    let fingerprint = config.fingerprint(corpus.apps.len());
-    let mut partial = load_checkpoint(&path, &fingerprint).unwrap();
-    assert_eq!(partial.completed(), 5);
-    for slot in partial.results.iter_mut().skip(2) {
-        *slot = None;
+    // A collector killed after two sealed segments: the writer
+    // vanishes without finish() or Drop.
+    let dir = temp_store("resume");
+    let mut writer = open_store(&dir, &corpus, &config, false).unwrap();
+    for analysis in uninterrupted.analyses.iter().take(2) {
+        let index = corpus
+            .apps
+            .iter()
+            .position(|app| app.package == analysis.package)
+            .unwrap();
+        writer.append_analysis(index as u32, analysis).unwrap();
     }
-    partial.retried = 0; // Conservative: retries of the lost apps replay.
-    partial.injected = Default::default();
-    save_checkpoint(&partial, &path).unwrap();
+    std::mem::forget(writer);
 
-    // Resume from the truncated checkpoint; only 3 apps re-run.
-    let mut resumed_config = config.clone();
-    resumed_config.resume_from = Some(path.clone());
-    let resumed = run_campaign(&corpus, &knowledge, &resumed_config, None, None).unwrap();
+    // Resume: only the apps the store does not hold re-run.
+    let reran = AtomicUsize::new(0);
+    let progress = |_done: usize| {
+        reran.fetch_add(1, Ordering::Relaxed);
+    };
+    let writer = open_store(&dir, &corpus, &config, true).unwrap();
+    let resumed = run_stored(&corpus, &knowledge, &config, writer, Some(&progress));
+    assert_eq!(reran.load(Ordering::Relaxed), 3);
     assert_eq!(
         serde_json::to_vec(&resumed.analyses).unwrap(),
         serde_json::to_vec(&uninterrupted.analyses).unwrap(),
@@ -306,40 +370,57 @@ fn resumed_campaign_matches_uninterrupted_run() {
         serde_json::to_vec(&resumed.failures).unwrap(),
         serde_json::to_vec(&uninterrupted.failures).unwrap(),
     );
-    // The final checkpoint now covers the whole campaign again.
-    let final_checkpoint = load_checkpoint(&path, &fingerprint).unwrap();
-    assert_eq!(final_checkpoint.completed(), 5);
-    std::fs::remove_file(&path).ok();
+
+    // The store holds one campaign, the resumed one, sealed, whose
+    // segment numbering ran on past the crash.
+    let reader = StoreReader::open(&dir).unwrap();
+    assert_eq!(reader.campaigns().len(), 1);
+    assert!(reader.campaigns()[0].sealed);
+    let seqs: Vec<u32> = reader.segments().iter().map(|s| s.seq).collect();
+    assert_eq!(seqs, (0..seqs.len() as u32).collect::<Vec<_>>());
+    assert_eq!(
+        storeq::report_from_store(&reader, 0).render(),
+        FullReport::build(&uninterrupted.analyses).render()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_refuses_a_foreign_checkpoint() {
     let corpus = tiny_corpus(2, 39);
-    let knowledge = Knowledge::from_corpus(&corpus);
-    let path = temp_checkpoint("foreign");
-    let mut config = chaos_config(1, FaultPlan::new(1, FaultProfile::none()));
-    config.checkpoint = Some(CheckpointConfig {
-        path: path.clone(),
-        every: 1,
-    });
-    run_campaign(&corpus, &knowledge, &config, None, None).unwrap();
-    // Same checkpoint, different chaos seed: must be rejected.
-    let mut other = chaos_config(1, FaultPlan::new(2, FaultProfile::none()));
-    other.resume_from = Some(path.clone());
-    let err = run_campaign(&corpus, &knowledge, &other, None, None).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    std::fs::remove_file(&path).ok();
+    let config = chaos_config(1, FaultPlan::new(1, FaultProfile::none()));
+    let dir = temp_store("foreign");
+    // An unsealed campaign, as a killed run leaves it.
+    drop(open_store(&dir, &corpus, &config, false).unwrap());
+    let manifest = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+
+    // Same store, different chaos seed: refused, store untouched.
+    let other = chaos_config(1, FaultPlan::new(2, FaultProfile::none()));
+    let err = open_store(&dir, &corpus, &other, true).err().unwrap();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+    assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn missing_resume_checkpoint_starts_fresh() {
     let corpus = tiny_corpus(2, 40);
     let knowledge = Knowledge::from_corpus(&corpus);
-    let mut config = chaos_config(1, FaultPlan::new(3, FaultProfile::none()));
-    config.resume_from = Some(temp_checkpoint("never-written"));
-    let outcome = run_campaign(&corpus, &knowledge, &config, None, None).unwrap();
-    assert_eq!(outcome.total(), 2);
-    assert_eq!(outcome.analyses.len(), 2);
+    let config = chaos_config(1, FaultPlan::new(3, FaultProfile::none()));
+    let dir = temp_store("fresh");
+    // No store yet, then a store whose only campaign is sealed: both
+    // times there is nothing to resume, so a new campaign runs.
+    for campaign in 0..2u32 {
+        let writer = open_store(&dir, &corpus, &config, true).unwrap();
+        assert_eq!(writer.campaign_id(), campaign);
+        let outcome = run_stored(&corpus, &knowledge, &config, writer, None);
+        assert_eq!(outcome.total(), 2);
+        assert_eq!(outcome.analyses.len(), 2);
+    }
+    let reader = StoreReader::open(&dir).unwrap();
+    assert!(reader.campaigns().iter().all(|c| c.sealed));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

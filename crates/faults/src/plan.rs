@@ -16,7 +16,7 @@ pub(crate) const LANE_WIRE: u64 = 2;
 /// Every decision the plan makes is a pure function of
 /// `(seed, app index, attempt)` — never of wall-clock time, worker
 /// identity, or completion order — so campaigns replay identically
-/// across worker counts and across checkpoint/resume boundaries.
+/// across worker counts and across a killed campaign's `--resume`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     seed: u64,

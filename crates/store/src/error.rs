@@ -30,7 +30,8 @@ pub enum StoreErrorKind {
     BadVersion,
     /// The segment decodes structurally but its FNV-1a fingerprint
     /// disagrees with the header or the manifest (bit rot, torn
-    /// overwrite).
+    /// overwrite); or a resuming producer's settings fingerprint
+    /// disagrees with the one its unsealed campaign recorded.
     FingerprintMismatch,
     /// Structurally invalid content: offsets out of range, inconsistent
     /// column lengths, bad enum discriminants, non-UTF-8 pool strings,

@@ -52,6 +52,13 @@ pub struct CampaignEntry {
     /// `false` here after the process died marks a partial campaign
     /// (its sealed segments are still queryable).
     pub sealed: bool,
+    /// JSON text of the producer's settings fingerprint (the
+    /// dispatcher's `CampaignFingerprint`). A resumed producer must
+    /// present exactly this text. `None` when the producer recorded no
+    /// fingerprint, or the manifest predates fingerprints; such a
+    /// campaign cannot be resumed.
+    #[serde(default)]
+    pub fingerprint: Option<String>,
 }
 
 /// One sealed segment file.
@@ -193,6 +200,7 @@ mod tests {
             monkey_events: 120,
             kind: CampaignKind::Run,
             sealed: true,
+            fingerprint: Some("{\"apps\":12}".to_owned()),
         });
         manifest.segments.push(SegmentEntry {
             file: segment_file_name(0, 0),
@@ -207,6 +215,17 @@ mod tests {
         manifest.save(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), manifest);
         assert_eq!(manifest.next_campaign_id(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifests_without_fingerprints_still_parse() {
+        let dir = temp_dir("legacy");
+        let legacy = r#"{"version":1,"campaigns":[{"id":0,"seed":1,"apps":2,
+            "monkey_events":3,"kind":"Run","sealed":false}],"segments":[]}"#;
+        fs::write(dir.join(MANIFEST_FILE), legacy).unwrap();
+        let manifest = Manifest::load(&dir).unwrap();
+        assert_eq!(manifest.campaigns[0].fingerprint, None);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -48,9 +48,9 @@ pub struct StoredAnalysis {
     pub analysis: AppAnalysis,
 }
 
-struct LoadedSegment {
+pub(crate) struct LoadedSegment {
     campaign: u32,
-    bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
     records: usize,
 }
 
@@ -196,7 +196,7 @@ impl StoreReader {
 }
 
 /// Reads and fully verifies one manifest-listed segment.
-fn load_segment(dir: &Path, entry: &SegmentEntry) -> StoreResult<LoadedSegment> {
+pub(crate) fn load_segment(dir: &Path, entry: &SegmentEntry) -> StoreResult<LoadedSegment> {
     let bytes = std::fs::read(dir.join(&entry.file))?;
     let view = SegmentView::parse(&bytes)?;
     if view.fingerprint != entry.fingerprint {

@@ -4,7 +4,9 @@
 //! rename-then-manifest protocol from [`crate::manifest`].
 //!
 //! A crash at any point loses at most the unsealed tail: everything
-//! the manifest lists was durably renamed first.
+//! the manifest lists was durably renamed first. [`StoreWriter::open`]
+//! with `resume` picks such a campaign up again: it continues the
+//! campaign's segment numbering and seals that same campaign.
 
 use std::path::{Path, PathBuf};
 
@@ -17,7 +19,10 @@ use crate::error::{StoreError, StoreErrorKind, StoreResult};
 use crate::manifest::{
     atomic_write, segment_file_name, CampaignEntry, CampaignKind, Manifest, SegmentEntry,
 };
-use crate::segment::{SegmentBuilder, REPORT_KIND_CAMPAIGN_SEAL, REPORT_KIND_LIVE_SNAPSHOT};
+use crate::reader::load_segment;
+use crate::segment::{
+    SegmentBuilder, SegmentView, REPORT_KIND_CAMPAIGN_SEAL, REPORT_KIND_LIVE_SNAPSHOT,
+};
 use crate::telemetry::StoreTelemetry;
 
 /// Default analyses per segment before the writer seals.
@@ -54,19 +59,18 @@ impl Default for StoreOptions {
     }
 }
 
-/// One failed app, as preserved in the campaign seal record.
-///
-/// A store-local mirror of the dispatcher's `AppFailure` (the store
-/// cannot depend on `spector-dispatch` without a cycle).
+/// One app whose experiment could not run, as preserved in the
+/// campaign seal record. The dispatcher re-exports it as `AppFailure`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredFailure {
     /// Index of the app in the corpus.
     pub index: usize,
     /// The app's package name.
     pub package: String,
-    /// Rendered experiment error.
+    /// Rendered experiment error (the last attempt's).
     pub error: String,
-    /// Attempts spent before giving up.
+    /// Attempts spent before giving up (1 = failed first try, no
+    /// retries allowed or the failure was not retryable).
     pub attempts: u32,
 }
 
@@ -94,28 +98,91 @@ pub struct StoreWriter {
     telemetry: StoreTelemetry,
     builder: SegmentBuilder,
     finished: bool,
+    /// Analyses a reopened campaign already holds on disk.
+    resumed: Vec<(u32, AppAnalysis)>,
 }
 
 impl StoreWriter {
     /// Opens (or initializes) the store at `dir` and registers a new
-    /// campaign with the next free id.
+    /// campaign with the next free id. Reads no segments.
     pub fn create(
         dir: &Path,
         meta: &CampaignMeta,
         options: StoreOptions,
     ) -> StoreResult<StoreWriter> {
-        if options.seal_every == 0 {
+        let manifest = prepare(dir, &options)?;
+        StoreWriter::register(dir, manifest, meta, None, options)
+    }
+
+    /// Opens the store at `dir` for a producer identified by
+    /// `fingerprint`, whose JSON text the manifest records.
+    ///
+    /// Without `resume` this is [`StoreWriter::create`] plus that
+    /// record. With `resume`, the newest unsealed `meta.kind` campaign
+    /// is reopened instead: a recorded fingerprint that differs is
+    /// refused before anything is written, and the campaign's verified
+    /// segments are loaded for [`StoreWriter::take_resumed`]. When no
+    /// campaign is unsealed, `resume` registers a fresh one.
+    pub fn open(
+        dir: &Path,
+        meta: &CampaignMeta,
+        fingerprint: &impl Serialize,
+        resume: bool,
+        options: StoreOptions,
+    ) -> StoreResult<StoreWriter> {
+        let fingerprint = serde_json::to_string(fingerprint)
+            .map_err(|e| StoreError::new(StoreErrorKind::Io, format!("encode fingerprint: {e}")))?;
+        let manifest = prepare(dir, &options)?;
+        let unsealed = manifest
+            .campaigns
+            .iter()
+            .rev()
+            .find(|c| !c.sealed && c.kind == meta.kind);
+        let Some(entry) = unsealed.filter(|_| resume) else {
+            return StoreWriter::register(dir, manifest, meta, Some(fingerprint), options);
+        };
+        if entry.fingerprint.as_deref() != Some(fingerprint.as_str()) {
             return Err(StoreError::new(
-                StoreErrorKind::Io,
-                "seal_every must be at least 1",
+                StoreErrorKind::FingerprintMismatch,
+                format!(
+                    "campaign fingerprint mismatch: unsealed campaign {} was written under {}, \
+                     this run is {fingerprint}",
+                    entry.id,
+                    entry.fingerprint.as_deref().unwrap_or("no fingerprint"),
+                ),
             ));
         }
-        std::fs::create_dir_all(dir)?;
-        let mut manifest = match Manifest::load(dir) {
-            Ok(manifest) => manifest,
-            Err(e) if e.kind == StoreErrorKind::MissingManifest => Manifest::new(),
-            Err(e) => return Err(e),
-        };
+        let campaign = entry.id;
+        let mut writer = StoreWriter::attach(dir, manifest, campaign, options);
+        for segment in writer
+            .manifest
+            .segments
+            .iter()
+            .filter(|s| s.campaign == campaign)
+        {
+            writer.next_seq = writer.next_seq.max(segment.seq + 1);
+            // A rejected segment's apps are simply owed again.
+            match load_segment(dir, segment) {
+                Ok(loaded) => writer.resumed.extend(
+                    SegmentView::parse(&loaded.bytes)
+                        .expect("segment verified at load")
+                        .materialize(),
+                ),
+                Err(e) => writer.telemetry.record_rejection(e.kind),
+            }
+        }
+        Ok(writer)
+    }
+
+    /// Registers a new campaign in `manifest`, publishes it, and
+    /// attaches a writer to it.
+    fn register(
+        dir: &Path,
+        mut manifest: Manifest,
+        meta: &CampaignMeta,
+        fingerprint: Option<String>,
+        options: StoreOptions,
+    ) -> StoreResult<StoreWriter> {
         let campaign = manifest.next_campaign_id();
         manifest.campaigns.push(CampaignEntry {
             id: campaign,
@@ -124,9 +191,14 @@ impl StoreWriter {
             monkey_events: meta.monkey_events,
             kind: meta.kind,
             sealed: false,
+            fingerprint,
         });
         manifest.save(dir)?;
-        Ok(StoreWriter {
+        Ok(StoreWriter::attach(dir, manifest, campaign, options))
+    }
+
+    fn attach(dir: &Path, manifest: Manifest, campaign: u32, options: StoreOptions) -> StoreWriter {
+        StoreWriter {
             dir: dir.to_path_buf(),
             manifest,
             campaign,
@@ -135,7 +207,14 @@ impl StoreWriter {
             telemetry: options.telemetry,
             builder: SegmentBuilder::default(),
             finished: false,
-        })
+            resumed: Vec::new(),
+        }
+    }
+
+    /// Hands over, once, the `(app_index, analysis)` records a
+    /// reopened campaign already holds on disk; empty for a new one.
+    pub fn take_resumed(&mut self) -> Vec<(u32, AppAnalysis)> {
+        std::mem::take(&mut self.resumed)
     }
 
     /// The store-local id of the campaign being written.
@@ -218,6 +297,23 @@ impl StoreWriter {
         t.records_appended.add((analyses + flows + reports) as u64);
         t.bytes_written.add(bytes.len() as u64);
         Ok(())
+    }
+}
+
+/// Validates `options` and loads `dir`'s manifest, initializing an
+/// empty store when there is none yet.
+fn prepare(dir: &Path, options: &StoreOptions) -> StoreResult<Manifest> {
+    if options.seal_every == 0 {
+        return Err(StoreError::new(
+            StoreErrorKind::Io,
+            "seal_every must be at least 1",
+        ));
+    }
+    std::fs::create_dir_all(dir)?;
+    match Manifest::load(dir) {
+        Ok(manifest) => Ok(manifest),
+        Err(e) if e.kind == StoreErrorKind::MissingManifest => Ok(Manifest::new()),
+        Err(e) => Err(e),
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use libspector::knowledge::Knowledge;
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus_live, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig};
 use spector_live::{LiveConfig, LiveEngine, LiveSummary};
 
 fn main() {
@@ -24,14 +24,14 @@ fn main() {
         ..Default::default()
     });
     let knowledge = Knowledge::from_corpus(&corpus);
-    let mut dispatch = DispatchConfig::default();
-    dispatch.experiment.monkey.events = 200;
+    let mut config = CampaignConfig::default();
+    config.dispatch.experiment.monkey.events = 200;
 
     let live = LiveEngine::start(
         Arc::new(knowledge.clone()),
         LiveConfig {
             shards: 2,
-            collector_port: dispatch.experiment.supervisor.collector_port,
+            collector_port: config.dispatch.experiment.supervisor.collector_port,
             ..Default::default()
         },
     );
@@ -40,11 +40,11 @@ fn main() {
     println!("streaming {total} apps through 2 shards...\n");
     let outcome = {
         let live = &live;
-        run_corpus_live(
+        run_campaign(
             &corpus,
             &knowledge,
-            &dispatch,
-            live,
+            &config,
+            Some(live),
             Some(&move |done| {
                 println!(
                     "[{done:>2}/{total}] {}",
@@ -52,6 +52,7 @@ fn main() {
                 );
             }),
         )
+        .expect("no store, no i/o")
     };
     for failure in &outcome.failures {
         eprintln!(

@@ -33,5 +33,6 @@ cargo bench -p spector-bench --bench detect -- --quick "$@"
 cargo bench -p spector-bench --bench store -- --quick "$@"
 
 # chaos: fault-injection layer overhead + end-to-end robustness smoke
-# (heavy profile, checkpoint/resume identity, --max-failures gate).
+# (heavy profile, SIGKILL + store --resume report identity,
+# --max-failures gate).
 scripts/chaos_smoke.sh

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Chaos smoke: drive a small campaign through the fault-injection
-# layer with the aggressive profile and prove the robustness
-# guarantees hold end to end from the CLI:
+# Chaos smoke: drive campaigns through the fault-injection layer with
+# the aggressive profile and prove the robustness guarantees hold end
+# to end from the CLI:
 #
-#   1. the campaign survives heavy chaos (no panic escapes the pool,
+#   1. a campaign survives heavy chaos (no panic escapes the pool,
 #      every app accounted for as analysis or failure);
-#   2. --max-failures turns excess failures into a nonzero exit;
-#   3. a checkpointed run killed implicitly (we just reuse its
-#      checkpoint) resumes to the same saved campaign byte-for-byte.
+#   2. the same campaign, SIGKILLed mid-run while writing a store,
+#      continues under --resume into that same store campaign, and
+#      `query --report` prints byte-for-byte what the uninterrupted
+#      run printed;
+#   3. --max-failures turns excess failures into a nonzero exit.
 #
 # Used by CI; cheap enough (<1 min) to run locally before pushing.
 set -euo pipefail
@@ -19,29 +21,42 @@ EVENTS=80
 SEED=4242
 # Chosen so the heavy profile deterministically produces both a
 # retried run and a persistent failure (an injected worker panic)
-# over this corpus — the gate check below depends on it.
+# over the $APPS-app corpus — the gate check below depends on it.
 CHAOS_SEED=5
+# The resume leg needs a campaign long enough to kill between seals.
+LONG_APPS=60
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/spector-chaos-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-BIN=(cargo run --release -q -p spector-cli --bin libspector --)
-RUN=("${BIN[@]}" run --apps "$APPS" --seed "$SEED" --events "$EVENTS"
-     --method-scale 0.004 --chaos heavy --chaos-seed "$CHAOS_SEED")
+cargo build --release -q -p spector-cli --bin libspector
+BIN="${CARGO_TARGET_DIR:-target}/release/libspector"
+CHAOS=(--seed "$SEED" --events "$EVENTS" --method-scale 0.004
+       --chaos heavy --chaos-seed "$CHAOS_SEED")
+LONG=("$BIN" run --apps "$LONG_APPS" "${CHAOS[@]}" --max-failures "$LONG_APPS")
+STORE=(--store "$WORK/store" --store-seal-every 1)
 
-echo "== chaos smoke: heavy profile over $APPS apps =="
-"${RUN[@]}" --max-failures "$APPS" \
-    --checkpoint "$WORK/ck.json" --checkpoint-every 3 \
-    --out "$WORK/full.json" >/dev/null
+echo "== chaos smoke: heavy profile over $LONG_APPS apps =="
+"${LONG[@]}" >"$WORK/full.txt"
 
-echo "== resume from the finished checkpoint reproduces the campaign =="
-"${RUN[@]}" --max-failures "$APPS" \
-    --resume "$WORK/ck.json" \
-    --out "$WORK/resumed.json" >/dev/null
-cmp "$WORK/full.json" "$WORK/resumed.json" \
-    || { echo "FAIL: resumed campaign differs from the original" >&2; exit 1; }
+echo "== SIGKILL mid-campaign, then --resume, reproduces the report =="
+"${LONG[@]}" "${STORE[@]}" --workers 1 >/dev/null 2>&1 &
+pid=$!
+until grep -qs '"campaign": 0' "$WORK/store/MANIFEST.json"; do
+    kill -0 "$pid" 2>/dev/null \
+        || { echo "FAIL: the run ended before a segment was sealed" >&2; exit 1; }
+    sleep 0.01
+done
+kill -9 "$pid" 2>/dev/null || true
+wait "$pid" 2>/dev/null || true
+grep -qs '"sealed": false' "$WORK/store/MANIFEST.json" \
+    || { echo "FAIL: the kill landed after the campaign was sealed" >&2; exit 1; }
+"${LONG[@]}" "${STORE[@]}" --resume >/dev/null
+"$BIN" query --store "$WORK/store" --report >"$WORK/resumed.txt"
+cmp "$WORK/full.txt" "$WORK/resumed.txt" \
+    || { echo "FAIL: resumed campaign differs from the uninterrupted run" >&2; exit 1; }
 
 echo "== --max-failures 0 must exit nonzero under heavy chaos =="
-if "${RUN[@]}" --max-failures 0 >/dev/null 2>&1; then
+if "$BIN" run --apps "$APPS" "${CHAOS[@]}" --max-failures 0 >/dev/null 2>&1; then
     # This seed injects an unretryable worker panic, so a clean exit
     # means the failure gate is broken.
     echo "FAIL: the --max-failures gate did not fire" >&2

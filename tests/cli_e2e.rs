@@ -1,11 +1,14 @@
 //! End-to-end CLI tests: shell out to the built `libspector` binary
 //! and assert on exit codes, stderr diagnostics, and the artifacts it
-//! writes — the metrics JSON/Prometheus pair, checkpoint files, and
-//! the `metrics` subcommand's profile table.
+//! writes — the metrics JSON/Prometheus pair, the store a run writes
+//! (and resumes after a SIGKILL), the subcommands that read it back,
+//! and the `metrics` subcommand's profile table.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
+use spector_store::{CampaignEntry, CampaignKind, Manifest, StoreReader, MANIFEST_FILE};
 use spector_telemetry::{MetricKey, MetricsSnapshot};
 
 fn libspector(args: &[&str]) -> Output {
@@ -52,8 +55,10 @@ fn help_succeeds_and_unknown_command_fails() {
 #[test]
 fn chaos_run_with_checkpoint_and_metrics_balances() {
     let dir = scratch("chaos-metrics");
-    let checkpoint = dir.join("campaign.ck");
+    let store = dir.join("store");
     let metrics = dir.join("metrics.json");
+    // The store's sealed segments are the checkpoint; `--resume` on a
+    // store with nothing unsealed starts a fresh campaign.
     let output = libspector(&[
         "run",
         "--apps",
@@ -68,12 +73,11 @@ fn chaos_run_with_checkpoint_and_metrics_balances() {
         "0.006",
         "--chaos",
         "light",
-        "--checkpoint",
-        checkpoint.to_str().unwrap(),
-        "--checkpoint-every",
+        "--store",
+        store.to_str().unwrap(),
+        "--store-seal-every",
         "2",
         "--resume",
-        checkpoint.to_str().unwrap(),
         "--metrics",
         metrics.to_str().unwrap(),
     ]);
@@ -116,45 +120,212 @@ fn chaos_run_with_checkpoint_and_metrics_balances() {
     assert!(prom.contains("# TYPE spector_pipeline_reports_total counter"));
     assert!(prom.contains("le=\"+Inf\""));
 
-    // The checkpoint file survived the run (final save).
-    assert!(checkpoint.exists(), "checkpoint file missing");
+    // Every stored analysis landed in one sealed campaign.
+    let reader = StoreReader::open(&store).expect("store written");
+    assert_eq!(reader.campaigns().len(), 1);
+    assert!(reader.campaigns()[0].sealed);
+    assert_eq!(
+        counter(&snapshot, "spector_store_analyses_appended_total"),
+        counter(&snapshot, "spector_campaign_apps_ok_total")
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The crash-safety proof on a real process: SIGKILL `run --store`
+/// between two seals, refuse a resume under foreign settings, then
+/// resume and seal the same campaign — whose report is byte-identical
+/// to an uninterrupted run's.
+#[cfg(unix)]
 #[test]
-fn resume_refuses_a_foreign_checkpoint_fingerprint() {
-    let dir = scratch("fingerprint");
-    let checkpoint = dir.join("campaign.ck");
-    let ck = checkpoint.to_str().unwrap();
-    let base = [
-        "run",
-        "--apps",
-        "4",
-        "--events",
-        "60",
-        "--method-scale",
-        "0.006",
-        "--checkpoint",
-        ck,
-    ];
-    let mut first: Vec<&str> = base.to_vec();
-    first.extend(["--seed", "7"]);
-    let output = libspector(&first);
-    assert!(output.status.success(), "{}", stderr_of(&output));
-    assert!(checkpoint.exists());
+fn killed_run_resumes_into_one_sealed_campaign() {
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
 
-    // Same checkpoint, different seed: the fingerprint no longer
-    // matches and the CLI must refuse to resume rather than mix runs.
-    let mut second: Vec<&str> = base.to_vec();
-    second.extend(["--seed", "8", "--resume", ck]);
-    let refused = libspector(&second);
-    assert!(!refused.status.success(), "mismatched resume must fail");
+    let dir = scratch("sigkill");
+    let store = dir.join("store");
+    let campaign: Vec<&str> =
+        "run --apps 16 --seed 57 --events 80 --method-scale 0.006 --chaos light"
+            .split(' ')
+            .collect();
+    let uninterrupted = libspector(&campaign);
+    assert!(
+        uninterrupted.status.success(),
+        "{}",
+        stderr_of(&uninterrupted)
+    );
+
+    // One worker and a seal per analysis: many seals to land between.
+    let mut stored = campaign.clone();
+    stored.extend([
+        "--store",
+        store.to_str().unwrap(),
+        "--store-seal-every",
+        "1",
+    ]);
+    let mut victim = stored.clone();
+    victim.extend(["--workers", "1"]);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_libspector"))
+        .args(&victim)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn libspector run");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    loop {
+        if let Some(status) = child.try_wait().expect("poll run") {
+            panic!("run exited ({status}) before it could be killed mid-campaign");
+        }
+        if let Ok(manifest) = Manifest::load(&store) {
+            let sealed = manifest.campaigns.first().is_some_and(|c| c.sealed);
+            if !sealed && manifest.segments.iter().any(|s| s.campaign == 0) {
+                break;
+            }
+        }
+        assert!(Instant::now() < deadline, "no segment sealed in time");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    child.kill().expect("SIGKILL run");
+    let status = child.wait().expect("reap run");
+    assert_eq!(status.signal(), Some(9), "run finished instead: {status}");
+    let killed = Manifest::load(&store).expect("manifest survives the kill");
+    assert!(
+        !killed.campaigns[0].sealed,
+        "the kill must land before the seal"
+    );
+
+    // Foreign settings: refused before anything is written.
+    let manifest_bytes = std::fs::read(store.join(MANIFEST_FILE)).unwrap();
+    let mut foreign = stored.clone();
+    foreign.extend(["--chaos-seed", "58", "--resume"]);
+    let refused = libspector(&foreign);
+    assert!(!refused.status.success(), "a foreign resume must fail");
     assert!(
         stderr_of(&refused).contains("fingerprint mismatch"),
         "unexpected stderr: {}",
         stderr_of(&refused)
     );
+    assert_eq!(
+        std::fs::read(store.join(MANIFEST_FILE)).unwrap(),
+        manifest_bytes
+    );
+
+    // The real resume continues and seals that same campaign.
+    let mut resume = stored.clone();
+    resume.push("--resume");
+    let resumed = libspector(&resume);
+    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
+    let manifest = Manifest::load(&store).expect("manifest after resume");
+    assert_eq!(manifest.campaigns.len(), 1, "no second campaign");
+    assert!(manifest.campaigns[0].sealed);
+    let query = libspector(&["query", "--store", store.to_str().unwrap(), "--report"]);
+    assert!(query.status.success(), "{}", stderr_of(&query));
+    assert_eq!(
+        stdout_of(&query),
+        stdout_of(&uninterrupted),
+        "the resumed campaign must report exactly what an uninterrupted run printed"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One small stored campaign, written once by `run --store`.
+fn stored_campaign() -> &'static Path {
+    static STORE: OnceLock<PathBuf> = OnceLock::new();
+    STORE.get_or_init(|| {
+        let store = scratch("readers").join("store");
+        let mut args: Vec<&str> = "run --apps 8 --seed 19 --events 80 --method-scale 0.006"
+            .split(' ')
+            .collect();
+        args.extend(["--store", store.to_str().unwrap()]);
+        let run = libspector(&args);
+        assert!(run.status.success(), "{}", stderr_of(&run));
+        store
+    })
+}
+
+#[test]
+fn store_reading_subcommands_answer_from_the_store() {
+    let store = stored_campaign().to_str().unwrap();
+    let baseline = libspector(&["baseline", "--store", store]);
+    assert!(baseline.status.success(), "{}", stderr_of(&baseline));
+    assert!(stdout_of(&baseline).contains("DNS-only baseline"));
+
+    let policy = libspector(&["policy", "--store", store, "--campaign", "0"]);
+    assert!(policy.status.success(), "{}", stderr_of(&policy));
+
+    let csv = scratch("export-csv");
+    let export = libspector(&["export", "--store", store, "--out", csv.to_str().unwrap()]);
+    assert!(export.status.success(), "{}", stderr_of(&export));
+    for table in ["table1.csv", "fig2.csv", "fig10.csv"] {
+        let text = std::fs::read_to_string(csv.join(table)).expect("CSV written");
+        assert!(text.lines().count() > 1, "{table} has no rows");
+    }
+
+    // `shapes` renders every check, and its exit status is its verdict:
+    // at this toy scale a band may legitimately miss.
+    let shapes = libspector(&["shapes", "--store", store]);
+    let table = stdout_of(&shapes);
+    let verdict = table.lines().last().expect("shapes prints a verdict");
+    assert!(verdict.ends_with("shapes hold"), "{table}");
+    let (held, total) = verdict
+        .trim_end_matches(" shapes hold")
+        .split_once('/')
+        .expect("N/M verdict");
+    assert_eq!(shapes.status.success(), held == total, "{table}");
+    if !shapes.status.success() {
+        assert!(stderr_of(&shapes).contains("out of band"));
+    }
+    let _ = std::fs::remove_dir_all(&csv);
+}
+
+/// A store whose manifest lists `campaigns` sealed, empty campaigns.
+fn store_of_empty_campaigns(test: &str, campaigns: u32) -> PathBuf {
+    let store = scratch(test);
+    let mut manifest = Manifest::new();
+    for id in 0..campaigns {
+        manifest.campaigns.push(CampaignEntry {
+            id,
+            seed: 0,
+            apps: 0,
+            monkey_events: 0,
+            kind: CampaignKind::Run,
+            sealed: true,
+            fingerprint: None,
+        });
+    }
+    manifest.save(&store).unwrap();
+    store
+}
+
+#[test]
+fn campaign_selector_refuses_unknown_and_ambiguous_ids() {
+    let one = stored_campaign().to_str().unwrap();
+    // An id the manifest does not list is an error, not an empty answer.
+    for args in [
+        vec!["query", "--store", one, "--report", "--campaign", "7"],
+        vec!["query", "--store", one, "--campaigns", "7"],
+        vec!["query", "--store", one, "--campaigns", "0,7"],
+        vec!["baseline", "--store", one, "--campaign", "7"],
+    ] {
+        let output = libspector(&args);
+        assert!(!output.status.success(), "{args:?} must fail");
+        assert!(stderr_of(&output).contains("no campaign 7"), "{args:?}");
+    }
+
+    let empty = store_of_empty_campaigns("selector-empty", 0);
+    let output = libspector(&["shapes", "--store", empty.to_str().unwrap()]);
+    assert!(!output.status.success());
+    assert!(stderr_of(&output).contains("holds no campaigns"));
+
+    let several = store_of_empty_campaigns("selector-several", 2);
+    let several_dir = several.to_str().unwrap();
+    let output = libspector(&["query", "--store", several_dir, "--report"]);
+    assert!(!output.status.success());
+    assert!(stderr_of(&output).contains("store holds several"));
+    let output = libspector(&["baseline", "--store", several_dir, "--campaign", "1"]);
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let _ = std::fs::remove_dir_all(&empty);
+    let _ = std::fs::remove_dir_all(&several);
 }
 
 #[test]
