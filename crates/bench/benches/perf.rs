@@ -3,6 +3,8 @@
 //! * per-connection instrumentation overhead (the paper measured a
 //!   0.5 ms / 9.75 % worst-case per-request delay on-device);
 //! * the per-app offline analysis (the paper: < 5 s per app);
+//! * the corpus knowledge build that precedes any traffic analysis
+//!   (§III-D: library detection over every apk, domain classification);
 //! * the hot substrate paths: frame encode/decode, SHA-256, dex
 //!   disassembly, builtin-filter regex matching, report codec.
 
@@ -13,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use libspector::attribution::{attribute, BuiltinFilter};
 use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
 use libspector::pipeline::{analyze_run, analyze_run_oracle};
-use spector_bench::{corpus, knowledge, throughput_fixture};
+use spector_bench::{corpus, knowledge, throughput_fixture, THROUGHPUT_APPS};
 use spector_dex::sha256::Sha256;
 use spector_dex::{parse_dex, write_dex};
 use spector_hooks::report::SocketReport;
@@ -133,6 +135,32 @@ fn bench_analysis_throughput(c: &mut Criterion) {
                 std::hint::black_box(analyze_run(raw, knowledge, port));
             }
         });
+    });
+    group.finish();
+}
+
+/// `Knowledge::from_corpus` over a 400-app store at the CLI's method
+/// scale (0.02): dex parse, both detection tiers over one package tree
+/// per dex on every available CPU, and the Table I classification of
+/// every domain — the step that runs before any traffic is analyzed.
+fn bench_knowledge_build(c: &mut Criterion) {
+    use libspector::knowledge::Knowledge;
+    use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
+
+    let corpus = Corpus::generate(&CorpusConfig {
+        apps: THROUGHPUT_APPS,
+        seed: 7_777,
+        appgen: AppGenConfig {
+            method_scale: 0.02,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let mut group = c.benchmark_group("perf/knowledge");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(corpus.apps.len() as u64));
+    group.bench_function("from_corpus", |b| {
+        b.iter(|| Knowledge::from_corpus(&corpus));
     });
     group.finish();
 }
@@ -434,6 +462,7 @@ criterion_group!(
     bench_hook_overhead,
     bench_per_app_pipeline,
     bench_analysis_throughput,
+    bench_knowledge_build,
     bench_chaos_overhead,
     bench_telemetry_overhead,
     bench_substrates,

@@ -16,6 +16,8 @@
 //! by platform code; such traffic lands in the `*` buckets of Figure 3
 //! and can only be characterized by its destination domain.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use spector_dex::sig::{prefix_levels, MethodSig};
 use spector_regexlite::Regex;
@@ -101,7 +103,7 @@ pub fn attribute(frames: &[String], filter: &BuiltinFilter) -> Attribution {
                     two_level: prefix_levels(&package, 2),
                     origin_library: package,
                 },
-                origin_frame: Some(dotted),
+                origin_frame: Some(dotted.into_owned()),
                 app_frames: surviving.len(),
             }
         }
@@ -110,14 +112,14 @@ pub fn attribute(frames: &[String], filter: &BuiltinFilter) -> Attribution {
 
 /// Normalizes a frame to its dotted `package.Class.method` form: smali
 /// type signatures (produced by the supervisor's dex translation) are
-/// parsed, anything else passes through.
-fn dotted_of(frame: &str) -> String {
+/// parsed, anything else (already dotted) is borrowed as it is.
+fn dotted_of(frame: &str) -> Cow<'_, str> {
     if frame.starts_with('L') && frame.contains(";->") {
         if let Ok(sig) = frame.parse::<MethodSig>() {
-            return sig.dotted_name();
+            return Cow::Owned(sig.dotted_name());
         }
     }
-    frame.to_owned()
+    Cow::Borrowed(frame)
 }
 
 /// Package of a dotted frame name: everything up to the class and

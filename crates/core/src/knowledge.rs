@@ -18,9 +18,16 @@
 //!   shared by all dispatch workers ([`Knowledge::library_verdict`]).
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
-use spector_libradar::{AggregatedLibraries, DetectTier, LibCategory, LibraryLists, PrefixAliases};
+use spector_corpus::Corpus;
+use spector_dex::features::PackageTree;
+use spector_libradar::{
+    AggregatedLibraries, DetectTier, DetectedLibrary, LibCategory, LibraryLists, PrefixAliases,
+    StructuralMatch,
+};
 use spector_vtcat::{DomainCategory, Tokenizer};
 
 use crate::attribution::BuiltinFilter;
@@ -115,27 +122,28 @@ impl Knowledge {
     /// classify every domain in the universe from its vendor labels
     /// directly (no intermediate per-domain label clone).
     ///
-    /// Both detection knowledge bases run per apk. The exact fingerprint
-    /// recognizes renamed library copies; the structural index also
-    /// recognizes mangled ones. Every detection records the *canonical*
-    /// name into the aggregate (so the trie and the Listing 2 vote see
-    /// canonical packages even when no app ships them verbatim), and
-    /// every non-identity `in_app_prefix` becomes an alias the verdict
-    /// cascade can resolve obfuscated origins through.
-    pub fn from_corpus(corpus: &spector_corpus::Corpus) -> Self {
+    /// Both detection knowledge bases run per apk, over one package tree
+    /// of its dex. The exact fingerprint recognizes renamed library
+    /// copies; the structural index also recognizes mangled ones. Every
+    /// detection records the *canonical* name into the aggregate (so the
+    /// trie and the Listing 2 vote see canonical packages even when no
+    /// app ships them verbatim), and every non-identity `in_app_prefix`
+    /// becomes an alias the verdict cascade can resolve obfuscated
+    /// origins through. Apps are detected in parallel and merged in app
+    /// order, because a later alias for the same prefix overwrites an
+    /// earlier one.
+    pub fn from_corpus(corpus: &Corpus) -> Self {
         let mut aggregated = AggregatedLibraries::new();
         let mut exact_aliases = PrefixAliases::new();
         let mut structural_aliases = PrefixAliases::new();
-        for app in &corpus.apps {
-            if let Ok(dex) = app.apk.dex() {
-                for detected in corpus.library_db.detect(&dex) {
-                    aggregated.record(&detected.name, detected.category);
-                    exact_aliases.insert(&detected.in_app_prefix, &detected.name);
-                }
-                for matched in corpus.structural_index.detect(&dex) {
-                    aggregated.record(&matched.name, matched.category);
-                    structural_aliases.insert(&matched.in_app_prefix, &matched.name);
-                }
+        for (exact, structural) in detect_apps(corpus) {
+            for detected in exact {
+                aggregated.record(&detected.name, detected.category);
+                exact_aliases.insert(&detected.in_app_prefix, &detected.name);
+            }
+            for matched in structural {
+                aggregated.record(&matched.name, matched.category);
+                structural_aliases.insert(&matched.in_app_prefix, &matched.name);
             }
         }
         let tokenizer = Tokenizer::new();
@@ -271,6 +279,56 @@ impl Knowledge {
     pub fn cached_verdicts(&self) -> usize {
         self.library_verdicts.read().len()
     }
+}
+
+/// What both detection tiers found in one app.
+type AppDetections = (Vec<DetectedLibrary>, Vec<StructuralMatch>);
+
+/// Runs both detection tiers over every app of `corpus` on one scoped
+/// thread per available CPU, each thread taking the next undetected app,
+/// and returns the detections in app order. An app whose dex does not
+/// parse contributes nothing.
+fn detect_apps(corpus: &Corpus) -> Vec<AppDetections> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(corpus.apps.len())
+        .max(1);
+    // Relaxed: the counter only hands out app indices; the detections
+    // come back through `join`.
+    let next = AtomicUsize::new(0);
+    let detect_next = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(app) = corpus.apps.get(index) else {
+                return done;
+            };
+            let found = app.apk.dex().map_or_else(
+                |_| AppDetections::default(),
+                |dex| {
+                    let tree = PackageTree::new(&dex);
+                    (
+                        corpus.library_db.detect_in(&dex, &tree),
+                        corpus.structural_index.detect_in(&dex, &tree),
+                    )
+                },
+            );
+            done.push((index, found));
+        }
+    };
+    let mut indexed: Vec<(usize, AppDetections)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(detect_next)).collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|&(app, _)| app);
+    indexed.into_iter().map(|(_, found)| found).collect()
 }
 
 // The corpus dependency is dev-facing: Knowledge::from_corpus is the

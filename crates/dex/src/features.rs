@@ -22,10 +22,17 @@
 //! Each feature is hashed to a `u64` and the profile is the sorted
 //! multiset of those hashes. Profiles are deterministic: same dex, same
 //! prefix → same profile, independent of method-table order.
+//!
+//! Detection profiles many prefixes of one dex; [`PackageTree`] indexes
+//! every package subtree of a dex in one pass so that it does not rescan
+//! the method table per prefix.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::model::{DexFile, Instruction, MethodRef};
+use crate::sig::MethodSig;
 
 /// A structural profile of one package subtree: a sorted multiset of
 /// hashed features.
@@ -147,6 +154,103 @@ fn log2_bucket(n: u64) -> u64 {
     }
 }
 
+/// Whether two methods have equal [`MethodSig::dotted_class`]
+/// renderings, compared without allocating: the dotted class is the
+/// smali type path with `/` read as `.`.
+fn same_class(a: &MethodSig, b: &MethodSig) -> bool {
+    fn path(sig: &MethodSig) -> &[u8] {
+        let smali = sig.as_smali();
+        &smali.as_bytes()[..smali.find(";->").unwrap_or(smali.len())]
+    }
+    let (a, b) = (path(a), path(b));
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(&x, &y)| x == y || matches!((x, y), (b'/', b'.') | (b'.', b'/')))
+}
+
+/// Feature total of the profile of a subtree holding `methods` methods:
+/// three features per method (abstracted signature, opcode histogram,
+/// invoke degrees) plus the two subtree totals; 0 for an empty subtree.
+///
+/// Detection uses it to rule a subtree out by size before profiling it.
+pub fn profile_total(methods: usize) -> u64 {
+    match methods {
+        0 => 0,
+        n => 3 * n as u64 + 2,
+    }
+}
+
+/// The package hierarchy of one dex, built in one pass: every method's
+/// dotted package is computed once, and every package prefix (each
+/// hierarchy level of each method's package) maps to the indices of
+/// the methods in its subtree.
+///
+/// Library detection walks these subtrees instead of rescanning the
+/// whole method table for every prefix, so each method is visited once
+/// per ancestor rather than once per prefix of the app.
+#[derive(Debug, Clone, Default)]
+pub struct PackageTree {
+    /// Dotted package of every method, by method index.
+    packages: Vec<String>,
+    /// Every package prefix, sorted, with the indices of its subtree's
+    /// methods in ascending order.
+    subtrees: Vec<(String, Vec<u32>)>,
+}
+
+impl PackageTree {
+    /// Builds the tree of `dex`. Methods of the default (empty) package
+    /// are in no subtree but the empty prefix's, and only a package with
+    /// a leading dot creates that one.
+    pub fn new(dex: &DexFile) -> Self {
+        let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+        let mut subtrees: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+        let mut default_package = Vec::new();
+        for (i, pkg) in packages.iter().enumerate() {
+            let i = i as u32;
+            if pkg.is_empty() {
+                default_package.push(i);
+                continue;
+            }
+            for (dot, _) in pkg.match_indices('.') {
+                subtrees.entry(&pkg[..dot]).or_default().push(i);
+            }
+            subtrees.entry(pkg).or_default().push(i);
+        }
+        // Only a package with a leading dot yields the empty prefix, and
+        // by `in_subtree` its subtree holds the default package too.
+        if let Some(members) = subtrees.get_mut("") {
+            members.extend(default_package);
+            members.sort_unstable();
+        }
+        let subtrees = subtrees
+            .into_iter()
+            .map(|(prefix, members)| (prefix.to_owned(), members))
+            .collect();
+        PackageTree { packages, subtrees }
+    }
+
+    /// Every package prefix with its subtree's method indices, sorted by
+    /// prefix.
+    pub fn subtrees(&self) -> impl Iterator<Item = (&str, &[u32])> {
+        self.subtrees
+            .iter()
+            .map(|(prefix, members)| (prefix.as_str(), members.as_slice()))
+    }
+
+    /// Dotted package of every method, by method index.
+    pub fn packages(&self) -> &[String] {
+        &self.packages
+    }
+
+    /// The structural profile of the subtree rooted at `prefix`, whose
+    /// method indices are `members` in ascending order (one of
+    /// [`subtrees`](Self::subtrees)).
+    pub fn profile(&self, dex: &DexFile, prefix: &str, members: &[u32]) -> StructuralProfile {
+        profile_members(dex, &self.packages, prefix, members)
+    }
+}
+
 /// Computes the structural profile of the package subtree rooted at
 /// `prefix`.
 ///
@@ -157,25 +261,29 @@ fn log2_bucket(n: u64) -> u64 {
 /// method identity, and the final multiset is sorted), and `Nop`/`Const`
 /// junk injection (filler opcodes are excluded from histograms).
 pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
-    // Member set, with per-method package depth and class identity.
-    // Class identity is *positional*: methods of the same class share a
-    // dotted_class string; which string it is never reaches a hash.
-    let mut member = vec![false; dex.methods.len()];
-    let mut hashes: Vec<u64> = Vec::new();
-    let mut members: Vec<u32> = Vec::new();
-    for (i, m) in dex.methods.iter().enumerate() {
-        if in_subtree(&m.sig.package(), prefix) {
-            member[i] = true;
-            members.push(i as u32);
-        }
-    }
+    let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+    let members: Vec<u32> = (0..packages.len() as u32)
+        .filter(|&i| in_subtree(&packages[i as usize], prefix))
+        .collect();
+    profile_members(dex, &packages, prefix, &members)
+}
 
-    for &i in &members {
+/// The profile of the subtree rooted at `prefix` whose method indices
+/// are `members`, ascending; `packages` holds every method's package.
+fn profile_members(
+    dex: &DexFile,
+    packages: &[String],
+    prefix: &str,
+    members: &[u32],
+) -> StructuralProfile {
+    let mut hashes: Vec<u64> = Vec::with_capacity(profile_total(members.len()) as usize);
+    for &i in members {
         let m = &dex.methods[i as usize];
+        let shape = shape_of(m.sig.descriptor());
         // Abstracted signature: relative depth × descriptor shape.
         let mut h = FeatureHasher::new("sig");
-        h.num(depth_below(&m.sig.package(), prefix));
-        h.bytes(shape_of(m.sig.descriptor()).as_bytes());
+        h.num(depth_below(&packages[i as usize], prefix));
+        h.bytes(shape.as_bytes());
         hashes.push(h.finish());
 
         // Opcode histogram over the semantic instruction set. Nop/Const
@@ -192,7 +300,7 @@ pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
             }
         }
         let mut h = FeatureHasher::new("opc");
-        h.bytes(shape_of(m.sig.descriptor()).as_bytes());
+        h.bytes(shape.as_bytes());
         for v in [inv_int, inv_ext, asyncs, nets, rets] {
             h.num(v);
         }
@@ -201,33 +309,38 @@ pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
 
     // Intra-subtree invoke graph: distinct (caller, callee) edges where
     // both endpoints are members. Degrees are identity-based, so method
-    // reordering (with reference fixup) cannot change them.
-    let mut out_deg = vec![0u64; dex.methods.len()];
-    let mut in_deg = vec![0u64; dex.methods.len()];
+    // reordering (with reference fixup) cannot change them; they are
+    // indexed by position in `members`. Class identity is positional:
+    // an edge counts as cross-class by whether its ends share a class,
+    // and which class it is never reaches a hash.
+    let mut out_deg = vec![0u64; members.len()];
+    let mut in_deg = vec![0u64; members.len()];
     let mut cross_class_edges = 0u64;
-    for &i in &members {
+    let mut seen: Vec<u32> = Vec::new();
+    for (caller, &i) in members.iter().enumerate() {
         let m = &dex.methods[i as usize];
-        let mut seen: Vec<u32> = Vec::new();
+        seen.clear();
         for invoke in m.code.invokes() {
-            if let MethodRef::Internal(t) = invoke {
-                let t = *t;
-                if (t as usize) < member.len() && member[t as usize] && !seen.contains(&t) {
-                    seen.push(t);
-                    out_deg[i as usize] += 1;
-                    in_deg[t as usize] += 1;
-                    if dex.methods[i as usize].sig.dotted_class()
-                        != dex.methods[t as usize].sig.dotted_class()
-                    {
-                        cross_class_edges += 1;
-                    }
+            let MethodRef::Internal(t) = invoke else {
+                continue;
+            };
+            let Ok(callee) = members.binary_search(t) else {
+                continue;
+            };
+            if !seen.contains(t) {
+                seen.push(*t);
+                out_deg[caller] += 1;
+                in_deg[callee] += 1;
+                if !same_class(&m.sig, &dex.methods[*t as usize].sig) {
+                    cross_class_edges += 1;
                 }
             }
         }
     }
-    for &i in &members {
+    for (out, into) in out_deg.into_iter().zip(in_deg) {
         let mut h = FeatureHasher::new("deg");
-        h.num(out_deg[i as usize].min(3));
-        h.num(in_deg[i as usize].min(3));
+        h.num(out.min(3));
+        h.num(into.min(3));
         hashes.push(h.finish());
     }
 
@@ -375,6 +488,29 @@ mod tests {
             // 2 methods x (sig + opc + deg) + xce + cnt
             2 * 3 + 2
         });
+    }
+
+    #[test]
+    fn same_class_agrees_with_dotted_class_equality() {
+        let sigs = [
+            MethodSig::new("com.lib", "A", "m", "()V"),
+            MethodSig::new("com.lib", "A", "n", "(I)V"),
+            MethodSig::new("com.lib", "A$1", "m", "()V"),
+            MethodSig::new("com.lib", "B", "m", "()V"),
+            MethodSig::new("com", "lib.A", "m", "()V"),
+            MethodSig::new("com.lib.A", "B", "m", "()V"),
+            MethodSig::new("", "A", "m", "()V"),
+            MethodSig::new("", "com.lib.A", "m", "()V"),
+        ];
+        for a in &sigs {
+            for b in &sigs {
+                assert_eq!(
+                    same_class(a, b),
+                    a.dotted_class() == b.dotted_class(),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod sha256;
 pub mod sig;
 
 pub use apk::{Apk, ApkEntry, ApkError, Manifest};
-pub use features::{shape_of, subtree_profile, StructuralProfile};
+pub use features::{profile_total, shape_of, subtree_profile, PackageTree, StructuralProfile};
 pub use format::{parse_dex, write_dex, DexParseError};
 pub use model::{
     ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,

@@ -4,7 +4,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use spector_dex::model::{ClassDef, CodeItem, DexFile, Instruction, MethodDef, MethodRef};
 use spector_dex::sig::{prefix_levels, MethodSig};
-use spector_dex::{parse_dex, write_dex, Apk, ApkEntry, Sha256};
+use spector_dex::{
+    parse_dex, profile_total, subtree_profile, write_dex, Apk, ApkEntry, PackageTree, Sha256,
+};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,6}"
@@ -153,5 +155,89 @@ proptest! {
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(h.finalize(), Sha256::digest(&data));
+    }
+}
+
+/// A dex whose packages nest: each method sits at a path of up to three
+/// components drawn from `{a, b, c}` (the empty path is the default
+/// package), in one of two classes, with invokes to arbitrary methods.
+fn nested_dex() -> impl Strategy<Value = DexFile> {
+    let method = (
+        proptest::collection::vec(0u8..3, 0..4),
+        0u8..2,
+        proptest::collection::vec(0u8..5, 0..6),
+    );
+    proptest::collection::vec(method, 0..24).prop_map(|specs| {
+        let n = specs.len() as u32;
+        let methods = specs
+            .iter()
+            .enumerate()
+            .map(|(i, (path, class, ops))| {
+                let package: Vec<&str> =
+                    path.iter().map(|&c| ["a", "b", "c"][c as usize]).collect();
+                MethodDef {
+                    sig: MethodSig::new(
+                        &package.join("."),
+                        &format!("K{class}"),
+                        &format!("m{i}"),
+                        if i % 2 == 0 { "()V" } else { "(I)V" },
+                    ),
+                    code: CodeItem {
+                        instructions: ops
+                            .iter()
+                            .map(|&op| match op {
+                                0 => Instruction::Nop,
+                                1 => Instruction::Return,
+                                _ => Instruction::Invoke(MethodRef::Internal(
+                                    (i as u32 + u32::from(op)) % n,
+                                )),
+                            })
+                            .collect(),
+                    },
+                }
+            })
+            .collect();
+        DexFile {
+            methods,
+            classes: vec![],
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn package_tree_holds_every_prefix_with_its_subtree(dex in nested_dex()) {
+        let tree = PackageTree::new(&dex);
+        let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+        let mut expected = std::collections::BTreeSet::new();
+        for pkg in packages.iter().filter(|p| !p.is_empty()) {
+            let parts: Vec<&str> = pkg.split('.').collect();
+            for level in 1..=parts.len() {
+                expected.insert(parts[..level].join("."));
+            }
+        }
+        let prefixes: Vec<&str> = tree.subtrees().map(|(prefix, _)| prefix).collect();
+        prop_assert_eq!(prefixes, expected.iter().map(String::as_str).collect::<Vec<_>>());
+        for (prefix, members) in tree.subtrees() {
+            let scanned: Vec<u32> = (0..packages.len() as u32)
+                .filter(|&i| {
+                    let pkg = &packages[i as usize];
+                    pkg == prefix || pkg.starts_with(&format!("{prefix}."))
+                })
+                .collect();
+            prop_assert_eq!(members, scanned.as_slice(), "members of {}", prefix);
+        }
+    }
+
+    #[test]
+    fn profile_total_is_three_per_method_plus_two(dex in nested_dex()) {
+        let tree = PackageTree::new(&dex);
+        for (prefix, members) in tree.subtrees() {
+            let profile = subtree_profile(&dex, prefix);
+            prop_assert_eq!(profile.total(), 3 * members.len() as u64 + 2, "prefix {}", prefix);
+            prop_assert_eq!(profile.total(), profile_total(members.len()));
+            prop_assert_eq!(&tree.profile(&dex, prefix, members), &profile);
+        }
+        prop_assert_eq!(subtree_profile(&dex, "zz").total(), profile_total(0));
     }
 }

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use spector_dex::features::PackageTree;
 use spector_dex::model::{DexFile, Instruction, MethodRef};
 use spector_dex::sha256::{Digest, Sha256};
 
@@ -37,6 +38,10 @@ pub struct DetectedLibrary {
 #[derive(Debug, Clone, Default)]
 pub struct LibraryDb {
     by_fingerprint: HashMap<LibraryFingerprint, (String, LibCategory)>,
+    /// Method counts of the registered subtrees: an equal fingerprint
+    /// hashes an equal feature list, one line per method, so no other
+    /// subtree size can match.
+    method_counts: BTreeSet<usize>,
 }
 
 impl LibraryDb {
@@ -49,8 +54,10 @@ impl LibraryDb {
     /// prefix, `dex` contains (at least) the library's methods under
     /// that prefix.
     pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
-        if let Some(fp) = fingerprint_subtree(dex, name) {
+        let (packages, members) = subtree_of(dex, name);
+        if let Some(fp) = fingerprint_members(dex, &packages, name, &members) {
             self.by_fingerprint.insert(fp, (name.to_owned(), category));
+            self.method_counts.insert(members.len());
         }
     }
 
@@ -73,83 +80,102 @@ impl LibraryDb {
 
     /// Detects all known libraries in `dex`.
     ///
-    /// Every package prefix present in the app is fingerprinted and
-    /// matched; when nested prefixes both match (a library plus one of
+    /// Every package prefix present in the app is matched by its
+    /// fingerprint (see [`detect_in`](Self::detect_in) for the prefixes
+    /// it skips); when nested prefixes both match (a library plus one of
     /// its sub-packages registered separately), both are reported, which
     /// mirrors LibRadar's output granularity in Listing 2.
     pub fn detect(&self, dex: &DexFile) -> Vec<DetectedLibrary> {
+        self.detect_in(dex, &PackageTree::new(dex))
+    }
+
+    /// [`detect`](Self::detect) over the prebuilt package tree of `dex`,
+    /// in prefix order. Only subtrees with as many methods as some
+    /// registered library are fingerprinted.
+    pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<DetectedLibrary> {
         let mut detected = Vec::new();
-        for prefix in package_prefixes(dex) {
-            if let Some(fp) = fingerprint_subtree(dex, &prefix) {
+        for (prefix, members) in tree.subtrees() {
+            if !self.method_counts.contains(&members.len()) {
+                continue;
+            }
+            if let Some(fp) = fingerprint_members(dex, tree.packages(), prefix, members) {
                 if let Some((name, category)) = self.lookup(&fp) {
                     detected.push(DetectedLibrary {
                         name: name.to_owned(),
-                        in_app_prefix: prefix.clone(),
+                        in_app_prefix: prefix.to_owned(),
                         category,
                     });
                 }
             }
         }
-        detected.sort_by(|a, b| a.in_app_prefix.cmp(&b.in_app_prefix));
         detected
     }
-}
-
-/// All distinct package prefixes (every hierarchy level) of the app's
-/// defined methods, sorted.
-pub fn package_prefixes(dex: &DexFile) -> BTreeSet<String> {
-    let mut prefixes = BTreeSet::new();
-    for method in &dex.methods {
-        let pkg = method.sig.package();
-        if pkg.is_empty() {
-            continue;
-        }
-        let parts: Vec<&str> = pkg.split('.').collect();
-        for level in 1..=parts.len() {
-            prefixes.insert(parts[..level].join("."));
-        }
-    }
-    prefixes
 }
 
 /// Fingerprints the subtree of methods whose package equals `prefix` or
 /// lies beneath it. Returns `None` when no methods are in the subtree.
 pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerprint> {
-    let mut features: Vec<String> = Vec::new();
-    for method in &dex.methods {
-        let pkg = method.sig.package();
-        if !(pkg == prefix
-            || pkg.starts_with(prefix) && pkg.as_bytes().get(prefix.len()) == Some(&b'.'))
-        {
-            continue;
-        }
+    let (packages, members) = subtree_of(dex, prefix);
+    fingerprint_members(dex, &packages, prefix, &members)
+}
+
+/// Every method's package, and the indices of the methods whose package
+/// equals `prefix` or lies beneath it.
+fn subtree_of(dex: &DexFile, prefix: &str) -> (Vec<String>, Vec<u32>) {
+    let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+    let members = (0..packages.len() as u32)
+        .filter(|&i| {
+            let pkg = &packages[i as usize];
+            pkg == prefix
+                || pkg.starts_with(prefix) && pkg.as_bytes().get(prefix.len()) == Some(&b'.')
+        })
+        .collect();
+    (packages, members)
+}
+
+/// Fingerprints the subtree rooted at `prefix` whose method indices are
+/// `members`, given every method's package. Returns `None` for an empty
+/// subtree.
+fn fingerprint_members(
+    dex: &DexFile,
+    packages: &[String],
+    prefix: &str,
+    members: &[u32],
+) -> Option<LibraryFingerprint> {
+    if members.is_empty() {
+        return None;
+    }
+    let mut features: Vec<String> = Vec::with_capacity(members.len());
+    for &i in members {
+        let method = &dex.methods[i as usize];
+        let pkg = &packages[i as usize];
         // Package-stripped structure: the sub-package path *relative to
         // the prefix* plus class/method/descriptor, plus an opcode
         // string. Renaming the root package leaves all of this intact.
         let relative = &pkg[prefix.len().min(pkg.len())..];
-        let opcodes: String = method
-            .code
-            .instructions
-            .iter()
-            .map(|inst| match inst {
-                Instruction::Nop => 'n',
-                Instruction::Const(_) => 'c',
-                Instruction::Invoke(MethodRef::Internal(_)) => 'i',
-                Instruction::Invoke(MethodRef::External(_)) => 'e',
-                Instruction::InvokeAsync { .. } => 'a',
-                Instruction::Network(_) => 'w',
-                Instruction::Return => 'r',
-            })
-            .collect();
-        features.push(format!(
-            "{relative}|{}|{}|{}|{opcodes}",
-            method.sig.class_name(),
-            method.sig.method_name(),
-            method.sig.descriptor(),
-        ));
-    }
-    if features.is_empty() {
-        return None;
+        let sig = &method.sig;
+        let mut feature = String::with_capacity(
+            relative.len() + sig.as_smali().len() + method.code.instructions.len() + 4,
+        );
+        for part in [
+            relative,
+            sig.class_name(),
+            sig.method_name(),
+            sig.descriptor(),
+        ] {
+            feature.push_str(part);
+            feature.push('|');
+        }
+        feature.extend(method.code.instructions.iter().map(|inst| match inst {
+            Instruction::Nop => 'n',
+            Instruction::Const(_) => 'c',
+            Instruction::Invoke(MethodRef::Internal(_)) => 'i',
+            Instruction::Invoke(MethodRef::External(_)) => 'e',
+            Instruction::InvokeAsync { .. } => 'a',
+            Instruction::Network(_) => 'w',
+            Instruction::Return => 'r',
+        }));
+        features.push(feature);
     }
     features.sort_unstable();
     let mut hasher = Sha256::new();
@@ -310,11 +336,16 @@ mod tests {
     #[test]
     fn package_prefixes_enumerates_all_levels() {
         let dex = lib_dex("com.vendor.sdk");
-        let prefixes = package_prefixes(&dex);
-        assert!(prefixes.contains("com"));
-        assert!(prefixes.contains("com.vendor"));
-        assert!(prefixes.contains("com.vendor.sdk"));
-        assert!(prefixes.contains("com.vendor.sdk.cache"));
-        assert_eq!(prefixes.len(), 4);
+        let tree = PackageTree::new(&dex);
+        let prefixes: Vec<(&str, &[u32])> = tree.subtrees().collect();
+        assert_eq!(
+            prefixes,
+            [
+                ("com", &[0, 1][..]),
+                ("com.vendor", &[0, 1]),
+                ("com.vendor.sdk", &[0, 1]),
+                ("com.vendor.sdk.cache", &[1]),
+            ]
+        );
     }
 }

@@ -19,11 +19,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
-use spector_dex::features::{subtree_profile, StructuralProfile};
+use spector_dex::features::{profile_total, subtree_profile, PackageTree, StructuralProfile};
 use spector_dex::model::DexFile;
 
 use crate::category::LibCategory;
-use crate::detect::package_prefixes;
 
 /// Which cascade tier attributed a library lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -70,6 +69,14 @@ pub const MIN_MATCH_FEATURES: u64 = 10;
 /// filler resemblance. Both empirically land well below 0.8.
 pub const MATCH_THRESHOLD: f64 = 0.8;
 
+/// Whether multisets of `a` and `b` features can reach
+/// [`MATCH_THRESHOLD`]: multiset Jaccard is at most `min / max`, so a
+/// score of 0.8 needs `5·min ≥ 4·max`. Integer arithmetic keeps the
+/// test exact at the edges.
+pub fn within_band(a: u64, b: u64) -> bool {
+    5 * a.min(b) >= 4 * a.max(b)
+}
+
 /// A library recognized by structural similarity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructuralMatch {
@@ -89,6 +96,8 @@ pub struct StructuralMatch {
 pub struct StructuralIndex {
     libs: Vec<(String, LibCategory, u64)>,
     buckets: HashMap<u64, Vec<(u32, u32)>>,
+    /// Distinct library feature totals, sorted.
+    totals: Vec<u64>,
 }
 
 impl StructuralIndex {
@@ -108,9 +117,13 @@ impl StructuralIndex {
             return;
         }
         let id = self.libs.len() as u32;
-        self.libs.push((name.to_owned(), category, profile.total()));
+        let total = profile.total();
+        self.libs.push((name.to_owned(), category, total));
         for &(hash, count) in &profile.features {
             self.buckets.entry(hash).or_default().push((id, count));
+        }
+        if let Err(at) = self.totals.binary_search(&total) {
+            self.totals.insert(at, total);
         }
     }
 
@@ -124,36 +137,50 @@ impl StructuralIndex {
         self.libs.is_empty()
     }
 
+    /// Whether a profile of `total` features is worth scoring: it has at
+    /// least [`MIN_MATCH_FEATURES`] and lies [`within_band`] of some
+    /// indexed library. [`best_match`](Self::best_match) returns `None`
+    /// for every other profile.
+    pub fn admits(&self, total: u64) -> bool {
+        if total < MIN_MATCH_FEATURES {
+            return false;
+        }
+        // The smallest library total not below the band's lower edge is
+        // the one that can still be inside its upper edge.
+        let at = self.totals.partition_point(|&l| 5 * l < 4 * total);
+        self.totals.get(at).is_some_and(|&l| within_band(total, l))
+    }
+
     /// Scores `profile` against the index and returns the best library at
     /// or above [`MATCH_THRESHOLD`], if any.
     ///
     /// Multiset Jaccard: `Σ min(q, l) / (Σq + Σl − Σ min(q, l))`,
-    /// accumulated through the shared-bucket posting lists so only
-    /// libraries with overlap are touched.
+    /// accumulated per library id through the shared-bucket posting lists
+    /// so only libraries with overlap are scored.
     pub fn best_match(&self, profile: &StructuralProfile) -> Option<StructuralMatch> {
         let q_total = profile.total();
         if q_total < MIN_MATCH_FEATURES {
             return None;
         }
-        let mut min_sum: HashMap<u32, u64> = HashMap::new();
+        let mut min_sum = vec![0u64; self.libs.len()];
         for &(hash, q_count) in &profile.features {
             if let Some(postings) = self.buckets.get(&hash) {
                 for &(lib, l_count) in postings {
-                    *min_sum.entry(lib).or_insert(0) += u64::from(q_count.min(l_count));
+                    min_sum[lib as usize] += u64::from(q_count.min(l_count));
                 }
             }
         }
-        let mut best: Option<(u32, f64)> = None;
-        for (lib, overlap) in min_sum {
-            let (_, _, l_total) = self.libs[lib as usize];
+        // Libraries are scored in id order and only a strictly higher
+        // score replaces the best, so ties go to the lower library id.
+        let mut best: Option<(usize, f64)> = None;
+        for (lib, &overlap) in min_sum.iter().enumerate() {
+            if overlap == 0 {
+                continue;
+            }
+            let (_, _, l_total) = self.libs[lib];
             let union = q_total + l_total - overlap;
             let score = overlap as f64 / union as f64;
-            // Deterministic tie-break: lower library id wins.
-            let better = match best {
-                None => true,
-                Some((b_lib, b_score)) => score > b_score || (score == b_score && lib < b_lib),
-            };
-            if better {
+            if best.is_none_or(|(_, b_score)| score > b_score) {
                 best = Some((lib, score));
             }
         }
@@ -161,7 +188,7 @@ impl StructuralIndex {
         if score < MATCH_THRESHOLD {
             return None;
         }
-        let (name, category, _) = &self.libs[lib as usize];
+        let (name, category, _) = &self.libs[lib];
         Some(StructuralMatch {
             name: name.clone(),
             in_app_prefix: String::new(),
@@ -170,24 +197,33 @@ impl StructuralIndex {
         })
     }
 
-    /// Detects indexed libraries in `dex`: every package prefix is
-    /// profiled and scored; prefixes whose best match clears the
-    /// threshold are reported, sorted by in-app prefix.
+    /// Detects indexed libraries in `dex`: every package prefix that
+    /// could match is profiled and scored (see
+    /// [`detect_in`](Self::detect_in)); prefixes whose best match clears
+    /// the threshold are reported, sorted by in-app prefix.
     ///
     /// Only the actual root of a bundled copy scores near 1.0: parent
     /// prefixes shift every depth-sensitive feature and dilute the
     /// union, child prefixes lose the root's features — both fall below
     /// the threshold by construction.
     pub fn detect(&self, dex: &DexFile) -> Vec<StructuralMatch> {
+        self.detect_in(dex, &PackageTree::new(dex))
+    }
+
+    /// [`detect`](Self::detect) over the prebuilt package tree of `dex`.
+    /// A subtree is profiled only when its feature total, known from its
+    /// method count, is [admitted](Self::admits).
+    pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<StructuralMatch> {
         let mut matches = Vec::new();
-        for prefix in package_prefixes(dex) {
-            let profile = subtree_profile(dex, &prefix);
-            if let Some(mut m) = self.best_match(&profile) {
-                m.in_app_prefix = prefix;
+        for (prefix, members) in tree.subtrees() {
+            if !self.admits(profile_total(members.len())) {
+                continue;
+            }
+            if let Some(mut m) = self.best_match(&tree.profile(dex, prefix, members)) {
+                m.in_app_prefix = prefix.to_owned();
                 matches.push(m);
             }
         }
-        matches.sort_by(|a, b| a.in_app_prefix.cmp(&b.in_app_prefix));
         matches
     }
 }
@@ -196,7 +232,7 @@ impl StructuralIndex {
 /// corpus-wide detection. `resolve` bridges an obfuscated origin package
 /// back to canonical space so the existing verdict machinery (trie,
 /// lists) can run on it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixAliases {
     map: BTreeMap<String, String>,
 }
@@ -404,6 +440,37 @@ mod tests {
         let profile = subtree_profile(&dex, "a.b");
         assert!(profile.total() < MIN_MATCH_FEATURES);
         assert!(idx.best_match(&profile).is_none());
+    }
+
+    #[test]
+    fn band_edges_are_exact() {
+        assert!(within_band(40, 50));
+        assert!(within_band(50, 62));
+        assert!(!within_band(39, 50));
+        assert!(!within_band(50, 63));
+        // Symmetric, and the same answer as the float ratio test.
+        for a in 1..200u64 {
+            for b in 1..200u64 {
+                assert_eq!(within_band(a, b), within_band(b, a));
+                let ratio = a.min(b) as f64 / a.max(b) as f64;
+                assert_eq!(within_band(a, b), ratio >= MATCH_THRESHOLD, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn admits_only_totals_inside_some_band() {
+        let mut idx = StructuralIndex::new();
+        for total in [20u64, 50] {
+            let features = (0..total).map(|h| (h, 1)).collect();
+            idx.add_profile("lib", LibCategory::Utility, &StructuralProfile { features });
+        }
+        assert!(!idx.admits(MIN_MATCH_FEATURES - 1));
+        assert!(idx.admits(16) && idx.admits(25));
+        assert!(!idx.admits(15) && !idx.admits(26) && !idx.admits(39));
+        assert!(idx.admits(40) && idx.admits(62));
+        assert!(!idx.admits(63));
+        assert!(!StructuralIndex::new().admits(50));
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Property tests for library detection and the categorization
 //! heuristics.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
-use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef};
+use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef, MethodRef};
 use spector_dex::sig::MethodSig;
-use spector_libradar::{detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists};
+use spector_dex::{subtree_profile, PackageTree};
+use spector_libradar::structural::within_band;
+use spector_libradar::{
+    detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists, StructuralIndex,
+};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,5}"
@@ -181,6 +187,112 @@ proptest! {
         let lookalike = format!("{}{}x", prefix, extra);
         prop_assert!(lists.is_ant(&child));
         prop_assert!(!lists.is_ant(&lookalike));
+    }
+}
+
+/// One generated library method: sub-package depth, descriptor, and
+/// opcodes (internal invokes land on a method of the same copy).
+type MethodSpec = (u8, u8, Vec<u8>);
+
+fn method_spec() -> impl Strategy<Value = MethodSpec> {
+    (0u8..3, 0u8..4, proptest::collection::vec(0u8..6, 1..6))
+}
+
+/// The methods of one library copy rooted at `root`, placed at method
+/// index `offset` of the app.
+fn copy_methods(root: &str, specs: &[MethodSpec], offset: u32) -> Vec<MethodDef> {
+    let n = specs.len() as u32;
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, (depth, descriptor, ops))| {
+            let package = match depth {
+                0 => root.to_owned(),
+                1 => format!("{root}.net"),
+                _ => format!("{root}.net.io"),
+            };
+            let descriptor =
+                ["()V", "(I)V", "(Landroid/content/Context;)V", "([B)I"][usize::from(*descriptor)];
+            let instructions = ops
+                .iter()
+                .map(|&op| match op {
+                    0 => Instruction::Return,
+                    1 => Instruction::Const(u32::from(op)),
+                    2 | 3 => Instruction::Invoke(MethodRef::Internal(
+                        offset + (i as u32 + u32::from(op)) % n,
+                    )),
+                    4 => Instruction::Invoke(MethodRef::External(MethodSig::new(
+                        "android.util",
+                        "Log",
+                        "d",
+                        "()V",
+                    ))),
+                    _ => Instruction::Nop,
+                })
+                .collect();
+            MethodDef {
+                sig: MethodSig::new(
+                    &package,
+                    &format!("K{}", i / 3),
+                    &format!("m{i}"),
+                    descriptor,
+                ),
+                code: CodeItem { instructions },
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The size band is a consequence of the threshold, not a heuristic:
+    /// every library the unpruned `best_match` returns for any prefix is
+    /// inside the band of the prefix's total, and pruned detection
+    /// reports exactly the unpruned matches. Copies drop up to three
+    /// methods and gain up to four, so scores land near the threshold.
+    #[test]
+    fn band_admits_every_library_the_unpruned_best_match_returns(
+        libs in proptest::collection::vec(proptest::collection::vec(method_spec(), 4..14), 1..4),
+        dropped in proptest::collection::vec(0usize..4, 3),
+        extra in proptest::collection::vec(proptest::collection::vec(method_spec(), 0..5), 3),
+    ) {
+        let mut index = StructuralIndex::new();
+        let mut totals = HashMap::new();
+        let mut app = DexFile::new();
+        for (k, specs) in libs.iter().enumerate() {
+            let name = format!("com.lib{k}");
+            let library = DexFile {
+                methods: copy_methods(&name, specs, 0),
+                classes: vec![],
+            };
+            let profile = subtree_profile(&library, &name);
+            totals.insert(name.clone(), profile.total());
+            index.add_profile(&name, LibCategory::Utility, &profile);
+            let mut copy = specs[..specs.len() - dropped[k]].to_vec();
+            copy.extend(extra[k].iter().cloned());
+            let offset = app.methods.len() as u32;
+            app.methods.extend(copy_methods(&format!("qx.c{k}"), &copy, offset));
+        }
+        let mut unpruned = Vec::new();
+        for (prefix, _) in PackageTree::new(&app).subtrees() {
+            let profile = subtree_profile(&app, prefix);
+            if let Some(matched) = index.best_match(&profile) {
+                prop_assert!(index.admits(profile.total()), "{} not admitted", prefix);
+                prop_assert!(
+                    within_band(profile.total(), totals[&matched.name]),
+                    "{} ({}) outside the band of {} ({})",
+                    prefix, profile.total(), matched.name, totals[&matched.name]
+                );
+                unpruned.push((prefix.to_owned(), matched.name));
+            }
+        }
+        let pruned: Vec<(String, String)> = index
+            .detect(&app)
+            .into_iter()
+            .map(|m| (m.in_app_prefix, m.name))
+            .collect();
+        prop_assert_eq!(pruned, unpruned);
     }
 }
 

@@ -7,9 +7,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# perf: hook overhead, per-app pipeline, throughput, substrates, and
-# the sampled-tracing layer (perf/sampling_overhead — the exact path
-# must stay within noise of the unsampled pipeline).
+# perf: hook overhead, per-app pipeline, throughput, the 400-app
+# knowledge build (perf/knowledge/from_corpus), substrates, and the
+# sampled-tracing layer (perf/sampling_overhead — the exact path must
+# stay within noise of the unsampled pipeline).
 cargo bench -p spector-bench --bench perf -- --quick "$@"
 
 # headline: campaign-level aggregation figures.
