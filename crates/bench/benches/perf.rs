@@ -96,6 +96,53 @@ fn bench_per_app_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 50-app campaign slice through `run_app` on one thread, at the
+/// CLI's method scale (0.02), a tenth of the paper's byte volume and 300
+/// monkey events: what a campaign pays per app for dex parse, the Socket
+/// Supervisor's frame index, the apk checksum and the emulated traffic.
+/// `experiment_one_app` above runs one small app with 120 events, where
+/// the per-app set-up is a sliver.
+fn bench_experiment_slice(c: &mut Criterion) {
+    use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
+
+    let corpus = Corpus::generate(&CorpusConfig {
+        apps: 50,
+        seed: 7_781,
+        appgen: AppGenConfig {
+            method_scale: 0.02,
+            volume_scale: 0.1,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let resolver = resolver_for(&corpus.domains);
+    let mut config = ExperimentConfig::default();
+    config.monkey.events = 300;
+    let apps: Vec<_> = corpus
+        .apps
+        .iter()
+        .map(|app| {
+            let system: Vec<_> = app
+                .system_ops
+                .iter()
+                .map(|s| (s.op.clone(), s.dispatcher))
+                .collect();
+            (&app.apk, system)
+        })
+        .collect();
+    let mut group = c.benchmark_group("perf/experiment");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(apps.len() as u64));
+    group.bench_function("slice", |b| {
+        b.iter(|| {
+            for (apk, system) in &apps {
+                std::hint::black_box(run_app(apk, &resolver, system, &config).unwrap());
+            }
+        });
+    });
+    group.finish();
+}
+
 /// Offline attribution throughput at the paper's campaign scale: the
 /// whole §IV store (400 raw runs) through `analyze_run` per iteration.
 /// Criterion's `elem/s` readout is apps/sec for the `*_apps` benches
@@ -461,6 +508,7 @@ criterion_group!(
     benches,
     bench_hook_overhead,
     bench_per_app_pipeline,
+    bench_experiment_slice,
     bench_analysis_throughput,
     bench_knowledge_build,
     bench_chaos_overhead,

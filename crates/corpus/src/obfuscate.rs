@@ -26,8 +26,9 @@
 //!   library method bodies. Structural profiles still survive: degrees
 //!   are identity-based and filler opcodes are uncounted.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 use std::str::FromStr;
 
 use rand::rngs::SmallRng;
@@ -102,20 +103,23 @@ const BLOCKED_FIRST: &[&str] = &[
     "com", "org", "net", "io", "uk", "java", "javax", "sun", "android", "dalvik", "junit",
 ];
 
-/// Canonical template roots instantiated in `dex` (component-aligned
-/// subtree membership; templates are prefix-free so matches are unique).
+/// Canonical template roots instantiated in `dex`, in template order
+/// (component-aligned subtree membership; templates are prefix-free so
+/// matches are unique).
 pub fn library_roots(dex: &DexFile) -> Vec<&'static str> {
-    let mut roots = Vec::new();
-    for template in LIBRARY_TEMPLATES {
-        let present = dex
-            .methods
-            .iter()
-            .any(|m| in_subtree(&m.sig.package(), template.package));
-        if present {
-            roots.push(template.package);
-        }
-    }
-    roots
+    // Each method's package once; a root's subtree members sort
+    // contiguously from the root itself.
+    let packages: BTreeSet<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+    LIBRARY_TEMPLATES
+        .iter()
+        .map(|template| template.package)
+        .filter(|&root| {
+            packages
+                .range::<str, _>((Bound::Included(root), Bound::Unbounded))
+                .take_while(|pkg| pkg.starts_with(root))
+                .any(|pkg| in_subtree(pkg, root))
+        })
+        .collect()
 }
 
 fn in_subtree(pkg: &str, prefix: &str) -> bool {
@@ -521,6 +525,71 @@ mod tests {
         let mut c = small_corpus();
         let mc = obfuscate_corpus(&mut c, ObfuscationTier::Junk, 10);
         assert_ne!(ma, mc, "different seed should pick different roots");
+    }
+
+    /// `library_roots` as a per-template scan of every method's package.
+    fn library_roots_scanned(dex: &DexFile) -> Vec<&'static str> {
+        LIBRARY_TEMPLATES
+            .iter()
+            .map(|t| t.package)
+            .filter(|root| {
+                dex.methods
+                    .iter()
+                    .any(|m| in_subtree(&m.sig.package(), root))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn library_roots_equals_a_per_template_scan() {
+        // Edge packages: a root itself, a deep member, siblings that
+        // share a root's characters but not its components (one sorts
+        // before the root's members), a parent of a root, and the
+        // default package.
+        let edge = DexFile {
+            methods: [
+                "com.unity3d.ads",
+                "com.vungle.publisher.internal.net",
+                "com.unity3d.adsx",
+                "com.chartboost.sdkx.inner",
+                "com.tapjoy2",
+                "com.adcolony-x",
+                "com.adcolony.sdk",
+                "com.google.android.gms",
+                "",
+            ]
+            .iter()
+            .enumerate()
+            .map(|(i, pkg)| spector_dex::model::MethodDef {
+                sig: MethodSig::new(pkg, "K", &format!("m{i}"), "()V"),
+                code: Default::default(),
+            })
+            .collect(),
+            classes: vec![],
+        };
+        assert_eq!(
+            library_roots(&edge),
+            ["com.unity3d.ads", "com.vungle.publisher", "com.adcolony"]
+        );
+        assert_eq!(library_roots(&edge), library_roots_scanned(&edge));
+        assert!(library_roots(&DexFile::new()).is_empty());
+        let mut saw_roots = false;
+        for tier in ObfuscationTier::ALL {
+            let mut corpus = small_corpus();
+            obfuscate_corpus(&mut corpus, tier, 5);
+            for app in &corpus.apps {
+                let dex = app.apk.dex().unwrap();
+                let roots = library_roots(&dex);
+                saw_roots |= !roots.is_empty();
+                assert_eq!(
+                    roots,
+                    library_roots_scanned(&dex),
+                    "{} at {tier}",
+                    app.package
+                );
+            }
+        }
+        assert!(saw_roots);
     }
 
     #[test]

@@ -203,10 +203,7 @@ impl DexFile {
         self.methods.len()
     }
 
-    /// Looks up a defined method by signature.
-    ///
-    /// Linear scan; callers doing bulk translation should build a
-    /// [`SigIndex`] instead.
+    /// Looks up a defined method by signature (a linear scan).
     pub fn find_method(&self, sig: &MethodSig) -> Option<u32> {
         self.methods
             .iter()
@@ -259,70 +256,70 @@ impl DexFile {
     }
 }
 
-/// Hash index from signature (and from dotted stack-frame name) to method
-/// id — the supervisor's frame-translation table.
+/// Frame-translation table of the Socket Supervisor: dotted stack-frame
+/// name → the first method defined under that name.
 ///
 /// The Socket Supervisor receives stack frames as dotted names
 /// (`com.unity3d.ads.android.cache.b.a`) and must translate each to a
 /// full method *type signature* using the parsed dex. Dotted names are
-/// ambiguous for overloads, so the index maps a dotted name to all
-/// candidate signatures in definition order (the paper resolves the same
-/// ambiguity with dex parse order).
+/// ambiguous for overloads; like the paper, which resolves the ambiguity
+/// with dex parse order, the index answers with the first candidate in
+/// definition order.
+///
+/// The table is a sorted list of `(hash of dotted name, method id)`
+/// pairs, each hash streamed from the signature's smali bytes
+/// ([`MethodSig::dotted_bytes`]): building it copies each signature once
+/// and allocates nothing else per method. A lookup walks the run of
+/// equal hashes in id order and confirms each candidate byte for byte:
+/// a hash collision can cost a comparison but never change the answer.
 #[derive(Debug, Clone, Default)]
 pub struct SigIndex {
     sigs: Vec<MethodSig>,
-    by_sig: std::collections::HashMap<MethodSig, u32>,
-    by_dotted: std::collections::HashMap<String, Vec<u32>>,
+    /// `(dotted-name hash, method id)`, sorted; ids ascend within a hash.
+    table: Vec<(u64, u32)>,
+}
+
+/// 64-bit FNV-1a over a byte stream.
+fn dotted_hash(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 impl SigIndex {
     /// Builds the index over `dex`.
     pub fn build(dex: &DexFile) -> Self {
-        let mut by_sig = std::collections::HashMap::with_capacity(dex.methods.len());
-        let mut by_dotted: std::collections::HashMap<String, Vec<u32>> =
-            std::collections::HashMap::new();
-        let mut sigs = Vec::with_capacity(dex.methods.len());
-        for (i, m) in dex.methods.iter().enumerate() {
-            sigs.push(m.sig.clone());
-            by_sig.insert(m.sig.clone(), i as u32);
-            by_dotted
-                .entry(m.sig.dotted_name())
-                .or_default()
-                .push(i as u32);
-        }
-        SigIndex {
-            sigs,
-            by_sig,
-            by_dotted,
-        }
+        let sigs: Vec<MethodSig> = dex.signatures().cloned().collect();
+        let mut table: Vec<(u64, u32)> = sigs
+            .iter()
+            .enumerate()
+            .map(|(id, sig)| (dotted_hash(sig.dotted_bytes()), id as u32))
+            .collect();
+        table.sort_unstable();
+        SigIndex { sigs, table }
     }
 
-    /// Method id for an exact signature.
-    pub fn id_of(&self, sig: &MethodSig) -> Option<u32> {
-        self.by_sig.get(sig).copied()
-    }
-
-    /// Signature for a method id (inverse of [`SigIndex::id_of`]).
-    pub fn sig_of(&self, id: u32) -> Option<&MethodSig> {
-        self.sigs.get(id as usize)
-    }
-
-    /// Candidate method ids for a dotted stack-frame name.
-    pub fn candidates(&self, dotted_name: &str) -> &[u32] {
-        self.by_dotted
-            .get(dotted_name)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The first method, in definition order, whose dotted name is
+    /// `dotted_name`; `None` when the dex defines no such method (a
+    /// framework frame).
+    pub fn first_match(&self, dotted_name: &str) -> Option<&MethodSig> {
+        let hash = dotted_hash(dotted_name.bytes());
+        let start = self.table.partition_point(|&(h, _)| h < hash);
+        self.table[start..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .map(|&(_, id)| &self.sigs[id as usize])
+            .find(|sig| sig.dotted_bytes().eq(dotted_name.bytes()))
     }
 
     /// Number of indexed methods.
     pub fn len(&self) -> usize {
-        self.by_sig.len()
+        self.sigs.len()
     }
 
     /// Returns `true` when no methods are indexed.
     pub fn is_empty(&self) -> bool {
-        self.by_sig.is_empty()
+        self.sigs.is_empty()
     }
 }
 
@@ -413,9 +410,11 @@ mod tests {
         assert_eq!(idx.len(), 2);
         assert!(!idx.is_empty());
         for m in &dex.methods {
-            assert_eq!(dex.find_method(&m.sig), idx.id_of(&m.sig));
+            let found = idx.first_match(&m.sig.dotted_name()).unwrap();
+            assert_eq!(dex.find_method(found), dex.find_method(&m.sig));
         }
         assert_eq!(dex.find_method(&MethodSig::new("x", "Y", "z", "()V")), None);
+        assert_eq!(idx.first_match("x.Y.z"), None);
     }
 
     #[test]
@@ -426,7 +425,37 @@ mod tests {
             code: CodeItem::default(),
         });
         let idx = SigIndex::build(&dex);
-        assert_eq!(idx.candidates("com.ads.Loader.fetch"), &[1, 2]);
-        assert!(idx.candidates("missing.Name.here").is_empty());
+        assert_eq!(
+            idx.first_match("com.ads.Loader.fetch"),
+            Some(&dex.methods[1].sig)
+        );
+        assert_eq!(idx.first_match("missing.Name.here"), None);
+        assert_eq!(idx.first_match("com.ads.Loader"), None);
+    }
+
+    #[test]
+    fn hash_collisions_are_confirmed_byte_for_byte() {
+        let mut dex = sample_dex();
+        dex.methods.push(MethodDef {
+            sig: MethodSig::new("com.ads", "Loader", "fetch", "(I)V"),
+            code: CodeItem::default(),
+        });
+        let mut idx = SigIndex::build(&dex);
+        // Put every method in one equal-hash run, as if all three dotted
+        // names collided with `name`.
+        let collide = |idx: &mut SigIndex, name: &str| {
+            for entry in &mut idx.table {
+                entry.0 = dotted_hash(name.bytes());
+            }
+            idx.table.sort_unstable();
+        };
+        collide(&mut idx, "com.ads.Loader.fetch");
+        assert_eq!(
+            idx.first_match("com.ads.Loader.fetch"),
+            Some(&dex.methods[1].sig),
+            "method 0 leads the run but its name differs"
+        );
+        collide(&mut idx, "com.absent.Name.here");
+        assert_eq!(idx.first_match("com.absent.Name.here"), None);
     }
 }

@@ -21,8 +21,10 @@ use serde::{Deserialize, Serialize};
 
 /// A fully-qualified method type signature.
 ///
-/// Internally stores the smali rendering plus pre-computed split points,
-/// so accessors are cheap and the value can be used as a hash-map key.
+/// Stores only the smali rendering, so the value can be used as a
+/// hash-map key. Every accessor rescans it once for the `;->` and `(`
+/// separators; the `&str` accessors and [`MethodSig::dotted_bytes`]
+/// borrow from it, the `String` renderings allocate.
 ///
 /// # Examples
 ///
@@ -92,49 +94,55 @@ impl MethodSig {
         &self.smali
     }
 
-    /// Byte index of the `;->` separator.
-    fn arrow(&self) -> usize {
-        self.smali.find(";->").expect("validated on construction")
-    }
-
-    /// Byte index of the `(` starting the descriptor.
-    fn paren(&self) -> usize {
-        let arrow = self.arrow();
-        arrow
-            + 3
-            + self.smali[self.arrow() + 3..]
-                .find('(')
-                .expect("validated on construction")
+    /// The `/`-separated package path (empty for the default package),
+    /// the class name, the method name and the descriptor, borrowed
+    /// from one scan for the `;->` and `(` separators.
+    fn parts(&self) -> (&str, &str, &str, &str) {
+        let arrow = self.smali.find(";->").expect("validated on construction");
+        let type_part = &self.smali[1..arrow]; // strip leading 'L'
+        let (path, class) = match type_part.rfind('/') {
+            Some(idx) => (&type_part[..idx], &type_part[idx + 1..]),
+            None => ("", type_part),
+        };
+        let rest = &self.smali[arrow + 3..];
+        let paren = rest.find('(').expect("validated on construction");
+        (path, class, &rest[..paren], &rest[paren..])
     }
 
     /// The dotted package name, e.g. `com.unity3d.ads.android.cache`.
     ///
     /// Empty for classes in the default package.
     pub fn package(&self) -> String {
-        let type_part = &self.smali[1..self.arrow()]; // strip leading 'L'
-        match type_part.rfind('/') {
-            Some(idx) => type_part[..idx].replace('/', "."),
-            None => String::new(),
-        }
+        self.parts().0.replace('/', ".")
     }
 
     /// The class name including any `$`-separated inner classes.
     pub fn class_name(&self) -> &str {
-        let type_part = &self.smali[1..self.arrow()];
-        match type_part.rfind('/') {
-            Some(idx) => &type_part[idx + 1..],
-            None => type_part,
-        }
+        self.parts().1
     }
 
     /// The bare method name.
     pub fn method_name(&self) -> &str {
-        &self.smali[self.arrow() + 3..self.paren()]
+        self.parts().2
     }
 
     /// The `(params)ret` descriptor.
     pub fn descriptor(&self) -> &str {
-        &self.smali[self.paren()..]
+        self.parts().3
+    }
+
+    /// The bytes of [`MethodSig::dotted_name`], streamed from the smali
+    /// rendering without allocating: the package path with each `/`
+    /// read as `.`, then the class and the method, `.`-joined.
+    pub fn dotted_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let (path, class, method, _) = self.parts();
+        let package_dot = (!path.is_empty()).then_some(b'.');
+        path.bytes()
+            .map(|b| if b == b'/' { b'.' } else { b })
+            .chain(package_dot)
+            .chain(class.bytes())
+            .chain(std::iter::once(b'.'))
+            .chain(method.bytes())
     }
 
     /// The dotted `package.Class.method` rendering used in stack traces
@@ -142,12 +150,7 @@ impl MethodSig {
     /// this is the form `getStackTrace` frames carry before the
     /// supervisor translates them back to full signatures.
     pub fn dotted_name(&self) -> String {
-        let pkg = self.package();
-        if pkg.is_empty() {
-            format!("{}.{}", self.class_name(), self.method_name())
-        } else {
-            format!("{}.{}.{}", pkg, self.class_name(), self.method_name())
-        }
+        String::from_utf8(self.dotted_bytes().collect()).expect("only ASCII '/' is rewritten")
     }
 
     /// Dotted `package.Class` without the method.

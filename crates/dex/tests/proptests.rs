@@ -2,7 +2,9 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use spector_dex::model::{ClassDef, CodeItem, DexFile, Instruction, MethodDef, MethodRef};
+use spector_dex::model::{
+    ClassDef, CodeItem, DexFile, Instruction, MethodDef, MethodRef, SigIndex,
+};
 use spector_dex::sig::{prefix_levels, MethodSig};
 use spector_dex::{
     parse_dex, profile_total, subtree_profile, write_dex, Apk, ApkEntry, PackageTree, Sha256,
@@ -239,5 +241,99 @@ proptest! {
             prop_assert_eq!(&tree.profile(&dex, prefix, members), &profile);
         }
         prop_assert_eq!(subtree_profile(&dex, "zz").total(), profile_total(0));
+    }
+}
+
+const PACKAGES: [&str; 4] = ["", "a", "a.b", "b"];
+
+/// A dex whose dotted names collide often: methods `m0`/`m1` of classes
+/// `K0`/`K1` in the default package or under `a`, `a.b` or `b`, with one
+/// of three descriptors, so most dotted names are shared by overloads
+/// defined in arbitrary order.
+fn overloaded_dex() -> impl Strategy<Value = DexFile> {
+    let sig = (0usize..4, 0u8..2, 0u8..2, 0usize..3).prop_map(|(p, c, m, d)| {
+        MethodSig::new(
+            PACKAGES[p],
+            &format!("K{c}"),
+            &format!("m{m}"),
+            ["()V", "(I)V", "(J)I"][d],
+        )
+    });
+    proptest::collection::vec(sig, 0..24).prop_map(|sigs| {
+        let mut seen = std::collections::BTreeSet::new();
+        let methods = sigs
+            .into_iter()
+            .filter(|sig| seen.insert(sig.clone()))
+            .map(|sig| MethodDef {
+                sig,
+                code: CodeItem::default(),
+            })
+            .collect();
+        DexFile {
+            methods,
+            classes: vec![],
+        }
+    })
+}
+
+/// Every dotted name the alphabet of [`overloaded_dex`] can spell,
+/// framework frames no app dex defines, and near misses (a class alone,
+/// an extended method, the slashed package form, the empty frame).
+fn probe_frames() -> Vec<String> {
+    let mut frames = Vec::new();
+    for package in PACKAGES {
+        for class in ["K0", "K1"] {
+            for method in ["m0", "m1"] {
+                let dotted = if package.is_empty() {
+                    format!("{class}.{method}")
+                } else {
+                    format!("{package}.{class}.{method}")
+                };
+                frames.push(format!("{dotted}x"));
+                frames.push(dotted);
+            }
+        }
+    }
+    frames.extend(
+        [
+            "java.net.Socket.connect",
+            "android.os.Handler.dispatchMessage",
+            "com.android.okhttp.Connection.connect",
+            "a.K0",
+            "K0",
+            "a/b.K0.m0",
+            "",
+        ]
+        .map(str::to_owned),
+    );
+    frames
+}
+
+proptest! {
+    #[test]
+    fn dotted_name_joins_package_class_and_method(
+        package in prop_oneof![Just(String::new()), package()],
+        class in ident(),
+        method in ident(),
+        desc in descriptor(),
+    ) {
+        let sig = MethodSig::new(&package, &format!("C{class}"), &method, &desc);
+        let expected = if package.is_empty() {
+            format!("C{class}.{method}")
+        } else {
+            format!("{package}.C{class}.{method}")
+        };
+        prop_assert_eq!(sig.dotted_bytes().collect::<Vec<u8>>(), expected.as_bytes().to_vec());
+        prop_assert_eq!(sig.dotted_name(), expected);
+    }
+
+    #[test]
+    fn sig_index_translates_like_a_linear_first_match_scan(dex in overloaded_dex()) {
+        let index = SigIndex::build(&dex);
+        prop_assert_eq!(index.len(), dex.methods.len());
+        for frame in probe_frames() {
+            let scanned = dex.signatures().find(|sig| sig.dotted_name() == frame);
+            prop_assert_eq!(index.first_match(&frame), scanned, "frame {:?}", frame);
+        }
     }
 }

@@ -135,14 +135,10 @@ impl SocketSupervisor {
     /// Translates one dotted stack-frame name: the full type signature
     /// when the app's dex defines the method, the dotted name otherwise.
     fn translate_frame(&self, dotted: &str) -> String {
-        match self.index.candidates(dotted).first() {
-            Some(&id) => self
-                .index
-                .sig_of(id)
-                .map(|sig| sig.as_smali().to_owned())
-                .unwrap_or_else(|| dotted.to_owned()),
-            None => dotted.to_owned(),
-        }
+        self.index
+            .first_match(dotted)
+            .map_or(dotted, |sig| sig.as_smali())
+            .to_owned()
     }
 
     /// The shared report path behind both hook points: sampling gate,

@@ -41,7 +41,7 @@ impl HttpRequest {
             self.method, self.path, self.host, self.user_agent, self.content_length
         );
         let mut out = head.into_bytes();
-        out.extend((0..self.content_length).map(|i| b'a' + (i % 23) as u8));
+        extend_filler(&mut out, b'a', self.content_length);
         out
     }
 
@@ -92,6 +92,24 @@ impl HttpRequest {
     }
 }
 
+/// Appends `len` bytes of deterministic body filler, `first + i % 23` at
+/// offset `i`, by repeating the 23-byte pattern.
+fn extend_filler(out: &mut Vec<u8>, first: u8, len: u64) {
+    let pattern: [u8; 23] = std::array::from_fn(|i| first + i as u8);
+    let mut left = usize::try_from(len).expect("body length fits in memory");
+    out.reserve(left);
+    while left > 0 {
+        let chunk = &pattern[..left.min(pattern.len())];
+        out.extend_from_slice(chunk);
+        left -= chunk.len();
+    }
+}
+
+/// Decimal digits of `n` (1 for 0).
+fn digits(n: u64) -> u64 {
+    n.checked_ilog10().map_or(1, |d| u64::from(d) + 1)
+}
+
 /// Encodes an HTTP/1.1 200 response head plus `content_length` bytes of
 /// deterministic body filler.
 pub fn encode_response(content_length: u64) -> Vec<u8> {
@@ -99,7 +117,7 @@ pub fn encode_response(content_length: u64) -> Vec<u8> {
         "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: {content_length}\r\nConnection: close\r\n\r\n"
     );
     let mut out = head.into_bytes();
-    out.extend((0..content_length).map(|i| b'A' + (i % 23) as u8));
+    extend_filler(&mut out, b'A', content_length);
     out
 }
 
@@ -107,21 +125,21 @@ pub fn encode_response(content_length: u64) -> Vec<u8> {
 /// (so simulated transfer sizes stay byte-accurate). When `total` is
 /// smaller than the minimal head, the minimal head is returned.
 pub fn encode_response_total(total: u64) -> Vec<u8> {
-    // Fixpoint on the Content-Length digit width; digit-boundary totals
-    // with no exact solution are padded with trailing filler (harmless —
+    // The head is a fixed part plus the Content-Length digits, so a body
+    // `b` fits when `b + digits(b) <= room`. `room - digits(room)` fits,
+    // and one byte more fits when it has a digit fewer. Take the largest
+    // body that fits: just past a digit boundary none fills `room`
+    // exactly, and the byte left over is trailing padding (harmless —
     // the paper sums packet bytes, not HTTP semantics).
-    let mut body = total.saturating_sub(encode_response(0).len() as u64);
-    for _ in 0..4 {
-        let head_len = encode_response(body).len() as u64 - body;
-        let next = total.saturating_sub(head_len);
-        if next == body {
-            break;
-        }
-        body = next;
+    let room = total.saturating_sub(encode_response(0).len() as u64 - 1);
+    let mut body = room.saturating_sub(digits(room));
+    if body + 1 + digits(body + 1) <= room {
+        body += 1;
     }
     let mut out = encode_response(body);
-    while (out.len() as u64) < total {
-        out.push(b'.');
+    let total = usize::try_from(total).expect("response length fits in memory");
+    if out.len() < total {
+        out.resize(total, b'.');
     }
     out
 }
@@ -180,9 +198,10 @@ mod tests {
 
     #[test]
     fn response_total_is_exact() {
-        for total in [
+        let samples = [
             0u64, 10, 90, 91, 92, 100, 1_000, 9_999, 10_000, 8_192, 1_048_576,
-        ] {
+        ];
+        for total in samples.into_iter().chain(total_sweep()) {
             let bytes = encode_response_total(total);
             let min = encode_response(0).len() as u64;
             if total >= min {
@@ -190,6 +209,114 @@ mod tests {
             } else {
                 assert_eq!(bytes.len() as u64, min);
             }
+        }
+    }
+
+    /// `encode_response` and `encode_response_total` as they were
+    /// before the body was written once: a per-byte filler, and a
+    /// Content-Length fixpoint over the encoded head's length.
+    fn old_response_head(content_length: u64) -> String {
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: {content_length}\r\nConnection: close\r\n\r\n"
+        )
+    }
+
+    fn old_filler(len: u64) -> Vec<u8> {
+        (0..len).map(|i| b'A' + (i % 23) as u8).collect()
+    }
+
+    fn old_encode_response(content_length: u64) -> Vec<u8> {
+        let mut out = old_response_head(content_length).into_bytes();
+        out.extend(old_filler(content_length));
+        out
+    }
+
+    /// The old `encode_response_total`, cutting its body from `filler`
+    /// (an [`old_filler`] at least as long as any body) instead of
+    /// rebuilding it byte by byte.
+    fn old_encode_response_total(total: u64, filler: &[u8]) -> Vec<u8> {
+        let mut body = total.saturating_sub(old_encode_response(0).len() as u64);
+        for _ in 0..4 {
+            // `encode_response(body).len() - body`, without the body.
+            let head_len = old_response_head(body).len() as u64;
+            let next = total.saturating_sub(head_len);
+            if next == body {
+                break;
+            }
+            body = next;
+        }
+        let mut out = old_response_head(body).into_bytes();
+        out.extend_from_slice(&filler[..body as usize]);
+        while (out.len() as u64) < total {
+            out.push(b'.');
+        }
+        out
+    }
+
+    /// Every total up to 12,000, and every total within ±8 of a power of
+    /// ten and of each total where the Content-Length gains a digit, up
+    /// to 10^7.
+    fn total_sweep() -> Vec<u64> {
+        let head = encode_response(0).len() as u64;
+        let mut totals: Vec<u64> = (0..=12_000).collect();
+        for k in 1..=7u32 {
+            let power = 10u64.pow(k);
+            for centre in [power, power + head + u64::from(k)] {
+                totals.extend(centre - 8..=centre + 8);
+            }
+        }
+        totals
+    }
+
+    #[test]
+    fn response_total_matches_the_old_formula_off_the_digit_boundaries() {
+        let head = encode_response(0).len() as u64;
+        let totals = total_sweep();
+        let filler = old_filler(*totals.iter().max().unwrap());
+        let mut overshot = Vec::new();
+        for total in totals {
+            let old = old_encode_response_total(total, &filler);
+            if total >= head && old.len() as u64 == total + 1 {
+                // The old fixpoint stopped on the wider head with body
+                // 10^k; the new encoding sends body 10^k - 1 under the
+                // narrower head and pads one byte.
+                overshot.push(total);
+                let body = (1..=7u32)
+                    .map(|k| 10u64.pow(k) - 1)
+                    .find(|&b| old_response_head(b).len() as u64 + b + 1 == total)
+                    .expect("an overshoot sits just past a 10^k - 1 body");
+                let mut expected = old_response_head(body).into_bytes();
+                expected.extend_from_slice(&filler[..body as usize]);
+                expected.push(b'.');
+                assert_eq!(encode_response_total(total), expected, "total {total}");
+            } else {
+                assert_eq!(encode_response_total(total), old, "total {total}");
+            }
+        }
+        // The old encoding overshot exactly where the body gains a
+        // digit: 107, 198, 1099, 10100, 100101, 1000102 and 10000103.
+        let boundaries: Vec<u64> = (1..=7u32)
+            .map(|k| 10u64.pow(k) + head - 1 + u64::from(k))
+            .collect();
+        overshot.sort_unstable();
+        overshot.dedup();
+        assert_eq!(overshot, boundaries);
+    }
+
+    #[test]
+    fn request_and_response_bodies_match_the_per_byte_filler() {
+        for len in [0u64, 1, 22, 23, 24, 46, 1_000] {
+            assert_eq!(encode_response(len), old_encode_response(len));
+            let request = HttpRequest {
+                content_length: len,
+                ..sample()
+            };
+            let bytes = request.encode();
+            let body = &bytes[bytes.len() - len as usize..];
+            assert!(body
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == b'a' + (i % 23) as u8));
         }
     }
 
