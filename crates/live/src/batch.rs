@@ -21,6 +21,13 @@
 //!    one [`RawBatch`] channel message per ~[`LiveConfig::batch_events`]
 //!    events, amortizing the channel operation.
 //!
+//! A frame's bytes travel as [`FrameBytes`]: a range of a buffer shared
+//! with its neighbours. The ingress paths copy a whole region at once —
+//! the records one socket read completed, a run's capture — into one
+//! exactly-sized buffer, so they pay one allocation and one copy per
+//! region rather than per frame, and routing, broadcast and batching
+//! only clone the `Arc`.
+//!
 //! The **full classified decode** — [`decode_frame_ref`] with
 //! [`FrameErrorKind`] accounting, report parsing with
 //! [`ReportErrorKind`] accounting — runs in the shard loop
@@ -34,6 +41,8 @@
 //! [`FrameErrorKind`]: spector_netsim::FrameErrorKind
 //! [`ReportErrorKind`]: spector_hooks::ReportErrorKind
 
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use spector_hooks::SocketReport;
@@ -89,6 +98,66 @@ pub fn fallback_shard(run: u32, shards: usize) -> usize {
     (hash % shards.max(1) as u64) as usize
 }
 
+/// One frame's bytes: a range of a buffer it may share with other
+/// frames.
+///
+/// Cloning is an `Arc` clone. The buffer is freed with its last frame:
+/// a shard drops each item once decoded, and nothing the decode feeds
+/// (flow heads, pending reports, DNS entries) keeps one. Buffers are
+/// sized to the frames they hold, so a frame in flight pins its
+/// neighbours' bytes, never spare capacity.
+#[derive(Clone)]
+pub struct FrameBytes {
+    buf: Arc<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBytes {
+    /// The frame at `range` of `buf`.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is not within `buf`.
+    pub fn new(buf: Arc<[u8]>, range: Range<usize>) -> FrameBytes {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "frame range {range:?} outside a {}-byte buffer",
+            buf.len()
+        );
+        FrameBytes {
+            buf,
+            start: range.start,
+            end: range.end,
+        }
+    }
+}
+
+impl From<&[u8]> for FrameBytes {
+    /// Copies `bytes` into a buffer of their own.
+    fn from(bytes: &[u8]) -> FrameBytes {
+        FrameBytes {
+            buf: Arc::from(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
+    }
+}
+
+impl Deref for FrameBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl fmt::Debug for FrameBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One raw frame in flight to a shard: undecoded bytes plus the
 /// capture metadata that is not on the wire.
 #[derive(Debug, Clone)]
@@ -101,8 +170,8 @@ pub struct RawItem {
     /// frame: shard-side decode errors for broadcast copies are
     /// counted on shard 0 only, keeping error totals invariant.
     pub broadcast: bool,
-    /// The raw frame bytes; broadcast copies share one allocation.
-    pub data: Arc<[u8]>,
+    /// The raw frame bytes; broadcast copies share one buffer.
+    pub data: FrameBytes,
 }
 
 /// A batch of raw items for one shard — one channel message.
@@ -123,16 +192,18 @@ pub struct RawBatch {
 pub struct RawFrame {
     /// Capture timestamp, microseconds of virtual time.
     pub timestamp_micros: u64,
-    /// The raw frame bytes.
-    pub data: Arc<[u8]>,
+    /// The raw frame bytes, whole or as a range of a shared buffer.
+    pub data: FrameBytes,
 }
 
 impl RawFrame {
-    /// Lifts one captured packet into shareable form (copies once).
+    /// Lifts one captured packet into shareable form: one allocation
+    /// and one copy for this frame alone. A caller lifting a whole run
+    /// can instead build ranges of one buffer with [`FrameBytes::new`].
     pub fn from_packet(packet: &CapturedPacket) -> RawFrame {
         RawFrame {
             timestamp_micros: packet.timestamp_micros,
-            data: Arc::from(packet.data.as_slice()),
+            data: FrameBytes::from(packet.data.as_slice()),
         }
     }
 }

@@ -28,10 +28,23 @@
 //! * **UDP** — one record per datagram, for fire-and-forget senders.
 //!   A datagram shorter than its header claims is malformed.
 //!
-//! Records that cannot be parsed (short header, oversized or
-//! truncated frame body) are counted in
-//! `spector_ingest_malformed_records_total` and end the connection —
-//! never silently skipped.
+//! # Reading a connection
+//!
+//! A connection handler reads into one reused 64 KiB buffer, grown only
+//! to fit a record longer than that (never past the header plus
+//! [`IngestConfig::max_frame_len`]). After each read it copies every
+//! record the read completed into one exactly-sized shared buffer and
+//! pushes each frame as a range of it ([`FrameBytes`]), then moves the
+//! partial record left over to the front of the read buffer. A connection thus costs one allocation
+//! and one copy per read, not per record, and a frame in flight pins
+//! only the records read with it, never a whole read buffer.
+//!
+//! Each of these is one malformed record, counted in
+//! `spector_ingest_malformed_records_total`, and ends the connection:
+//! a header or body cut short by EOF (or a failed read), a length over
+//! `max_frame_len`, or a record still incomplete at the second idle
+//! tick after shutdown. Records before it are delivered; nothing is
+//! silently skipped.
 //!
 //! # Shutdown
 //!
@@ -40,7 +53,9 @@
 //! handler drain what its peer already sent (handlers end at EOF or
 //! after an idle read-timeout once the flag is up), joins all
 //! threads, and hands the engine back — callers then `finish()` or
-//! keep snapshotting it.
+//! keep snapshotting it. Handlers that finish earlier are joined as
+//! the next connection is accepted, so a long-lived server keeps no
+//! thread for a past connection.
 //!
 //! [`OverflowPolicy`]: crate::OverflowPolicy
 
@@ -49,17 +64,21 @@ use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use spector_netsim::pcap::CapturedPacket;
-use spector_telemetry::Counter;
+use spector_telemetry::{Counter, Telemetry};
 
+use crate::batch::FrameBytes;
 use crate::shard::{IngressBatcher, LiveEngine};
 use crate::summary::LiveSummary;
 
 /// Bytes in a record header: run (4) + timestamp (8) + length (4).
 pub const RECORD_HEADER_LEN: usize = 16;
+
+/// Bytes a connection's read buffer starts with.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Listener tuning.
 #[derive(Debug, Clone)]
@@ -92,8 +111,7 @@ struct IngestCounters {
 }
 
 impl IngestCounters {
-    fn new(engine: &LiveEngine) -> IngestCounters {
-        let telemetry = engine.telemetry();
+    fn new(telemetry: &Telemetry) -> IngestCounters {
         IngestCounters {
             connections: telemetry.counter("spector_ingest_connections_total"),
             records: telemetry.counter("spector_ingest_records_total"),
@@ -111,7 +129,9 @@ pub struct IngestServer {
     shutdown: Arc<AtomicBool>,
     /// Tells the accept loop which connection is shutdown's wake-up.
     wake: mpsc::Sender<SocketAddr>,
-    accept_handle: JoinHandle<Vec<JoinHandle<()>>>,
+    /// Yields the handlers still unjoined at shutdown, and whether an
+    /// already joined one panicked.
+    accept_handle: JoinHandle<(Vec<JoinHandle<()>>, bool)>,
     udp_handle: JoinHandle<()>,
 }
 
@@ -120,7 +140,7 @@ impl IngestServer {
     /// serving into `engine`.
     pub fn start(engine: LiveEngine, config: IngestConfig) -> io::Result<IngestServer> {
         let engine = Arc::new(engine);
-        let counters = IngestCounters::new(&engine);
+        let counters = IngestCounters::new(engine.telemetry());
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let tcp_addr = listener.local_addr()?;
         let udp = UdpSocket::bind(("127.0.0.1", 0))?;
@@ -134,8 +154,9 @@ impl IngestServer {
             let shutdown = Arc::clone(&shutdown);
             let config = config.clone();
             let counters = counters.clone();
-            std::thread::spawn(move || {
+            thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+                let mut reaped_panic = false;
                 let mut wake_addr = None;
                 for stream in listener.incoming() {
                     let Ok(stream) = stream else { continue };
@@ -152,15 +173,19 @@ impl IngestServer {
                         }
                     }
                     counters.connections.inc();
+                    // A thread nobody joins keeps its stack mapped.
+                    for finished in handlers.extract_if(.., |handler| handler.is_finished()) {
+                        reaped_panic |= finished.join().is_err();
+                    }
                     let engine = Arc::clone(&engine);
                     let shutdown = Arc::clone(&shutdown);
                     let config = config.clone();
                     let counters = counters.clone();
-                    handlers.push(std::thread::spawn(move || {
+                    handlers.push(thread::spawn(move || {
                         serve_connection(&engine, stream, &shutdown, &config, &counters)
                     }));
                 }
-                handlers
+                (handlers, reaped_panic)
             })
         };
 
@@ -168,7 +193,7 @@ impl IngestServer {
             let engine = Arc::clone(&engine);
             let shutdown = Arc::clone(&shutdown);
             let config = config.clone();
-            std::thread::spawn(move || serve_udp(&engine, udp, &shutdown, &config, &counters))
+            thread::spawn(move || serve_udp(&engine, udp, &shutdown, &config, &counters))
         };
 
         Ok(IngestServer {
@@ -211,11 +236,12 @@ impl IngestServer {
         self.wake
             .send(wake.local_addr().expect("wake-up connection address"))
             .expect("ingest accept loop is running");
-        let handlers = self.accept_handle.join().expect("ingest accept panicked");
+        let (handlers, reaped_panic) = self.accept_handle.join().expect("ingest accept panicked");
         drop(wake);
         for handler in handlers {
             handler.join().expect("ingest connection handler panicked");
         }
+        assert!(!reaped_panic, "ingest connection handler panicked");
         self.udp_handle.join().expect("ingest udp handler panicked");
         Arc::into_inner(self.engine).expect("all ingest threads joined")
     }
@@ -268,44 +294,44 @@ impl IngestClient {
     }
 }
 
-/// `read_exact` with idle awareness: fills `buf`, flushing the batcher
-/// on every read-timeout tick so in-flight items stay visible to
-/// snapshots. Returns the bytes filled — short only at EOF or when the
-/// shutdown flag ends an idle (or stuck mid-record) connection.
-fn read_patient(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    batcher: &mut IngressBatcher<'_>,
-) -> io::Result<usize> {
-    let mut filled = 0;
-    let mut idle_ticks_after_shutdown = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                batcher.flush();
-                if shutdown.load(Ordering::Relaxed) {
-                    if filled == 0 {
-                        break;
-                    }
-                    // Mid-record at shutdown: one grace tick, then cut.
-                    idle_ticks_after_shutdown += 1;
-                    if idle_ticks_after_shutdown > 1 {
-                        break;
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
+/// One record header, as sent.
+struct Header {
+    run: u32,
+    timestamp_micros: u64,
+    frame_len: usize,
+}
+
+impl Header {
+    /// The header at the start of `bytes`, if all of it is there.
+    fn parse(bytes: &[u8]) -> Option<Header> {
+        let (run, rest) = bytes.split_first_chunk()?;
+        let (timestamp_micros, rest) = rest.split_first_chunk()?;
+        let (frame_len, _) = rest.split_first_chunk()?;
+        Some(Header {
+            run: u32::from_le_bytes(*run),
+            timestamp_micros: u64::from_le_bytes(*timestamp_micros),
+            frame_len: u32::from_le_bytes(*frame_len) as usize,
+        })
     }
-    Ok(filled)
+}
+
+/// Where a connection's frames go: the engine's batcher in service.
+trait FrameSink {
+    /// Takes one frame.
+    fn push(&mut self, run: u32, timestamp_micros: u64, frame: FrameBytes);
+    /// An idle read-timeout tick: nothing arrived for a while.
+    fn idle(&mut self);
+}
+
+impl FrameSink for IngressBatcher<'_> {
+    fn push(&mut self, run: u32, timestamp_micros: u64, frame: FrameBytes) {
+        self.push_raw(run, timestamp_micros, frame);
+    }
+
+    /// Flushes, so in-flight frames stay visible to snapshots.
+    fn idle(&mut self) {
+        self.flush();
+    }
 }
 
 /// One emulator connection: a loop of records into one batcher.
@@ -318,34 +344,115 @@ fn serve_connection(
 ) {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let mut batcher = engine.batcher();
-    let mut header = [0u8; RECORD_HEADER_LEN];
-    while let Ok(n) = read_patient(&mut stream, &mut header, shutdown, &mut batcher) {
+    read_records(
+        &mut stream,
+        &mut batcher,
+        shutdown,
+        config.max_frame_len,
+        counters,
+    );
+    // Dropping the batcher flushes the tail.
+}
+
+/// Cuts `stream` into records and pushes their frames into `sink`, as
+/// the module docs describe, until EOF, a malformed record, or an idle
+/// tick with the shutdown flag up at a record boundary.
+fn read_records(
+    stream: &mut impl Read,
+    sink: &mut impl FrameSink,
+    shutdown: &AtomicBool,
+    max_frame_len: usize,
+    counters: &IngestCounters,
+) {
+    let mut buf = vec![0u8; READ_BUF_LEN];
+    // Bytes read but not yet pushed, at the front of `buf`.
+    let mut filled = 0;
+    let mut idle_ticks_after_shutdown = 0;
+    loop {
+        let n = match stream.read(&mut buf[filled..]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                sink.idle();
+                if shutdown.load(Ordering::Relaxed) {
+                    if filled == 0 {
+                        return;
+                    }
+                    // Mid-record at shutdown: one grace tick, then cut.
+                    idle_ticks_after_shutdown += 1;
+                    if idle_ticks_after_shutdown > 1 {
+                        counters.malformed.inc();
+                        return;
+                    }
+                }
+                continue;
+            }
+            // A failed read ends the stream as EOF does.
+            Err(_) => 0,
+        };
         if n == 0 {
-            break; // clean end-of-stream at a record boundary
-        }
-        if n < RECORD_HEADER_LEN {
-            counters.malformed.inc();
-            break;
-        }
-        let run = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let timestamp_micros = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let frame_len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
-        if frame_len > config.max_frame_len {
-            counters.malformed.inc();
-            break;
-        }
-        let mut frame = vec![0u8; frame_len];
-        match read_patient(&mut stream, &mut frame, shutdown, &mut batcher) {
-            Ok(n) if n == frame_len => {}
-            _ => {
+            if filled > 0 {
                 counters.malformed.inc();
-                break;
+            }
+            return;
+        }
+        idle_ticks_after_shutdown = 0;
+        filled += n;
+        let (complete, oversize) = complete_records(&buf[..filled], max_frame_len);
+        if complete > 0 {
+            push_records(Arc::from(&buf[..complete]), sink, counters);
+            buf.copy_within(complete..filled, 0);
+            filled -= complete;
+        }
+        if oversize {
+            counters.malformed.inc();
+            return;
+        }
+        if let Some(header) = Header::parse(&buf[..filled]) {
+            let record_len = RECORD_HEADER_LEN + header.frame_len;
+            if record_len > buf.len() {
+                buf.resize(record_len, 0);
             }
         }
-        counters.records.inc();
-        batcher.push_raw(run, timestamp_micros, Arc::from(frame));
     }
-    // Dropping the batcher flushes the tail.
+}
+
+/// The length of the complete records at the start of `bytes`, and
+/// whether the header after them claims more than `max_frame_len`.
+fn complete_records(bytes: &[u8], max_frame_len: usize) -> (usize, bool) {
+    let mut end = 0;
+    while let Some(header) = Header::parse(&bytes[end..]) {
+        if header.frame_len > max_frame_len {
+            return (end, true);
+        }
+        let record_end = end + RECORD_HEADER_LEN + header.frame_len;
+        if record_end > bytes.len() {
+            break;
+        }
+        end = record_end;
+    }
+    (end, false)
+}
+
+/// Pushes every frame of `records` — complete records, end to end — as
+/// a range of it.
+fn push_records(records: Arc<[u8]>, sink: &mut impl FrameSink, counters: &IngestCounters) {
+    let mut at = 0;
+    while let Some(header) = Header::parse(&records[at..]) {
+        let frame = at + RECORD_HEADER_LEN..at + RECORD_HEADER_LEN + header.frame_len;
+        at = frame.end;
+        counters.records.inc();
+        sink.push(
+            header.run,
+            header.timestamp_micros,
+            FrameBytes::new(Arc::clone(&records), frame),
+        );
+    }
 }
 
 /// The fire-and-forget lane: one record per datagram.
@@ -361,20 +468,21 @@ fn serve_udp(
     loop {
         match socket.recv_from(&mut buf) {
             Ok((n, _)) => {
-                if n < RECORD_HEADER_LEN {
+                let Some(header) = Header::parse(&buf[..n]) else {
                     counters.malformed.inc();
                     continue;
-                }
-                let run = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-                let timestamp_micros = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-                let frame_len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-                if n != RECORD_HEADER_LEN + frame_len {
+                };
+                if n != RECORD_HEADER_LEN + header.frame_len {
                     counters.malformed.inc();
                     continue;
                 }
                 counters.datagrams.inc();
                 counters.records.inc();
-                batcher.push_raw(run, timestamp_micros, Arc::from(&buf[RECORD_HEADER_LEN..n]));
+                batcher.push_raw(
+                    header.run,
+                    header.timestamp_micros,
+                    FrameBytes::from(&buf[RECORD_HEADER_LEN..n]),
+                );
             }
             Err(e)
                 if matches!(
@@ -398,10 +506,10 @@ mod tests {
     use std::time::Instant;
 
     use libspector::Knowledge;
+    use proptest::prelude::*;
     use spector_dex::sha256::Sha256;
     use spector_hooks::{SocketReport, SupervisorConfig};
     use spector_netsim::{Clock, NetStack};
-    use spector_telemetry::Telemetry;
 
     use super::*;
     use crate::shard::LiveConfig;
@@ -603,5 +711,183 @@ mod tests {
         let (summary, metrics) = engine.finish_with_metrics();
         assert_eq!(metrics.counter("spector_ingest_malformed_records_total"), 1);
         assert_eq!(summary.events, 0, "no record was accepted");
+    }
+
+    /// Hands out a byte stream in pieces of the given sizes, cycling; a
+    /// zero-size piece is an idle tick (a read timeout). Once the bytes
+    /// run out it reports EOF, or with `then_idle` idles for good.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+        then_idle: bool,
+        /// The largest buffer a read offered to fill.
+        max_request: usize,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn new(bytes: &'a [u8], sizes: &'a [usize], then_idle: bool) -> Pieces<'a> {
+            Pieces {
+                bytes,
+                sizes,
+                next: 0,
+                then_idle,
+                max_request: 0,
+            }
+        }
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.max_request = self.max_request.max(buf.len());
+            if self.bytes.is_empty() && self.then_idle {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            if self.bytes.is_empty() {
+                return Ok(0);
+            }
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            if size == 0 {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            let n = size.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// The frames a reader pushed, and its idle ticks.
+    #[derive(Default)]
+    struct Log {
+        frames: Vec<(u32, u64, Vec<u8>)>,
+        idle_ticks: usize,
+    }
+
+    impl FrameSink for Log {
+        fn push(&mut self, run: u32, timestamp_micros: u64, frame: FrameBytes) {
+            self.frames.push((run, timestamp_micros, frame.to_vec()));
+        }
+
+        fn idle(&mut self) {
+            self.idle_ticks += 1;
+        }
+    }
+
+    /// Runs the record reader over `stream` at the default frame cap:
+    /// the frames it pushed, then the records and the malformed records
+    /// it counted.
+    fn read_all(stream: &mut impl Read, shutdown: bool) -> (Log, u64, u64) {
+        let telemetry = Telemetry::enabled();
+        let mut log = Log::default();
+        read_records(
+            stream,
+            &mut log,
+            &AtomicBool::new(shutdown),
+            IngestConfig::default().max_frame_len,
+            &IngestCounters::new(&telemetry),
+        );
+        let metrics = telemetry.snapshot();
+        (
+            log,
+            metrics.counter("spector_ingest_records_total"),
+            metrics.counter("spector_ingest_malformed_records_total"),
+        )
+    }
+
+    /// `len` bytes that differ from record to record.
+    fn frame_bytes(record: usize, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (record * 131 + i * 7 + i / 251) as u8)
+            .collect()
+    }
+
+    /// Malformed tails: an oversize header, EOF `cut` bytes into a
+    /// header, and EOF inside a body.
+    fn malformed_tails(cut: usize) -> [Vec<u8>; 3] {
+        let max_frame_len = IngestConfig::default().max_frame_len;
+        let mut oversize = encode_record(1, 2, &[]);
+        oversize[12..16].copy_from_slice(&(max_frame_len as u32 + 1).to_le_bytes());
+        let body = encode_record(1, 2, &[5; 100]);
+        [
+            oversize,
+            body[..cut].to_vec(),
+            body[..RECORD_HEADER_LEN + cut - 1].to_vec(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// However reads split the stream — headers and bodies cut at any
+        /// offset, records longer than the read buffer — the reader
+        /// pushes exactly the records' frames in order and counts each
+        /// once, and its buffer grows only to fit the longest record. A
+        /// malformed tail costs one malformed record and no valid one.
+        #[test]
+        fn record_reader_is_split_invariant(
+            records in prop::collection::vec(
+                (
+                    any::<u32>(),
+                    any::<u64>(),
+                    prop_oneof![0usize..=64, 65usize..=2_048, 2_049usize..=256 * 1024],
+                ),
+                0..8,
+            ),
+            sizes in prop::collection::vec(
+                prop_oneof![1usize..=17, 18usize..=8_192, Just(0usize)],
+                1..24,
+            ),
+            cut in 1..RECORD_HEADER_LEN,
+        ) {
+            let expected: Vec<(u32, u64, Vec<u8>)> = records
+                .iter()
+                .enumerate()
+                .map(|(i, &(run, timestamp, len))| (run, timestamp, frame_bytes(i, len)))
+                .collect();
+            let stream: Vec<u8> = expected
+                .iter()
+                .flat_map(|(run, timestamp, frame)| encode_record(*run, *timestamp, frame))
+                .collect();
+            let longest = expected
+                .iter()
+                .map(|(_, _, frame)| RECORD_HEADER_LEN + frame.len())
+                .max()
+                .unwrap_or(0);
+            let [oversize, header_cut, body_cut] = malformed_tails(cut);
+            for tail in [Vec::new(), oversize, header_cut, body_cut] {
+                let bytes = [stream.as_slice(), &tail].concat();
+                let mut pieces = Pieces::new(&bytes, &sizes, false);
+                let (log, counted, malformed) = read_all(&mut pieces, false);
+                prop_assert!(
+                    log.frames == expected,
+                    "pushed {} frames, sent {}",
+                    log.frames.len(),
+                    expected.len()
+                );
+                prop_assert_eq!(counted, expected.len() as u64);
+                prop_assert_eq!(malformed, u64::from(!tail.is_empty()));
+                prop_assert!(pieces.max_request <= READ_BUF_LEN.max(longest));
+            }
+        }
+    }
+
+    /// With the shutdown flag up, a stream idle at a record boundary
+    /// ends at the first idle tick; one idle mid-record is cut at the
+    /// second and counted malformed. Records before either are
+    /// delivered.
+    #[test]
+    fn shutdown_ends_an_idle_stream_and_cuts_a_stuck_record() {
+        let record = encode_record(3, 4, &[9; 300]);
+        let stuck = [record.as_slice(), &record[..100]].concat();
+        for (bytes, malformed) in [(&record, 0), (&stuck, 1)] {
+            let mut stream = Pieces::new(bytes, &[64], true);
+            let (log, counted, counted_malformed) = read_all(&mut stream, true);
+            assert_eq!(log.frames.len(), 1);
+            assert_eq!(counted, 1);
+            assert_eq!(counted_malformed, malformed);
+            assert_eq!(log.idle_ticks as u64, 1 + malformed);
+        }
     }
 }

@@ -14,9 +14,12 @@
 //! Decode happens **per shard, not on the producer**. The producer
 //! does a cheap structural header peek on the raw bytes (just enough
 //! to extract the canonical 4-tuple), routes by the stable FNV-1a
-//! hash, and ships `Arc<[u8]>` payloads in per-shard batches — one
-//! channel operation per ~dozens of frames. Each shard then runs the
-//! full classified decode on the bytes it owns.
+//! hash, and ships frames in per-shard batches — one channel operation
+//! per ~dozens of frames. A frame is a [`FrameBytes`], a range of a
+//! buffer shared with the other frames copied in with it, so ingress
+//! allocates and copies once per socket read or run, not per frame.
+//! Each shard then runs the full classified decode on the bytes it
+//! owns.
 //!
 //! ```text
 //!  capture / collector / ingest socket     LiveEngine
@@ -112,7 +115,7 @@ pub mod joiner;
 pub mod shard;
 pub mod summary;
 
-pub use batch::{classify_route, fallback_shard, RawBatch, RawFrame, RawItem, Route};
+pub use batch::{classify_route, fallback_shard, FrameBytes, RawBatch, RawFrame, RawItem, Route};
 pub use event::shard_of;
 pub use ingest::{encode_record, IngestClient, IngestConfig, IngestServer, RECORD_HEADER_LEN};
 pub use joiner::{JoinerConfig, LiveJoiner};

@@ -4,16 +4,16 @@
 //! joiner state for the `(run, canonical 4-tuple)` keys that hash to
 //! it and consumes a **bounded** crossbeam channel. Ingress is
 //! two-phase (see [`crate::batch`]): the producer peeks raw frame
-//! headers just far enough to route, ships `Arc<[u8]>` batches, and
-//! the **full classified decode runs here, on the owning shard** —
-//! TCP segments and reports route to the shard owning their pair (a
-//! report must land where its flow's epochs live); DNS frames are
-//! broadcast by `Arc` clone, so every shard can resolve destination
-//! domains locally without cross-shard chatter — the merge takes the
-//! DNS datagram count from shard 0 only. Frames the peek cannot route
-//! land on the run's deterministic fallback shard, where the decode
-//! classifies and counts the failure exactly once — error totals are
-//! shard-count-invariant.
+//! headers just far enough to route, ships batches of shared-buffer
+//! ranges ([`FrameBytes`]), and the **full classified decode runs
+//! here, on the owning shard** — TCP segments and reports route to the
+//! shard owning their pair (a report must land where its flow's epochs
+//! live); DNS frames are broadcast by `Arc` clone, so every shard can
+//! resolve destination domains locally without cross-shard chatter —
+//! the merge takes the DNS datagram count from shard 0 only. Frames
+//! the peek cannot route land on the run's deterministic fallback
+//! shard, where the decode classifies and counts the failure exactly
+//! once — error totals are shard-count-invariant.
 //!
 //! # Backpressure
 //!
@@ -51,7 +51,9 @@ use spector_netsim::shape::IpFamily;
 use spector_sampling::SamplingLedger;
 use spector_telemetry::{Counter, Histogram, MetricsSnapshot, Telemetry, COUNT_BOUNDS};
 
-use crate::batch::{classify_route, fallback_shard, RawBatch, RawFrame, RawItem, Route};
+use crate::batch::{
+    classify_route, fallback_shard, FrameBytes, RawBatch, RawFrame, RawItem, Route,
+};
 use crate::event::shard_of;
 use crate::joiner::{JoinerConfig, LiveJoiner};
 use crate::summary::LiveSummary;
@@ -304,24 +306,39 @@ impl LiveEngine {
     /// [`RunIntegrity`] counters.
     ///
     /// [`RunIntegrity`]: libspector::RunIntegrity
+    ///
+    /// The capture is copied once, into one buffer its frames are
+    /// ranges of; the buffer is freed when its shards have decoded the
+    /// last of them.
     pub fn push_run(&self, run: u32, capture: &[CapturedPacket]) {
-        let mut batcher = self.batcher();
+        let total = capture.iter().map(|packet| packet.data.len()).sum();
+        let mut shared: Arc<[u8]> = std::iter::repeat_n(0, total).collect();
+        let mut rest = Arc::get_mut(&mut shared).expect("a fresh buffer is unshared");
         for packet in capture {
+            let (head, tail) = rest.split_at_mut(packet.data.len());
+            head.copy_from_slice(&packet.data);
+            rest = tail;
+        }
+        let mut batcher = self.batcher();
+        let mut start = 0;
+        for packet in capture {
+            let end = start + packet.data.len();
             batcher.push_raw(
                 run,
                 packet.timestamp_micros,
-                Arc::from(packet.data.as_slice()),
+                FrameBytes::new(Arc::clone(&shared), start..end),
             );
+            start = end;
         }
     }
 
     /// [`push_run`](Self::push_run) over pre-shared frames: the replay
-    /// path for benches and services that already hold `Arc` bytes —
-    /// no copy, just a peek and an `Arc` clone per frame.
+    /// path for benches and services that already hold shareable
+    /// bytes — no copy, just a peek and an `Arc` clone per frame.
     pub fn push_raw_run(&self, run: u32, frames: &[RawFrame]) {
         let mut batcher = self.batcher();
         for frame in frames {
-            batcher.push_raw(run, frame.timestamp_micros, Arc::clone(&frame.data));
+            batcher.push_raw(run, frame.timestamp_micros, frame.data.clone());
         }
     }
 
@@ -437,7 +454,7 @@ impl IngressBatcher<'_> {
     /// [`LiveSummary::events`] immediately (a broadcast frame counts
     /// once); shipped to its shard when the buffer fills or the
     /// batcher flushes/drops.
-    pub fn push_raw(&mut self, run: u32, timestamp_micros: u64, data: Arc<[u8]>) {
+    pub fn push_raw(&mut self, run: u32, timestamp_micros: u64, data: FrameBytes) {
         self.engine.events.fetch_add(1, Ordering::Relaxed);
         self.engine.events_counter.inc();
         let shards = self.buffers.len();
@@ -462,7 +479,7 @@ impl IngressBatcher<'_> {
                             run,
                             timestamp_micros,
                             broadcast: true,
-                            data: Arc::clone(&data),
+                            data: data.clone(),
                         },
                     );
                 }
@@ -688,6 +705,7 @@ mod tests {
 
     use spector_dex::sha256::Sha256;
     use spector_hooks::{SocketReport, SupervisorConfig};
+    use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello};
     use spector_netsim::{Clock, NetStack};
 
     use super::*;
@@ -1123,5 +1141,105 @@ mod tests {
         assert_eq!(summaries[0].report_packets, 1);
         assert_eq!(summaries[0].reports_truncated, 0);
         assert_eq!(summaries[0].reports_malformed, 0);
+    }
+
+    /// Pushes `frames` as run `run`, each a range of one buffer that is
+    /// returned to the caller.
+    fn push_shared(engine: &LiveEngine, run: u32, frames: &[CapturedPacket]) -> Arc<[u8]> {
+        let buf: Arc<[u8]> = frames.iter().flat_map(|p| p.data.iter().copied()).collect();
+        let mut batcher = engine.batcher();
+        let mut start = 0;
+        for packet in frames {
+            let end = start + packet.data.len();
+            batcher.push_raw(
+                run,
+                packet.timestamp_micros,
+                FrameBytes::new(Arc::clone(&buf), start..end),
+            );
+            start = end;
+        }
+        buf
+    }
+
+    /// A frame pins every frame of its buffer, so nothing downstream of
+    /// decode may keep one: once a snapshot barrier returns, every
+    /// buffer pushed before it is back to the test's own reference —
+    /// with a report pending before its SYN, DNS broadcast to every
+    /// shard, TLS and CONNECT first payloads in flow heads, and a
+    /// malformed frame.
+    #[test]
+    fn no_frame_buffer_outlives_a_barrier() {
+        let config = SupervisorConfig::default();
+        let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
+        let first_payloads = [
+            encode_tls_hello("tls.example.net"),
+            encode_connect_preamble("tunnel.example.net", 443),
+            b"GET / HTTP/1.1\r\nHost: plain.example.net\r\n\r\n".to_vec(),
+        ];
+        for (i, first) in first_payloads.iter().enumerate() {
+            let ip = stack.resolve(
+                &format!("host{i}.example.net"),
+                Ipv4Addr::new(198, 51, 100, 10 + i as u8),
+            );
+            let sock = stack.tcp_connect(ip, 443);
+            let pair = stack.socket_pair(sock).unwrap();
+            let report = SocketReport {
+                stream: None,
+                apk_sha256: Sha256::digest(b"apk"),
+                pair,
+                timestamp_micros: stack.clock().now_micros(),
+                frames: vec![format!("com.sdk{i}.Net.call")],
+            };
+            stack.udp_send(config.collector_ip, config.collector_port, &report.encode());
+            stack.tcp_exchange(sock, first, 2_000);
+            stack.tcp_close(sock);
+        }
+        let mut capture = stack.into_capture();
+        let is_tcp = |packet: &CapturedPacket| {
+            matches!(
+                decode_frame_ref(&packet.data).map(|frame| frame.transport),
+                Ok(TransportRef::Tcp { .. })
+            )
+        };
+        let is_report = |packet: &CapturedPacket| {
+            matches!(
+                classify_route(&packet.data, config.collector_port),
+                Route::Pair(_)
+            ) && !is_tcp(packet)
+        };
+        // The first report goes ahead of the first DNS answer and SYN.
+        let report = capture.iter().position(is_report).unwrap();
+        capture[..=report].rotate_right(1);
+        let first_tcp = capture.iter().position(is_tcp).unwrap();
+        capture.push(CapturedPacket {
+            timestamp_micros: capture.last().unwrap().timestamp_micros,
+            data: vec![0xde, 0xad, 0xbe, 0xef],
+        });
+
+        let engine = LiveEngine::start(
+            knowledge(),
+            LiveConfig {
+                shards: 3,
+                batch_events: 2,
+                ..Default::default()
+            },
+        );
+        let before_syn = push_shared(&engine, 0, &capture[..first_tcp]);
+        let mid = engine.snapshot();
+        assert_eq!(mid.orphaned_reports, 1, "the report waits for its SYN");
+        assert!(mid.dns_packets > 0);
+        assert_eq!(Arc::strong_count(&before_syn), 1);
+
+        let rest = push_shared(&engine, 0, &capture[first_tcp..]);
+        let other_run = push_shared(&engine, 1, &scripted_capture(7));
+        let done = engine.snapshot();
+        assert_eq!(done.flows, 3 + 3);
+        assert_eq!(done.orphaned_reports, 0, "the early report joined");
+        assert_eq!((done.flows_tls, done.flows_proxied), (1, 1));
+        assert_eq!(done.frames_malformed + done.frames_truncated, 1);
+        for buf in [&before_syn, &rest, &other_run] {
+            assert_eq!(Arc::strong_count(buf), 1, "a shard kept frame bytes");
+        }
+        engine.finish();
     }
 }

@@ -22,7 +22,9 @@ cargo bench -p spector-bench --bench headline -- --quick "$@"
 cargo bench -p spector-bench --bench live -- --quick "$@"
 
 # ingest: the loopback TCP ingest service end-to-end — client framing,
-# socket hop, record parse, batched ingress, shard-local decode.
+# socket hop, record parse, batched ingress, shard-local decode — over
+# one connection (a single handler thread, as perfbench's live-ingest
+# runs on two cores) and over four, each at 1 and 4 shards.
 cargo bench -p spector-bench --bench ingest -- --quick "$@"
 
 # detect: cascade throughput per detection tier (trie / exact-fp /
