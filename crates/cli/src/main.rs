@@ -397,19 +397,9 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     );
     let progress = |done: usize| {
         if snapshot_every > 0 && done.is_multiple_of(snapshot_every) {
-            let snapshot = live.snapshot();
-            if let Some(writer) = &store {
-                if let Err(error) = writer
-                    .lock()
-                    .expect("store writer poisoned")
-                    .append_live_snapshot(&snapshot)
-                {
-                    eprintln!("warning: store snapshot flush failed: {error}");
-                }
-            }
             eprintln!(
                 "  [{done}/{apps}] {}",
-                spector_analysis::live::brief(&snapshot)
+                spector_analysis::live::brief(&live.snapshot())
             );
         }
     };

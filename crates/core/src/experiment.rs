@@ -90,6 +90,31 @@ pub fn resolver_for(universe: &spector_corpus::DomainUniverse) -> HashMap<String
         .collect()
 }
 
+/// Runs app `index` of `corpus` the way a campaign runs it: in a fresh
+/// emulator with the corpus's system traffic for that app, and with the
+/// monkey seed derived from `base`'s and the app's index — independent
+/// of scheduling and of retries, so any one app's run replays alone.
+///
+/// # Errors
+///
+/// Same as [`run_app`].
+pub fn run_corpus_app(
+    corpus: &spector_corpus::Corpus,
+    resolver: &HashMap<String, Ipv4Addr>,
+    base: &ExperimentConfig,
+    index: usize,
+) -> Result<RawRun, ExperimentError> {
+    let app = &corpus.apps[index];
+    let mut config = base.clone();
+    config.monkey.seed ^= (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let system_ops: Vec<_> = app
+        .system_ops
+        .iter()
+        .map(|s| (s.op.clone(), s.dispatcher))
+        .collect();
+    run_app(&app.apk, resolver, &system_ops, &config)
+}
+
 /// Runs one app end-to-end in a fresh emulator.
 ///
 /// `resolver` supplies authoritative addresses for the domains the app

@@ -59,7 +59,7 @@ pub mod policy;
 
 pub use attribution::{Attribution, OriginKind};
 pub use coverage::CoverageReport;
-pub use experiment::{run_app, ExperimentConfig, ExperimentError, RawRun};
+pub use experiment::{run_app, run_corpus_app, ExperimentConfig, ExperimentError, RawRun};
 pub use join::{ClaimOutcome, ReportJoin};
 pub use knowledge::Knowledge;
 pub use pipeline::{

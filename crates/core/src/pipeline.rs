@@ -22,11 +22,11 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 use spector_hooks::supervisor::decode_reports_classified;
-use spector_hooks::{LedgerRecord, ReportErrorKind, SocketReport};
+use spector_hooks::{CollectorStats, LedgerRecord, ReportErrorKind, SocketReport};
 use spector_libradar::{DetectTier, LibCategory};
 use spector_netsim::flows::{DnsMap, FlowTable};
 use spector_netsim::shape::{FlowShape, IpFamily};
-use spector_netsim::CaptureIndex;
+use spector_netsim::{CaptureIndex, FrameErrorCounts};
 use spector_sampling::SamplingLedger;
 use spector_telemetry::{Counter, Histogram, StageRecorder, Telemetry, SIZE_BOUNDS_BYTES};
 use spector_vtcat::DomainCategory;
@@ -116,6 +116,24 @@ pub struct RunIntegrity {
 }
 
 impl RunIntegrity {
+    /// The one way a run's ledger is built, offline and on every live
+    /// shard: the frame step's decode failures, the collector step's
+    /// rejected reports, and the flow table's synthesized epochs.
+    pub fn new(
+        frames: &FrameErrorCounts,
+        collector: &CollectorStats,
+        synthesized_flows: usize,
+    ) -> RunIntegrity {
+        RunIntegrity {
+            frames_truncated: frames.truncated,
+            frames_malformed: frames.malformed,
+            frames_bad_checksum: frames.bad_checksum,
+            reports_truncated: collector.truncated,
+            reports_malformed: collector.malformed,
+            synthesized_flows,
+        }
+    }
+
     /// `true` when any measurement input was lost, corrupted, or
     /// reconstructed from partial evidence.
     pub fn is_degraded(&self) -> bool {
@@ -480,21 +498,16 @@ pub fn analyze_run_instrumented(
     let index = pt
         .capture_decode
         .time(|| CaptureIndex::build(&raw.capture, collector_port));
-    let (reports, report_errors, sampling) = pt.report_decode.time(|| {
-        let (report_payloads, sampling) = peel_ledgers(index.report_payloads.iter().copied());
-        let (reports, report_errors) = decode_reports_classified(report_payloads);
-        (reports, report_errors, sampling)
-    });
-    let integrity = RunIntegrity {
-        frames_truncated: index.frame_errors.truncated,
-        frames_malformed: index.frame_errors.malformed,
-        frames_bad_checksum: index.frame_errors.bad_checksum,
-        reports_truncated: report_errors.truncated,
-        reports_malformed: report_errors.malformed,
-        synthesized_flows: index.flows.synthesized_epochs(),
-    };
+    let (reports, collector) = pt
+        .report_decode
+        .time(|| decode_reports_classified(index.report_payloads.iter().copied()));
+    let integrity = RunIntegrity::new(
+        &index.frame_errors,
+        &collector,
+        index.flows.synthesized_epochs(),
+    );
     pt.record_integrity(&integrity);
-    pt.record_sampling(&sampling);
+    pt.record_sampling(&collector.sampling);
     join_reports(
         raw,
         knowledge,
@@ -502,33 +515,10 @@ pub fn analyze_run_instrumented(
         &index.dns,
         &reports,
         integrity,
-        sampling,
+        collector.sampling,
         pt,
         ReportJoin::new(),
     )
-}
-
-/// Splits collector-port payloads into report payloads and the run's
-/// merged [`SamplingLedger`]: ledger datagrams are decoded and summed;
-/// a ledger that fails to decode is *counted* into `ledgers_lost` —
-/// the loss accounting never loses anything silently, not even its
-/// own records. Everything else passes through to report decode.
-fn peel_ledgers<'a>(
-    payloads: impl IntoIterator<Item = &'a [u8]>,
-) -> (Vec<&'a [u8]>, SamplingLedger) {
-    let mut reports = Vec::new();
-    let mut ledger = SamplingLedger::default();
-    for payload in payloads {
-        if LedgerRecord::is_ledger_payload(payload) {
-            match LedgerRecord::decode(payload) {
-                Ok(record) => ledger.merge(&record.ledger),
-                Err(_) => ledger.ledgers_lost += 1,
-            }
-        } else {
-            reports.push(payload);
-        }
-    }
-    (reports, ledger)
 }
 
 /// Reference implementation of [`analyze_run`]: three independent

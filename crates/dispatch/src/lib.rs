@@ -57,7 +57,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crossbeam::channel;
-use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
+use libspector::experiment::{resolver_for, run_corpus_app, ExperimentConfig};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::{analyze_run_instrumented, AppAnalysis, PipelineTelemetry};
 use serde::{Deserialize, Serialize};
@@ -286,19 +286,13 @@ fn run_one_app(
                     instruments.faults.worker_panics.inc();
                     panic!("injected worker panic (chaos)");
                 }
-                let mut experiment = config.dispatch.experiment.clone();
-                // Deterministic per-app monkey seed, independent of
-                // scheduling and of the attempt number: a retried run
-                // replays the same app behavior, only the faults move.
-                experiment.monkey.seed ^= (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                let system: Vec<_> = app
-                    .system_ops
-                    .iter()
-                    .map(|s| (s.op.clone(), s.dispatcher))
-                    .collect();
+                // A retried run replays the same app behavior (the
+                // monkey seed does not depend on the attempt); only the
+                // faults move.
+                let experiment = &config.dispatch.experiment;
                 let mut raw = match instruments
                     .run_app_stage
-                    .time(|| run_app(&app.apk, resolver, &system, &experiment))
+                    .time(|| run_corpus_app(corpus, resolver, experiment, index))
                 {
                     Ok(raw) => raw,
                     Err(error) => return Err(AttemptError::Fatal(error.to_string())),

@@ -17,7 +17,11 @@
 //! * [`ledger`] — the wire format of the end-of-run sampling-ledger
 //!   datagram the supervisor emits when sampled tracing is enabled;
 //! * [`supervisor`] — the hook module itself, implementing
-//!   [`spector_runtime::RuntimeHook`].
+//!   [`spector_runtime::RuntimeHook`], and the collection-server side:
+//!   the per-payload step [`Collected::decode`] (sampling ledger, lost
+//!   ledger, report, or classified report error) that the offline
+//!   pipeline folds ([`decode_reports_classified`]) and each live shard
+//!   calls frame by frame.
 //!
 //! Because the supervisor sends its reports through the same emulator
 //! network stack the app uses, the datagrams land in the same packet
@@ -31,6 +35,6 @@ pub mod supervisor;
 pub use ledger::{LedgerRecord, LEDGER_MAGIC, LEDGER_WIRE_LEN};
 pub use report::{ReportErrorKind, ReportParseError, SocketReport, REPORT_MAGIC};
 pub use supervisor::{
-    decode_report_datagram, decode_reports, decode_reports_classified, extract_reports,
-    ReportDecodeStats, SocketSupervisor, SupervisorConfig, TimestampedReport,
+    decode_reports_classified, extract_reports, Collected, CollectorStats, SocketSupervisor,
+    SupervisorConfig,
 };

@@ -28,7 +28,7 @@ use spector_runtime::{HookContext, RuntimeHook};
 use spector_sampling::{should_sample, BudgetState, SamplingConfig, SamplingLedger};
 
 use crate::ledger::LedgerRecord;
-use crate::report::{ReportErrorKind, ReportParseError, SocketReport};
+use crate::report::{ReportErrorKind, SocketReport};
 
 /// Supervisor settings.
 #[derive(Debug, Clone)]
@@ -224,119 +224,97 @@ impl RuntimeHook for SocketSupervisor {
 }
 
 /// Extracts all supervisor reports from a packet capture, in capture
-/// order — the collection-server side of the pipeline.
-///
-/// This decodes every packet in the capture just to find the report
-/// datagrams. Pipelines that already walk the capture once (via
-/// [`spector_netsim::CaptureIndex`]) should feed the pre-extracted
-/// payloads to [`decode_reports`] instead.
+/// order: [`CaptureIndex`](spector_netsim::CaptureIndex)'s collector
+/// payloads through [`decode_reports_classified`]. Pipelines that
+/// already hold the index decode its payloads directly.
 pub fn extract_reports(
     capture: &[spector_netsim::pcap::CapturedPacket],
     collector_port: u16,
 ) -> Vec<SocketReport> {
-    use spector_netsim::packet::{decode_frame_ref, TransportRef};
-    let mut reports = Vec::new();
-    for packet in capture {
-        let Ok(frame) = decode_frame_ref(&packet.data) else {
-            continue;
-        };
-        let TransportRef::Udp { payload } = frame.transport else {
-            continue;
-        };
-        if frame.pair.dst_port != collector_port {
-            continue;
+    let index = spector_netsim::CaptureIndex::build(capture, collector_port);
+    decode_reports_classified(index.report_payloads.iter().copied()).0
+}
+
+/// One collector-port payload, decoded: what the collection server can
+/// receive on the supervisor's out-of-band channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Collected {
+    /// A run's end-of-run sampling ledger.
+    Ledger(SamplingLedger),
+    /// A payload carrying the ledger magic that failed to decode.
+    LostLedger,
+    /// A supervisor report.
+    Report(SocketReport),
+    /// A payload that is not a valid report, classified.
+    ReportError(ReportErrorKind),
+}
+
+impl Collected {
+    /// The per-payload collector step: ledger datagrams are peeled off
+    /// by their magic before report decode, so a ledger never counts as
+    /// (or corrupts) a report.
+    pub fn decode(payload: &[u8]) -> Collected {
+        if LedgerRecord::is_ledger_payload(payload) {
+            return match LedgerRecord::decode(payload) {
+                Ok(record) => Collected::Ledger(record.ledger),
+                Err(_) => Collected::LostLedger,
+            };
         }
-        if let Ok(report) = SocketReport::decode(payload) {
-            reports.push(report);
+        match SocketReport::decode(payload) {
+            Ok(report) => Collected::Report(report),
+            Err(error) => Collected::ReportError(error.kind),
         }
     }
-    reports
 }
 
-/// Decodes supervisor reports from raw datagram payloads (the
-/// [`spector_netsim::CaptureIndex::report_payloads`] view), in order.
-/// Payloads that are not valid reports are skipped, exactly as in
-/// [`extract_reports`].
-pub fn decode_reports<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<SocketReport> {
-    payloads
-        .into_iter()
-        .filter_map(|payload| SocketReport::decode(payload).ok())
-        .collect()
-}
-
-/// Per-classification tallies of collector-port payloads that failed
-/// report decode — the report-lane half of degraded-mode accounting.
+/// The collector lane's loss accounting: report payloads rejected by
+/// classification, and the run's merged [`SamplingLedger`] — a ledger
+/// that fails to decode is *counted* into `ledgers_lost`, so the loss
+/// accounting never loses anything silently, not even its own records.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReportDecodeStats {
-    /// Payloads rejected as truncated (datagram loss, capture snap).
+pub struct CollectorStats {
+    /// Payloads rejected as truncated reports (datagram loss, capture
+    /// snap).
     pub truncated: usize,
-    /// Payloads rejected as structurally malformed.
+    /// Payloads rejected as structurally malformed reports.
     pub malformed: usize,
+    /// Sampling ledgers received, merged.
+    pub sampling: SamplingLedger,
 }
 
-impl ReportDecodeStats {
-    /// Tallies one decode failure.
-    pub fn record(&mut self, kind: ReportErrorKind) {
-        match kind {
-            ReportErrorKind::Truncated => self.truncated += 1,
-            ReportErrorKind::Malformed => self.malformed += 1,
+impl CollectorStats {
+    /// Tallies one collected payload and hands back the report it
+    /// carried, if any.
+    pub fn record(&mut self, collected: Collected) -> Option<SocketReport> {
+        match collected {
+            Collected::Ledger(ledger) => self.sampling.merge(&ledger),
+            Collected::LostLedger => self.sampling.ledgers_lost += 1,
+            Collected::Report(report) => return Some(report),
+            Collected::ReportError(ReportErrorKind::Truncated) => self.truncated += 1,
+            Collected::ReportError(ReportErrorKind::Malformed) => self.malformed += 1,
         }
+        None
     }
 
-    /// Total payloads that failed to decode.
+    /// Total payloads that failed report decode.
     pub fn total(&self) -> usize {
         self.truncated + self.malformed
     }
 }
 
-/// [`decode_reports`], also tallying the payloads that failed to
-/// decode by classification. The returned reports are identical to
-/// [`decode_reports`]'s; the stats make the skipped payloads
-/// measurable instead of silent.
+/// Decodes collector-port payloads (the
+/// [`spector_netsim::CaptureIndex::report_payloads`] view), in order:
+/// [`Collected::decode`] folded through [`CollectorStats::record`]. The
+/// stats make the skipped payloads measurable instead of silent.
 pub fn decode_reports_classified<'a>(
     payloads: impl IntoIterator<Item = &'a [u8]>,
-) -> (Vec<SocketReport>, ReportDecodeStats) {
-    let mut reports = Vec::new();
-    let mut stats = ReportDecodeStats::default();
-    for payload in payloads {
-        match SocketReport::decode(payload) {
-            Ok(report) => reports.push(report),
-            Err(error) => stats.record(error.kind),
-        }
-    }
+) -> (Vec<SocketReport>, CollectorStats) {
+    let mut stats = CollectorStats::default();
+    let reports = payloads
+        .into_iter()
+        .filter_map(|payload| stats.record(Collected::decode(payload)))
+        .collect();
     (reports, stats)
-}
-
-/// A decoded report paired with the capture timestamp of the datagram
-/// that carried it.
-///
-/// The report's own [`SocketReport::timestamp_micros`] is *hook time* —
-/// when the supervisor observed the `connect`. `arrival_micros` is when
-/// the datagram reached the wire, which is strictly later (hook latency
-/// plus send path). Streaming consumers key their time-to-live
-/// bookkeeping off arrival, while the flow join keys off hook time,
-/// exactly as the offline pipeline does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimestampedReport {
-    /// Capture timestamp of the carrying datagram, microseconds.
-    pub arrival_micros: u64,
-    /// The decoded report.
-    pub report: SocketReport,
-}
-
-/// Decodes one datagram payload into a [`TimestampedReport`]. Payloads
-/// that are not valid reports yield the structured parse error — with
-/// its truncated/malformed classification — so streaming consumers can
-/// count what they drop instead of silently skipping it (the
-/// counterpart of [`decode_reports_classified`]'s stats).
-pub fn decode_report_datagram(
-    arrival_micros: u64,
-    payload: &[u8],
-) -> Result<TimestampedReport, ReportParseError> {
-    SocketReport::decode(payload).map(|report| TimestampedReport {
-        arrival_micros,
-        report,
-    })
 }
 
 #[cfg(test)]
@@ -443,11 +421,28 @@ mod tests {
         });
 
         let port = SupervisorConfig::default().collector_port;
-        let via_scan = extract_reports(&capture, port);
+        // Reference scan: decode every frame, keep the collector-port
+        // payloads that decode as reports.
+        let via_scan: Vec<SocketReport> = capture
+            .iter()
+            .filter_map(|packet| {
+                let frame = spector_netsim::packet::decode_frame_ref(&packet.data).ok()?;
+                match frame.transport {
+                    spector_netsim::packet::TransportRef::Udp { payload }
+                        if frame.pair.dst_port == port =>
+                    {
+                        SocketReport::decode(payload).ok()
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
         let index = spector_netsim::CaptureIndex::build(&capture, port);
-        let via_index = decode_reports(index.report_payloads.iter().copied());
+        let (via_index, stats) = decode_reports_classified(index.report_payloads.iter().copied());
         assert_eq!(via_scan, via_index);
+        assert_eq!(via_scan, extract_reports(&capture, port));
         assert_eq!(via_scan.len(), 1);
+        assert_eq!(stats.total(), 1, "the noise datagram is counted");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use proptest::prelude::*;
 use spector_dex::sha256::Digest;
 use spector_hooks::report::SocketReport;
-use spector_hooks::{decode_report_datagram, decode_reports_classified, ReportErrorKind};
+use spector_hooks::{decode_reports_classified, ReportErrorKind};
 use spector_netsim::packet::SocketPair;
 
 fn digest() -> impl Strategy<Value = Digest> {
@@ -160,7 +160,7 @@ proptest! {
             let position = position % bytes.len();
             bytes[position] = value;
         }
-        if let Err(error) = decode_report_datagram(0, &bytes) {
+        if let Err(error) = SocketReport::decode(&bytes) {
             prop_assert!(matches!(
                 error.kind,
                 ReportErrorKind::Truncated | ReportErrorKind::Malformed
@@ -216,7 +216,7 @@ proptest! {
         // Either the mutations canceled out / hit don't-care bytes and
         // the report still decodes, or the error carries a
         // classification; decoding must never panic.
-        if let Err(error) = decode_report_datagram(0, &bytes) {
+        if let Err(error) = SocketReport::decode(&bytes) {
             prop_assert!(matches!(
                 error.kind,
                 ReportErrorKind::Truncated | ReportErrorKind::Malformed

@@ -28,18 +28,18 @@
 //! region rather than per frame, and routing, broadcast and batching
 //! only clone the `Arc`.
 //!
-//! The **full classified decode** — [`decode_frame_ref`] with
-//! [`FrameErrorKind`] accounting, report parsing with
-//! [`ReportErrorKind`] accounting — runs in the shard loop
-//! (`shard.rs`), on the shard the bytes were routed to. Peek checks
-//! are a strict subset of decode checks, so routing never lies: a
-//! peek-passed frame that fails the deeper decode (checksum damage)
+//! The **full classified decode** — netsim's frame step
+//! ([`CaptureTables::ingest`], with [`FrameErrorKind`] accounting) and
+//! the hooks collector step ([`Collected::decode`]) — runs in the shard
+//! loop (`shard.rs`), on the shard the bytes were routed to. Peek
+//! checks are a strict subset of decode checks, so routing never lies:
+//! a peek-passed frame that fails the deeper decode (checksum damage)
 //! still fails on exactly one deterministic shard.
 //!
 //! [`LiveConfig::batch_events`]: crate::LiveConfig::batch_events
-//! [`decode_frame_ref`]: spector_netsim::packet::decode_frame_ref
+//! [`CaptureTables::ingest`]: spector_netsim::CaptureTables::ingest
 //! [`FrameErrorKind`]: spector_netsim::FrameErrorKind
-//! [`ReportErrorKind`]: spector_hooks::ReportErrorKind
+//! [`Collected::decode`]: spector_hooks::Collected::decode
 
 use std::fmt;
 use std::ops::{Deref, Range};
@@ -48,6 +48,8 @@ use std::sync::Arc;
 use spector_hooks::SocketReport;
 use spector_netsim::pcap::CapturedPacket;
 use spector_netsim::{peek_frame, PeekedTransport, SocketPair};
+
+use crate::event::Fnv1a;
 
 /// Where one raw frame should go, per the producer's header peek.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,12 +92,7 @@ pub fn classify_route(raw: &[u8], collector_port: u16) -> Route {
 /// at the same width — and the totals are identical at *every* width,
 /// because each failed frame is counted on exactly one shard.
 pub fn fallback_shard(run: u32, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in run.to_be_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % shards.max(1) as u64) as usize
+    Fnv1a::new().feed(&run.to_be_bytes()).shard(shards)
 }
 
 /// One frame's bytes: a range of a buffer it may share with other
@@ -213,7 +210,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use spector_dex::sha256::Sha256;
-    use spector_hooks::{decode_report_datagram, SupervisorConfig};
+    use spector_hooks::SupervisorConfig;
     use spector_netsim::packet::{decode_frame_ref, TransportRef};
     use spector_netsim::{Clock, NetStack};
 
@@ -251,9 +248,7 @@ mod tests {
             let decoded = match frame.transport {
                 TransportRef::Tcp { .. } => Some(frame.pair),
                 TransportRef::Udp { payload } if frame.pair.dst_port == port => {
-                    decode_report_datagram(0, payload)
-                        .ok()
-                        .map(|report| report.report.pair)
+                    SocketReport::decode(payload).ok().map(|report| report.pair)
                 }
                 TransportRef::Udp { .. } => None,
             };

@@ -7,6 +7,8 @@
 //! reports describing them hash to the same shard, which is where the
 //! run's joiner for that pair lives.
 
+use std::net::IpAddr;
+
 use spector_netsim::SocketPair;
 
 /// Shard routing: stable hash of `(run, canonical pair)` reduced to a
@@ -14,39 +16,42 @@ use spector_netsim::SocketPair;
 /// is identical across processes and platforms (no `RandomState`).
 pub fn shard_of(run: u32, pair: &SocketPair, shards: usize) -> usize {
     let canonical = pair.canonical();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
     // Per-family octet feed: a canonical V4 endpoint contributes exactly
     // the 4 bytes the pre-dual-stack hash consumed, so every legacy
     // (pure-IPv4) pair keeps its historical shard assignment; genuine V6
     // endpoints contribute their 16 bytes.
-    let feed_ip = |ip: std::net::IpAddr, feed: &mut dyn FnMut(u8)| match ip {
-        std::net::IpAddr::V4(v4) => {
-            for byte in v4.octets() {
-                feed(byte);
-            }
-        }
-        std::net::IpAddr::V6(v6) => {
-            for byte in v6.octets() {
-                feed(byte);
-            }
-        }
+    let feed_ip = |hash: Fnv1a, ip| match ip {
+        IpAddr::V4(v4) => hash.feed(&v4.octets()),
+        IpAddr::V6(v6) => hash.feed(&v6.octets()),
     };
-    for byte in run.to_be_bytes() {
-        feed(byte);
+    let hash = Fnv1a::new().feed(&run.to_be_bytes());
+    let hash = feed_ip(hash, canonical.src_ip).feed(&canonical.src_port.to_be_bytes());
+    feed_ip(hash, canonical.dst_ip)
+        .feed(&canonical.dst_port.to_be_bytes())
+        .shard(shards)
+}
+
+/// A running 64-bit FNV-1a hash: the one hash behind both shard keys,
+/// [`shard_of`] and [`fallback_shard`](crate::batch::fallback_shard).
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The offset basis.
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    feed_ip(canonical.src_ip, &mut feed);
-    for byte in canonical.src_port.to_be_bytes() {
-        feed(byte);
+
+    /// Folds `bytes` in.
+    pub(crate) fn feed(self, bytes: &[u8]) -> Fnv1a {
+        Fnv1a(bytes.iter().fold(self.0, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        }))
     }
-    feed_ip(canonical.dst_ip, &mut feed);
-    for byte in canonical.dst_port.to_be_bytes() {
-        feed(byte);
+
+    /// The hash reduced to one of `shards` (at least one).
+    pub(crate) fn shard(self, shards: usize) -> usize {
+        (self.0 % shards.max(1) as u64) as usize
     }
-    (hash % shards.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -124,6 +129,38 @@ mod tests {
         // report datagram (routed by the embedded pair), land together.
         assert!(shards.len() >= 4, "handshake plus the report");
         assert!(shards.iter().all(|&shard| shard == shard_of(0, &pair, 8)));
+    }
+
+    /// Both shard keys are FNV-1a over fixed byte layouts; these values
+    /// are what any build must route to, so a recorded stream replays
+    /// onto the same shards.
+    #[test]
+    fn shard_keys_are_pinned_at_eight_shards() {
+        let v4 = SocketPair::new(
+            Ipv4Addr::new(10, 0, 2, 15),
+            50_000,
+            Ipv4Addr::new(93, 184, 216, 34),
+            443,
+        );
+        let v6 = SocketPair::new(
+            "2001:db8::1".parse::<std::net::Ipv6Addr>().unwrap(),
+            40_000,
+            "2001:db8::2".parse::<std::net::Ipv6Addr>().unwrap(),
+            443,
+        );
+        let mapped = SocketPair::new(
+            Ipv4Addr::new(10, 0, 2, 15).to_ipv6_mapped(),
+            50_000,
+            Ipv4Addr::new(93, 184, 216, 34),
+            443,
+        );
+        for (run, v4_shard, v6_shard, fallback) in [(0, 0, 0, 5), (7, 1, 5, 0), (1234, 6, 6, 3)] {
+            assert_eq!(shard_of(run, &v4, 8), v4_shard, "v4 pair, run {run}");
+            assert_eq!(shard_of(run, &v4.reversed(), 8), v4_shard);
+            assert_eq!(shard_of(run, &mapped, 8), v4_shard, "v4-mapped folds to v4");
+            assert_eq!(shard_of(run, &v6, 8), v6_shard, "v6 pair, run {run}");
+            assert_eq!(crate::batch::fallback_shard(run, 8), fallback, "run {run}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The first real service boundary: a loopback TCP/UDP ingest
-//! listener in front of the live engine.
+//! The first real service boundary: a loopback TCP ingest listener in
+//! front of the live engine.
 //!
 //! Every prior ingress path shared the producer's address space. This
 //! module accepts the same raw frames over a socket — the shape a
@@ -21,12 +21,10 @@
 //!     16     …  raw frame bytes
 //! ```
 //!
-//! * **TCP** — connection-per-emulator: each accepted connection
-//!   carries one ordered stream of records (per-key order within a
-//!   connection is preserved end to end, which is all the engine
-//!   requires). EOF ends the stream; whatever buffered is flushed.
-//! * **UDP** — one record per datagram, for fire-and-forget senders.
-//!   A datagram shorter than its header claims is malformed.
+//! Connection-per-emulator: each accepted connection carries one
+//! ordered stream of records (per-key order within a connection is
+//! preserved end to end, which is all the engine requires). EOF ends
+//! the stream; whatever buffered is flushed.
 //!
 //! # Reading a connection
 //!
@@ -35,9 +33,10 @@
 //! [`IngestConfig::max_frame_len`]). After each read it copies every
 //! record the read completed into one exactly-sized shared buffer and
 //! pushes each frame as a range of it ([`FrameBytes`]), then moves the
-//! partial record left over to the front of the read buffer. A connection thus costs one allocation
-//! and one copy per read, not per record, and a frame in flight pins
-//! only the records read with it, never a whole read buffer.
+//! partial record left over to the front of the read buffer. A
+//! connection thus costs one allocation and one copy per read, not per
+//! record, and a frame in flight pins only the records read with it,
+//! never a whole read buffer.
 //!
 //! Each of these is one malformed record, counted in
 //! `spector_ingest_malformed_records_total`, and ends the connection:
@@ -60,7 +59,7 @@
 //! [`OverflowPolicy`]: crate::OverflowPolicy
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -106,7 +105,6 @@ impl Default for IngestConfig {
 struct IngestCounters {
     connections: Counter,
     records: Counter,
-    datagrams: Counter,
     malformed: Counter,
 }
 
@@ -115,45 +113,37 @@ impl IngestCounters {
         IngestCounters {
             connections: telemetry.counter("spector_ingest_connections_total"),
             records: telemetry.counter("spector_ingest_records_total"),
-            datagrams: telemetry.counter("spector_ingest_udp_datagrams_total"),
             malformed: telemetry.counter("spector_ingest_malformed_records_total"),
         }
     }
 }
 
-/// The running listener pair (TCP + UDP) in front of one engine.
+/// The running TCP listener in front of one engine.
 pub struct IngestServer {
     engine: Arc<LiveEngine>,
     tcp_addr: SocketAddr,
-    udp_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     /// Tells the accept loop which connection is shutdown's wake-up.
     wake: mpsc::Sender<SocketAddr>,
     /// Yields the handlers still unjoined at shutdown, and whether an
     /// already joined one panicked.
     accept_handle: JoinHandle<(Vec<JoinHandle<()>>, bool)>,
-    udp_handle: JoinHandle<()>,
 }
 
 impl IngestServer {
-    /// Binds both loopback listeners on ephemeral ports and starts
+    /// Binds the loopback listener on an ephemeral port and starts
     /// serving into `engine`.
     pub fn start(engine: LiveEngine, config: IngestConfig) -> io::Result<IngestServer> {
         let engine = Arc::new(engine);
         let counters = IngestCounters::new(engine.telemetry());
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let tcp_addr = listener.local_addr()?;
-        let udp = UdpSocket::bind(("127.0.0.1", 0))?;
-        let udp_addr = udp.local_addr()?;
-        udp.set_read_timeout(Some(config.read_timeout))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (wake, wake_rx) = mpsc::channel::<SocketAddr>();
 
         let accept_handle = {
             let engine = Arc::clone(&engine);
             let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
-            let counters = counters.clone();
             thread::spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
                 let mut reaped_panic = false;
@@ -189,32 +179,18 @@ impl IngestServer {
             })
         };
 
-        let udp_handle = {
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
-            thread::spawn(move || serve_udp(&engine, udp, &shutdown, &config, &counters))
-        };
-
         Ok(IngestServer {
             engine,
             tcp_addr,
-            udp_addr,
             shutdown,
             wake,
             accept_handle,
-            udp_handle,
         })
     }
 
     /// The TCP listener's loopback address.
     pub fn tcp_addr(&self) -> SocketAddr {
         self.tcp_addr
-    }
-
-    /// The UDP socket's loopback address.
-    pub fn udp_addr(&self) -> SocketAddr {
-        self.udp_addr
     }
 
     /// A consistent summary of everything ingested so far (handlers
@@ -242,7 +218,6 @@ impl IngestServer {
             handler.join().expect("ingest connection handler panicked");
         }
         assert!(!reaped_panic, "ingest connection handler panicked");
-        self.udp_handle.join().expect("ingest udp handler panicked");
         Arc::into_inner(self.engine).expect("all ingest threads joined")
     }
 }
@@ -455,51 +430,6 @@ fn push_records(records: Arc<[u8]>, sink: &mut impl FrameSink, counters: &Ingest
     }
 }
 
-/// The fire-and-forget lane: one record per datagram.
-fn serve_udp(
-    engine: &LiveEngine,
-    socket: UdpSocket,
-    shutdown: &AtomicBool,
-    config: &IngestConfig,
-    counters: &IngestCounters,
-) {
-    let mut batcher = engine.batcher();
-    let mut buf = vec![0u8; RECORD_HEADER_LEN + config.max_frame_len];
-    loop {
-        match socket.recv_from(&mut buf) {
-            Ok((n, _)) => {
-                let Some(header) = Header::parse(&buf[..n]) else {
-                    counters.malformed.inc();
-                    continue;
-                };
-                if n != RECORD_HEADER_LEN + header.frame_len {
-                    counters.malformed.inc();
-                    continue;
-                }
-                counters.datagrams.inc();
-                counters.records.inc();
-                batcher.push_raw(
-                    header.run,
-                    header.timestamp_micros,
-                    FrameBytes::from(&buf[RECORD_HEADER_LEN..n]),
-                );
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                batcher.flush();
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::net::Ipv4Addr;
@@ -637,43 +567,6 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    #[test]
-    fn udp_ingest_accepts_records_and_counts_datagrams() {
-        let capture = scripted_capture(77);
-        let engine = LiveEngine::start(
-            knowledge(),
-            LiveConfig {
-                telemetry: Telemetry::enabled(),
-                ..Default::default()
-            },
-        );
-        let server = IngestServer::start(engine, IngestConfig::default()).unwrap();
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        for packet in &capture {
-            socket
-                .send_to(
-                    &encode_record(0, packet.timestamp_micros, &packet.data),
-                    server.udp_addr(),
-                )
-                .unwrap();
-        }
-        let snapshot = wait_for_events(&server, capture.len() as u64);
-        // Loopback UDP at this trickle volume is lossless in practice;
-        // tolerate kernel drops without tolerating silent corruption.
-        assert!(snapshot.events <= capture.len() as u64);
-        assert!(snapshot.events > 0, "no datagrams arrived");
-        let (summary, metrics) = {
-            let engine = server.shutdown();
-            engine.finish_with_metrics()
-        };
-        assert_eq!(
-            metrics.counter("spector_ingest_udp_datagrams_total"),
-            summary.events,
-            "every accepted datagram is exactly one ingress event"
-        );
-        assert_eq!(metrics.counter("spector_ingest_malformed_records_total"), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The incremental report↔flow joiner.
 //!
 //! One [`LiveJoiner`] holds one run's streaming state: the growing
-//! flow table, the growing DNS map, the run's [`ReportJoin`], and a
-//! bounded buffer of reports that arrived before the packets they
-//! describe.
+//! flow table and DNS map ([`CaptureTables`], fed by netsim's per-frame
+//! step exactly as the offline capture index is), the run's
+//! [`ReportJoin`], and a bounded buffer of reports that arrived before
+//! the packets they describe.
 //!
 //! # Join semantics (and why they equal the offline join)
 //!
@@ -48,8 +49,8 @@ use std::collections::VecDeque;
 
 use libspector::knowledge::Knowledge;
 use libspector::{ClaimOutcome, PipelineTelemetry, ReportJoin};
-use spector_hooks::{SocketReport, TimestampedReport};
-use spector_netsim::{DnsMap, FlowTableBuilder, SocketPair};
+use spector_hooks::SocketReport;
+use spector_netsim::{CaptureTables, FrameErrorKind, Lane, SocketPair};
 
 use crate::summary::LiveSummary;
 
@@ -85,8 +86,7 @@ struct PendingReport {
 /// ordering and eviction semantics.
 #[derive(Debug, Default)]
 pub struct LiveJoiner {
-    flows: FlowTableBuilder,
-    dns: DnsMap,
+    tables: CaptureTables,
     join: ReportJoin,
     pending: VecDeque<PendingReport>,
     watermark: u64,
@@ -108,28 +108,40 @@ impl LiveJoiner {
         }
     }
 
-    /// Delivers one TCP segment: advances the watermark, grows the
-    /// flow table, and re-joins any pending reports for this 4-tuple.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_tcp(
+    /// Delivers one raw frame through netsim's per-frame step and
+    /// returns its lane. A TCP segment or other UDP datagram advances
+    /// the watermark; a TCP segment also re-joins any pending reports
+    /// for its 4-tuple. A collector-port payload is left to the caller,
+    /// which decodes it and hands any report to
+    /// [`on_report`](Self::on_report). A frame that fails to decode
+    /// changes nothing.
+    pub fn on_frame<'a>(
         &mut self,
         timestamp_micros: u64,
-        pair: SocketPair,
-        flags: u8,
-        payload_len: usize,
-        head: &[u8],
-        wire_len: usize,
+        raw: &'a [u8],
+        collector_port: u16,
         knowledge: &Knowledge,
-    ) {
-        self.advance(timestamp_micros);
-        self.flows
-            .ingest_meta(timestamp_micros, pair, flags, payload_len, head, wire_len);
+    ) -> Result<Lane<'a>, FrameErrorKind> {
+        let lane = self.tables.ingest(timestamp_micros, raw, collector_port)?;
+        match lane {
+            Lane::Tcp(pair) => {
+                self.advance(timestamp_micros);
+                self.rejoin_pending(&pair, knowledge);
+            }
+            Lane::Udp(_) => self.advance(timestamp_micros),
+            Lane::Collector(_) => {}
+        }
+        Ok(lane)
+    }
+
+    /// Re-joins the pending reports for `pair`'s 4-tuple, in arrival
+    /// order; entries for other pairs keep their queue position (and
+    /// thus their eviction deadline).
+    fn rejoin_pending(&mut self, pair: &SocketPair, knowledge: &Knowledge) {
         if self.pending.is_empty() {
             return;
         }
         let canonical = pair.canonical();
-        // Re-join in arrival order; entries for other pairs keep their
-        // queue position (and thus their eviction deadline).
         let mut keep = VecDeque::with_capacity(self.pending.len());
         while let Some(entry) = self.pending.pop_front() {
             if entry.report.pair.canonical() == canonical && self.try_join(&entry.report, knowledge)
@@ -141,26 +153,25 @@ impl LiveJoiner {
         self.pending = keep;
     }
 
-    /// Delivers one non-collector UDP datagram (the DNS lane).
-    pub fn on_dns(&mut self, timestamp_micros: u64, pair: &SocketPair, payload: &[u8]) {
-        self.advance(timestamp_micros);
-        self.dns.ingest(pair, payload);
-    }
-
-    /// Delivers one decoded supervisor report: joins immediately when
-    /// the flow is already known, pends otherwise. Takes the report by
-    /// reference — the hot path joins without cloning; only a pending
-    /// report (its flow's packets not seen yet) is cloned into the
-    /// wait queue.
-    pub fn on_report(&mut self, report: &TimestampedReport, knowledge: &Knowledge) {
-        self.advance(report.arrival_micros);
+    /// Delivers one decoded supervisor report whose datagram arrived at
+    /// `arrival_micros`: joins immediately when the flow is already
+    /// known, pends otherwise. Arrival time drives the watermark; the
+    /// join keys off the report's own hook time, as offline.
+    pub fn on_report(&mut self, arrival_micros: u64, report: SocketReport, knowledge: &Knowledge) {
+        self.advance(arrival_micros);
         self.report_packets += 1;
-        if !self.try_join(&report.report, knowledge) {
+        if !self.try_join(&report, knowledge) {
             self.pending.push_back(PendingReport {
-                report: report.report.clone(),
+                report,
                 enqueued_micros: self.watermark,
             });
         }
+    }
+
+    /// Stream epochs opened without a SYN so far — this run's share of
+    /// [`RunIntegrity::synthesized_flows`](libspector::RunIntegrity).
+    pub fn synthesized_flows(&self) -> usize {
+        self.tables.flows().synthesized_epochs()
     }
 
     /// Runs the shared claim rule against the table-so-far. Returns
@@ -170,7 +181,7 @@ impl LiveJoiner {
     fn try_join(&mut self, report: &SocketReport, knowledge: &Knowledge) -> bool {
         let outcome = self.join.claim(
             report,
-            self.flows.table(),
+            self.tables.flows(),
             knowledge,
             PipelineTelemetry::disabled_ref(),
         );
@@ -213,10 +224,10 @@ impl LiveJoiner {
         out: &mut LiveSummary,
     ) {
         if include_dns {
-            out.dns_packets += self.dns.dns_packet_count;
+            out.dns_packets += self.tables.dns().dns_packet_count;
         }
         let folded = self.folded.get_or_insert_with(|| {
-            let table = self.flows.table();
+            let table = self.tables.flows();
             let mut folded = LiveSummary {
                 unattributed_flows: self.join.unattributed(table),
                 orphaned_reports: self.pending.len(),
@@ -225,7 +236,7 @@ impl LiveJoiner {
                 ..LiveSummary::default()
             };
             let pt = PipelineTelemetry::disabled_ref();
-            for flow in self.join.rows(table, &self.dns, knowledge, pt) {
+            for flow in self.join.rows(table, self.tables.dns(), knowledge, pt) {
                 folded.add_flow(&flow);
             }
             folded

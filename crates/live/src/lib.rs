@@ -34,8 +34,8 @@
 //!                           └──┬───────────┬───────────┬─────────┘
 //!                     bounded  ▼           ▼           ▼
 //!                     queues  shard 0    shard 1  …  shard N-1
-//!                             full classified DECODE (frame +
-//!                             report error ledgers, shard-local)
+//!                             frame step + collector step (the
+//!                             offline pipeline's own; one ledger)
 //!                             LiveJoiner per run, per shard
 //!                               snapshot() ⇒ LiveSummary
 //! ```
@@ -46,22 +46,29 @@
 //!   through the shard's classified decode.
 //! * [`shard_of`] ([`event`]) is the `(run, canonical 4-tuple)` shard
 //!   key.
-//! * [`LiveJoiner`] ([`joiner`]) drives libspector's one report↔flow
-//!   join ([`libspector::ReportJoin`]) over a growing flow table, and
-//!   adds only a pending buffer for out-of-order arrivals with TTL
-//!   eviction on the virtual clock.
+//! * [`LiveJoiner`] ([`joiner`]) feeds each frame through netsim's
+//!   per-frame step ([`spector_netsim::CaptureTables`], the step the
+//!   offline capture index loops) into growing tables, drives
+//!   libspector's one report↔flow join ([`libspector::ReportJoin`])
+//!   over them, and adds only a pending buffer for out-of-order
+//!   arrivals with TTL eviction on the virtual clock.
 //! * [`LiveEngine`] ([`shard`]) owns N shard threads fed by bounded
 //!   channels with an explicit backpressure policy
-//!   ([`OverflowPolicy`]); sharding changes throughput, never results —
-//!   decode errors land on deterministic shards so even the error
-//!   ledgers are shard-count-invariant.
+//!   ([`OverflowPolicy`]). A shard decodes collector payloads with the
+//!   hooks collector step ([`spector_hooks::Collected`]) and tallies
+//!   failures with the offline walk's record calls into one
+//!   [`libspector::RunIntegrity`]. Sharding changes throughput, never
+//!   results — decode errors land on deterministic shards so even the
+//!   ledger is shard-count-invariant.
 //! * [`IngestServer`] ([`ingest`]) is the service boundary: a loopback
-//!   TCP/UDP listener speaking a 16-byte-header record framing,
-//!   feeding the same batched ingress with the same backpressure.
+//!   TCP listener speaking a 16-byte-header record framing, feeding
+//!   the same batched ingress with the same backpressure.
 //! * [`LiveSummary`] ([`summary`]) is the mergeable snapshot, a fold
-//!   over attributed flow rows, directly comparable with the offline
-//!   pipeline via [`LiveSummary::offline_view`] and
-//!   [`LiveSummary::from_analyses`].
+//!   over attributed flow rows plus the run ledger
+//!   ([`RunIntegrity`](libspector::RunIntegrity) and
+//!   [`SamplingLedger`](spector_sampling::SamplingLedger)), directly
+//!   comparable with the offline pipeline via
+//!   [`LiveSummary::offline_view`] and [`LiveSummary::from_analyses`].
 //!
 //! # Event ordering semantics
 //!

@@ -6,7 +6,8 @@
 //! two-phase (see [`crate::batch`]): the producer peeks raw frame
 //! headers just far enough to route, ships batches of shared-buffer
 //! ranges ([`FrameBytes`]), and the **full classified decode runs
-//! here, on the owning shard** — TCP segments and reports route to the
+//! here, on the owning shard**, through the offline pipeline's own
+//! frame and collector steps — TCP segments and reports route to the
 //! shard owning their pair (a report must land where its flow's epochs
 //! live); DNS frames are broadcast by `Arc` clone, so every shard can
 //! resolve destination domains locally without cross-shard chatter —
@@ -42,13 +43,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use libspector::Knowledge;
-use spector_hooks::{decode_report_datagram, LedgerRecord, ReportErrorKind};
-use spector_netsim::flows::FIRST_PAYLOAD_CAP;
-use spector_netsim::packet::{decode_frame_ref, SocketPair, TransportRef};
+use libspector::{Knowledge, RunIntegrity};
+use spector_hooks::{Collected, CollectorStats, ReportErrorKind};
 use spector_netsim::pcap::CapturedPacket;
 use spector_netsim::shape::IpFamily;
-use spector_sampling::SamplingLedger;
+use spector_netsim::{FrameErrorCounts, FrameErrorKind, Lane, SocketPair};
 use spector_telemetry::{Counter, Histogram, MetricsSnapshot, Telemetry, COUNT_BOUNDS};
 
 use crate::batch::{
@@ -179,23 +178,63 @@ impl ShardTelemetry {
         }
     }
 
+    /// Counts one TCP or DNS-lane frame (collector payloads are counted
+    /// by [`count_collected`](Self::count_collected)).
+    fn count_lane(&self, lane: &Lane<'_>) {
+        match lane {
+            Lane::Tcp(pair) => {
+                self.tcp_events.inc();
+                self.count_family(pair);
+            }
+            Lane::Udp(pair) if self.count_dns => {
+                self.dns_events.inc();
+                self.count_family(pair);
+            }
+            Lane::Udp(_) | Lane::Collector(_) => {}
+        }
+    }
+
+    fn count_frame_error(&self, kind: FrameErrorKind) {
+        match kind {
+            FrameErrorKind::Truncated => self.frames_truncated.inc(),
+            FrameErrorKind::Malformed => self.frames_malformed.inc(),
+            FrameErrorKind::BadChecksum => self.frames_bad_checksum.inc(),
+        }
+    }
+
+    fn count_collected(&self, collected: &Collected) {
+        match collected {
+            Collected::Ledger(_) => self.ledger_events.inc(),
+            Collected::LostLedger => {}
+            Collected::Report(report) => {
+                self.report_events.inc();
+                self.count_family(&report.pair);
+            }
+            Collected::ReportError(ReportErrorKind::Truncated) => self.reports_truncated.inc(),
+            Collected::ReportError(ReportErrorKind::Malformed) => self.reports_malformed.inc(),
+        }
+    }
+
     fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 }
 
-/// This shard's decode-error ledger, folded into its partial summary.
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardErrors {
-    frames_truncated: usize,
-    frames_malformed: usize,
-    frames_bad_checksum: usize,
-    reports_truncated: usize,
-    reports_malformed: usize,
-    /// Sampling-ledger accounting decoded by this shard. Ledger
-    /// datagrams land on exactly one (fallback) shard, so the merged
-    /// total is shard-count-invariant.
-    sampling: SamplingLedger,
+/// One shard thread's state: a joiner per run it owns keys of, and its
+/// share of the failure ledger — tallied with the record calls the
+/// offline walk uses ([`FrameErrorCounts::record`],
+/// [`CollectorStats::record`]) and built by the offline constructor
+/// ([`RunIntegrity::new`]), so merged totals are the exact sum over
+/// owners.
+struct Shard {
+    idx: usize,
+    collector_port: u16,
+    knowledge: Arc<Knowledge>,
+    joiner_config: JoinerConfig,
+    joiners: HashMap<u32, LiveJoiner>,
+    frame_errors: FrameErrorCounts,
+    collector: CollectorStats,
+    telemetry: ShardTelemetry,
 }
 
 /// The running engine. `push_run`/`push_raw_run`/`batcher` are `&self`
@@ -228,20 +267,19 @@ impl LiveEngine {
         let collector_port = config.collector_port;
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        for shard_idx in 0..shards {
+        for idx in 0..shards {
             let (sender, receiver) = bounded::<ShardMsg>(capacity);
-            let knowledge = Arc::clone(&knowledge);
-            let joiner_config = config.joiner.clone();
-            handles.push(std::thread::spawn(move || {
-                shard_loop(
-                    shard_idx,
-                    receiver,
-                    knowledge,
-                    joiner_config,
-                    collector_port,
-                    telemetry_enabled,
-                )
-            }));
+            let shard = Shard {
+                idx,
+                collector_port,
+                knowledge: Arc::clone(&knowledge),
+                joiner_config: config.joiner.clone(),
+                joiners: HashMap::new(),
+                frame_errors: FrameErrorCounts::default(),
+                collector: CollectorStats::default(),
+                telemetry: ShardTelemetry::new(idx, telemetry_enabled),
+            };
+            handles.push(std::thread::spawn(move || shard_loop(shard, receiver)));
             senders.push(sender);
         }
         LiveEngine {
@@ -301,11 +339,8 @@ impl LiveEngine {
     /// capture order, as run `run`: peek-route-batch on this thread,
     /// classified decode on the owning shard. Undecodable frames and
     /// collector-port datagrams that are not valid reports are counted
-    /// by classification on the shard that owns the bytes — the
-    /// ingress half of degraded-mode accounting, mirroring the offline
-    /// [`RunIntegrity`] counters.
-    ///
-    /// [`RunIntegrity`]: libspector::RunIntegrity
+    /// by classification on the shard that owns the bytes, into the
+    /// summary's [`RunIntegrity`].
     ///
     /// The capture is copied once, into one buffer its frames are
     /// ranges of; the buffer is freed when its shards have decoded the
@@ -530,38 +565,16 @@ impl Drop for IngressBatcher<'_> {
     }
 }
 
-fn shard_loop(
-    shard_idx: usize,
-    receiver: Receiver<ShardMsg>,
-    knowledge: Arc<Knowledge>,
-    joiner_config: JoinerConfig,
-    collector_port: u16,
-    telemetry_enabled: bool,
-) -> (LiveSummary, MetricsSnapshot) {
-    let mut joiners: HashMap<u32, LiveJoiner> = HashMap::new();
-    let mut errors = ShardErrors::default();
-    let telemetry = ShardTelemetry::new(shard_idx, telemetry_enabled);
+fn shard_loop(mut shard: Shard, receiver: Receiver<ShardMsg>) -> (LiveSummary, MetricsSnapshot) {
     while let Ok(msg) = receiver.recv() {
         match msg {
             ShardMsg::Batch(batch) => {
                 for item in batch.items {
-                    on_raw_item(
-                        item,
-                        shard_idx,
-                        collector_port,
-                        &mut joiners,
-                        &joiner_config,
-                        &knowledge,
-                        &telemetry,
-                        &mut errors,
-                    );
+                    shard.on_raw_item(item);
                 }
             }
             ShardMsg::Snapshot(reply) => {
-                let _ = reply.send((
-                    partial_summary(shard_idx, &mut joiners, &errors, &knowledge),
-                    telemetry.snapshot(),
-                ));
+                let _ = reply.send((shard.partial_summary(), shard.telemetry.snapshot()));
             }
             #[cfg(test)]
             ShardMsg::Park { ack, gate } => {
@@ -570,133 +583,60 @@ fn shard_loop(
             }
         }
     }
-    (
-        partial_summary(shard_idx, &mut joiners, &errors, &knowledge),
-        telemetry.snapshot(),
-    )
+    (shard.partial_summary(), shard.telemetry.snapshot())
 }
 
-/// The shard-local half of the two-phase ingress: the full classified
-/// decode of one raw frame, with degraded-mode accounting. Decode
-/// failures on a broadcast copy are counted on shard 0 only (every
-/// shard received the same bytes); routed and fallback frames are
-/// owned by exactly one shard and counted unconditionally.
-#[allow(clippy::too_many_arguments)]
-fn on_raw_item(
-    item: RawItem,
-    shard_idx: usize,
-    collector_port: u16,
-    joiners: &mut HashMap<u32, LiveJoiner>,
-    joiner_config: &JoinerConfig,
-    knowledge: &Knowledge,
-    telemetry: &ShardTelemetry,
-    errors: &mut ShardErrors,
-) {
-    let frame = match decode_frame_ref(&item.data) {
-        Ok(frame) => frame,
-        Err(error) => {
-            if !item.broadcast || shard_idx == 0 {
-                match error.kind {
-                    spector_netsim::FrameErrorKind::Truncated => {
-                        errors.frames_truncated += 1;
-                        telemetry.frames_truncated.inc();
-                    }
-                    spector_netsim::FrameErrorKind::Malformed => {
-                        errors.frames_malformed += 1;
-                        telemetry.frames_malformed.inc();
-                    }
-                    spector_netsim::FrameErrorKind::BadChecksum => {
-                        errors.frames_bad_checksum += 1;
-                        telemetry.frames_bad_checksum.inc();
-                    }
+impl Shard {
+    /// The shard-local half of the two-phase ingress for one raw frame:
+    /// netsim's frame step on the run's joiner, the hooks collector step
+    /// on a collector-port payload, and the accounting. A decode failure
+    /// on a broadcast copy is counted on shard 0 only (every shard
+    /// received the same bytes); routed and fallback frames are owned by
+    /// exactly one shard. Ledger datagrams carry no report pair, so they
+    /// too land on exactly one (fallback) shard.
+    fn on_raw_item(&mut self, item: RawItem) {
+        let joiner = self
+            .joiners
+            .entry(item.run)
+            .or_insert_with(|| LiveJoiner::new(self.joiner_config.clone()));
+        let lane = joiner.on_frame(
+            item.timestamp_micros,
+            &item.data,
+            self.collector_port,
+            &self.knowledge,
+        );
+        let payload = match lane {
+            Ok(Lane::Collector(payload)) => payload,
+            Ok(lane) => return self.telemetry.count_lane(&lane),
+            Err(kind) => {
+                if !item.broadcast || self.idx == 0 {
+                    self.frame_errors.record(kind);
+                    self.telemetry.count_frame_error(kind);
                 }
+                return;
             }
-            return;
-        }
-    };
-    let joiner = joiners
-        .entry(item.run)
-        .or_insert_with(|| LiveJoiner::new(joiner_config.clone()));
-    match frame.transport {
-        TransportRef::Tcp { flags, payload, .. } => {
-            telemetry.tcp_events.inc();
-            telemetry.count_family(&frame.pair);
-            joiner.on_tcp(
-                item.timestamp_micros,
-                frame.pair,
-                flags,
-                payload.len(),
-                &payload[..payload.len().min(FIRST_PAYLOAD_CAP)],
-                frame.wire_len,
-                knowledge,
-            )
-        }
-        TransportRef::Udp { payload } => {
-            if frame.pair.dst_port == collector_port {
-                if LedgerRecord::is_ledger_payload(payload) {
-                    // A sampling-ledger datagram: peeled off before
-                    // report decode, exactly like the offline views.
-                    // The structural peek cannot route it (no SRPT
-                    // pair), so it lands on exactly one fallback
-                    // shard — accumulate unconditionally.
-                    match LedgerRecord::decode(payload) {
-                        Ok(record) => {
-                            telemetry.ledger_events.inc();
-                            errors.sampling.merge(&record.ledger);
-                        }
-                        Err(_) => errors.sampling.ledgers_lost += 1,
-                    }
-                    return;
-                }
-                match decode_report_datagram(item.timestamp_micros, payload) {
-                    Ok(report) => {
-                        telemetry.report_events.inc();
-                        telemetry.count_family(&report.report.pair);
-                        joiner.on_report(&report, knowledge)
-                    }
-                    Err(error) => match error.kind {
-                        ReportErrorKind::Truncated => {
-                            errors.reports_truncated += 1;
-                            telemetry.reports_truncated.inc();
-                        }
-                        ReportErrorKind::Malformed => {
-                            errors.reports_malformed += 1;
-                            telemetry.reports_malformed.inc();
-                        }
-                    },
-                }
-            } else {
-                if telemetry.count_dns {
-                    telemetry.dns_events.inc();
-                    telemetry.count_family(&frame.pair);
-                }
-                joiner.on_dns(item.timestamp_micros, &frame.pair, payload)
-            }
+        };
+        let collected = Collected::decode(payload);
+        self.telemetry.count_collected(&collected);
+        if let Some(report) = self.collector.record(collected) {
+            joiner.on_report(item.timestamp_micros, report, &self.knowledge);
         }
     }
-}
 
-/// This shard's contribution to the merged summary. Only shard 0
-/// contributes the DNS datagram count (DNS events are broadcast); the
-/// shard's decode-error ledger rides along, so merged error totals are
-/// the exact sum over owners.
-fn partial_summary(
-    shard_idx: usize,
-    joiners: &mut HashMap<u32, LiveJoiner>,
-    errors: &ShardErrors,
-    knowledge: &Knowledge,
-) -> LiveSummary {
-    let mut summary = LiveSummary::default();
-    for joiner in joiners.values_mut() {
-        joiner.snapshot_into(knowledge, shard_idx == 0, &mut summary);
+    /// This shard's contribution to the merged summary. Only shard 0
+    /// contributes the DNS datagram count (DNS events are broadcast).
+    fn partial_summary(&mut self) -> LiveSummary {
+        let mut summary = LiveSummary::default();
+        let mut synthesized_flows = 0;
+        for joiner in self.joiners.values_mut() {
+            joiner.snapshot_into(&self.knowledge, self.idx == 0, &mut summary);
+            synthesized_flows += joiner.synthesized_flows();
+        }
+        summary.integrity =
+            RunIntegrity::new(&self.frame_errors, &self.collector, synthesized_flows);
+        summary.sampling = self.collector.sampling;
+        summary
     }
-    summary.frames_truncated = errors.frames_truncated;
-    summary.frames_malformed = errors.frames_malformed;
-    summary.frames_bad_checksum = errors.frames_bad_checksum;
-    summary.reports_truncated = errors.reports_truncated;
-    summary.reports_malformed = errors.reports_malformed;
-    summary.sampling = errors.sampling;
-    summary
 }
 
 #[cfg(test)]
@@ -704,9 +644,11 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use spector_dex::sha256::Sha256;
-    use spector_hooks::{SocketReport, SupervisorConfig};
+    use spector_hooks::{LedgerRecord, SocketReport, SupervisorConfig};
+    use spector_netsim::packet::{decode_frame_ref, TransportRef};
     use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello};
     use spector_netsim::{Clock, NetStack};
+    use spector_sampling::SamplingLedger;
 
     use super::*;
 
@@ -1067,9 +1009,7 @@ mod tests {
         for pair in summaries.windows(2) {
             assert_eq!(pair[0], pair[1], "error ledger must not depend on width");
         }
-        let total_errors = summaries[0].frames_truncated
-            + summaries[0].frames_malformed
-            + summaries[0].frames_bad_checksum;
+        let total_errors = summaries[0].integrity.frames_lost();
         assert_eq!(total_errors, 2, "both damaged frames counted once");
         assert_eq!(
             summaries[0].events,
@@ -1139,8 +1079,7 @@ mod tests {
         assert!(sampling.is_balanced());
         // Ledger datagrams never count as (or corrupt) report packets.
         assert_eq!(summaries[0].report_packets, 1);
-        assert_eq!(summaries[0].reports_truncated, 0);
-        assert_eq!(summaries[0].reports_malformed, 0);
+        assert_eq!(summaries[0].integrity.reports_lost(), 0);
     }
 
     /// Pushes `frames` as run `run`, each a range of one buffer that is
@@ -1236,7 +1175,7 @@ mod tests {
         assert_eq!(done.flows, 3 + 3);
         assert_eq!(done.orphaned_reports, 0, "the early report joined");
         assert_eq!((done.flows_tls, done.flows_proxied), (1, 1));
-        assert_eq!(done.frames_malformed + done.frames_truncated, 1);
+        assert_eq!(done.integrity.frames_lost(), 1);
         for buf in [&before_syn, &rest, &other_run] {
             assert_eq!(Arc::strong_count(buf), 1, "a shard kept frame bytes");
         }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use libspector::{origin_label, AnalyzedFlow, AppAnalysis, FlowShape, IpFamily};
+use libspector::{origin_label, AnalyzedFlow, AppAnalysis, FlowShape, IpFamily, RunIntegrity};
 use serde::{Deserialize, Serialize};
 use spector_sampling::SamplingLedger;
 use spector_vtcat::DomainCategory;
@@ -72,25 +72,12 @@ pub struct LiveSummary {
     pub dns_packets: usize,
     /// Valid supervisor report datagrams observed.
     pub report_packets: usize,
-    /// Collector-port datagrams rejected as truncated reports —
-    /// measurement loss, counted by the shard-local classified decode
-    /// (degraded-mode accounting).
+    /// Degraded-mode accounting: frames and collector payloads the
+    /// shard-local steps rejected, by class, and stream epochs opened
+    /// without a SYN — the offline pipeline's [`RunIntegrity`], built
+    /// by the same constructor.
     #[serde(default)]
-    pub reports_truncated: usize,
-    /// Collector-port datagrams rejected as malformed reports.
-    #[serde(default)]
-    pub reports_malformed: usize,
-    /// Raw frames rejected as truncated by the shard-local decode.
-    #[serde(default)]
-    pub frames_truncated: usize,
-    /// Raw frames rejected as malformed by the shard-local decode.
-    #[serde(default)]
-    pub frames_malformed: usize,
-    /// Raw frames rejected for checksum mismatch by the shard-local
-    /// decode (these pass the producer's structural routing peek, so
-    /// they are counted on the shard owning their 4-tuple).
-    #[serde(default)]
-    pub frames_bad_checksum: usize,
+    pub integrity: RunIntegrity,
     /// Sampled-tracing accounting, summed over decoded ledger
     /// datagrams (all-zero when every run was exact).
     #[serde(default)]
@@ -144,11 +131,7 @@ impl LiveSummary {
         self.evicted_reports += other.evicted_reports;
         self.dns_packets += other.dns_packets;
         self.report_packets += other.report_packets;
-        self.reports_truncated += other.reports_truncated;
-        self.reports_malformed += other.reports_malformed;
-        self.frames_truncated += other.frames_truncated;
-        self.frames_malformed += other.frames_malformed;
-        self.frames_bad_checksum += other.frames_bad_checksum;
+        self.integrity.merge(&other.integrity);
         self.sampling.merge(&other.sampling);
         self.total_sent += other.total_sent;
         self.total_recv += other.total_recv;
@@ -212,11 +195,7 @@ impl LiveSummary {
             summary.orphaned_reports += analysis.reports_without_flow;
             summary.dns_packets += analysis.dns_packets;
             summary.report_packets += analysis.report_packets;
-            summary.reports_truncated += analysis.integrity.reports_truncated;
-            summary.reports_malformed += analysis.integrity.reports_malformed;
-            summary.frames_truncated += analysis.integrity.frames_truncated;
-            summary.frames_malformed += analysis.integrity.frames_malformed;
-            summary.frames_bad_checksum += analysis.integrity.frames_bad_checksum;
+            summary.integrity.merge(&analysis.integrity);
             summary.sampling.merge(&analysis.sampling);
             for flow in &analysis.flows {
                 summary.add_flow(flow);
@@ -239,61 +218,6 @@ impl LiveSummary {
             evicted_reports: 0,
             ..self.clone()
         }
-    }
-
-    /// Compact fixed-width table of the summary for terminal display.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "events {}  dropped {}  flows {}  unattributed {}  pending {}  evicted {}\n",
-            self.events,
-            self.dropped_events,
-            self.flows,
-            self.unattributed_flows,
-            self.orphaned_reports,
-            self.evicted_reports,
-        ));
-        out.push_str(&format!(
-            "dns {}  reports {}  sent {} B  recv {} B  ant {} B\n",
-            self.dns_packets, self.report_packets, self.total_sent, self.total_recv, self.ant_bytes,
-        ));
-        if self.flows_v6 + self.flows_tls + self.flows_proxied + self.pooled_streams > 0 {
-            out.push_str(&format!(
-                "shapes: v6 {}  tls {}  proxied {}  pooled-streams {}\n",
-                self.flows_v6, self.flows_tls, self.flows_proxied, self.pooled_streams,
-            ));
-        }
-        if !self.sampling.is_empty() {
-            out.push_str(&format!(
-                "sampling: observed {}  emitted {}  sampled-out {}  budget-suppressed {}  \
-                 windows-exhausted {}  ledgers-lost {}\n",
-                self.sampling.reports_observed,
-                self.sampling.reports_emitted,
-                self.sampling.sampled_out,
-                self.sampling.budget_suppressed,
-                self.sampling.windows_exhausted,
-                self.sampling.ledgers_lost,
-            ));
-        }
-        out.push_str("per-library:\n");
-        for (label, volume) in &self.per_library {
-            out.push_str(&format!(
-                "  {:<40} {:>5} flows {:>12} B\n",
-                label,
-                volume.flows,
-                volume.total_bytes()
-            ));
-        }
-        out.push_str("per-domain-category:\n");
-        for (label, volume) in &self.per_domain_category {
-            out.push_str(&format!(
-                "  {:<40} {:>5} flows {:>12} B\n",
-                label,
-                volume.flows,
-                volume.total_bytes()
-            ));
-        }
-        out
     }
 }
 
@@ -339,19 +263,5 @@ mod tests {
         let json = serde_json::to_string(&summary).unwrap();
         let back: LiveSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(summary, back);
-    }
-
-    #[test]
-    fn render_lists_every_bucket() {
-        let mut summary = sample("com.vendor.sdk", 1, 10, 20);
-        summary
-            .per_domain_category
-            .entry(LiveSummary::domain_category_label(DomainCategory::Unknown))
-            .or_default()
-            .add_flow(10, 20);
-        let text = summary.render();
-        assert!(text.contains("com.vendor.sdk"));
-        assert!(text.contains("Unknown"));
-        assert!(text.contains("per-library"));
     }
 }

@@ -25,7 +25,7 @@ use libspector::pipeline::analyze_run;
 use proptest::prelude::*;
 use spector_dex::sha256::Sha256;
 use spector_faults::{perturb_capture, FaultPlan, FaultProfile};
-use spector_hooks::{decode_report_datagram, SocketReport, SupervisorConfig};
+use spector_hooks::{SocketReport, SupervisorConfig};
 use spector_live::{
     classify_route, fallback_shard, shard_of, JoinerConfig, LiveConfig, LiveEngine, LiveSummary,
     Route,
@@ -221,7 +221,7 @@ fn assert_route_agrees(raw: &[u8], run: u32, port: u16) {
                 Ok(frame) => match frame.transport {
                     TransportRef::Udp { payload } if frame.pair.dst_port == port => {
                         assert!(
-                            decode_report_datagram(0, payload).is_err(),
+                            SocketReport::decode(payload).is_err(),
                             "peek fell back on a decodable report"
                         );
                     }
@@ -254,9 +254,7 @@ fn assert_route_agrees(raw: &[u8], run: u32, port: u16) {
                         // decode (e.g. cut after byte 48) is counted on
                         // the shard owning the peeked pair; there is no
                         // post-decode pair to compare against.
-                        decode_report_datagram(0, payload)
-                            .ok()
-                            .map(|tr| tr.report.pair)
+                        SocketReport::decode(payload).ok().map(|report| report.pair)
                     }
                     TransportRef::Udp { .. } => panic!("DNS-lane frame routed by pair"),
                 };

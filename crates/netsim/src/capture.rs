@@ -1,21 +1,93 @@
-//! Single-pass capture indexing.
+//! The per-frame step and single-pass capture indexing.
 //!
 //! The offline pipeline needs three views of one capture: the TCP flow
 //! table (§III-E), the DNS address map (§III-F), and the supervisor's
-//! UDP report datagrams (§II-B2). Walking the capture three times means
-//! decoding — and allocating payload copies for — every packet three
-//! times. [`CaptureIndex`] fuses the walks: each packet is decoded once
-//! with the borrowing decoder and routed to the TCP flow builder, the
-//! DNS map, or the report list, with payloads staying as slices into
-//! the raw capture bytes.
+//! UDP report datagrams (§II-B2). [`CaptureTables::ingest`] is the one
+//! place a frame is split between them: it decodes the frame once with
+//! the borrowing decoder, grows the flow table or the DNS map, and
+//! returns the frame's [`Lane`] — or, for a frame that does not decode,
+//! its [`FrameErrorKind`]. A datagram addressed to the collector port
+//! is the collector's alone: it is handed back undecoded, borrowed from
+//! the frame bytes, and never offered to the DNS map.
 //!
-//! The index is behaviorally identical to the three independent passes
+//! [`CaptureIndex::build`] is a loop of that step over a finished
+//! capture; each of the streaming engine's (`spector-live`) per-run
+//! joiners calls the same step on frames as they arrive. The lanes are
+//! disjoint because the live engine routes a collector datagram to one
+//! shard but broadcasts other UDP to all of them: a collector datagram
+//! fed to the DNS map would make a shard's map depend on which shard
+//! owned it. The index is
+//! behaviorally identical to the independent passes
 //! ([`FlowTable::from_capture`], [`DnsMap::from_capture`], and a UDP
-//! report scan): the same packet order feeds the same state machines.
+//! report scan) — the same packet order feeds the same state machines —
+//! except for a datagram sent from port 53 to the collector port, which
+//! the DNS-only pass alone would count.
 
 use crate::flows::{DnsMap, FlowTable, FlowTableBuilder};
-use crate::packet::{decode_frame_ref, FrameErrorCounts, TransportRef};
+use crate::packet::{decode_frame_ref, FrameErrorCounts, FrameErrorKind, SocketPair, TransportRef};
 use crate::pcap::CapturedPacket;
+
+/// Where [`CaptureTables::ingest`] put one decoded frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane<'a> {
+    /// A TCP segment, now part of the flow table.
+    Tcp(SocketPair),
+    /// A UDP datagram not addressed to the collector, offered to the
+    /// DNS map (which keeps only port-53 traffic).
+    Udp(SocketPair),
+    /// The payload of a UDP datagram addressed to the collector port:
+    /// an undecoded supervisor record, for the hooks layer to decode.
+    Collector(&'a [u8]),
+}
+
+/// The flow table and DNS map of one capture, grown one frame at a time
+/// in capture order. Between frames they are the views of the capture
+/// so far.
+#[derive(Debug, Clone, Default)]
+pub struct CaptureTables {
+    flows: FlowTableBuilder,
+    dns: DnsMap,
+}
+
+impl CaptureTables {
+    /// The per-frame step: decodes `raw` once and routes it to its lane,
+    /// growing the flow table (TCP) or the DNS map (other UDP). A frame
+    /// that fails to decode changes nothing and yields its
+    /// classification — a capture is untrusted input.
+    pub fn ingest<'a>(
+        &mut self,
+        timestamp_micros: u64,
+        raw: &'a [u8],
+        collector_port: u16,
+    ) -> Result<Lane<'a>, FrameErrorKind> {
+        let frame = decode_frame_ref(raw).map_err(|error| error.kind)?;
+        Ok(match frame.transport {
+            TransportRef::Tcp { flags, payload, .. } => {
+                self.flows
+                    .ingest(timestamp_micros, frame.pair, flags, payload, frame.wire_len);
+                Lane::Tcp(frame.pair)
+            }
+            TransportRef::Udp { payload } if frame.pair.dst_port == collector_port => {
+                Lane::Collector(payload)
+            }
+            TransportRef::Udp { payload } => {
+                self.dns.ingest(&frame.pair, payload);
+                Lane::Udp(frame.pair)
+            }
+        })
+    }
+
+    /// The flow table so far. Epochs still receiving segments have
+    /// running byte counters.
+    pub fn flows(&self) -> &FlowTable {
+        self.flows.table()
+    }
+
+    /// The DNS map so far.
+    pub fn dns(&self) -> &DnsMap {
+        &self.dns
+    }
+}
 
 /// Every view of a capture the offline pipeline consumes, built in one
 /// decode pass.
@@ -38,45 +110,22 @@ pub struct CaptureIndex<'a> {
 }
 
 impl<'a> CaptureIndex<'a> {
-    /// Decodes each packet exactly once, simultaneously building the
-    /// flow table, the DNS map, and the report payload list.
-    ///
-    /// Packets that fail to decode are skipped, as in the per-view
-    /// passes: a capture is untrusted input.
+    /// Runs [`CaptureTables::ingest`] over every packet, keeping the
+    /// collector payloads and tallying the frames that fail to decode.
     pub fn build(packets: &'a [CapturedPacket], collector_port: u16) -> Self {
-        let mut flows = FlowTableBuilder::default();
-        let mut dns = DnsMap::default();
+        let mut tables = CaptureTables::default();
         let mut report_payloads: Vec<&'a [u8]> = Vec::new();
         let mut frame_errors = FrameErrorCounts::default();
         for packet in packets {
-            let frame = match decode_frame_ref(&packet.data) {
-                Ok(frame) => frame,
-                Err(error) => {
-                    frame_errors.record(error.kind);
-                    continue;
-                }
-            };
-            match frame.transport {
-                TransportRef::Tcp { flags, payload, .. } => {
-                    flows.ingest(
-                        packet.timestamp_micros,
-                        frame.pair,
-                        flags,
-                        payload,
-                        frame.wire_len,
-                    );
-                }
-                TransportRef::Udp { payload } => {
-                    dns.ingest(&frame.pair, payload);
-                    if frame.pair.dst_port == collector_port {
-                        report_payloads.push(payload);
-                    }
-                }
+            match tables.ingest(packet.timestamp_micros, &packet.data, collector_port) {
+                Ok(Lane::Collector(payload)) => report_payloads.push(payload),
+                Ok(Lane::Tcp(_) | Lane::Udp(_)) => {}
+                Err(kind) => frame_errors.record(kind),
             }
         }
         CaptureIndex {
-            flows: flows.finish(),
-            dns,
+            flows: tables.flows.finish(),
+            dns: tables.dns,
             report_payloads,
             frame_errors,
         }
@@ -146,6 +195,34 @@ mod tests {
                 .map(|p| p.to_vec())
                 .collect::<Vec<_>>(),
             expected
+        );
+    }
+
+    /// The collector's lane is its own even for DNS-shaped traffic: a
+    /// DNS answer addressed to the collector port never reaches the
+    /// DNS map, while the same answer on any other port does.
+    #[test]
+    fn collector_datagrams_never_reach_the_dns_map() {
+        let answer = crate::dns::encode_response(1, "cdn.example.net", [93, 184, 216, 34], 60);
+        let resolver = Ipv4Addr::new(10, 0, 2, 3);
+        let app = Ipv4Addr::new(10, 0, 2, 15);
+        let to_collector = SocketPair::new(resolver, 53, app, COLLECTOR_PORT);
+        let to_app = SocketPair::new(resolver, 53, app, 40_000);
+        let mut tables = CaptureTables::default();
+        let raw = crate::packet::encode_udp(&to_collector, &answer);
+        assert_eq!(
+            tables.ingest(1, &raw, COLLECTOR_PORT),
+            Ok(Lane::Collector(answer.as_slice()))
+        );
+        assert_eq!(tables.dns().dns_packet_count, 0);
+        let raw = crate::packet::encode_udp(&to_app, &answer);
+        assert_eq!(
+            tables.ingest(2, &raw, COLLECTOR_PORT),
+            Ok(Lane::Udp(to_app))
+        );
+        assert_eq!(
+            tables.dns().domain_for(Ipv4Addr::new(93, 184, 216, 34)),
+            Some("cdn.example.net")
         );
     }
 

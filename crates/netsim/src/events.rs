@@ -6,9 +6,11 @@
 //! on the shard that owns it. Routing a frame to that shard needs only
 //! its 4-tuple, which [`peek_frame`] extracts without the full decode.
 //!
-//! Feeding a capture's decoded segments through the incremental
-//! builders, as the shards do, reproduces the batch views bit for bit
-//! (asserted by the tests below).
+//! Feeding a capture's frames one at a time through the per-frame step
+//! ([`CaptureTables::ingest`]), as the shards do, reproduces the batch
+//! views bit for bit (asserted by the tests below).
+//!
+//! [`CaptureTables::ingest`]: crate::capture::CaptureTables::ingest
 
 use crate::packet::{
     SocketPair, ETH_HEADER_LEN, IPV4_HEADER_LEN, IPV6_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN,
@@ -140,8 +142,9 @@ mod tests {
     use std::net::Ipv4Addr;
 
     use super::*;
+    use crate::capture::CaptureTables;
     use crate::clock::Clock;
-    use crate::flows::{DnsMap, FlowTable, FlowTableBuilder, FIRST_PAYLOAD_CAP};
+    use crate::flows::{DnsMap, FlowTable};
     use crate::packet::{decode_frame_ref, TransportRef};
     use crate::pcap::CapturedPacket;
     use crate::stack::NetStack;
@@ -165,33 +168,18 @@ mod tests {
         capture
     }
 
-    /// The shard-side feed — one decoded frame at a time, TCP heads
-    /// capped at [`FIRST_PAYLOAD_CAP`] — reproduces the batch views.
+    /// The shard-side feed — one frame at a time through the per-frame
+    /// step, the tables read back between frames — reproduces the
+    /// batch views.
     #[test]
     fn event_stream_reproduces_batch_views() {
         let capture = busy_capture();
-        let mut flows = FlowTableBuilder::default();
-        let mut dns = DnsMap::default();
+        let mut tables = CaptureTables::default();
         for packet in &capture {
-            let Ok(frame) = decode_frame_ref(&packet.data) else {
-                continue;
-            };
-            match frame.transport {
-                TransportRef::Tcp { flags, payload, .. } => {
-                    flows.ingest_meta(
-                        packet.timestamp_micros,
-                        frame.pair,
-                        flags,
-                        payload.len(),
-                        &payload[..payload.len().min(FIRST_PAYLOAD_CAP)],
-                        frame.wire_len,
-                    );
-                }
-                TransportRef::Udp { payload } => dns.ingest(&frame.pair, payload),
-            }
+            let _ = tables.ingest(packet.timestamp_micros, &packet.data, 47_000);
         }
-        assert_eq!(flows.finish(), FlowTable::from_capture(&capture));
-        assert_eq!(dns, DnsMap::from_capture(&capture));
+        assert_eq!(*tables.flows(), FlowTable::from_capture(&capture));
+        assert_eq!(*tables.dns(), DnsMap::from_capture(&capture));
     }
 
     #[test]

@@ -119,11 +119,11 @@ pub struct FlowTable {
 
 /// Incremental [`FlowTable`] construction: one decoded TCP segment at a
 /// time, in capture order. This is the state machine behind
-/// [`FlowTable::from_capture`], the single-pass
-/// [`CaptureIndex`](crate::capture::CaptureIndex) (which interleaves
-/// flow ingestion with DNS and report extraction over one decode walk),
-/// and the streaming `spector-live` joiner, which interrogates the
-/// partial table between segments via [`table`](Self::table).
+/// [`FlowTable::from_capture`] and the per-frame step
+/// [`CaptureTables::ingest`](crate::capture::CaptureTables::ingest),
+/// which the offline capture index and the streaming `spector-live`
+/// joiners share; the joiners read the partial table between segments
+/// via [`table`](Self::table).
 #[derive(Debug, Clone, Default)]
 pub struct FlowTableBuilder {
     table: FlowTable,
@@ -146,33 +146,9 @@ impl FlowTableBuilder {
         payload: &[u8],
         wire_len: usize,
     ) {
-        self.ingest_meta(
-            timestamp_micros,
-            pair,
-            flags,
-            payload.len(),
-            &payload[..payload.len().min(FIRST_PAYLOAD_CAP)],
-            wire_len,
-        );
-    }
-
-    /// [`ingest`](Self::ingest) for pre-summarized segments: the payload
-    /// arrives as its length plus a head capped at
-    /// [`FIRST_PAYLOAD_CAP`] bytes, which is all the table ever stores.
-    /// Event streams use this so full payloads never cross a channel.
-    /// Returns the index (into [`FlowTable::flows`]) of the epoch the
-    /// segment landed in.
-    pub fn ingest_meta(
-        &mut self,
-        timestamp_micros: u64,
-        pair: SocketPair,
-        flags: u8,
-        payload_len: usize,
-        head: &[u8],
-        wire_len: usize,
-    ) -> usize {
         let canonical = pair.canonical();
         let is_syn = flags & tcp_flags::SYN != 0 && flags & tcp_flags::ACK == 0;
+        let payload_len = payload.len();
         let idx = match self.open.get(&canonical) {
             Some(&idx) if !is_syn => idx,
             // A fresh SYN starts a new epoch for this 4-tuple. A
@@ -221,7 +197,7 @@ impl FlowTableBuilder {
             if flow.first_payload.len() < FIRST_PAYLOAD_CAP && payload_len > 0 {
                 let room = FIRST_PAYLOAD_CAP - flow.first_payload.len();
                 flow.first_payload
-                    .extend_from_slice(&head[..head.len().min(room)]);
+                    .extend_from_slice(&payload[..payload_len.min(room)]);
             }
         } else {
             flow.recv_wire_bytes += wire_len as u64;
@@ -233,7 +209,6 @@ impl FlowTableBuilder {
             stream.recv_wire_bytes += wire_len as u64;
             stream.recv_payload_bytes += payload_len as u64;
         }
-        idx
     }
 
     /// The table as built so far. Epochs still receiving segments have
@@ -363,8 +338,9 @@ impl DnsMap {
 
     /// Feeds one decoded UDP datagram: non-DNS ports are ignored, DNS
     /// datagrams are counted, and A answers from responses are merged
-    /// (latest response wins). Public so streaming consumers (the
-    /// `spector-live` joiner) can grow the map one datagram at a time.
+    /// (latest response wins). The per-frame step
+    /// ([`CaptureTables::ingest`](crate::capture::CaptureTables::ingest))
+    /// grows the map through this, one datagram at a time.
     pub fn ingest(&mut self, pair: &SocketPair, payload: &[u8]) {
         if pair.src_port != crate::dns::DNS_PORT && pair.dst_port != crate::dns::DNS_PORT {
             return;

@@ -21,10 +21,12 @@
 //! * [`flows`] reassembles a capture back into per-connection flows with
 //!   per-direction byte counts, and recovers the IP→domain map from
 //!   observed DNS responses;
-//! * [`capture`] builds every offline view of a capture — flow table,
-//!   DNS map, and the supervisor's report datagrams — in a single
-//!   decode pass over the packets, borrowing payloads instead of
-//!   copying them ([`CaptureIndex`]);
+//! * [`capture`] holds the one per-frame step ([`CaptureTables`]): a
+//!   frame is decoded once and lands in the flow table, the DNS map,
+//!   or the collector's lane. [`CaptureIndex`] loops it over a
+//!   finished capture, building every offline view in a single decode
+//!   pass and borrowing payloads instead of copying them; the
+//!   streaming engine's joiners call it per arriving frame;
 //! * [`events`] peeks a raw frame's 4-tuple without the full decode —
 //!   how the streaming (`spector-live`) engine routes raw frames to the
 //!   shard that decodes them;
@@ -58,7 +60,7 @@ pub mod pcap;
 pub mod shape;
 pub mod stack;
 
-pub use capture::CaptureIndex;
+pub use capture::{CaptureIndex, CaptureTables, Lane};
 pub use clock::Clock;
 pub use events::{peek_frame, PeekedFrame, PeekedTransport};
 pub use flows::{DnsMap, FlowTable, FlowTableBuilder, StreamStat, TcpFlow};

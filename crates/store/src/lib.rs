@@ -4,7 +4,7 @@
 //! gives them a home on disk: an append-only store of compacted
 //! **segments**, each holding three columnar tables — per-app
 //! [`AppAnalysis`](libspector::AppAnalysis) records, their flows, and
-//! low-volume report records (campaign seals, live snapshots) — plus
+//! low-volume report records (campaign seals) — plus
 //! a crash-safe **manifest** naming every sealed segment and its
 //! content fingerprint.
 //!

@@ -31,7 +31,7 @@ pub const MANIFEST_VERSION: u32 = 1;
 pub enum CampaignKind {
     /// Offline `run_campaign` over a corpus.
     Run,
-    /// Streaming live engine snapshots.
+    /// A campaign run under the live engine (`libspector live`).
     Live,
 }
 

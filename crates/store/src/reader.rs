@@ -13,13 +13,10 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use libspector::AppAnalysis;
-use spector_live::LiveSummary;
 
 use crate::error::{StoreError, StoreErrorKind, StoreResult};
 use crate::manifest::{CampaignEntry, Manifest, SegmentEntry, MANIFEST_FILE};
-use crate::segment::{
-    SegmentView, REPORT_KIND_CAMPAIGN_SEAL, REPORT_KIND_LIVE_SNAPSHOT, SEGMENT_EXT,
-};
+use crate::segment::{SegmentView, REPORT_KIND_CAMPAIGN_SEAL, SEGMENT_EXT};
 use crate::telemetry::StoreTelemetry;
 use crate::writer::CampaignSealRecord;
 
@@ -177,21 +174,6 @@ impl StoreReader {
             }
         }
         Ok(None)
-    }
-
-    /// Live snapshot records of a campaign, in append order.
-    pub fn snapshots(&self, campaign: u32) -> StoreResult<Vec<LiveSummary>> {
-        let mut out = Vec::new();
-        for view in self.views(Some(&[campaign])) {
-            for report in view.reports() {
-                if report.kind == REPORT_KIND_LIVE_SNAPSHOT {
-                    let summary: LiveSummary = serde_json::from_str(report.payload)
-                        .map_err(|e| StoreError::malformed(format!("snapshot payload: {e}")))?;
-                    out.push(summary);
-                }
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -62,7 +62,8 @@ pub const SEGMENT_EXT: &str = "spseg";
 
 /// Report-record kinds (the `R0` column).
 pub const REPORT_KIND_CAMPAIGN_SEAL: u8 = 0;
-/// Live snapshot flush record.
+/// Live snapshot record. Nothing writes these any more; stores written
+/// by earlier builds hold them, so a segment carrying one still parses.
 pub const REPORT_KIND_LIVE_SNAPSHOT: u8 = 1;
 
 /// Flow flag bits (the `F5` column).
@@ -1115,18 +1116,21 @@ mod tests {
         builder.push_analysis(7, &analyses[0]);
         builder.push_analysis(3, &analyses[1]);
         builder.push_report(REPORT_KIND_CAMPAIGN_SEAL, "{\"seed\":1}");
+        // The record earlier builds wrote on every live snapshot.
+        builder.push_report(REPORT_KIND_LIVE_SNAPSHOT, "{\"events\":3}");
         let bytes = builder.seal(2, 9);
         assert!(builder.is_empty(), "seal resets the builder");
 
         let view = SegmentView::parse(&bytes).unwrap();
         assert_eq!((view.campaign, view.seq), (2, 9));
-        assert_eq!(view.counts(), (2, 5, 1));
+        assert_eq!(view.counts(), (2, 5, 2));
         let materialized = view.materialize();
         assert_eq!(materialized[0], (7, analyses[0].clone()));
         assert_eq!(materialized[1], (3, analyses[1].clone()));
         let reports: Vec<_> = view.reports().collect();
         assert_eq!(reports[0].kind, REPORT_KIND_CAMPAIGN_SEAL);
         assert_eq!(reports[0].payload, "{\"seed\":1}");
+        assert_eq!(reports[1].kind, REPORT_KIND_LIVE_SNAPSHOT);
     }
 
     #[test]

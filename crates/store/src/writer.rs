@@ -1,7 +1,7 @@
 //! The append side: buffers records into a [`SegmentBuilder`], seals
-//! a segment every `seal_every` analyses (or on every live snapshot
-//! flush), and publishes each sealed segment with the atomic
-//! rename-then-manifest protocol from [`crate::manifest`].
+//! a segment every `seal_every` analyses (and at the end), and
+//! publishes each sealed segment with the atomic rename-then-manifest
+//! protocol from [`crate::manifest`].
 //!
 //! A crash at any point loses at most the unsealed tail: everything
 //! the manifest lists was durably renamed first. [`StoreWriter::open`]
@@ -11,7 +11,6 @@
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-use spector_live::LiveSummary;
 
 use libspector::AppAnalysis;
 
@@ -20,9 +19,7 @@ use crate::manifest::{
     atomic_write, segment_file_name, CampaignEntry, CampaignKind, Manifest, SegmentEntry,
 };
 use crate::reader::load_segment;
-use crate::segment::{
-    SegmentBuilder, SegmentView, REPORT_KIND_CAMPAIGN_SEAL, REPORT_KIND_LIVE_SNAPSHOT,
-};
+use crate::segment::{SegmentBuilder, SegmentView, REPORT_KIND_CAMPAIGN_SEAL};
 use crate::telemetry::StoreTelemetry;
 
 /// Default analyses per segment before the writer seals.
@@ -230,16 +227,6 @@ impl StoreWriter {
             self.seal_segment()?;
         }
         Ok(())
-    }
-
-    /// Appends a live snapshot record and seals immediately — a
-    /// snapshot flush must be durable when the call returns.
-    pub fn append_live_snapshot(&mut self, summary: &LiveSummary) -> StoreResult<()> {
-        let payload = serde_json::to_string(summary)
-            .map_err(|e| StoreError::new(StoreErrorKind::Io, format!("encode snapshot: {e}")))?;
-        self.builder
-            .push_report(REPORT_KIND_LIVE_SNAPSHOT, &payload);
-        self.seal_segment()
     }
 
     /// Writes the campaign seal record, flushes the tail segment, and

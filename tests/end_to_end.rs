@@ -2,7 +2,7 @@
 //! pipeline → aggregation, asserting cross-crate invariants that no
 //! single crate can check alone.
 
-use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
+use libspector::experiment::{resolver_for, run_app, run_corpus_app, ExperimentConfig};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::analyze_run;
 use spector_analysis::FullReport;
@@ -125,16 +125,9 @@ fn per_app_analysis_equals_campaign_member() {
     let campaign = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
 
     let index = 1usize;
-    let app = &corpus.apps[index];
     let resolver = resolver_for(&corpus.domains);
-    let mut experiment = dispatch.experiment.clone();
-    experiment.monkey.seed ^= (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let system: Vec<_> = app
-        .system_ops
-        .iter()
-        .map(|s| (s.op.clone(), s.dispatcher))
-        .collect();
-    let raw = run_app(&app.apk, &resolver, &system, &experiment).unwrap();
+    let experiment = &dispatch.experiment;
+    let raw = run_corpus_app(&corpus, &resolver, experiment, index).unwrap();
     let standalone = analyze_run(&raw, &knowledge, experiment.supervisor.collector_port);
     assert_eq!(standalone.flows, campaign[index].flows);
     assert_eq!(standalone.coverage, campaign[index].coverage);

@@ -9,7 +9,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use libspector::experiment::{resolver_for, run_app, ExperimentConfig, RawRun};
+use libspector::experiment::{resolver_for, run_corpus_app, ExperimentConfig, RawRun};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::{analyze_run, AppAnalysis};
 use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
@@ -60,20 +60,8 @@ fn campaign(apps: usize, seed: u64, inputs: Inputs) -> (Knowledge, Vec<RawRun>, 
     config.monkey.events = 120;
     config.supervisor.sampling.rate = inputs.sample_rate;
     config.supervisor.sampling.seed = seed ^ 0x5a4d;
-    let runs: Vec<RawRun> = corpus
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(index, app)| {
-            let mut experiment = config.clone();
-            experiment.monkey.seed ^= (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let system: Vec<_> = app
-                .system_ops
-                .iter()
-                .map(|s| (s.op.clone(), s.dispatcher))
-                .collect();
-            run_app(&app.apk, &resolver, &system, &experiment).unwrap()
-        })
+    let runs: Vec<RawRun> = (0..corpus.apps.len())
+        .map(|index| run_corpus_app(&corpus, &resolver, &config, index).unwrap())
         .collect();
     let knowledge = Knowledge::from_corpus(&corpus);
     (knowledge, runs, config.supervisor.collector_port)
@@ -231,12 +219,15 @@ fn chaos_damaged_streams_stay_equivalent() {
     let analyses = offline(&knowledge, &damaged, port);
     let offline_view = LiveSummary::from_analyses(&analyses);
     assert!(
-        offline_view.frames_truncated
-            + offline_view.reports_truncated
-            + offline_view.reports_malformed
+        offline_view.integrity.frames_truncated
+            + offline_view.integrity.reports_truncated
+            + offline_view.integrity.reports_malformed
             > 0,
         "heavy chaos at this scale must damage something on the wire"
     );
+    // Chaos leaves epochs without their SYN; the width sweep below then
+    // pins the live count of synthesized epochs to the offline one.
+    assert!(offline_view.integrity.synthesized_flows > 0);
     for shards in [1usize, 2, 8] {
         let live = stream(&knowledge, &damaged, port, shards, 64).finish();
         assert_equivalent(&live, &analyses);

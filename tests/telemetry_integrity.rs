@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use libspector::attribution::OriginKind;
-use libspector::experiment::{resolver_for, run_app, ExperimentConfig, RawRun};
+use libspector::experiment::{resolver_for, run_corpus_app, ExperimentConfig, RawRun};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::{DetectStats, RunIntegrity};
 use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
@@ -285,19 +285,9 @@ fn perturbed_runs_mixed(
     config.monkey.events = 100;
     let port = config.supervisor.collector_port;
     let plan = FaultPlan::new(seed ^ 0x11ce, profile);
-    let runs: Vec<RawRun> = corpus
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(index, app)| {
-            let mut experiment = config.clone();
-            experiment.monkey.seed ^= (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let system: Vec<_> = app
-                .system_ops
-                .iter()
-                .map(|s| (s.op.clone(), s.dispatcher))
-                .collect();
-            let mut raw = run_app(&app.apk, &resolver, &system, &experiment).unwrap();
+    let runs: Vec<RawRun> = (0..corpus.apps.len())
+        .map(|index| {
+            let mut raw = run_corpus_app(&corpus, &resolver, &config, index).unwrap();
             let capture = std::mem::take(&mut raw.capture);
             let (capture, _) = perturb_capture(&plan, index, 0, capture, port);
             raw.capture = capture;
@@ -383,11 +373,26 @@ fn assert_live_ingress_balances_mixed(
         }
         // The telemetry error counters are the summary ledger, which in
         // turn equals the offline RunIntegrity sums (live_equivalence).
-        assert_eq!(classes[3], summary.frames_truncated as u64, "{label}");
-        assert_eq!(classes[4], summary.frames_malformed as u64, "{label}");
-        assert_eq!(classes[5], summary.frames_bad_checksum as u64, "{label}");
-        assert_eq!(classes[6], summary.reports_truncated as u64, "{label}");
-        assert_eq!(classes[7], summary.reports_malformed as u64, "{label}");
+        assert_eq!(
+            classes[3], summary.integrity.frames_truncated as u64,
+            "{label}"
+        );
+        assert_eq!(
+            classes[4], summary.integrity.frames_malformed as u64,
+            "{label}"
+        );
+        assert_eq!(
+            classes[5], summary.integrity.frames_bad_checksum as u64,
+            "{label}"
+        );
+        assert_eq!(
+            classes[6], summary.integrity.reports_truncated as u64,
+            "{label}"
+        );
+        assert_eq!(
+            classes[7], summary.integrity.reports_malformed as u64,
+            "{label}"
+        );
         assert_eq!(counter("spector_live_dropped_events_total"), 0, "{label}");
         let mut classes = classes.to_vec();
         classes.extend(by_family);
