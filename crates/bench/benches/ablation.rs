@@ -5,10 +5,11 @@
 //! * builtin-frame filtering on vs off in attribution;
 //! * online policy enforcement attached vs observation only.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use libspector::attribution::{attribute, BuiltinFilter};
 use libspector::experiment::{resolver_for, run_app, run_app_with_hooks, ExperimentConfig};
-use libspector::knowledge::Knowledge;
 use libspector::policy::{Action, Matcher, OnlineEnforcer, Policy};
 use spector_bench::{corpus, knowledge};
 use spector_runtime::TraceMode;
@@ -63,7 +64,7 @@ fn bench_filter_ablation(c: &mut Criterion) {
 
 fn bench_enforcement(c: &mut Criterion) {
     let corpus = corpus();
-    let knowledge: &Knowledge = knowledge();
+    let knowledge = Arc::new(knowledge().clone());
     let resolver = resolver_for(&corpus.domains);
     let app = &corpus.apps[0];
     let domains: std::collections::HashMap<std::net::IpAddr, String> = corpus
@@ -85,7 +86,7 @@ fn bench_enforcement(c: &mut Criterion) {
         b.iter(|| {
             let policy =
                 Policy::allow_by_default().with_rule("no-ant", Matcher::AnyAnt, Action::Block);
-            let enforcer = OnlineEnforcer::new(policy, knowledge, domains.clone());
+            let enforcer = OnlineEnforcer::new(policy, Arc::clone(&knowledge), domains.clone());
             std::hint::black_box(
                 run_app_with_hooks(&app.apk, &resolver, &[], &config, vec![Box::new(enforcer)])
                     .unwrap(),

@@ -20,7 +20,7 @@ use spector_dex::sha256::Sha256;
 use spector_dex::{parse_dex, write_dex};
 use spector_hooks::report::SocketReport;
 use spector_netsim::clock::Clock;
-use spector_netsim::packet::{decode_frame, encode_tcp, tcp_flags, SocketPair};
+use spector_netsim::packet::{decode_frame_ref, encode_tcp, tcp_flags, SocketPair};
 use spector_netsim::stack::NetStack;
 
 fn bench_hook_overhead(c: &mut Criterion) {
@@ -390,7 +390,7 @@ fn bench_substrates(c: &mut Criterion) {
         });
     });
     group.bench_function("tcp_frame_decode", |b| {
-        b.iter(|| std::hint::black_box(decode_frame(&frame).unwrap()));
+        b.iter(|| std::hint::black_box(decode_frame_ref(&frame).unwrap()));
     });
     let blob = vec![7u8; 64 * 1024];
     group.throughput(Throughput::Bytes(blob.len() as u64));

@@ -46,8 +46,6 @@ pub struct Knowledge {
     /// Precomputed domain → generic category table: every observed
     /// domain's vendor labels are tokenized exactly once per campaign.
     pub domain_categories: HashMap<String, DomainCategory>,
-    /// The Table I tokenizer.
-    pub tokenizer: Tokenizer,
     /// Compiled footnote 2 filter.
     pub builtin: BuiltinFilter,
     /// Renamed in-app prefixes bridged to canonical library packages by
@@ -69,7 +67,6 @@ impl Clone for Knowledge {
             aggregated: self.aggregated.clone(),
             lists: self.lists.clone(),
             domain_categories: self.domain_categories.clone(),
-            tokenizer: self.tokenizer.clone(),
             builtin: self.builtin.clone(),
             exact_aliases: self.exact_aliases.clone(),
             structural_aliases: self.structural_aliases.clone(),
@@ -109,7 +106,6 @@ impl Knowledge {
             aggregated,
             lists,
             domain_categories,
-            tokenizer: Tokenizer::new(),
             builtin: BuiltinFilter::new(),
             exact_aliases: PrefixAliases::new(),
             structural_aliases: PrefixAliases::new(),
@@ -407,12 +403,13 @@ mod tests {
     #[test]
     fn precomputed_table_matches_tokenizer() {
         let (knowledge, corpus) = knowledge();
+        let tokenizer = Tokenizer::new();
         // The memoized table must agree with classifying the raw labels
         // directly — the pre-memoization behavior.
         for domain in corpus.domains.domains() {
             assert_eq!(
                 knowledge.domain_category(&domain.name),
-                knowledge.tokenizer.classify(&domain.vendor_labels),
+                tokenizer.classify(&domain.vendor_labels),
                 "{}",
                 domain.name
             );

@@ -528,7 +528,7 @@ pub fn analyze_run_instrumented(
 /// (equivalence is asserted by tests and measured by the benches); not
 /// for production use.
 pub fn analyze_run_oracle(raw: &RawRun, knowledge: &Knowledge, collector_port: u16) -> AppAnalysis {
-    use spector_netsim::packet::{decode_frame, FrameErrorKind, Transport};
+    use spector_netsim::packet::{decode_frame_ref, FrameErrorKind, TransportRef};
 
     let flow_table = FlowTable::from_capture(&raw.capture);
     let dns_map = DnsMap::from_capture(&raw.capture);
@@ -541,22 +541,22 @@ pub fn analyze_run_oracle(raw: &RawRun, knowledge: &Knowledge, collector_port: u
         ..RunIntegrity::default()
     };
     for packet in &raw.capture {
-        match decode_frame(&packet.data) {
+        match decode_frame_ref(&packet.data) {
             Ok(frame) => {
-                let Transport::Udp { payload } = frame.transport else {
+                let TransportRef::Udp { payload } = frame.transport else {
                     continue;
                 };
                 if frame.pair.dst_port != collector_port {
                     continue;
                 }
-                if LedgerRecord::is_ledger_payload(&payload) {
-                    match LedgerRecord::decode(&payload) {
+                if LedgerRecord::is_ledger_payload(payload) {
+                    match LedgerRecord::decode(payload) {
                         Ok(record) => sampling.merge(&record.ledger),
                         Err(_) => sampling.ledgers_lost += 1,
                     }
                     continue;
                 }
-                match SocketReport::decode(&payload) {
+                match SocketReport::decode(payload) {
                     Ok(report) => reports.push(report),
                     Err(error) => match error.kind {
                         ReportErrorKind::Truncated => integrity.reports_truncated += 1,

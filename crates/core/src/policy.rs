@@ -15,11 +15,16 @@
 //!   measured AnT traffic, the "insights on which library to blacklist"
 //!   the paper describes.
 
+use std::collections::HashMap;
+use std::net::IpAddr;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use spector_libradar::LibCategory;
 use spector_vtcat::DomainCategory;
 
 use crate::cost::DataPlan;
+use crate::knowledge::Knowledge;
 use crate::pipeline::{AnalyzedFlow, AppAnalysis};
 use crate::OriginKind;
 
@@ -202,34 +207,33 @@ pub fn apply(policy: &Policy, analyses: &[AppAnalysis]) -> PolicyReport {
 /// enforcement model, fed by Libspector's own attribution heuristic
 /// applied live to the creating thread's stack.
 ///
-/// Library rules are evaluated against the origin the builtin-filter
-/// heuristic derives from the live stack; domain rules resolve the
-/// destination address through the supplied IP→domain map (the
-/// enforcer's equivalent of a DNS inspection cache).
+/// Library rules see the verdict the offline pipeline would give the
+/// flow: the origin comes from the knowledge base's builtin filter and
+/// its category and list membership from the knowledge base's tiered
+/// cascade ([`Knowledge::library_verdict`]), so renamed and mangled
+/// SDKs are recognized online as they are offline. Domain rules
+/// resolve the destination address through the supplied IP→domain map
+/// (the enforcer's equivalent of a DNS inspection cache).
 #[derive(Debug)]
 pub struct OnlineEnforcer {
     policy: Policy,
-    filter: crate::attribution::BuiltinFilter,
-    domains: std::collections::HashMap<std::net::IpAddr, String>,
-    lists: spector_libradar::LibraryLists,
-    aggregated: spector_libradar::AggregatedLibraries,
+    knowledge: Arc<Knowledge>,
+    domains: HashMap<IpAddr, String>,
     blocked: u64,
 }
 
 impl OnlineEnforcer {
-    /// Builds an enforcer from a policy plus the knowledge needed to
-    /// evaluate category/AnT rules online.
+    /// Builds an enforcer from a policy plus the campaign's knowledge,
+    /// shared with (not copied from) the analysis that uses it.
     pub fn new(
         policy: Policy,
-        knowledge: &crate::knowledge::Knowledge,
-        domains: std::collections::HashMap<std::net::IpAddr, String>,
+        knowledge: Arc<Knowledge>,
+        domains: HashMap<IpAddr, String>,
     ) -> Self {
         OnlineEnforcer {
             policy,
-            filter: crate::attribution::BuiltinFilter::new(),
+            knowledge,
             domains,
-            lists: knowledge.lists.clone(),
-            aggregated: knowledge.aggregated.clone(),
             blocked: 0,
         }
     }
@@ -258,13 +262,12 @@ impl spector_runtime::RuntimeHook for OnlineEnforcer {
             return spector_runtime::ConnectVerdict::Allow;
         };
         let frames = ctx.stack.snapshot();
-        let attribution = crate::attribution::attribute(&frames, &self.filter);
-        let (lib_category, is_ant) = match &attribution.origin {
-            OriginKind::Library { origin_library, .. } => (
-                self.aggregated.predict_category(origin_library),
-                self.lists.is_ant(origin_library),
-            ),
-            OriginKind::Builtin => (LibCategory::Unknown, false),
+        let attribution = crate::attribution::attribute(&frames, &self.knowledge.builtin);
+        let (lib_category, is_ant, is_common) = match &attribution.origin {
+            OriginKind::Library { origin_library, .. } => {
+                self.knowledge.library_verdict(origin_library)
+            }
+            OriginKind::Builtin => (LibCategory::Unknown, false, false),
         };
         let domain = self
             .domains
@@ -278,7 +281,7 @@ impl spector_runtime::RuntimeHook for OnlineEnforcer {
             origin: attribution.origin,
             lib_category,
             is_ant,
-            is_common: false,
+            is_common,
             sent_bytes: 0,
             recv_bytes: 0,
             sent_payload: 0,

@@ -14,7 +14,7 @@
 //!   paper's §III-C footnote,
 //! * a **dex model** ([`model`]) of classes, methods and bytecode-like
 //!   code items whose `invoke` instructions form the app's call graph,
-//! * a **binary encoding** ([`format`]) with a string pool, id tables and
+//! * a **binary encoding** ([`format`](mod@format)) with a string pool, id tables and
 //!   uleb128-coded code items, plus the matching parser (the dexlib2
 //!   stand-in used by the Method Monitor),
 //! * an **apk container** ([`apk`]) carrying dex bytes, native-library

@@ -408,9 +408,8 @@ pub fn run_campaign(
 /// [`CampaignConfig::fingerprint`].
 ///
 /// The writer rides in a `Mutex` because the caller keeps using it
-/// after the campaign (live snapshot flushes, the final seal):
-/// appends happen only from the single collector loop, so the lock is
-/// uncontended here.
+/// after the campaign, for the final seal: appends happen only from
+/// the single collector loop, so the lock is uncontended here.
 ///
 /// # Errors
 ///

@@ -10,7 +10,7 @@
 //! record actually looks like.
 
 use serde::{Deserialize, Serialize};
-use spector_netsim::packet::{decode_frame, encode_udp, Transport};
+use spector_netsim::packet::{decode_frame_ref, encode_udp, TransportRef};
 use spector_netsim::pcap::CapturedPacket;
 
 use crate::plan::FaultPlan;
@@ -92,9 +92,9 @@ pub fn perturb_capture(
     // Output positions whose frame should be delivered one slot late.
     let mut delayed: Vec<usize> = Vec::new();
     for packet in capture {
-        let report_payload = match decode_frame(&packet.data) {
+        let report_payload = match decode_frame_ref(&packet.data) {
             Ok(frame) => match frame.transport {
-                Transport::Udp { payload } if frame.pair.dst_port == collector_port => {
+                TransportRef::Udp { payload } if frame.pair.dst_port == collector_port => {
                     Some((frame.pair, payload))
                 }
                 _ => None,
@@ -107,19 +107,22 @@ pub fn perturb_capture(
                     stats.reports_dropped += 1;
                     continue;
                 }
-                let data = if rng.chance(profile.report_truncation) && !payload.is_empty() {
+                // Only a damaged payload is copied; an intact report keeps
+                // its frame's bytes.
+                let damaged = if rng.chance(profile.report_truncation) && !payload.is_empty() {
                     stats.reports_truncated += 1;
                     let cut = rng.below(payload.len() as u64) as usize;
-                    encode_udp(&pair, &payload[..cut])
+                    Some(encode_udp(&pair, &payload[..cut]))
                 } else if rng.chance(profile.report_bit_flip) && !payload.is_empty() {
                     stats.reports_bit_flipped += 1;
-                    let mut corrupted = payload;
+                    let mut corrupted = payload.to_vec();
                     let bit = rng.below(corrupted.len() as u64 * 8);
                     corrupted[(bit / 8) as usize] ^= 1 << (bit % 8);
-                    encode_udp(&pair, &corrupted)
+                    Some(encode_udp(&pair, &corrupted))
                 } else {
-                    packet.data
+                    None
                 };
+                let data = damaged.unwrap_or(packet.data);
                 let duplicated = rng.chance(profile.report_duplication);
                 let reordered = rng.chance(profile.report_reorder);
                 if reordered {
@@ -201,9 +204,11 @@ mod tests {
     fn report_payloads(capture: &[CapturedPacket], port: u16) -> Vec<Vec<u8>> {
         capture
             .iter()
-            .filter_map(|p| match decode_frame(&p.data) {
+            .filter_map(|p| match decode_frame_ref(&p.data) {
                 Ok(frame) => match frame.transport {
-                    Transport::Udp { payload } if frame.pair.dst_port == port => Some(payload),
+                    TransportRef::Udp { payload } if frame.pair.dst_port == port => {
+                        Some(payload.to_vec())
+                    }
                     _ => None,
                 },
                 _ => None,
@@ -334,7 +339,7 @@ mod tests {
         assert_eq!(report_payloads(&out, port).len(), 2);
         let broken = out
             .iter()
-            .filter(|p| decode_frame(&p.data).is_err())
+            .filter(|p| decode_frame_ref(&p.data).is_err())
             .count();
         assert_eq!(broken, stats.frames_truncated);
     }

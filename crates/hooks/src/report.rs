@@ -37,12 +37,18 @@
 //! Frames are the *translated* stack: full smali type signatures where
 //! the app's dex defines the method, the raw dotted name for framework
 //! frames the dex knows nothing about.
+//!
+//! One borrowed parse reads the header of both layouts, from the magic
+//! through the timestamp. [`SocketReport::decode`] continues from it
+//! with the stream ordinal and the frames; the live engine's routing
+//! peek, [`SocketReport::peek_pair`], stops there. A payload the peek
+//! rejects therefore fails the decode with the same error.
 
 use std::error::Error;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use spector_dex::sha256::Digest;
 use spector_netsim::packet::{canonical_ip, SocketPair};
 
@@ -119,17 +125,17 @@ fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
     }
 }
 
-fn get_uleb128(buf: &mut Bytes) -> Result<u64, ReportParseError> {
+fn get_uleb128(buf: &mut &[u8]) -> Result<u64, ReportParseError> {
     let mut result: u64 = 0;
     let mut shift = 0;
     loop {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(ReportParseError::new(
                 ReportErrorKind::Truncated,
                 "truncated uleb128",
             ));
-        }
-        let byte = buf.get_u8();
+        };
+        *buf = rest;
         if shift >= 64 {
             return Err(ReportParseError::new(
                 ReportErrorKind::Malformed,
@@ -209,92 +215,18 @@ impl SocketReport {
         buf.to_vec()
     }
 
-    /// Parses a report from datagram payload bytes.
+    /// Parses a report from datagram payload bytes: the header
+    /// ([`peek_pair`](Self::peek_pair)'s parse), then the stream ordinal
+    /// and the frames, borrowed from `payload` until each frame is
+    /// copied into its `String`.
     ///
     /// # Errors
     ///
     /// Returns [`ReportParseError`] on bad magic, truncation, non-UTF-8
     /// frames, or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ReportParseError> {
-        let mut buf = Bytes::copy_from_slice(payload);
-        // A short payload that is a prefix of either magic counts as
-        // truncated; anything else up front is a foreign datagram.
-        if buf.remaining() < 4 {
-            return Err(ReportParseError::new(
-                if REPORT_MAGIC.starts_with(payload) || REPORT_MAGIC_V2.starts_with(payload) {
-                    ReportErrorKind::Truncated
-                } else {
-                    ReportErrorKind::Malformed
-                },
-                "truncated magic",
-            ));
-        }
-        let magic = buf.split_to(4);
-        let v2 = match &magic[..] {
-            m if m == REPORT_MAGIC => false,
-            m if m == REPORT_MAGIC_V2 => true,
-            _ => {
-                return Err(ReportParseError::new(
-                    ReportErrorKind::Malformed,
-                    "bad magic",
-                ));
-            }
-        };
-        if buf.remaining() < 32 {
-            return Err(ReportParseError::new(
-                ReportErrorKind::Truncated,
-                "truncated header",
-            ));
-        }
-        let mut digest = [0u8; 32];
-        buf.copy_to_slice(&mut digest);
-        let family6 = if v2 {
-            if !buf.has_remaining() {
-                return Err(ReportParseError::new(
-                    ReportErrorKind::Truncated,
-                    "truncated family",
-                ));
-            }
-            match buf.get_u8() {
-                4 => false,
-                6 => true,
-                other => {
-                    return Err(ReportParseError::new(
-                        ReportErrorKind::Malformed,
-                        format!("bad address family {other}"),
-                    ));
-                }
-            }
-        } else {
-            false
-        };
-        let addr_len = if family6 { 16 } else { 4 };
-        if buf.remaining() < 2 * addr_len + 4 + 8 {
-            return Err(ReportParseError::new(
-                ReportErrorKind::Truncated,
-                "truncated header",
-            ));
-        }
-        let get_ip = |buf: &mut Bytes| -> IpAddr {
-            if family6 {
-                let mut ip = [0u8; 16];
-                buf.copy_to_slice(&mut ip);
-                // A v4 endpoint of a mixed-family pair travels
-                // v4-mapped on the v6 wire; fold it back so decode
-                // restores the address the supervisor observed.
-                canonical_ip(IpAddr::V6(Ipv6Addr::from(ip)))
-            } else {
-                let mut ip = [0u8; 4];
-                buf.copy_to_slice(&mut ip);
-                IpAddr::V4(Ipv4Addr::from(ip))
-            }
-        };
-        let src_ip = get_ip(&mut buf);
-        let src_port = buf.get_u16();
-        let dst_ip = get_ip(&mut buf);
-        let dst_port = buf.get_u16();
-        let timestamp_micros = buf.get_u64_le();
-        let stream = if v2 {
+        let (header, mut buf) = Header::parse(payload)?;
+        let stream = if header.v2 {
             match get_uleb128(&mut buf)? {
                 0 => None,
                 n if n <= u64::from(u32::MAX) => Some((n - 1) as u32),
@@ -318,31 +250,32 @@ impl SocketReport {
         let mut frames = Vec::with_capacity(count);
         for _ in 0..count {
             let len = get_uleb128(&mut buf)? as usize;
-            if buf.remaining() < len {
+            if buf.len() < len {
                 return Err(ReportParseError::new(
                     ReportErrorKind::Truncated,
                     "truncated frame",
                 ));
             }
-            let raw = buf.split_to(len);
+            let (raw, rest) = buf.split_at(len);
+            buf = rest;
             frames.push(
-                std::str::from_utf8(&raw)
+                std::str::from_utf8(raw)
                     .map_err(|_| {
                         ReportParseError::new(ReportErrorKind::Malformed, "frame not UTF-8")
                     })?
                     .to_owned(),
             );
         }
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(ReportParseError::new(
                 ReportErrorKind::Malformed,
                 "trailing bytes",
             ));
         }
         Ok(SocketReport {
-            apk_sha256: Digest(digest),
-            pair: SocketPair::new(src_ip, src_port, dst_ip, dst_port),
-            timestamp_micros,
+            apk_sha256: header.apk_sha256,
+            pair: header.pair,
+            timestamp_micros: header.timestamp_micros,
             stream,
             frames,
         })
@@ -355,62 +288,122 @@ impl SocketReport {
         payload.len() >= 4 && (&payload[..4] == REPORT_MAGIC || &payload[..4] == REPORT_MAGIC_V2)
     }
 
-    /// Bytes [`peek_pair`](Self::peek_pair) needs for a legacy "SRPT"
-    /// datagram: magic (4) + apk digest (32) + the embedded v4 socket
-    /// pair (12). "SRP2" datagrams need up to
-    /// [`PEEK_PREFIX_LEN_V6`](Self::PEEK_PREFIX_LEN_V6).
-    pub const PEEK_PREFIX_LEN: usize = 4 + 32 + 12;
-
-    /// Bytes the peek needs for the largest header form: "SRP2" with
-    /// family 6 (magic + digest + family byte + 36-byte pair).
-    pub const PEEK_PREFIX_LEN_V6: usize = 4 + 32 + 1 + 36;
-
-    /// Extracts the report's *embedded* socket pair from the fixed
-    /// header prefix without decoding the rest of the payload. This is
-    /// the producer-side routing peek of the live engine: a report
-    /// must land on the shard that owns its flow's epochs, which is
-    /// keyed by this pair (not by the carrying datagram's 4-tuple).
-    /// Handles both magics; the stream ordinal does not affect routing
-    /// (all streams of a connection share its flow epochs).
+    /// The report's *embedded* socket pair, read by [`decode`](Self::decode)'s
+    /// own header parse without the stream ordinal and frames that
+    /// follow. This is the producer-side routing peek of the live
+    /// engine: a report must land on the shard that owns its flow's
+    /// epochs, which is keyed by this pair (not by the carrying
+    /// datagram's 4-tuple). The stream ordinal does not affect routing:
+    /// all streams of a connection share its flow epochs.
     ///
-    /// Returns `None` when the magic is wrong or the payload is too
-    /// short — in which case [`decode`](Self::decode) is guaranteed to
-    /// fail too, so the caller can route the bytes to a fallback shard
-    /// and let the shard-local decode classify the failure.
+    /// Returns `None` exactly when the header does not parse, in which
+    /// case [`decode`](Self::decode) fails too, so the caller can route
+    /// the bytes to a fallback shard and let the shard-local decode
+    /// classify the failure.
     pub fn peek_pair(payload: &[u8]) -> Option<SocketPair> {
+        Header::parse(payload).ok().map(|(header, _)| header.pair)
+    }
+}
+
+/// A report's fixed header: everything before the stream ordinal.
+struct Header {
+    /// Modern "SRP2" layout (a stream ordinal follows the header).
+    v2: bool,
+    apk_sha256: Digest,
+    pair: SocketPair,
+    timestamp_micros: u64,
+}
+
+impl Header {
+    /// The one header parse of both layouts: magic, digest, family,
+    /// pair and timestamp. Returns the header and the bytes after it.
+    fn parse(payload: &[u8]) -> Result<(Header, &[u8]), ReportParseError> {
+        // A short payload that is a prefix of either magic counts as
+        // truncated; anything else up front is a foreign datagram.
         if payload.len() < 4 {
-            return None;
+            return Err(ReportParseError::new(
+                if REPORT_MAGIC.starts_with(payload) || REPORT_MAGIC_V2.starts_with(payload) {
+                    ReportErrorKind::Truncated
+                } else {
+                    ReportErrorKind::Malformed
+                },
+                "truncated magic",
+            ));
         }
-        let (pair, family6) = match &payload[..4] {
-            m if m == REPORT_MAGIC => (payload.get(36..48)?, false),
-            m if m == REPORT_MAGIC_V2 => match payload.get(36)? {
-                4 => (payload.get(37..49)?, false),
-                6 => (payload.get(37..73)?, true),
-                _ => return None,
-            },
-            _ => return None,
+        let (magic, buf) = payload.split_at(4);
+        let v2 = match magic {
+            m if m == REPORT_MAGIC => false,
+            m if m == REPORT_MAGIC_V2 => true,
+            _ => {
+                return Err(ReportParseError::new(
+                    ReportErrorKind::Malformed,
+                    "bad magic",
+                ));
+            }
         };
-        if family6 {
-            let mut src = [0u8; 16];
-            src.copy_from_slice(&pair[0..16]);
-            let mut dst = [0u8; 16];
-            dst.copy_from_slice(&pair[18..34]);
-            // Fold v4-mapped endpoints exactly as decode() does, so
-            // peek-based routing agrees with post-decode routing.
-            Some(SocketPair::new(
-                canonical_ip(IpAddr::V6(Ipv6Addr::from(src))),
-                u16::from_be_bytes([pair[16], pair[17]]),
-                canonical_ip(IpAddr::V6(Ipv6Addr::from(dst))),
-                u16::from_be_bytes([pair[34], pair[35]]),
-            ))
-        } else {
-            Some(SocketPair::new(
-                Ipv4Addr::new(pair[0], pair[1], pair[2], pair[3]),
-                u16::from_be_bytes([pair[4], pair[5]]),
-                Ipv4Addr::new(pair[6], pair[7], pair[8], pair[9]),
-                u16::from_be_bytes([pair[10], pair[11]]),
-            ))
+        if buf.len() < 32 {
+            return Err(ReportParseError::new(
+                ReportErrorKind::Truncated,
+                "truncated header",
+            ));
         }
+        let (digest, mut buf) = buf.split_at(32);
+        let family6 = if v2 {
+            let Some((&family, rest)) = buf.split_first() else {
+                return Err(ReportParseError::new(
+                    ReportErrorKind::Truncated,
+                    "truncated family",
+                ));
+            };
+            buf = rest;
+            match family {
+                4 => false,
+                6 => true,
+                other => {
+                    return Err(ReportParseError::new(
+                        ReportErrorKind::Malformed,
+                        format!("bad address family {other}"),
+                    ));
+                }
+            }
+        } else {
+            false
+        };
+        let addr_len = if family6 { 16 } else { 4 };
+        if buf.len() < 2 * addr_len + 4 + 8 {
+            return Err(ReportParseError::new(
+                ReportErrorKind::Truncated,
+                "truncated header",
+            ));
+        }
+        let ip = |at: usize| -> IpAddr {
+            let octets = &buf[at..at + addr_len];
+            if family6 {
+                let octets: [u8; 16] = octets.try_into().expect("16-byte slice");
+                // A v4 endpoint of a mixed-family pair travels
+                // v4-mapped on the v6 wire; fold it back so decode
+                // restores the address the supervisor observed.
+                canonical_ip(IpAddr::V6(Ipv6Addr::from(octets)))
+            } else {
+                let octets: [u8; 4] = octets.try_into().expect("4-byte slice");
+                IpAddr::V4(Ipv4Addr::from(octets))
+            }
+        };
+        let port = |at: usize| u16::from_be_bytes([buf[at], buf[at + 1]]);
+        let pair = SocketPair::new(
+            ip(0),
+            port(addr_len),
+            ip(addr_len + 2),
+            port(2 * addr_len + 2),
+        );
+        let (timestamp, rest) = buf[2 * addr_len + 4..].split_at(8);
+        let header = Header {
+            v2,
+            apk_sha256: Digest(digest.try_into().expect("32-byte slice")),
+            pair,
+            timestamp_micros: u64::from_le_bytes(timestamp.try_into().expect("8-byte slice")),
+        };
+        Ok((header, rest))
     }
 }
 
@@ -518,10 +511,17 @@ mod tests {
         let report = sample_v6();
         let bytes = report.encode();
         assert_eq!(SocketReport::peek_pair(&bytes), Some(report.pair));
-        for len in 0..SocketReport::PEEK_PREFIX_LEN_V6 {
+        // The peek reads the header through the timestamp: magic,
+        // digest, family, the 36-byte v6 pair and 8 timestamp bytes.
+        let header_len = 4 + 32 + 1 + 36 + 8;
+        for len in 0..header_len {
             assert_eq!(SocketReport::peek_pair(&bytes[..len]), None, "len {len}");
             assert!(SocketReport::decode(&bytes[..len]).is_err());
         }
+        assert_eq!(
+            SocketReport::peek_pair(&bytes[..header_len]),
+            Some(report.pair)
+        );
     }
 
     #[test]
@@ -544,8 +544,10 @@ mod tests {
         let report = sample();
         let bytes = report.encode();
         assert_eq!(SocketReport::peek_pair(&bytes), Some(report.pair));
-        // Too short or wrong magic: no peek — and decode fails too.
-        for len in 0..SocketReport::PEEK_PREFIX_LEN {
+        // Too short or wrong magic: no peek — and decode fails too. The
+        // legacy header is magic, digest, the 12-byte v4 pair and 8
+        // timestamp bytes.
+        for len in 0..4 + 32 + 12 + 8 {
             assert_eq!(SocketReport::peek_pair(&bytes[..len]), None, "len {len}");
             assert!(SocketReport::decode(&bytes[..len]).is_err());
         }

@@ -9,7 +9,8 @@
 //!    parsed dex (framework frames, which the dex does not define, pass
 //!    through untranslated — the offline filter removes them anyway);
 //! 3. obtain the socket-pair parameters via the shared-library syscalls
-//!    (`getsockname`/`getpeername` — here [`NetStack::socket_pair`]);
+//!    (`getsockname`/`getpeername` — here
+//!    [`NetStack::socket_pair`](spector_netsim::NetStack::socket_pair));
 //! 4. prepend the apk's SHA-256 and the connection parameters, and send
 //!    the result as one UDP datagram to the collection server.
 //!

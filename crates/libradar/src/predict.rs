@@ -129,7 +129,7 @@ impl AggregatedLibraries {
         best
     }
 
-    /// Reference oracle for [`predict_category`]: the original
+    /// Reference oracle for [`predict_category`](Self::predict_category): the original
     /// double-scan (longest prefix, then a full rescan for the common
     /// depth, then a vote scan). See
     /// [`longest_matching_prefix_oracle`](Self::longest_matching_prefix_oracle).

@@ -5,11 +5,12 @@
 //! the throughput ceiling, so this module is only the cheap ingress
 //! half of a two-phase design:
 //!
-//! 1. **Peek** — [`spector_netsim::peek_frame`] walks the raw frame's
-//!    headers *structurally* (no checksum verification, no payload
-//!    parsing) just far enough to extract the 4-tuple; collector-port
-//!    datagrams additionally peek the report's *embedded* pair via
-//!    [`SocketReport::peek_pair`], because a report must land on the
+//! 1. **Peek** — [`spector_netsim::peek_frame`] is the frame decoder's
+//!    own header walk without the TCP checksum, so it reads headers
+//!    only, never a payload byte, and extracts the 4-tuple;
+//!    collector-port datagrams additionally read the report's
+//!    *embedded* pair with [`SocketReport::peek_pair`], the report
+//!    decoder's own header parse, because a report must land on the
 //!    shard that owns its flow's epochs.
 //! 2. **Route** — the same stable FNV-1a hash the engine has always
 //!    used ([`shard_of`](crate::event::shard_of)); non-collector UDP
@@ -31,10 +32,11 @@
 //! The **full classified decode** — netsim's frame step
 //! ([`CaptureTables::ingest`], with [`FrameErrorKind`] accounting) and
 //! the hooks collector step ([`Collected::decode`]) — runs in the shard
-//! loop (`shard.rs`), on the shard the bytes were routed to. Peek
-//! checks are a strict subset of decode checks, so routing never lies:
-//! a peek-passed frame that fails the deeper decode (checksum damage)
-//! still fails on exactly one deterministic shard.
+//! loop (`shard.rs`), on the shard the bytes were routed to. Each peek
+//! is a prefix of its decoder, so routing never lies: bytes the peek
+//! rejects fail the decode on the fallback shard, and the one failure a
+//! routed frame can still meet, a bad TCP checksum, is counted on
+//! exactly one deterministic shard.
 //!
 //! [`LiveConfig::batch_events`]: crate::LiveConfig::batch_events
 //! [`CaptureTables::ingest`]: spector_netsim::CaptureTables::ingest
@@ -46,8 +48,9 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use spector_hooks::SocketReport;
+use spector_netsim::packet::TransportRef;
 use spector_netsim::pcap::CapturedPacket;
-use spector_netsim::{peek_frame, PeekedTransport, SocketPair};
+use spector_netsim::{peek_frame, SocketPair};
 
 use crate::event::Fnv1a;
 
@@ -68,21 +71,15 @@ pub enum Route {
 /// whether a UDP datagram is a supervisor report (routed by the pair
 /// *embedded in the report payload*) or DNS-lane traffic (broadcast).
 pub fn classify_route(raw: &[u8], collector_port: u16) -> Route {
-    match peek_frame(raw) {
-        None => Route::Fallback,
-        Some(peeked) => match peeked.transport {
-            PeekedTransport::Tcp => Route::Pair(peeked.pair),
-            PeekedTransport::Udp { payload } => {
-                if peeked.pair.dst_port == collector_port {
-                    match SocketReport::peek_pair(payload) {
-                        Some(pair) => Route::Pair(pair),
-                        None => Route::Fallback,
-                    }
-                } else {
-                    Route::Broadcast
-                }
-            }
-        },
+    let Some(frame) = peek_frame(raw) else {
+        return Route::Fallback;
+    };
+    match frame.transport {
+        TransportRef::Tcp { .. } => Route::Pair(frame.pair),
+        TransportRef::Udp { payload } if frame.pair.dst_port == collector_port => {
+            SocketReport::peek_pair(payload).map_or(Route::Fallback, Route::Pair)
+        }
+        TransportRef::Udp { .. } => Route::Broadcast,
     }
 }
 
@@ -211,7 +208,7 @@ mod tests {
 
     use spector_dex::sha256::Sha256;
     use spector_hooks::SupervisorConfig;
-    use spector_netsim::packet::{decode_frame_ref, TransportRef};
+    use spector_netsim::packet::decode_frame_ref;
     use spector_netsim::{Clock, NetStack};
 
     use super::*;

@@ -12,10 +12,12 @@
 //! # Architecture: two-phase ingress
 //!
 //! Decode happens **per shard, not on the producer**. The producer
-//! does a cheap structural header peek on the raw bytes (just enough
-//! to extract the canonical 4-tuple), routes by the stable FNV-1a
-//! hash, and ships frames in per-shard batches — one channel operation
-//! per ~dozens of frames. A frame is a [`FrameBytes`], a range of a
+//! peeks at the raw bytes with the decoders' own header walks (netsim's
+//! frame walk without the TCP checksum and, for a report datagram, the
+//! report header parse) just far enough to extract the canonical
+//! 4-tuple, routes by the stable FNV-1a hash, and ships frames in
+//! per-shard batches — one channel operation per ~dozens of frames.
+//! A frame is a [`FrameBytes`], a range of a
 //! buffer shared with the other frames copied in with it, so ingress
 //! allocates and copies once per socket read or run, not per frame.
 //! Each shard then runs the full classified decode on the bytes it
@@ -25,7 +27,7 @@
 //!  capture / collector / ingest socket     LiveEngine
 //!  ───────────────────────────────  push_run / push_raw_run
 //!  raw frame bytes ───────▶ ┌────────────────────────────────────┐
-//!                           │ PEEK   structural header walk      │
+//!                           │ PEEK   decoders' header walks      │
 //!                           │ ROUTE  hash(run, 4-tuple) → shard  │
 //!                           │        DNS lane: broadcast (Arc    │
 //!                           │        clone); unroutable bytes →  │

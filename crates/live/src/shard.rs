@@ -645,7 +645,7 @@ mod tests {
 
     use spector_dex::sha256::Sha256;
     use spector_hooks::{LedgerRecord, SocketReport, SupervisorConfig};
-    use spector_netsim::packet::{decode_frame_ref, TransportRef};
+    use spector_netsim::packet::{decode_frame_ref, encode_udp, TransportRef};
     use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello};
     use spector_netsim::{Clock, NetStack};
     use spector_sampling::SamplingLedger;
@@ -972,7 +972,7 @@ mod tests {
             data: vec![0xde, 0xad, 0xbe, 0xef],
         });
         // A TCP frame with a flipped payload byte: peeks fine (the
-        // structural walk skips payloads), fails the shard-side
+        // header walk reads no payload byte), fails the shard-side
         // checksum verification. TCP specifically — UDP checksums are
         // not verified by the decode.
         let tcp_frame = capture
@@ -990,10 +990,32 @@ mod tests {
         let mut corrupted = tcp_frame.data.clone();
         let last = corrupted.len() - 1;
         corrupted[last] ^= 0xff;
-        capture.push(CapturedPacket {
-            timestamp_micros: 2,
-            data: corrupted,
-        });
+        // The same frame with a flipped IPv4 header checksum byte: the
+        // peek is the decode's own walk, so it fails too and the frame
+        // falls back.
+        let mut bad_ip_header = tcp_frame.data.clone();
+        bad_ip_header[spector_netsim::packet::ETH_HEADER_LEN + 10] ^= 0xff;
+        // A report datagram cut inside its timestamp, re-encoded as
+        // valid UDP: the report header parse fails, so it falls back.
+        let collector_port = SupervisorConfig::default().collector_port;
+        let cut_report = capture
+            .iter()
+            .find_map(|p| match decode_frame_ref(&p.data) {
+                Ok(frame) if frame.pair.dst_port == collector_port => match frame.transport {
+                    TransportRef::Udp { payload } => {
+                        Some(encode_udp(&frame.pair, &payload[..4 + 32 + 12 + 4]))
+                    }
+                    TransportRef::Tcp { .. } => None,
+                },
+                _ => None,
+            })
+            .expect("scripted capture has reports");
+        for (timestamp_micros, data) in [(2, corrupted), (3, bad_ip_header), (4, cut_report)] {
+            capture.push(CapturedPacket {
+                timestamp_micros,
+                data,
+            });
+        }
         let mut summaries = Vec::new();
         for shards in [1usize, 2, 4, 8] {
             let engine = LiveEngine::start(
@@ -1009,8 +1031,16 @@ mod tests {
         for pair in summaries.windows(2) {
             assert_eq!(pair[0], pair[1], "error ledger must not depend on width");
         }
-        let total_errors = summaries[0].integrity.frames_lost();
-        assert_eq!(total_errors, 2, "both damaged frames counted once");
+        assert_eq!(
+            summaries[0].integrity.frames_lost(),
+            3,
+            "every damaged frame counted once"
+        );
+        assert_eq!(
+            summaries[0].integrity.reports_lost(),
+            1,
+            "the cut report counted once"
+        );
         assert_eq!(
             summaries[0].events,
             capture.len() as u64,

@@ -4,7 +4,7 @@
 //! table (§III-E), the DNS address map (§III-F), and the supervisor's
 //! UDP report datagrams (§II-B2). [`CaptureTables::ingest`] is the one
 //! place a frame is split between them: it decodes the frame once with
-//! the borrowing decoder, grows the flow table or the DNS map, and
+//! [`decode_frame_ref`], grows the flow table or the DNS map, and
 //! returns the frame's [`Lane`] — or, for a frame that does not decode,
 //! its [`FrameErrorKind`]. A datagram addressed to the collector port
 //! is the collector's alone: it is handed back undecoded, borrowed from
@@ -12,7 +12,9 @@
 //!
 //! [`CaptureIndex::build`] is a loop of that step over a finished
 //! capture; each of the streaming engine's (`spector-live`) per-run
-//! joiners calls the same step on frames as they arrive. The lanes are
+//! joiners calls the same step on frames as they arrive, after the
+//! engine's producer has routed them with [`peek_frame`] — the same
+//! decoder's header walk without the TCP checksum. The lanes are
 //! disjoint because the live engine routes a collector datagram to one
 //! shard but broadcasts other UDP to all of them: a collector datagram
 //! fed to the DNS map would make a shard's map depend on which shard
@@ -22,6 +24,8 @@
 //! report scan) — the same packet order feeds the same state machines —
 //! except for a datagram sent from port 53 to the collector port, which
 //! the DNS-only pass alone would count.
+//!
+//! [`peek_frame`]: crate::packet::peek_frame
 
 use crate::flows::{DnsMap, FlowTable, FlowTableBuilder};
 use crate::packet::{decode_frame_ref, FrameErrorCounts, FrameErrorKind, SocketPair, TransportRef};
@@ -138,7 +142,7 @@ mod tests {
 
     use super::*;
     use crate::clock::Clock;
-    use crate::packet::{decode_frame, Transport};
+    use crate::packet::peek_frame;
     use crate::stack::NetStack;
 
     const COLLECTOR_PORT: u16 = 47_000;
@@ -175,12 +179,12 @@ mod tests {
         // payloads addressed to the collector port.
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for packet in &capture {
-            let Ok(frame) = decode_frame(&packet.data) else {
+            let Ok(frame) = decode_frame_ref(&packet.data) else {
                 continue;
             };
-            if let Transport::Udp { payload } = frame.transport {
+            if let TransportRef::Udp { payload } = frame.transport {
                 if frame.pair.dst_port == COLLECTOR_PORT {
-                    expected.push(payload);
+                    expected.push(payload.to_vec());
                 }
             }
         }
@@ -224,6 +228,33 @@ mod tests {
             tables.dns().domain_for(Ipv4Addr::new(93, 184, 216, 34)),
             Some("cdn.example.net")
         );
+    }
+
+    /// The live shards' feed — one frame at a time through the per-frame
+    /// step, the tables read back between frames — reproduces the batch
+    /// views.
+    #[test]
+    fn event_stream_reproduces_batch_views() {
+        let capture = busy_capture();
+        let mut tables = CaptureTables::default();
+        for packet in &capture {
+            let _ = tables.ingest(packet.timestamp_micros, &packet.data, COLLECTOR_PORT);
+        }
+        assert_eq!(*tables.flows(), FlowTable::from_capture(&capture));
+        assert_eq!(*tables.dns(), DnsMap::from_capture(&capture));
+    }
+
+    /// The producer's routing peek is the decode minus the TCP checksum:
+    /// on every frame of a capture it returns the decoded frame, and it
+    /// fails exactly where the decode does.
+    #[test]
+    fn peek_agrees_with_full_decode_on_every_frame() {
+        for packet in &busy_capture() {
+            assert_eq!(
+                peek_frame(&packet.data),
+                decode_frame_ref(&packet.data).ok()
+            );
+        }
     }
 
     #[test]

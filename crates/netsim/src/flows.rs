@@ -293,8 +293,8 @@ impl FlowTable {
             .map(|idx| &self.flows[idx])
     }
 
-    /// Index into [`flows`](Self::flows) of the epoch [`lookup`]
-    /// (Self::lookup) would return — a stable identity for consumers
+    /// Index into [`flows`](Self::flows) of the epoch
+    /// [`lookup`](Self::lookup) would return — a stable identity for consumers
     /// that need to deduplicate several reports joining to one epoch.
     pub fn lookup_epoch(&self, pair: &SocketPair, time_micros: u64) -> Option<usize> {
         let indices = self.by_pair.get(&pair.canonical())?;

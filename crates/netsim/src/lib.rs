@@ -9,8 +9,12 @@
 //! To exercise those exact code paths we simulate the emulator's network
 //! interface at the *wire* level:
 //!
-//! * [`packet`] encodes and decodes real Ethernet II / IPv4 / TCP / UDP
-//!   headers, with genuine internet checksums;
+//! * [`packet`] encodes and decodes real Ethernet II / IPv4 / IPv6 /
+//!   TCP / UDP headers, with genuine internet checksums. Its one header
+//!   walk serves both the decoder and [`peek_frame`], the decoder
+//!   without the TCP checksum, with which the streaming
+//!   (`spector-live`) engine routes raw frames to the shard that
+//!   decodes them;
 //! * [`dns`] implements the DNS wire format for A-record queries and
 //!   responses (including compression-pointer parsing);
 //! * [`pcap`] reads and writes the classic libpcap file format, so
@@ -27,9 +31,6 @@
 //!   finished capture, building every offline view in a single decode
 //!   pass and borrowing payloads instead of copying them; the
 //!   streaming engine's joiners call it per arriving frame;
-//! * [`events`] peeks a raw frame's 4-tuple without the full decode —
-//!   how the streaming (`spector-live`) engine routes raw frames to the
-//!   shard that decodes them;
 //! * [`clock`] is the deterministic virtual clock everything is stamped
 //!   with.
 //!
@@ -52,7 +53,6 @@
 pub mod capture;
 pub mod clock;
 pub mod dns;
-pub mod events;
 pub mod flows;
 pub mod http;
 pub mod packet;
@@ -62,8 +62,7 @@ pub mod stack;
 
 pub use capture::{CaptureIndex, CaptureTables, Lane};
 pub use clock::Clock;
-pub use events::{peek_frame, PeekedFrame, PeekedTransport};
 pub use flows::{DnsMap, FlowTable, FlowTableBuilder, StreamStat, TcpFlow};
-pub use packet::{canonical_ip, FrameErrorCounts, FrameErrorKind, SocketPair};
+pub use packet::{canonical_ip, peek_frame, FrameErrorCounts, FrameErrorKind, SocketPair};
 pub use shape::{classify_shape, resolve_flow_domain, FlowShape, IpFamily};
 pub use stack::{local_ipv6_for, NetStack, SocketId};

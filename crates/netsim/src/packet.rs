@@ -3,8 +3,13 @@
 //! Frames produced here are byte-compatible with what tcpdump would have
 //! captured from the emulator's interface: real header layouts, real
 //! internet checksums (IPv4 header checksum and the TCP/UDP pseudo-header
-//! checksum, including the IPv6 pseudo-header for v6 frames). The
-//! decoder is the offline pipeline's view of the capture.
+//! checksum, including the IPv6 pseudo-header for v6 frames).
+//!
+//! One header walk parses a frame. [`decode_frame_ref`], the view of the
+//! capture that the offline pipeline and every live shard decode, is the
+//! walk plus the TCP checksum. [`peek_frame`], the live engine's routing
+//! peek, is the walk alone: it reads no payload byte, and every check it
+//! makes is one the decode makes, in the same order.
 //!
 //! Address-family policy: a [`SocketPair`] whose endpoints are both
 //! IPv4 encodes exactly the frame bytes this module has always
@@ -161,42 +166,8 @@ impl fmt::Display for SocketPair {
     }
 }
 
-/// Transport-layer content of a decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transport {
-    /// TCP segment.
-    Tcp {
-        /// Sequence number.
-        seq: u32,
-        /// Acknowledgment number.
-        ack: u32,
-        /// Flag bits (see [`tcp_flags`]).
-        flags: u8,
-        /// Payload bytes.
-        payload: Vec<u8>,
-    },
-    /// UDP datagram.
-    Udp {
-        /// Payload bytes.
-        payload: Vec<u8>,
-    },
-}
-
-/// A decoded frame: who talked to whom, with what transport content.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Connection 4-tuple as seen in this frame's direction.
-    pub pair: SocketPair,
-    /// Transport content.
-    pub transport: Transport,
-    /// Total on-wire frame length in bytes.
-    pub wire_len: usize,
-}
-
 /// Transport-layer content of a decoded frame, borrowing its payload
-/// from the raw capture bytes — the zero-copy twin of [`Transport`]
-/// used by single-pass capture indexing, where per-packet payload
-/// allocations dominate decode cost.
+/// from the raw capture bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportRef<'a> {
     /// TCP segment.
@@ -226,32 +197,6 @@ pub struct FrameRef<'a> {
     pub transport: TransportRef<'a>,
     /// Total on-wire frame length in bytes.
     pub wire_len: usize,
-}
-
-impl FrameRef<'_> {
-    /// Copies the borrowed payload into an owned [`Frame`].
-    pub fn to_owned(&self) -> Frame {
-        Frame {
-            pair: self.pair,
-            transport: match self.transport {
-                TransportRef::Tcp {
-                    seq,
-                    ack,
-                    flags,
-                    payload,
-                } => Transport::Tcp {
-                    seq,
-                    ack,
-                    flags,
-                    payload: payload.to_vec(),
-                },
-                TransportRef::Udp { payload } => Transport::Udp {
-                    payload: payload.to_vec(),
-                },
-            },
-            wire_len: self.wire_len,
-        }
-    }
 }
 
 /// Why a frame failed to decode — the degraded-mode accounting
@@ -462,30 +407,52 @@ pub fn encode_udp(pair: &SocketPair, payload: &[u8]) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decodes a raw Ethernet frame into an owned [`Frame`].
-///
-/// Thin wrapper over [`decode_frame_ref`] that copies the payload;
-/// hot paths that only inspect the payload should use the borrowed
-/// decoder directly.
-///
-/// # Errors
-///
-/// Returns [`FrameDecodeError`] for truncated frames, non-IPv4
-/// ethertypes, unsupported IP protocols, bad header lengths, or
-/// checksum mismatches.
-pub fn decode_frame(raw: &[u8]) -> Result<Frame, FrameDecodeError> {
-    decode_frame_ref(raw).map(|frame| frame.to_owned())
-}
-
 /// Decodes a raw Ethernet frame without copying the payload: the
-/// returned [`FrameRef`] borrows its payload bytes from `raw`.
+/// returned [`FrameRef`] borrows its payload bytes from `raw`. This is
+/// [`peek_frame`]'s header walk followed by the TCP checksum, the one
+/// check that reads payload bytes.
 ///
 /// # Errors
 ///
-/// Returns [`FrameDecodeError`] for truncated frames, non-IPv4
+/// Returns [`FrameDecodeError`] for truncated frames, non-IP
 /// ethertypes, unsupported IP protocols, bad header lengths, or
 /// checksum mismatches.
 pub fn decode_frame_ref(raw: &[u8]) -> Result<FrameRef<'_>, FrameDecodeError> {
+    let (frame, segment) = walk_headers(raw)?;
+    if let TransportRef::Tcp { .. } = frame.transport {
+        let seed = pseudo_header_sum(
+            frame.pair.src_ip,
+            frame.pair.dst_ip,
+            6,
+            segment.len() as u32,
+        );
+        if internet_checksum(seed, segment) != 0 {
+            return Err(FrameDecodeError::new(
+                FrameErrorKind::BadChecksum,
+                "TCP checksum mismatch",
+            ));
+        }
+    }
+    Ok(frame)
+}
+
+/// [`decode_frame_ref`] without the TCP checksum: the header walk alone,
+/// reading no payload byte. It is the live engine's routing peek, run on
+/// the producer before the owning shard decodes the frame.
+///
+/// Every check it makes is one [`decode_frame_ref`] makes, in the same
+/// order, so `None` here means the decode fails too, and a `Some` here
+/// is the decoded frame whenever the decode succeeds. The decode fails
+/// after a successful peek only on a TCP checksum mismatch.
+pub fn peek_frame(raw: &[u8]) -> Option<FrameRef<'_>> {
+    walk_headers(raw).ok().map(|(frame, _)| frame)
+}
+
+/// The one Ethernet / IPv4+IPv6 / TCP+UDP header walk: every check of
+/// [`decode_frame_ref`] but the TCP checksum. Returns the frame and its
+/// whole transport segment (header included), which the checksum
+/// covers.
+fn walk_headers(raw: &[u8]) -> Result<(FrameRef<'_>, &[u8]), FrameDecodeError> {
     if raw.len() < ETH_HEADER_LEN + IPV4_HEADER_LEN {
         return Err(FrameDecodeError::new(
             FrameErrorKind::Truncated,
@@ -560,8 +527,8 @@ pub fn decode_frame_ref(raw: &[u8]) -> Result<FrameRef<'_>, FrameDecodeError> {
             let mut dst = [0u8; 16];
             dst.copy_from_slice(&ip[24..40]);
             // Addresses are kept in on-wire v6 form (v4-mapped members
-            // included) so the transport checksum seed below dispatches
-            // to the same IPv6 pseudo-header the encoder used;
+            // included) so the transport checksum seed dispatches to the
+            // same IPv6 pseudo-header the encoder used;
             // `SocketPair::canonical` folds them for flow keying.
             (
                 IpAddr::V6(Ipv6Addr::from(src)),
@@ -604,24 +571,17 @@ pub fn decode_frame_ref(raw: &[u8]) -> Result<FrameRef<'_>, FrameDecodeError> {
                     "TCP data offset exceeds segment",
                 ));
             }
-            let flags = transport[13];
-            let seed = pseudo_header_sum(src_ip, dst_ip, 6, transport.len() as u32);
-            if internet_checksum(seed, transport) != 0 {
-                return Err(FrameDecodeError::new(
-                    FrameErrorKind::BadChecksum,
-                    "TCP checksum mismatch",
-                ));
-            }
-            Ok(FrameRef {
+            let frame = FrameRef {
                 pair: SocketPair::new(src_ip, src_port, dst_ip, dst_port),
                 transport: TransportRef::Tcp {
                     seq,
                     ack,
-                    flags,
+                    flags: transport[13],
                     payload: &transport[data_offset..],
                 },
                 wire_len: raw.len(),
-            })
+            };
+            Ok((frame, transport))
         }
         17 => {
             if transport.len() < UDP_HEADER_LEN {
@@ -645,13 +605,14 @@ pub fn decode_frame_ref(raw: &[u8]) -> Result<FrameRef<'_>, FrameDecodeError> {
                     "UDP length exceeds segment",
                 ));
             }
-            Ok(FrameRef {
+            let frame = FrameRef {
                 pair: SocketPair::new(src_ip, src_port, dst_ip, dst_port),
                 transport: TransportRef::Udp {
                     payload: &transport[UDP_HEADER_LEN..udp_len],
                 },
                 wire_len: raw.len(),
-            })
+            };
+            Ok((frame, transport))
         }
         other => Err(FrameDecodeError::new(
             FrameErrorKind::Malformed,
@@ -683,11 +644,11 @@ mod tests {
             tcp_flags::PSH | tcp_flags::ACK,
             payload,
         );
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         assert_eq!(frame.pair, pair());
         assert_eq!(frame.wire_len, raw.len());
         match frame.transport {
-            Transport::Tcp {
+            TransportRef::Tcp {
                 seq,
                 ack,
                 flags,
@@ -705,9 +666,9 @@ mod tests {
     #[test]
     fn udp_roundtrip() {
         let raw = encode_udp(&pair(), b"report-payload");
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         match frame.transport {
-            Transport::Udp { payload } => assert_eq!(payload, b"report-payload"),
+            TransportRef::Udp { payload } => assert_eq!(payload, b"report-payload"),
             other => panic!("expected udp, got {other:?}"),
         }
     }
@@ -716,9 +677,9 @@ mod tests {
     fn empty_payloads() {
         let raw = encode_tcp(&pair(), 0, 0, tcp_flags::SYN, &[]);
         assert_eq!(raw.len(), ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN);
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         match frame.transport {
-            Transport::Tcp { payload, flags, .. } => {
+            TransportRef::Tcp { payload, flags, .. } => {
                 assert!(payload.is_empty());
                 assert_eq!(flags, tcp_flags::SYN);
             }
@@ -726,7 +687,7 @@ mod tests {
         }
         let raw = encode_udp(&pair(), &[]);
         assert_eq!(raw.len(), ETH_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN);
-        assert!(decode_frame(&raw).is_ok());
+        assert!(decode_frame_ref(&raw).is_ok());
     }
 
     #[test]
@@ -734,7 +695,7 @@ mod tests {
         let mut raw = encode_tcp(&pair(), 1, 1, tcp_flags::ACK, b"data");
         let last = raw.len() - 1;
         raw[last] ^= 0xff;
-        let err = decode_frame(&raw).unwrap_err();
+        let err = decode_frame_ref(&raw).unwrap_err();
         assert!(err.to_string().contains("TCP checksum"));
     }
 
@@ -742,19 +703,48 @@ mod tests {
     fn corrupted_ip_header_rejected() {
         let mut raw = encode_tcp(&pair(), 1, 1, tcp_flags::ACK, &[]);
         raw[ETH_HEADER_LEN + 8] = 1; // change TTL without fixing checksum
-        let err = decode_frame(&raw).unwrap_err();
+        let err = decode_frame_ref(&raw).unwrap_err();
         assert!(err.to_string().contains("IPv4 header checksum"));
     }
 
     #[test]
+    fn peek_rejects_header_damage_but_passes_a_bad_tcp_checksum() {
+        // Garbage and truncation fail the peek.
+        assert_eq!(peek_frame(&[0xde, 0xad]), None);
+        let raw = encode_tcp(&pair(), 1, 1, tcp_flags::ACK, b"data");
+        assert_eq!(peek_frame(&raw[..20]), None);
+        // A corrupted TCP checksum passes the peek, so the frame still
+        // routes by its intact 4-tuple, while the decode classifies it.
+        let mut corrupted = raw.clone();
+        corrupted[ETH_HEADER_LEN + IPV4_HEADER_LEN + 16] ^= 0xff;
+        assert_eq!(
+            decode_frame_ref(&corrupted).unwrap_err().kind,
+            FrameErrorKind::BadChecksum
+        );
+        assert_eq!(peek_frame(&corrupted), decode_frame_ref(&raw).ok());
+        // Header damage the decode rejects before the TCP checksum fails
+        // the peek too: an IPv4 header checksum, a TCP data offset.
+        let mut bad_ip = raw.clone();
+        bad_ip[ETH_HEADER_LEN + 8] ^= 1;
+        assert_eq!(peek_frame(&bad_ip), None);
+        let mut bad_offset = raw;
+        bad_offset[ETH_HEADER_LEN + IPV4_HEADER_LEN + 12] = 0x40;
+        assert_eq!(
+            decode_frame_ref(&bad_offset).unwrap_err().kind,
+            FrameErrorKind::Malformed
+        );
+        assert_eq!(peek_frame(&bad_offset), None);
+    }
+
+    #[test]
     fn rejects_truncated_and_foreign_frames() {
-        assert!(decode_frame(&[]).is_err());
-        assert!(decode_frame(&[0; 20]).is_err());
+        assert!(decode_frame_ref(&[]).is_err());
+        assert!(decode_frame_ref(&[0; 20]).is_err());
         // ARP ethertype
         let mut raw = encode_udp(&pair(), &[]);
         raw[12] = 0x08;
         raw[13] = 0x06;
-        assert!(decode_frame(&raw).is_err());
+        assert!(decode_frame_ref(&raw).is_err());
     }
 
     #[test]
@@ -797,10 +787,10 @@ mod tests {
             raw.len(),
             ETH_HEADER_LEN + IPV6_HEADER_LEN + TCP_HEADER_LEN + payload.len()
         );
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         assert_eq!(frame.pair, pair_v6());
         match frame.transport {
-            Transport::Tcp { payload: p, .. } => assert_eq!(p, payload),
+            TransportRef::Tcp { payload: p, .. } => assert_eq!(p, payload),
             other => panic!("expected tcp, got {other:?}"),
         }
     }
@@ -808,10 +798,10 @@ mod tests {
     #[test]
     fn udp_roundtrip_v6() {
         let raw = encode_udp(&pair_v6(), b"report-payload");
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         assert_eq!(frame.pair, pair_v6());
         match frame.transport {
-            Transport::Udp { payload } => assert_eq!(payload, b"report-payload"),
+            TransportRef::Udp { payload } => assert_eq!(payload, b"report-payload"),
             other => panic!("expected udp, got {other:?}"),
         }
     }
@@ -821,7 +811,7 @@ mod tests {
         let mut raw = encode_tcp(&pair_v6(), 1, 1, tcp_flags::ACK, b"data");
         let last = raw.len() - 1;
         raw[last] ^= 0xff;
-        let err = decode_frame(&raw).unwrap_err();
+        let err = decode_frame_ref(&raw).unwrap_err();
         assert_eq!(err.kind, FrameErrorKind::BadChecksum);
     }
 
@@ -832,7 +822,7 @@ mod tests {
             ETH_HEADER_LEN + IPV4_HEADER_LEN,
             ETH_HEADER_LEN + IPV6_HEADER_LEN + 4,
         ] {
-            let err = decode_frame(&raw[..cut]).unwrap_err();
+            let err = decode_frame_ref(&raw[..cut]).unwrap_err();
             assert_eq!(err.kind, FrameErrorKind::Truncated, "cut at {cut}");
         }
     }
@@ -852,7 +842,7 @@ mod tests {
         // the round trip in on-wire form.
         let raw = encode_tcp(&mapped, 1, 1, tcp_flags::ACK, b"x");
         assert_eq!(u16::from_be_bytes([raw[12], raw[13]]), ETHERTYPE_IPV6);
-        let frame = decode_frame(&raw).unwrap();
+        let frame = decode_frame_ref(&raw).unwrap();
         assert_eq!(frame.pair.canonical(), pair().canonical());
     }
 

@@ -475,7 +475,7 @@ fn deterministic_payload(seed: u32, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{decode_frame, Transport};
+    use crate::packet::{decode_frame_ref, TransportRef};
     use crate::pcap::read_pcap;
 
     fn stack() -> NetStack {
@@ -489,9 +489,9 @@ mod tests {
         assert_eq!(s.captured_count(), 3);
         let pair = s.socket_pair(id).unwrap();
         assert_eq!(pair.dst_port, 443);
-        let syn = decode_frame(&s.capture()[0].data).unwrap();
+        let syn = decode_frame_ref(&s.capture()[0].data).unwrap();
         match syn.transport {
-            Transport::Tcp { flags, .. } => assert_eq!(flags, tcp_flags::SYN),
+            TransportRef::Tcp { flags, .. } => assert_eq!(flags, tcp_flags::SYN),
             other => panic!("expected tcp, got {other:?}"),
         }
         assert_eq!(syn.pair, pair);
@@ -507,7 +507,8 @@ mod tests {
         assert_eq!(s.captured_count() - before, 6);
         let mut payload_total = 0u64;
         for p in &s.capture()[before..] {
-            if let Transport::Tcp { payload, .. } = decode_frame(&p.data).unwrap().transport {
+            if let TransportRef::Tcp { payload, .. } = decode_frame_ref(&p.data).unwrap().transport
+            {
                 payload_total += payload.len() as u64;
             }
         }
@@ -551,9 +552,9 @@ mod tests {
         let mut s = stack();
         let port = s.udp_send(Ipv4Addr::new(9, 9, 9, 9), 5_000, b"report");
         assert!(port >= 32_768);
-        let frame = decode_frame(&s.capture()[0].data).unwrap();
+        let frame = decode_frame_ref(&s.capture()[0].data).unwrap();
         match frame.transport {
-            Transport::Udp { payload } => assert_eq!(payload, b"report"),
+            TransportRef::Udp { payload } => assert_eq!(payload, b"report"),
             other => panic!("expected udp, got {other:?}"),
         }
     }
@@ -570,7 +571,7 @@ mod tests {
             assert!(w[0].timestamp_micros <= w[1].timestamp_micros);
         }
         for p in &packets {
-            decode_frame(&p.data).unwrap();
+            decode_frame_ref(&p.data).unwrap();
         }
     }
 

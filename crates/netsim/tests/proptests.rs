@@ -8,7 +8,7 @@ use spector_netsim::capture::CaptureIndex;
 use spector_netsim::clock::Clock;
 use spector_netsim::dns::{encode_query, encode_response, parse_message};
 use spector_netsim::flows::{DnsMap, FlowTable};
-use spector_netsim::packet::{decode_frame, encode_tcp, encode_udp, SocketPair, Transport};
+use spector_netsim::packet::{decode_frame_ref, encode_tcp, encode_udp, SocketPair, TransportRef};
 use spector_netsim::pcap::{read_pcap, write_pcap, CapturedPacket};
 use spector_netsim::stack::NetStack;
 
@@ -66,10 +66,10 @@ proptest! {
     fn tcp_frame_roundtrip(p in pair(), seq in any::<u32>(), ack in any::<u32>(),
                            flags in 0u8..32, payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let raw = encode_tcp(&p, seq, ack, flags, &payload);
-        let frame = decode_frame(&raw).expect("encoded frame must decode");
+        let frame = decode_frame_ref(&raw).expect("encoded frame must decode");
         prop_assert_eq!(frame.pair, p);
         match frame.transport {
-            Transport::Tcp { seq: s, ack: a, flags: f, payload: pl } => {
+            TransportRef::Tcp { seq: s, ack: a, flags: f, payload: pl } => {
                 prop_assert_eq!(s, seq);
                 prop_assert_eq!(a, ack);
                 prop_assert_eq!(f, flags);
@@ -82,10 +82,10 @@ proptest! {
     #[test]
     fn udp_frame_roundtrip(p in pair(), payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let raw = encode_udp(&p, &payload);
-        let frame = decode_frame(&raw).expect("encoded frame must decode");
+        let frame = decode_frame_ref(&raw).expect("encoded frame must decode");
         prop_assert_eq!(frame.pair, p);
         match frame.transport {
-            Transport::Udp { payload: pl } => prop_assert_eq!(pl, payload),
+            TransportRef::Udp { payload: pl } => prop_assert_eq!(pl, payload),
             other => prop_assert!(false, "expected udp, got {:?}", other),
         }
     }
@@ -100,7 +100,7 @@ proptest! {
         let bit = bit % (raw.len() * 8);
         let mut corrupted = raw.clone();
         corrupted[bit / 8] ^= 1 << (bit % 8);
-        match decode_frame(&corrupted) {
+        match decode_frame_ref(&corrupted) {
             Err(_) => {} // rejected: good
             Ok(frame) => {
                 // Only corruption within the 12 MAC bytes can decode:
@@ -113,7 +113,7 @@ proptest! {
 
     #[test]
     fn frame_decode_never_panics(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_frame(&noise);
+        let _ = decode_frame_ref(&noise);
     }
 
     #[test]
@@ -129,7 +129,7 @@ proptest! {
         use spector_netsim::packet::FrameErrorKind;
         let raw = encode_tcp(&p, 1, 2, 0x18, &payload);
         let cut = cut % raw.len();
-        match decode_frame(&raw[..cut]) {
+        match decode_frame_ref(&raw[..cut]) {
             Err(error) => prop_assert!(
                 matches!(error.kind, FrameErrorKind::Truncated | FrameErrorKind::BadChecksum),
                 "cut {} classified {:?}", cut, error.kind
@@ -251,10 +251,10 @@ proptest! {
 
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for packet in &capture {
-            if let Ok(frame) = decode_frame(&packet.data) {
-                if let Transport::Udp { payload } = frame.transport {
+            if let Ok(frame) = decode_frame_ref(&packet.data) {
+                if let TransportRef::Udp { payload } = frame.transport {
                     if frame.pair.dst_port == COLLECTOR {
-                        expected.push(payload);
+                        expected.push(payload.to_vec());
                     }
                 }
             }
@@ -287,11 +287,11 @@ proptest! {
                               flags in 0u8..32,
                               payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let raw = encode_tcp(&p, seq, ack, flags, &payload);
-        let frame = decode_frame(&raw).expect("encoded v6 frame must decode");
+        let frame = decode_frame_ref(&raw).expect("encoded v6 frame must decode");
         prop_assert_eq!(frame.pair, p, "decode keeps the on-wire v6 form");
         assert_canonical_folds(&frame.pair)?;
         match frame.transport {
-            Transport::Tcp { seq: s, ack: a, flags: f, payload: pl } => {
+            TransportRef::Tcp { seq: s, ack: a, flags: f, payload: pl } => {
                 prop_assert_eq!(s, seq);
                 prop_assert_eq!(a, ack);
                 prop_assert_eq!(f, flags);
@@ -305,11 +305,11 @@ proptest! {
     fn v6_udp_frame_roundtrip(p in pair6(),
                               payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let raw = encode_udp(&p, &payload);
-        let frame = decode_frame(&raw).expect("encoded v6 frame must decode");
+        let frame = decode_frame_ref(&raw).expect("encoded v6 frame must decode");
         prop_assert_eq!(frame.pair, p, "decode keeps the on-wire v6 form");
         assert_canonical_folds(&frame.pair)?;
         match frame.transport {
-            Transport::Udp { payload: pl } => prop_assert_eq!(pl, payload),
+            TransportRef::Udp { payload: pl } => prop_assert_eq!(pl, payload),
             other => prop_assert!(false, "expected udp, got {:?}", other),
         }
     }
@@ -325,7 +325,7 @@ proptest! {
         use spector_netsim::packet::FrameErrorKind;
         let raw = encode_tcp(&p, 1, 2, 0x18, &payload);
         let cut = cut % raw.len();
-        match decode_frame(&raw[..cut]) {
+        match decode_frame_ref(&raw[..cut]) {
             Err(error) => prop_assert!(
                 matches!(
                     error.kind,
@@ -354,10 +354,10 @@ proptest! {
         let bit = bit % (raw.len() * 8);
         let mut corrupted = raw.clone();
         corrupted[bit / 8] ^= 1 << (bit % 8);
-        if let Ok(frame) = decode_frame(&corrupted) {
+        if let Ok(frame) = decode_frame_ref(&corrupted) {
             prop_assert_eq!(frame.pair, p, "undetected flip moved the 4-tuple");
             match frame.transport {
-                Transport::Tcp { seq, ack, flags, payload: pl } => {
+                TransportRef::Tcp { seq, ack, flags, payload: pl } => {
                     prop_assert_eq!(seq, 1);
                     prop_assert_eq!(ack, 2);
                     prop_assert_eq!(flags, 0x18);

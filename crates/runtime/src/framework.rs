@@ -105,7 +105,7 @@ pub const BUILTIN_PACKAGE_PREFIXES: &[&str] = &[
 ];
 
 /// The footnote 2 filter as a single regular-expression pattern,
-/// suitable for [`spector_regexlite::Regex::new`].
+/// suitable for `spector_regexlite::Regex::new`.
 pub fn builtin_filter_pattern() -> String {
     let escaped: Vec<String> = BUILTIN_PACKAGE_PREFIXES
         .iter()

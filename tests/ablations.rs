@@ -18,7 +18,7 @@ use libspector::pipeline::analyze_run;
 use libspector::OriginKind;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_hooks::report::SocketReport;
-use spector_netsim::packet::{decode_frame, Transport};
+use spector_netsim::packet::{decode_frame_ref, TransportRef};
 use spector_runtime::TraceMode;
 
 fn corpus() -> Corpus {
@@ -119,14 +119,14 @@ fn dropped_reports_become_unattributed_flows() {
     // simulating UDP loss between emulator and collection server.
     let mut report_index = 0usize;
     raw.capture.retain(|packet| {
-        let Ok(frame) = decode_frame(&packet.data) else {
+        let Ok(frame) = decode_frame_ref(&packet.data) else {
             return true;
         };
-        let Transport::Udp { payload } = frame.transport else {
+        let TransportRef::Udp { payload } = frame.transport else {
             return true;
         };
         if frame.pair.dst_port == config.supervisor.collector_port
-            && SocketReport::is_report_payload(&payload)
+            && SocketReport::is_report_payload(payload)
         {
             report_index += 1;
             return report_index.is_multiple_of(2);

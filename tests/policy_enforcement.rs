@@ -3,11 +3,15 @@
 //! heuristic to the live stack at connect time, and blocks blacklisted
 //! library traffic before any payload moves.
 
+use std::sync::Arc;
+
 use libspector::experiment::{resolver_for, run_app, run_app_with_hooks, ExperimentConfig};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::analyze_run;
 use libspector::policy::{Action, Matcher, OnlineEnforcer, Policy};
-use spector_corpus::{AppGenConfig, Archetype, Corpus, CorpusConfig};
+use spector_corpus::{
+    obfuscate_corpus, AppGenConfig, Archetype, Corpus, CorpusConfig, ObfuscationTier,
+};
 
 fn corpus() -> Corpus {
     Corpus::generate(&CorpusConfig {
@@ -33,7 +37,7 @@ fn ip_to_domain(corpus: &Corpus) -> std::collections::HashMap<std::net::IpAddr, 
 #[test]
 fn blocking_ant_eliminates_ant_payload_but_keeps_other_traffic() {
     let corpus = corpus();
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let knowledge = Arc::new(Knowledge::from_corpus(&corpus));
     let resolver = resolver_for(&corpus.domains);
     let mut config = ExperimentConfig::default();
     config.monkey.events = 100;
@@ -49,7 +53,7 @@ fn blocking_ant_eliminates_ant_payload_but_keeps_other_traffic() {
     assert!(baseline.ant_bytes() > 0, "mixed app must have AnT traffic");
 
     let policy = Policy::allow_by_default().with_rule("no-ant", Matcher::AnyAnt, Action::Block);
-    let enforcer = OnlineEnforcer::new(policy, &knowledge, ip_to_domain(&corpus));
+    let enforcer = OnlineEnforcer::new(policy, Arc::clone(&knowledge), ip_to_domain(&corpus));
     let enforced_raw =
         run_app_with_hooks(&app.apk, &resolver, &[], &config, vec![Box::new(enforcer)]).unwrap();
     assert!(enforced_raw.runtime_stats.blocked_ops > 0);
@@ -78,10 +82,70 @@ fn blocking_ant_eliminates_ant_payload_but_keeps_other_traffic() {
     assert!(enforced.total_recv() < baseline.total_recv());
 }
 
+/// Renamed SDKs are AnT only through the knowledge base's
+/// exact-fingerprint tier. The enforcer resolves verdicts through the
+/// same cascade as the offline analysis, so it blocks them online too.
+#[test]
+fn blocking_ant_reaches_renamed_sdks() {
+    let mut corpus = corpus();
+    obfuscate_corpus(&mut corpus, ObfuscationTier::Rename, 0x0bf5);
+    let knowledge = Arc::new(Knowledge::from_corpus(&corpus));
+    let resolver = resolver_for(&corpus.domains);
+    let mut config = ExperimentConfig::default();
+    config.monkey.events = 100;
+    let port = config.supervisor.collector_port;
+    let ant_payload = |analysis: &libspector::pipeline::AppAnalysis| -> u64 {
+        analysis
+            .flows
+            .iter()
+            .filter(|f| f.is_ant)
+            .map(|f| f.sent_payload + f.recv_payload)
+            .sum()
+    };
+    let mut apps_with_ant = 0;
+    for app in &corpus.apps {
+        let baseline = analyze_run(
+            &run_app(&app.apk, &resolver, &[], &config).unwrap(),
+            &knowledge,
+            port,
+        );
+        if ant_payload(&baseline) == 0 {
+            continue;
+        }
+        apps_with_ant += 1;
+        assert!(
+            baseline.detect.exact_fp_hits > 0,
+            "{}: renamed AnT must resolve through the exact fingerprint",
+            app.package
+        );
+        let policy = Policy::allow_by_default().with_rule("no-ant", Matcher::AnyAnt, Action::Block);
+        let enforcer = OnlineEnforcer::new(policy, Arc::clone(&knowledge), ip_to_domain(&corpus));
+        let enforced_raw =
+            run_app_with_hooks(&app.apk, &resolver, &[], &config, vec![Box::new(enforcer)])
+                .unwrap();
+        assert!(
+            enforced_raw.runtime_stats.blocked_ops > 0,
+            "{}: no renamed AnT connection was blocked",
+            app.package
+        );
+        let enforced = analyze_run(&enforced_raw, &knowledge, port);
+        assert_eq!(
+            ant_payload(&enforced),
+            0,
+            "{}: AnT payload flowed",
+            app.package
+        );
+    }
+    assert!(
+        apps_with_ant > 0,
+        "the renamed corpus must carry AnT traffic"
+    );
+}
+
 #[test]
 fn library_prefix_blacklist_blocks_only_that_family() {
     let corpus = corpus();
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let knowledge = Arc::new(Knowledge::from_corpus(&corpus));
     let resolver = resolver_for(&corpus.domains);
     let mut config = ExperimentConfig::default();
     config.monkey.events = 80;
@@ -110,7 +174,7 @@ fn library_prefix_blacklist_blocks_only_that_family() {
             Matcher::LibraryPrefix(target.clone()),
             Action::Block,
         );
-        let enforcer = OnlineEnforcer::new(policy, &knowledge, ip_to_domain(&corpus));
+        let enforcer = OnlineEnforcer::new(policy, Arc::clone(&knowledge), ip_to_domain(&corpus));
         let enforced_raw =
             run_app_with_hooks(&app.apk, &resolver, &[], &config, vec![Box::new(enforcer)])
                 .unwrap();
@@ -134,7 +198,7 @@ fn library_prefix_blacklist_blocks_only_that_family() {
 #[test]
 fn allow_by_default_policy_changes_nothing() {
     let corpus = corpus();
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let knowledge = Arc::new(Knowledge::from_corpus(&corpus));
     let resolver = resolver_for(&corpus.domains);
     let mut config = ExperimentConfig::default();
     config.monkey.events = 60;
@@ -143,7 +207,7 @@ fn allow_by_default_policy_changes_nothing() {
     let baseline = run_app(&app.apk, &resolver, &[], &config).unwrap();
     let enforcer = OnlineEnforcer::new(
         Policy::allow_by_default(),
-        &knowledge,
+        Arc::clone(&knowledge),
         ip_to_domain(&corpus),
     );
     let enforced =
