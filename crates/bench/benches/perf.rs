@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use libspector::attribution::{attribute, BuiltinFilter};
 use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
-use libspector::pipeline::{analyze_run, analyze_run_oracle};
+use libspector::pipeline::analyze_run;
 use spector_bench::{corpus, knowledge, throughput_fixture, THROUGHPUT_APPS};
 use spector_dex::sha256::Sha256;
 use spector_dex::{parse_dex, write_dex};
@@ -146,9 +146,7 @@ fn bench_experiment_slice(c: &mut Criterion) {
 /// Offline attribution throughput at the paper's campaign scale: the
 /// whole §IV store (400 raw runs) through `analyze_run` per iteration.
 /// Criterion's `elem/s` readout is apps/sec for the `*_apps` benches
-/// and flows/sec for the `*_flows` benches (same loop, flow-weighted).
-/// `oracle` is the retired three-pass/uncached pipeline, kept so the
-/// speedup of the single-pass + trie + memoized path stays measured —
+/// and flows/sec for the `*_flows` benches (same loop, flow-weighted);
 /// numbers are recorded in `BENCH_pipeline.json` at the repo root.
 fn bench_analysis_throughput(c: &mut Criterion) {
     let (knowledge, raws, port) = throughput_fixture();
@@ -165,13 +163,6 @@ fn bench_analysis_throughput(c: &mut Criterion) {
         b.iter(|| {
             for raw in raws {
                 std::hint::black_box(analyze_run(raw, knowledge, port));
-            }
-        });
-    });
-    group.bench_function("analyze_run_oracle_apps", |b| {
-        b.iter(|| {
-            for raw in raws {
-                std::hint::black_box(analyze_run_oracle(raw, knowledge, port));
             }
         });
     });

@@ -62,28 +62,15 @@ struct Claim {
 /// verdicts, and the detection-cascade accounting. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct ReportJoin {
-    /// Resolve verdicts with the uncached reference cascade.
-    oracle: bool,
     claimed: HashSet<(usize, u32)>,
     claims: Vec<Claim>,
     detect: DetectStats,
 }
 
 impl ReportJoin {
-    /// A join resolving verdicts through the knowledge base's memoizing
-    /// cascade.
+    /// An empty join: nothing claimed, nothing counted.
     pub fn new() -> Self {
         ReportJoin::default()
-    }
-
-    /// A join resolving verdicts through
-    /// [`Knowledge::library_verdict_tiered_oracle`] — the reference
-    /// path of [`analyze_run_oracle`](crate::pipeline::analyze_run_oracle).
-    pub fn oracle() -> Self {
-        ReportJoin {
-            oracle: true,
-            ..ReportJoin::default()
-        }
     }
 
     /// The claim rule. Joins `report` with the epoch of its 4-tuple
@@ -111,13 +98,9 @@ impl ReportJoin {
             .time(|| attribute(&report.frames, &knowledge.builtin));
         let verdict = match &attribution.origin {
             OriginKind::Library { origin_library, .. } => {
-                let (verdict, tier) = pt.library_verdict.time(|| {
-                    if self.oracle {
-                        knowledge.library_verdict_tiered_oracle(origin_library)
-                    } else {
-                        knowledge.library_verdict_tiered(origin_library)
-                    }
-                });
+                let (verdict, tier) = pt
+                    .library_verdict
+                    .time(|| knowledge.library_verdict_tiered(origin_library));
                 self.detect.record(origin_library, tier);
                 pt.record_detect(tier);
                 verdict

@@ -7,21 +7,19 @@
 //! (§III-F). `Knowledge` bundles those inputs; [`Knowledge::from_corpus`]
 //! performs the aggregation scan over a generated corpus.
 //!
-//! Two memoization layers keep the per-flow hot path off the expensive
-//! machinery:
-//!
-//! * domain categories are precomputed once per campaign (the Table I
-//!   regex tokenizer runs once per *domain*, not once per *flow*) into
-//!   [`Knowledge::domain_categories`];
-//! * origin-library verdicts — predicted category plus AnT/common list
-//!   membership — are cached per origin-library in a concurrent map
-//!   shared by all dispatch workers ([`Knowledge::library_verdict`]).
+//! Domain categories are precomputed once per campaign (the Table I
+//! regex tokenizer runs once per *domain*, not once per *flow*) into
+//! [`Knowledge::domain_categories`]. Origin-library verdicts —
+//! predicted category plus AnT/common list membership — are resolved
+//! per claim by [`Knowledge::library_verdict_tiered`], whose tiers are
+//! trie walks and alias lookups over tables fixed at build time, so the
+//! knowledge base never changes after the corpus scan and every
+//! dispatch worker and live shard reads it without a lock.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::RwLock;
 use spector_corpus::Corpus;
 use spector_dex::features::PackageTree;
 use spector_libradar::{
@@ -32,12 +30,12 @@ use spector_vtcat::{DomainCategory, Tokenizer};
 
 use crate::attribution::BuiltinFilter;
 
-/// Memoized per-origin-library verdict: predicted category, AnT list
+/// Per-origin-library verdict: predicted category, AnT list
 /// membership, common-library list membership.
 pub type LibraryVerdict = (LibCategory, bool, bool);
 
 /// Everything the per-app analysis needs beyond the app's own run data.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Knowledge {
     /// Libraries detected across the corpus, with categories.
     pub aggregated: AggregatedLibraries,
@@ -55,24 +53,6 @@ pub struct Knowledge {
     /// Prefixes only the structural-profile tier could bridge (mangled
     /// copies the exact fingerprint no longer recognizes).
     pub structural_aliases: PrefixAliases,
-    /// Concurrent per-campaign cache of origin-library verdicts (with
-    /// the cascade tier that produced each), shared by all analysis
-    /// workers.
-    library_verdicts: RwLock<HashMap<String, (LibraryVerdict, DetectTier)>>,
-}
-
-impl Clone for Knowledge {
-    fn clone(&self) -> Self {
-        Knowledge {
-            aggregated: self.aggregated.clone(),
-            lists: self.lists.clone(),
-            domain_categories: self.domain_categories.clone(),
-            builtin: self.builtin.clone(),
-            exact_aliases: self.exact_aliases.clone(),
-            structural_aliases: self.structural_aliases.clone(),
-            library_verdicts: RwLock::new(self.library_verdicts.read().clone()),
-        }
-    }
 }
 
 impl Knowledge {
@@ -109,7 +89,6 @@ impl Knowledge {
             builtin: BuiltinFilter::new(),
             exact_aliases: PrefixAliases::new(),
             structural_aliases: PrefixAliases::new(),
-            library_verdicts: RwLock::new(HashMap::new()),
         }
     }
 
@@ -167,24 +146,8 @@ impl Knowledge {
             .unwrap_or(DomainCategory::Unknown)
     }
 
-    /// Category of an origin-library package: longest matching known
-    /// library prefix, then majority vote over the shared-prefix family
-    /// (Listing 2). Packages with no relation to any known library are
-    /// `Unknown` — typically first-party code.
-    pub fn library_category(&self, origin_library: &str) -> LibCategory {
-        self.library_verdict(origin_library).0
-    }
-
-    /// Memoized `(category, is_ant, is_common)` verdict for an
-    /// origin-library. The first query per distinct origin pays the
-    /// cascade walk; every repeat across the whole campaign is one
-    /// concurrent hash lookup.
-    pub fn library_verdict(&self, origin_library: &str) -> LibraryVerdict {
-        self.library_verdict_tiered(origin_library).0
-    }
-
-    /// The three-tier detection cascade, memoized: the verdict plus the
-    /// tier that produced it.
+    /// The three-tier detection cascade: the verdict plus the tier that
+    /// produced it.
     ///
     /// 1. **Trie** — longest-prefix / Listing 2 vote on the raw origin
     ///    package. Any non-`Unknown` category is a hit: this is the
@@ -198,82 +161,26 @@ impl Knowledge {
     /// 4. **Miss** — the plain tier-1 verdict (typically first-party:
     ///    `Unknown`, off both lists).
     pub fn library_verdict_tiered(&self, origin_library: &str) -> (LibraryVerdict, DetectTier) {
-        if let Some(entry) = self.library_verdicts.read().get(origin_library) {
-            return *entry;
-        }
-        let base = (
-            self.aggregated.predict_category(origin_library),
-            self.lists.is_ant(origin_library),
-            self.lists.is_common(origin_library),
-        );
-        let entry = if base.0 != LibCategory::Unknown {
-            (base, DetectTier::Trie)
-        } else if let Some(canonical) = self.exact_aliases.resolve(origin_library) {
-            (
-                self.canonical_verdict(&canonical),
-                DetectTier::ExactFingerprint,
-            )
-        } else if let Some(canonical) = self.structural_aliases.resolve(origin_library) {
-            (self.canonical_verdict(&canonical), DetectTier::Structural)
-        } else {
-            (base, DetectTier::Miss)
-        };
-        self.library_verdicts
-            .write()
-            .insert(origin_library.to_owned(), entry);
-        entry
-    }
-
-    /// Verdict for an alias-rewritten canonical origin (not memoized:
-    /// the obfuscated origin's cache entry covers the repeat traffic).
-    fn canonical_verdict(&self, canonical: &str) -> LibraryVerdict {
-        (
-            self.aggregated.predict_category(canonical),
-            self.lists.is_ant(canonical),
-            self.lists.is_common(canonical),
-        )
-    }
-
-    /// Linear-scan twin of [`Knowledge::library_verdict_tiered`] for the
-    /// oracle pipeline: same cascade, oracle prefix prediction and alias
-    /// resolution, no memoization.
-    pub fn library_verdict_tiered_oracle(
-        &self,
-        origin_library: &str,
-    ) -> (LibraryVerdict, DetectTier) {
-        let base = (
-            self.aggregated.predict_category_oracle(origin_library),
-            self.lists.is_ant(origin_library),
-            self.lists.is_common(origin_library),
-        );
+        let base = self.plain_verdict(origin_library);
         if base.0 != LibCategory::Unknown {
             (base, DetectTier::Trie)
-        } else if let Some(canonical) = self.exact_aliases.resolve_oracle(origin_library) {
-            (
-                (
-                    self.aggregated.predict_category_oracle(&canonical),
-                    self.lists.is_ant(&canonical),
-                    self.lists.is_common(&canonical),
-                ),
-                DetectTier::ExactFingerprint,
-            )
-        } else if let Some(canonical) = self.structural_aliases.resolve_oracle(origin_library) {
-            (
-                (
-                    self.aggregated.predict_category_oracle(&canonical),
-                    self.lists.is_ant(&canonical),
-                    self.lists.is_common(&canonical),
-                ),
-                DetectTier::Structural,
-            )
+        } else if let Some(canonical) = self.exact_aliases.resolve(origin_library) {
+            (self.plain_verdict(&canonical), DetectTier::ExactFingerprint)
+        } else if let Some(canonical) = self.structural_aliases.resolve(origin_library) {
+            (self.plain_verdict(&canonical), DetectTier::Structural)
         } else {
             (base, DetectTier::Miss)
         }
     }
 
-    /// Number of distinct origin-libraries currently memoized.
-    pub fn cached_verdicts(&self) -> usize {
-        self.library_verdicts.read().len()
+    /// Listing 2 category and list membership of `package` as named,
+    /// with no alias rewrite.
+    fn plain_verdict(&self, package: &str) -> LibraryVerdict {
+        (
+            self.aggregated.predict_category(package),
+            self.lists.is_ant(package),
+            self.lists.is_common(package),
+        )
     }
 }
 
@@ -358,11 +265,8 @@ mod tests {
                     continue;
                 }
                 let origin = truth.expected_origin.as_deref().unwrap();
-                assert_eq!(
-                    knowledge.library_category(origin),
-                    truth.lib_category,
-                    "origin {origin}"
-                );
+                let ((category, _, _), _) = knowledge.library_verdict_tiered(origin);
+                assert_eq!(category, truth.lib_category, "origin {origin}");
                 checked += 1;
             }
         }
@@ -372,10 +276,8 @@ mod tests {
     #[test]
     fn first_party_packages_are_unknown() {
         let (knowledge, _) = knowledge();
-        assert_eq!(
-            knowledge.library_category("com.dev7.app3.net"),
-            LibCategory::Unknown
-        );
+        let ((category, _, _), _) = knowledge.library_verdict_tiered("com.dev7.app3.net");
+        assert_eq!(category, LibCategory::Unknown);
     }
 
     #[test]
@@ -426,20 +328,22 @@ mod tests {
     }
 
     #[test]
-    fn library_verdict_is_memoized_and_consistent() {
+    fn clean_corpus_verdicts_come_from_the_trie_tier() {
         let (knowledge, corpus) = knowledge();
-        assert_eq!(knowledge.cached_verdicts(), 0);
+        // An unobfuscated corpus records no aliases, so every verdict is
+        // the plain trie verdict: a hit when a category is predicted, a
+        // miss otherwise.
+        assert!(knowledge.exact_aliases.is_empty());
+        assert!(knowledge.structural_aliases.is_empty());
         let mut checked = 0;
         for app in &corpus.apps {
             for truth in &app.truth {
                 let Some(origin) = truth.expected_origin.as_deref() else {
                     continue;
                 };
-                let first = knowledge.library_verdict(origin);
-                let second = knowledge.library_verdict(origin);
-                assert_eq!(first, second);
+                let (verdict, tier) = knowledge.library_verdict_tiered(origin);
                 assert_eq!(
-                    first,
+                    verdict,
                     (
                         knowledge.aggregated.predict_category(origin),
                         knowledge.lists.is_ant(origin),
@@ -447,14 +351,15 @@ mod tests {
                     ),
                     "origin {origin}"
                 );
+                let expected_tier = if verdict.0 == LibCategory::Unknown {
+                    DetectTier::Miss
+                } else {
+                    DetectTier::Trie
+                };
+                assert_eq!(tier, expected_tier, "origin {origin}");
                 checked += 1;
             }
         }
         assert!(checked > 0);
-        let cached = knowledge.cached_verdicts();
-        assert!(cached > 0);
-        // A clone starts from the same cache contents.
-        let cloned = knowledge.clone();
-        assert_eq!(cloned.cached_verdicts(), cached);
     }
 }

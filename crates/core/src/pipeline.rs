@@ -22,9 +22,8 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 use spector_hooks::supervisor::decode_reports_classified;
-use spector_hooks::{CollectorStats, LedgerRecord, ReportErrorKind, SocketReport};
+use spector_hooks::CollectorStats;
 use spector_libradar::{DetectTier, LibCategory};
-use spector_netsim::flows::{DnsMap, FlowTable};
 use spector_netsim::shape::{FlowShape, IpFamily};
 use spector_netsim::{CaptureIndex, FrameErrorCounts};
 use spector_sampling::SamplingLedger;
@@ -469,10 +468,8 @@ impl PipelineTelemetry {
 ///
 /// This is the hot path: the capture is decoded exactly once (flow
 /// table, DNS map, and report datagrams come out of one
-/// [`CaptureIndex`] pass), and origin-library verdicts go through the
-/// knowledge base's memoizing caches. [`analyze_run_oracle`] is the
-/// retired three-pass/uncached implementation, kept as a reference;
-/// both produce identical [`AppAnalysis`] values.
+/// [`CaptureIndex`] pass), and each claimed report's origin-library
+/// verdict comes from [`Knowledge::library_verdict_tiered`].
 ///
 /// Routes through [`analyze_run_instrumented`] with the disabled
 /// telemetry instance — one branch per stage, no recording.
@@ -488,7 +485,9 @@ pub fn analyze_run(raw: &RawRun, knowledge: &Knowledge, collector_port: u16) -> 
 /// [`analyze_run`] with per-stage spans and join-balance counters
 /// recorded into `pt`. Produces byte-identical [`AppAnalysis`] values
 /// to the plain entry point — telemetry observes the pipeline, it
-/// never steers it.
+/// never steers it. Balance counters land in `pt` at the join branch
+/// they describe, so the join-balance invariant is structural, not
+/// arithmetic.
 pub fn analyze_run_instrumented(
     raw: &RawRun,
     knowledge: &Knowledge,
@@ -508,104 +507,13 @@ pub fn analyze_run_instrumented(
     );
     pt.record_integrity(&integrity);
     pt.record_sampling(&collector.sampling);
-    join_reports(
-        raw,
-        knowledge,
-        &index.flows,
-        &index.dns,
-        &reports,
-        integrity,
-        collector.sampling,
-        pt,
-        ReportJoin::new(),
-    )
-}
 
-/// Reference implementation of [`analyze_run`]: three independent
-/// capture walks and no memoization — linear longest-prefix matching
-/// ([`spector_libradar::AggregatedLibraries::predict_category_oracle`])
-/// and per-report list scans. Exists to pin the fast path's behavior
-/// (equivalence is asserted by tests and measured by the benches); not
-/// for production use.
-pub fn analyze_run_oracle(raw: &RawRun, knowledge: &Knowledge, collector_port: u16) -> AppAnalysis {
-    use spector_netsim::packet::{decode_frame_ref, FrameErrorKind, TransportRef};
-
-    let flow_table = FlowTable::from_capture(&raw.capture);
-    let dns_map = DnsMap::from_capture(&raw.capture);
-    // Reference integrity pass: one more capture walk, classifying
-    // every frame and collector-port payload the views skipped.
-    let mut reports = Vec::new();
-    let mut sampling = SamplingLedger::default();
-    let mut integrity = RunIntegrity {
-        synthesized_flows: flow_table.synthesized_epochs(),
-        ..RunIntegrity::default()
-    };
-    for packet in &raw.capture {
-        match decode_frame_ref(&packet.data) {
-            Ok(frame) => {
-                let TransportRef::Udp { payload } = frame.transport else {
-                    continue;
-                };
-                if frame.pair.dst_port != collector_port {
-                    continue;
-                }
-                if LedgerRecord::is_ledger_payload(payload) {
-                    match LedgerRecord::decode(payload) {
-                        Ok(record) => sampling.merge(&record.ledger),
-                        Err(_) => sampling.ledgers_lost += 1,
-                    }
-                    continue;
-                }
-                match SocketReport::decode(payload) {
-                    Ok(report) => reports.push(report),
-                    Err(error) => match error.kind {
-                        ReportErrorKind::Truncated => integrity.reports_truncated += 1,
-                        ReportErrorKind::Malformed => integrity.reports_malformed += 1,
-                    },
-                }
-            }
-            Err(error) => match error.kind {
-                FrameErrorKind::Truncated => integrity.frames_truncated += 1,
-                FrameErrorKind::Malformed => integrity.frames_malformed += 1,
-                FrameErrorKind::BadChecksum => integrity.frames_bad_checksum += 1,
-            },
-        }
-    }
-    join_reports(
-        raw,
-        knowledge,
-        &flow_table,
-        &dns_map,
-        &reports,
-        integrity,
-        sampling,
-        PipelineTelemetry::disabled_ref(),
-        ReportJoin::oracle(),
-    )
-}
-
-/// Drives a [`ReportJoin`] over one run's finished tables — steps 3–6
-/// of the pipeline, shared by [`analyze_run`] and
-/// [`analyze_run_oracle`]. Balance counters land in `pt` at the branch
-/// they describe, so the join-balance invariant is structural, not
-/// arithmetic.
-#[allow(clippy::too_many_arguments)]
-fn join_reports(
-    raw: &RawRun,
-    knowledge: &Knowledge,
-    flow_table: &FlowTable,
-    dns_map: &DnsMap,
-    reports: &[SocketReport],
-    integrity: RunIntegrity,
-    sampling: SamplingLedger,
-    pt: &PipelineTelemetry,
-    mut join: ReportJoin,
-) -> AppAnalysis {
+    let mut join = ReportJoin::new();
     let mut reports_without_flow = 0usize;
     pt.reports_total.add(reports.len() as u64);
     let flows: Vec<AnalyzedFlow> = pt.flow_join.time(|| {
-        for report in reports {
-            match join.claim(report, flow_table, knowledge, pt) {
+        for report in &reports {
+            match join.claim(report, &index.flows, knowledge, pt) {
                 ClaimOutcome::Claimed => pt.flows_attributed.inc(),
                 ClaimOutcome::Duplicate => pt.duplicate_reports.inc(),
                 ClaimOutcome::NoFlow => {
@@ -614,11 +522,11 @@ fn join_reports(
                 }
             }
         }
-        join.rows(flow_table, dns_map, knowledge, pt)
+        join.rows(&index.flows, &index.dns, knowledge, pt)
             .inspect(|flow| pt.flow_bytes.record(flow.total_bytes()))
             .collect()
     });
-    let unattributed_flows = join.unattributed(flow_table);
+    let unattributed_flows = join.unattributed(&index.flows);
     pt.flows_unattributed.add(unattributed_flows as u64);
     let coverage = pt
         .coverage
@@ -631,11 +539,11 @@ fn join_reports(
         unattributed_flows,
         reports_without_flow,
         coverage,
-        dns_packets: dns_map.dns_packet_count,
+        dns_packets: index.dns.dns_packet_count,
         report_packets: reports.len(),
         integrity,
         detect: join.into_detect(),
-        sampling,
+        sampling: collector.sampling,
     }
 }
 
@@ -853,9 +761,6 @@ mod tests {
         assert_eq!(analysis.flows[0].recv_payload, 2_000);
         assert_eq!(analysis.unattributed_flows, 0);
         assert_eq!(analysis.reports_without_flow, 1);
-        // The oracle path applies the identical join rules.
-        let oracle = analyze_run_oracle(&raw, &knowledge, config.collector_port);
-        assert_eq!(analysis, oracle);
     }
 
     #[test]

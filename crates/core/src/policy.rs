@@ -210,10 +210,10 @@ pub fn apply(policy: &Policy, analyses: &[AppAnalysis]) -> PolicyReport {
 /// Library rules see the verdict the offline pipeline would give the
 /// flow: the origin comes from the knowledge base's builtin filter and
 /// its category and list membership from the knowledge base's tiered
-/// cascade ([`Knowledge::library_verdict`]), so renamed and mangled
-/// SDKs are recognized online as they are offline. Domain rules
-/// resolve the destination address through the supplied IP→domain map
-/// (the enforcer's equivalent of a DNS inspection cache).
+/// cascade ([`Knowledge::library_verdict_tiered`]), so renamed and
+/// mangled SDKs are recognized online as they are offline. Domain
+/// rules resolve the destination address through the supplied
+/// IP→domain map (the enforcer's equivalent of a DNS inspection cache).
 #[derive(Debug)]
 pub struct OnlineEnforcer {
     policy: Policy,
@@ -265,7 +265,7 @@ impl spector_runtime::RuntimeHook for OnlineEnforcer {
         let attribution = crate::attribution::attribute(&frames, &self.knowledge.builtin);
         let (lib_category, is_ant, is_common) = match &attribution.origin {
             OriginKind::Library { origin_library, .. } => {
-                self.knowledge.library_verdict(origin_library)
+                self.knowledge.library_verdict_tiered(origin_library).0
             }
             OriginKind::Builtin => (LibCategory::Unknown, false, false),
         };

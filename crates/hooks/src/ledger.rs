@@ -23,7 +23,7 @@
 //! An exact run (rate 1.0, no budget) emits no ledger at all — the
 //! capture stays byte-identical to a build without the sampling layer.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use spector_dex::sha256::Digest;
 use spector_sampling::SamplingLedger;
 
@@ -69,8 +69,7 @@ impl LedgerRecord {
     /// (`observed == emitted + sampled_out + budget_suppressed`) are
     /// `Malformed`.
     pub fn decode(payload: &[u8]) -> Result<Self, ReportParseError> {
-        let mut buf = Bytes::copy_from_slice(payload);
-        if buf.remaining() < 4 {
+        let Some((magic, body)) = payload.split_first_chunk::<4>() else {
             return Err(parse_error(
                 if LEDGER_MAGIC.starts_with(payload) {
                     ReportErrorKind::Truncated
@@ -79,26 +78,28 @@ impl LedgerRecord {
                 },
                 "truncated magic",
             ));
-        }
-        if &buf.split_to(4)[..] != LEDGER_MAGIC {
+        };
+        if magic != LEDGER_MAGIC {
             return Err(parse_error(ReportErrorKind::Malformed, "bad magic"));
         }
-        if payload.len() < LEDGER_WIRE_LEN {
-            return Err(parse_error(ReportErrorKind::Truncated, "truncated body"));
-        }
-        if payload.len() > LEDGER_WIRE_LEN {
-            return Err(parse_error(ReportErrorKind::Malformed, "trailing bytes"));
-        }
-        let mut digest = [0u8; 32];
-        buf.copy_to_slice(&mut digest);
+        let truncated = || parse_error(ReportErrorKind::Truncated, "truncated body");
+        let (digest, mut rest) = body.split_first_chunk::<32>().ok_or_else(truncated)?;
+        let mut counter = || {
+            let (field, tail) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
+            rest = tail;
+            Ok(u64::from_le_bytes(*field))
+        };
         let ledger = SamplingLedger {
-            reports_observed: buf.get_u64_le(),
-            reports_emitted: buf.get_u64_le(),
-            sampled_out: buf.get_u64_le(),
-            budget_suppressed: buf.get_u64_le(),
-            windows_exhausted: buf.get_u64_le(),
+            reports_observed: counter()?,
+            reports_emitted: counter()?,
+            sampled_out: counter()?,
+            budget_suppressed: counter()?,
+            windows_exhausted: counter()?,
             ledgers_lost: 0,
         };
+        if !rest.is_empty() {
+            return Err(parse_error(ReportErrorKind::Malformed, "trailing bytes"));
+        }
         if !ledger.is_balanced() {
             return Err(parse_error(
                 ReportErrorKind::Malformed,
@@ -106,7 +107,7 @@ impl LedgerRecord {
             ));
         }
         Ok(LedgerRecord {
-            apk_sha256: Digest(digest),
+            apk_sha256: Digest(*digest),
             ledger,
         })
     }

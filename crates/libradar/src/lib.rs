@@ -15,8 +15,8 @@
 //! Both heuristics are indexed by a dotted-component prefix trie
 //! ([`trie::LibTrie`]) that answers longest-matching-prefix, common
 //! prefix depth, and subtree category votes in O(#components) per
-//! query instead of O(#libraries); the original linear scans survive
-//! as `*_oracle` methods for property tests and benchmark baselines.
+//! query instead of O(#libraries); the original linear scans are kept
+//! only in test code, as the reference the trie is compared against.
 //!
 //! LibRadar itself recognizes libraries by hashing package-subtree
 //! features (so renamed copies of the same code still match, and

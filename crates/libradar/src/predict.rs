@@ -2,10 +2,9 @@
 //! majority-vote category prediction (paper §III-C/D, Listing 2).
 //!
 //! Both per-query heuristics are answered by a lazily-built
-//! [`LibTrie`] in O(#package-components); the original O(#libraries)
-//! linear scans are retained as `*_oracle` reference implementations so
-//! property tests and the benchmark baseline can compare against the
-//! pre-index behavior.
+//! [`LibTrie`] in O(#package-components). The original O(#libraries)
+//! linear scans live on only as the reference the tests compare the
+//! trie against (`tests/support/listing2.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -112,85 +111,6 @@ impl AggregatedLibraries {
     pub fn predict_category(&self, package: &str) -> LibCategory {
         self.trie().predict_category(package)
     }
-
-    /// Reference oracle for [`longest_matching_prefix`]: the original
-    /// O(#libraries) linear scan. Kept (off the hot path) so property
-    /// tests and the pipeline benchmark baseline can verify the trie
-    /// byte-for-byte.
-    ///
-    /// [`longest_matching_prefix`]: Self::longest_matching_prefix
-    pub fn longest_matching_prefix_oracle(&self, package: &str) -> Option<&str> {
-        let mut best: Option<&str> = None;
-        for name in self.libs.keys() {
-            if is_dotted_prefix(name, package) && best.is_none_or(|b| name.len() > b.len()) {
-                best = Some(name);
-            }
-        }
-        best
-    }
-
-    /// Reference oracle for [`predict_category`](Self::predict_category): the original
-    /// double-scan (longest prefix, then a full rescan for the common
-    /// depth, then a vote scan). See
-    /// [`longest_matching_prefix_oracle`](Self::longest_matching_prefix_oracle).
-    pub fn predict_category_oracle(&self, package: &str) -> LibCategory {
-        // If the package *is* a known library or extends one, prefer the
-        // longest matching library's own category when set.
-        if let Some(best) = self.longest_matching_prefix_oracle(package) {
-            let cat = self.libs[best];
-            if cat != LibCategory::Unknown {
-                return cat;
-            }
-        }
-        // Longest common dotted prefix with any known library. A single
-        // shared component (`com`, `org`, …) is organizationally
-        // meaningless — TLD-style roots are shared by unrelated code —
-        // so at least two components must match before voting.
-        let mut common_len = 0usize;
-        for name in self.libs.keys() {
-            let len = common_dotted_components(name, package);
-            common_len = common_len.max(len);
-        }
-        if common_len < 2 {
-            return LibCategory::Unknown;
-        }
-        let prefix = dotted_prefix(package, common_len);
-        // Vote among all libraries under the common prefix.
-        let mut votes: BTreeMap<LibCategory, usize> = BTreeMap::new();
-        for (name, cat) in &self.libs {
-            if (is_dotted_prefix(&prefix, name) || name == &prefix) && *cat != LibCategory::Unknown
-            {
-                *votes.entry(*cat).or_default() += 1;
-            }
-        }
-        votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(cat, _)| cat)
-            .unwrap_or(LibCategory::Unknown)
-    }
-}
-
-/// `true` when `prefix` is a whole-component dotted prefix of `name`
-/// (`com.unity3d` prefixes `com.unity3d.ads` but not `com.unity3dx`).
-fn is_dotted_prefix(prefix: &str, name: &str) -> bool {
-    name == prefix || (name.starts_with(prefix) && name.as_bytes().get(prefix.len()) == Some(&b'.'))
-}
-
-/// Number of leading dotted components `a` and `b` share.
-fn common_dotted_components(a: &str, b: &str) -> usize {
-    a.split('.')
-        .zip(b.split('.'))
-        .take_while(|(x, y)| x == y)
-        .count()
-}
-
-/// The first `components` dotted components of `name`.
-fn dotted_prefix(name: &str, components: usize) -> String {
-    name.split('.')
-        .take(components)
-        .collect::<Vec<_>>()
-        .join(".")
 }
 
 #[cfg(test)]
@@ -299,30 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn trie_agrees_with_oracle_on_listing2() {
-        let agg = unity();
-        for query in [
-            "com.unity3d.example",
-            "com.unity3d.ads.android.cache",
-            "com.unity3d",
-            "com.unity3dx.foo",
-            "com.other",
-            "io.unrelated",
-        ] {
-            assert_eq!(
-                agg.longest_matching_prefix(query),
-                agg.longest_matching_prefix_oracle(query),
-                "{query}"
-            );
-            assert_eq!(
-                agg.predict_category(query),
-                agg.predict_category_oracle(query),
-                "{query}"
-            );
-        }
-    }
-
-    #[test]
     fn record_invalidates_trie() {
         let mut agg = AggregatedLibraries::new();
         agg.record("com.a.lib", LibCategory::Payment);
@@ -354,15 +250,5 @@ mod tests {
             back.predict_category("com.unity3d.example"),
             LibCategory::GameEngine
         );
-    }
-
-    #[test]
-    fn helper_functions() {
-        assert!(is_dotted_prefix("a.b", "a.b.c"));
-        assert!(is_dotted_prefix("a.b", "a.b"));
-        assert!(!is_dotted_prefix("a.b", "a.bc"));
-        assert_eq!(common_dotted_components("a.b.c", "a.b.x"), 2);
-        assert_eq!(common_dotted_components("a", "b"), 0);
-        assert_eq!(dotted_prefix("a.b.c", 2), "a.b");
     }
 }

@@ -274,21 +274,6 @@ impl PrefixAliases {
             end = origin[..end].rfind('.')?;
         }
     }
-
-    /// Linear-scan twin of [`PrefixAliases::resolve`] for the oracle
-    /// pipeline: identical answers, no early exit structure shared.
-    pub fn resolve_oracle(&self, origin: &str) -> Option<String> {
-        let mut best: Option<(&str, &str)> = None;
-        for (prefix, canonical) in &self.map {
-            let applies = origin == prefix
-                || (origin.starts_with(prefix.as_str())
-                    && origin.as_bytes().get(prefix.len()) == Some(&b'.'));
-            if applies && best.is_none_or(|(b, _)| prefix.len() > b.len()) {
-                best = Some((prefix, canonical));
-            }
-        }
-        best.map(|(prefix, canonical)| format!("{canonical}{}", &origin[prefix.len()..]))
-    }
 }
 
 #[cfg(test)]
@@ -499,8 +484,23 @@ mod tests {
             "com.other",
             "qx",
         ] {
-            assert_eq!(aliases.resolve(origin), aliases.resolve_oracle(origin));
+            assert_eq!(aliases.resolve(origin), resolve_linear(&aliases, origin));
         }
+    }
+
+    /// The linear reference for [`PrefixAliases::resolve`]: scan every
+    /// alias and keep the longest that is a dotted prefix of `origin`.
+    fn resolve_linear(aliases: &PrefixAliases, origin: &str) -> Option<String> {
+        let mut best: Option<(&str, &str)> = None;
+        for (prefix, canonical) in &aliases.map {
+            let applies = origin == prefix
+                || (origin.starts_with(prefix.as_str())
+                    && origin.as_bytes().get(prefix.len()) == Some(&b'.'));
+            if applies && best.is_none_or(|(b, _)| prefix.len() > b.len()) {
+                best = Some((prefix, canonical));
+            }
+        }
+        best.map(|(prefix, canonical)| format!("{canonical}{}", &origin[prefix.len()..]))
     }
 
     #[test]

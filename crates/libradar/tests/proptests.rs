@@ -12,12 +12,22 @@ use spector_libradar::{
     detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists, StructuralIndex,
 };
 
+#[path = "support/listing2.rs"]
+mod listing2;
+
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,5}"
 }
 
 fn package() -> impl Strategy<Value = String> {
     proptest::collection::vec(ident(), 1..4).prop_map(|parts| parts.join("."))
+}
+
+/// Packages over a three-letter alphabet: shared prefixes, siblings
+/// and tied Listing 2 votes are common, unlike in [`package`].
+fn dense_package() -> impl Strategy<Value = String> {
+    proptest::collection::vec(prop::sample::select(vec!["a", "b", "c"]), 1..5)
+        .prop_map(|parts| parts.join("."))
 }
 
 fn category() -> impl Strategy<Value = LibCategory> {
@@ -142,8 +152,11 @@ proptest! {
 
     #[test]
     fn trie_agrees_with_linear_oracle(
-        entries in proptest::collection::vec((package(), category()), 0..16),
-        queries in proptest::collection::vec(package(), 1..8),
+        entries in proptest::collection::vec(
+            (prop_oneof![package(), dense_package()], category()),
+            0..16,
+        ),
+        queries in proptest::collection::vec(prop_oneof![package(), dense_package()], 1..8),
     ) {
         let mut agg = AggregatedLibraries::new();
         for (name, cat) in &entries {
@@ -151,30 +164,25 @@ proptest! {
         }
         // Arbitrary queries, the recorded names themselves, and dotted
         // extensions of recorded names (deep trie walks) must all agree
-        // with the retired linear implementation.
-        for query in queries.iter().chain(entries.iter().map(|(name, _)| name)) {
+        // with the linear reference.
+        let extensions: Vec<String> = entries
+            .iter()
+            .map(|(name, _)| format!("{name}.zz9.aa"))
+            .collect();
+        for query in queries
+            .iter()
+            .chain(entries.iter().map(|(name, _)| name))
+            .chain(&extensions)
+        {
             prop_assert_eq!(
                 agg.longest_matching_prefix(query),
-                agg.longest_matching_prefix_oracle(query),
+                listing2::longest_matching_prefix(&agg, query),
                 "longest prefix diverged for {}", query
             );
             prop_assert_eq!(
                 agg.predict_category(query),
-                agg.predict_category_oracle(query),
+                listing2::predict_category(&agg, query),
                 "prediction diverged for {}", query
-            );
-        }
-        for (name, _) in &entries {
-            let ext = format!("{name}.zz9.aa");
-            prop_assert_eq!(
-                agg.longest_matching_prefix(&ext),
-                agg.longest_matching_prefix_oracle(&ext),
-                "longest prefix diverged for extension {}", ext
-            );
-            prop_assert_eq!(
-                agg.predict_category(&ext),
-                agg.predict_category_oracle(&ext),
-                "prediction diverged for extension {}", ext
             );
         }
     }
@@ -371,4 +379,47 @@ proptest! {
             }
         }
     }
+}
+
+/// The Listing 2 universe of the paper plus a tied family: the trie and
+/// the linear reference agree on every case the paper walks through.
+#[test]
+fn trie_agrees_with_linear_reference_on_listing2() {
+    let mut agg = AggregatedLibraries::new();
+    agg.record("com.unity3d", LibCategory::GameEngine);
+    agg.record("com.unity3d.ads", LibCategory::Advertisement);
+    agg.record("com.unity3d.plugin.downloader", LibCategory::AppMarket);
+    agg.record("com.unity3d.services", LibCategory::GameEngine);
+    agg.record("org.engine.core", LibCategory::GameEngine);
+    agg.record("org.engine.ads", LibCategory::Advertisement);
+    for query in [
+        "com.unity3d.example",
+        "com.unity3d.ads.android.cache",
+        "com.unity3d",
+        "com.unity3dx.foo",
+        "com.other",
+        "io.unrelated",
+        "org.engine.example",
+    ] {
+        assert_eq!(
+            agg.longest_matching_prefix(query),
+            listing2::longest_matching_prefix(&agg, query),
+            "{query}"
+        );
+        assert_eq!(
+            agg.predict_category(query),
+            listing2::predict_category(&agg, query),
+            "{query}"
+        );
+    }
+}
+
+#[test]
+fn linear_reference_helpers_split_on_dots() {
+    assert!(listing2::is_dotted_prefix("a.b", "a.b.c"));
+    assert!(listing2::is_dotted_prefix("a.b", "a.b"));
+    assert!(!listing2::is_dotted_prefix("a.b", "a.bc"));
+    assert_eq!(listing2::common_dotted_components("a.b.c", "a.b.x"), 2);
+    assert_eq!(listing2::common_dotted_components("a", "b"), 0);
+    assert_eq!(listing2::dotted_prefix("a.b.c", 2), "a.b");
 }

@@ -36,7 +36,5 @@ cargo bench -p spector-bench --bench detect -- --quick "$@"
 # byte-identity before timing).
 cargo bench -p spector-bench --bench store -- --quick "$@"
 
-# chaos: fault-injection layer overhead + end-to-end robustness smoke
-# (heavy profile, SIGKILL + store --resume report identity,
-# --max-failures gate).
-scripts/chaos_smoke.sh
+# The fault-injection smoke (scripts/chaos_smoke.sh) is not run from
+# here: CI runs it once, as its own chaos-smoke job.

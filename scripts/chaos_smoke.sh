@@ -11,7 +11,8 @@
 #      run printed;
 #   3. --max-failures turns excess failures into a nonzero exit.
 #
-# Used by CI; cheap enough (<1 min) to run locally before pushing.
+# CI runs it once, as its own chaos-smoke job; cheap enough (<1 min) to
+# run locally before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -3,6 +3,7 @@
 //! heuristic to the live stack at connect time, and blocks blacklisted
 //! library traffic before any payload moves.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use libspector::experiment::{resolver_for, run_app, run_app_with_hooks, ExperimentConfig};
@@ -142,6 +143,20 @@ fn blocking_ant_reaches_renamed_sdks() {
     );
 }
 
+/// The 2-level library families of `analysis` whose flows moved any
+/// payload.
+fn families_with_payload(analysis: &libspector::pipeline::AppAnalysis) -> BTreeSet<&str> {
+    analysis
+        .flows
+        .iter()
+        .filter(|f| f.sent_payload + f.recv_payload > 0)
+        .filter_map(|f| match &f.origin {
+            libspector::OriginKind::Library { two_level, .. } => Some(two_level.as_str()),
+            libspector::OriginKind::Builtin => None,
+        })
+        .collect()
+}
+
 #[test]
 fn library_prefix_blacklist_blocks_only_that_family() {
     let corpus = corpus();
@@ -150,28 +165,18 @@ fn library_prefix_blacklist_blocks_only_that_family() {
     let mut config = ExperimentConfig::default();
     config.monkey.events = 80;
 
-    // Find an app with traffic from at least two distinct 2-level
+    // Find an app with payload from at least two distinct 2-level
     // origins, then blacklist exactly one of them.
     for app in &corpus.apps {
         let raw = run_app(&app.apk, &resolver, &[], &config).unwrap();
         let analysis = analyze_run(&raw, &knowledge, config.supervisor.collector_port);
-        let mut two_levels: Vec<String> = analysis
-            .flows
-            .iter()
-            .filter_map(|f| match &f.origin {
-                libspector::OriginKind::Library { two_level, .. } => Some(two_level.clone()),
-                libspector::OriginKind::Builtin => None,
-            })
-            .collect();
-        two_levels.sort();
-        two_levels.dedup();
-        if two_levels.len() < 2 {
+        let flowing = families_with_payload(&analysis);
+        let Some(&target) = flowing.first().filter(|_| flowing.len() >= 2) else {
             continue;
-        }
-        let target = two_levels[0].clone();
+        };
         let policy = Policy::allow_by_default().with_rule(
             "blacklist-one",
-            Matcher::LibraryPrefix(target.clone()),
+            Matcher::LibraryPrefix(target.to_owned()),
             Action::Block,
         );
         let enforcer = OnlineEnforcer::new(policy, Arc::clone(&knowledge), ip_to_domain(&corpus));
@@ -181,13 +186,19 @@ fn library_prefix_blacklist_blocks_only_that_family() {
         let enforced = analyze_run(&enforced_raw, &knowledge, config.supervisor.collector_port);
         for flow in &enforced.flows {
             if let libspector::OriginKind::Library { two_level, .. } = &flow.origin {
-                if two_level == &target {
+                if two_level == target {
                     assert_eq!(flow.recv_payload, 0, "blacklisted family moved payload");
-                } else if !flow.is_ant {
-                    // Unrelated libraries keep flowing.
-                    continue;
                 }
             }
+        }
+        // Every other family that moved payload unenforced still does.
+        let still_flowing = families_with_payload(&enforced);
+        for family in flowing.iter().filter(|family| **family != target) {
+            assert!(
+                still_flowing.contains(family),
+                "{}: family {family} stopped flowing under a blacklist of {target}",
+                app.package
+            );
         }
         assert!(enforced_raw.runtime_stats.blocked_ops > 0);
         return; // one qualifying app is enough
