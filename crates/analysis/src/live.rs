@@ -1,16 +1,15 @@
 //! Analyst-facing rendering of streaming ([`spector_live`]) summaries.
 //!
 //! The live engine's [`LiveSummary`] is raw counters; this module
-//! turns it into the same kind of terminal output the offline
-//! [`crate::render`] produces — megabyte units, share percentages,
-//! volume-ranked library and domain-category tables — so a campaign
-//! can be watched mid-flight with the vocabulary of the final report.
+//! turns it into the same terminal output `libspector query` prints —
+//! the same totals line and the same volume-ranked top-N tables, from
+//! [`crate::storeq`]'s renderer — so a campaign can be watched
+//! mid-flight with the vocabulary of its stored query.
 
 use spector_live::LiveSummary;
 
-fn mb(bytes: u64) -> f64 {
-    bytes as f64 / 1_048_576.0
-}
+use crate::render::mb;
+use crate::storeq::{render_top, render_totals, DEFAULT_TOP};
 
 /// One-line progress view for periodic snapshots.
 pub fn brief(summary: &LiveSummary) -> String {
@@ -32,9 +31,11 @@ pub fn brief(summary: &LiveSummary) -> String {
     )
 }
 
-/// Full volume-ranked report of a live summary.
+/// Full report of a live summary: engine counters, then the totals
+/// line and the per-origin-library and per-domain-category tables
+/// exactly as `query` renders them, at its default of
+/// [`DEFAULT_TOP`] rows.
 pub fn render(summary: &LiveSummary) -> String {
-    let total = summary.total_sent + summary.total_recv;
     let mut out = String::new();
     out.push_str("== live attribution summary ==\n");
     out.push_str(&format!(
@@ -48,44 +49,19 @@ pub fn render(summary: &LiveSummary) -> String {
         summary.evicted_reports,
         summary.dns_packets,
     ));
-    out.push_str(&format!(
-        "  sent {:.2} MB  recv {:.2} MB  AnT {:.2} MB ({:.1}%)\n",
-        mb(summary.total_sent),
-        mb(summary.total_recv),
-        mb(summary.ant_bytes),
-        if total > 0 {
-            summary.ant_bytes as f64 * 100.0 / total as f64
-        } else {
-            0.0
-        },
-    ));
-
-    for (title, map) in [
-        ("per origin-library", &summary.per_library),
-        ("per domain category", &summary.per_domain_category),
-    ] {
-        out.push_str(&format!("  -- {title} --\n"));
-        let mut rows: Vec<_> = map.iter().collect();
-        rows.sort_by(|a, b| {
-            b.1.total_bytes()
-                .cmp(&a.1.total_bytes())
-                .then_with(|| a.0.cmp(b.0))
-        });
-        for (label, volume) in rows {
-            let share = if total > 0 {
-                volume.total_bytes() as f64 * 100.0 / total as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "  {:<42} {:>5} flows {:>10.3} MB {:>5.1}%\n",
-                label,
-                volume.flows,
-                mb(volume.total_bytes()),
-                share,
-            ));
-        }
-    }
+    render_totals(&mut out, summary);
+    render_top(
+        &mut out,
+        "per origin-library",
+        &summary.per_library,
+        DEFAULT_TOP,
+    );
+    render_top(
+        &mut out,
+        "per domain category",
+        &summary.per_domain_category,
+        DEFAULT_TOP,
+    );
     out
 }
 

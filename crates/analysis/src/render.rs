@@ -10,7 +10,7 @@ use crate::FullReport;
 
 const MB: f64 = 1_048_576.0;
 
-fn mb(bytes: u64) -> f64 {
+pub(crate) fn mb(bytes: u64) -> f64 {
     bytes as f64 / MB
 }
 

@@ -11,7 +11,7 @@ use libspector::experiment::{resolver_for, run_app, ExperimentConfig, RawRun};
 use libspector::knowledge::Knowledge;
 use libspector::pipeline::AppAnalysis;
 use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 /// Number of apps in the benchmark campaign.
 pub const BENCH_APPS: usize = 40;
@@ -47,7 +47,13 @@ pub fn campaign() -> &'static Vec<AppAnalysis> {
         let mut dispatch = DispatchConfig::default();
         dispatch.experiment.monkey.events = BENCH_EVENTS;
         dispatch.experiment.monkey.seed = 7_777;
-        run_corpus(corpus(), knowledge(), &dispatch, None).analyses
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        run_campaign(corpus(), knowledge(), &config, None, None)
+            .expect("a campaign without a store does no I/O")
+            .analyses
     })
 }
 

@@ -12,7 +12,7 @@ use libspector::pipeline::AppAnalysis;
 use spector_analysis::FullReport;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_dispatch::{
-    run_campaign_stored, run_corpus, AppFailure, CampaignConfig, CampaignFingerprint,
+    run_campaign, run_campaign_stored, AppFailure, CampaignConfig, CampaignFingerprint,
     DispatchConfig, RetryPolicy,
 };
 use spector_faults::{FaultPlan, FaultProfile};
@@ -520,7 +520,7 @@ fn stored_analyses(args: &[String]) -> Result<Vec<AppAnalysis>, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let top: usize = parse_flag(args, "--top", 20)?;
+    let top: usize = parse_flag(args, "--top", spector_analysis::storeq::DEFAULT_TOP)?;
     let report = args.iter().any(|a| a == "--report");
     let metrics_out: Option<String> = flag(args, "--metrics");
 
@@ -583,8 +583,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         let mut dispatch = DispatchConfig::default();
         dispatch.experiment.monkey.events = events;
         dispatch.experiment.monkey.seed = seed;
-        let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
-        let report = FullReport::build(&analyses);
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        let outcome = run_campaign(&corpus, &knowledge, &config, None, None)
+            .map_err(|e| format!("campaign: {e}"))?;
+        let report = FullReport::build(&outcome.analyses);
         let mb = report.headline.total_bytes as f64 / 1_048_576.0 / apps.max(1) as f64;
         println!(
             "{events:>8} {:>13.2}% {mb:>12.3}",

@@ -63,7 +63,7 @@ pub use experiment::{run_app, run_corpus_app, ExperimentConfig, ExperimentError,
 pub use join::{ClaimOutcome, ReportJoin};
 pub use knowledge::Knowledge;
 pub use pipeline::{
-    analyze_run, analyze_run_instrumented, origin_label, AnalyzedFlow, AppAnalysis,
-    PipelineTelemetry, RunIntegrity, BUILTIN_ORIGIN_LABEL,
+    analyze_run, analyze_run_instrumented, AnalyzedFlow, AppAnalysis, FlowRow, PipelineTelemetry,
+    RunIntegrity, BUILTIN_ORIGIN_LABEL,
 };
 pub use spector_netsim::shape::{FlowShape, IpFamily};

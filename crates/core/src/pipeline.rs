@@ -86,6 +86,116 @@ impl AnalyzedFlow {
     pub fn total_bytes(&self) -> u64 {
         self.sent_bytes + self.recv_bytes
     }
+
+    /// This flow as a borrowed row, the shape a store segment's flow
+    /// columns decode to.
+    pub fn row(&self) -> FlowRow<'_> {
+        let (origin, two_level) = match &self.origin {
+            OriginKind::Library {
+                origin_library,
+                two_level,
+            } => (Some(origin_library.as_str()), Some(two_level.as_str())),
+            OriginKind::Builtin => (None, None),
+        };
+        FlowRow {
+            domain: self.domain.as_deref(),
+            domain_category: self.domain_category,
+            origin,
+            two_level,
+            lib_category: self.lib_category,
+            is_ant: self.is_ant,
+            is_common: self.is_common,
+            sent_bytes: self.sent_bytes,
+            recv_bytes: self.recv_bytes,
+            sent_payload: self.sent_payload,
+            recv_payload: self.recv_payload,
+            start_micros: self.start_micros,
+            http_user_agent: self.http_user_agent.as_deref(),
+            family: self.family,
+            shape: self.shape,
+            stream: self.stream,
+        }
+    }
+}
+
+/// One flow row with its strings borrowed: from an [`AnalyzedFlow`]
+/// ([`AnalyzedFlow::row`]) or straight from a store segment's columns.
+/// Traffic folds read flows through this one shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowRow<'a> {
+    /// Destination domain, when resolved.
+    pub domain: Option<&'a str>,
+    /// Category of the destination domain.
+    pub domain_category: DomainCategory,
+    /// Origin-library package; `None` for platform-created sockets.
+    pub origin: Option<&'a str>,
+    /// First two package components of the origin.
+    pub two_level: Option<&'a str>,
+    /// Predicted category of the origin-library.
+    pub lib_category: LibCategory,
+    /// Origin is on the AnT list.
+    pub is_ant: bool,
+    /// Origin is on the common-libraries list.
+    pub is_common: bool,
+    /// Wire bytes sent.
+    pub sent_bytes: u64,
+    /// Wire bytes received.
+    pub recv_bytes: u64,
+    /// Payload bytes sent.
+    pub sent_payload: u64,
+    /// Payload bytes received.
+    pub recv_payload: u64,
+    /// Flow start, microseconds.
+    pub start_micros: u64,
+    /// HTTP `User-Agent`, when parsed.
+    pub http_user_agent: Option<&'a str>,
+    /// Address family of the flow's canonical 4-tuple.
+    pub family: IpFamily,
+    /// Visible wire shape (plain / TLS-like / CONNECT proxy).
+    pub shape: FlowShape,
+    /// Stream ordinal for per-stream rows; `None` for whole-connection
+    /// rows.
+    pub stream: Option<u32>,
+}
+
+impl<'a> FlowRow<'a> {
+    /// Stable per-library accounting label: the origin-library package,
+    /// or [`BUILTIN_ORIGIN_LABEL`].
+    pub fn origin_label(&self) -> &'a str {
+        self.origin.unwrap_or(BUILTIN_ORIGIN_LABEL)
+    }
+
+    /// Total wire bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.sent_bytes + self.recv_bytes
+    }
+
+    /// The owned flow this row borrows from.
+    pub fn to_flow(&self) -> AnalyzedFlow {
+        AnalyzedFlow {
+            domain: self.domain.map(str::to_owned),
+            domain_category: self.domain_category,
+            origin: match self.origin {
+                Some(origin) => OriginKind::Library {
+                    origin_library: origin.to_owned(),
+                    two_level: self.two_level.unwrap_or(origin).to_owned(),
+                },
+                None => OriginKind::Builtin,
+            },
+            lib_category: self.lib_category,
+            is_ant: self.is_ant,
+            is_common: self.is_common,
+            sent_bytes: self.sent_bytes,
+            recv_bytes: self.recv_bytes,
+            sent_payload: self.sent_payload,
+            recv_payload: self.recv_payload,
+            start_micros: self.start_micros,
+            http_user_agent: self.http_user_agent.map(str::to_owned),
+            family: self.family,
+            shape: self.shape,
+            stream: self.stream,
+        }
+    }
 }
 
 /// Degraded-mode accounting for one analyzed run: how much of the
@@ -256,18 +366,6 @@ pub struct AppAnalysis {
 /// Display label for platform-created sockets ([`OriginKind::Builtin`])
 /// in per-library breakdowns — Figure 3's `*` bucket.
 pub const BUILTIN_ORIGIN_LABEL: &str = "(builtin)";
-
-/// Stable per-library accounting label of an attribution origin: the
-/// origin-library package, or [`BUILTIN_ORIGIN_LABEL`]. Both the
-/// offline reducers and the streaming engine key their per-library
-/// counters by this label, which is what makes their breakdowns
-/// directly comparable.
-pub fn origin_label(origin: &OriginKind) -> &str {
-    match origin {
-        OriginKind::Library { origin_library, .. } => origin_library,
-        OriginKind::Builtin => BUILTIN_ORIGIN_LABEL,
-    }
-}
 
 impl AppAnalysis {
     /// Total wire bytes sent by the app across attributed flows.

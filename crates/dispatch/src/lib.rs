@@ -41,8 +41,9 @@
 //!   apps, so only the rest re-run, and the outcome is the one an
 //!   uninterrupted run would have produced.
 //!
-//! [`run_corpus`] remains the simple facade: no chaos, no retries, no
-//! store — byte-identical to the pre-hardening dispatcher.
+//! With the default [`CampaignConfig`] (no chaos, one attempt, no
+//! deadline) and no store, [`run_campaign`] is the plain dispatcher:
+//! its outcome is byte-identical to the pre-hardening one.
 //!
 //! Given a `spector-live` [`LiveEngine`] — the online attribution
 //! engine — each worker additionally streams its finished run's
@@ -83,8 +84,8 @@ pub struct DispatchConfig {
 }
 
 /// Everything [`run_campaign`] needs beyond the corpus: pool settings
-/// plus the resilience knobs. The default is exactly [`run_corpus`]'s
-/// behavior — no chaos, single attempt, no deadline.
+/// plus the resilience knobs. The default runs a plain campaign — no
+/// chaos, single attempt, no deadline.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Worker pool and per-app experiment settings.
@@ -170,24 +171,6 @@ impl CampaignOutcome {
     pub fn total(&self) -> usize {
         self.analyses.len() + self.failures.len()
     }
-}
-
-/// Runs every app in `corpus` and returns the campaign outcome.
-///
-/// `progress` (if given) is called after each finished app — success
-/// or failure — with the number finished so far.
-pub fn run_corpus(
-    corpus: &Corpus,
-    knowledge: &Knowledge,
-    config: &DispatchConfig,
-    progress: Option<&(dyn Fn(usize) + Sync)>,
-) -> CampaignOutcome {
-    let campaign = CampaignConfig {
-        dispatch: config.clone(),
-        ..Default::default()
-    };
-    run_campaign(corpus, knowledge, &campaign, None, progress)
-        .expect("io is impossible without a store")
 }
 
 /// Pre-fetched telemetry handles for one campaign, cloned into every
@@ -375,10 +358,12 @@ fn run_one_app(
     }
 }
 
-/// Runs a hardened campaign: [`run_corpus`] plus chaos injection,
-/// panic isolation, bounded retries and per-app deadlines. With the
-/// default [`CampaignConfig`] the outcome is byte-identical to
-/// [`run_corpus`].
+/// Runs every app in `corpus` and returns the campaign outcome, with
+/// the chaos injection, panic isolation, bounded retries and per-app
+/// deadlines `config` asks for (none by default).
+///
+/// `progress` (if given) is called after each finished app — success
+/// or failure — with the number finished so far.
 ///
 /// # Errors
 ///
@@ -568,11 +553,25 @@ mod tests {
         config
     }
 
+    /// A plain campaign: no chaos, no retries, no live tap, no store.
+    fn run_plain(
+        corpus: &Corpus,
+        knowledge: &Knowledge,
+        dispatch: DispatchConfig,
+        progress: Option<&(dyn Fn(usize) + Sync)>,
+    ) -> CampaignOutcome {
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        run_campaign(corpus, knowledge, &config, None, progress).unwrap()
+    }
+
     #[test]
     fn campaign_covers_every_app_in_order() {
         let corpus = tiny_corpus(8, 21);
         let knowledge = Knowledge::from_corpus(&corpus);
-        let outcome = run_corpus(&corpus, &knowledge, &quick_dispatch(3), None);
+        let outcome = run_plain(&corpus, &knowledge, quick_dispatch(3), None);
         assert_eq!(outcome.total(), corpus.apps.len());
         assert_eq!(outcome.analyses.len(), 8);
         assert!(outcome.failures.is_empty());
@@ -587,8 +586,8 @@ mod tests {
     fn results_independent_of_worker_count() {
         let corpus = tiny_corpus(6, 22);
         let knowledge = Knowledge::from_corpus(&corpus);
-        let serial = run_corpus(&corpus, &knowledge, &quick_dispatch(1), None);
-        let parallel = run_corpus(&corpus, &knowledge, &quick_dispatch(4), None);
+        let serial = run_plain(&corpus, &knowledge, quick_dispatch(1), None);
+        let parallel = run_plain(&corpus, &knowledge, quick_dispatch(4), None);
         assert_eq!(serial.total(), parallel.total());
         assert_eq!(serial.analyses.len(), parallel.analyses.len());
         for (a, b) in serial.analyses.iter().zip(&parallel.analyses) {
@@ -606,7 +605,7 @@ mod tests {
         let callback = |_done: usize| {
             seen.fetch_add(1, Ordering::Relaxed);
         };
-        run_corpus(&corpus, &knowledge, &quick_dispatch(2), Some(&callback));
+        run_plain(&corpus, &knowledge, quick_dispatch(2), Some(&callback));
         assert_eq!(seen.load(Ordering::Relaxed), 5);
     }
 
@@ -614,7 +613,7 @@ mod tests {
     fn zero_workers_defaults_to_cpus() {
         let corpus = tiny_corpus(2, 24);
         let knowledge = Knowledge::from_corpus(&corpus);
-        let outcome = run_corpus(&corpus, &knowledge, &quick_dispatch(0), None);
+        let outcome = run_plain(&corpus, &knowledge, quick_dispatch(0), None);
         assert_eq!(outcome.analyses.len(), 2);
         assert_eq!(outcome.total(), 2);
     }
@@ -647,7 +646,7 @@ mod tests {
         let callback = |_done: usize| {
             seen.fetch_add(1, Ordering::Relaxed);
         };
-        let outcome = run_corpus(&corpus, &knowledge, &quick_dispatch(2), Some(&callback));
+        let outcome = run_plain(&corpus, &knowledge, quick_dispatch(2), Some(&callback));
         // The count invariant: every app is accounted for, exactly once.
         assert_eq!(outcome.total(), corpus.apps.len());
         assert_eq!(outcome.analyses.len(), 3);

@@ -35,7 +35,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (the classic `run_corpus` behavior).
+    /// A policy that never retries (a default `CampaignConfig`'s).
     pub fn never() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,

@@ -3,8 +3,8 @@
 //! The contract under test: for *any* seeded `FaultPlan`, the
 //! accounting invariant holds and no panic escapes the pool; for the
 //! *same* plan, results are byte-identical across worker counts; and
-//! for the zero-fault plan, the hardened path reproduces the plain
-//! `run_corpus` output exactly; and a campaign killed mid-run resumes
+//! for the zero-fault plan, the hardened path reproduces a plain
+//! campaign's output exactly; and a campaign killed mid-run resumes
 //! from its store campaign's sealed segments (its checkpoint) to the
 //! uninterrupted outcome. Byte identity is asserted on the serialized
 //! outcome, not field samples.
@@ -19,8 +19,7 @@ use proptest::prelude::*;
 use spector_analysis::{storeq, FullReport};
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_dispatch::{
-    run_campaign, run_campaign_stored, run_corpus, CampaignConfig, CampaignOutcome, DispatchConfig,
-    RetryPolicy,
+    run_campaign, run_campaign_stored, CampaignConfig, CampaignOutcome, DispatchConfig, RetryPolicy,
 };
 use spector_faults::{FaultPlan, FaultProfile};
 use spector_store::{
@@ -237,7 +236,11 @@ fn zero_fault_plan_reproduces_plain_run_corpus_exactly() {
         ..Default::default()
     };
     dispatch.experiment.monkey.events = 40;
-    let plain = run_corpus(&corpus, &knowledge, &dispatch, None);
+    let plain_config = CampaignConfig {
+        dispatch: dispatch.clone(),
+        ..Default::default()
+    };
+    let plain = run_campaign(&corpus, &knowledge, &plain_config, None, None).unwrap();
     // Chaos machinery armed — retries allowed, plan present — but the
     // profile is all zeros, so nothing may change.
     let mut config = chaos_config(2, FaultPlan::new(987, FaultProfile::none()));

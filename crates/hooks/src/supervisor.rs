@@ -386,8 +386,9 @@ mod tests {
     #[test]
     fn report_pair_matches_a_tcp_flow_in_capture() {
         let (capture, _) = run_app();
-        let reports = extract_reports(&capture, SupervisorConfig::default().collector_port);
-        let flows = spector_netsim::flows::FlowTable::from_capture(&capture);
+        let port = SupervisorConfig::default().collector_port;
+        let reports = extract_reports(&capture, port);
+        let flows = spector_netsim::CaptureIndex::build(&capture, port).flows;
         let flow = flows
             .lookup(&reports[0].pair, reports[0].timestamp_micros)
             .expect("report must join with a flow");

@@ -65,12 +65,13 @@ impl LibraryLists {
         self.common.len()
     }
 
+    /// `true` when a listed prefix is `package` itself or ends where a
+    /// `.` of `package` starts: one set lookup per dotted prefix.
     fn matches(set: &BTreeSet<String>, package: &str) -> bool {
-        set.iter().any(|prefix| {
-            package == prefix
-                || (package.starts_with(prefix.as_str())
-                    && package.as_bytes().get(prefix.len()) == Some(&b'.'))
-        })
+        set.contains(package)
+            || package
+                .match_indices('.')
+                .any(|(dot, _)| set.contains(&package[..dot]))
     }
 }
 

@@ -98,16 +98,20 @@ impl AggregatedLibraries {
 
     /// Predicts the category of `package` per Listing 2:
     ///
-    /// 1. find the longest common dotted prefix shared between `package`
-    ///    and at least one known library;
-    /// 2. collect the categories of all known libraries under that
+    /// 1. if a recorded library encloses `package` (it is the package
+    ///    or a dotted prefix of it), the longest such library's category
+    ///    wins, unless that category is `Unknown`;
+    /// 2. otherwise find the longest common dotted prefix shared between
+    ///    `package` and at least one known library;
+    /// 3. collect the categories of all known libraries under that
     ///    prefix;
-    /// 3. majority vote (ties broken by category order, which is
+    /// 4. majority vote (ties broken by category order, which is
     ///    deterministic).
     ///
-    /// Returns [`LibCategory::Unknown`] when no known library shares
-    /// even one leading component. The whole decision is one trie
-    /// traversal (see [`LibTrie::predict_category`]).
+    /// Returns [`LibCategory::Unknown`] when no enclosing library
+    /// decides and fewer than two leading components are shared with
+    /// any known library. The whole decision is one trie traversal (see
+    /// [`LibTrie::predict_category`]).
     pub fn predict_category(&self, package: &str) -> LibCategory {
         self.trie().predict_category(package)
     }

@@ -196,6 +196,41 @@ proptest! {
         prop_assert!(lists.is_ant(&child));
         prop_assert!(!lists.is_ant(&lookalike));
     }
+
+    #[test]
+    fn list_membership_matches_a_linear_prefix_scan(
+        ant in proptest::collection::vec(ragged_package(), 0..6),
+        common in proptest::collection::vec(ragged_package(), 0..6),
+        queries in proptest::collection::vec(ragged_package(), 1..12),
+    ) {
+        let lists = LibraryLists::from_prefixes(ant.clone(), common.clone());
+        for query in queries.iter().chain(&ant).chain(&common) {
+            prop_assert_eq!(lists.is_ant(query), linear_list_match(&ant, query), "ant {:?}", query);
+            prop_assert_eq!(
+                lists.is_common(query),
+                linear_list_match(&common, query),
+                "common {:?}",
+                query
+            );
+        }
+    }
+}
+
+/// Dotted names over a tiny alphabet whose components may be empty, so
+/// leading, trailing and doubled dots and the empty name all occur.
+fn ragged_package() -> impl Strategy<Value = String> {
+    proptest::collection::vec(prop::sample::select(vec!["", "a", "b", "ab"]), 1..5)
+        .prop_map(|parts| parts.join("."))
+}
+
+/// The list lookup as a scan over every listed prefix: a prefix matches
+/// when it is the package or is followed in it by a `.`.
+fn linear_list_match(prefixes: &[String], package: &str) -> bool {
+    prefixes.iter().any(|prefix| {
+        package == prefix
+            || (package.starts_with(prefix.as_str())
+                && package.as_bytes().get(prefix.len()) == Some(&b'.'))
+    })
 }
 
 /// One generated library method: sub-package depth, descriptor, and

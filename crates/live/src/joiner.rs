@@ -237,7 +237,7 @@ impl LiveJoiner {
             };
             let pt = PipelineTelemetry::disabled_ref();
             for flow in self.join.rows(table, self.tables.dns(), knowledge, pt) {
-                folded.add_flow(&flow);
+                folded.add_flow(flow.row());
             }
             folded
         });

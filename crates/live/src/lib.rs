@@ -66,11 +66,13 @@
 //!   TCP listener speaking a 16-byte-header record framing, feeding
 //!   the same batched ingress with the same backpressure.
 //! * [`LiveSummary`] ([`summary`]) is the mergeable snapshot, a fold
-//!   over attributed flow rows plus the run ledger
-//!   ([`RunIntegrity`](libspector::RunIntegrity) and
+//!   over borrowed flow rows ([`libspector::FlowRow`]) plus the run
+//!   ledger ([`RunIntegrity`](libspector::RunIntegrity) and
 //!   [`SamplingLedger`](spector_sampling::SamplingLedger)), directly
 //!   comparable with the offline pipeline via
 //!   [`LiveSummary::offline_view`] and [`LiveSummary::from_analyses`].
+//!   It is the repository's one traffic fold: the store query
+//!   (`spector-analysis`'s `storeq`) embeds it too.
 //!
 //! # Event ordering semantics
 //!
@@ -129,4 +131,4 @@ pub use event::shard_of;
 pub use ingest::{encode_record, IngestClient, IngestConfig, IngestServer, RECORD_HEADER_LEN};
 pub use joiner::{JoinerConfig, LiveJoiner};
 pub use shard::{IngressBatcher, LiveConfig, LiveEngine, OverflowPolicy};
-pub use summary::{LiveSummary, LiveVolume};
+pub use summary::{LiveSummary, Volume};

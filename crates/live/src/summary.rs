@@ -1,9 +1,11 @@
 //! What the live engine reports: mergeable traffic counters.
 //!
-//! [`LiveSummary`] is the snapshot type, a fold over attributed flow
-//! rows: the shards fold the rows their joiners emit and the offline
-//! side folds [`AppAnalysis::flows`], both through one
-//! [`add_flow`](LiveSummary::add_flow). Per-shard partial summaries
+//! [`LiveSummary`] is the snapshot type and the one per-flow traffic
+//! fold: [`add_flow`](LiveSummary::add_flow) reads a borrowed
+//! [`FlowRow`], so the shards fold the rows their joiners emit, the
+//! offline side folds [`AppAnalysis::flows`], and the store query
+//! (`spector-analysis`'s `storeq`) folds flow rows straight off the
+//! segment columns, all through it. Per-shard partial summaries
 //! [`merge`](LiveSummary::merge) associatively into the engine-wide
 //! view. Live/offline equivalence is one whole-struct equality:
 //! `live.offline_view() == LiveSummary::from_analyses(&analyses)`
@@ -11,14 +13,13 @@
 
 use std::collections::BTreeMap;
 
-use libspector::{origin_label, AnalyzedFlow, AppAnalysis, FlowShape, IpFamily, RunIntegrity};
+use libspector::{AppAnalysis, FlowRow, FlowShape, IpFamily, RunIntegrity};
 use serde::{Deserialize, Serialize};
 use spector_sampling::SamplingLedger;
-use spector_vtcat::DomainCategory;
 
 /// Flow count plus per-direction wire bytes for one accounting bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LiveVolume {
+pub struct Volume {
     /// Attributed stream epochs in this bucket.
     pub flows: usize,
     /// Wire bytes sent by the app (initiator → responder).
@@ -27,7 +28,7 @@ pub struct LiveVolume {
     pub recv_bytes: u64,
 }
 
-impl LiveVolume {
+impl Volume {
     /// Adds one flow's volumes.
     pub fn add_flow(&mut self, sent_bytes: u64, recv_bytes: u64) {
         self.flows += 1;
@@ -40,7 +41,17 @@ impl LiveVolume {
         self.sent_bytes + self.recv_bytes
     }
 
-    fn merge(&mut self, other: &LiveVolume) {
+    /// Adds `flow` to the bucket `label` of `map`; the key is allocated
+    /// only for the bucket's first flow.
+    pub fn add_to_bucket(map: &mut BTreeMap<String, Volume>, label: &str, flow: &FlowRow<'_>) {
+        let volume = match map.get_mut(label) {
+            Some(volume) => volume,
+            None => map.entry(label.to_owned()).or_default(),
+        };
+        volume.add_flow(flow.sent_bytes, flow.recv_bytes);
+    }
+
+    fn merge(&mut self, other: &Volume) {
         self.flows += other.flows;
         self.sent_bytes += other.sent_bytes;
         self.recv_bytes += other.recv_bytes;
@@ -100,11 +111,11 @@ pub struct LiveSummary {
     /// Per-stream rows from reused (keep-alive) connections.
     #[serde(default)]
     pub pooled_streams: usize,
-    /// Traffic per origin-library label ([`libspector::origin_label`]).
-    pub per_library: BTreeMap<String, LiveVolume>,
-    /// Traffic per destination-domain category (label is the
-    /// [`DomainCategory`] variant name).
-    pub per_domain_category: BTreeMap<String, LiveVolume>,
+    /// Traffic per origin-library label ([`FlowRow::origin_label`]).
+    pub per_library: BTreeMap<String, Volume>,
+    /// Traffic per destination-domain category, keyed by the category's
+    /// snake_case label (`DomainCategory::label`).
+    pub per_domain_category: BTreeMap<String, Volume>,
 }
 
 impl LiveSummary {
@@ -113,11 +124,6 @@ impl LiveSummary {
     /// replay of a finished capture the two are equal.
     pub fn unjoined_reports(&self) -> usize {
         self.orphaned_reports + self.evicted_reports
-    }
-
-    /// Stable accounting label of a domain category (variant name).
-    pub fn domain_category_label(category: DomainCategory) -> String {
-        format!("{category:?}")
     }
 
     /// Folds another (typically per-shard partial) summary into this
@@ -154,8 +160,10 @@ impl LiveSummary {
         }
     }
 
-    /// Folds one attributed flow row into the summary.
-    pub fn add_flow(&mut self, flow: &AnalyzedFlow) {
+    /// Folds one attributed flow row into the summary: the only place a
+    /// flow reaches the flow, byte and AnT totals, the shape counters
+    /// and the per-library and per-domain-category maps.
+    pub fn add_flow(&mut self, flow: FlowRow<'_>) {
         self.flows += 1;
         self.total_sent += flow.sent_bytes;
         self.total_recv += flow.recv_bytes;
@@ -173,14 +181,12 @@ impl LiveSummary {
         if flow.stream.is_some() {
             self.pooled_streams += 1;
         }
-        self.per_library
-            .entry(origin_label(&flow.origin).to_owned())
-            .or_default()
-            .add_flow(flow.sent_bytes, flow.recv_bytes);
-        self.per_domain_category
-            .entry(Self::domain_category_label(flow.domain_category))
-            .or_default()
-            .add_flow(flow.sent_bytes, flow.recv_bytes);
+        Volume::add_to_bucket(&mut self.per_library, flow.origin_label(), &flow);
+        Volume::add_to_bucket(
+            &mut self.per_domain_category,
+            flow.domain_category.label(),
+            &flow,
+        );
     }
 
     /// Folds offline per-app analyses into the live summary shape — the
@@ -198,7 +204,7 @@ impl LiveSummary {
             summary.integrity.merge(&analysis.integrity);
             summary.sampling.merge(&analysis.sampling);
             for flow in &analysis.flows {
-                summary.add_flow(flow);
+                summary.add_flow(flow.row());
             }
         }
         summary

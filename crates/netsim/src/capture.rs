@@ -19,11 +19,11 @@
 //! shard but broadcasts other UDP to all of them: a collector datagram
 //! fed to the DNS map would make a shard's map depend on which shard
 //! owned it. The index is
-//! behaviorally identical to the independent passes
-//! ([`FlowTable::from_capture`], [`DnsMap::from_capture`], and a UDP
-//! report scan) — the same packet order feeds the same state machines —
-//! except for a datagram sent from port 53 to the collector port, which
-//! the DNS-only pass alone would count.
+//! behaviorally identical to independent per-view passes (a flow-table
+//! walk, a DNS walk and a UDP report scan, kept in test code) — the
+//! same packet order feeds the same state machines — except for a
+//! datagram sent from port 53 to the collector port, which the
+//! DNS-only pass alone would count.
 //!
 //! [`peek_frame`]: crate::packet::peek_frame
 
@@ -144,6 +144,7 @@ mod tests {
     use crate::clock::Clock;
     use crate::packet::peek_frame;
     use crate::stack::NetStack;
+    use crate::walks::{dns_map, flow_table};
 
     const COLLECTOR_PORT: u16 = 47_000;
 
@@ -172,8 +173,8 @@ mod tests {
     fn single_pass_matches_three_passes() {
         let capture = busy_capture();
         let index = CaptureIndex::build(&capture, COLLECTOR_PORT);
-        assert_eq!(index.flows, FlowTable::from_capture(&capture));
-        assert_eq!(index.dns, DnsMap::from_capture(&capture));
+        assert_eq!(index.flows, flow_table(&capture));
+        assert_eq!(index.dns, dns_map(&capture));
 
         // Reference report scan: decode every packet again, keep UDP
         // payloads addressed to the collector port.
@@ -240,8 +241,8 @@ mod tests {
         for packet in &capture {
             let _ = tables.ingest(packet.timestamp_micros, &packet.data, COLLECTOR_PORT);
         }
-        assert_eq!(*tables.flows(), FlowTable::from_capture(&capture));
-        assert_eq!(*tables.dns(), DnsMap::from_capture(&capture));
+        assert_eq!(*tables.flows(), flow_table(&capture));
+        assert_eq!(*tables.dns(), dns_map(&capture));
     }
 
     /// The producer's routing peek is the decode minus the TCP checksum:

@@ -14,8 +14,7 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 
 use crate::dns::parse_message;
-use crate::packet::{canonical_ip, decode_frame_ref, tcp_flags, SocketPair, TransportRef};
-use crate::pcap::CapturedPacket;
+use crate::packet::{canonical_ip, tcp_flags, SocketPair};
 
 /// Byte counters for one logical request/response stream inside a
 /// connection epoch — the unit pooled (keep-alive) attribution works
@@ -118,8 +117,8 @@ pub struct FlowTable {
 }
 
 /// Incremental [`FlowTable`] construction: one decoded TCP segment at a
-/// time, in capture order. This is the state machine behind
-/// [`FlowTable::from_capture`] and the per-frame step
+/// time, in capture order. This is the state machine behind the
+/// per-frame step
 /// [`CaptureTables::ingest`](crate::capture::CaptureTables::ingest),
 /// which the offline capture index and the streaming `spector-live`
 /// joiners share; the joiners read the partial table between segments
@@ -225,31 +224,6 @@ impl FlowTableBuilder {
 }
 
 impl FlowTable {
-    /// Reassembles flows from captured packets.
-    ///
-    /// Packets that fail to decode, or that are not TCP, are skipped —
-    /// a capture is untrusted input and the analysis must be robust to
-    /// noise (the paper similarly ignores non-TCP traffic, §III-E).
-    pub fn from_capture(packets: &[CapturedPacket]) -> Self {
-        let mut builder = FlowTableBuilder::default();
-        for packet in packets {
-            let Ok(frame) = decode_frame_ref(&packet.data) else {
-                continue;
-            };
-            let TransportRef::Tcp { flags, payload, .. } = frame.transport else {
-                continue;
-            };
-            builder.ingest(
-                packet.timestamp_micros,
-                frame.pair,
-                flags,
-                payload,
-                frame.wire_len,
-            );
-        }
-        builder.finish()
-    }
-
     /// All flows in first-packet order.
     pub fn flows(&self) -> &[TcpFlow] {
         &self.flows
@@ -320,22 +294,6 @@ pub struct DnsMap {
 }
 
 impl DnsMap {
-    /// Scans a capture for DNS traffic (UDP port 53) and builds the
-    /// address map from A answers.
-    pub fn from_capture(packets: &[CapturedPacket]) -> Self {
-        let mut map = DnsMap::default();
-        for packet in packets {
-            let Ok(frame) = decode_frame_ref(&packet.data) else {
-                continue;
-            };
-            let TransportRef::Udp { payload } = frame.transport else {
-                continue;
-            };
-            map.ingest(&frame.pair, payload);
-        }
-        map
-    }
-
     /// Feeds one decoded UDP datagram: non-DNS ports are ignored, DNS
     /// datagrams are counted, and A answers from responses are merged
     /// (latest response wins). The per-frame step
@@ -382,7 +340,9 @@ mod tests {
 
     use super::*;
     use crate::clock::Clock;
+    use crate::pcap::CapturedPacket;
     use crate::stack::NetStack;
+    use crate::walks::{dns_map, flow_table};
 
     fn run_one_connection() -> (Vec<CapturedPacket>, SocketPair) {
         let mut stack = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
@@ -397,7 +357,7 @@ mod tests {
     #[test]
     fn reassembles_single_flow() {
         let (capture, pair) = run_one_connection();
-        let table = FlowTable::from_capture(&capture);
+        let table = flow_table(&capture);
         assert_eq!(table.len(), 1);
         assert!(!table.is_empty());
         let flow = &table.flows()[0];
@@ -417,7 +377,7 @@ mod tests {
     #[test]
     fn lookup_by_either_direction() {
         let (capture, pair) = run_one_connection();
-        let table = FlowTable::from_capture(&capture);
+        let table = flow_table(&capture);
         assert!(table.lookup(&pair, 10_000_000).is_some());
         assert!(table.lookup(&pair.reversed(), 10_000_000).is_some());
         assert_eq!(table.matching(&pair).count(), 1);
@@ -463,7 +423,7 @@ mod tests {
             packets.append(&mut dup);
             packets
         };
-        let table = FlowTable::from_capture(&reuse_capture);
+        let table = flow_table(&reuse_capture);
         assert_eq!(table.len(), 2);
         let pair = stack.socket_pair(a).unwrap();
         assert_eq!(table.matching(&pair).count(), 2);
@@ -477,7 +437,7 @@ mod tests {
     #[test]
     fn dns_map_recovers_domains() {
         let (capture, pair) = run_one_connection();
-        let map = DnsMap::from_capture(&capture);
+        let map = dns_map(&capture);
         assert_eq!(map.len(), 1);
         assert!(!map.is_empty());
         assert_eq!(map.domain_for(pair.dst_ip), Some("cdn.example.net"));
@@ -492,7 +452,7 @@ mod tests {
             timestamp_micros: 99,
             data: vec![0xde, 0xad],
         });
-        let table = FlowTable::from_capture(&capture);
+        let table = flow_table(&capture);
         assert_eq!(table.len(), 1);
     }
 
@@ -501,16 +461,16 @@ mod tests {
         let (capture, _) = run_one_connection();
         // Drop the handshake (first 5 packets incl. DNS): data must
         // still be attributed to a synthesized epoch.
-        let table = FlowTable::from_capture(&capture[5..]);
+        let table = flow_table(&capture[5..]);
         assert_eq!(table.len(), 1);
         assert!(table.flows()[0].total_wire_bytes() > 0);
     }
 
     #[test]
     fn empty_capture() {
-        let table = FlowTable::from_capture(&[]);
+        let table = flow_table(&[]);
         assert!(table.is_empty());
-        let map = DnsMap::from_capture(&[]);
+        let map = dns_map(&[]);
         assert!(map.is_empty());
     }
 }

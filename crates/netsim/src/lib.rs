@@ -66,3 +66,11 @@ pub use flows::{DnsMap, FlowTable, FlowTableBuilder, StreamStat, TcpFlow};
 pub use packet::{canonical_ip, peek_frame, FrameErrorCounts, FrameErrorKind, SocketPair};
 pub use shape::{classify_shape, resolve_flow_domain, FlowShape, IpFamily};
 pub use stack::{local_ipv6_for, NetStack, SocketId};
+
+#[cfg(test)]
+extern crate self as spector_netsim;
+// The per-view reference walks live in test code; unit tests include
+// them under the crate's own name, as the integration tests do.
+#[cfg(test)]
+#[path = "../tests/support/walks.rs"]
+mod walks;

@@ -7,10 +7,12 @@ use proptest::prelude::*;
 use spector_netsim::capture::CaptureIndex;
 use spector_netsim::clock::Clock;
 use spector_netsim::dns::{encode_query, encode_response, parse_message};
-use spector_netsim::flows::{DnsMap, FlowTable};
 use spector_netsim::packet::{decode_frame_ref, encode_tcp, encode_udp, SocketPair, TransportRef};
 use spector_netsim::pcap::{read_pcap, write_pcap, CapturedPacket};
 use spector_netsim::stack::NetStack;
+
+#[path = "support/walks.rs"]
+mod walks;
 
 fn ip() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(|o| Ipv4Addr::new(o[0], o[1], o[2], o[3]))
@@ -205,7 +207,7 @@ proptest! {
             stack.tcp_close(sock);
             expected.push((stack.socket_pair(sock).unwrap(), sent, recv));
         }
-        let table = FlowTable::from_capture(stack.capture());
+        let table = walks::flow_table(stack.capture());
         prop_assert_eq!(table.len(), transfers.len());
         for (pair, sent, recv) in expected {
             let flow = table.lookup(&pair, u64::MAX).expect("flow must exist");
@@ -246,8 +248,8 @@ proptest! {
 
         // One decode pass must equal the three independent walks.
         let index = CaptureIndex::build(&capture, COLLECTOR);
-        prop_assert_eq!(&index.flows, &FlowTable::from_capture(&capture));
-        prop_assert_eq!(&index.dns, &DnsMap::from_capture(&capture));
+        prop_assert_eq!(&index.flows, &walks::flow_table(&capture));
+        prop_assert_eq!(&index.dns, &walks::dns_map(&capture));
 
         let mut expected: Vec<Vec<u8>> = Vec::new();
         for packet in &capture {
@@ -272,7 +274,7 @@ proptest! {
             stack.resolve(d, ip);
             assigned.push((d.clone(), ip));
         }
-        let map = DnsMap::from_capture(stack.capture());
+        let map = walks::dns_map(stack.capture());
         for (d, ip) in assigned {
             prop_assert_eq!(map.domain_for(ip), Some(d.as_str()));
         }

@@ -527,7 +527,7 @@ mod tests {
     use super::*;
     use spector_dex::model::{ClassDef, CodeItem, Connector, MethodDef};
     use spector_netsim::clock::Clock;
-    use spector_netsim::flows::FlowTable;
+    use spector_netsim::CaptureIndex;
     use spector_netsim::SocketId;
 
     fn msig(pkg: &str, class: &str, method: &str) -> MethodSig {
@@ -659,7 +659,9 @@ mod tests {
         rt.register_domain("ads.test", Ipv4Addr::new(198, 51, 100, 1));
         rt.register_domain("cache.test", Ipv4Addr::new(198, 51, 100, 2));
         rt.invoke_entry(&msig("com.app", "Main", "onClick"));
-        let table = FlowTable::from_capture(rt.net().capture());
+        // No supervisor runs here, so no datagram goes to a collector
+        // port; 0 names none.
+        let table = CaptureIndex::build(rt.net().capture(), 0).flows;
         assert_eq!(table.len(), 2);
         let total_payload: u64 = table
             .flows()

@@ -45,7 +45,7 @@ pub use error::{StoreError, StoreErrorKind, StoreResult};
 pub use manifest::{CampaignEntry, CampaignKind, Manifest, SegmentEntry, MANIFEST_FILE};
 pub use reader::{StoreIntegrity, StoreReader, StoredAnalysis};
 pub use segment::{
-    AnalysisRow, FlowRow, ReportRow, SegmentBuilder, SegmentView, REPORT_KIND_CAMPAIGN_SEAL,
+    AnalysisRow, ReportRow, SegmentBuilder, SegmentView, REPORT_KIND_CAMPAIGN_SEAL,
     REPORT_KIND_LIVE_SNAPSHOT,
 };
 pub use telemetry::StoreTelemetry;

@@ -38,9 +38,7 @@
 use std::collections::BTreeMap;
 
 use libspector::pipeline::DetectStats;
-use libspector::{
-    AnalyzedFlow, AppAnalysis, CoverageReport, FlowShape, IpFamily, OriginKind, RunIntegrity,
-};
+use libspector::{AppAnalysis, CoverageReport, FlowRow, FlowShape, IpFamily, RunIntegrity};
 use spector_libradar::{DetectTier, LibCategory};
 use spector_sampling::SamplingLedger;
 use spector_vtcat::DomainCategory;
@@ -182,30 +180,18 @@ impl SegmentBuilder {
             analysis.sampling.ledgers_lost,
         ]);
         for flow in &analysis.flows {
-            self.push_flow(flow);
+            self.push_flow(flow.row());
         }
     }
 
-    fn push_flow(&mut self, flow: &AnalyzedFlow) {
-        self.domain
-            .push(self.pool.intern_opt(flow.domain.as_deref()));
+    fn push_flow(&mut self, flow: FlowRow<'_>) {
+        self.domain.push(self.pool.intern_opt(flow.domain));
         self.domain_category
             .push(enum_index(&DomainCategory::ALL, &flow.domain_category));
-        match &flow.origin {
-            OriginKind::Library {
-                origin_library,
-                two_level,
-            } => {
-                let origin = self.pool.intern(origin_library);
-                let two_level = self.pool.intern(two_level);
-                self.origin.push(origin);
-                self.two_level.push(two_level);
-            }
-            OriginKind::Builtin => {
-                self.origin.push(NO_STRING);
-                self.two_level.push(NO_STRING);
-            }
-        }
+        let origin = self.pool.intern_opt(flow.origin);
+        let two_level = self.pool.intern_opt(flow.two_level);
+        self.origin.push(origin);
+        self.two_level.push(two_level);
         self.lib_category
             .push(enum_index(&LibCategory::ALL, &flow.lib_category));
         let mut flags = 0u8;
@@ -224,7 +210,7 @@ impl SegmentBuilder {
         put_varint(&mut self.start_micros, zigzag(delta));
         self.prev_start = flow.start_micros;
         self.user_agent
-            .push(self.pool.intern_opt(flow.http_user_agent.as_deref()));
+            .push(self.pool.intern_opt(flow.http_user_agent));
         self.family.push(match flow.family {
             IpFamily::V4 => 0,
             IpFamily::V6 => 1,
@@ -375,52 +361,12 @@ pub struct AnalysisRow<'a> {
     pub report_packets: u32,
     /// Coverage (total, executed, external).
     pub coverage: [u32; 3],
-    /// Integrity counters in [`RunIntegrity`] field order.
-    pub integrity: [u32; 6],
+    /// Degraded-mode accounting.
+    pub integrity: RunIntegrity,
     /// Detect scalars (lookups, trie, exact_fp, structural, misses).
     pub detect: [u64; 5],
-    /// Sampling-ledger counters in [`SamplingLedger`] field order.
-    pub sampling: [u64; 6],
-}
-
-/// One decoded flow row (strings borrow the segment bytes).
-#[derive(Debug, Clone, Copy)]
-pub struct FlowRow<'a> {
-    /// Index of the owning analysis row within this segment.
-    pub analysis_row: usize,
-    /// Destination domain, when resolved.
-    pub domain: Option<&'a str>,
-    /// Category of the destination domain.
-    pub domain_category: DomainCategory,
-    /// Origin-library package; `None` for platform-created sockets.
-    pub origin: Option<&'a str>,
-    /// First two package components of the origin.
-    pub two_level: Option<&'a str>,
-    /// Predicted category of the origin-library.
-    pub lib_category: LibCategory,
-    /// Origin is on the AnT list.
-    pub is_ant: bool,
-    /// Origin is on the common-libraries list.
-    pub is_common: bool,
-    /// Wire bytes sent.
-    pub sent_bytes: u64,
-    /// Wire bytes received.
-    pub recv_bytes: u64,
-    /// Payload bytes sent.
-    pub sent_payload: u64,
-    /// Payload bytes received.
-    pub recv_payload: u64,
-    /// Flow start, microseconds.
-    pub start_micros: u64,
-    /// HTTP `User-Agent`, when parsed.
-    pub http_user_agent: Option<&'a str>,
-    /// Address family of the flow's canonical 4-tuple.
-    pub family: IpFamily,
-    /// Visible wire shape (plain / TLS-like / CONNECT proxy).
-    pub shape: FlowShape,
-    /// Stream ordinal for per-stream rows; `None` for whole-connection
-    /// rows.
-    pub stream: Option<u32>,
+    /// Sampled-tracing accounting.
+    pub sampling: SamplingLedger,
 }
 
 /// One decoded report record.
@@ -799,9 +745,29 @@ impl<'a> SegmentView<'a> {
                 self.coverage.get(i * 3 + 1),
                 self.coverage.get(i * 3 + 2),
             ],
-            integrity: std::array::from_fn(|j| self.integrity.get(i * 6 + j)),
+            integrity: {
+                let at = |j: usize| self.integrity.get(i * 6 + j) as usize;
+                RunIntegrity {
+                    frames_truncated: at(0),
+                    frames_malformed: at(1),
+                    frames_bad_checksum: at(2),
+                    reports_truncated: at(3),
+                    reports_malformed: at(4),
+                    synthesized_flows: at(5),
+                }
+            },
             detect: std::array::from_fn(|j| self.detect_scalars.get(i * 5 + j)),
-            sampling: std::array::from_fn(|j| self.sampling.get(i * 6 + j)),
+            sampling: {
+                let at = |j: usize| self.sampling.get(i * 6 + j);
+                SamplingLedger {
+                    reports_observed: at(0),
+                    reports_emitted: at(1),
+                    sampled_out: at(2),
+                    budget_suppressed: at(3),
+                    windows_exhausted: at(4),
+                    ledgers_lost: at(5),
+                }
+            },
         })
     }
 
@@ -820,7 +786,8 @@ impl<'a> SegmentView<'a> {
         })
     }
 
-    /// Iterates the flow rows in append order (grouped by analysis).
+    /// Iterates the flow rows in append order (grouped by analysis),
+    /// each with the index of its analysis row in this segment.
     pub fn flows(&self) -> FlowIter<'a, '_> {
         FlowIter {
             view: self,
@@ -882,14 +849,7 @@ impl<'a> SegmentView<'a> {
                         },
                         dns_packets: row.dns_packets as usize,
                         report_packets: row.report_packets as usize,
-                        integrity: RunIntegrity {
-                            frames_truncated: row.integrity[0] as usize,
-                            frames_malformed: row.integrity[1] as usize,
-                            frames_bad_checksum: row.integrity[2] as usize,
-                            reports_truncated: row.integrity[3] as usize,
-                            reports_malformed: row.integrity[4] as usize,
-                            synthesized_flows: row.integrity[5] as usize,
-                        },
+                        integrity: row.integrity,
                         detect: DetectStats {
                             lookups: row.detect[0],
                             trie_hits: row.detect[1],
@@ -898,48 +858,20 @@ impl<'a> SegmentView<'a> {
                             misses: row.detect[4],
                             per_library_tier,
                         },
-                        sampling: SamplingLedger {
-                            reports_observed: row.sampling[0],
-                            reports_emitted: row.sampling[1],
-                            sampled_out: row.sampling[2],
-                            budget_suppressed: row.sampling[3],
-                            windows_exhausted: row.sampling[4],
-                            ledgers_lost: row.sampling[5],
-                        },
+                        sampling: row.sampling,
                     },
                 )
             })
             .collect();
-        for flow in self.flows() {
-            out[flow.analysis_row].1.flows.push(AnalyzedFlow {
-                domain: flow.domain.map(str::to_owned),
-                domain_category: flow.domain_category,
-                origin: match flow.origin {
-                    Some(origin) => OriginKind::Library {
-                        origin_library: origin.to_owned(),
-                        two_level: flow.two_level.unwrap_or(origin).to_owned(),
-                    },
-                    None => OriginKind::Builtin,
-                },
-                lib_category: flow.lib_category,
-                is_ant: flow.is_ant,
-                is_common: flow.is_common,
-                sent_bytes: flow.sent_bytes,
-                recv_bytes: flow.recv_bytes,
-                sent_payload: flow.sent_payload,
-                recv_payload: flow.recv_payload,
-                start_micros: flow.start_micros,
-                http_user_agent: flow.http_user_agent.map(str::to_owned),
-                family: flow.family,
-                shape: flow.shape,
-                stream: flow.stream,
-            });
+        for (row, flow) in self.flows() {
+            out[row].1.flows.push(flow.to_flow());
         }
         out
     }
 }
 
-/// Iterator over [`FlowRow`]s; carries the varint-stream cursors.
+/// Iterator over the flow rows, each with the index of its analysis row
+/// within the segment; carries the varint-stream cursors.
 pub struct FlowIter<'a, 'v> {
     view: &'v SegmentView<'a>,
     i: usize,
@@ -955,9 +887,9 @@ pub struct FlowIter<'a, 'v> {
 }
 
 impl<'a> Iterator for FlowIter<'a, '_> {
-    type Item = FlowRow<'a>;
+    type Item = (usize, FlowRow<'a>);
 
-    fn next(&mut self) -> Option<FlowRow<'a>> {
+    fn next(&mut self) -> Option<(usize, FlowRow<'a>)> {
         if self.i >= self.view.n_flows {
             return None;
         }
@@ -974,8 +906,7 @@ impl<'a> Iterator for FlowIter<'a, '_> {
         let delta = unzigzag(self.start_micros.varint("F10").expect("validated"));
         let start = self.prev_start.wrapping_add(delta as u64);
         self.prev_start = start;
-        Some(FlowRow {
-            analysis_row: self.analysis_row,
+        let row = FlowRow {
             domain: view
                 .pool
                 .get_opt(view.domain.get(i), "F0")
@@ -1016,7 +947,8 @@ impl<'a> Iterator for FlowIter<'a, '_> {
                 let raw = self.stream.varint("F14").expect("validated");
                 raw.checked_sub(1).map(|k| k as u32)
             },
-        })
+        };
+        Some((self.analysis_row, row))
     }
 }
 
@@ -1040,6 +972,8 @@ fn fixed_block<'a>(cursor: &mut Cursor<'a>, rows: usize, what: &str) -> StoreRes
 
 #[cfg(test)]
 mod tests {
+    use libspector::{AnalyzedFlow, OriginKind};
+
     use super::*;
 
     fn sample_analysis(package: &str, flows: usize) -> AppAnalysis {

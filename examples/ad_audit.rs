@@ -15,7 +15,7 @@ use libspector::cost::{DataPlan, EnergyModel};
 use libspector::knowledge::Knowledge;
 use libspector::OriginKind;
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 fn main() {
     let apps = 40;
@@ -28,7 +28,13 @@ fn main() {
     let mut dispatch = DispatchConfig::default();
     dispatch.experiment.monkey.events = 200;
     eprintln!("running {apps}-app campaign...");
-    let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+    let config = CampaignConfig {
+        dispatch,
+        ..Default::default()
+    };
+    let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+        .expect("a campaign without a store does no I/O")
+        .analyses;
 
     // Rank AnT origin-libraries by bytes.
     let mut per_lib: BTreeMap<String, u64> = BTreeMap::new();

@@ -13,7 +13,7 @@
 use libspector::knowledge::Knowledge;
 use spector_analysis::FullReport;
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 fn main() {
     let apps = 25;
@@ -33,7 +33,13 @@ fn main() {
         let mut dispatch = DispatchConfig::default();
         dispatch.experiment.monkey.events = events;
         dispatch.experiment.monkey.seed = 99;
-        let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+            .expect("a campaign without a store does no I/O")
+            .analyses;
         let report = FullReport::build(&analyses);
         let executed: usize = analyses
             .iter()

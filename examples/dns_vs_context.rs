@@ -16,7 +16,7 @@ use libspector::cost::DataPlan;
 use libspector::knowledge::Knowledge;
 use libspector::policy::{apply, suggest_blacklist, Action, Matcher, Policy};
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 fn main() {
     let apps = 60;
@@ -29,7 +29,13 @@ fn main() {
     let mut dispatch = DispatchConfig::default();
     dispatch.experiment.monkey.events = 250;
     eprintln!("running {apps}-app campaign...");
-    let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+    let config = CampaignConfig {
+        dispatch,
+        ..Default::default()
+    };
+    let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+        .expect("a campaign without a store does no I/O")
+        .analyses;
 
     // --- RQ2: how wrong is a DNS-only classifier? ---------------------
     let comparison = baseline::compare(&analyses);

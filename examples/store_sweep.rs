@@ -12,7 +12,7 @@
 use libspector::knowledge::Knowledge;
 use spector_analysis::FullReport;
 use spector_corpus::{Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 fn main() {
     let apps = std::env::args()
@@ -41,7 +41,13 @@ fn main() {
             eprintln!("  {done}/{apps} apps analyzed");
         }
     };
-    let analyses = run_corpus(&corpus, &knowledge, &dispatch, Some(&progress)).analyses;
+    let config = CampaignConfig {
+        dispatch,
+        ..Default::default()
+    };
+    let analyses = run_campaign(&corpus, &knowledge, &config, None, Some(&progress))
+        .expect("a campaign without a store does no I/O")
+        .analyses;
 
     let report = FullReport::build(&analyses);
     println!("{}", report.render());

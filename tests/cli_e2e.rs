@@ -371,10 +371,25 @@ fn metrics_subcommand_renders_profile_and_prometheus() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The block of `text` that starts at the line beginning with `start`
+/// and runs through the next blank line.
+fn block<'a>(text: &'a str, start: &str) -> &'a str {
+    let from = text
+        .find(&format!("\n{start}"))
+        .unwrap_or_else(|| panic!("no {start:?} block in:\n{text}"))
+        + 1;
+    let len = text[from..]
+        .find("\n\n")
+        .expect("block ends in a blank line")
+        + 2;
+    &text[from..from + len]
+}
+
 #[test]
 fn live_mode_writes_a_merged_shard_snapshot() {
     let dir = scratch("live-metrics");
     let metrics = dir.join("live.json");
+    let store = dir.join("store");
     let output = libspector(&[
         "live",
         "--apps",
@@ -389,6 +404,8 @@ fn live_mode_writes_a_merged_shard_snapshot() {
         "2",
         "--metrics",
         metrics.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
     ]);
     assert!(output.status.success(), "{}", stderr_of(&output));
     let raw = std::fs::read_to_string(&metrics).expect("live metrics written");
@@ -404,5 +421,24 @@ fn live_mode_writes_a_merged_shard_snapshot() {
         "shard-merged event counters must cover the ingress total"
     );
     assert_eq!(counter(&snapshot, "spector_live_dropped_events_total"), 0);
+
+    // The live summary and a query of the store it wrote render the
+    // same traffic through one renderer: the totals line and both
+    // volume tables reappear byte for byte.
+    let query = libspector(&["query", "--store", store.to_str().unwrap()]);
+    assert!(query.status.success(), "{}", stderr_of(&query));
+    let live = stdout_of(&output);
+    let queried = stdout_of(&query);
+    for start in [
+        "  sent ",
+        "== per origin-library (top 20 by volume) ==",
+        "== per domain category (top 20 by volume) ==",
+    ] {
+        let shared = block(&live, start);
+        assert!(
+            queried.contains(shared),
+            "query output lacks live's block:\n{shared}\nquery printed:\n{queried}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,10 +7,12 @@ use libspector::knowledge::Knowledge;
 use libspector::pipeline::analyze_run;
 use spector_analysis::FullReport;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 use spector_hooks::supervisor::extract_reports;
-use spector_netsim::flows::{DnsMap, FlowTable};
 use spector_netsim::pcap::{read_pcap, write_pcap};
+
+#[path = "../crates/netsim/tests/support/walks.rs"]
+mod walks;
 
 fn small_corpus(apps: usize, seed: u64) -> Corpus {
     Corpus::generate(&CorpusConfig {
@@ -55,9 +57,9 @@ fn reports_flows_and_dns_are_mutually_consistent() {
         .collect();
     let raw = run_app(&app.apk, &resolver, &system, &config).unwrap();
 
-    let flows = FlowTable::from_capture(&raw.capture);
+    let flows = walks::flow_table(&raw.capture);
     let reports = extract_reports(&raw.capture, config.supervisor.collector_port);
-    let dns = DnsMap::from_capture(&raw.capture);
+    let dns = walks::dns_map(&raw.capture);
 
     // One report per TCP connection; each joins to a flow; each flow's
     // destination has a DNS-resolvable domain.
@@ -89,7 +91,13 @@ fn campaign_aggregation_conserves_bytes() {
         ..Default::default()
     };
     dispatch.experiment.monkey.events = 60;
-    let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+    let config = CampaignConfig {
+        dispatch,
+        ..Default::default()
+    };
+    let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+        .expect("a campaign without a store does no I/O")
+        .analyses;
     let report = FullReport::build(&analyses);
 
     // Headline totals equal the sums over per-app analyses.
@@ -122,7 +130,13 @@ fn per_app_analysis_equals_campaign_member() {
         ..Default::default()
     };
     dispatch.experiment.monkey.events = 50;
-    let campaign = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+    let config = CampaignConfig {
+        dispatch: dispatch.clone(),
+        ..Default::default()
+    };
+    let campaign = run_campaign(&corpus, &knowledge, &config, None, None)
+        .expect("a campaign without a store does no I/O")
+        .analyses;
 
     let index = 1usize;
     let resolver = resolver_for(&corpus.domains);

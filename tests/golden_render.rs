@@ -17,7 +17,7 @@ use libspector::knowledge::Knowledge;
 use spector_analysis::render::{render_section, Section};
 use spector_analysis::FullReport;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 
 /// The fixture campaign every golden file is rendered from. Fully
 /// deterministic: seeded corpus, seeded monkey, virtual clock.
@@ -40,7 +40,13 @@ fn report() -> &'static FullReport {
         };
         dispatch.experiment.monkey.events = 120;
         dispatch.experiment.monkey.seed = 9_406;
-        let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+            .expect("a campaign without a store does no I/O")
+            .analyses;
         assert_eq!(analyses.len(), 12, "fixture campaign must not lose apps");
         FullReport::build(&analyses)
     })
@@ -70,7 +76,13 @@ fn mixed_report() -> &'static FullReport {
         };
         dispatch.experiment.monkey.events = 120;
         dispatch.experiment.monkey.seed = 9_406;
-        let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+        let config = CampaignConfig {
+            dispatch,
+            ..Default::default()
+        };
+        let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+            .expect("a campaign without a store does no I/O")
+            .analyses;
         assert_eq!(
             analyses.len(),
             8,

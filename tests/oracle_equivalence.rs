@@ -5,9 +5,9 @@
 //! runs:
 //!
 //! * the one-pass `CaptureIndex` against the per-view capture walks
-//!   (`FlowTable::from_capture`, `DnsMap::from_capture`) and a scan
-//!   that decodes every frame on its own, keeping collector-port
-//!   payloads and tallying decode failures;
+//!   (`crates/netsim/tests/support/walks.rs`) and a scan that decodes
+//!   every frame on its own, keeping collector-port payloads and
+//!   tallying decode failures;
 //! * every library-origin flow's `lib_category` against the linear
 //!   Listing 2 reference (`crates/libradar/tests/support/listing2.rs`).
 //!   The corpora are unobfuscated, so the knowledge base holds no
@@ -20,10 +20,12 @@ use libspector::OriginKind;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_netsim::packet::{decode_frame_ref, TransportRef};
 use spector_netsim::pcap::CapturedPacket;
-use spector_netsim::{CaptureIndex, DnsMap, FlowTable, FrameErrorCounts};
+use spector_netsim::{CaptureIndex, FrameErrorCounts};
 
 #[path = "../crates/libradar/tests/support/listing2.rs"]
 mod listing2;
+#[path = "../crates/netsim/tests/support/walks.rs"]
+mod walks;
 
 /// Decodes every frame of `capture` independently of the frame step:
 /// the UDP payloads addressed to `collector_port`, in capture order,
@@ -78,12 +80,8 @@ fn capture_index_and_categories_match_their_references() {
             let context = format!("seed {seed}, app {}", app.package);
 
             let index = CaptureIndex::build(&raw.capture, port);
-            assert_eq!(
-                index.flows,
-                FlowTable::from_capture(&raw.capture),
-                "{context}"
-            );
-            assert_eq!(index.dns, DnsMap::from_capture(&raw.capture), "{context}");
+            assert_eq!(index.flows, walks::flow_table(&raw.capture), "{context}");
+            assert_eq!(index.dns, walks::dns_map(&raw.capture), "{context}");
             let (payloads, frame_errors) = reference_scan(&raw.capture, port);
             assert_eq!(index.report_payloads, payloads, "{context}");
             assert_eq!(index.frame_errors, frame_errors, "{context}");

@@ -6,7 +6,7 @@
 use libspector::knowledge::Knowledge;
 use spector_analysis::FullReport;
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
-use spector_dispatch::{run_corpus, DispatchConfig};
+use spector_dispatch::{run_campaign, CampaignConfig, DispatchConfig};
 use spector_libradar::LibCategory;
 use spector_vtcat::DomainCategory;
 
@@ -25,7 +25,13 @@ fn campaign() -> FullReport {
     let mut dispatch = DispatchConfig::default();
     dispatch.experiment.monkey.events = 250;
     dispatch.experiment.monkey.seed = 4242;
-    let analyses = run_corpus(&corpus, &knowledge, &dispatch, None).analyses;
+    let config = CampaignConfig {
+        dispatch,
+        ..Default::default()
+    };
+    let analyses = run_campaign(&corpus, &knowledge, &config, None, None)
+        .expect("a campaign without a store does no I/O")
+        .analyses;
     FullReport::build(&analyses)
 }
 

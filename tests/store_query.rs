@@ -5,9 +5,9 @@
 //! The anchor fixture is the 400-app benchmark campaign
 //! (`seed 7_778`, 60 monkey events, `method_scale 0.004`): one
 //! deterministic run, stored once, then attacked from every angle —
-//! the golden report snapshot, the columnar query totals, torn
-//! segments, and a fresh `libspector query` process against a store
-//! the `run` subcommand wrote.
+//! the golden report snapshot, the columnar query totals and traffic
+//! summary, torn segments, and a fresh `libspector query` process
+//! against a store the `run` subcommand wrote.
 //!
 //! Regenerate the golden after an intentional renderer change with:
 //!
@@ -24,6 +24,7 @@ use libspector::pipeline::AppAnalysis;
 use spector_analysis::{storeq, FullReport};
 use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 use spector_dispatch::{run_campaign_stored, CampaignConfig, DispatchConfig};
+use spector_live::LiveSummary;
 use spector_store::{
     CampaignKind, CampaignMeta, CampaignSealRecord, StoreOptions, StoreReader, StoreWriter,
 };
@@ -143,7 +144,7 @@ fn columnar_query_conserves_campaign_totals() {
 
     assert_eq!(stats.apps as usize, fixture.analyses.len());
     let flows: usize = fixture.analyses.iter().map(|a| a.flows.len()).sum();
-    assert_eq!(stats.flows as usize, flows);
+    assert_eq!(stats.summary.flows, flows);
     let sent: u64 = fixture
         .analyses
         .iter()
@@ -156,21 +157,34 @@ fn columnar_query_conserves_campaign_totals() {
         .flat_map(|a| &a.flows)
         .map(|f| f.recv_bytes)
         .sum();
-    assert_eq!(stats.total.sent, sent);
-    assert_eq!(stats.total.recv, recv);
+    assert_eq!(stats.summary.total_sent, sent);
+    assert_eq!(stats.summary.total_recv, recv);
     // Every per-bucket view conserves the same byte total.
     for (label, buckets) in [
-        ("per_library", &stats.per_library),
+        ("per_library", &stats.summary.per_library),
         ("per_domain", &stats.per_domain),
-        ("per_domain_category", &stats.per_domain_category),
+        ("per_domain_category", &stats.summary.per_domain_category),
         ("per_lib_category", &stats.per_lib_category),
     ] {
-        let total: u64 = buckets.values().map(|v| v.total()).sum();
+        let total: u64 = buckets.values().map(|v| v.total_bytes()).sum();
         assert_eq!(total, sent + recv, "{label} must conserve bytes");
     }
     let seal = reader.seal_record(0).expect("seal parses").expect("sealed");
     assert_eq!(seal.apps, 400);
     assert_eq!(seal.failures.len(), 0);
+}
+
+/// The scan folds its rows through the live engine's own fold, so its
+/// summary is `LiveSummary::from_analyses` of the campaign — the value
+/// a live run's `offline_view()` equals — as a whole struct.
+#[test]
+fn columnar_summary_is_the_live_fold_of_the_campaign() {
+    let fixture = fixture();
+    let reader = StoreReader::open(&fixture.dir).expect("store reads back");
+    assert_eq!(
+        storeq::compute(&reader, None).summary,
+        LiveSummary::from_analyses(&fixture.analyses)
+    );
 }
 
 /// Torn-write at campaign scale: truncating one sealed segment of a
