@@ -10,12 +10,14 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use libspector::attribution::{attribute, BuiltinFilter};
 use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
 use libspector::pipeline::analyze_run;
 use spector_bench::{corpus, knowledge, throughput_fixture, THROUGHPUT_APPS};
+use spector_dex::model::SigIndex;
 use spector_dex::sha256::Sha256;
 use spector_dex::{parse_dex, write_dex};
 use spector_hooks::report::SocketReport;
@@ -26,8 +28,6 @@ use spector_netsim::stack::NetStack;
 fn bench_hook_overhead(c: &mut Criterion) {
     // Time to connect+report with the supervisor attached vs the bare
     // connect, isolating the instrumentation cost the paper quantifies.
-    use spector_dex::model::SigIndex;
-    use spector_dex::DexFile;
     use spector_hooks::supervisor::{SocketSupervisor, SupervisorConfig};
     use spector_runtime::stack::{CallStack, Frame};
     use spector_runtime::{HookContext, RuntimeHook};
@@ -44,7 +44,7 @@ fn bench_hook_overhead(c: &mut Criterion) {
         let mut net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let mut supervisor = SocketSupervisor::new(
             Sha256::digest(b"bench-apk"),
-            SigIndex::build(&DexFile::new()),
+            Arc::new(SigIndex::default()),
             SupervisorConfig::default(),
         );
         let mut stack = CallStack::new();
@@ -137,6 +137,16 @@ fn bench_experiment_slice(c: &mut Criterion) {
         b.iter(|| {
             for (apk, system) in &apps {
                 std::hint::black_box(run_app(apk, &resolver, system, &config).unwrap());
+            }
+        });
+    });
+    // The part of each run above that sets the app up: one dex parse,
+    // the shared signature index and the apk digest.
+    group.bench_function("app_image", |b| {
+        b.iter(|| {
+            for (apk, _) in &apps {
+                let index = SigIndex::new(Arc::new(apk.dex().unwrap()));
+                std::hint::black_box((index, apk.sha256()));
             }
         });
     });

@@ -5,24 +5,27 @@
 //! the platform generate its own background traffic, exercise the UI
 //! with the monkey (1,000 events @ 500 ms by default), and hand back
 //! everything the offline pipeline consumes — the packet capture (with
-//! supervisor reports and DNS exchanges embedded in it), the unique-
-//! method trace, and the dex's full signature set.
+//! supervisor reports and DNS exchanges embedded in it) and the unique-
+//! method trace over the dex's methods.
+//!
+//! The apk's dex is parsed once per run, into one shared [`SigIndex`]:
+//! the runtime, the supervisor and the trace all read that dex.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use spector_dex::apk::{Apk, ApkError};
 use spector_dex::model::{Dispatcher, NetworkOp, SigIndex};
 use spector_dex::sha256::Digest;
-use spector_dex::sig::MethodSig;
 use spector_hooks::supervisor::{SocketSupervisor, SupervisorConfig};
 use spector_monkey::monkey::{Monkey, MonkeyConfig, MonkeyReport};
 use spector_monkey::ui::UiModel;
 use spector_netsim::clock::Clock;
 use spector_netsim::pcap::CapturedPacket;
 use spector_netsim::stack::NetStack;
-use spector_runtime::{Runtime, RuntimeConfig, RuntimeStats};
+use spector_runtime::{MethodTrace, Runtime, RuntimeConfig, RuntimeStats};
 
 /// Experiment settings. Defaults mirror the paper's setup.
 #[derive(Debug, Clone, Default)]
@@ -46,10 +49,9 @@ pub struct RawRun {
     pub apk_sha256: Digest,
     /// The emulator's full packet capture.
     pub capture: Vec<CapturedPacket>,
-    /// Unique methods recorded by the Method Monitor.
-    pub executed_methods: HashSet<MethodSig>,
-    /// All method signatures defined in the apk's dex.
-    pub dex_signatures: HashSet<MethodSig>,
+    /// Unique methods recorded by the Method Monitor, over the apk's
+    /// dex.
+    pub executed_methods: MethodTrace,
     /// Monkey run report.
     pub monkey: MonkeyReport,
     /// Interpreter counters.
@@ -148,15 +150,13 @@ pub fn run_app_with_hooks(
     extra_hooks: Vec<Box<dyn spector_runtime::RuntimeHook>>,
 ) -> Result<RawRun, ExperimentError> {
     let manifest = apk.manifest()?;
-    let dex = apk.dex()?;
-    let dex_signatures: HashSet<MethodSig> = dex.signatures().cloned().collect();
-    let index = SigIndex::build(&dex);
-    let apk_sha256 = apk.sha256();
+    let index = Arc::new(SigIndex::new(Arc::new(apk.dex()?)));
+    let digest = apk.sha256();
 
     // Fresh emulator: clock at zero, stock Android-emulator addressing.
     let clock = Clock::new();
     let net = NetStack::new(clock.clone(), Ipv4Addr::new(10, 0, 2, 15));
-    let mut runtime = Runtime::new(dex, net, config.runtime.clone());
+    let mut runtime = Runtime::new(Arc::clone(&index), net, config.runtime.clone());
     // Register only the domains this run can actually name: the dex's
     // network operands plus the system ops.
     for (op, _) in system_ops {
@@ -168,7 +168,7 @@ pub fn run_app_with_hooks(
         runtime.register_domain(&domain, ip);
     }
     runtime.add_hook(Box::new(SocketSupervisor::new(
-        apk_sha256,
+        digest,
         index,
         config.supervisor.clone(),
     )));
@@ -195,15 +195,15 @@ pub fn run_app_with_hooks(
 
     let runtime_stats = runtime.stats();
     let duration_micros = runtime.net().clock().now_micros();
-    let (net, profiler) = runtime.into_parts();
+    let executed_methods = runtime.method_trace();
+    let (net, _) = runtime.into_parts();
 
     Ok(RawRun {
         package: manifest.package,
         app_category: manifest.category,
-        apk_sha256,
+        apk_sha256: digest,
         capture: net.into_capture(),
-        executed_methods: profiler.unique_methods(),
-        dex_signatures,
+        executed_methods,
         monkey: monkey_report,
         runtime_stats,
         duration_micros,
@@ -266,7 +266,11 @@ mod tests {
         assert_eq!(raw.apk_sha256, app.apk.sha256());
         assert!(!raw.capture.is_empty(), "capture must contain packets");
         assert!(!raw.executed_methods.is_empty());
-        assert!(raw.dex_signatures.len() >= raw.executed_methods.len() / 2);
+        assert_eq!(
+            raw.executed_methods.method_count(),
+            app.apk.dex().unwrap().method_count()
+        );
+        assert!(raw.executed_methods.method_count() >= raw.executed_methods.len() / 2);
         assert_eq!(raw.monkey.events_issued, 60);
         assert!(raw.duration_micros >= 30_000_000); // ≥ events × throttle
     }

@@ -106,12 +106,14 @@ impl Knowledge {
     /// becomes an alias the verdict cascade can resolve obfuscated
     /// origins through. Apps are detected in parallel and merged in app
     /// order, because a later alias for the same prefix overwrites an
-    /// earlier one.
+    /// earlier one. The domain classification runs on the same threads,
+    /// beside the detection.
     pub fn from_corpus(corpus: &Corpus) -> Self {
         let mut aggregated = AggregatedLibraries::new();
         let mut exact_aliases = PrefixAliases::new();
         let mut structural_aliases = PrefixAliases::new();
-        for (exact, structural) in detect_apps(corpus) {
+        let (detections, domain_categories) = scan(corpus);
+        for (exact, structural) in detections {
             for detected in exact {
                 aggregated.record(&detected.name, detected.category);
                 exact_aliases.insert(&detected.in_app_prefix, &detected.name);
@@ -120,15 +122,6 @@ impl Knowledge {
                 aggregated.record(&matched.name, matched.category);
                 structural_aliases.insert(&matched.in_app_prefix, &matched.name);
             }
-        }
-        let tokenizer = Tokenizer::new();
-        let domains = corpus.domains.domains();
-        let mut domain_categories = HashMap::with_capacity(domains.len());
-        for domain in domains {
-            domain_categories.insert(
-                domain.name.clone(),
-                tokenizer.classify(&domain.vendor_labels),
-            );
         }
         let mut knowledge =
             Knowledge::with_domain_categories(aggregated, corpus.lists.clone(), domain_categories);
@@ -187,24 +180,39 @@ impl Knowledge {
 /// What both detection tiers found in one app.
 type AppDetections = (Vec<DetectedLibrary>, Vec<StructuralMatch>);
 
-/// Runs both detection tiers over every app of `corpus` on one scoped
-/// thread per available CPU, each thread taking the next undetected app,
-/// and returns the detections in app order. An app whose dex does not
-/// parse contributes nothing.
-fn detect_apps(corpus: &Corpus) -> Vec<AppDetections> {
+/// Runs both detection tiers over every app of `corpus`, and the
+/// Table I classification over every domain of its universe, on one
+/// scoped thread per available CPU. The threads take tasks from one
+/// counter: task 0 classifies the domains, task `i + 1` detects app
+/// `i`, so the classification overlaps the detection instead of
+/// following it. Returns the detections in app order and the domain
+/// table. An app whose dex does not parse contributes nothing.
+fn scan(corpus: &Corpus) -> (Vec<AppDetections>, HashMap<String, DomainCategory>) {
     let threads = std::thread::available_parallelism()
         .map_or(1, NonZeroUsize::get)
-        .min(corpus.apps.len())
-        .max(1);
-    // Relaxed: the counter only hands out app indices; the detections
-    // come back through `join`.
+        .min(corpus.apps.len() + 1);
+    // Relaxed: the counter only hands out tasks; the results come back
+    // through `join`.
     let next = AtomicUsize::new(0);
-    let detect_next = || {
-        let mut done = Vec::new();
+    let work = || {
+        let mut detections = Vec::new();
+        let mut domain_categories = None;
         loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(app) = corpus.apps.get(index) else {
-                return done;
+            let task = next.fetch_add(1, Ordering::Relaxed);
+            if task == 0 {
+                let tokenizer = Tokenizer::new();
+                domain_categories = Some(
+                    corpus
+                        .domains
+                        .domains()
+                        .iter()
+                        .map(|d| (d.name.clone(), tokenizer.classify(&d.vendor_labels)))
+                        .collect::<HashMap<_, _>>(),
+                );
+                continue;
+            }
+            let Some(app) = corpus.apps.get(task - 1) else {
+                return (detections, domain_categories);
             };
             let found = app.apk.dex().map_or_else(
                 |_| AppDetections::default(),
@@ -216,22 +224,28 @@ fn detect_apps(corpus: &Corpus) -> Vec<AppDetections> {
                     )
                 },
             );
-            done.push((index, found));
+            detections.push((task - 1, found));
         }
     };
-    let mut indexed: Vec<(usize, AppDetections)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(detect_next)).collect();
-        workers
-            .into_iter()
-            .flat_map(|worker| {
-                worker
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+    let mut detections = Vec::with_capacity(corpus.apps.len());
+    let mut domain_categories = None;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        for worker in workers {
+            let (found, domains) = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            detections.extend(found);
+            if domains.is_some() {
+                domain_categories = domains;
+            }
+        }
     });
-    indexed.sort_unstable_by_key(|&(app, _)| app);
-    indexed.into_iter().map(|(_, found)| found).collect()
+    detections.sort_unstable_by_key(|&(app, _)| app);
+    (
+        detections.into_iter().map(|(_, found)| found).collect(),
+        domain_categories.expect("task 0 is always taken"),
+    )
 }
 
 // The corpus dependency is dev-facing: Knowledge::from_corpus is the

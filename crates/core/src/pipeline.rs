@@ -626,9 +626,7 @@ pub fn analyze_run_instrumented(
     });
     let unattributed_flows = join.unattributed(&index.flows);
     pt.flows_unattributed.add(unattributed_flows as u64);
-    let coverage = pt
-        .coverage
-        .time(|| compute_coverage(&raw.executed_methods, &raw.dex_signatures));
+    let coverage = pt.coverage.time(|| compute_coverage(&raw.executed_methods));
 
     AppAnalysis {
         package: raw.package.clone(),
@@ -843,7 +841,6 @@ mod tests {
             apk_sha256: Sha256::digest(b"dup-apk"),
             capture: stack.into_capture(),
             executed_methods: Default::default(),
-            dex_signatures: Default::default(),
             monkey: Default::default(),
             runtime_stats: Default::default(),
             duration_micros: 0,

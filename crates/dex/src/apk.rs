@@ -202,15 +202,22 @@ impl Apk {
     /// Serializes the archive to bytes.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_slice(APK_MAGIC);
-        put_u32(&mut buf, self.entries.len() as u32);
-        for entry in &self.entries {
-            put_u32(&mut buf, entry.name.len() as u32);
-            buf.put_slice(entry.name.as_bytes());
-            put_u32(&mut buf, entry.data.len() as u32);
-            buf.put_slice(&entry.data);
-        }
+        self.frame(|part| buf.put_slice(part));
         buf.freeze()
+    }
+
+    /// Feeds the serialized archive to `sink` piece by piece, in order:
+    /// magic, entry count, then each entry's name length, name, data
+    /// length and data (lengths as little-endian `u32`s).
+    fn frame(&self, mut sink: impl FnMut(&[u8])) {
+        sink(APK_MAGIC);
+        sink(&(self.entries.len() as u32).to_le_bytes());
+        for entry in &self.entries {
+            sink(&(entry.name.len() as u32).to_le_bytes());
+            sink(entry.name.as_bytes());
+            sink(&(entry.data.len() as u32).to_le_bytes());
+            sink(&entry.data);
+        }
     }
 
     /// Parses an archive from bytes.
@@ -252,14 +259,13 @@ impl Apk {
     }
 
     /// SHA-256 of the serialized archive — the checksum embedded in
-    /// every socket report.
+    /// every socket report. The archive is hashed as it is framed,
+    /// without serializing it.
     pub fn sha256(&self) -> Digest {
-        Sha256::digest(&self.to_bytes())
+        let mut hasher = Sha256::new();
+        self.frame(|part| hasher.update(part));
+        hasher.finalize()
     }
-}
-
-fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_u32_le(v);
 }
 
 fn get_u32(buf: &mut Bytes) -> Result<u32, ApkError> {
@@ -336,6 +342,7 @@ mod tests {
         let parsed = Apk::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, apk);
         assert_eq!(parsed.sha256(), apk.sha256());
+        assert_eq!(apk.sha256(), Sha256::digest(&bytes));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::model::{
     ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,
@@ -85,14 +85,11 @@ fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
     }
 }
 
-fn get_uleb128(buf: &mut Bytes) -> Result<u64, DexParseError> {
+fn get_uleb128(buf: &mut &[u8]) -> Result<u64, DexParseError> {
     let mut result: u64 = 0;
     let mut shift = 0;
     loop {
-        if !buf.has_remaining() {
-            return Err(DexParseError::new("truncated uleb128"));
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf).ok_or_else(|| DexParseError::new("truncated uleb128"))?;
         if shift >= 64 {
             return Err(DexParseError::new("uleb128 overflow"));
         }
@@ -102,6 +99,12 @@ fn get_uleb128(buf: &mut Bytes) -> Result<u64, DexParseError> {
         }
         shift += 7;
     }
+}
+
+fn get_u8(buf: &mut &[u8]) -> Option<u8> {
+    let (&byte, rest) = buf.split_first()?;
+    *buf = rest;
+    Some(byte)
 }
 
 /// Interns strings, assigning dense ids in first-seen order.
@@ -244,6 +247,28 @@ pub fn write_dex(dex: &DexFile) -> Bytes {
     buf.freeze()
 }
 
+/// The parsed string pool, each string borrowed from the input.
+struct Pool<'a> {
+    strings: Vec<&'a str>,
+}
+
+impl<'a> Pool<'a> {
+    fn get(&self, id: u64) -> Result<&'a str, DexParseError> {
+        self.strings
+            .get(id as usize)
+            .copied()
+            .ok_or_else(|| DexParseError::new(format!("string id {id} out of range")))
+    }
+
+    /// String `id` parsed as a signature; `what` names its position in
+    /// an error.
+    fn sig(&self, id: u64, what: &str) -> Result<MethodSig, DexParseError> {
+        self.get(id)?
+            .parse()
+            .map_err(|e| DexParseError::new(format!("bad {what} signature: {e}")))
+    }
+}
+
 /// Parses binary dex bytes back into a [`DexFile`] — the dexlib2
 /// disassembly stand-in used by the Method Monitor and the offline
 /// pipeline.
@@ -254,70 +279,56 @@ pub fn write_dex(dex: &DexFile) -> Bytes {
 /// string references, invalid opcodes, malformed signature strings, or
 /// trailing garbage.
 pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < DEX_MAGIC.len() || &buf.split_to(DEX_MAGIC.len())[..] != DEX_MAGIC {
+    let Some(mut buf) = bytes.strip_prefix(DEX_MAGIC.as_slice()) else {
         return Err(DexParseError::new("bad magic"));
-    }
-    let string_count = get_uleb128(&mut buf)? as usize;
+    };
+    let buf = &mut buf;
+    let string_count = get_uleb128(buf)? as usize;
     if string_count > bytes.len() {
         return Err(DexParseError::new("string count exceeds input size"));
     }
     let mut strings = Vec::with_capacity(string_count);
     for _ in 0..string_count {
-        let len = get_uleb128(&mut buf)? as usize;
-        if buf.remaining() < len {
+        let len = get_uleb128(buf)? as usize;
+        if buf.len() < len {
             return Err(DexParseError::new("truncated string"));
         }
-        let raw = buf.split_to(len);
-        let s = std::str::from_utf8(&raw)
-            .map_err(|_| DexParseError::new("string is not UTF-8"))?
-            .to_owned();
-        strings.push(s);
-    }
-    let lookup = |id: u64| -> Result<&str, DexParseError> {
+        let (raw, rest) = buf.split_at(len);
+        *buf = rest;
         strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| DexParseError::new(format!("string id {id} out of range")))
-    };
-
-    let method_count = get_uleb128(&mut buf)? as usize;
+            .push(std::str::from_utf8(raw).map_err(|_| DexParseError::new("string is not UTF-8"))?);
+    }
+    let pool = Pool { strings };
+    let method_count = get_uleb128(buf)? as usize;
     if method_count > bytes.len() {
         return Err(DexParseError::new("method count exceeds input size"));
     }
     let mut methods = Vec::with_capacity(method_count);
     for _ in 0..method_count {
-        let sig_id = get_uleb128(&mut buf)?;
-        let sig: MethodSig = lookup(sig_id)?
-            .parse()
-            .map_err(|e| DexParseError::new(format!("bad method signature: {e}")))?;
-        let inst_count = get_uleb128(&mut buf)? as usize;
+        let sig_id = get_uleb128(buf)?;
+        let sig = pool.sig(sig_id, "method")?;
+        let inst_count = get_uleb128(buf)? as usize;
         if inst_count > bytes.len() {
             return Err(DexParseError::new("instruction count exceeds input size"));
         }
         let mut instructions = Vec::with_capacity(inst_count);
         for _ in 0..inst_count {
-            if !buf.has_remaining() {
-                return Err(DexParseError::new("truncated instruction"));
-            }
-            let op = buf.get_u8();
+            let op = get_u8(buf).ok_or_else(|| DexParseError::new("truncated instruction"))?;
             let inst = match op {
                 0 => Instruction::Nop,
-                1 => Instruction::Const(get_uleb128(&mut buf)? as u32),
-                2 => Instruction::Invoke(MethodRef::Internal(get_uleb128(&mut buf)? as u32)),
+                1 => Instruction::Const(get_uleb128(buf)? as u32),
+                2 => Instruction::Invoke(MethodRef::Internal(get_uleb128(buf)? as u32)),
                 3 => {
-                    let sig_id = get_uleb128(&mut buf)?;
-                    let sig: MethodSig = lookup(sig_id)?
-                        .parse()
-                        .map_err(|e| DexParseError::new(format!("bad external signature: {e}")))?;
-                    Instruction::Invoke(MethodRef::External(sig))
+                    let sig_id = get_uleb128(buf)?;
+                    Instruction::Invoke(MethodRef::External(pool.sig(sig_id, "external")?))
                 }
                 4 => Instruction::Return,
                 5 => {
-                    if buf.remaining() < 2 {
+                    let [dispatcher, tag, ..] = **buf else {
                         return Err(DexParseError::new("truncated async invoke"));
-                    }
-                    let dispatcher = match buf.get_u8() {
+                    };
+                    *buf = &buf[2..];
+                    let dispatcher = match dispatcher {
                         0 => Dispatcher::AsyncTask,
                         1 => Dispatcher::Thread,
                         2 => Dispatcher::Executor,
@@ -325,14 +336,11 @@ pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
                             return Err(DexParseError::new(format!("invalid dispatcher {other}")))
                         }
                     };
-                    let target = match buf.get_u8() {
-                        0 => MethodRef::Internal(get_uleb128(&mut buf)? as u32),
+                    let target = match tag {
+                        0 => MethodRef::Internal(get_uleb128(buf)? as u32),
                         1 => {
-                            let sig_id = get_uleb128(&mut buf)?;
-                            let sig: MethodSig = lookup(sig_id)?.parse().map_err(|e| {
-                                DexParseError::new(format!("bad async target signature: {e}"))
-                            })?;
-                            MethodRef::External(sig)
+                            let sig_id = get_uleb128(buf)?;
+                            MethodRef::External(pool.sig(sig_id, "async target")?)
                         }
                         other => {
                             return Err(DexParseError::new(format!(
@@ -343,18 +351,16 @@ pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
                     Instruction::InvokeAsync { dispatcher, target }
                 }
                 6 => {
-                    let domain_id = get_uleb128(&mut buf)?;
-                    let domain = lookup(domain_id)?.to_owned();
-                    let port = get_uleb128(&mut buf)?;
+                    let domain_id = get_uleb128(buf)?;
+                    let domain = pool.get(domain_id)?.to_owned();
+                    let port = get_uleb128(buf)?;
                     if port > u64::from(u16::MAX) {
                         return Err(DexParseError::new("network port out of range"));
                     }
-                    let send_bytes = get_uleb128(&mut buf)?;
-                    let recv_bytes = get_uleb128(&mut buf)?;
-                    if !buf.has_remaining() {
-                        return Err(DexParseError::new("truncated network op"));
-                    }
-                    let connector_byte = buf.get_u8();
+                    let send_bytes = get_uleb128(buf)?;
+                    let recv_bytes = get_uleb128(buf)?;
+                    let connector_byte =
+                        get_u8(buf).ok_or_else(|| DexParseError::new("truncated network op"))?;
                     let connector = match connector_byte & 0x7f {
                         0 => Connector::AndroidOkHttp,
                         1 => Connector::ApacheHttp,
@@ -366,15 +372,14 @@ pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
                     let shape = if connector_byte & 0x80 == 0 {
                         WireShape::Plain
                     } else {
-                        if !buf.has_remaining() {
-                            return Err(DexParseError::new("truncated network op"));
-                        }
-                        match buf.get_u8() {
+                        match get_u8(buf)
+                            .ok_or_else(|| DexParseError::new("truncated network op"))?
+                        {
                             1 => WireShape::V6,
                             2 => WireShape::TlsSni,
                             3 => WireShape::ConnectProxy,
                             4 => {
-                                let streams = get_uleb128(&mut buf)?;
+                                let streams = get_uleb128(buf)?;
                                 if streams == 0 || streams > u64::from(u32::MAX) {
                                     return Err(DexParseError::new("invalid pooled stream count"));
                                 }
@@ -410,21 +415,21 @@ pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
         });
     }
 
-    let class_count = get_uleb128(&mut buf)? as usize;
+    let class_count = get_uleb128(buf)? as usize;
     if class_count > bytes.len() {
         return Err(DexParseError::new("class count exceeds input size"));
     }
     let mut classes = Vec::with_capacity(class_count);
     for _ in 0..class_count {
-        let name_id = get_uleb128(&mut buf)?;
-        let dotted_name = lookup(name_id)?.to_owned();
-        let idx_count = get_uleb128(&mut buf)? as usize;
+        let name_id = get_uleb128(buf)?;
+        let dotted_name = pool.get(name_id)?.to_owned();
+        let idx_count = get_uleb128(buf)? as usize;
         if idx_count > bytes.len() {
             return Err(DexParseError::new("class method count exceeds input size"));
         }
         let mut method_indices = Vec::with_capacity(idx_count);
         for _ in 0..idx_count {
-            method_indices.push(get_uleb128(&mut buf)? as u32);
+            method_indices.push(get_uleb128(buf)? as u32);
         }
         classes.push(ClassDef {
             dotted_name,
@@ -432,7 +437,7 @@ pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
         });
     }
 
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(DexParseError::new("trailing bytes after class table"));
     }
     let dex = DexFile { methods, classes };
@@ -724,9 +729,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = BytesMut::new();
             put_uleb128(&mut buf, v);
-            let mut bytes = buf.freeze();
+            let mut bytes = &buf[..];
             assert_eq!(get_uleb128(&mut bytes).unwrap(), v);
-            assert!(!bytes.has_remaining());
+            assert!(bytes.is_empty());
         }
     }
 }

@@ -21,7 +21,14 @@
 //!   entries (so the ARM-only filter from §III-A has something to filter
 //!   on), manifest metadata, and
 //! * a from-scratch **SHA-256** ([`sha256`]) used for apk checksums in
-//!   socket reports.
+//!   socket reports. Whole blocks run on the x86 SHA extensions when CPU
+//!   detection finds them (with SSSE3 and SSE4.1), on portable rounds
+//!   otherwise.
+//!
+//! A run parses its apk's dex once, behind an `Arc`, and builds the
+//! [`SigIndex`] that shares it (frame translation by dotted name, entry
+//! points by exact signature, neither copying a signature); the apk
+//! digest is hashed as the archive is framed.
 //!
 //! # Examples
 //!
@@ -37,6 +44,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod apk;
 pub mod features;

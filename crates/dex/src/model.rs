@@ -9,6 +9,8 @@
 //! exactly like real invoke instructions referencing library/boot-class
 //! methods.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::sig::MethodSig;
@@ -268,13 +270,16 @@ impl DexFile {
 ///
 /// The table is a sorted list of `(hash of dotted name, method id)`
 /// pairs, each hash streamed from the signature's smali bytes
-/// ([`MethodSig::dotted_bytes`]): building it copies each signature once
-/// and allocates nothing else per method. A lookup walks the run of
-/// equal hashes in id order and confirms each candidate byte for byte:
-/// a hash collision can cost a comparison but never change the answer.
+/// ([`MethodSig::dotted_bytes`]). The index shares the dex it was built
+/// over and reads every signature from it: building allocates the table
+/// and nothing per method. A lookup walks the run of equal hashes in id
+/// order and confirms each candidate byte for byte: a hash collision can
+/// cost a comparison but never change the answer. An exact signature
+/// hashes to its own dotted name's run, so [`SigIndex::find`] answers
+/// from the same table.
 #[derive(Debug, Clone, Default)]
 pub struct SigIndex {
-    sigs: Vec<MethodSig>,
+    dex: Arc<DexFile>,
     /// `(dotted-name hash, method id)`, sorted; ids ascend within a hash.
     table: Vec<(u64, u32)>,
 }
@@ -287,39 +292,61 @@ fn dotted_hash(bytes: impl Iterator<Item = u8>) -> u64 {
 }
 
 impl SigIndex {
-    /// Builds the index over `dex`.
-    pub fn build(dex: &DexFile) -> Self {
-        let sigs: Vec<MethodSig> = dex.signatures().cloned().collect();
-        let mut table: Vec<(u64, u32)> = sigs
-            .iter()
+    /// Builds the index over a shared dex.
+    pub fn new(dex: Arc<DexFile>) -> Self {
+        let mut table: Vec<(u64, u32)> = dex
+            .signatures()
             .enumerate()
             .map(|(id, sig)| (dotted_hash(sig.dotted_bytes()), id as u32))
             .collect();
         table.sort_unstable();
-        SigIndex { sigs, table }
+        SigIndex { dex, table }
+    }
+
+    /// Builds the index over a copy of `dex`; [`SigIndex::new`] shares
+    /// one instead.
+    pub fn build(dex: &DexFile) -> Self {
+        SigIndex::new(Arc::new(dex.clone()))
+    }
+
+    /// The indexed dex.
+    pub fn dex(&self) -> &Arc<DexFile> {
+        &self.dex
+    }
+
+    /// The ids, ascending, whose dotted names hash to `hash`.
+    fn run(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let start = self.table.partition_point(|&(h, _)| h < hash);
+        self.table[start..]
+            .iter()
+            .take_while(move |&&(h, _)| h == hash)
+            .map(|&(_, id)| id)
     }
 
     /// The first method, in definition order, whose dotted name is
     /// `dotted_name`; `None` when the dex defines no such method (a
     /// framework frame).
     pub fn first_match(&self, dotted_name: &str) -> Option<&MethodSig> {
-        let hash = dotted_hash(dotted_name.bytes());
-        let start = self.table.partition_point(|&(h, _)| h < hash);
-        self.table[start..]
-            .iter()
-            .take_while(|&&(h, _)| h == hash)
-            .map(|&(_, id)| &self.sigs[id as usize])
+        self.run(dotted_hash(dotted_name.bytes()))
+            .map(|id| &self.dex.methods[id as usize].sig)
             .find(|sig| sig.dotted_bytes().eq(dotted_name.bytes()))
+    }
+
+    /// The id of the first method defined with exactly `sig` — the
+    /// answer of [`DexFile::find_method`], without its linear scan.
+    pub fn find(&self, sig: &MethodSig) -> Option<u32> {
+        self.run(dotted_hash(sig.try_dotted_bytes()?))
+            .find(|&id| self.dex.methods[id as usize].sig == *sig)
     }
 
     /// Number of indexed methods.
     pub fn len(&self) -> usize {
-        self.sigs.len()
+        self.table.len()
     }
 
     /// Returns `true` when no methods are indexed.
     pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
+        self.table.is_empty()
     }
 }
 
@@ -415,6 +442,41 @@ mod tests {
         }
         assert_eq!(dex.find_method(&MethodSig::new("x", "Y", "z", "()V")), None);
         assert_eq!(idx.first_match("x.Y.z"), None);
+    }
+
+    #[test]
+    fn exact_lookup_answers_like_find_method() {
+        let mut dex = sample_dex();
+        // An overload shares its dotted name's run with `fetch()V`.
+        dex.methods.push(MethodDef {
+            sig: MethodSig::new("com.ads", "Loader", "fetch", "(I)V"),
+            code: CodeItem::default(),
+        });
+        let idx = SigIndex::new(Arc::new(dex.clone()));
+        for m in &dex.methods {
+            assert_eq!(idx.find(&m.sig), dex.find_method(&m.sig));
+        }
+        for absent in [
+            MethodSig::new("com.ads", "Loader", "fetch", "(J)V"),
+            MethodSig::new("x", "Y", "z", "()V"),
+        ] {
+            assert_eq!(idx.find(&absent), None);
+        }
+        // A deserialized value is not validated; it names no method.
+        let raw: MethodSig = serde_json::from_str("\"not a signature\"").unwrap();
+        assert_eq!(idx.find(&raw), None);
+    }
+
+    #[test]
+    fn validate_names_the_least_duplicate() {
+        let mut dex = sample_dex();
+        let (zed, ant) = (dex.methods[0].clone(), dex.methods[1].clone());
+        dex.methods.extend([zed, ant]);
+        // com.ads… sorts before com.app…, whatever the table order.
+        assert_eq!(
+            dex.validate(),
+            Err(format!("duplicate method signature {}", dex.methods[1].sig))
+        );
     }
 
     #[test]

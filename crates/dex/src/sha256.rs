@@ -5,6 +5,13 @@
 //! under test even when several emulators share one report sink. No
 //! hashing crate is in the approved dependency set, so the digest is
 //! implemented here and validated against the NIST test vectors.
+//!
+//! Whole 64-byte blocks go through one of two compression kernels,
+//! chosen when a hasher is created by CPU feature detection alone: on
+//! x86 CPUs that report the SHA extensions plus SSSE3 and SSE4.1
+//! (`is_x86_feature_detected!`), the `sha256rnds2`/`sha256msg*`
+//! instructions; everywhere else, the portable rounds. Both produce the
+//! same digest; the tests run the NIST vectors through each directly.
 
 use std::fmt;
 
@@ -42,7 +49,12 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     total_len: u64,
+    compress: Compress,
 }
+
+/// A compression kernel: absorbs `blocks` (a whole number of 64-byte
+/// blocks) into `state`.
+type Compress = fn(&mut [u32; 8], &[u8]);
 
 /// A finalized 32-byte SHA-256 digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,13 +93,18 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the fastest kernel this CPU runs.
     pub fn new() -> Self {
+        Sha256::with_kernel(sha_ni_kernel().unwrap_or(compress_portable))
+    }
+
+    fn with_kernel(compress: Compress) -> Self {
         Sha256 {
             state: H0,
             buffer: [0; 64],
             buffered: 0,
             total_len: 0,
+            compress,
         }
     }
 
@@ -106,33 +123,31 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            (self.compress)(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("64-byte split"));
-            data = rest;
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            (self.compress)(&mut self.state, &data[..whole]);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let tail = &data[whole..];
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes the hash and returns the digest. Consumes the hasher.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // filling one block or, when fewer than 9 bytes are free, two.
+        let mut last = [0u8; 128];
+        last[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        last[self.buffered] = 0x80;
+        let len = if self.buffered < 56 { 64 } else { 128 };
+        last[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        (self.compress)(&mut self.state, &last[..len]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -140,21 +155,12 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    /// `update` without counting toward the message length (for padding).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel: the FIPS 180-4 rounds in plain integer code,
+/// the fallback where [`sha_ni_kernel`] finds no SHA extensions.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -167,7 +173,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -188,57 +194,247 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The SHA-extensions kernel, when this CPU has the features it needs.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_kernel() -> Option<Compress> {
+    sha_ni_detected().then_some(compress_sha_ni as Compress)
+}
+
+/// No SHA-extensions kernel off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn sha_ni_kernel() -> Option<Compress> {
+    None
+}
+
+/// Whether this CPU has the SHA, SSSE3 and SSE4.1 features (SSE2 is
+/// part of x86-64). The standard library caches the detection, so a
+/// call costs a few loads.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse4.1")
+        && is_x86_feature_detected!("ssse3")
+}
+
+#[cfg(target_arch = "x86_64")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    assert!(sha_ni_detected(), "the CPU lacks the SHA extensions");
+    // SAFETY: the assertion above detected every feature
+    // `x86::compress` is compiled for.
+    unsafe { x86::compress(state, blocks) }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! Block compression with the x86 SHA extensions. The rounds work
+    //! on the state as the two halves `ABEF` and `CDGH` that
+    //! `sha256rnds2` takes; each step adds four message-schedule words
+    //! to four round constants and runs four rounds, two per
+    //! instruction.
+
+    use std::arch::x86_64::*;
+
+    use super::K;
+
+    /// Computes four new message-schedule words from the previous
+    /// sixteen (`w0` oldest).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into
+    /// `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the SHA, SSE2, SSSE3 and SSE4.1 features.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order of each 32-bit word reversed: the message is
+        // big-endian.
+        let be_words = _mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0b_u64 as i64,
+            0x0405_0607_0001_0203_u64 as i64,
+        );
+        let state_ptr = state.as_mut_ptr().cast::<__m128i>();
+        let dcba = _mm_loadu_si128(state_ptr);
+        let hgfe = _mm_loadu_si128(state_ptr.add(1));
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w = [_mm_setzero_si128(); 4];
+            for (i, lane) in w.iter_mut().enumerate() {
+                let raw = _mm_loadu_si128(block.as_ptr().cast::<__m128i>().add(i));
+                *lane = _mm_shuffle_epi8(raw, be_words);
+            }
+            for step in 0..16 {
+                if step >= 4 {
+                    w[step % 4] = schedule(
+                        w[step % 4],
+                        w[(step + 1) % 4],
+                        w[(step + 2) % 4],
+                        w[(step + 3) % 4],
+                    );
+                }
+                let wk = _mm_add_epi32(
+                    w[step % 4],
+                    _mm_loadu_si128(K.as_ptr().add(step * 4).cast::<__m128i>()),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state_ptr, _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(state_ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(data: &[u8]) -> String {
         Sha256::digest(data).to_string()
     }
 
-    #[test]
-    fn nist_vectors() {
-        // FIPS 180-4 / NIST CAVP short-message vectors.
+    /// The SHA-extensions kernel, or `None` after saying why it is
+    /// skipped on this CPU.
+    fn sha_ni_or_skip() -> Option<Compress> {
+        let kernel = sha_ni_kernel();
+        if kernel.is_none() {
+            eprintln!("skipped: this CPU lacks the SHA extensions, SSSE3 or SSE4.1");
+        }
+        kernel
+    }
+
+    fn digest_with(kernel: Compress, chunks: &[&[u8]]) -> Digest {
+        let mut h = Sha256::with_kernel(kernel);
+        for chunk in chunks {
+            h.update(chunk);
+        }
+        h.finalize()
+    }
+
+    /// FIPS 180-4 / NIST CAVP short-message vectors through `kernel`.
+    fn nist_vectors_on(kernel: Compress) {
+        for (message, expected) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ] {
+            assert_eq!(digest_with(kernel, &[message]).to_string(), expected);
+        }
+    }
+
+    /// One million `a`s, fed 1,000 at a time, through `kernel`.
+    fn million_a_on(kernel: Compress) {
+        let chunk = [b'a'; 1000];
+        let chunks = [&chunk[..]; 1000];
         assert_eq!(
-            hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        assert_eq!(
-            hex(b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+            digest_with(kernel, &chunks).to_string(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 
     #[test]
-    fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
+    fn nist_vectors() {
         assert_eq!(
-            h.finalize().to_string(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+            hex(b"abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
+        nist_vectors_on(compress_portable);
+    }
+
+    #[test]
+    fn nist_vectors_sha_extensions() {
+        if let Some(kernel) = sha_ni_or_skip() {
+            nist_vectors_on(kernel);
+        }
+    }
+
+    #[test]
+    fn million_a() {
+        million_a_on(compress_portable);
+    }
+
+    #[test]
+    fn million_a_sha_extensions() {
+        if let Some(kernel) = sha_ni_or_skip() {
+            million_a_on(kernel);
+        }
+    }
+
+    #[test]
+    fn padding_edge_lengths_agree_across_kernels() {
+        // Lengths around the one-/two-block padding split (55/56 bytes
+        // left in the last block) and block multiples.
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 7 % 256) as u8).collect();
+        for len in [
+            0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 129, 191, 192, 300,
+        ] {
+            let portable = digest_with(compress_portable, &[&data[..len]]);
+            assert_eq!(Sha256::digest(&data[..len]), portable, "length {len}");
+            if let Some(kernel) = sha_ni_kernel() {
+                assert_eq!(
+                    digest_with(kernel, &[&data[..len]]),
+                    portable,
+                    "length {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn kernels_and_split_points_agree(
+            data in proptest::collection::vec(any::<u8>(), 0..700),
+            splits in proptest::collection::vec(0usize..700, 0..4),
+        ) {
+            let mut cuts: Vec<usize> = splits.into_iter().map(|at| at.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                chunks.push(&data[from..cut]);
+                from = cut;
+            }
+            let one_shot = Sha256::digest(&data);
+            prop_assert_eq!(digest_with(compress_portable, &chunks), one_shot);
+            if let Some(kernel) = sha_ni_kernel() {
+                prop_assert_eq!(digest_with(kernel, &chunks), one_shot);
+            }
+        }
     }
 
     #[test]

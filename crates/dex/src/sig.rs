@@ -98,15 +98,36 @@ impl MethodSig {
     /// the class name, the method name and the descriptor, borrowed
     /// from one scan for the `;->` and `(` separators.
     fn parts(&self) -> (&str, &str, &str, &str) {
-        let arrow = self.smali.find(";->").expect("validated on construction");
-        let type_part = &self.smali[1..arrow]; // strip leading 'L'
+        self.split().expect("validated on construction")
+    }
+
+    /// [`MethodSig::parts`], or `None` for a rendering that never passed
+    /// [`MethodSig::from_str`] (a deserialized value is not checked).
+    fn split(&self) -> Option<(&str, &str, &str, &str)> {
+        let arrow = find_arrow(self.smali.as_bytes())?;
+        let type_part = self.smali.get(1..arrow)?; // strip leading 'L'
         let (path, class) = match type_part.rfind('/') {
             Some(idx) => (&type_part[..idx], &type_part[idx + 1..]),
             None => ("", type_part),
         };
         let rest = &self.smali[arrow + 3..];
-        let paren = rest.find('(').expect("validated on construction");
-        (path, class, &rest[..paren], &rest[paren..])
+        let paren = rest.find('(')?;
+        Some((path, class, &rest[..paren], &rest[paren..]))
+    }
+
+    /// [`MethodSig::dotted_bytes`], or `None` where [`MethodSig::split`]
+    /// finds no separators.
+    pub(crate) fn try_dotted_bytes(&self) -> Option<impl Iterator<Item = u8> + '_> {
+        let (path, class, method, _) = self.split()?;
+        let package_dot = (!path.is_empty()).then_some(b'.');
+        Some(
+            path.bytes()
+                .map(|b| if b == b'/' { b'.' } else { b })
+                .chain(package_dot)
+                .chain(class.bytes())
+                .chain(std::iter::once(b'.'))
+                .chain(method.bytes()),
+        )
     }
 
     /// The dotted package name, e.g. `com.unity3d.ads.android.cache`.
@@ -135,14 +156,7 @@ impl MethodSig {
     /// rendering without allocating: the package path with each `/`
     /// read as `.`, then the class and the method, `.`-joined.
     pub fn dotted_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        let (path, class, method, _) = self.parts();
-        let package_dot = (!path.is_empty()).then_some(b'.');
-        path.bytes()
-            .map(|b| if b == b'/' { b'.' } else { b })
-            .chain(package_dot)
-            .chain(class.bytes())
-            .chain(std::iter::once(b'.'))
-            .chain(method.bytes())
+        self.try_dotted_bytes().expect("validated on construction")
     }
 
     /// The dotted `package.Class.method` rendering used in stack traces
@@ -207,89 +221,130 @@ impl FromStr for MethodSig {
     type Err = SigParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |message: &str| SigParseError {
-            message: message.to_owned(),
-            input: s.chars().take(120).collect(),
-        };
-        if !s.starts_with('L') {
-            return Err(err("must start with 'L'"));
+        match check(s.as_bytes()) {
+            Ok(()) => Ok(MethodSig {
+                smali: s.to_owned(),
+            }),
+            Err(message) => Err(SigParseError {
+                message,
+                input: s.chars().take(120).collect(),
+            }),
         }
-        let arrow = s
-            .find(";->")
-            .ok_or_else(|| err("missing ';->' separator"))?;
-        if arrow <= 1 {
-            return Err(err("empty class path"));
-        }
-        let rest = &s[arrow + 3..];
-        let paren = rest
-            .find('(')
-            .ok_or_else(|| err("missing '(' descriptor"))?;
-        if paren == 0 {
-            return Err(err("empty method name"));
-        }
-        if !rest.contains(')') {
-            return Err(err("missing ')' in descriptor"));
-        }
-        let close = rest.rfind(')').expect("checked above");
-        if close + 1 >= rest.len() {
-            return Err(err("missing return type"));
-        }
-        let type_part = &s[1..arrow];
-        if type_part.split('/').any(str::is_empty) {
-            return Err(err("empty package component"));
-        }
-        validate_descriptor(&rest[paren..]).map_err(|m| err(&m))?;
-        Ok(MethodSig {
-            smali: s.to_owned(),
-        })
     }
 }
 
-/// Checks that `desc` is a well-formed `(params)ret` descriptor.
-fn validate_descriptor(desc: &str) -> Result<(), String> {
-    let bytes = desc.as_bytes();
-    if bytes.first() != Some(&b'(') {
-        return Err("descriptor must start with '('".into());
+/// The index of the first `;->` in `s`.
+fn find_arrow(s: &[u8]) -> Option<usize> {
+    (0..s.len()).find(|&i| s[i] == b';' && s[i + 1..].starts_with(b"->"))
+}
+
+/// Checks a smali signature in one pass over its bytes.
+///
+/// The grammar is `L` class-path `;->` name `(` params `)` return,
+/// where the class path runs to the first `;->`, the name to the next
+/// `(`, and the parameter list to the next `)`. When several rules
+/// fail, the message is the first failure in this order: leading `L`,
+/// `;->`, non-empty class path, `(`, non-empty name, a `)` anywhere
+/// after the arrow, a byte after the last such `)`, non-empty package
+/// components, a `)` after the `(`, the parameter types, the return
+/// type. Facts needed by an earlier rule but only known after a later
+/// byte (the last `)`, an empty component) are noted on the way and
+/// judged in that order at the end.
+fn check(s: &[u8]) -> Result<(), String> {
+    if s.first() != Some(&b'L') {
+        return Err("must start with 'L'".into());
     }
-    let close = desc
-        .find(')')
-        .ok_or_else(|| "descriptor missing ')'".to_string())?;
-    let params = &desc[1..close];
+    let mut component = 0usize;
+    let mut empty_component = false;
+    let mut i = 1;
+    let arrow = loop {
+        match s.get(i) {
+            None => return Err("missing ';->' separator".into()),
+            Some(b';') if s[i + 1..].starts_with(b"->") => break i,
+            Some(b'/') => {
+                empty_component |= component == 0;
+                component = 0;
+            }
+            Some(_) => component += 1,
+        }
+        i += 1;
+    };
+    if arrow == 1 {
+        return Err("empty class path".into());
+    }
+    empty_component |= component == 0;
+
+    let rest = &s[arrow + 3..];
+    let mut close_in_name = false;
+    let Some(paren) = rest.iter().position(|&b| {
+        close_in_name |= b == b')';
+        b == b'('
+    }) else {
+        return Err("missing '(' descriptor".into());
+    };
+    if paren == 0 {
+        return Err("empty method name".into());
+    }
+
+    // Parameter types up to the first `)`. After a bad type, only that
+    // `)` is still looked for: it decides which error is reported.
+    let desc = &rest[paren + 1..];
+    let mut j = 0;
+    let mut bad_param = None;
+    let close = loop {
+        match desc.get(j) {
+            None => break None,
+            Some(b')') => break Some(j),
+            Some(_) => match parse_type(desc, j, Some(b')')) {
+                Ok(end) => j = end,
+                Err(message) => {
+                    bad_param = Some(message);
+                    break desc[j..].iter().position(|&b| b == b')').map(|at| j + at);
+                }
+            },
+        }
+    };
+    if !close_in_name && close.is_none() {
+        return Err("missing ')' in descriptor".into());
+    }
+    if rest.last() == Some(&b')') {
+        return Err("missing return type".into());
+    }
+    if empty_component {
+        return Err("empty package component".into());
+    }
+    let Some(close) = close else {
+        return Err("descriptor missing ')'".into());
+    };
+    if let Some(message) = bad_param {
+        return Err(message);
+    }
     let ret = &desc[close + 1..];
-    let mut idx = 0;
-    let pbytes = params.as_bytes();
-    while idx < pbytes.len() {
-        idx = parse_type(params, idx)?;
-    }
-    if ret == "V" {
-        return Ok(());
-    }
-    let end = parse_type(ret, 0)?;
-    if end != ret.len() {
+    if ret != b"V" && parse_type(ret, 0, None)? != ret.len() {
         return Err("trailing bytes after return type".into());
     }
     Ok(())
 }
 
-/// Parses one type descriptor starting at byte `idx`; returns the index
-/// one past its end.
-fn parse_type(s: &str, mut idx: usize) -> Result<usize, String> {
-    let bytes = s.as_bytes();
-    while idx < bytes.len() && bytes[idx] == b'[' {
+/// Parses one type descriptor starting at byte `idx` of `s`, reading a
+/// `stop` byte as the end of input; returns the index one past its end.
+fn parse_type(s: &[u8], mut idx: usize, stop: Option<u8>) -> Result<usize, String> {
+    let at = |k: usize| s.get(k).copied().filter(|&b| Some(b) != stop);
+    while at(idx) == Some(b'[') {
         idx += 1;
     }
-    if idx >= bytes.len() {
-        return Err("dangling array marker".into());
-    }
-    match bytes[idx] {
-        b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D' => Ok(idx + 1),
-        b'L' => {
-            let end = s[idx..]
-                .find(';')
-                .ok_or_else(|| "unterminated object type".to_string())?;
-            Ok(idx + end + 1)
-        }
-        other => Err(format!("invalid type descriptor byte {:?}", other as char)),
+    match at(idx) {
+        None => Err("dangling array marker".into()),
+        Some(b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D') => Ok(idx + 1),
+        Some(b'L') => loop {
+            idx += 1;
+            match at(idx) {
+                None => return Err("unterminated object type".into()),
+                Some(b';') => return Ok(idx + 1),
+                Some(_) => {}
+            }
+        },
+        Some(other) => Err(format!("invalid type descriptor byte {:?}", other as char)),
     }
 }
 

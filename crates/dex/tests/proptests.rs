@@ -147,6 +147,7 @@ proptest! {
         prop_assert_eq!(parsed.manifest().unwrap(), manifest);
         prop_assert_eq!(parsed.dex().unwrap(), dex);
         prop_assert_eq!(parsed.sha256(), apk.sha256());
+        prop_assert_eq!(apk.sha256(), Sha256::digest(&apk.to_bytes()));
     }
 
     #[test]
@@ -334,6 +335,32 @@ proptest! {
         for frame in probe_frames() {
             let scanned = dex.signatures().find(|sig| sig.dotted_name() == frame);
             prop_assert_eq!(index.first_match(&frame), scanned, "frame {:?}", frame);
+        }
+    }
+}
+
+/// The streamed apk digest equals the digest of the serialized archive
+/// on generated apks: legacy and half-modern, native libraries and all.
+#[test]
+fn generated_apk_digests_hash_the_serialized_archive() {
+    for modern_fraction in [0.0, 0.5] {
+        let corpus = spector_corpus::Corpus::generate(&spector_corpus::CorpusConfig {
+            apps: 6,
+            seed: 29,
+            appgen: spector_corpus::AppGenConfig {
+                method_scale: 0.002,
+                modern_fraction,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        for app in &corpus.apps {
+            assert_eq!(
+                app.apk.sha256(),
+                Sha256::digest(&app.apk.to_bytes()),
+                "{}",
+                app.package
+            );
         }
     }
 }

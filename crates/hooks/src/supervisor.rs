@@ -20,6 +20,7 @@
 //! first candidate in definition order.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use spector_dex::model::SigIndex;
 use spector_dex::sha256::Digest;
@@ -63,7 +64,7 @@ impl Default for SupervisorConfig {
 #[derive(Debug)]
 pub struct SocketSupervisor {
     apk_sha256: Digest,
-    index: SigIndex,
+    index: Arc<SigIndex>,
     config: SupervisorConfig,
     reports_sent: u64,
     ledger: SamplingLedger,
@@ -72,8 +73,8 @@ pub struct SocketSupervisor {
 
 impl SocketSupervisor {
     /// Creates a supervisor for an app with the given apk checksum and
-    /// dex signature index.
-    pub fn new(apk_sha256: Digest, index: SigIndex, config: SupervisorConfig) -> Self {
+    /// dex signature index (shared with the app's runtime).
+    pub fn new(apk_sha256: Digest, index: Arc<SigIndex>, config: SupervisorConfig) -> Self {
         SocketSupervisor {
             apk_sha256,
             index,
@@ -351,11 +352,10 @@ mod tests {
     }
 
     fn run_app() -> (Vec<spector_netsim::pcap::CapturedPacket>, Digest) {
-        let dex = network_dex();
-        let index = SigIndex::build(&dex);
+        let index = Arc::new(SigIndex::new(Arc::new(network_dex())));
         let digest = Sha256::digest(b"test-apk");
         let net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
-        let mut rt = Runtime::new(dex, net, RuntimeConfig::default());
+        let mut rt = Runtime::new(Arc::clone(&index), net, RuntimeConfig::default());
         rt.add_hook(Box::new(SocketSupervisor::new(
             digest,
             index,
@@ -464,7 +464,7 @@ mod tests {
         };
         let sup = SocketSupervisor::new(
             Sha256::digest(b"x"),
-            SigIndex::build(&dex),
+            Arc::new(SigIndex::build(&dex)),
             SupervisorConfig::default(),
         );
         assert_eq!(sup.translate_frame("com.a.C.m"), "Lcom/a/C;->m(I)V");
@@ -480,8 +480,11 @@ mod tests {
     ) -> (SocketSupervisor, Vec<spector_netsim::pcap::CapturedPacket>) {
         use spector_runtime::stack::Frame;
         let dex = network_dex();
-        let mut sup =
-            SocketSupervisor::new(Sha256::digest(b"test-apk"), SigIndex::build(&dex), config);
+        let mut sup = SocketSupervisor::new(
+            Sha256::digest(b"test-apk"),
+            Arc::new(SigIndex::build(&dex)),
+            config,
+        );
         let mut net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let stack = spector_runtime::CallStack::with_base([
             Frame::new("android.os.Handler.dispatchMessage"),

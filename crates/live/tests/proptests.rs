@@ -189,7 +189,6 @@ fn offline_view(capture: &[CapturedPacket], knowledge: &Knowledge, port: u16) ->
         apk_sha256: Sha256::digest(b"prop-apk"),
         capture: capture.to_vec(),
         executed_methods: Default::default(),
-        dex_signatures: Default::default(),
         monkey: Default::default(),
         runtime_stats: Default::default(),
         duration_micros: 0,

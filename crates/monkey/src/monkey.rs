@@ -125,8 +125,7 @@ impl Monkey {
                         && self.rng.gen::<f64>() < self.config.touch_hit_probability;
                     if hit {
                         let idx = self.rng.gen_range(0..activity.handlers.len());
-                        let sig = activity.handlers[idx].clone();
-                        if runtime.invoke_entry(&sig) {
+                        if runtime.invoke_entry(&activity.handlers[idx]) {
                             report.handlers_invoked += 1;
                         } else {
                             report.misses += 1;
@@ -190,12 +189,13 @@ impl Monkey {
 mod tests {
     use super::*;
     use spector_dex::apk::{ActivityDecl, Manifest};
-    use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef};
+    use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef, SigIndex};
     use spector_dex::sig::MethodSig;
     use spector_netsim::clock::Clock;
     use spector_netsim::stack::NetStack;
     use spector_runtime::RuntimeConfig;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     fn sig(class: &str, m: &str) -> MethodSig {
         MethodSig::new("com.app", class, m, "()V")
@@ -253,7 +253,7 @@ mod tests {
 
     fn runtime(dex: DexFile) -> Runtime {
         Runtime::new(
-            dex,
+            Arc::new(SigIndex::new(Arc::new(dex))),
             NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15)),
             RuntimeConfig::default(),
         )
@@ -324,10 +324,8 @@ mod tests {
         let report = monkey.run(&mut rt, &ui);
         assert!(report.handlers_invoked > 0);
         // onCreate of Main ran, so it must appear in the trace.
-        assert!(rt
-            .profiler()
-            .unique_methods()
-            .contains(&sig("Main", "onCreate")));
+        let on_create = rt.dex().find_method(&sig("Main", "onCreate")).unwrap();
+        assert!(rt.method_trace().contains(on_create));
     }
 
     #[test]
@@ -359,7 +357,7 @@ mod tests {
                 ..Default::default()
             })
             .run(&mut rt, &ui);
-            rt.profiler().unique_methods().len()
+            rt.method_trace().len()
         };
         assert!(coverage(2_000) >= coverage(10));
     }

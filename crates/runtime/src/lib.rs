@@ -31,6 +31,6 @@ pub mod stack;
 pub mod trace_file;
 
 pub use hook::{ConnectVerdict, HookContext, RuntimeHook};
-pub use profiler::{Profiler, TraceMode};
+pub use profiler::{MethodTrace, Profiler, TraceMode};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats};
 pub use stack::CallStack;

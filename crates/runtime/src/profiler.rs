@@ -10,9 +10,17 @@
 //! Both behaviours are implemented here so the difference is measurable:
 //! [`TraceMode::StockBuffer`] drops events once full (and counts the
 //! loss); [`TraceMode::UniqueMethods`] is the paper's modification.
+//!
+//! The interpreter names a method the app defines by its id in the
+//! dex's method table, so an entry records a number, not a signature;
+//! only framework methods are recorded by signature. At the end of a
+//! run, [`Profiler::trace`] folds the record into a [`MethodTrace`]: a
+//! bitset over the defined ids plus the framework signatures, which is
+//! what coverage counts.
 
 use std::collections::HashSet;
 
+use spector_dex::model::SigIndex;
 use spector_dex::sig::MethodSig;
 
 /// Profiler recording behaviour.
@@ -28,21 +36,38 @@ pub enum TraceMode {
     UniqueMethods,
 }
 
+/// A method as the profiler saw it entered.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum TracedMethod {
+    /// A method the app's dex defines, by its id in the method table.
+    Defined(u32),
+    /// A framework method, by signature.
+    Framework(MethodSig),
+}
+
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Entered method.
-    pub sig: MethodSig,
+    pub method: TracedMethod,
     /// Virtual timestamp (microseconds).
     pub timestamp_micros: u64,
 }
 
 /// The method-trace recorder attached to a runtime.
+///
+/// Defined methods are recorded by id; in unique mode a bitset over
+/// the ids says which were already seen, so an entry costs a bit test.
+/// Framework methods, which the dex does not number, are recorded by
+/// signature.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     mode: TraceMode,
     events: Vec<TraceEvent>,
-    seen: HashSet<MethodSig>,
+    /// Unique mode: one bit per defined method id already recorded.
+    seen_defined: Vec<u64>,
+    /// Unique mode: framework methods already recorded.
+    seen_framework: HashSet<MethodSig>,
     /// Entry events that arrived after the stock buffer filled.
     dropped: u64,
     /// Total method-entry events offered (including repeats/drops).
@@ -55,34 +80,49 @@ impl Profiler {
         Profiler {
             mode,
             events: Vec::new(),
-            seen: HashSet::new(),
+            seen_defined: Vec::new(),
+            seen_framework: HashSet::new(),
             dropped: 0,
             offered: 0,
         }
     }
 
-    /// Records a method entry at `timestamp_micros`.
-    pub fn on_method_entry(&mut self, sig: &MethodSig, timestamp_micros: u64) {
+    /// Records an entry into defined method `id` at `timestamp_micros`.
+    pub fn on_method_entry(&mut self, id: u32, timestamp_micros: u64) {
+        let first = self.mode != TraceMode::UniqueMethods || set_bit(&mut self.seen_defined, id);
+        if first {
+            self.record(TracedMethod::Defined(id), timestamp_micros);
+        } else {
+            self.offered += 1;
+        }
+    }
+
+    /// Records an entry into framework method `sig` at
+    /// `timestamp_micros`.
+    pub fn on_framework_entry(&mut self, sig: &MethodSig, timestamp_micros: u64) {
+        let first = self.mode != TraceMode::UniqueMethods || !self.seen_framework.contains(sig);
+        if !first {
+            self.offered += 1;
+            return;
+        }
+        if self.mode == TraceMode::UniqueMethods {
+            self.seen_framework.insert(sig.clone());
+        }
+        self.record(TracedMethod::Framework(sig.clone()), timestamp_micros);
+    }
+
+    /// Counts an entry that unique mode has not seen before (or any
+    /// entry in stock mode) and buffers it while there is room.
+    fn record(&mut self, method: TracedMethod, timestamp_micros: u64) {
         self.offered += 1;
         match self.mode {
-            TraceMode::StockBuffer { capacity } => {
-                if self.events.len() < capacity {
-                    self.events.push(TraceEvent {
-                        sig: sig.clone(),
-                        timestamp_micros,
-                    });
-                } else {
-                    self.dropped += 1;
-                }
+            TraceMode::StockBuffer { capacity } if self.events.len() >= capacity => {
+                self.dropped += 1;
             }
-            TraceMode::UniqueMethods => {
-                if self.seen.insert(sig.clone()) {
-                    self.events.push(TraceEvent {
-                        sig: sig.clone(),
-                        timestamp_micros,
-                    });
-                }
-            }
+            _ => self.events.push(TraceEvent {
+                method,
+                timestamp_micros,
+            }),
         }
     }
 
@@ -91,13 +131,32 @@ impl Profiler {
         &self.events
     }
 
-    /// The set of distinct methods recorded — what the modified
-    /// framework writes to the trace file at the end of an experiment.
-    pub fn unique_methods(&self) -> HashSet<MethodSig> {
-        match self.mode {
-            TraceMode::UniqueMethods => self.seen.clone(),
-            TraceMode::StockBuffer { .. } => self.events.iter().map(|e| e.sig.clone()).collect(),
+    /// The distinct methods recorded — what the modified framework
+    /// writes to the trace file at the end of an experiment — over the
+    /// dex `index` covers. A framework reference that names a method
+    /// the dex defines counts as that method.
+    pub fn trace(&self, index: &SigIndex) -> MethodTrace {
+        let mut trace = MethodTrace {
+            method_count: index.len(),
+            executed: vec![0; index.len().div_ceil(64)],
+            framework: HashSet::new(),
+        };
+        for event in &self.events {
+            match &event.method {
+                TracedMethod::Defined(id) => {
+                    set_bit(&mut trace.executed, *id);
+                }
+                TracedMethod::Framework(sig) => match index.find(sig) {
+                    Some(id) => {
+                        set_bit(&mut trace.executed, id);
+                    }
+                    None => {
+                        trace.framework.insert(sig.clone());
+                    }
+                },
+            }
         }
+        trace
     }
 
     /// Events dropped due to a full stock buffer.
@@ -116,22 +175,97 @@ impl Profiler {
     }
 }
 
+/// Sets bit `id`, growing `bits` as needed; returns `true` when it was
+/// clear.
+fn set_bit(bits: &mut Vec<u64>, id: u32) -> bool {
+    let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+    if word >= bits.len() {
+        bits.resize(word + 1, 0);
+    }
+    let clear = bits[word] & bit == 0;
+    bits[word] |= bit;
+    clear
+}
+
+/// The distinct methods one run entered: the methods its dex defines as
+/// a bitset over their ids, framework methods by signature.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MethodTrace {
+    /// Methods the dex defines (the bitset's width).
+    method_count: usize,
+    /// Bit `id` set when defined method `id` was entered.
+    executed: Vec<u64>,
+    /// Framework methods entered that the dex does not define.
+    framework: HashSet<MethodSig>,
+}
+
+impl MethodTrace {
+    /// Number of methods the run's dex defines.
+    pub fn method_count(&self) -> usize {
+        self.method_count
+    }
+
+    /// Number of distinct defined methods entered: the popcount of the
+    /// executed set, every bit of which lies among the defined ids.
+    pub fn executed(&self) -> usize {
+        self.executed.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether defined method `id` was entered.
+    pub fn contains(&self, id: u32) -> bool {
+        self.executed
+            .get(id as usize / 64)
+            .is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
+
+    /// Framework methods entered, by signature.
+    pub fn framework(&self) -> &HashSet<MethodSig> {
+        &self.framework
+    }
+
+    /// Number of distinct methods entered, defined and framework.
+    pub fn len(&self) -> usize {
+        self.executed() + self.framework.len()
+    }
+
+    /// Returns `true` when no method was entered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spector_dex::model::{CodeItem, DexFile, MethodDef};
+    use std::sync::Arc;
 
     fn sig(n: u32) -> MethodSig {
         MethodSig::new("com.app", "C", &format!("m{n}"), "()V")
+    }
+
+    /// An index over a dex defining methods `m0..m{n}`.
+    fn index(n: u32) -> SigIndex {
+        let methods = (0..n)
+            .map(|i| MethodDef {
+                sig: sig(i),
+                code: CodeItem::default(),
+            })
+            .collect();
+        SigIndex::new(Arc::new(DexFile {
+            methods,
+            classes: vec![],
+        }))
     }
 
     #[test]
     fn unique_mode_dedupes_repeats() {
         let mut p = Profiler::new(TraceMode::UniqueMethods);
         for t in 0..100 {
-            p.on_method_entry(&sig(t % 5), t as u64);
+            p.on_method_entry(t % 5, u64::from(t));
         }
         assert_eq!(p.events().len(), 5);
-        assert_eq!(p.unique_methods().len(), 5);
+        assert_eq!(p.trace(&index(5)).len(), 5);
         assert_eq!(p.offered(), 100);
         assert_eq!(p.dropped(), 0);
         // First-call timestamps are retained.
@@ -145,29 +279,51 @@ mod tests {
         // A hot loop on one method fills the buffer before a *new*
         // method appears — the failure mode the paper describes.
         for t in 0..10 {
-            p.on_method_entry(&sig(0), t);
+            p.on_method_entry(0, t);
         }
-        p.on_method_entry(&sig(1), 10);
+        p.on_method_entry(1, 10);
         assert_eq!(p.dropped(), 1);
         // The unique set from the stock buffer misses method 1 entirely.
-        assert_eq!(p.unique_methods().len(), 1);
+        assert_eq!(p.trace(&index(2)).len(), 1);
         // The modified mode would have captured both.
         let mut modified = Profiler::new(TraceMode::UniqueMethods);
         for t in 0..10 {
-            modified.on_method_entry(&sig(0), t);
+            modified.on_method_entry(0, t);
         }
-        modified.on_method_entry(&sig(1), 10);
-        assert_eq!(modified.unique_methods().len(), 2);
+        modified.on_method_entry(1, 10);
+        assert_eq!(modified.trace(&index(2)).len(), 2);
     }
 
     #[test]
     fn stock_buffer_records_repeats_within_capacity() {
         let mut p = Profiler::new(TraceMode::StockBuffer { capacity: 100 });
         for t in 0..6 {
-            p.on_method_entry(&sig(t % 2), t as u64);
+            p.on_method_entry((t % 2) as u32, t);
         }
         assert_eq!(p.events().len(), 6); // repeats are kept
-        assert_eq!(p.unique_methods().len(), 2);
+        assert_eq!(p.trace(&index(2)).len(), 2);
+    }
+
+    #[test]
+    fn framework_references_to_defined_methods_count_as_those_methods() {
+        let socket = MethodSig::new("java.net", "Socket", "connect", "()V");
+        for mode in [
+            TraceMode::UniqueMethods,
+            TraceMode::StockBuffer { capacity: 100 },
+        ] {
+            let mut p = Profiler::new(mode);
+            p.on_method_entry(0, 0);
+            p.on_framework_entry(&sig(0), 1); // defined: folds into id 0
+            p.on_framework_entry(&sig(2), 2); // defined, never entered by id
+            p.on_framework_entry(&socket, 3);
+            p.on_framework_entry(&socket, 4);
+            let trace = p.trace(&index(3));
+            assert_eq!(trace.method_count(), 3);
+            assert_eq!(trace.executed(), 2, "{mode:?}");
+            assert!(trace.contains(0) && !trace.contains(1) && trace.contains(2));
+            assert_eq!(trace.framework(), &HashSet::from([socket.clone()]));
+            assert_eq!(trace.len(), 3);
+        }
     }
 
     #[test]

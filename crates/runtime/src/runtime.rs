@@ -1,24 +1,29 @@
 //! The interpreter driving an app's dex code.
 //!
-//! One `Runtime` instance models one emulator running one app: it owns
-//! the app's parsed dex, the method-trace profiler, the simulated
-//! network stack, and the attached hook modules. The UI layer (monkey)
-//! calls [`Runtime::invoke_entry`] for each dispatched handler; the
-//! interpreter walks the method's code item, recursing into synchronous
-//! calls, queueing asynchronous ones onto the simulated scheduler, and
-//! performing network operations through the framework client chains.
+//! One `Runtime` instance models one emulator running one app: it
+//! shares the app's parsed dex (through its [`SigIndex`]) and owns the
+//! method-trace profiler, the simulated network stack, and the attached
+//! hook modules. The UI layer (monkey) calls [`Runtime::invoke_entry`]
+//! for each dispatched handler, which the index resolves by exact
+//! signature; the interpreter walks the method's code item in place,
+//! recursing into synchronous calls by method id, queueing asynchronous
+//! ones onto the simulated scheduler, and performing network operations
+//! through the framework client chains.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
-use spector_dex::model::{DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, WireShape};
+use spector_dex::model::{
+    DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, SigIndex, WireShape,
+};
 use spector_dex::sig::MethodSig;
 use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello, encode_tls_records};
 use spector_netsim::stack::NetStack;
 
 use crate::framework::{connector_frames, dispatcher_frames};
 use crate::hook::{HookContext, RuntimeHook};
-use crate::profiler::{Profiler, TraceMode};
+use crate::profiler::{MethodTrace, Profiler, TraceMode};
 use crate::stack::{CallStack, Frame};
 
 /// Tunables bounding one runtime instance.
@@ -64,12 +69,15 @@ pub struct RuntimeStats {
 
 /// The per-app runtime.
 pub struct Runtime {
-    dex: DexFile,
+    index: Arc<SigIndex>,
     net: NetStack,
     profiler: Profiler,
     hooks: Vec<Box<dyn RuntimeHook>>,
     resolver: HashMap<String, Ipv4Addr>,
-    pending: VecDeque<(Dispatcher, MethodRef)>,
+    /// Scheduled async tasks, each as the `(method id, instruction
+    /// index)` of its `InvokeAsync`, so the queue borrows the target
+    /// from the dex instead of copying it.
+    pending: VecDeque<(u32, u32)>,
     config: RuntimeConfig,
     stats: RuntimeStats,
 }
@@ -77,18 +85,19 @@ pub struct Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("methods", &self.dex.methods.len())
+            .field("methods", &self.index.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl Runtime {
-    /// Creates a runtime for `dex` on the given network stack.
-    pub fn new(dex: DexFile, net: NetStack, config: RuntimeConfig) -> Self {
+    /// Creates a runtime for the dex `index` covers, on the given
+    /// network stack.
+    pub fn new(index: Arc<SigIndex>, net: NetStack, config: RuntimeConfig) -> Self {
         let profiler = Profiler::new(config.trace_mode);
         Runtime {
-            dex,
+            index,
             net,
             profiler,
             hooks: Vec::new(),
@@ -123,7 +132,12 @@ impl Runtime {
 
     /// The loaded dex.
     pub fn dex(&self) -> &DexFile {
-        &self.dex
+        self.index.dex()
+    }
+
+    /// The distinct methods entered so far (see [`Profiler::trace`]).
+    pub fn method_trace(&self) -> MethodTrace {
+        self.profiler.trace(&self.index)
     }
 
     /// Immutable access to the network stack (e.g. to read the capture).
@@ -161,7 +175,10 @@ impl Runtime {
     /// then drains any async tasks it scheduled. Returns `false` when
     /// the signature is not defined by the app.
     pub fn invoke_entry(&mut self, sig: &MethodSig) -> bool {
-        let Some(id) = self.dex.find_method(sig) else {
+        // The interpreter borrows code from this handle, not from
+        // `self`, which it mutates.
+        let index = Arc::clone(&self.index);
+        let Some(id) = index.find(sig) else {
             return false;
         };
         let mut budget = self.config.instruction_budget;
@@ -170,37 +187,49 @@ impl Runtime {
             Frame::new("android.app.ActivityThread.main"),
             Frame::new("android.os.Handler.dispatchMessage"),
         ]);
-        self.invoke_id(id, &mut stack, 0, &mut budget);
-        self.drain_pending(&mut budget);
+        self.invoke_id(index.dex(), id, &mut stack, 0, &mut budget);
+        self.drain_pending(index.dex(), &mut budget);
         true
     }
 
     /// Runs queued async tasks until the queue is empty or the budget
     /// runs out.
-    fn drain_pending(&mut self, budget: &mut u64) {
+    fn drain_pending(&mut self, dex: &DexFile, budget: &mut u64) {
         while *budget > 0 {
-            let Some((dispatcher, target)) = self.pending.pop_front() else {
+            let Some((method, at)) = self.pending.pop_front() else {
                 break;
             };
+            let Instruction::InvokeAsync { dispatcher, target } =
+                &dex.methods[method as usize].code.instructions[at as usize]
+            else {
+                unreachable!("only InvokeAsync instructions are queued");
+            };
             self.stats.async_tasks += 1;
-            let mut stack = CallStack::with_base(dispatcher_frames(dispatcher));
             match target {
-                MethodRef::Internal(id) => self.invoke_id(id, &mut stack, 0, budget),
-                MethodRef::External(sig) => self.framework_call(&sig, &mut stack, budget),
+                MethodRef::Internal(id) => {
+                    let mut stack = CallStack::with_base(dispatcher_frames(*dispatcher));
+                    self.invoke_id(dex, *id, &mut stack, 0, budget);
+                }
+                MethodRef::External(sig) => self.framework_call(sig),
             }
         }
     }
 
-    fn invoke_id(&mut self, id: u32, stack: &mut CallStack, depth: usize, budget: &mut u64) {
-        let Some(method) = self.dex.methods.get(id as usize) else {
+    fn invoke_id(
+        &mut self,
+        dex: &DexFile,
+        id: u32,
+        stack: &mut CallStack,
+        depth: usize,
+        budget: &mut u64,
+    ) {
+        let Some(method) = dex.methods.get(id as usize) else {
             return;
         };
-        let sig = method.sig.clone();
-        let instructions = method.code.instructions.clone();
         self.profiler
-            .on_method_entry(&sig, self.net.clock().now_micros());
-        stack.push(Frame::new(sig.dotted_name()));
-        for inst in instructions {
+            .on_method_entry(id, self.net.clock().now_micros());
+        stack.push(Frame::new(method.sig.dotted_name()));
+        for (at, inst) in method.code.instructions.iter().enumerate() {
             if *budget == 0 {
                 break;
             }
@@ -211,20 +240,14 @@ impl Runtime {
                 Instruction::Return => break,
                 Instruction::Invoke(MethodRef::Internal(next)) => {
                     if depth + 1 < self.config.max_call_depth {
-                        self.invoke_id(next, stack, depth + 1, budget);
+                        self.invoke_id(dex, *next, stack, depth + 1, budget);
                     } else {
                         self.stats.depth_truncated += 1;
                     }
                 }
-                Instruction::Invoke(MethodRef::External(ext)) => {
-                    self.framework_call(&ext, stack, budget);
-                }
-                Instruction::InvokeAsync { dispatcher, target } => {
-                    self.pending.push_back((dispatcher, target));
-                }
-                Instruction::Network(op) => {
-                    self.perform_network(&op, stack);
-                }
+                Instruction::Invoke(MethodRef::External(ext)) => self.framework_call(ext),
+                Instruction::InvokeAsync { .. } => self.pending.push_back((id, at as u32)),
+                Instruction::Network(op) => self.perform_network(op, stack),
             }
         }
         stack.pop();
@@ -232,13 +255,12 @@ impl Runtime {
 
     /// Simulates a call into a framework (built-in) method: recorded in
     /// the trace (the Android Profiler sees native API calls too), but
-    /// with no app code behind it.
-    fn framework_call(&mut self, sig: &MethodSig, stack: &mut CallStack, _budget: &mut u64) {
+    /// with no app code behind it and nothing hooked while its frame
+    /// would be on the stack.
+    fn framework_call(&mut self, sig: &MethodSig) {
         self.stats.framework_calls += 1;
         self.profiler
-            .on_method_entry(sig, self.net.clock().now_micros());
-        stack.push(Frame::new(sig.dotted_name()));
-        stack.pop();
+            .on_framework_entry(sig, self.net.clock().now_micros());
     }
 
     /// Performs a *system-initiated* network operation: platform
@@ -592,9 +614,13 @@ mod tests {
         }
     }
 
+    fn shared(dex: DexFile) -> Arc<SigIndex> {
+        Arc::new(SigIndex::new(Arc::new(dex)))
+    }
+
     fn new_runtime(dex: DexFile) -> Runtime {
         let net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
-        Runtime::new(dex, net, RuntimeConfig::default())
+        Runtime::new(shared(dex), net, RuntimeConfig::default())
     }
 
     /// Hook that records stack snapshots at connect time.
@@ -648,9 +674,9 @@ mod tests {
         let entry = msig("com.app", "Main", "onClick");
         rt.invoke_entry(&entry);
         rt.invoke_entry(&entry);
-        let unique = rt.profiler().unique_methods();
+        let unique = rt.method_trace();
         assert_eq!(unique.len(), 3); // all three app methods, deduped
-        assert!(unique.contains(&entry));
+        assert!(unique.contains(0));
     }
 
     #[test]
@@ -709,7 +735,7 @@ mod tests {
         };
         let net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
         let mut rt = Runtime::new(
-            dex,
+            shared(dex),
             net,
             RuntimeConfig {
                 instruction_budget: 500,
@@ -754,8 +780,8 @@ mod tests {
         rt.invoke_entry(&msig("com.app", "Main", "onClick"));
         // Internal invariant: a second drive behaves identically, which
         // would not hold if frames leaked between events.
-        let before = rt.profiler().unique_methods().len();
+        let before = rt.method_trace().len();
         rt.invoke_entry(&msig("com.app", "Main", "onClick"));
-        assert_eq!(rt.profiler().unique_methods().len(), before);
+        assert_eq!(rt.method_trace().len(), before);
     }
 }

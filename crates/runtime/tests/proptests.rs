@@ -3,11 +3,12 @@
 //! profiler's unique set must equal the set of reachable app methods.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use spector_dex::model::{
     CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef, NetworkOp,
-    WireShape,
+    SigIndex, WireShape,
 };
 use spector_dex::sig::MethodSig;
 use spector_netsim::clock::Clock;
@@ -73,7 +74,7 @@ prop_compose! {
 fn runtime_for(dex: DexFile, budget: u64) -> Runtime {
     let net = NetStack::new(Clock::new(), Ipv4Addr::new(10, 0, 2, 15));
     Runtime::new(
-        dex,
+        Arc::new(SigIndex::new(Arc::new(dex))),
         net,
         RuntimeConfig {
             max_call_depth: 16,
@@ -99,9 +100,9 @@ proptest! {
         let entry = dex.methods[0].sig.clone();
         let mut rt = runtime_for(dex, 10_000);
         rt.invoke_entry(&entry);
-        let first = rt.profiler().unique_methods();
+        let first = rt.method_trace();
         rt.invoke_entry(&entry);
-        prop_assert_eq!(rt.profiler().unique_methods(), first);
+        prop_assert_eq!(rt.method_trace(), first);
     }
 
     #[test]
@@ -136,10 +137,14 @@ proptest! {
         let entry = dex.methods[0].sig.clone();
         let mut rt = runtime_for(dex, 10_000);
         rt.invoke_entry(&entry);
-        for method in rt.profiler().unique_methods() {
-            let in_dex = dex_sigs.contains(&method);
-            let is_framework = method.package().starts_with("android");
-            prop_assert!(in_dex || is_framework, "unexpected method {}", method);
+        let trace = rt.method_trace();
+        // Defined methods are ids, so in the dex by construction; the
+        // rest must be framework methods the dex does not define.
+        prop_assert_eq!(trace.method_count(), dex_sigs.len());
+        prop_assert!(trace.contains(0), "the entry method");
+        for method in trace.framework() {
+            prop_assert!(!dex_sigs.contains(method), "defined method {}", method);
+            prop_assert!(method.package().starts_with("android"), "unexpected method {}", method);
         }
     }
 }

@@ -32,6 +32,8 @@
 //! materialized analyses (the byte-identity render path) or straight
 //! off the columns ([`SegmentView`]'s iterators).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod codec;
 pub mod error;
 pub mod manifest;

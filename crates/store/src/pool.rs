@@ -146,7 +146,8 @@ impl<'a> PoolView<'a> {
         }
         let span = &self.blob
             [self.offsets.get(id as usize) as usize..self.offsets.get(id as usize + 1) as usize];
-        // Validated UTF-8 at parse.
+        // SAFETY: `id` is in range, and `parse` rejected the pool unless
+        // every span `offsets[i]..offsets[i + 1]` is valid UTF-8.
         Ok(unsafe { std::str::from_utf8_unchecked(span) })
     }
 

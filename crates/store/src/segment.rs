@@ -775,7 +775,15 @@ impl<'a> SegmentView<'a> {
     /// (BTreeMap) order.
     pub fn tiers_of(&self, i: usize) -> impl Iterator<Item = (&'a str, DetectTier)> + '_ {
         let start: usize = (0..i).map(|j| self.tier_counts.get(j) as usize).sum();
-        let count = self.tier_counts.get(i) as usize;
+        self.tier_entries(start, self.tier_counts.get(i) as usize)
+    }
+
+    /// Entries `start..start + count` of the tier column.
+    fn tier_entries(
+        &self,
+        start: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (&'a str, DetectTier)> + '_ {
         (start..start + count).map(|e| {
             (
                 self.pool
@@ -826,14 +834,18 @@ impl<'a> SegmentView<'a> {
     /// the exact structs the pipeline produced, for the byte-identity
     /// render path.
     pub fn materialize(&self) -> Vec<(u32, AppAnalysis)> {
+        // Each row's tiers start where the previous row's ended.
+        let mut tier_start = 0;
         let mut out: Vec<(u32, AppAnalysis)> = self
             .analyses()
             .enumerate()
             .map(|(i, row)| {
-                let mut per_library_tier = BTreeMap::new();
-                for (library, tier) in self.tiers_of(i) {
-                    per_library_tier.insert(library.to_owned(), tier);
-                }
+                let count = self.tier_counts.get(i) as usize;
+                let per_library_tier: BTreeMap<String, DetectTier> = self
+                    .tier_entries(tier_start, count)
+                    .map(|(library, tier)| (library.to_owned(), tier))
+                    .collect();
+                tier_start += count;
                 (
                     row.app_index,
                     AppAnalysis {
@@ -1065,6 +1077,40 @@ mod tests {
         assert_eq!(reports[0].kind, REPORT_KIND_CAMPAIGN_SEAL);
         assert_eq!(reports[0].payload, "{\"seed\":1}");
         assert_eq!(reports[1].kind, REPORT_KIND_LIVE_SNAPSHOT);
+    }
+
+    #[test]
+    fn materialized_tiers_equal_each_rows_tiers_of() {
+        // Rows with no tiers, one tier and many, in an order where a
+        // wrong running offset would shift a later row's tiers.
+        let tiers = |n: usize| {
+            let mut analysis = sample_analysis("com.app", 2);
+            analysis.detect.per_library_tier = (0..n)
+                .map(|j| {
+                    (
+                        format!("lib{j:02}.sdk"),
+                        DetectTier::ALL[j % DetectTier::ALL.len()],
+                    )
+                })
+                .collect();
+            analysis
+        };
+        let mut builder = SegmentBuilder::default();
+        let analyses: Vec<AppAnalysis> = [3, 0, 1, 12, 0, 0, 1, 5].map(tiers).into();
+        for (i, analysis) in analyses.iter().enumerate() {
+            builder.push_analysis(i as u32, analysis);
+        }
+        let bytes = builder.seal(1, 0);
+        let view = SegmentView::parse(&bytes).unwrap();
+        let materialized = view.materialize();
+        for (i, (_, analysis)) in materialized.iter().enumerate() {
+            let expected: BTreeMap<String, DetectTier> = view
+                .tiers_of(i)
+                .map(|(library, tier)| (library.to_owned(), tier))
+                .collect();
+            assert_eq!(analysis.detect.per_library_tier, expected, "row {i}");
+            assert_eq!(*analysis, analyses[i], "row {i}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # perf: hook overhead, per-app pipeline, a 50-app slice through
-# run_app (perf/experiment/slice), throughput, the 400-app knowledge
+# run_app (perf/experiment/slice) and the same slice's app-image builds
+# alone (perf/experiment/app_image: dex parse, signature index, apk
+# digest), throughput, the 400-app knowledge
 # build (perf/knowledge/from_corpus), substrates, and the
 # sampled-tracing layer (perf/sampling_overhead — the exact path must
 # stay within noise of the unsampled pipeline).

@@ -300,7 +300,6 @@ fn duplicates_and_orphans_account_identically() {
         apk_sha256: Sha256::digest(b"dup-apk"),
         capture: stack.into_capture(),
         executed_methods: Default::default(),
-        dex_signatures: Default::default(),
         monkey: Default::default(),
         runtime_stats: Default::default(),
         duration_micros: 0,
