@@ -107,20 +107,24 @@ pub struct FullReport {
 impl FullReport {
     /// Computes every aggregation over `analyses`.
     pub fn build(analyses: &[AppAnalysis]) -> Self {
+        let headline = headline::compute(analyses);
+        let fig5 = fig5::compute(analyses);
+        let fig10 = fig10::compute(analyses);
+        let rq = rq::compute(analyses, &headline, &fig5, &fig10);
         FullReport {
-            headline: headline::compute(analyses),
+            headline,
             table1: table1::compute(analyses),
             fig2: fig2::compute(analyses),
             fig3: fig3::compute(analyses),
             fig4: fig4::compute(analyses),
-            fig5: fig5::compute(analyses),
+            fig5,
             fig6: fig6::compute(analyses),
             fig7: fig7::compute(analyses),
             fig8: fig8::compute(analyses),
             fig9: fig9::compute(analyses),
-            fig10: fig10::compute(analyses),
+            fig10,
             cost: cost::compute(analyses),
-            rq: rq::compute(analyses),
+            rq,
             sampling: sampling::compute(analyses),
             shapes: shapes::compute(analyses),
         }

@@ -6,7 +6,9 @@ use libspector::pipeline::AppAnalysis;
 use serde::{Deserialize, Serialize};
 use spector_libradar::LibCategory;
 
-use crate::{fig10, fig5, fig6, headline};
+use crate::fig10::Fig10;
+use crate::fig5::Fig5;
+use crate::headline::Headline;
 
 /// RQ1 — properties of data transfer and flow ratios.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,12 +70,14 @@ pub struct RqAnswers {
     pub rq4: Rq4,
 }
 
-/// Computes the research-question summary.
-pub fn compute(analyses: &[AppAnalysis]) -> RqAnswers {
-    let headline = headline::compute(analyses);
-    let fig5 = fig5::compute(analyses);
-    let fig6 = fig6::compute(analyses);
-    let fig10 = fig10::compute(analyses);
+/// Computes the research-question summary from the campaign and the
+/// headline, Figure 5 and Figure 10 already built over it.
+pub fn compute(
+    analyses: &[AppAnalysis],
+    headline: &Headline,
+    fig5: &Fig5,
+    fig10: &Fig10,
+) -> RqAnswers {
     let baseline = compare(analyses);
     let user_agent = compare_user_agent(analyses);
     let plan = DataPlan::default();
@@ -86,7 +90,6 @@ pub fn compute(analyses: &[AppAnalysis]) -> RqAnswers {
         .map(|f| f.sent_bytes + f.recv_bytes)
         .sum();
     let ad_per_app = ad_bytes as f64 / analyses.len().max(1) as f64;
-    let _ = fig6; // AnT fractions already surfaced via Figure 6
 
     RqAnswers {
         rq1: Rq1 {
@@ -146,6 +149,16 @@ mod tests {
     use crate::testutil::{app, flow};
     use spector_vtcat::DomainCategory;
 
+    /// The answers over `analyses`, from freshly built parts.
+    fn answers(analyses: &[AppAnalysis]) -> RqAnswers {
+        compute(
+            analyses,
+            &crate::headline::compute(analyses),
+            &crate::fig5::compute(analyses),
+            &crate::fig10::compute(analyses),
+        )
+    }
+
     #[test]
     fn answers_cover_all_questions() {
         let analyses = vec![app(
@@ -170,7 +183,7 @@ mod tests {
                 ),
             ],
         )];
-        let answers = compute(&analyses);
+        let answers = answers(&analyses);
         assert!(answers.rq1.ad_share_percent > 99.0);
         assert!(answers.rq1.aggregate_recv_over_sent > 10.0);
         // Half-ish of ad bytes go to CDN: RQ2 must flag it.
@@ -185,7 +198,7 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_all_zero() {
-        let answers = compute(&[]);
+        let answers = answers(&[]);
         assert_eq!(answers.rq1.ad_share_percent, 0.0);
         assert_eq!(answers.rq2.misclassified_percent, 0.0);
         assert_eq!(answers.rq4.ad_hourly_usd_per_app, 0.0);

@@ -378,6 +378,41 @@ mod tests {
     }
 
     #[test]
+    fn manifest_with_a_malformed_signature_is_rejected() {
+        let mut manifest = sample_manifest();
+        manifest.application_on_create.push(MethodSig::new(
+            "com.example.game",
+            "App",
+            "onCreate",
+            "()V",
+        ));
+        let json = serde_json::to_string(&manifest).unwrap();
+        // A handler, an activity's onCreate, and Application.onCreate.
+        for good in [
+            "Lcom/example/game/MainActivity;->onClick(Landroid/view/View;)V",
+            "Lcom/example/game/MainActivity;->onCreate(Landroid/os/Bundle;)V",
+            "Lcom/example/game/App;->onCreate()V",
+        ] {
+            assert!(json.contains(good), "{good} not in {json}");
+            let apk = Apk {
+                entries: vec![ApkEntry {
+                    name: "AndroidManifest.json".into(),
+                    data: Bytes::from(
+                        json.replace(good, "Lcom/example/game/App;onCreate")
+                            .into_bytes(),
+                    ),
+                }],
+            };
+            match apk.manifest() {
+                Err(ApkError::Manifest(message)) => {
+                    assert!(message.contains("invalid method signature"), "{message}");
+                }
+                other => panic!("{good}: expected a manifest error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn missing_entries_error() {
         let apk = Apk { entries: vec![] };
         assert!(matches!(apk.manifest(), Err(ApkError::Manifest(_))));

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sig.class_name(), "Dispatcher$NetworkHandler");
 /// assert_eq!(sig.method_name(), "handleMessage");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct MethodSig {
     smali: String,
@@ -102,7 +102,8 @@ impl MethodSig {
     }
 
     /// [`MethodSig::parts`], or `None` for a rendering that never passed
-    /// [`MethodSig::from_str`] (a deserialized value is not checked).
+    /// [`MethodSig::from_str`] (components [`MethodSig::new`] only
+    /// debug-asserts).
     fn split(&self) -> Option<(&str, &str, &str, &str)> {
         let arrow = find_arrow(self.smali.as_bytes())?;
         let type_part = self.smali.get(1..arrow)?; // strip leading 'L'
@@ -113,21 +114,6 @@ impl MethodSig {
         let rest = &self.smali[arrow + 3..];
         let paren = rest.find('(')?;
         Some((path, class, &rest[..paren], &rest[paren..]))
-    }
-
-    /// [`MethodSig::dotted_bytes`], or `None` where [`MethodSig::split`]
-    /// finds no separators.
-    pub(crate) fn try_dotted_bytes(&self) -> Option<impl Iterator<Item = u8> + '_> {
-        let (path, class, method, _) = self.split()?;
-        let package_dot = (!path.is_empty()).then_some(b'.');
-        Some(
-            path.bytes()
-                .map(|b| if b == b'/' { b'.' } else { b })
-                .chain(package_dot)
-                .chain(class.bytes())
-                .chain(std::iter::once(b'.'))
-                .chain(method.bytes()),
-        )
     }
 
     /// The dotted package name, e.g. `com.unity3d.ads.android.cache`.
@@ -156,7 +142,14 @@ impl MethodSig {
     /// rendering without allocating: the package path with each `/`
     /// read as `.`, then the class and the method, `.`-joined.
     pub fn dotted_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.try_dotted_bytes().expect("validated on construction")
+        let (path, class, method, _) = self.parts();
+        let package_dot = (!path.is_empty()).then_some(b'.');
+        path.bytes()
+            .map(|b| if b == b'/' { b'.' } else { b })
+            .chain(package_dot)
+            .chain(class.bytes())
+            .chain(std::iter::once(b'.'))
+            .chain(method.bytes())
     }
 
     /// The dotted `package.Class.method` rendering used in stack traces
@@ -230,6 +223,19 @@ impl FromStr for MethodSig {
                 input: s.chars().take(120).collect(),
             }),
         }
+    }
+}
+
+/// Reads a signature through [`MethodSig::from_str`], so one taken from
+/// outside the program (an apk manifest) is checked like a parsed one.
+impl Deserialize for MethodSig {
+    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let smali = value
+            .as_str()
+            .ok_or_else(|| serde::DeError::expected("string", value))?;
+        smali
+            .parse()
+            .map_err(|e: SigParseError| serde::DeError::custom(e.to_string()))
     }
 }
 

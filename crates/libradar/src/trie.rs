@@ -232,14 +232,6 @@ impl LibTrie {
     }
 }
 
-impl PrefixMatch {
-    /// The matched library's category, when a recorded library encloses
-    /// the query.
-    pub fn longest_category(&self) -> Option<LibCategory> {
-        self.longest_terminal.map(|(_, category)| category)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@ use crate::pcap::{write_pcap, CapturedPacket};
 pub struct SocketId(pub u64);
 
 /// Per-socket bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct TcpSocket {
     pair: SocketPair,
     /// Next sequence number for the client side.
@@ -31,6 +31,21 @@ struct TcpSocket {
     /// Next sequence number for the server side.
     peer_seq: u32,
     open: bool,
+}
+
+/// The end of a connection a segment run leaves from.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Client,
+    Server,
+}
+
+/// What a segment run carries: `len` bytes of deterministic filler, or
+/// explicit bytes.
+#[derive(Debug, Clone, Copy)]
+enum Payload<'a> {
+    Filler(u64),
+    Bytes(&'a [u8]),
 }
 
 /// Simulated per-emulator network stack.
@@ -114,23 +129,7 @@ impl NetStack {
     /// lookups hit the cache without network traffic, like a real
     /// resolver within TTL.
     pub fn resolve(&mut self, domain: &str, ip: Ipv4Addr) -> Ipv4Addr {
-        if let Some(&cached) = self.dns_cache.get(domain) {
-            return cached;
-        }
-        let id = self.next_dns_id;
-        self.next_dns_id = self.next_dns_id.wrapping_add(1);
-        let src_port = self.alloc_port();
-        let dns_server = Ipv4Addr::new(10, 0, 2, 3); // emulator default
-        let query_pair = SocketPair::new(self.local_ip, src_port, dns_server, dns::DNS_PORT);
-        let query = packet::encode_udp(&query_pair, &dns::encode_query(id, domain));
-        self.emit(query);
-        let response = packet::encode_udp(
-            &query_pair.reversed(),
-            &dns::encode_response(id, domain, ip, 300),
-        );
-        self.emit(response);
-        self.dns_cache.insert(domain.to_owned(), ip);
-        ip
+        self.dns_exchange(domain, ip, |stack| &mut stack.dns_cache)
     }
 
     /// [`resolve`](Self::resolve) for AAAA lookups: emits an AAAA
@@ -138,26 +137,44 @@ impl NetStack {
     /// resolvers do on NAT64-free networks) on first lookup and caches
     /// the answer separately from the A cache.
     pub fn resolve6(&mut self, domain: &str, ip: Ipv6Addr) -> Ipv6Addr {
-        if let Some(&cached) = self.dns6_cache.get(domain) {
+        self.dns_exchange(domain, ip, |stack| &mut stack.dns6_cache)
+    }
+
+    /// The one DNS exchange behind both lookups: answers from `cache`
+    /// when it holds `domain`, else sends a query whose QTYPE follows
+    /// the answer's family (A or AAAA) from an ephemeral port to the
+    /// emulator's resolver, receives `ip` back, and caches it.
+    fn dns_exchange<A: Copy + Into<IpAddr>>(
+        &mut self,
+        domain: &str,
+        ip: A,
+        cache: fn(&mut Self) -> &mut HashMap<String, A>,
+    ) -> A {
+        if let Some(&cached) = cache(self).get(domain) {
             return cached;
         }
         let id = self.next_dns_id;
         self.next_dns_id = self.next_dns_id.wrapping_add(1);
-        let src_port = self.alloc_port();
+        let qtype = match ip.into() {
+            IpAddr::V4(_) => dns::QTYPE_A,
+            IpAddr::V6(_) => dns::QTYPE_AAAA,
+        };
         let dns_server = Ipv4Addr::new(10, 0, 2, 3); // emulator default
-        let query_pair = SocketPair::new(self.local_ip, src_port, dns_server, dns::DNS_PORT);
-        let query = packet::encode_udp(
-            &query_pair,
-            &dns::encode_query_typed(id, domain, dns::QTYPE_AAAA),
-        );
-        self.emit(query);
-        let response = packet::encode_udp(
-            &query_pair.reversed(),
-            &dns::encode_response(id, domain, ip, 300),
-        );
-        self.emit(response);
-        self.dns6_cache.insert(domain.to_owned(), ip);
+        let pair = SocketPair::new(self.local_ip, self.alloc_port(), dns_server, dns::DNS_PORT);
+        let query = dns::encode_query_typed(id, domain, qtype);
+        self.emit(packet::encode_udp(&pair, &query));
+        let response = dns::encode_response(id, domain, ip, 300);
+        self.emit(packet::encode_udp(&pair.reversed(), &response));
+        cache(self).insert(domain.to_owned(), ip);
         ip
+    }
+
+    /// The stack's own address in the family of `remote`.
+    fn local_for(&self, remote: IpAddr) -> IpAddr {
+        match remote {
+            IpAddr::V4(_) => self.local_ip.into(),
+            IpAddr::V6(_) => self.local_ip6().into(),
+        }
     }
 
     /// Opens a TCP connection, emitting the three-way handshake.
@@ -171,11 +188,7 @@ impl NetStack {
     pub fn tcp_connect(&mut self, dst_ip: impl Into<IpAddr>, dst_port: u16) -> SocketId {
         let dst_ip = dst_ip.into();
         let src_port = self.alloc_port();
-        let src_ip: IpAddr = match dst_ip {
-            IpAddr::V4(_) => self.local_ip.into(),
-            IpAddr::V6(_) => self.local_ip6().into(),
-        };
-        let pair = SocketPair::new(src_ip, src_port, dst_ip, dst_port);
+        let pair = SocketPair::new(self.local_for(dst_ip), src_port, dst_ip, dst_port);
         let isn = 1_000;
         let peer_isn = 9_000;
         self.emit(packet::encode_tcp(&pair, isn, 0, tcp_flags::SYN, &[]));
@@ -222,109 +235,20 @@ impl NetStack {
     /// semantics of a capture-only observer — the app's own error
     /// handling is out of scope).
     pub fn tcp_transfer(&mut self, socket: SocketId, sent: u64, received: u64) {
-        let Some(state) = self.sockets.get(&socket).filter(|s| s.open).cloned() else {
-            return;
-        };
-        let mut state = state;
-        let mut remaining = sent;
-        while remaining > 0 {
-            let chunk = remaining.min(TCP_MSS as u64) as usize;
-            let payload = deterministic_payload(state.seq, chunk);
-            self.emit(packet::encode_tcp(
-                &state.pair,
-                state.seq,
-                state.peer_seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                &payload,
-            ));
-            state.seq = state.seq.wrapping_add(chunk as u32);
-            remaining -= chunk as u64;
-        }
-        if sent > 0 {
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::ACK,
-                &[],
-            ));
-        }
-        let mut remaining = received;
-        while remaining > 0 {
-            let chunk = remaining.min(TCP_MSS as u64) as usize;
-            let payload = deterministic_payload(state.peer_seq, chunk);
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                &payload,
-            ));
-            state.peer_seq = state.peer_seq.wrapping_add(chunk as u32);
-            remaining -= chunk as u64;
-        }
-        if received > 0 {
-            self.emit(packet::encode_tcp(
-                &state.pair,
-                state.seq,
-                state.peer_seq,
-                tcp_flags::ACK,
-                &[],
-            ));
-        }
-        self.sockets.insert(socket, state);
+        self.segment(socket, Side::Client, Payload::Filler(sent));
+        self.segment(socket, Side::Server, Payload::Filler(received));
     }
 
     /// Transfers *explicit* payload bytes client→server (an encoded HTTP
     /// request) followed by `received` response bytes server→client —
     /// used by the framework HTTP clients so request heads (Host,
     /// User-Agent) are genuinely on the wire. The response is an HTTP
-    /// 200 head plus body filler totalling `received` bytes.
+    /// 200 head plus body filler totalling `received` bytes (the
+    /// minimal head when `received` is smaller than it), so it is never
+    /// empty and the client always ACKs it.
     pub fn tcp_exchange(&mut self, socket: SocketId, request: &[u8], received: u64) {
-        let Some(state) = self.sockets.get(&socket).filter(|s| s.open).cloned() else {
-            return;
-        };
-        let mut state = state;
-        for chunk in request.chunks(TCP_MSS) {
-            self.emit(packet::encode_tcp(
-                &state.pair,
-                state.seq,
-                state.peer_seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                chunk,
-            ));
-            state.seq = state.seq.wrapping_add(chunk.len() as u32);
-        }
-        if !request.is_empty() {
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::ACK,
-                &[],
-            ));
-        }
-        // Response: HTTP head + filler body, totalling `received` bytes
-        // exactly (minimal head when `received` is smaller than it).
         let response = crate::http::encode_response_total(received);
-        for chunk in response.chunks(TCP_MSS) {
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                chunk,
-            ));
-            state.peer_seq = state.peer_seq.wrapping_add(chunk.len() as u32);
-        }
-        self.emit(packet::encode_tcp(
-            &state.pair,
-            state.seq,
-            state.peer_seq,
-            tcp_flags::ACK,
-            &[],
-        ));
-        self.sockets.insert(socket, state);
+        self.tcp_exchange_with(socket, request, &response);
     }
 
     /// Transfers explicit payload bytes in *both* directions — used for
@@ -332,47 +256,56 @@ impl NetStack {
     /// record streams), where the HTTP 200 filler of
     /// [`tcp_exchange`](Self::tcp_exchange) would be wrong.
     pub fn tcp_exchange_with(&mut self, socket: SocketId, request: &[u8], response: &[u8]) {
-        let Some(state) = self.sockets.get(&socket).filter(|s| s.open).cloned() else {
+        self.segment(socket, Side::Client, Payload::Bytes(request));
+        self.segment(socket, Side::Server, Payload::Bytes(response));
+    }
+
+    /// The one TCP segmenter: sends `payload` from `from`'s side of an
+    /// open `socket` in MSS-sized PSH/ACK segments, then the other
+    /// side's ACK when any byte moved. Closed and unknown sockets are
+    /// ignored.
+    fn segment(&mut self, socket: SocketId, from: Side, payload: Payload<'_>) {
+        let Some(mut state) = self.sockets.get(&socket).filter(|s| s.open).copied() else {
             return;
         };
-        let mut state = state;
-        for chunk in request.chunks(TCP_MSS) {
-            self.emit(packet::encode_tcp(
-                &state.pair,
-                state.seq,
+        let (out, back, seq, ack) = match from {
+            Side::Client => (
+                state.pair,
+                state.pair.reversed(),
+                &mut state.seq,
                 state.peer_seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                chunk,
-            ));
-            state.seq = state.seq.wrapping_add(chunk.len() as u32);
+            ),
+            Side::Server => (
+                state.pair.reversed(),
+                state.pair,
+                &mut state.peer_seq,
+                state.seq,
+            ),
+        };
+        let len = match payload {
+            Payload::Filler(len) => len,
+            Payload::Bytes(bytes) => bytes.len() as u64,
+        };
+        let mut moved = 0;
+        while moved < len {
+            let chunk = (len - moved).min(TCP_MSS as u64) as usize;
+            // Filler is seeded per segment by that segment's sequence
+            // number, so captures are reproducible.
+            let filler;
+            let data = match payload {
+                Payload::Filler(_) => {
+                    filler = deterministic_payload(*seq, chunk);
+                    &filler[..]
+                }
+                Payload::Bytes(bytes) => &bytes[moved as usize..][..chunk],
+            };
+            let flags = tcp_flags::PSH | tcp_flags::ACK;
+            self.emit(packet::encode_tcp(&out, *seq, ack, flags, data));
+            *seq = seq.wrapping_add(chunk as u32);
+            moved += chunk as u64;
         }
-        if !request.is_empty() {
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::ACK,
-                &[],
-            ));
-        }
-        for chunk in response.chunks(TCP_MSS) {
-            self.emit(packet::encode_tcp(
-                &state.pair.reversed(),
-                state.peer_seq,
-                state.seq,
-                tcp_flags::PSH | tcp_flags::ACK,
-                chunk,
-            ));
-            state.peer_seq = state.peer_seq.wrapping_add(chunk.len() as u32);
-        }
-        if !response.is_empty() {
-            self.emit(packet::encode_tcp(
-                &state.pair,
-                state.seq,
-                state.peer_seq,
-                tcp_flags::ACK,
-                &[],
-            ));
+        if len > 0 {
+            self.emit(packet::encode_tcp(&back, ack, *seq, tcp_flags::ACK, &[]));
         }
         self.sockets.insert(socket, state);
     }
@@ -383,7 +316,7 @@ impl NetStack {
             return;
         };
         state.open = false;
-        let state = state.clone();
+        let state = *state;
         self.emit(packet::encode_tcp(
             &state.pair,
             state.seq,
@@ -413,14 +346,9 @@ impl NetStack {
     /// Returns the source port chosen.
     pub fn udp_send(&mut self, dst_ip: impl Into<IpAddr>, dst_port: u16, payload: &[u8]) -> u16 {
         let dst_ip = dst_ip.into();
-        let src_ip: IpAddr = match dst_ip {
-            IpAddr::V4(_) => self.local_ip.into(),
-            IpAddr::V6(_) => self.local_ip6().into(),
-        };
         let src_port = self.alloc_port();
-        let pair = SocketPair::new(src_ip, src_port, dst_ip, dst_port);
-        let frame = packet::encode_udp(&pair, payload);
-        self.emit(frame);
+        let pair = SocketPair::new(self.local_for(dst_ip), src_port, dst_ip, dst_port);
+        self.emit(packet::encode_udp(&pair, payload));
         src_port
     }
 

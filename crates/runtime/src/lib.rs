@@ -28,7 +28,6 @@ pub mod hook;
 pub mod profiler;
 pub mod runtime;
 pub mod stack;
-pub mod trace_file;
 
 pub use hook::{ConnectVerdict, HookContext, RuntimeHook};
 pub use profiler::{MethodTrace, Profiler, TraceMode};

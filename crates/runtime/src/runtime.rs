@@ -15,14 +15,14 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 use spector_dex::model::{
-    DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, SigIndex, WireShape,
+    Connector, DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, SigIndex, WireShape,
 };
 use spector_dex::sig::MethodSig;
 use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello, encode_tls_records};
-use spector_netsim::stack::NetStack;
+use spector_netsim::stack::{NetStack, SocketId};
 
 use crate::framework::{connector_frames, dispatcher_frames};
-use crate::hook::{HookContext, RuntimeHook};
+use crate::hook::{ConnectVerdict, HookContext, RuntimeHook};
 use crate::profiler::{MethodTrace, Profiler, TraceMode};
 use crate::stack::{CallStack, Frame};
 
@@ -160,15 +160,27 @@ impl Runtime {
             Frame::new("com.android.internal.os.ZygoteInit.main"),
             Frame::new("android.app.ActivityThread.main"),
         ]);
-        let mut hooks = std::mem::take(&mut self.hooks);
-        for hook in &mut hooks {
+        self.each_hook(&stack, |hook, ctx| {
+            hook.on_run_finish(ctx);
+            true
+        });
+    }
+
+    /// The one hook fan-out: offers every hook, in the order attached,
+    /// a context over `stack`, and stops at the first for which `visit`
+    /// returns `false`. Returns whether every hook was visited.
+    fn each_hook(
+        &mut self,
+        stack: &CallStack,
+        mut visit: impl FnMut(&mut dyn RuntimeHook, &mut HookContext<'_>) -> bool,
+    ) -> bool {
+        self.hooks.iter_mut().all(|hook| {
             let mut ctx = HookContext {
-                stack: &stack,
+                stack,
                 net: &mut self.net,
             };
-            hook.on_run_finish(&mut ctx);
-        }
-        self.hooks = hooks;
+            visit(hook.as_mut(), &mut ctx)
+        })
     }
 
     /// Invokes an app method by signature on a fresh main-thread stack,
@@ -320,103 +332,57 @@ impl Runtime {
         // Post-hook: the connection exists and has concrete parameters.
         // Observers fire first, then enforcers vote; a single Block
         // verdict tears the connection down before payload moves.
-        let mut hooks = std::mem::take(&mut self.hooks);
-        let mut blocked = false;
-        for hook in &mut hooks {
-            let mut ctx = HookContext {
-                stack,
-                net: &mut self.net,
-            };
-            hook.after_socket_connect(&mut ctx, socket);
-        }
-        for hook in &mut hooks {
-            let mut ctx = HookContext {
-                stack,
-                net: &mut self.net,
-            };
-            if hook.connect_verdict(&mut ctx, socket) == crate::hook::ConnectVerdict::Block {
-                blocked = true;
-                break;
+        self.each_hook(stack, |hook, ctx| {
+            hook.after_socket_connect(ctx, socket);
+            true
+        });
+        let allowed = self.each_hook(stack, |hook, ctx| {
+            hook.connect_verdict(ctx, socket) == ConnectVerdict::Allow
+        });
+        let owner = owner_frame.as_deref();
+        match op.shape {
+            _ if !allowed => self.stats.blocked_ops += 1,
+            WireShape::Plain | WireShape::V6 => {
+                self.exchange(socket, op, owner, &[], op.send_bytes, op.recv_bytes);
             }
-        }
-        self.hooks = hooks;
-        if blocked {
-            self.stats.blocked_ops += 1;
-        } else {
-            match op.shape {
-                WireShape::Plain | WireShape::V6 => {
-                    self.transfer_once(socket, op, owner_frame.as_deref(), op.send_bytes);
+            WireShape::TlsSni => {
+                // ClientHello (carrying the SNI) plus application-data
+                // records padding the client payload to the op's send
+                // budget; the response is a record stream of exactly
+                // the op's receive budget.
+                let mut request = encode_tls_hello(&op.domain);
+                let remaining = op.send_bytes.saturating_sub(request.len() as u64);
+                if remaining >= 5 {
+                    request.extend_from_slice(&encode_tls_records(remaining));
                 }
-                WireShape::TlsSni => {
-                    // ClientHello (carrying the SNI) plus application-
-                    // data records padding the client payload to the
-                    // op's send budget; the response is a record stream
-                    // of exactly the op's receive budget.
-                    let mut request = encode_tls_hello(&op.domain);
-                    let remaining = op.send_bytes.saturating_sub(request.len() as u64);
-                    if remaining >= 5 {
-                        request.extend_from_slice(&encode_tls_records(remaining));
+                let response = encode_tls_records(op.recv_bytes.max(5));
+                self.net.tcp_exchange_with(socket, &request, &response);
+            }
+            WireShape::ConnectProxy => {
+                // Tunnel preamble naming the logical destination, then
+                // the ordinary request through the tunnel.
+                let preamble = encode_connect_preamble(&op.domain, op.port);
+                self.exchange(socket, op, owner, &preamble, op.send_bytes, op.recv_bytes);
+            }
+            WireShape::Pooled { streams } => {
+                // Keep-alive reuse: the logical exchanges share one
+                // connection. The connect-time hook covers stream 0;
+                // each later stream gets its own post-hook with the
+                // issuing thread's stack, so per-stream attribution
+                // has the same context a fresh connection would.
+                let n = u64::from(streams.max(1));
+                for ordinal in 0..streams.max(1) {
+                    if ordinal > 0 {
+                        self.each_hook(stack, |hook, ctx| {
+                            hook.after_stream_start(ctx, socket, ordinal);
+                            true
+                        });
                     }
-                    let response = encode_tls_records(op.recv_bytes.max(5));
-                    self.net.tcp_exchange_with(socket, &request, &response);
-                }
-                WireShape::ConnectProxy => {
-                    // Tunnel preamble naming the logical destination,
-                    // then the ordinary request through the tunnel.
-                    let mut request = encode_connect_preamble(&op.domain, op.port);
-                    match op.connector {
-                        spector_dex::model::Connector::DirectSocket => {
-                            let request_len = request.len() as u64;
-                            self.net.tcp_exchange_with(socket, &request, &[]);
-                            self.net.tcp_transfer(
-                                socket,
-                                op.send_bytes.saturating_sub(request_len),
-                                op.recv_bytes,
-                            );
-                        }
-                        _ => {
-                            request.extend_from_slice(&build_http_request(
-                                op,
-                                owner_frame.as_deref(),
-                                op.send_bytes,
-                            ));
-                            self.net.tcp_exchange(socket, &request, op.recv_bytes);
-                        }
-                    }
-                }
-                WireShape::Pooled { streams } => {
-                    // Keep-alive reuse: the logical exchanges share one
-                    // connection. The connect-time hook covers stream 0;
-                    // each later stream gets its own post-hook with the
-                    // issuing thread's stack, so per-stream attribution
-                    // has the same context a fresh connection would.
-                    let n = u64::from(streams.max(1));
-                    for ordinal in 0..streams.max(1) {
-                        if ordinal > 0 {
-                            let mut hooks = std::mem::take(&mut self.hooks);
-                            for hook in &mut hooks {
-                                let mut ctx = HookContext {
-                                    stack,
-                                    net: &mut self.net,
-                                };
-                                hook.after_stream_start(&mut ctx, socket, ordinal);
-                            }
-                            self.hooks = hooks;
-                        }
-                        let extra_send = if ordinal == 0 { op.send_bytes % n } else { 0 };
-                        let extra_recv = if ordinal == 0 { op.recv_bytes % n } else { 0 };
-                        let send = op.send_bytes / n + extra_send;
-                        let recv = op.recv_bytes / n + extra_recv;
-                        match op.connector {
-                            spector_dex::model::Connector::DirectSocket => {
-                                self.net.tcp_transfer(socket, send, recv);
-                            }
-                            _ => {
-                                let request = build_http_request(op, owner_frame.as_deref(), send);
-                                self.net.tcp_exchange(socket, &request, recv);
-                            }
-                        }
-                    }
+                    let extra_send = if ordinal == 0 { op.send_bytes % n } else { 0 };
+                    let extra_recv = if ordinal == 0 { op.recv_bytes % n } else { 0 };
+                    let send = op.send_bytes / n + extra_send;
+                    let recv = op.recv_bytes / n + extra_recv;
+                    self.exchange(socket, op, owner, &[], send, recv);
                 }
             }
         }
@@ -426,27 +392,34 @@ impl Runtime {
         }
     }
 
-    /// The single-exchange transfer shared by the plain and v6 shapes.
-    fn transfer_once(
+    /// One request/response through the op's client, after `preamble`
+    /// (a tunnel's CONNECT, or nothing). A raw socket writes the
+    /// preamble on its own, then opaque filler up to `send` bytes in
+    /// all; an HTTP client writes the preamble and a request padded to
+    /// `send` bytes as one write. `recv` bytes come back.
+    fn exchange(
         &mut self,
-        socket: spector_netsim::SocketId,
+        socket: SocketId,
         op: &NetworkOp,
         owner_frame: Option<&str>,
-        send_budget: u64,
+        preamble: &[u8],
+        send: u64,
+        recv: u64,
     ) {
         match op.connector {
-            spector_dex::model::Connector::DirectSocket => {
-                // Raw protocol: opaque payload bytes only.
-                self.net.tcp_transfer(socket, op.send_bytes, op.recv_bytes);
+            Connector::DirectSocket => {
+                self.net.tcp_exchange_with(socket, preamble, &[]);
+                let filler = send.saturating_sub(preamble.len() as u64);
+                self.net.tcp_transfer(socket, filler, recv);
             }
             _ => {
                 // HTTP clients put a real request head on the wire;
-                // the User-Agent is the generic client token, with
-                // an SDK identifier appended for the fraction of
-                // libraries that tag their requests (what prior
-                // work's header-based classification relied on).
-                let request = build_http_request(op, owner_frame, send_budget);
-                self.net.tcp_exchange(socket, &request, op.recv_bytes);
+                // the User-Agent is the generic client token, with an
+                // SDK identifier appended for the fraction of libraries
+                // that tag their requests (what prior work's
+                // header-based classification relied on).
+                let request = [preamble, &build_http_request(op, owner_frame, send)].concat();
+                self.net.tcp_exchange(socket, &request, recv);
             }
         }
     }
@@ -487,9 +460,9 @@ const UA_TAGGED_PERCENT: u64 = 40;
 /// share for pooled connections).
 fn build_http_request(op: &NetworkOp, owner_frame: Option<&str>, send_budget: u64) -> Vec<u8> {
     let client = match op.connector {
-        spector_dex::model::Connector::AndroidOkHttp => "okhttp/3.12.1",
-        spector_dex::model::Connector::ApacheHttp => "Apache-HttpClient/UNAVAILABLE (java 1.4)",
-        spector_dex::model::Connector::DirectSocket => "raw",
+        Connector::AndroidOkHttp => "okhttp/3.12.1",
+        Connector::ApacheHttp => "Apache-HttpClient/UNAVAILABLE (java 1.4)",
+        Connector::DirectSocket => "raw",
     };
     let tagged = fnv_mix(&op.domain) % 100 < UA_TAGGED_PERCENT;
     let user_agent = match owner_frame.filter(|_| tagged) {
@@ -547,10 +520,10 @@ fn fallback_ip(domain: &str) -> Ipv4Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spector_dex::model::{ClassDef, CodeItem, Connector, MethodDef};
+    use spector_dex::model::{ClassDef, CodeItem, MethodDef};
     use spector_netsim::clock::Clock;
+    use spector_netsim::packet::{decode_frame_ref, TransportRef};
     use spector_netsim::CaptureIndex;
-    use spector_netsim::SocketId;
 
     fn msig(pkg: &str, class: &str, method: &str) -> MethodSig {
         MethodSig::new(pkg, class, method, "()V")
@@ -659,6 +632,136 @@ mod tests {
             async_snap.last().unwrap(),
             "java.util.concurrent.FutureTask.run"
         );
+    }
+
+    /// The hook points a [`Tracer`] was offered, tagged with its index.
+    type Log = std::sync::Arc<std::sync::Mutex<Vec<(usize, &'static str, u32)>>>;
+
+    /// Hook that logs every point it is offered, and blocks connections
+    /// to `block_port`.
+    struct Tracer {
+        id: usize,
+        block_port: Option<u16>,
+        log: Log,
+    }
+
+    impl Tracer {
+        fn record(&self, point: &'static str, ordinal: u32) {
+            self.log.lock().unwrap().push((self.id, point, ordinal));
+        }
+    }
+
+    impl RuntimeHook for Tracer {
+        fn after_socket_connect(&mut self, _ctx: &mut HookContext<'_>, _socket: SocketId) {
+            self.record("connect", 0);
+        }
+
+        fn after_stream_start(
+            &mut self,
+            _ctx: &mut HookContext<'_>,
+            _socket: SocketId,
+            ordinal: u32,
+        ) {
+            self.record("stream", ordinal);
+        }
+
+        fn on_run_finish(&mut self, _ctx: &mut HookContext<'_>) {
+            self.record("finish", 0);
+        }
+
+        fn connect_verdict(
+            &mut self,
+            ctx: &mut HookContext<'_>,
+            socket: SocketId,
+        ) -> ConnectVerdict {
+            self.record("verdict", 0);
+            let port = ctx.net.socket_pair(socket).map(|pair| pair.dst_port);
+            if port.is_some() && port == self.block_port {
+                ConnectVerdict::Block
+            } else {
+                ConnectVerdict::Allow
+            }
+        }
+    }
+
+    #[test]
+    fn hooks_fan_out_in_order_and_the_first_block_ends_the_vote() {
+        let op = |domain: &str, port, shape| {
+            Instruction::Network(NetworkOp {
+                domain: domain.into(),
+                port,
+                send_bytes: 300,
+                recv_bytes: 5_000,
+                connector: Connector::AndroidOkHttp,
+                shape,
+            })
+        };
+        let dex = DexFile {
+            methods: vec![MethodDef {
+                sig: msig("com.app", "Main", "onClick"),
+                code: CodeItem {
+                    instructions: vec![
+                        op("blocked.test", 443, WireShape::Plain),
+                        op("pool.test", 80, WireShape::Pooled { streams: 3 }),
+                    ],
+                },
+            }],
+            classes: vec![],
+        };
+        let mut rt = new_runtime(dex);
+        let log = Log::default();
+        for (id, block_port) in [(0, Some(443)), (1, None)] {
+            rt.add_hook(Box::new(Tracer {
+                id,
+                block_port,
+                log: log.clone(),
+            }));
+        }
+        assert!(rt.invoke_entry(&msig("com.app", "Main", "onClick")));
+        rt.finish_hooks();
+        assert_eq!(
+            *log.lock().unwrap(),
+            [
+                // Every hook sees the connect before any verdict; hook
+                // 0's Block ends the vote before hook 1 is asked.
+                (0, "connect", 0),
+                (1, "connect", 0),
+                (0, "verdict", 0),
+                // The pooled connection: both allow, and only streams
+                // 1 and 2 get a stream-start point.
+                (0, "connect", 0),
+                (1, "connect", 0),
+                (0, "verdict", 0),
+                (1, "verdict", 0),
+                (0, "stream", 1),
+                (1, "stream", 1),
+                (0, "stream", 2),
+                (1, "stream", 2),
+                (0, "finish", 0),
+                (1, "finish", 0),
+            ]
+        );
+        assert_eq!(rt.stats().blocked_ops, 1);
+        // The blocked connection is a handshake and a close, no payload.
+        let blocked: Vec<u8> = rt
+            .net()
+            .capture()
+            .iter()
+            .filter_map(|p| {
+                let frame = decode_frame_ref(&p.data).unwrap();
+                match frame.transport {
+                    TransportRef::Tcp { flags, payload, .. }
+                        if frame.pair.src_port == 443 || frame.pair.dst_port == 443 =>
+                    {
+                        assert!(payload.is_empty());
+                        Some(flags)
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        use spector_netsim::packet::tcp_flags::{ACK, FIN, SYN};
+        assert_eq!(blocked, [SYN, SYN | ACK, ACK, FIN | ACK, FIN | ACK, ACK]);
     }
 
     #[test]
