@@ -17,13 +17,17 @@ use libspector::attribution::{attribute, BuiltinFilter};
 use libspector::experiment::{resolver_for, run_app, ExperimentConfig};
 use libspector::pipeline::analyze_run;
 use spector_bench::{corpus, knowledge, throughput_fixture, THROUGHPUT_APPS};
-use spector_dex::model::SigIndex;
+use spector_corpus::GeneratedApp;
+use spector_dex::model::{Dispatcher, NetworkOp, SigIndex};
 use spector_dex::sha256::Sha256;
 use spector_dex::{parse_dex, write_dex};
 use spector_hooks::report::SocketReport;
+use spector_hooks::supervisor::decode_reports_classified;
 use spector_netsim::clock::Clock;
 use spector_netsim::packet::{decode_frame_ref, encode_tcp, tcp_flags, SocketPair};
 use spector_netsim::stack::NetStack;
+use spector_netsim::CaptureIndex;
+use spector_vtcat::Tokenizer;
 
 fn bench_hook_overhead(c: &mut Criterion) {
     // Time to connect+report with the supervisor attached vs the bare
@@ -96,13 +100,11 @@ fn bench_per_app_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// One 50-app campaign slice through `run_app` on one thread, at the
-/// CLI's method scale (0.02), a tenth of the paper's byte volume and 300
-/// monkey events: what a campaign pays per app for dex parse, the Socket
-/// Supervisor's frame index, the apk checksum and the emulated traffic.
-/// `experiment_one_app` above runs one small app with 120 events, where
-/// the per-app set-up is a sliver.
-fn bench_experiment_slice(c: &mut Criterion) {
+/// The 50-app campaign slice of [`bench_experiment_slice`] and
+/// [`bench_attribute`], at the CLI's method scale (0.02) and a tenth of
+/// the paper's byte volume, with its experiment settings (300 monkey
+/// events).
+fn slice() -> (spector_corpus::Corpus, ExperimentConfig) {
     use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
 
     let corpus = Corpus::generate(&CorpusConfig {
@@ -115,20 +117,31 @@ fn bench_experiment_slice(c: &mut Criterion) {
         },
         ..Default::default()
     });
-    let resolver = resolver_for(&corpus.domains);
     let mut config = ExperimentConfig::default();
     config.monkey.events = 300;
+    (corpus, config)
+}
+
+/// An app's system traffic as `run_app` takes it.
+fn system_ops(app: &GeneratedApp) -> Vec<(NetworkOp, Dispatcher)> {
+    app.system_ops
+        .iter()
+        .map(|s| (s.op.clone(), s.dispatcher))
+        .collect()
+}
+
+/// One 50-app campaign slice through `run_app` on one thread: what a
+/// campaign pays per app for dex parse, the Socket Supervisor's frame
+/// index, the apk checksum and the emulated traffic.
+/// `experiment_one_app` above runs one small app with 120 events, where
+/// the per-app set-up is a sliver.
+fn bench_experiment_slice(c: &mut Criterion) {
+    let (corpus, config) = slice();
+    let resolver = resolver_for(&corpus.domains);
     let apps: Vec<_> = corpus
         .apps
         .iter()
-        .map(|app| {
-            let system: Vec<_> = app
-                .system_ops
-                .iter()
-                .map(|s| (s.op.clone(), s.dispatcher))
-                .collect();
-            (&app.apk, system)
-        })
+        .map(|app| (&app.apk, system_ops(app)))
         .collect();
     let mut group = c.benchmark_group("perf/experiment");
     group.sample_size(10);
@@ -147,6 +160,33 @@ fn bench_experiment_slice(c: &mut Criterion) {
             for (apk, _) in &apps {
                 let index = SigIndex::new(Arc::new(apk.dex().unwrap()));
                 std::hint::black_box((index, apk.sha256()));
+            }
+        });
+    });
+    group.finish();
+}
+
+/// `attribute` over every report of the 50-app slice, recorded once:
+/// the footnote 2 filter over each translated stack trace and the pick
+/// of its origin frame. `elem/s` is reports per second.
+fn bench_attribute(c: &mut Criterion) {
+    let (corpus, config) = slice();
+    let resolver = resolver_for(&corpus.domains);
+    let port = config.supervisor.collector_port;
+    let mut reports = Vec::new();
+    for app in &corpus.apps {
+        let raw = run_app(&app.apk, &resolver, &system_ops(app), &config).unwrap();
+        let index = CaptureIndex::build(&raw.capture, port);
+        reports.extend(decode_reports_classified(index.report_payloads.iter().copied()).0);
+    }
+    let filter = BuiltinFilter::new();
+    let mut group = c.benchmark_group("perf/pipeline");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(reports.len() as u64));
+    group.bench_function("attribute", |b| {
+        b.iter(|| {
+            for report in &reports {
+                std::hint::black_box(attribute(&report.frames, &filter));
             }
         });
     });
@@ -191,6 +231,8 @@ fn bench_analysis_throughput(c: &mut Criterion) {
 /// scale (0.02): dex parse, both detection tiers over one package tree
 /// per dex on every available CPU, and the Table I classification of
 /// every domain — the step that runs before any traffic is analyzed.
+/// `classify_domains` times that classification alone, over the
+/// store's domain universe (`elem/s` is domains per second).
 fn bench_knowledge_build(c: &mut Criterion) {
     use libspector::knowledge::Knowledge;
     use spector_corpus::{AppGenConfig, Corpus, CorpusConfig};
@@ -209,6 +251,18 @@ fn bench_knowledge_build(c: &mut Criterion) {
     group.throughput(Throughput::Elements(corpus.apps.len() as u64));
     group.bench_function("from_corpus", |b| {
         b.iter(|| Knowledge::from_corpus(&corpus));
+    });
+    let domains = corpus.domains.domains();
+    let tokenizer = Tokenizer::new();
+    group.throughput(Throughput::Elements(domains.len() as u64));
+    group.bench_function("classify_domains", |b| {
+        b.iter(|| {
+            tokenizer.classify_domains(
+                domains
+                    .iter()
+                    .map(|d| (d.name.clone(), d.vendor_labels.as_slice())),
+            )
+        });
     });
     group.finish();
 }
@@ -510,6 +564,7 @@ criterion_group!(
     bench_hook_overhead,
     bench_per_app_pipeline,
     bench_experiment_slice,
+    bench_attribute,
     bench_analysis_throughput,
     bench_knowledge_build,
     bench_chaos_overhead,

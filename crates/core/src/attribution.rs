@@ -4,7 +4,7 @@
 //! the heuristic is:
 //!
 //! 1. drop every frame belonging to an Android built-in package
-//!    (footnote 2 regex);
+//!    (footnote 2's prefix list);
 //! 2. the **origin frame** is the chronologically *first* invoked of
 //!    the remaining frames — the last element of the most-recent-first
 //!    list (Listing 1: `com.unity3d.ads.android.cache.b.doInBackground`);
@@ -20,13 +20,13 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 use spector_dex::sig::{prefix_levels, MethodSig};
-use spector_regexlite::Regex;
-use spector_runtime::framework::builtin_filter_pattern;
+use spector_runtime::framework::BUILTIN_PACKAGE_PREFIXES;
 
-/// Compiled builtin-package filter (footnote 2).
+/// The builtin-package filter (footnote 2): a frame is built-in when
+/// its dotted form starts with one of [`BUILTIN_PACKAGE_PREFIXES`].
 #[derive(Debug, Clone)]
 pub struct BuiltinFilter {
-    regex: Option<Regex>,
+    prefixes: &'static [&'static str],
 }
 
 impl Default for BuiltinFilter {
@@ -36,12 +36,10 @@ impl Default for BuiltinFilter {
 }
 
 impl BuiltinFilter {
-    /// Compiles the footnote 2 pattern.
+    /// The footnote 2 filter.
     pub fn new() -> Self {
         BuiltinFilter {
-            regex: Some(
-                Regex::new(&builtin_filter_pattern()).expect("footnote 2 pattern is valid"),
-            ),
+            prefixes: BUILTIN_PACKAGE_PREFIXES,
         }
     }
 
@@ -49,15 +47,25 @@ impl BuiltinFilter {
     /// measure how attribution degrades without frame filtering (every
     /// main-thread flow then attributes to scheduler internals).
     pub fn disabled() -> Self {
-        BuiltinFilter { regex: None }
+        BuiltinFilter { prefixes: &[] }
     }
 
     /// `true` when a frame (dotted or smali form) is built-in.
+    ///
+    /// The frame is read as `dotted_of` reads it, without building a
+    /// string: a smali frame that parses is matched by its dotted bytes,
+    /// anything else as it is (so an `L…;->` frame that fails to parse
+    /// starts with `L` and matches no prefix).
     pub fn is_builtin(&self, frame: &str) -> bool {
-        match &self.regex {
-            Some(regex) => regex.is_match(&dotted_of(frame)),
-            None => false,
+        if frame.starts_with('L') && frame.contains(";->") {
+            if let Some(dotted) = MethodSig::dotted_bytes_of(frame) {
+                return self
+                    .prefixes
+                    .iter()
+                    .any(|p| dotted.clone().take(p.len()).eq(p.bytes()));
+            }
         }
+        self.prefixes.iter().any(|p| frame.starts_with(p))
     }
 }
 
@@ -135,6 +143,8 @@ fn package_of(dotted: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use spector_regexlite::Regex;
 
     /// The Listing 1 stack trace, with the two app frames in their
     /// supervisor-translated smali form.
@@ -286,5 +296,136 @@ mod tests {
         let filter = BuiltinFilter::new();
         // A smali-form frame of a builtin class is still recognized.
         assert!(filter.is_builtin("Landroid/os/AsyncTask$2;->call()Ljava/lang/Object;"));
+        // A default-package class named like a prefix stem dots into
+        // that prefix; a smali frame that does not parse is matched raw.
+        assert!(filter.is_builtin("Landroid;->x()V"));
+        assert!(!filter.is_builtin("Landroid/os/AsyncTask;->call("));
+        assert!(!BuiltinFilter::disabled().is_builtin("android.os.Handler.post"));
+    }
+
+    /// The footnote 2 filter as the single regular expression it was
+    /// matched with before: the reference the literal prefix match is
+    /// held to.
+    fn builtin_filter_pattern() -> String {
+        let escaped: Vec<String> = BUILTIN_PACKAGE_PREFIXES
+            .iter()
+            .map(|p| p.replace('.', "\\."))
+            .collect();
+        format!("^({})", escaped.join("|"))
+    }
+
+    #[test]
+    fn filter_pattern_escapes_dots() {
+        let pattern = builtin_filter_pattern();
+        assert!(pattern.starts_with("^("));
+        assert!(pattern.contains("android\\."));
+        assert!(pattern.contains("org\\.apache\\.http\\."));
+    }
+
+    /// Stems of the footnote 2 prefixes and names one character away
+    /// from them.
+    const STEMS: [&str; 16] = [
+        "android",
+        "dalvik",
+        "java",
+        "javax",
+        "junit",
+        "org.apache.http",
+        "org.json",
+        "org.w3c.dom",
+        "org.xml.sax",
+        "org.xmlpull.v1",
+        "com.android.internal",
+        "com.android.internalx",
+        "com.android",
+        "androidx",
+        "org.apache",
+        "Android",
+    ];
+
+    /// Frames in every form the filter meets: dotted names, valid
+    /// smali, smali broken in each part, and default-package classes
+    /// named after a stem.
+    fn frames() -> impl Strategy<Value = String> {
+        let stem = proptest::sample::select(STEMS.to_vec());
+        let tail = "([a-zA-Z$]{1,6}(\\.[a-z]{1,4}){0,3})?";
+        let dotted = (
+            stem.clone(),
+            proptest::sample::select(vec!["", ".", ".."]),
+            tail,
+        )
+            .prop_map(|(stem, sep, tail)| format!("{stem}{sep}{tail}"));
+        let smali = (stem, tail, any::<u64>(), 0usize..8).prop_map(|(stem, tail, seps, form)| {
+            let dotted = if tail.is_empty() {
+                stem.to_owned()
+            } else {
+                format!("{stem}.{tail}")
+            };
+            // Each `.` of the class path written as `/` or kept: a
+            // component may itself contain `.`.
+            let path: String = dotted
+                .chars()
+                .enumerate()
+                .map(|(i, c)| match c {
+                    '.' if seps >> (i % 64) & 1 == 1 => '/',
+                    c => c,
+                })
+                .collect();
+            match form {
+                0..=2 => format!("L{path};->run()V"),
+                3 => format!("L{stem};->x()V"),
+                // Broken: no descriptor, no return type, an empty
+                // component, a missing `L`.
+                4 => format!("L{path};->m("),
+                5 => format!("L{path};->m()"),
+                6 => format!("L{path}//A;->m()V"),
+                _ => format!("{path};->m(Q)V"),
+            }
+        });
+        prop_oneof![dotted, smali, "[a-zL;>/.-]{0,12}"]
+    }
+
+    proptest! {
+        #[test]
+        fn literal_prefix_match_equals_the_footnote2_regex(frame in frames()) {
+            let regex = Regex::new(&builtin_filter_pattern()).unwrap();
+            prop_assert_eq!(
+                BuiltinFilter::new().is_builtin(&frame),
+                regex.is_match(&dotted_of(&frame)),
+                "frame {}",
+                frame
+            );
+        }
+    }
+
+    #[test]
+    fn literal_prefix_match_equals_the_footnote2_regex_on_near_misses() {
+        let regex = Regex::new(&builtin_filter_pattern()).unwrap();
+        let filter = BuiltinFilter::new();
+        for frame in [
+            "com.android.internalx.A.b",
+            "com.android.internal.os.ZygoteInit.main",
+            "javax",
+            "javax.net.A.b",
+            "android",
+            "android.",
+            "androidx.core.A.b",
+            "Landroid;->x()V",
+            "Ljavax;->x()V",
+            "Lorg/json;->x()V",
+            "Landroid/os/Looper;->loop()V",
+            "Landroid/os/Looper;->loop(",
+            "Landroidx/core/A;->b()V",
+            "Lcom/android/internal/os/ZygoteInit;->main([Ljava/lang/String;)V",
+            "Lcom/android/internalx/A;->b()V",
+            "Lcom.android.internal/A;->b()V",
+            "",
+        ] {
+            assert_eq!(
+                filter.is_builtin(frame),
+                regex.is_match(&dotted_of(frame)),
+                "{frame}"
+            );
+        }
     }
 }

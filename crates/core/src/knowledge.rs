@@ -8,8 +8,8 @@
 //! performs the aggregation scan over a generated corpus.
 //!
 //! Domain categories are precomputed once per campaign (the Table I
-//! regex tokenizer runs once per *domain*, not once per *flow*) into
-//! [`Knowledge::domain_categories`]. Origin-library verdicts —
+//! regex tokenizer runs once per distinct vendor label, not once per
+//! *flow*) into [`Knowledge::domain_categories`]. Origin-library verdicts —
 //! predicted category plus AnT/common list membership — are resolved
 //! per claim by [`Knowledge::library_verdict_tiered`], whose tiers are
 //! trie walks and alias lookups over tables fixed at build time, so the
@@ -42,9 +42,9 @@ pub struct Knowledge {
     /// AnT / common-library prefix lists.
     pub lists: LibraryLists,
     /// Precomputed domain → generic category table: every observed
-    /// domain's vendor labels are tokenized exactly once per campaign.
+    /// domain is classified exactly once per campaign.
     pub domain_categories: HashMap<String, DomainCategory>,
-    /// Compiled footnote 2 filter.
+    /// The footnote 2 filter.
     pub builtin: BuiltinFilter,
     /// Renamed in-app prefixes bridged to canonical library packages by
     /// the exact `LibraryDb` fingerprint during the corpus scan. Empty
@@ -56,21 +56,18 @@ pub struct Knowledge {
 }
 
 impl Knowledge {
-    /// Builds knowledge from explicit parts, tokenizing every domain's
-    /// vendor labels once up front.
+    /// Builds knowledge from explicit parts, classifying every domain
+    /// from its vendor labels once up front.
     pub fn new(
         aggregated: AggregatedLibraries,
         lists: LibraryLists,
         domain_labels: HashMap<String, Vec<String>>,
     ) -> Self {
-        let tokenizer = Tokenizer::new();
-        let domain_categories = domain_labels
-            .into_iter()
-            .map(|(domain, labels)| {
-                let category = tokenizer.classify(&labels);
-                (domain, category)
-            })
-            .collect();
+        let domain_categories = Tokenizer::new().classify_domains(
+            domain_labels
+                .iter()
+                .map(|(domain, labels)| (domain.clone(), labels.as_slice())),
+        );
         Knowledge::with_domain_categories(aggregated, lists, domain_categories)
     }
 
@@ -200,14 +197,14 @@ fn scan(corpus: &Corpus) -> (Vec<AppDetections>, HashMap<String, DomainCategory>
         loop {
             let task = next.fetch_add(1, Ordering::Relaxed);
             if task == 0 {
-                let tokenizer = Tokenizer::new();
                 domain_categories = Some(
-                    corpus
-                        .domains
-                        .domains()
-                        .iter()
-                        .map(|d| (d.name.clone(), tokenizer.classify(&d.vendor_labels)))
-                        .collect::<HashMap<_, _>>(),
+                    Tokenizer::new().classify_domains(
+                        corpus
+                            .domains
+                            .domains()
+                            .iter()
+                            .map(|d| (d.name.clone(), d.vendor_labels.as_slice())),
+                    ),
                 );
                 continue;
             }

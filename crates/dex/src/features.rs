@@ -24,10 +24,12 @@
 //! prefix → same profile, independent of method-table order.
 //!
 //! Detection profiles many prefixes of one dex; [`PackageTree`] indexes
-//! every package subtree of a dex in one pass so that it does not rescan
-//! the method table per prefix.
+//! every package subtree of a dex once so that it does not rescan the
+//! method table per prefix.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -131,19 +133,53 @@ pub fn shape_of(descriptor: &str) -> String {
     out
 }
 
-/// Whether dotted package `pkg` lies inside the subtree rooted at
-/// `prefix` (the prefix itself included). Component-aligned: `com.foo`
-/// does not contain `com.foobar`.
-fn in_subtree(pkg: &str, prefix: &str) -> bool {
-    pkg == prefix || (pkg.starts_with(prefix) && pkg.as_bytes().get(prefix.len()) == Some(&b'.'))
+/// A package path byte as the dotted package reads it: `/` as `.`.
+fn dotted(b: u8) -> u8 {
+    if b == b'/' {
+        b'.'
+    } else {
+        b
+    }
 }
 
-/// Dot-component depth of `pkg` below `prefix` (0 when equal).
-fn depth_below(pkg: &str, prefix: &str) -> u64 {
-    if pkg.len() <= prefix.len() {
-        return 0;
-    }
-    pkg[prefix.len()..].bytes().filter(|&b| b == b'.').count() as u64
+/// Whether a package path byte separates components: a `/`, or a `.`
+/// inside a smali component.
+fn is_separator(b: u8) -> bool {
+    b == b'.' || b == b'/'
+}
+
+/// Whether the package at `path` (as its smali writes it) lies inside
+/// the subtree rooted at the dotted `prefix`, the prefix itself
+/// included. Component-aligned: `com.foo` does not contain `com.foobar`.
+fn in_subtree(path: &str, prefix: &str) -> bool {
+    path.len() >= prefix.len()
+        && path
+            .bytes()
+            .zip(prefix.bytes())
+            .all(|(a, b)| dotted(a) == b)
+        && path
+            .as_bytes()
+            .get(prefix.len())
+            .is_none_or(|&b| is_separator(b))
+}
+
+/// Component depth of the package at `path` below a prefix of
+/// `prefix_len` bytes (0 when equal).
+fn depth_below(path: &str, prefix_len: usize) -> u64 {
+    path.as_bytes().get(prefix_len..).map_or(0, |below| {
+        below.iter().filter(|&&b| is_separator(b)).count() as u64
+    })
+}
+
+/// Every method's package path and the ascending indices of the methods
+/// in the subtree rooted at the dotted `prefix`, by one scan of the
+/// method table: the single-prefix counterpart of [`PackageTree`].
+pub fn scan_subtree<'a>(dex: &'a DexFile, prefix: &str) -> (Vec<&'a str>, Vec<u32>) {
+    let paths: Vec<&str> = dex.methods.iter().map(|m| m.sig.parts().0).collect();
+    let members = (0..paths.len() as u32)
+        .filter(|&i| in_subtree(paths[i as usize], prefix))
+        .collect();
+    (paths, members)
 }
 
 /// log2-style bucket for subtree totals: 0, 1, 2, 3-4, 5-8, 9-16, ...
@@ -154,19 +190,17 @@ fn log2_bucket(n: u64) -> u64 {
     }
 }
 
-/// Whether two methods have equal [`MethodSig::dotted_class`]
-/// renderings, compared without allocating: the dotted class is the
-/// smali type path with `/` read as `.`.
-fn same_class(a: &MethodSig, b: &MethodSig) -> bool {
-    fn path(sig: &MethodSig) -> &[u8] {
-        let smali = sig.as_smali();
-        &smali.as_bytes()[..smali.find(";->").unwrap_or(smali.len())]
-    }
-    let (a, b) = (path(a), path(b));
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(&x, &y)| x == y || matches!((x, y), (b'/', b'.') | (b'.', b'/')))
+/// The smali type path of a method's class (up to its `;->`), which
+/// [`MethodSig::dotted_class`] renders with `/` read as `.`.
+fn class_path(sig: &MethodSig) -> &str {
+    let smali = sig.as_smali();
+    &smali[..smali.find(";->").unwrap_or(smali.len())]
+}
+
+/// Whether two [`class_path`]s have equal [`MethodSig::dotted_class`]
+/// renderings, compared without allocating.
+fn same_class(a: &str, b: &str) -> bool {
+    a.len() == b.len() && cmp_dotted(a, b).is_eq()
 }
 
 /// Feature total of the profile of a subtree holding `methods` methods:
@@ -181,73 +215,173 @@ pub fn profile_total(methods: usize) -> u64 {
     }
 }
 
-/// The package hierarchy of one dex, built in one pass: every method's
-/// dotted package is computed once, and every package prefix (each
-/// hierarchy level of each method's package) maps to the indices of
-/// the methods in its subtree.
-///
-/// Library detection walks these subtrees instead of rescanning the
-/// whole method table for every prefix, so each method is visited once
-/// per ancestor rather than once per prefix of the app.
-#[derive(Debug, Clone, Default)]
-pub struct PackageTree {
-    /// Dotted package of every method, by method index.
-    packages: Vec<String>,
-    /// Every package prefix, sorted, with the indices of its subtree's
-    /// methods in ascending order.
-    subtrees: Vec<(String, Vec<u32>)>,
+/// Orders two package paths as their dotted renderings, so `com/foo`
+/// and `com.foo` are one package.
+fn cmp_dotted(a: &str, b: &str) -> Ordering {
+    a.bytes().map(dotted).cmp(b.bytes().map(dotted))
 }
 
-impl PackageTree {
-    /// Builds the tree of `dex`. Methods of the default (empty) package
-    /// are in no subtree but the empty prefix's, and only a package with
-    /// a leading dot creates that one.
-    pub fn new(dex: &DexFile) -> Self {
-        let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
-        let mut subtrees: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-        let mut default_package = Vec::new();
-        for (i, pkg) in packages.iter().enumerate() {
-            let i = i as u32;
-            if pkg.is_empty() {
-                default_package.push(i);
+/// The package hierarchy of one dex: its distinct packages, each with
+/// its methods, and every package prefix (each hierarchy level of each
+/// package) with the packages in its subtree.
+///
+/// The tree borrows each method's package path from its smali and
+/// counts every subtree from the per-package method lists; a subtree's
+/// method indices are listed only when asked for
+/// ([`Subtree::members`]), so detection lists only the subtrees its
+/// size bounds let through.
+#[derive(Debug, Clone)]
+pub struct PackageTree<'a> {
+    /// Package path of every method as its smali writes it, by method
+    /// index.
+    paths: Vec<&'a str>,
+    /// The ascending method indices of each distinct package, packages
+    /// in dotted order.
+    packages: Vec<Vec<u32>>,
+    /// Every package prefix, in dotted order.
+    prefixes: Vec<Prefix<'a>>,
+    /// The packages of each prefix's subtree, one range per prefix.
+    under: Vec<u32>,
+}
+
+/// One package prefix of a [`PackageTree`].
+#[derive(Debug, Clone)]
+struct Prefix<'a> {
+    /// The prefix as the smali of one package under it writes it.
+    path: &'a str,
+    /// Its subtree's packages: a range of `PackageTree::under`.
+    packages: Range<usize>,
+    /// Number of methods in its subtree.
+    methods: usize,
+}
+
+impl<'a> PackageTree<'a> {
+    /// Builds the tree of `dex`. `.` and `/` both separate components.
+    /// Methods of the default (empty) package are in no subtree but the
+    /// empty prefix's, and only a package with a leading dot creates
+    /// that one.
+    pub fn new(dex: &'a DexFile) -> Self {
+        let paths: Vec<&str> = dex.methods.iter().map(|m| m.sig.parts().0).collect();
+        let mut by_path: HashMap<&str, Vec<u32>> = HashMap::new();
+        for (i, &path) in paths.iter().enumerate() {
+            by_path.entry(path).or_default().push(i as u32);
+        }
+        // Paths that read alike dotted are one package.
+        let mut by_path: Vec<(&str, Vec<u32>)> = by_path.into_iter().collect();
+        by_path.sort_unstable_by(|a, b| cmp_dotted(a.0, b.0).then(a.0.cmp(b.0)));
+        let mut by_package: Vec<(&str, Vec<u32>)> = Vec::with_capacity(by_path.len());
+        for (path, methods) in by_path {
+            match by_package.last_mut() {
+                Some((last, members)) if cmp_dotted(last, path).is_eq() => {
+                    members.extend(methods);
+                    members.sort_unstable();
+                }
+                _ => by_package.push((path, methods)),
+            }
+        }
+        // Every prefix of every package: its path up to each separator,
+        // and the whole path. By `in_subtree`, the empty prefix (made
+        // by a leading dot) holds the default package too.
+        let leading_dot = by_package.iter().any(|(path, _)| path.starts_with('.'));
+        let mut levels: Vec<(&str, u32)> = Vec::new();
+        for (id, &(path, _)) in by_package.iter().enumerate() {
+            let id = id as u32;
+            if path.is_empty() {
+                if leading_dot {
+                    levels.push((path, id));
+                }
                 continue;
             }
-            for (dot, _) in pkg.match_indices('.') {
-                subtrees.entry(&pkg[..dot]).or_default().push(i);
+            for (at, b) in path.bytes().enumerate() {
+                if is_separator(b) {
+                    levels.push((&path[..at], id));
+                }
             }
-            subtrees.entry(pkg).or_default().push(i);
+            levels.push((path, id));
         }
-        // Only a package with a leading dot yields the empty prefix, and
-        // by `in_subtree` its subtree holds the default package too.
-        if let Some(members) = subtrees.get_mut("") {
-            members.extend(default_package);
+        levels.sort_unstable_by(|a, b| cmp_dotted(a.0, b.0).then(a.1.cmp(&b.1)));
+        let packages: Vec<Vec<u32>> = by_package.into_iter().map(|(_, methods)| methods).collect();
+        let mut prefixes: Vec<Prefix<'a>> = Vec::new();
+        let mut under = Vec::with_capacity(levels.len());
+        for (prefix, id) in levels {
+            let methods = packages[id as usize].len();
+            match prefixes.last_mut() {
+                Some(last) if cmp_dotted(last.path, prefix).is_eq() => {
+                    last.packages.end += 1;
+                    last.methods += methods;
+                }
+                _ => prefixes.push(Prefix {
+                    path: prefix,
+                    packages: under.len()..under.len() + 1,
+                    methods,
+                }),
+            }
+            under.push(id);
+        }
+        PackageTree {
+            paths,
+            packages,
+            prefixes,
+            under,
+        }
+    }
+
+    /// Every package prefix with its subtree, in dotted prefix order.
+    pub fn subtrees(&self) -> impl Iterator<Item = Subtree<'_, 'a>> {
+        self.prefixes
+            .iter()
+            .map(move |prefix| Subtree { tree: self, prefix })
+    }
+
+    /// Package path of every method as its smali writes it (`/`- or
+    /// `.`-separated), by method index.
+    pub fn paths(&self) -> &[&'a str] {
+        &self.paths
+    }
+
+    /// The structural profile of `subtree`, one of
+    /// [`subtrees`](Self::subtrees) of this tree of `dex`.
+    pub fn profile(&self, dex: &DexFile, subtree: &Subtree<'_, 'a>) -> StructuralProfile {
+        profile_members(dex, &self.paths, subtree.prefix_len(), &subtree.members())
+    }
+}
+
+/// One package prefix of a [`PackageTree`] and its subtree.
+#[derive(Debug, Clone, Copy)]
+pub struct Subtree<'t, 'a> {
+    tree: &'t PackageTree<'a>,
+    prefix: &'t Prefix<'a>,
+}
+
+impl Subtree<'_, '_> {
+    /// The prefix, dotted (`com.unity3d.ads`).
+    pub fn prefix(&self) -> String {
+        self.prefix.path.replace('/', ".")
+    }
+
+    /// Byte length of the prefix: each member's package path below the
+    /// root starts there.
+    pub fn prefix_len(&self) -> usize {
+        self.prefix.path.len()
+    }
+
+    /// Number of methods in the subtree, counted without listing them.
+    pub fn methods(&self) -> usize {
+        self.prefix.methods
+    }
+
+    /// The subtree's method indices in ascending order, listed anew on
+    /// each call.
+    pub fn members(&self) -> Vec<u32> {
+        let tree = self.tree;
+        let mut members = Vec::with_capacity(self.prefix.methods);
+        for &id in &tree.under[self.prefix.packages.clone()] {
+            members.extend_from_slice(&tree.packages[id as usize]);
+        }
+        if self.prefix.packages.len() > 1 {
             members.sort_unstable();
         }
-        let subtrees = subtrees
-            .into_iter()
-            .map(|(prefix, members)| (prefix.to_owned(), members))
-            .collect();
-        PackageTree { packages, subtrees }
-    }
-
-    /// Every package prefix with its subtree's method indices, sorted by
-    /// prefix.
-    pub fn subtrees(&self) -> impl Iterator<Item = (&str, &[u32])> {
-        self.subtrees
-            .iter()
-            .map(|(prefix, members)| (prefix.as_str(), members.as_slice()))
-    }
-
-    /// Dotted package of every method, by method index.
-    pub fn packages(&self) -> &[String] {
-        &self.packages
-    }
-
-    /// The structural profile of the subtree rooted at `prefix`, whose
-    /// method indices are `members` in ascending order (one of
-    /// [`subtrees`](Self::subtrees)).
-    pub fn profile(&self, dex: &DexFile, prefix: &str, members: &[u32]) -> StructuralProfile {
-        profile_members(dex, &self.packages, prefix, members)
+        members
     }
 }
 
@@ -261,19 +395,17 @@ impl PackageTree {
 /// method identity, and the final multiset is sorted), and `Nop`/`Const`
 /// junk injection (filler opcodes are excluded from histograms).
 pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
-    let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
-    let members: Vec<u32> = (0..packages.len() as u32)
-        .filter(|&i| in_subtree(&packages[i as usize], prefix))
-        .collect();
-    profile_members(dex, &packages, prefix, &members)
+    let (paths, members) = scan_subtree(dex, prefix);
+    profile_members(dex, &paths, prefix.len(), &members)
 }
 
-/// The profile of the subtree rooted at `prefix` whose method indices
-/// are `members`, ascending; `packages` holds every method's package.
+/// The profile of the subtree rooted at a prefix of `prefix_len` bytes
+/// whose method indices are `members`, ascending; `paths` holds every
+/// method's package path.
 fn profile_members(
     dex: &DexFile,
-    packages: &[String],
-    prefix: &str,
+    paths: &[&str],
+    prefix_len: usize,
     members: &[u32],
 ) -> StructuralProfile {
     let mut hashes: Vec<u64> = Vec::with_capacity(profile_total(members.len()) as usize);
@@ -282,7 +414,7 @@ fn profile_members(
         let shape = shape_of(m.sig.descriptor());
         // Abstracted signature: relative depth × descriptor shape.
         let mut h = FeatureHasher::new("sig");
-        h.num(depth_below(&packages[i as usize], prefix));
+        h.num(depth_below(paths[i as usize], prefix_len));
         h.bytes(shape.as_bytes());
         hashes.push(h.finish());
 
@@ -317,6 +449,10 @@ fn profile_members(
     let mut in_deg = vec![0u64; members.len()];
     let mut cross_class_edges = 0u64;
     let mut seen: Vec<u32> = Vec::new();
+    let classes: Vec<&str> = members
+        .iter()
+        .map(|&i| class_path(&dex.methods[i as usize].sig))
+        .collect();
     for (caller, &i) in members.iter().enumerate() {
         let m = &dex.methods[i as usize];
         seen.clear();
@@ -331,7 +467,7 @@ fn profile_members(
                 seen.push(*t);
                 out_deg[caller] += 1;
                 in_deg[callee] += 1;
-                if !same_class(&m.sig, &dex.methods[*t as usize].sig) {
+                if !same_class(classes[caller], classes[callee]) {
                     cross_class_edges += 1;
                 }
             }
@@ -505,7 +641,7 @@ mod tests {
         for a in &sigs {
             for b in &sigs {
                 assert_eq!(
-                    same_class(a, b),
+                    same_class(class_path(a), class_path(b)),
                     a.dotted_class() == b.dotted_class(),
                     "{a} vs {b}"
                 );

@@ -55,7 +55,9 @@ pub mod sha256;
 pub mod sig;
 
 pub use apk::{Apk, ApkEntry, ApkError, Manifest};
-pub use features::{profile_total, shape_of, subtree_profile, PackageTree, StructuralProfile};
+pub use features::{
+    profile_total, scan_subtree, shape_of, subtree_profile, PackageTree, StructuralProfile, Subtree,
+};
 pub use format::{parse_dex, write_dex, DexParseError};
 pub use model::{
     ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,

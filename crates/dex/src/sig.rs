@@ -96,24 +96,12 @@ impl MethodSig {
 
     /// The `/`-separated package path (empty for the default package),
     /// the class name, the method name and the descriptor, borrowed
-    /// from one scan for the `;->` and `(` separators.
-    fn parts(&self) -> (&str, &str, &str, &str) {
-        self.split().expect("validated on construction")
-    }
-
-    /// [`MethodSig::parts`], or `None` for a rendering that never passed
-    /// [`MethodSig::from_str`] (components [`MethodSig::new`] only
-    /// debug-asserts).
-    fn split(&self) -> Option<(&str, &str, &str, &str)> {
-        let arrow = find_arrow(self.smali.as_bytes())?;
-        let type_part = self.smali.get(1..arrow)?; // strip leading 'L'
-        let (path, class) = match type_part.rfind('/') {
-            Some(idx) => (&type_part[..idx], &type_part[idx + 1..]),
-            None => ("", type_part),
-        };
-        let rest = &self.smali[arrow + 3..];
-        let paren = rest.find('(')?;
-        Some((path, class, &rest[..paren], &rest[paren..]))
+    /// from one scan for the `;->` and `(` separators: what the
+    /// accessors below return one at a time. The package path is as the
+    /// smali writes it, so a component may itself contain `.`
+    /// (`Lcom.foo/Bar;` is in package `com.foo`).
+    pub fn parts(&self) -> (&str, &str, &str, &str) {
+        split(&self.smali).expect("validated on construction")
     }
 
     /// The dotted package name, e.g. `com.unity3d.ads.android.cache`.
@@ -141,15 +129,16 @@ impl MethodSig {
     /// The bytes of [`MethodSig::dotted_name`], streamed from the smali
     /// rendering without allocating: the package path with each `/`
     /// read as `.`, then the class and the method, `.`-joined.
-    pub fn dotted_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        let (path, class, method, _) = self.parts();
-        let package_dot = (!path.is_empty()).then_some(b'.');
-        path.bytes()
-            .map(|b| if b == b'/' { b'.' } else { b })
-            .chain(package_dot)
-            .chain(class.bytes())
-            .chain(std::iter::once(b'.'))
-            .chain(method.bytes())
+    pub fn dotted_bytes(&self) -> impl Iterator<Item = u8> + Clone + '_ {
+        dotted(self.parts())
+    }
+
+    /// [`MethodSig::dotted_bytes`] of `smali` when it parses as a
+    /// signature (the check [`MethodSig::from_str`] runs), without
+    /// building a `MethodSig`; `None` when it does not parse.
+    pub fn dotted_bytes_of(smali: &str) -> Option<impl Iterator<Item = u8> + Clone + '_> {
+        check(smali.as_bytes()).ok()?;
+        split(smali).map(dotted)
     }
 
     /// The dotted `package.Class.method` rendering used in stack traces
@@ -239,9 +228,45 @@ impl Deserialize for MethodSig {
     }
 }
 
+/// The package path, class name, method name and descriptor of a smali
+/// rendering, or `None` for one that never passed [`check`] (components
+/// [`MethodSig::new`] only debug-asserts).
+fn split(smali: &str) -> Option<(&str, &str, &str, &str)> {
+    let arrow = find_arrow(smali.as_bytes())?;
+    let type_part = smali.get(1..arrow)?; // strip leading 'L'
+    let (path, class) = match type_part.rfind('/') {
+        Some(idx) => (&type_part[..idx], &type_part[idx + 1..]),
+        None => ("", type_part),
+    };
+    let rest = &smali[arrow + 3..];
+    let paren = rest.find('(')?;
+    Some((path, class, &rest[..paren], &rest[paren..]))
+}
+
+/// The dotted name of split signature parts: the package path with
+/// each `/` read as `.`, then the class and the method, `.`-joined.
+fn dotted<'a>(
+    (path, class, method, _): (&'a str, &'a str, &'a str, &'a str),
+) -> impl Iterator<Item = u8> + Clone + 'a {
+    let package_dot = (!path.is_empty()).then_some(b'.');
+    path.bytes()
+        .map(|b| if b == b'/' { b'.' } else { b })
+        .chain(package_dot)
+        .chain(class.bytes())
+        .chain(std::iter::once(b'.'))
+        .chain(method.bytes())
+}
+
 /// The index of the first `;->` in `s`.
 fn find_arrow(s: &[u8]) -> Option<usize> {
-    (0..s.len()).find(|&i| s[i] == b';' && s[i + 1..].starts_with(b"->"))
+    let mut at = 0;
+    loop {
+        at += s[at..].iter().position(|&b| b == b';')?;
+        if s[at + 1..].starts_with(b"->") {
+            return Some(at);
+        }
+        at += 1;
+    }
 }
 
 /// Checks a smali signature in one pass over its bytes.

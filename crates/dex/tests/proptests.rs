@@ -164,9 +164,13 @@ proptest! {
 /// A dex whose packages nest: each method sits at a path of up to three
 /// components drawn from `{a, b, c}` (the empty path is the default
 /// package), in one of two classes, with invokes to arbitrary methods.
+/// The class path is written as smali allows: each component joined to
+/// the previous one by `/` or by a `.` inside one smali component, and
+/// sometimes with a leading `.`.
 fn nested_dex() -> impl Strategy<Value = DexFile> {
     let method = (
-        proptest::collection::vec(0u8..3, 0..4),
+        proptest::collection::vec((0u8..3, any::<bool>()), 0..4),
+        0u8..4,
         0u8..2,
         proptest::collection::vec(0u8..5, 0..6),
     );
@@ -175,16 +179,24 @@ fn nested_dex() -> impl Strategy<Value = DexFile> {
         let methods = specs
             .iter()
             .enumerate()
-            .map(|(i, (path, class, ops))| {
-                let package: Vec<&str> =
-                    path.iter().map(|&c| ["a", "b", "c"][c as usize]).collect();
+            .map(|(i, (path, lead, class, ops))| {
+                let mut smali = String::from("L");
+                for (k, &(c, dot)) in path.iter().enumerate() {
+                    smali.push_str(match (k, dot) {
+                        (0, _) if *lead == 0 => ".",
+                        (0, _) => "",
+                        (_, true) => ".",
+                        (_, false) => "/",
+                    });
+                    smali.push_str(["a", "b", "c"][c as usize]);
+                }
+                if !path.is_empty() {
+                    smali.push('/');
+                }
+                let descriptor = if i % 2 == 0 { "()V" } else { "(I)V" };
+                smali.push_str(&format!("K{class};->m{i}{descriptor}"));
                 MethodDef {
-                    sig: MethodSig::new(
-                        &package.join("."),
-                        &format!("K{class}"),
-                        &format!("m{i}"),
-                        if i % 2 == 0 { "()V" } else { "(I)V" },
-                    ),
+                    sig: smali.parse().expect("generated signatures are valid"),
                     code: CodeItem {
                         instructions: ops
                             .iter()
@@ -219,27 +231,33 @@ proptest! {
                 expected.insert(parts[..level].join("."));
             }
         }
-        let prefixes: Vec<&str> = tree.subtrees().map(|(prefix, _)| prefix).collect();
-        prop_assert_eq!(prefixes, expected.iter().map(String::as_str).collect::<Vec<_>>());
-        for (prefix, members) in tree.subtrees() {
+        let prefixes: Vec<String> = tree.subtrees().map(|subtree| subtree.prefix()).collect();
+        prop_assert_eq!(prefixes, expected.into_iter().collect::<Vec<_>>());
+        for subtree in tree.subtrees() {
+            let prefix = subtree.prefix();
             let scanned: Vec<u32> = (0..packages.len() as u32)
                 .filter(|&i| {
                     let pkg = &packages[i as usize];
-                    pkg == prefix || pkg.starts_with(&format!("{prefix}."))
+                    *pkg == prefix || pkg.starts_with(&format!("{prefix}."))
                 })
                 .collect();
-            prop_assert_eq!(members, scanned.as_slice(), "members of {}", prefix);
+            prop_assert_eq!(subtree.methods(), scanned.len(), "size of {}", prefix);
+            prop_assert_eq!(subtree.members(), scanned, "members of {}", prefix);
+        }
+        for (i, path) in tree.paths().iter().enumerate() {
+            prop_assert_eq!(path.replace('/', "."), packages[i].clone());
         }
     }
 
     #[test]
     fn profile_total_is_three_per_method_plus_two(dex in nested_dex()) {
         let tree = PackageTree::new(&dex);
-        for (prefix, members) in tree.subtrees() {
-            let profile = subtree_profile(&dex, prefix);
-            prop_assert_eq!(profile.total(), 3 * members.len() as u64 + 2, "prefix {}", prefix);
-            prop_assert_eq!(profile.total(), profile_total(members.len()));
-            prop_assert_eq!(&tree.profile(&dex, prefix, members), &profile);
+        for subtree in tree.subtrees() {
+            let prefix = subtree.prefix();
+            let profile = subtree_profile(&dex, &prefix);
+            prop_assert_eq!(profile.total(), 3 * subtree.methods() as u64 + 2, "prefix {}", prefix);
+            prop_assert_eq!(profile.total(), profile_total(subtree.methods()));
+            prop_assert_eq!(&tree.profile(&dex, &subtree), &profile);
         }
         prop_assert_eq!(subtree_profile(&dex, "zz").total(), profile_total(0));
     }

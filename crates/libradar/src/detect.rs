@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use spector_dex::features::PackageTree;
+use spector_dex::features::{scan_subtree, PackageTree};
 use spector_dex::model::{DexFile, Instruction, MethodRef};
 use spector_dex::sha256::{Digest, Sha256};
 
@@ -54,8 +54,8 @@ impl LibraryDb {
     /// prefix, `dex` contains (at least) the library's methods under
     /// that prefix.
     pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
-        let (packages, members) = subtree_of(dex, name);
-        if let Some(fp) = fingerprint_members(dex, &packages, name, &members) {
+        let (paths, members) = scan_subtree(dex, name);
+        if let Some(fp) = fingerprint_members(dex, &paths, name.len(), &members) {
             self.by_fingerprint.insert(fp, (name.to_owned(), category));
             self.method_counts.insert(members.len());
         }
@@ -91,18 +91,20 @@ impl LibraryDb {
 
     /// [`detect`](Self::detect) over the prebuilt package tree of `dex`,
     /// in prefix order. Only subtrees with as many methods as some
-    /// registered library are fingerprinted.
+    /// registered library are listed and fingerprinted.
     pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<DetectedLibrary> {
         let mut detected = Vec::new();
-        for (prefix, members) in tree.subtrees() {
-            if !self.method_counts.contains(&members.len()) {
+        for subtree in tree.subtrees() {
+            if !self.method_counts.contains(&subtree.methods()) {
                 continue;
             }
-            if let Some(fp) = fingerprint_members(dex, tree.packages(), prefix, members) {
+            let members = subtree.members();
+            if let Some(fp) = fingerprint_members(dex, tree.paths(), subtree.prefix_len(), &members)
+            {
                 if let Some((name, category)) = self.lookup(&fp) {
                     detected.push(DetectedLibrary {
                         name: name.to_owned(),
-                        in_app_prefix: prefix.to_owned(),
+                        in_app_prefix: subtree.prefix(),
                         category,
                     });
                 }
@@ -115,72 +117,56 @@ impl LibraryDb {
 /// Fingerprints the subtree of methods whose package equals `prefix` or
 /// lies beneath it. Returns `None` when no methods are in the subtree.
 pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerprint> {
-    let (packages, members) = subtree_of(dex, prefix);
-    fingerprint_members(dex, &packages, prefix, &members)
+    let (paths, members) = scan_subtree(dex, prefix);
+    fingerprint_members(dex, &paths, prefix.len(), &members)
 }
 
-/// Every method's package, and the indices of the methods whose package
-/// equals `prefix` or lies beneath it.
-fn subtree_of(dex: &DexFile, prefix: &str) -> (Vec<String>, Vec<u32>) {
-    let packages: Vec<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
-    let members = (0..packages.len() as u32)
-        .filter(|&i| {
-            let pkg = &packages[i as usize];
-            pkg == prefix
-                || pkg.starts_with(prefix) && pkg.as_bytes().get(prefix.len()) == Some(&b'.')
-        })
-        .collect();
-    (packages, members)
-}
-
-/// Fingerprints the subtree rooted at `prefix` whose method indices are
-/// `members`, given every method's package. Returns `None` for an empty
-/// subtree.
+/// Fingerprints the subtree rooted at a prefix of `prefix_len` bytes
+/// whose method indices are `members`, given every method's package
+/// path. Returns `None` for an empty subtree.
 fn fingerprint_members(
     dex: &DexFile,
-    packages: &[String],
-    prefix: &str,
+    paths: &[&str],
+    prefix_len: usize,
     members: &[u32],
 ) -> Option<LibraryFingerprint> {
     if members.is_empty() {
         return None;
     }
-    let mut features: Vec<String> = Vec::with_capacity(members.len());
+    let mut features: Vec<Vec<u8>> = Vec::with_capacity(members.len());
     for &i in members {
         let method = &dex.methods[i as usize];
-        let pkg = &packages[i as usize];
+        let path = paths[i as usize];
         // Package-stripped structure: the sub-package path *relative to
-        // the prefix* plus class/method/descriptor, plus an opcode
-        // string. Renaming the root package leaves all of this intact.
-        let relative = &pkg[prefix.len().min(pkg.len())..];
-        let sig = &method.sig;
-        let mut feature = String::with_capacity(
-            relative.len() + sig.as_smali().len() + method.code.instructions.len() + 4,
+        // the prefix*, dotted, plus class/method/descriptor, plus an
+        // opcode string. Renaming the root package leaves all of this
+        // intact.
+        let relative = &path.as_bytes()[prefix_len.min(path.len())..];
+        let (_, class, name, descriptor) = method.sig.parts();
+        let mut feature = Vec::with_capacity(
+            relative.len() + method.sig.as_smali().len() + method.code.instructions.len() + 4,
         );
-        for part in [
-            relative,
-            sig.class_name(),
-            sig.method_name(),
-            sig.descriptor(),
-        ] {
-            feature.push_str(part);
-            feature.push('|');
+        feature.extend(relative.iter().map(|&b| if b == b'/' { b'.' } else { b }));
+        feature.push(b'|');
+        for part in [class, name, descriptor] {
+            feature.extend_from_slice(part.as_bytes());
+            feature.push(b'|');
         }
         feature.extend(method.code.instructions.iter().map(|inst| match inst {
-            Instruction::Nop => 'n',
-            Instruction::Const(_) => 'c',
-            Instruction::Invoke(MethodRef::Internal(_)) => 'i',
-            Instruction::Invoke(MethodRef::External(_)) => 'e',
-            Instruction::InvokeAsync { .. } => 'a',
-            Instruction::Network(_) => 'w',
-            Instruction::Return => 'r',
+            Instruction::Nop => b'n',
+            Instruction::Const(_) => b'c',
+            Instruction::Invoke(MethodRef::Internal(_)) => b'i',
+            Instruction::Invoke(MethodRef::External(_)) => b'e',
+            Instruction::InvokeAsync { .. } => b'a',
+            Instruction::Network(_) => b'w',
+            Instruction::Return => b'r',
         }));
         features.push(feature);
     }
     features.sort_unstable();
     let mut hasher = Sha256::new();
     for feature in &features {
-        hasher.update(feature.as_bytes());
+        hasher.update(feature);
         hasher.update(b"\n");
     }
     Some(LibraryFingerprint(hasher.finalize()))
@@ -227,6 +213,35 @@ mod tests {
         let original = fingerprint_subtree(&lib_dex("com.vendor.sdk"), "com.vendor.sdk").unwrap();
         let renamed = fingerprint_subtree(&lib_dex("obf.a.b"), "obf.a.b").unwrap();
         assert_eq!(original, renamed);
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_dotted_feature_lines() {
+        // One line per method: the package below the prefix (`/` read
+        // as `.`), class, method and descriptor, then the opcodes;
+        // lines sorted, each ended by a newline.
+        let expected = Sha256::digest(b".cache|Store|put|(I)V|nr\n|Loader|init|()V|cr\n");
+        let dex = lib_dex("com.vendor.sdk");
+        assert_eq!(
+            fingerprint_subtree(&dex, "com.vendor.sdk"),
+            Some(LibraryFingerprint(expected))
+        );
+        // A class path written with a `.` inside a smali component is
+        // the same package, so the same subtree and fingerprint.
+        let mut dotted = dex.clone();
+        for method in &mut dotted.methods {
+            let smali = method.sig.as_smali().replacen('/', ".", 1);
+            method.sig = smali.parse().unwrap();
+        }
+        assert!(dotted.methods[1]
+            .sig
+            .as_smali()
+            .starts_with("Lcom.vendor/sdk/cache/"));
+        let mut db = LibraryDb::new();
+        db.add_library("com.vendor.sdk", LibCategory::Utility, &dex);
+        let found = db.detect(&dotted);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].in_app_prefix, "com.vendor.sdk");
     }
 
     #[test]
@@ -337,15 +352,17 @@ mod tests {
     fn package_prefixes_enumerates_all_levels() {
         let dex = lib_dex("com.vendor.sdk");
         let tree = PackageTree::new(&dex);
-        let prefixes: Vec<(&str, &[u32])> = tree.subtrees().collect();
-        assert_eq!(
-            prefixes,
-            [
-                ("com", &[0, 1][..]),
-                ("com.vendor", &[0, 1]),
-                ("com.vendor.sdk", &[0, 1]),
-                ("com.vendor.sdk.cache", &[1]),
-            ]
-        );
+        let prefixes: Vec<(String, Vec<u32>)> = tree
+            .subtrees()
+            .map(|subtree| (subtree.prefix(), subtree.members()))
+            .collect();
+        let expected = [
+            ("com", vec![0, 1]),
+            ("com.vendor", vec![0, 1]),
+            ("com.vendor.sdk", vec![0, 1]),
+            ("com.vendor.sdk.cache", vec![1]),
+        ]
+        .map(|(prefix, members)| (prefix.to_owned(), members));
+        assert_eq!(prefixes, expected);
     }
 }

@@ -211,16 +211,16 @@ impl StructuralIndex {
     }
 
     /// [`detect`](Self::detect) over the prebuilt package tree of `dex`.
-    /// A subtree is profiled only when its feature total, known from its
-    /// method count, is [admitted](Self::admits).
+    /// A subtree is listed and profiled only when its feature total,
+    /// known from its method count, is [admitted](Self::admits).
     pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<StructuralMatch> {
         let mut matches = Vec::new();
-        for (prefix, members) in tree.subtrees() {
-            if !self.admits(profile_total(members.len())) {
+        for subtree in tree.subtrees() {
+            if !self.admits(profile_total(subtree.methods())) {
                 continue;
             }
-            if let Some(mut m) = self.best_match(&tree.profile(dex, prefix, members)) {
-                m.in_app_prefix = prefix.to_owned();
+            if let Some(mut m) = self.best_match(&tree.profile(dex, &subtree)) {
+                m.in_app_prefix = subtree.prefix();
                 matches.push(m);
             }
         }

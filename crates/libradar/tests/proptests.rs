@@ -318,8 +318,9 @@ proptest! {
             app.methods.extend(copy_methods(&format!("qx.c{k}"), &copy, offset));
         }
         let mut unpruned = Vec::new();
-        for (prefix, _) in PackageTree::new(&app).subtrees() {
-            let profile = subtree_profile(&app, prefix);
+        for subtree in PackageTree::new(&app).subtrees() {
+            let prefix = subtree.prefix();
+            let profile = subtree_profile(&app, &prefix);
             if let Some(matched) = index.best_match(&profile) {
                 prop_assert!(index.admits(profile.total()), "{} not admitted", prefix);
                 prop_assert!(
@@ -327,7 +328,7 @@ proptest! {
                     "{} ({}) outside the band of {} ({})",
                     prefix, profile.total(), matched.name, totals[&matched.name]
                 );
-                unpruned.push((prefix.to_owned(), matched.name));
+                unpruned.push((prefix, matched.name));
             }
         }
         let pruned: Vec<(String, String)> = index

@@ -56,6 +56,19 @@ impl Volume {
         self.sent_bytes += other.sent_bytes;
         self.recv_bytes += other.recv_bytes;
     }
+
+    /// Adds every bucket of `from` to the same bucket of `into`; a key
+    /// is allocated only for a bucket `into` does not have yet.
+    fn merge_buckets(into: &mut BTreeMap<String, Volume>, from: &BTreeMap<String, Volume>) {
+        for (label, volume) in from {
+            match into.get_mut(label) {
+                Some(bucket) => bucket.merge(volume),
+                None => {
+                    into.insert(label.clone(), *volume);
+                }
+            }
+        }
+    }
 }
 
 /// A point-in-time view of everything the engine has attributed.
@@ -146,18 +159,8 @@ impl LiveSummary {
         self.flows_tls += other.flows_tls;
         self.flows_proxied += other.flows_proxied;
         self.pooled_streams += other.pooled_streams;
-        for (label, volume) in &other.per_library {
-            self.per_library
-                .entry(label.clone())
-                .or_default()
-                .merge(volume);
-        }
-        for (label, volume) in &other.per_domain_category {
-            self.per_domain_category
-                .entry(label.clone())
-                .or_default()
-                .merge(volume);
-        }
+        Volume::merge_buckets(&mut self.per_library, &other.per_library);
+        Volume::merge_buckets(&mut self.per_domain_category, &other.per_domain_category);
     }
 
     /// Folds one attributed flow row into the summary: the only place a

@@ -36,13 +36,37 @@ impl HttpRequest {
     /// Encodes the head plus `content_length` bytes of deterministic
     /// body filler.
     pub fn encode(&self) -> Vec<u8> {
-        let head = format!(
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode), appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+
+        out.reserve(usize::try_from(self.head_len() + self.content_length).unwrap_or(0));
+        write!(
+            out,
             "{} {} HTTP/1.1\r\nHost: {}\r\nUser-Agent: {}\r\nAccept: */*\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.method, self.path, self.host, self.user_agent, self.content_length
-        );
-        let mut out = head.into_bytes();
-        extend_filler(&mut out, b'a', self.content_length);
-        out
+        )
+        .expect("writing to a Vec cannot fail");
+        extend_filler(out, b'a', self.content_length);
+    }
+
+    /// Byte length of the encoded head (everything before the body),
+    /// computed without encoding it.
+    pub fn head_len(&self) -> u64 {
+        // The request line, the four headers and the blank line, less
+        // the five values.
+        const FRAMING: u64 = 86;
+        FRAMING
+            + [&self.method, &self.path, &self.host, &self.user_agent]
+                .iter()
+                .map(|value| value.len() as u64)
+                .sum::<u64>()
+            + digits(self.content_length)
     }
 
     /// Parses a request head from the beginning of a client payload.
@@ -167,6 +191,24 @@ mod tests {
         // Body length is honored.
         let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
         assert_eq!(bytes.len() - head_end, 40);
+    }
+
+    #[test]
+    fn head_len_is_the_encoded_head() {
+        for content_length in [0, 9, 10, 99_999, 100_000] {
+            let request = HttpRequest {
+                content_length,
+                ..sample()
+            };
+            assert_eq!(
+                request.head_len() + content_length,
+                request.encode().len() as u64,
+                "{content_length}"
+            );
+        }
+        let mut out = b"preamble".to_vec();
+        sample().encode_into(&mut out);
+        assert_eq!(out, [&b"preamble"[..], &sample().encode()].concat());
     }
 
     #[test]

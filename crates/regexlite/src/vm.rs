@@ -315,8 +315,9 @@ mod tests {
         }
     }
 
-    /// The footnote 2 builtin filter (`spector_runtime::framework::
-    /// builtin_filter_pattern`) and the Table I tokenizer patterns
+    /// The footnote 2 builtin filter as a regular expression (the
+    /// reference `libspector`'s attribution tests hold its literal
+    /// prefix match to) and the Table I tokenizer patterns
     /// (`spector_vtcat::table1_patterns`), as they stand.
     const PATTERNS: &[&str] = &[
         r"^(android\.|dalvik\.|java\.|javax\.|junit\.|org\.apache\.http\.|org\.json\.|org\.w3c\.dom\.|org\.xml\.sax\.|org\.xmlpull\.v1\.|com\.android\.internal\.)",

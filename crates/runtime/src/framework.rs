@@ -104,16 +104,6 @@ pub const BUILTIN_PACKAGE_PREFIXES: &[&str] = &[
     "com.android.internal.",
 ];
 
-/// The footnote 2 filter as a single regular-expression pattern,
-/// suitable for `spector_regexlite::Regex::new`.
-pub fn builtin_filter_pattern() -> String {
-    let escaped: Vec<String> = BUILTIN_PACKAGE_PREFIXES
-        .iter()
-        .map(|p| p.replace('.', "\\."))
-        .collect();
-    format!("^({})", escaped.join("|"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +164,6 @@ mod tests {
                 "android.os.AsyncTask$2.call"
             ]
         );
-    }
-
-    #[test]
-    fn filter_pattern_escapes_dots() {
-        let pattern = builtin_filter_pattern();
-        assert!(pattern.starts_with("^("));
-        assert!(pattern.contains("android\\."));
-        assert!(pattern.contains("org\\.apache\\.http\\."));
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl Runtime {
         // The frame that issued the request (top of stack before the
         // client chain) — SDKs sometimes identify themselves in the
         // User-Agent, and that identity comes from the calling code.
-        let owner_frame = stack.frames().last().map(|f| f.dotted.clone());
+        let owner_depth = stack.frames().len();
         let frames = connector_frames(op.connector);
         let pushed = frames.len();
         for frame in frames {
@@ -339,7 +339,9 @@ impl Runtime {
         let allowed = self.each_hook(stack, |hook, ctx| {
             hook.connect_verdict(ctx, socket) == ConnectVerdict::Allow
         });
-        let owner = owner_frame.as_deref();
+        let owner = owner_depth
+            .checked_sub(1)
+            .map(|top| stack.frames()[top].dotted.as_str());
         match op.shape {
             _ if !allowed => self.stats.blocked_ops += 1,
             WireShape::Plain | WireShape::V6 => {
@@ -418,7 +420,7 @@ impl Runtime {
                 // SDK identifier appended for the fraction of libraries
                 // that tag their requests (what prior work's
                 // header-based classification relied on).
-                let request = [preamble, &build_http_request(op, owner_frame, send)].concat();
+                let request = build_http_request(preamble, op, owner_frame, send);
                 self.net.tcp_exchange(socket, &request, recv);
             }
         }
@@ -453,18 +455,25 @@ fn remote_ipv6(v4: Ipv4Addr) -> Ipv6Addr {
 /// header-based attribution only ever sees this minority.
 const UA_TAGGED_PERCENT: u64 = 40;
 
-/// Builds the HTTP request an operation puts on the wire. The head is
-/// deterministic in `(op, owner)`; the body pads the total client
-/// payload up to `send_budget` when the head is smaller (`send_budget`
-/// is `op.send_bytes` for single-exchange shapes and the per-stream
-/// share for pooled connections).
-fn build_http_request(op: &NetworkOp, owner_frame: Option<&str>, send_budget: u64) -> Vec<u8> {
+/// Builds the HTTP request an operation puts on the wire, after
+/// `preamble` in the same buffer. The head is deterministic in
+/// `(op, owner)`; the body pads the total client payload up to
+/// `send_budget` when the head is smaller (`send_budget` is
+/// `op.send_bytes` for single-exchange shapes and the per-stream share
+/// for pooled connections).
+fn build_http_request(
+    preamble: &[u8],
+    op: &NetworkOp,
+    owner_frame: Option<&str>,
+    send_budget: u64,
+) -> Vec<u8> {
     let client = match op.connector {
         Connector::AndroidOkHttp => "okhttp/3.12.1",
         Connector::ApacheHttp => "Apache-HttpClient/UNAVAILABLE (java 1.4)",
         Connector::DirectSocket => "raw",
     };
-    let tagged = fnv_mix(&op.domain) % 100 < UA_TAGGED_PERCENT;
+    let domain_hash = fnv_mix(&op.domain);
+    let tagged = domain_hash % 100 < UA_TAGGED_PERCENT;
     let user_agent = match owner_frame.filter(|_| tagged) {
         Some(frame) => {
             // Drop the class+method components to tag with the package.
@@ -478,23 +487,19 @@ fn build_http_request(op: &NetworkOp, owner_frame: Option<&str>, send_budget: u6
         }
         None => client.to_owned(),
     };
-    let path = format!("/v1/r{}", fnv_mix(&op.domain) % 97);
-    let probe = spector_netsim::http::HttpRequest {
+    let mut request = spector_netsim::http::HttpRequest {
         method: if send_budget > 512 { "POST" } else { "GET" }.to_owned(),
-        path: path.clone(),
-        host: op.domain.clone(),
-        user_agent: user_agent.clone(),
-        content_length: 0,
-    };
-    let head_len = probe.encode().len() as u64;
-    let request = spector_netsim::http::HttpRequest {
-        method: probe.method,
-        path,
+        path: format!("/v1/r{}", domain_hash % 97),
         host: op.domain.clone(),
         user_agent,
-        content_length: send_budget.saturating_sub(head_len + 2),
+        content_length: 0,
     };
-    request.encode()
+    // The body is sized from the head as it reads with a zero
+    // Content-Length.
+    request.content_length = send_budget.saturating_sub(request.head_len() + 2);
+    let mut out = preamble.to_vec();
+    request.encode_into(&mut out);
+    out
 }
 
 fn fnv_mix(s: &str) -> u64 {

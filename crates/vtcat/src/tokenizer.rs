@@ -1,5 +1,8 @@
 //! The Table I tokenizer: vendor label → generic categories.
 
+use std::collections::HashMap;
+use std::hash::Hash;
+
 use spector_regexlite::{ParseError, RuleSet};
 
 use crate::category::DomainCategory;
@@ -129,13 +132,22 @@ impl Tokenizer {
     /// label is lowercased first). An empty result means the label only
     /// fits `unknown`.
     pub fn tokenize(&self, raw_label: &str) -> Vec<DomainCategory> {
+        let tokens = self.tokens(raw_label);
+        self.categories
+            .iter()
+            .copied()
+            .filter(|&cat| tokens >> slot(cat) & 1 == 1)
+            .collect()
+    }
+
+    /// [`tokenize`](Self::tokenize) as a [`Tokens`] set.
+    fn tokens(&self, raw_label: &str) -> Tokens {
         let lowered = raw_label.to_lowercase();
         self.categories
             .iter()
             .zip(self.rules.iter())
             .filter(|(_, (_, re))| re.is_match(&lowered))
-            .map(|(cat, _)| *cat)
-            .collect()
+            .fold(0, |tokens, (&cat, _)| tokens | 1 << slot(cat))
     }
 
     /// Classifies a domain from its full set of vendor labels: tokenize
@@ -143,26 +155,70 @@ impl Tokenizer {
     /// categories (ties broken by Table I order; no tokens at all →
     /// [`DomainCategory::Unknown`]).
     pub fn classify<S: AsRef<str>>(&self, vendor_labels: &[S]) -> DomainCategory {
-        let mut votes = [0usize; DomainCategory::ALL.len()];
-        for label in vendor_labels {
-            for cat in self.tokenize(label.as_ref()) {
-                let idx = DomainCategory::ALL
-                    .iter()
-                    .position(|c| *c == cat)
-                    .expect("category is in ALL");
-                votes[idx] += 1;
-            }
+        vote(
+            vendor_labels
+                .iter()
+                .map(|label| self.tokens(label.as_ref())),
+        )
+    }
+
+    /// [`classify`](Self::classify) over a whole domain table, keyed as
+    /// given. Vendors repeat a few labels across most domains, so each
+    /// distinct label is tokenized once, into a map that lives only for
+    /// this call.
+    pub fn classify_domains<'a, K, S>(
+        &self,
+        domains: impl IntoIterator<Item = (K, &'a [S])>,
+    ) -> HashMap<K, DomainCategory>
+    where
+        K: Eq + Hash,
+        S: AsRef<str> + 'a,
+    {
+        let mut seen: HashMap<&'a str, Tokens> = HashMap::new();
+        domains
+            .into_iter()
+            .map(|(domain, labels)| {
+                let category = vote(labels.iter().map(|label| {
+                    let label = label.as_ref();
+                    *seen.entry(label).or_insert_with(|| self.tokens(label))
+                }));
+                (domain, category)
+            })
+            .collect()
+    }
+}
+
+/// The generic categories one label tokenized to: bit `i` stands for
+/// `DomainCategory::ALL[i]`.
+type Tokens = u32;
+
+/// Index of `cat` in [`DomainCategory::ALL`].
+fn slot(cat: DomainCategory) -> usize {
+    DomainCategory::ALL
+        .iter()
+        .position(|&c| c == cat)
+        .expect("category is in ALL")
+}
+
+/// The majority vote over the tokens of a domain's labels: the category
+/// named by most labels, ties broken by Table I order, and
+/// [`DomainCategory::Unknown`] when no label produced a token.
+fn vote(labels: impl Iterator<Item = Tokens>) -> DomainCategory {
+    let mut votes = [0usize; DomainCategory::ALL.len()];
+    for tokens in labels {
+        for (idx, count) in votes.iter_mut().enumerate() {
+            *count += (tokens >> idx & 1) as usize;
         }
-        let (best_idx, &best_votes) = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(idx, &v)| (v, usize::MAX - idx))
-            .expect("votes is non-empty");
-        if best_votes == 0 {
-            DomainCategory::Unknown
-        } else {
-            DomainCategory::ALL[best_idx]
-        }
+    }
+    let (best_idx, &best_votes) = votes
+        .iter()
+        .enumerate()
+        .max_by_key(|&(idx, &v)| (v, usize::MAX - idx))
+        .expect("votes is non-empty");
+    if best_votes == 0 {
+        DomainCategory::Unknown
+    } else {
+        DomainCategory::ALL[best_idx]
     }
 }
 

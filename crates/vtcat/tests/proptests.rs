@@ -7,6 +7,35 @@ fn category() -> impl Strategy<Value = DomainCategory> {
     prop::sample::select(DomainCategory::ALL.to_vec())
 }
 
+/// Labels the vendors repeat across domains, some differing only in
+/// case, some tokenizing to several categories or to none.
+const SHARED_LABELS: [&str; 12] = [
+    "advertising",
+    "Advertising",
+    "ADVERTISING",
+    "online games",
+    "Online Games",
+    "news",
+    "IM and chat",
+    "animation",
+    "bot network",
+    "robots",
+    "",
+    "xyzzy",
+];
+
+/// A domain table: per domain, up to eight labels drawn mostly from
+/// [`SHARED_LABELS`] (so most repeat within and across domains) and
+/// sometimes made up.
+fn domain_table() -> impl Strategy<Value = Vec<Vec<String>>> {
+    let label = prop_oneof![
+        prop::sample::select(SHARED_LABELS.to_vec()).prop_map(str::to_owned),
+        prop::sample::select(SHARED_LABELS.to_vec()).prop_map(str::to_owned),
+        "[a-zA-Z ]{0,16}",
+    ];
+    proptest::collection::vec(proptest::collection::vec(label, 0..8), 0..24)
+}
+
 proptest! {
     #[test]
     fn tokenize_never_panics_and_yields_known_categories(label in ".{0,60}") {
@@ -60,6 +89,18 @@ proptest! {
         let labels = oracle.labels(&domain, truth);
         prop_assert_eq!(labels.len(), spector_vtcat::oracle::VENDOR_COUNT);
         prop_assert_eq!(tokenizer.classify(&labels), truth);
+    }
+
+    #[test]
+    fn domain_table_equals_classify_per_domain(domains in domain_table()) {
+        let tokenizer = Tokenizer::new();
+        let table = tokenizer.classify_domains(
+            domains.iter().enumerate().map(|(i, labels)| (i, labels.as_slice())),
+        );
+        prop_assert_eq!(table.len(), domains.len());
+        for (i, labels) in domains.iter().enumerate() {
+            prop_assert_eq!(table[&i], tokenizer.classify(labels), "labels {:?}", labels);
+        }
     }
 
     #[test]

@@ -10,8 +10,11 @@ cd "$(dirname "$0")/.."
 # perf: hook overhead, per-app pipeline, a 50-app slice through
 # run_app (perf/experiment/slice) and the same slice's app-image builds
 # alone (perf/experiment/app_image: dex parse, signature index, apk
-# digest), throughput, the 400-app knowledge
-# build (perf/knowledge/from_corpus), substrates, and the
+# digest), every report of that slice through `attribute`
+# (perf/pipeline/attribute: the footnote 2 filter and origin pick),
+# throughput, the 400-app knowledge build (perf/knowledge/from_corpus)
+# and its Table I classification of the domain universe alone
+# (perf/knowledge/classify_domains), substrates, and the
 # sampled-tracing layer (perf/sampling_overhead — the exact path must
 # stay within noise of the unsampled pipeline).
 cargo bench -p spector-bench --bench perf -- --quick "$@"
