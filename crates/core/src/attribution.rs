@@ -16,10 +16,8 @@
 //! by platform code; such traffic lands in the `*` buckets of Figure 3
 //! and can only be characterized by its destination domain.
 
-use std::borrow::Cow;
-
 use serde::{Deserialize, Serialize};
-use spector_dex::sig::{prefix_levels, MethodSig};
+use spector_dex::sig::{dotted_package, prefix_levels, MethodSig};
 use spector_runtime::framework::BUILTIN_PACKAGE_PREFIXES;
 
 /// The builtin-package filter (footnote 2): a frame is built-in when
@@ -52,20 +50,24 @@ impl BuiltinFilter {
 
     /// `true` when a frame (dotted or smali form) is built-in.
     ///
-    /// The frame is read as `dotted_of` reads it, without building a
+    /// The frame is read as [`attribute`] dots it, without building a
     /// string: a smali frame that parses is matched by its dotted bytes,
     /// anything else as it is (so an `L…;->` frame that fails to parse
     /// starts with `L` and matches no prefix).
     pub fn is_builtin(&self, frame: &str) -> bool {
-        if frame.starts_with('L') && frame.contains(";->") {
-            if let Some(dotted) = MethodSig::dotted_bytes_of(frame) {
-                return self
-                    .prefixes
-                    .iter()
-                    .any(|p| dotted.clone().take(p.len()).eq(p.bytes()));
-            }
+        self.matches(frame, smali_dotted(frame))
+    }
+
+    /// [`is_builtin`](Self::is_builtin) of `frame`, given its
+    /// [`smali_dotted`] bytes.
+    fn matches(&self, frame: &str, dotted: Option<impl Iterator<Item = u8> + Clone>) -> bool {
+        match dotted {
+            Some(dotted) => self
+                .prefixes
+                .iter()
+                .any(|p| dotted.clone().take(p.len()).eq(p.bytes())),
+            None => self.prefixes.iter().any(|p| frame.starts_with(p)),
         }
-        self.prefixes.iter().any(|p| frame.starts_with(p))
     }
 }
 
@@ -96,48 +98,43 @@ pub struct Attribution {
 
 /// Attributes a translated stack trace (most recent frame first).
 pub fn attribute(frames: &[String], filter: &BuiltinFilter) -> Attribution {
-    let surviving: Vec<&String> = frames.iter().filter(|f| !filter.is_builtin(f)).collect();
-    match surviving.last() {
-        None => Attribution {
+    // Each frame is read once: the filter and the origin frame's dotted
+    // form share its smali parse.
+    let (app_frames, origin) = frames
+        .iter()
+        .map(|frame| (frame, smali_dotted(frame)))
+        .filter(|(frame, dotted)| !filter.matches(frame, dotted.clone()))
+        .fold((0, None), |(count, _), frame| (count + 1, Some(frame)));
+    let Some((origin_frame, smali)) = origin else {
+        return Attribution {
             origin: OriginKind::Builtin,
             origin_frame: None,
-            app_frames: 0,
+            app_frames,
+        };
+    };
+    // The origin frame in its dotted `package.Class.method` form.
+    let dotted = match smali {
+        Some(dotted) => String::from_utf8(dotted.collect()).expect("only ASCII '/' is rewritten"),
+        None => origin_frame.clone(),
+    };
+    let package = dotted_package(&dotted).unwrap_or("");
+    Attribution {
+        origin: OriginKind::Library {
+            origin_library: package.to_owned(),
+            two_level: prefix_levels(package, 2),
         },
-        Some(origin_frame) => {
-            let dotted = dotted_of(origin_frame);
-            let package = package_of(&dotted);
-            Attribution {
-                origin: OriginKind::Library {
-                    two_level: prefix_levels(&package, 2),
-                    origin_library: package,
-                },
-                origin_frame: Some(dotted.into_owned()),
-                app_frames: surviving.len(),
-            }
-        }
+        origin_frame: Some(dotted),
+        app_frames,
     }
 }
 
-/// Normalizes a frame to its dotted `package.Class.method` form: smali
-/// type signatures (produced by the supervisor's dex translation) are
-/// parsed, anything else (already dotted) is borrowed as it is.
-fn dotted_of(frame: &str) -> Cow<'_, str> {
-    if frame.starts_with('L') && frame.contains(";->") {
-        if let Ok(sig) = frame.parse::<MethodSig>() {
-            return Cow::Owned(sig.dotted_name());
-        }
-    }
-    Cow::Borrowed(frame)
-}
-
-/// Package of a dotted frame name: everything up to the class and
-/// method components.
-fn package_of(dotted: &str) -> String {
-    let parts: Vec<&str> = dotted.split('.').collect();
-    if parts.len() <= 2 {
-        return String::new();
-    }
-    parts[..parts.len() - 2].join(".")
+/// The dotted bytes of a smali type signature (the supervisor's dex
+/// translation of a frame) when `frame` is one that parses; `None` for a
+/// frame that is read as it is (already dotted, or broken).
+fn smali_dotted(frame: &str) -> Option<impl Iterator<Item = u8> + Clone + '_> {
+    (frame.starts_with('L') && frame.contains(";->"))
+        .then(|| MethodSig::dotted_bytes_of(frame))
+        .flatten()
 }
 
 #[cfg(test)]
@@ -145,6 +142,55 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use spector_regexlite::Regex;
+    use std::borrow::Cow;
+
+    /// Normalizes a frame to its dotted `package.Class.method` form as
+    /// attribution once did: smali type signatures are parsed into a
+    /// `MethodSig` and rendered, anything else is borrowed as it is.
+    fn dotted_of(frame: &str) -> Cow<'_, str> {
+        if frame.starts_with('L') && frame.contains(";->") {
+            if let Ok(sig) = frame.parse::<MethodSig>() {
+                return Cow::Owned(sig.dotted_name());
+            }
+        }
+        Cow::Borrowed(frame)
+    }
+
+    /// Package of a dotted frame name as attribution once split it:
+    /// everything up to the class and method components.
+    fn package_of(dotted: &str) -> String {
+        let parts: Vec<&str> = dotted.split('.').collect();
+        if parts.len() <= 2 {
+            return String::new();
+        }
+        parts[..parts.len() - 2].join(".")
+    }
+
+    /// [`attribute`] by its old three steps (parse and render the
+    /// origin frame, split and join its package, copy two levels): the
+    /// reference the one-pass dotting is held to.
+    fn attribute_in_three_steps(frames: &[String], filter: &BuiltinFilter) -> Attribution {
+        let surviving: Vec<&String> = frames.iter().filter(|f| !filter.is_builtin(f)).collect();
+        match surviving.last() {
+            None => Attribution {
+                origin: OriginKind::Builtin,
+                origin_frame: None,
+                app_frames: 0,
+            },
+            Some(origin_frame) => {
+                let dotted = dotted_of(origin_frame);
+                let package = package_of(&dotted);
+                Attribution {
+                    origin: OriginKind::Library {
+                        two_level: prefix_levels(&package, 2),
+                        origin_library: package,
+                    },
+                    origin_frame: Some(dotted.into_owned()),
+                    app_frames: surviving.len(),
+                }
+            }
+        }
+    }
 
     /// The Listing 1 stack trace, with the two app frames in their
     /// supervisor-translated smali form.
@@ -386,6 +432,20 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn attribution_equals_the_three_step_path(
+            frames in proptest::collection::vec(frames(), 0..6),
+        ) {
+            for filter in [BuiltinFilter::new(), BuiltinFilter::disabled()] {
+                prop_assert_eq!(
+                    attribute(&frames, &filter),
+                    attribute_in_three_steps(&frames, &filter),
+                    "frames {:?}",
+                    frames
+                );
+            }
+        }
+
         #[test]
         fn literal_prefix_match_equals_the_footnote2_regex(frame in frames()) {
             let regex = Regex::new(&builtin_filter_pattern()).unwrap();

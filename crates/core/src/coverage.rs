@@ -266,7 +266,6 @@ mod tests {
                 Monkey::new(MonkeyConfig {
                     events: 120,
                     seed: 3,
-                    ..Default::default()
                 })
                 .run(&mut rt, &UiModel::from_manifest(&manifest));
                 let (report, reference) = both_of(&rt);

@@ -235,7 +235,6 @@ mod tests {
     fn quick_config() -> ExperimentConfig {
         let mut config = ExperimentConfig::default();
         config.monkey.events = 60;
-        config.monkey.throttle_ms = 500;
         config
     }
 

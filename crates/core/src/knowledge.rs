@@ -8,8 +8,8 @@
 //! performs the aggregation scan over a generated corpus.
 //!
 //! Domain categories are precomputed once per campaign (the Table I
-//! regex tokenizer runs once per distinct vendor label, not once per
-//! *flow*) into [`Knowledge::domain_categories`]. Origin-library verdicts —
+//! tokenizer runs once per distinct vendor label, not once per *flow*)
+//! into [`Knowledge::domain_categories`]. Origin-library verdicts —
 //! predicted category plus AnT/common list membership — are resolved
 //! per claim by [`Knowledge::library_verdict_tiered`], whose tiers are
 //! trie walks and alias lookups over tables fixed at build time, so the

@@ -13,7 +13,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use spector_dex::apk::{ActivityDecl, Apk, ApkEntry, Manifest};
 use spector_dex::model::{
-    ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,
+    fnv1a, ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,
     NetworkOp, WireShape,
 };
 use spector_dex::sig::MethodSig;
@@ -116,10 +116,6 @@ pub struct AppGenConfig {
     pub method_scale: f64,
     /// Scale on per-app byte volumes (1.0 = paper per-app volumes).
     pub volume_scale: f64,
-    /// Expected number of refresh invocations per refresh entry during
-    /// a run (used to budget refresh op sizes); matches a 1,000-event
-    /// monkey with default hit rates.
-    pub expected_refresh_invocations: f64,
     /// Fraction of network ops carrying a modern wire shape — IPv6,
     /// TLS-like framing, CONNECT proxying, or pooled keep-alive —
     /// assigned deterministically per (owner, domain) with no RNG
@@ -133,7 +129,6 @@ impl Default for AppGenConfig {
         AppGenConfig {
             method_scale: 0.02,
             volume_scale: 1.0,
-            expected_refresh_invocations: 7.0,
             modern_fraction: 0.0,
         }
     }
@@ -150,7 +145,7 @@ fn shape_for_op(modern_fraction: f64, owner: &str, domain: &str) -> WireShape {
     if modern_fraction <= 0.0 {
         return WireShape::Plain;
     }
-    let hash = crate::libraries::fnv1a(&format!("{owner}\u{1f}{domain}"));
+    let hash = fnv1a(format!("{owner}\u{1f}{domain}").bytes());
     if (hash % 10_000) as f64 >= modern_fraction * 10_000.0 {
         return WireShape::Plain;
     }
@@ -504,6 +499,11 @@ fn pick_templates(
     picked
 }
 
+/// Expected number of refresh invocations per refresh entry during a
+/// run (used to budget refresh op sizes); matches a 1,000-event monkey
+/// with default hit rates.
+const EXPECTED_REFRESH_INVOCATIONS: f64 = 7.0;
+
 /// Builds one library instance carrying `target_bytes` of session
 /// volume, recording ground truth.
 #[allow(clippy::too_many_arguments)] // generation context is inherently wide
@@ -537,7 +537,7 @@ fn build_instance(
     let (bg0, cat0, _) = make_op(target_bytes * 0.55, OpStyle::Startup);
     let (bg1, cat1, _) = make_op(target_bytes * 0.30, OpStyle::Startup);
     let (refresh, catr, _) = make_op(
-        target_bytes * 0.15 / config.expected_refresh_invocations,
+        target_bytes * 0.15 / EXPECTED_REFRESH_INVOCATIONS,
         OpStyle::Refresh,
     );
     let ops = LibraryOps {
@@ -705,7 +705,7 @@ mod tests {
                 .iter()
                 .flat_map(|a| a.on_create.iter().chain(a.handlers.iter())),
         ) {
-            assert!(dex.find_method(sig).is_some(), "{sig} missing from dex");
+            assert!(dex.signatures().any(|s| s == sig), "{sig} missing from dex");
         }
     }
 

@@ -23,7 +23,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spector_dex::model::{
-    CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef, NetworkOp,
+    fnv1a, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef, NetworkOp,
 };
 use spector_dex::sig::MethodSig;
 use spector_libradar::{LibCategory, LibraryDb, LibraryLists, StructuralIndex};
@@ -651,7 +651,7 @@ pub struct LibraryOps {
 /// The dispatcher a template schedules its fetches on — fixed per
 /// template (part of the structure), derived from the package name.
 pub fn template_dispatcher(template: &LibraryTemplate) -> Dispatcher {
-    match fnv1a(template.package) % 3 {
+    match fnv1a(template.package.bytes()) % 3 {
         0 => Dispatcher::AsyncTask,
         1 => Dispatcher::Executor,
         _ => Dispatcher::Thread,
@@ -660,7 +660,7 @@ pub fn template_dispatcher(template: &LibraryTemplate) -> Dispatcher {
 
 /// The client chain a template connects through — fixed per template.
 pub fn template_connector(template: &LibraryTemplate) -> Connector {
-    match fnv1a(template.package) % 4 {
+    match fnv1a(template.package.bytes()) % 4 {
         0..=1 => Connector::AndroidOkHttp,
         2 => Connector::ApacheHttp,
         _ => Connector::DirectSocket,
@@ -679,7 +679,7 @@ pub fn instantiate(
     base_index: u32,
     ops: &LibraryOps,
 ) -> InstantiatedLibrary {
-    let mut rng = SmallRng::seed_from_u64(fnv1a(template.package));
+    let mut rng = SmallRng::seed_from_u64(fnv1a(template.package.bytes()));
     let pkg = template.package;
     let dispatcher = template_dispatcher(template);
 
@@ -867,15 +867,6 @@ fn placeholder_op() -> NetworkOp {
         connector: Connector::AndroidOkHttp,
         shape: spector_dex::model::WireShape::Plain,
     }
-}
-
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

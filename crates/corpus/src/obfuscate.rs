@@ -33,12 +33,12 @@ use std::str::FromStr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spector_dex::model::{DexFile, Instruction, MethodRef};
+use spector_dex::model::{fnv1a, DexFile, Instruction, MethodRef};
 use spector_dex::sig::MethodSig;
 use spector_dex::Apk;
 
 use crate::appgen::GeneratedApp;
-use crate::libraries::{fnv1a, LIBRARY_TEMPLATES};
+use crate::libraries::LIBRARY_TEMPLATES;
 use crate::Corpus;
 
 /// Cumulative obfuscation levels, weakest to strongest.
@@ -176,7 +176,7 @@ pub fn obfuscate_dex(
         .chain(BLOCKED_FIRST.iter().map(|s| (*s).to_owned()))
         .collect();
     for root in roots {
-        let mut rng = SmallRng::seed_from_u64(seed ^ fnv1a(root));
+        let mut rng = SmallRng::seed_from_u64(seed ^ fnv1a(root.bytes()));
         let obf = loop {
             let comp = |rng: &mut SmallRng| {
                 let len = rng.gen_range(2..=4usize);
@@ -355,7 +355,7 @@ pub fn obfuscate_corpus(
     corpus
         .apps
         .iter_mut()
-        .map(|app| obfuscate_app(app, tier, seed ^ fnv1a(&app.package)))
+        .map(|app| obfuscate_app(app, tier, seed ^ fnv1a(app.package.bytes())))
         .collect()
 }
 
@@ -427,7 +427,7 @@ mod tests {
             // First-party entry points still resolve.
             let manifest = app.apk.manifest().unwrap();
             for sig in &manifest.application_on_create {
-                assert!(dex.find_method(sig).is_some());
+                assert!(dex.signatures().any(|s| s == sig));
             }
             // Library truth was rewritten onto obfuscated roots.
             for t in app.truth.iter().filter(|t| t.is_ant || t.is_common) {

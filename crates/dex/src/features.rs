@@ -33,7 +33,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DexFile, Instruction, MethodRef};
+use crate::model::{DexFile, Instruction, MethodRef, FNV_OFFSET, FNV_PRIME};
 use crate::sig::MethodSig;
 
 /// A structural profile of one package subtree: a sorted multiset of
@@ -64,9 +64,6 @@ impl StructuralProfile {
         self.features.is_empty()
     }
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Incremental FNV-1a over tagged feature components.
 struct FeatureHasher(u64);

@@ -73,7 +73,26 @@ impl fmt::Display for DexParseError {
 
 impl Error for DexParseError {}
 
-fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
+impl From<Uleb128Error> for DexParseError {
+    fn from(err: Uleb128Error) -> Self {
+        DexParseError::new(match err {
+            Uleb128Error::Truncated => "truncated uleb128",
+            Uleb128Error::Overflow => "uleb128 overflow",
+        })
+    }
+}
+
+/// Why [`get_uleb128`] could not read a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Uleb128Error {
+    /// The input ends inside the value.
+    Truncated,
+    /// The value runs past 64 bits.
+    Overflow,
+}
+
+/// Appends `value` as uleb128.
+pub fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -85,13 +104,19 @@ fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
     }
 }
 
-fn get_uleb128(buf: &mut &[u8]) -> Result<u64, DexParseError> {
+/// Reads one uleb128 value off the front of `buf`.
+///
+/// # Errors
+///
+/// [`Uleb128Error::Truncated`] when `buf` ends inside the value,
+/// [`Uleb128Error::Overflow`] when it runs past 64 bits.
+pub fn get_uleb128(buf: &mut &[u8]) -> Result<u64, Uleb128Error> {
     let mut result: u64 = 0;
     let mut shift = 0;
     loop {
-        let byte = get_u8(buf).ok_or_else(|| DexParseError::new("truncated uleb128"))?;
+        let byte = get_u8(buf).ok_or(Uleb128Error::Truncated)?;
         if shift >= 64 {
-            return Err(DexParseError::new("uleb128 overflow"));
+            return Err(Uleb128Error::Overflow);
         }
         result |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {

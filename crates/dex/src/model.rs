@@ -205,14 +205,6 @@ impl DexFile {
         self.methods.len()
     }
 
-    /// Looks up a defined method by signature (a linear scan).
-    pub fn find_method(&self, sig: &MethodSig) -> Option<u32> {
-        self.methods
-            .iter()
-            .position(|m| &m.sig == sig)
-            .map(|i| i as u32)
-    }
-
     /// Iterates over all defined method signatures — the "disassemble the
     /// dex to obtain the full set of methods" step of the Method Monitor.
     pub fn signatures(&self) -> impl Iterator<Item = &MethodSig> {
@@ -284,10 +276,17 @@ pub struct SigIndex {
     table: Vec<(u64, u32)>,
 }
 
-/// 64-bit FNV-1a over a byte stream.
-fn dotted_hash(bytes: impl Iterator<Item = u8>) -> u64 {
-    bytes.fold(0xcbf2_9ce4_8422_2325, |hash, b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+/// FNV-1a 64-bit offset basis.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// 64-bit FNV-1a over a byte stream: the index's dotted-name hash, and
+/// the stable string hash the corpus generator and the runtime seed
+/// their choices with.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(FNV_OFFSET, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
     })
 }
 
@@ -297,7 +296,7 @@ impl SigIndex {
         let mut table: Vec<(u64, u32)> = dex
             .signatures()
             .enumerate()
-            .map(|(id, sig)| (dotted_hash(sig.dotted_bytes()), id as u32))
+            .map(|(id, sig)| (fnv1a(sig.dotted_bytes()), id as u32))
             .collect();
         table.sort_unstable();
         SigIndex { dex, table }
@@ -327,15 +326,14 @@ impl SigIndex {
     /// `dotted_name`; `None` when the dex defines no such method (a
     /// framework frame).
     pub fn first_match(&self, dotted_name: &str) -> Option<&MethodSig> {
-        self.run(dotted_hash(dotted_name.bytes()))
+        self.run(fnv1a(dotted_name.bytes()))
             .map(|id| &self.dex.methods[id as usize].sig)
             .find(|sig| sig.dotted_bytes().eq(dotted_name.bytes()))
     }
 
-    /// The id of the first method defined with exactly `sig` — the
-    /// answer of [`DexFile::find_method`], without its linear scan.
+    /// The id of the first method defined with exactly `sig`.
     pub fn find(&self, sig: &MethodSig) -> Option<u32> {
-        self.run(dotted_hash(sig.dotted_bytes()))
+        self.run(fnv1a(sig.dotted_bytes()))
             .find(|&id| self.dex.methods[id as usize].sig == *sig)
     }
 
@@ -353,6 +351,15 @@ impl SigIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first method defined with exactly `sig`, by a linear scan:
+    /// the reference [`SigIndex::find`] is held to.
+    fn find_method(dex: &DexFile, sig: &MethodSig) -> Option<u32> {
+        dex.methods
+            .iter()
+            .position(|m| &m.sig == sig)
+            .map(|i| i as u32)
+    }
 
     fn sample_dex() -> DexFile {
         let m0 = MethodDef {
@@ -438,9 +445,12 @@ mod tests {
         assert!(!idx.is_empty());
         for m in &dex.methods {
             let found = idx.first_match(&m.sig.dotted_name()).unwrap();
-            assert_eq!(dex.find_method(found), dex.find_method(&m.sig));
+            assert_eq!(find_method(&dex, found), find_method(&dex, &m.sig));
         }
-        assert_eq!(dex.find_method(&MethodSig::new("x", "Y", "z", "()V")), None);
+        assert_eq!(
+            find_method(&dex, &MethodSig::new("x", "Y", "z", "()V")),
+            None
+        );
         assert_eq!(idx.first_match("x.Y.z"), None);
     }
 
@@ -454,7 +464,7 @@ mod tests {
         });
         let idx = SigIndex::new(Arc::new(dex.clone()));
         for m in &dex.methods {
-            assert_eq!(idx.find(&m.sig), dex.find_method(&m.sig));
+            assert_eq!(idx.find(&m.sig), find_method(&dex, &m.sig));
         }
         for absent in [
             MethodSig::new("com.ads", "Loader", "fetch", "(J)V"),
@@ -506,7 +516,7 @@ mod tests {
         // names collided with `name`.
         let collide = |idx: &mut SigIndex, name: &str| {
             for entry in &mut idx.table {
-                entry.0 = dotted_hash(name.bytes());
+                entry.0 = fnv1a(name.bytes());
             }
             idx.table.sort_unstable();
         };

@@ -167,6 +167,24 @@ impl MethodSig {
     }
 }
 
+/// The package of a dotted `package.Class.method` name: everything
+/// before its last two `.`-components, or `None` when it has fewer than
+/// three. The rule reads the dotted string, so a class name holding a
+/// `.` gives up its front part to the package.
+///
+/// # Examples
+///
+/// ```
+/// use spector_dex::sig::dotted_package;
+///
+/// assert_eq!(dotted_package("com.unity3d.ads.b.a"), Some("com.unity3d.ads"));
+/// assert_eq!(dotted_package("Main.run"), None);
+/// ```
+pub fn dotted_package(dotted: &str) -> Option<&str> {
+    let method = dotted.rfind('.')?;
+    dotted[..method].rfind('.').map(|class| &dotted[..class])
+}
+
 /// Truncates a dotted name to its first `levels` components.
 ///
 /// Returns the whole name when it has fewer components.
@@ -435,6 +453,25 @@ mod tests {
         assert_eq!(sig.package_prefix(3), "com.unity3d.ads");
         assert_eq!(sig.package_prefix(9), "com.unity3d.ads.android.cache");
         assert_eq!(sig.package_prefix(0), "");
+    }
+
+    #[test]
+    fn dotted_package_drops_class_and_method() {
+        for (dotted, package) in [
+            (
+                "com.unity3d.ads.android.cache.b.a",
+                Some("com.unity3d.ads.android.cache"),
+            ),
+            ("com.myapp.Main.run", Some("com.myapp")),
+            ("app.Main.run", Some("app")),
+            (".Main.run", Some("")),
+            ("a..run", Some("a")),
+            ("Main.run", None),
+            ("run", None),
+            ("", None),
+        ] {
+            assert_eq!(dotted_package(dotted), package, "{dotted}");
+        }
     }
 
     #[test]

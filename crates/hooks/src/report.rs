@@ -49,8 +49,9 @@ use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use bytes::{BufMut, BytesMut};
+use spector_dex::format::{get_uleb128, put_uleb128, Uleb128Error};
 use spector_dex::sha256::Digest;
-use spector_netsim::packet::{canonical_ip, SocketPair};
+use spector_netsim::packet::{canonical_ip, v6_octets, SocketPair};
 
 /// Magic prefix of legacy (IPv4, connection-level) report datagrams.
 pub const REPORT_MAGIC: &[u8; 4] = b"SRPT";
@@ -113,41 +114,17 @@ impl fmt::Display for ReportParseError {
 
 impl Error for ReportParseError {}
 
-fn put_uleb128(buf: &mut BytesMut, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.put_u8(byte);
-            break;
+/// Reads one uleb128 value: a value cut short is a truncated report, one
+/// past 64 bits a malformed one.
+fn read_uleb128(buf: &mut &[u8]) -> Result<u64, ReportParseError> {
+    get_uleb128(buf).map_err(|err| match err {
+        Uleb128Error::Truncated => {
+            ReportParseError::new(ReportErrorKind::Truncated, "truncated uleb128")
         }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_uleb128(buf: &mut &[u8]) -> Result<u64, ReportParseError> {
-    let mut result: u64 = 0;
-    let mut shift = 0;
-    loop {
-        let Some((&byte, rest)) = buf.split_first() else {
-            return Err(ReportParseError::new(
-                ReportErrorKind::Truncated,
-                "truncated uleb128",
-            ));
-        };
-        *buf = rest;
-        if shift >= 64 {
-            return Err(ReportParseError::new(
-                ReportErrorKind::Malformed,
-                "uleb128 overflow",
-            ));
+        Uleb128Error::Overflow => {
+            ReportParseError::new(ReportErrorKind::Malformed, "uleb128 overflow")
         }
-        result |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(result);
-        }
-        shift += 7;
-    }
+    })
 }
 
 /// Writes an address known to be IPv4 as its 4 network-order bytes.
@@ -155,14 +132,6 @@ fn put_ip4(buf: &mut BytesMut, ip: IpAddr) {
     match ip {
         IpAddr::V4(v4) => buf.put_slice(&v4.octets()),
         IpAddr::V6(_) => unreachable!("family-4 encoding of a v6 address"),
-    }
-}
-
-/// The 16-byte v6 form of an address for SRP2 family-6 encoding.
-fn v6_octets(ip: IpAddr) -> [u8; 16] {
-    match ip {
-        IpAddr::V4(v4) => v4.to_ipv6_mapped().octets(),
-        IpAddr::V6(v6) => v6.octets(),
     }
 }
 
@@ -227,7 +196,7 @@ impl SocketReport {
     pub fn decode(payload: &[u8]) -> Result<Self, ReportParseError> {
         let (header, mut buf) = Header::parse(payload)?;
         let stream = if header.v2 {
-            match get_uleb128(&mut buf)? {
+            match read_uleb128(&mut buf)? {
                 0 => None,
                 n if n <= u64::from(u32::MAX) => Some((n - 1) as u32),
                 _ => {
@@ -240,7 +209,7 @@ impl SocketReport {
         } else {
             None
         };
-        let count = get_uleb128(&mut buf)? as usize;
+        let count = read_uleb128(&mut buf)? as usize;
         if count > payload.len() {
             return Err(ReportParseError::new(
                 ReportErrorKind::Malformed,
@@ -249,7 +218,7 @@ impl SocketReport {
         }
         let mut frames = Vec::with_capacity(count);
         for _ in 0..count {
-            let len = get_uleb128(&mut buf)? as usize;
+            let len = read_uleb128(&mut buf)? as usize;
             if buf.len() < len {
                 return Err(ReportParseError::new(
                     ReportErrorKind::Truncated,

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use spector_dex::model::SigIndex;
 use spector_dex::sha256::Digest;
-use spector_netsim::packet::SocketPair;
+use spector_netsim::packet::{v6_octets, SocketPair};
 use spector_netsim::SocketId;
 use spector_runtime::{HookContext, RuntimeHook};
 use spector_sampling::{should_sample, BudgetState, SamplingConfig, SamplingLedger};
@@ -39,10 +39,6 @@ pub struct SupervisorConfig {
     pub collector_ip: Ipv4Addr,
     /// Collection server UDP port.
     pub collector_port: u16,
-    /// Instrumentation latency added per hooked connection, in
-    /// microseconds. The paper measured a 0.5 ms (9.75 %) worst-case
-    /// per-request delay; the default models a typical 300 µs.
-    pub hook_latency_micros: u64,
     /// Sampled-tracing settings. The default is exact (rate 1.0, no
     /// budget), in which case the supervisor's wire behavior is
     /// byte-identical to a build without the sampling layer.
@@ -54,7 +50,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             collector_ip: Ipv4Addr::new(10, 0, 2, 2),
             collector_port: 47_000,
-            hook_latency_micros: 300,
             sampling: SamplingConfig::default(),
         }
     }
@@ -70,6 +65,11 @@ pub struct SocketSupervisor {
     ledger: SamplingLedger,
     budget: BudgetState,
 }
+
+/// Instrumentation latency added per hooked connection, in
+/// microseconds. The paper measured a 0.5 ms (9.75 %) worst-case
+/// per-request delay; this models a typical 300 µs.
+const HOOK_LATENCY_MICROS: u64 = 300;
 
 impl SocketSupervisor {
     /// Creates a supervisor for an app with the given apk checksum and
@@ -114,14 +114,10 @@ impl SocketSupervisor {
                 key
             }
             (src, dst) => {
-                let widen = |ip: IpAddr| match ip {
-                    IpAddr::V4(v4) => v4.to_ipv6_mapped().octets(),
-                    IpAddr::V6(v6) => v6.octets(),
-                };
                 let mut key = Vec::with_capacity(36);
-                key.extend_from_slice(&widen(src));
+                key.extend_from_slice(&v6_octets(src));
                 key.extend_from_slice(&canonical.src_port.to_be_bytes());
-                key.extend_from_slice(&widen(dst));
+                key.extend_from_slice(&v6_octets(dst));
                 key.extend_from_slice(&canonical.dst_port.to_be_bytes());
                 key
             }
@@ -183,9 +179,7 @@ impl SocketSupervisor {
             frames,
         };
         // Model the measured instrumentation latency on the request path.
-        ctx.net
-            .clock()
-            .advance_micros(self.config.hook_latency_micros);
+        ctx.net.clock().advance_micros(HOOK_LATENCY_MICROS);
         ctx.net.udp_send(
             self.config.collector_ip,
             self.config.collector_port,

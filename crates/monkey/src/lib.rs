@@ -10,8 +10,8 @@
 //!   activities, their `onCreate` chains, and the handler methods their
 //!   widgets dispatch to;
 //! * [`monkey`] — the seeded random event generator with the stock
-//!   monkey's event classes (touch, motion, key, app switch, …),
-//!   configurable event count and throttle.
+//!   monkey's event classes (touch, motion, key, app switch, …), a
+//!   configurable event count and the paper's fixed 500 ms throttle.
 //!
 //! # Examples
 //!
@@ -20,7 +20,7 @@
 //! use spector_monkey::ui::UiModel;
 //! # fn demo(manifest: &spector_dex::Manifest, runtime: &mut spector_runtime::Runtime) {
 //! let ui = UiModel::from_manifest(manifest);
-//! let mut monkey = Monkey::new(MonkeyConfig { events: 1_000, throttle_ms: 500, seed: 42, ..Default::default() });
+//! let mut monkey = Monkey::new(MonkeyConfig { events: 1_000, seed: 42 });
 //! let report = monkey.run(runtime, &ui);
 //! assert_eq!(report.events_issued, 1_000);
 //! # }

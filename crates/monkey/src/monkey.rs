@@ -33,24 +33,24 @@ pub enum EventKind {
 pub struct MonkeyConfig {
     /// Number of events to inject.
     pub events: u32,
-    /// Throttle between events, in milliseconds.
-    pub throttle_ms: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Probability that a touch lands on a live widget.
-    pub touch_hit_probability: f64,
 }
 
 impl Default for MonkeyConfig {
     fn default() -> Self {
         MonkeyConfig {
             events: 1_000,
-            throttle_ms: 500,
             seed: 0,
-            touch_hit_probability: 0.45,
         }
     }
 }
+
+/// Throttle between events, in milliseconds: the paper's 500 ms.
+const THROTTLE_MS: u64 = 500;
+
+/// Probability that a touch lands on a live widget.
+const TOUCH_HIT_PROBABILITY: f64 = 0.45;
 
 /// What a monkey run did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,10 +110,7 @@ impl Monkey {
 
         for _ in 0..self.config.events {
             report.events_issued += 1;
-            runtime
-                .net()
-                .clock()
-                .advance_millis(self.config.throttle_ms);
+            runtime.net().clock().advance_millis(THROTTLE_MS);
             let Some(&current) = activity_stack.last() else {
                 report.misses += 1;
                 continue;
@@ -122,7 +119,7 @@ impl Monkey {
             match self.pick_event() {
                 EventKind::Touch | EventKind::Motion => {
                     let hit = !activity.handlers.is_empty()
-                        && self.rng.gen::<f64>() < self.config.touch_hit_probability;
+                        && self.rng.gen::<f64>() < TOUCH_HIT_PROBABILITY;
                     if hit {
                         let idx = self.rng.gen_range(0..activity.handlers.len());
                         if runtime.invoke_entry(&activity.handlers[idx]) {
@@ -266,9 +263,7 @@ mod tests {
         let ui = UiModel::from_manifest(&manifest);
         let mut monkey = Monkey::new(MonkeyConfig {
             events: 100,
-            throttle_ms: 500,
             seed: 7,
-            ..Default::default()
         });
         let report = monkey.run(&mut rt, &ui);
         assert_eq!(report.events_issued, 100);
@@ -287,7 +282,6 @@ mod tests {
                 Monkey::new(MonkeyConfig {
                     events: 200,
                     seed: 99,
-                    ..Default::default()
                 })
                 .run(&mut rt, &ui)
             })
@@ -301,12 +295,7 @@ mod tests {
             let (dex, manifest) = app();
             let mut rt = runtime(dex);
             let ui = UiModel::from_manifest(&manifest);
-            Monkey::new(MonkeyConfig {
-                events: 300,
-                seed,
-                ..Default::default()
-            })
-            .run(&mut rt, &ui)
+            Monkey::new(MonkeyConfig { events: 300, seed }).run(&mut rt, &ui)
         };
         assert_ne!(run(1), run(2));
     }
@@ -319,12 +308,15 @@ mod tests {
         let mut monkey = Monkey::new(MonkeyConfig {
             events: 500,
             seed: 3,
-            ..Default::default()
         });
         let report = monkey.run(&mut rt, &ui);
         assert!(report.handlers_invoked > 0);
         // onCreate of Main ran, so it must appear in the trace.
-        let on_create = rt.dex().find_method(&sig("Main", "onCreate")).unwrap();
+        let on_create = rt
+            .dex()
+            .signatures()
+            .position(|s| *s == sig("Main", "onCreate"))
+            .unwrap() as u32;
         assert!(rt.method_trace().contains(on_create));
     }
 
@@ -337,7 +329,6 @@ mod tests {
         let report = Monkey::new(MonkeyConfig {
             events: 50,
             seed: 1,
-            ..Default::default()
         })
         .run(&mut rt, &ui);
         assert_eq!(report.misses, 50);
@@ -351,12 +342,7 @@ mod tests {
             let (dex, manifest) = app();
             let mut rt = runtime(dex);
             let ui = UiModel::from_manifest(&manifest);
-            Monkey::new(MonkeyConfig {
-                events,
-                seed: 5,
-                ..Default::default()
-            })
-            .run(&mut rt, &ui);
+            Monkey::new(MonkeyConfig { events, seed: 5 }).run(&mut rt, &ui);
             rt.method_trace().len()
         };
         assert!(coverage(2_000) >= coverage(10));

@@ -60,8 +60,9 @@ pub fn canonical_ip(ip: IpAddr) -> IpAddr {
 }
 
 /// The 16-byte on-wire form of an address inside an IPv6 header
-/// (v4 members travel v4-mapped).
-fn v6_octets(ip: IpAddr) -> [u8; 16] {
+/// (v4 members travel v4-mapped), also the v6 form the socket reports
+/// and the sampling key widen a v4 address to.
+pub fn v6_octets(ip: IpAddr) -> [u8; 16] {
     match ip {
         IpAddr::V4(v4) => v4.to_ipv6_mapped().octets(),
         IpAddr::V6(v6) => v6.octets(),

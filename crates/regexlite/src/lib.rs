@@ -1,17 +1,22 @@
-//! A minimal regular-expression engine for Libspector's rule matching.
+//! A minimal regular-expression engine: the reference Libspector's
+//! string rules are tested against.
 //!
-//! The Libspector pipeline uses regular expressions in two places:
+//! The paper states two of its rules as regular expressions:
 //!
 //! 1. filtering Android built-in packages out of socket stack traces
-//!    (`android.*`, `java.*`, `org.apache.http.*`, ...), and
+//!    (footnote 2: `android.*`, `java.*`, `org.apache.http.*`, ...), and
 //! 2. tokenizing VirusTotal-style domain category labels into the 17
 //!    generic categories of Table I (`ads`, `advert`, `marketing`, ...).
 //!
-//! Both rule sets only need a compact regex subset, which this crate
-//! implements as a classic Thompson construction executed by a Pike-style
-//! virtual machine. The engine is linear-time in `pattern_len * input_len`
-//! and never backtracks, so pathological rule inputs cannot blow up the
-//! large-scale analysis.
+//! The product matches both as the literal lists they alternate (the
+//! footnote 2 prefixes in `libspector::attribution`, the Table I token
+//! table in `spector_vtcat`); their tests compile the paper's patterns
+//! with this crate and hold the lists to them. No production crate
+//! depends on it.
+//!
+//! The engine is a classic Thompson construction executed by a
+//! Pike-style virtual machine. It is linear-time in
+//! `pattern_len * input_len` and never backtracks.
 //!
 //! Supported syntax: literals, `.`, character classes `[a-z0-9_]` (with
 //! negation `[^..]` and ranges), alternation `|`, grouping `(..)`,
@@ -103,88 +108,6 @@ impl Regex {
     /// engines), which keeps tokenization rules deterministic.
     pub fn find(&self, input: &str) -> Option<(usize, usize)> {
         vm::search(&self.program, input)
-    }
-}
-
-/// A set of named regex rules evaluated together.
-///
-/// The Table I tokenizer and the builtin-package filter both hold an
-/// ordered list of `(label, pattern)` rules; `RuleSet` compiles them once
-/// and answers "which labels match this input". Labels are returned in
-/// rule order, so majority-voting downstream is deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use spector_regexlite::RuleSet;
-///
-/// # fn main() -> Result<(), spector_regexlite::ParseError> {
-/// let rules = RuleSet::compile(&[("ads", "ads|advert"), ("games", "game")])?;
-/// assert_eq!(rules.matching_labels("in-game advertising"), vec!["ads", "games"]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct RuleSet {
-    rules: Vec<(String, Regex)>,
-}
-
-impl RuleSet {
-    /// Compiles all `(label, pattern)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ParseError`] encountered, if any pattern is
-    /// invalid.
-    pub fn compile<L, P>(rules: &[(L, P)]) -> Result<Self, ParseError>
-    where
-        L: AsRef<str>,
-        P: AsRef<str>,
-    {
-        let rules = rules
-            .iter()
-            .map(|(label, pattern)| {
-                Regex::new(pattern.as_ref()).map(|re| (label.as_ref().to_owned(), re))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RuleSet { rules })
-    }
-
-    /// Number of rules in the set.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Returns `true` if the set contains no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Labels of all rules whose pattern matches `input`, in rule order.
-    pub fn matching_labels(&self, input: &str) -> Vec<&str> {
-        self.rules
-            .iter()
-            .filter(|(_, re)| re.is_match(input))
-            .map(|(label, _)| label.as_str())
-            .collect()
-    }
-
-    /// Label of the first rule that matches `input`, if any.
-    pub fn first_match(&self, input: &str) -> Option<&str> {
-        self.rules
-            .iter()
-            .find(|(_, re)| re.is_match(input))
-            .map(|(label, _)| label.as_str())
-    }
-
-    /// Returns `true` if any rule matches `input`.
-    pub fn any_match(&self, input: &str) -> bool {
-        self.rules.iter().any(|(_, re)| re.is_match(input))
-    }
-
-    /// Iterates over `(label, regex)` pairs in rule order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Regex)> {
-        self.rules.iter().map(|(l, r)| (l.as_str(), r))
     }
 }
 
@@ -376,34 +299,6 @@ mod tests {
         assert!(r.is_match("foo"));
         assert!(r.is_match("bar"));
         assert!(!r.is_match("foobar"));
-    }
-
-    #[test]
-    fn ruleset_matching() {
-        let rules = RuleSet::compile(&[
-            ("adult", "adult|sex|porn|gambling"),
-            ("advertisements", "ads|advert|marketing|exposure"),
-            ("analytics", "analytics"),
-            ("games", "game"),
-        ])
-        .unwrap();
-        assert_eq!(rules.len(), 4);
-        assert!(!rules.is_empty());
-        assert_eq!(
-            rules.matching_labels("mobile game advertising"),
-            vec!["advertisements", "games"]
-        );
-        assert_eq!(rules.first_match("casino gambling"), Some("adult"));
-        assert!(rules.any_match("web analytics"));
-        assert!(!rules.any_match("weather"));
-        assert_eq!(rules.matching_labels("weather"), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn ruleset_iter_preserves_order() {
-        let rules = RuleSet::compile(&[("a", "x"), ("b", "y")]).unwrap();
-        let labels: Vec<_> = rules.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, vec!["a", "b"]);
     }
 
     #[test]

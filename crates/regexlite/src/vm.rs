@@ -315,10 +315,10 @@ mod tests {
         }
     }
 
-    /// The footnote 2 builtin filter as a regular expression (the
-    /// reference `libspector`'s attribution tests hold its literal
-    /// prefix match to) and the Table I tokenizer patterns
-    /// (`spector_vtcat::table1_patterns`), as they stand.
+    /// The footnote 2 builtin filter and the Table I patterns as
+    /// regular expressions: the references `libspector`'s attribution
+    /// tests hold the literal prefix match to, and `spector_vtcat`'s
+    /// tokenizer tests hold the token table to.
     const PATTERNS: &[&str] = &[
         r"^(android\.|dalvik\.|java\.|javax\.|junit\.|org\.apache\.http\.|org\.json\.|org\.w3c\.dom\.|org\.xml\.sax\.|org\.xmlpull\.v1\.|com\.android\.internal\.)",
         "adult|sex|obscene|personals|dating|porn|violence|lingerie|marijuana|alcohol|gambling",

@@ -15,9 +15,9 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 
 use spector_dex::model::{
-    Connector, DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, SigIndex, WireShape,
+    fnv1a, Connector, DexFile, Dispatcher, Instruction, MethodRef, NetworkOp, SigIndex, WireShape,
 };
-use spector_dex::sig::MethodSig;
+use spector_dex::sig::{dotted_package, MethodSig};
 use spector_netsim::shape::{encode_connect_preamble, encode_tls_hello, encode_tls_records};
 use spector_netsim::stack::{NetStack, SocketId};
 
@@ -472,19 +472,11 @@ fn build_http_request(
         Connector::ApacheHttp => "Apache-HttpClient/UNAVAILABLE (java 1.4)",
         Connector::DirectSocket => "raw",
     };
-    let domain_hash = fnv_mix(&op.domain);
+    let domain_hash = fnv1a(op.domain.bytes());
     let tagged = domain_hash % 100 < UA_TAGGED_PERCENT;
     let user_agent = match owner_frame.filter(|_| tagged) {
-        Some(frame) => {
-            // Drop the class+method components to tag with the package.
-            let parts: Vec<&str> = frame.split('.').collect();
-            let package = if parts.len() > 2 {
-                parts[..parts.len() - 2].join(".")
-            } else {
-                frame.to_owned()
-            };
-            format!("{client} {package}")
-        }
+        // Tag with the package, or the whole frame when it has none.
+        Some(frame) => format!("{client} {}", dotted_package(frame).unwrap_or(frame)),
         None => client.to_owned(),
     };
     let mut request = spector_netsim::http::HttpRequest {
@@ -500,15 +492,6 @@ fn build_http_request(
     let mut out = preamble.to_vec();
     request.encode_into(&mut out);
     out
-}
-
-fn fnv_mix(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Deterministic fallback address for unregistered domains (TEST-NET-3

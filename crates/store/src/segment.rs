@@ -771,29 +771,6 @@ impl<'a> SegmentView<'a> {
         })
     }
 
-    /// Per-library detect tiers of analysis row `i`, in stored
-    /// (BTreeMap) order.
-    pub fn tiers_of(&self, i: usize) -> impl Iterator<Item = (&'a str, DetectTier)> + '_ {
-        let start: usize = (0..i).map(|j| self.tier_counts.get(j) as usize).sum();
-        self.tier_entries(start, self.tier_counts.get(i) as usize)
-    }
-
-    /// Entries `start..start + count` of the tier column.
-    fn tier_entries(
-        &self,
-        start: usize,
-        count: usize,
-    ) -> impl Iterator<Item = (&'a str, DetectTier)> + '_ {
-        (start..start + count).map(|e| {
-            (
-                self.pool
-                    .get(self.tier_ids.get(e), "A12")
-                    .expect("validated"),
-                DetectTier::ALL[self.tier_bytes[e] as usize],
-            )
-        })
-    }
-
     /// Iterates the flow rows in append order (grouped by analysis),
     /// each with the index of its analysis row in this segment.
     pub fn flows(&self) -> FlowIter<'a, '_> {
@@ -840,12 +817,17 @@ impl<'a> SegmentView<'a> {
             .analyses()
             .enumerate()
             .map(|(i, row)| {
-                let count = self.tier_counts.get(i) as usize;
-                let per_library_tier: BTreeMap<String, DetectTier> = self
-                    .tier_entries(tier_start, count)
-                    .map(|(library, tier)| (library.to_owned(), tier))
+                let tiers = tier_start..tier_start + self.tier_counts.get(i) as usize;
+                tier_start = tiers.end;
+                let per_library_tier: BTreeMap<String, DetectTier> = tiers
+                    .map(|e| {
+                        let library = self.pool.get(self.tier_ids.get(e), "A12");
+                        (
+                            library.expect("validated").to_owned(),
+                            DetectTier::ALL[self.tier_bytes[e] as usize],
+                        )
+                    })
                     .collect();
-                tier_start += count;
                 (
                     row.app_index,
                     AppAnalysis {
@@ -1080,7 +1062,7 @@ mod tests {
     }
 
     #[test]
-    fn materialized_tiers_equal_each_rows_tiers_of() {
+    fn materialized_tiers_round_trip_per_row() {
         // Rows with no tiers, one tier and many, in an order where a
         // wrong running offset would shift a later row's tiers.
         let tiers = |n: usize| {
@@ -1103,12 +1085,8 @@ mod tests {
         let bytes = builder.seal(1, 0);
         let view = SegmentView::parse(&bytes).unwrap();
         let materialized = view.materialize();
+        assert_eq!(materialized.len(), analyses.len());
         for (i, (_, analysis)) in materialized.iter().enumerate() {
-            let expected: BTreeMap<String, DetectTier> = view
-                .tiers_of(i)
-                .map(|(library, tier)| (library.to_owned(), tier))
-                .collect();
-            assert_eq!(analysis.detect.per_library_tier, expected, "row {i}");
             assert_eq!(*analysis, analyses[i], "row {i}");
         }
     }

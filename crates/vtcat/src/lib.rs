@@ -10,8 +10,10 @@
 //! This crate implements:
 //!
 //! * [`DomainCategory`] — the 17 generic categories;
-//! * [`Tokenizer`] — the Table I patterns compiled with
-//!   [`spector_regexlite`] plus the majority-vote classifier;
+//! * [`Tokenizer`] — Table I as the token lists its patterns alternate
+//!   (a few short tokens count only as whole words) plus the
+//!   majority-vote classifier; its tests compile the patterns
+//!   themselves with `spector_regexlite` and hold the table to them;
 //! * [`VendorOracle`] — the VirusTotal stand-in: a deterministic,
 //!   seedable source of noisy multi-vendor labels for a domain whose
 //!   true category is known to the workload generator (vendors disagree,
@@ -24,4 +26,4 @@ pub mod tokenizer;
 
 pub use category::DomainCategory;
 pub use oracle::VendorOracle;
-pub use tokenizer::{table1_patterns, Tokenizer};
+pub use tokenizer::Tokenizer;

@@ -3,128 +3,63 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use spector_regexlite::{ParseError, RuleSet};
-
 use crate::category::DomainCategory;
 
-/// The Table I regular-expression patterns, one per generic category,
-/// in table row order. Short tokens that would over-match as bare
-/// substrings (`im`, `tv`, `bot`) are word-bounded; everything else is
-/// the table's substring alternation verbatim.
-pub fn table1_patterns() -> Vec<(DomainCategory, String)> {
-    let word = |t: &str| format!("(^|[^a-z]){t}([^a-z]|$)");
-    vec![
-        (
-            DomainCategory::Adult,
-            "adult|sex|obscene|personals|dating|porn|violence|lingerie|marijuana|alcohol|gambling"
-                .to_owned(),
-        ),
-        (
-            DomainCategory::Advertisements,
-            "ads|advert|marketing|exposure".to_owned(),
-        ),
-        (DomainCategory::Analytics, "analytics".to_owned()),
-        (
-            DomainCategory::BusinessAndFinance,
-            "busines|financ|shop|bank|trading|estate|auctions|professional".to_owned(),
-        ),
-        (
-            DomainCategory::Cdn,
-            "proxy|dns|content|delivery".to_owned(),
-        ),
-        (
-            DomainCategory::Communication,
-            format!(
-                "{}|chat|mail|{}|radio|{}|forum|telephony|portal|{}",
-                word("im"),
-                word("text"),
-                word("tv"),
-                word("file"),
-            ),
-        ),
-        (
-            DomainCategory::Education,
-            "education|reference".to_owned(),
-        ),
-        (
-            DomainCategory::Entertainment,
-            "entertainment|sport|videos|streaming|pay-to-surf".to_owned(),
-        ),
-        (DomainCategory::Games, "game".to_owned()),
-        (
-            DomainCategory::Health,
-            "health|medication|nutrition".to_owned(),
-        ),
-        (
-            DomainCategory::InfoTech,
-            "information|technology|computersandsoftware|dynamic content".to_owned(),
-        ),
-        (
-            DomainCategory::InternetServices,
-            "hosting|url-shortening|search|download|collaboration|parked|online|infrastructure|storage|security|surveillance|government"
-                .to_owned(),
-        ),
-        (
-            DomainCategory::Lifestyle,
-            "blog|hobbies|lifestyle|travel|cultur|religi|politic|restaurant|vehicles|philanthropic|event|advice"
-                .to_owned(),
-        ),
-        (
-            DomainCategory::Malicious,
-            format!(
-                "malicious|infected|{}|not recommended|illegal|hack|compromised|suspicious content",
-                word("bot"),
-            ),
-        ),
-        (
-            DomainCategory::News,
-            "news|tabloids|journals".to_owned(),
-        ),
-        (DomainCategory::SocialNetworks, "social".to_owned()),
-    ]
-}
+/// Table I as the token lists its patterns alternate, one row per
+/// generic category in table row order. A label matches a row when,
+/// lowercased, it contains one of the row's tokens, or one of its
+/// whole-word tokens with no `a`–`z` byte on either side. The short
+/// tokens that would over-match as bare substrings (`im` in
+/// `animation`, `text` in `context`, `file` in `profile`, `bot` in
+/// `robot`, and `tv`) are the whole-word ones.
+#[rustfmt::skip]
+const TABLE1: [(DomainCategory, &[&str], &[&str]); 16] = [
+    (DomainCategory::Adult, &[
+        "adult", "sex", "obscene", "personals", "dating", "porn", "violence", "lingerie",
+        "marijuana", "alcohol", "gambling",
+    ], &[]),
+    (DomainCategory::Advertisements, &["ads", "advert", "marketing", "exposure"], &[]),
+    (DomainCategory::Analytics, &["analytics"], &[]),
+    (DomainCategory::BusinessAndFinance, &[
+        "busines", "financ", "shop", "bank", "trading", "estate", "auctions", "professional",
+    ], &[]),
+    (DomainCategory::Cdn, &["proxy", "dns", "content", "delivery"], &[]),
+    (DomainCategory::Communication, &[
+        "chat", "mail", "radio", "forum", "telephony", "portal",
+    ], &["im", "text", "tv", "file"]),
+    (DomainCategory::Education, &["education", "reference"], &[]),
+    (DomainCategory::Entertainment, &[
+        "entertainment", "sport", "videos", "streaming", "pay-to-surf",
+    ], &[]),
+    (DomainCategory::Games, &["game"], &[]),
+    (DomainCategory::Health, &["health", "medication", "nutrition"], &[]),
+    (DomainCategory::InfoTech, &[
+        "information", "technology", "computersandsoftware", "dynamic content",
+    ], &[]),
+    (DomainCategory::InternetServices, &[
+        "hosting", "url-shortening", "search", "download", "collaboration", "parked", "online",
+        "infrastructure", "storage", "security", "surveillance", "government",
+    ], &[]),
+    (DomainCategory::Lifestyle, &[
+        "blog", "hobbies", "lifestyle", "travel", "cultur", "religi", "politic", "restaurant",
+        "vehicles", "philanthropic", "event", "advice",
+    ], &[]),
+    (DomainCategory::Malicious, &[
+        "malicious", "infected", "not recommended", "illegal", "hack", "compromised",
+        "suspicious content",
+    ], &["bot"]),
+    (DomainCategory::News, &["news", "tabloids", "journals"], &[]),
+    (DomainCategory::SocialNetworks, &["social"], &[]),
+];
 
-/// The compiled tokenizer + majority-vote classifier.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    rules: RuleSet,
-    categories: Vec<DomainCategory>,
-}
-
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The Table I tokenizer + majority-vote classifier.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// Compiles the Table I rule set.
-    ///
-    /// # Panics
-    ///
-    /// Never in practice — the built-in patterns are valid; kept
-    /// non-fallible so call sites stay clean.
+    /// The Table I tokenizer.
     pub fn new() -> Self {
-        Self::try_new().expect("table 1 patterns are valid")
-    }
-
-    /// Fallible constructor exposed for completeness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern compilation failures.
-    pub fn try_new() -> Result<Self, ParseError> {
-        let patterns = table1_patterns();
-        let rules = RuleSet::compile(
-            &patterns
-                .iter()
-                .map(|(cat, p)| (cat.label(), p.as_str()))
-                .collect::<Vec<_>>(),
-        )?;
-        Ok(Tokenizer {
-            rules,
-            categories: patterns.into_iter().map(|(c, _)| c).collect(),
-        })
+        Tokenizer
     }
 
     /// Tokenizes one raw vendor label into all matching generic
@@ -132,22 +67,13 @@ impl Tokenizer {
     /// label is lowercased first). An empty result means the label only
     /// fits `unknown`.
     pub fn tokenize(&self, raw_label: &str) -> Vec<DomainCategory> {
-        let tokens = self.tokens(raw_label);
-        self.categories
+        let tokens = tokens(raw_label);
+        TABLE1
             .iter()
-            .copied()
-            .filter(|&cat| tokens >> slot(cat) & 1 == 1)
+            .enumerate()
+            .filter(|&(row, _)| tokens >> row & 1 == 1)
+            .map(|(_, &(category, ..))| category)
             .collect()
-    }
-
-    /// [`tokenize`](Self::tokenize) as a [`Tokens`] set.
-    fn tokens(&self, raw_label: &str) -> Tokens {
-        let lowered = raw_label.to_lowercase();
-        self.categories
-            .iter()
-            .zip(self.rules.iter())
-            .filter(|(_, (_, re))| re.is_match(&lowered))
-            .fold(0, |tokens, (&cat, _)| tokens | 1 << slot(cat))
     }
 
     /// Classifies a domain from its full set of vendor labels: tokenize
@@ -155,11 +81,7 @@ impl Tokenizer {
     /// categories (ties broken by Table I order; no tokens at all →
     /// [`DomainCategory::Unknown`]).
     pub fn classify<S: AsRef<str>>(&self, vendor_labels: &[S]) -> DomainCategory {
-        vote(
-            vendor_labels
-                .iter()
-                .map(|label| self.tokens(label.as_ref())),
-        )
+        vote(vendor_labels.iter().map(|label| tokens(label.as_ref())))
     }
 
     /// [`classify`](Self::classify) over a whole domain table, keyed as
@@ -180,7 +102,7 @@ impl Tokenizer {
             .map(|(domain, labels)| {
                 let category = vote(labels.iter().map(|label| {
                     let label = label.as_ref();
-                    *seen.entry(label).or_insert_with(|| self.tokens(label))
+                    *seen.entry(label).or_insert_with(|| tokens(label))
                 }));
                 (domain, category)
             })
@@ -188,43 +110,207 @@ impl Tokenizer {
     }
 }
 
-/// The generic categories one label tokenized to: bit `i` stands for
-/// `DomainCategory::ALL[i]`.
-type Tokens = u32;
+/// The Table I rows one label matches: bit `i` stands for `TABLE1[i]`.
+type Tokens = u16;
 
-/// Index of `cat` in [`DomainCategory::ALL`].
-fn slot(cat: DomainCategory) -> usize {
-    DomainCategory::ALL
+/// [`Tokenizer::tokenize`] as a [`Tokens`] set.
+fn tokens(raw_label: &str) -> Tokens {
+    let label = raw_label.to_lowercase();
+    TABLE1
         .iter()
-        .position(|&c| c == cat)
-        .expect("category is in ALL")
+        .enumerate()
+        .filter(|(_, (_, tokens, words))| {
+            tokens.iter().any(|token| label.contains(token))
+                || words.iter().any(|word| has_word(&label, word))
+        })
+        .fold(0, |matched, (row, _)| matched | 1 << row)
+}
+
+/// `true` when `word` occurs in `label` with no `a`–`z` byte next to it.
+/// A multi-byte character next to it has no ASCII byte, so it is not a
+/// letter here, as `[^a-z]` reads it. Two occurrences of a word that
+/// overlap touch each other's letters, so the non-overlapping
+/// occurrences are all the candidates.
+fn has_word(label: &str, word: &str) -> bool {
+    let letter = |i: usize| label.as_bytes().get(i).is_some_and(u8::is_ascii_lowercase);
+    label
+        .match_indices(word)
+        .any(|(at, _)| !at.checked_sub(1).is_some_and(letter) && !letter(at + word.len()))
 }
 
 /// The majority vote over the tokens of a domain's labels: the category
 /// named by most labels, ties broken by Table I order, and
 /// [`DomainCategory::Unknown`] when no label produced a token.
 fn vote(labels: impl Iterator<Item = Tokens>) -> DomainCategory {
-    let mut votes = [0usize; DomainCategory::ALL.len()];
+    let mut votes = [0usize; TABLE1.len()];
     for tokens in labels {
-        for (idx, count) in votes.iter_mut().enumerate() {
-            *count += (tokens >> idx & 1) as usize;
+        for (row, count) in votes.iter_mut().enumerate() {
+            *count += usize::from(tokens >> row & 1);
         }
     }
-    let (best_idx, &best_votes) = votes
+    let (best_row, &best_votes) = votes
         .iter()
         .enumerate()
-        .max_by_key(|&(idx, &v)| (v, usize::MAX - idx))
+        .max_by_key(|&(row, &v)| (v, usize::MAX - row))
         .expect("votes is non-empty");
     if best_votes == 0 {
         DomainCategory::Unknown
     } else {
-        DomainCategory::ALL[best_idx]
+        TABLE1[best_row].0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use spector_regexlite::Regex;
+
+    /// The Table I patterns, verbatim, as the regular expressions the
+    /// tokenizer once ran: the reference the token table is held to.
+    /// Short tokens that would over-match as bare substrings are
+    /// word-bounded; everything else is the table's substring
+    /// alternation.
+    fn table1_patterns() -> [(DomainCategory, &'static str); 16] {
+        [
+            (
+                DomainCategory::Adult,
+                "adult|sex|obscene|personals|dating|porn|violence|lingerie|marijuana|alcohol|gambling",
+            ),
+            (DomainCategory::Advertisements, "ads|advert|marketing|exposure"),
+            (DomainCategory::Analytics, "analytics"),
+            (
+                DomainCategory::BusinessAndFinance,
+                "busines|financ|shop|bank|trading|estate|auctions|professional",
+            ),
+            (DomainCategory::Cdn, "proxy|dns|content|delivery"),
+            (
+                DomainCategory::Communication,
+                "(^|[^a-z])im([^a-z]|$)|chat|mail|(^|[^a-z])text([^a-z]|$)|radio|(^|[^a-z])tv([^a-z]|$)|forum|telephony|portal|(^|[^a-z])file([^a-z]|$)",
+            ),
+            (DomainCategory::Education, "education|reference"),
+            (
+                DomainCategory::Entertainment,
+                "entertainment|sport|videos|streaming|pay-to-surf",
+            ),
+            (DomainCategory::Games, "game"),
+            (DomainCategory::Health, "health|medication|nutrition"),
+            (
+                DomainCategory::InfoTech,
+                "information|technology|computersandsoftware|dynamic content",
+            ),
+            (
+                DomainCategory::InternetServices,
+                "hosting|url-shortening|search|download|collaboration|parked|online|infrastructure|storage|security|surveillance|government",
+            ),
+            (
+                DomainCategory::Lifestyle,
+                "blog|hobbies|lifestyle|travel|cultur|religi|politic|restaurant|vehicles|philanthropic|event|advice",
+            ),
+            (
+                DomainCategory::Malicious,
+                "malicious|infected|(^|[^a-z])bot([^a-z]|$)|not recommended|illegal|hack|compromised|suspicious content",
+            ),
+            (DomainCategory::News, "news|tabloids|journals"),
+            (DomainCategory::SocialNetworks, "social"),
+        ]
+    }
+
+    /// The bounds a reference pattern puts around a whole-word token.
+    const WORD_START: &str = "(^|[^a-z])";
+    const WORD_END: &str = "([^a-z]|$)";
+
+    /// Every token the reference patterns alternate.
+    fn reference_tokens() -> Vec<String> {
+        table1_patterns()
+            .iter()
+            .flat_map(|(_, pattern)| {
+                let plain = pattern.replace(WORD_START, "").replace(WORD_END, "");
+                plain.split('|').map(str::to_owned).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// The reference patterns' whole-word tokens.
+    fn reference_words() -> Vec<&'static str> {
+        table1_patterns()
+            .iter()
+            .flat_map(|(_, pattern)| pattern.split(WORD_START).skip(1))
+            .map(|rest| &rest[..rest.find(WORD_END).expect("bounded on both sides")])
+            .collect()
+    }
+
+    /// Labels built from every token of either side; whole-word tokens
+    /// with a letter glued on either side (`aim`, `context`, `robot`,
+    /// `profile`), also before a free occurrence of the same word, and
+    /// between multi-byte characters; separators, digits and `\n`; upper
+    /// case (`İ` lowercases to two chars, `ß` uppercases to two); other
+    /// multi-byte characters.
+    fn label() -> impl Strategy<Value = String> {
+        let word = prop::sample::select(reference_words());
+        let letter = prop::sample::select(('a'..='z').collect::<Vec<_>>());
+        let glued = (word.clone(), letter, 0..3u8).prop_map(|(word, c, side)| {
+            let glued = match side {
+                0 => format!("{c}{word}"),
+                1 => format!("{word}{c}"),
+                _ => format!("{c}{word}{c}"),
+            };
+            (glued, word)
+        });
+        let separator = prop::sample::select(vec![" ", "-", ".", "/", "_", ",", "0", "7", "\n"]);
+        let wide = prop::sample::select(vec!["é", "ß", "İ", "ä", "Ω", "日", "\u{307}", "\u{212a}"]);
+        // The token table's own tokens too, so a token only one side
+        // holds shows.
+        let table_tokens: Vec<&str> = TABLE1
+            .iter()
+            .flat_map(|(_, tokens, words)| tokens.iter().chain(words.iter()))
+            .copied()
+            .collect();
+        let piece = prop_oneof![
+            prop::sample::select(reference_tokens()),
+            prop::sample::select(table_tokens).prop_map(str::to_owned),
+            word.clone().prop_map(str::to_owned),
+            glued.clone().prop_map(|(glued, _)| glued),
+            // A glued occurrence before a free one of the same word.
+            (glued, separator.clone())
+                .prop_map(|((glued, word), sep)| format!("{glued}{sep}{word}")),
+            (wide.clone(), word, wide.clone())
+                .prop_map(|(left, word, right)| format!("{left}{word}{right}")),
+            separator.prop_map(str::to_owned),
+            wide.prop_map(str::to_owned),
+            "[a-zA-Z]{1,3}",
+        ];
+        let cased =
+            (piece, any::<bool>())
+                .prop_map(|(piece, upper)| if upper { piece.to_uppercase() } else { piece });
+        proptest::collection::vec(cased, 0..8).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn token_table_equals_the_table1_regexes(label in label()) {
+            let lowered = label.to_lowercase();
+            let expected: Vec<DomainCategory> = table1_patterns()
+                .iter()
+                .filter(|(_, pattern)| Regex::new(pattern).unwrap().is_match(&lowered))
+                .map(|&(category, _)| category)
+                .collect();
+            prop_assert_eq!(Tokenizer::new().tokenize(&label), expected, "label {:?}", label);
+        }
+    }
+
+    #[test]
+    fn whole_word_tokens_are_lowercase_letters() {
+        // `has_word` relies on it: overlapping occurrences then touch
+        // each other's letters.
+        for (_, _, words) in TABLE1 {
+            for word in words {
+                assert!(word.bytes().all(|b| b.is_ascii_lowercase()), "{word}");
+            }
+        }
+    }
 
     #[test]
     fn tokenizes_paper_examples() {
@@ -306,6 +392,9 @@ mod tests {
         let cats: std::collections::HashSet<_> = patterns.iter().map(|(c, _)| *c).collect();
         assert_eq!(cats.len(), 16);
         assert!(!cats.contains(&DomainCategory::Unknown));
+        // The token table has the same rows in the same order.
+        let rows: Vec<_> = TABLE1.iter().map(|(c, ..)| *c).collect();
+        assert_eq!(rows, patterns.map(|(c, _)| c));
     }
 
     #[test]
