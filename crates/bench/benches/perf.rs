@@ -20,7 +20,7 @@ use spector_bench::{corpus, knowledge, throughput_fixture, THROUGHPUT_APPS};
 use spector_corpus::GeneratedApp;
 use spector_dex::model::{Dispatcher, NetworkOp, SigIndex};
 use spector_dex::sha256::Sha256;
-use spector_dex::{parse_dex, write_dex};
+use spector_dex::{parse_dex, write_dex, DexView, FeatureTable, PackageTree};
 use spector_hooks::report::SocketReport;
 use spector_hooks::supervisor::decode_reports_classified;
 use spector_netsim::clock::Clock;
@@ -262,6 +262,50 @@ fn bench_knowledge_build(c: &mut Criterion) {
                     .iter()
                     .map(|d| (d.name.clone(), d.vendor_labels.as_slice())),
             )
+        });
+    });
+    group.finish();
+}
+
+/// The steps of `Knowledge::from_corpus`'s per-app scan, each timed
+/// alone over the 50-app slice of [`slice`] (`elem/s` is apps per
+/// second): `dex_view` parses and validates every dex into its borrowed
+/// view, `package_tree` builds each view's package tree, and `detect`
+/// builds each app's feature table and runs both detection tiers over
+/// it, as the scan does on its threads.
+fn bench_knowledge_scan(c: &mut Criterion) {
+    let (corpus, _) = slice();
+    let views: Vec<DexView<'_>> = corpus
+        .apps
+        .iter()
+        .map(|app| app.apk.dex_view().unwrap())
+        .collect();
+    let mut group = c.benchmark_group("perf/knowledge");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(views.len() as u64));
+    group.bench_function("dex_view", |b| {
+        b.iter(|| {
+            for app in &corpus.apps {
+                std::hint::black_box(app.apk.dex_view().unwrap());
+            }
+        });
+    });
+    group.bench_function("package_tree", |b| {
+        b.iter(|| {
+            for view in &views {
+                std::hint::black_box(PackageTree::of_view(view));
+            }
+        });
+    });
+    group.bench_function("detect", |b| {
+        b.iter(|| {
+            for view in &views {
+                let mut table = FeatureTable::of_view(view);
+                std::hint::black_box((
+                    corpus.library_db.detect_in(&mut table),
+                    corpus.structural_index.detect_in(&mut table),
+                ));
+            }
         });
     });
     group.finish();
@@ -567,6 +611,7 @@ criterion_group!(
     bench_attribute,
     bench_analysis_throughput,
     bench_knowledge_build,
+    bench_knowledge_scan,
     bench_chaos_overhead,
     bench_telemetry_overhead,
     bench_substrates,

@@ -7,6 +7,13 @@
 //! (§III-F). `Knowledge` bundles those inputs; [`Knowledge::from_corpus`]
 //! performs the aggregation scan over a generated corpus.
 //!
+//! The scan reads each apk's dex once, as a borrowed
+//! [`DexView`](spector_dex::DexView) (no owned model, no `String` per
+//! method), and both detection tiers share one [`FeatureTable`] per
+//! app: each method's features are computed at most once, on first
+//! use, and a subtree is fingerprinted or profiled only when its size
+//! could match.
+//!
 //! Domain categories are precomputed once per campaign (the Table I
 //! tokenizer runs once per distinct vendor label, not once per *flow*)
 //! into [`Knowledge::domain_categories`]. Origin-library verdicts —
@@ -21,7 +28,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spector_corpus::Corpus;
-use spector_dex::features::PackageTree;
+use spector_dex::features::FeatureTable;
 use spector_libradar::{
     AggregatedLibraries, DetectTier, DetectedLibrary, LibCategory, LibraryLists, PrefixAliases,
     StructuralMatch,
@@ -94,17 +101,18 @@ impl Knowledge {
     /// classify every domain in the universe from its vendor labels
     /// directly (no intermediate per-domain label clone).
     ///
-    /// Both detection knowledge bases run per apk, over one package tree
-    /// of its dex. The exact fingerprint recognizes renamed library
-    /// copies; the structural index also recognizes mangled ones. Every
-    /// detection records the *canonical* name into the aggregate (so the
-    /// trie and the Listing 2 vote see canonical packages even when no
-    /// app ships them verbatim), and every non-identity `in_app_prefix`
-    /// becomes an alias the verdict cascade can resolve obfuscated
-    /// origins through. Apps are detected in parallel and merged in app
-    /// order, because a later alias for the same prefix overwrites an
-    /// earlier one. The domain classification runs on the same threads,
-    /// beside the detection.
+    /// Both detection knowledge bases run per apk, over one feature
+    /// table of its dex view (the package tree and each method's
+    /// features, computed once). The exact fingerprint recognizes
+    /// renamed library copies; the structural index also recognizes
+    /// mangled ones. Every detection records the *canonical* name into
+    /// the aggregate (so the trie and the Listing 2 vote see canonical
+    /// packages even when no app ships them verbatim), and every
+    /// non-identity `in_app_prefix` becomes an alias the verdict cascade
+    /// can resolve obfuscated origins through. Apps are detected in
+    /// parallel and merged in app order, because a later alias for the
+    /// same prefix overwrites an earlier one. The domain classification
+    /// runs on the same threads, beside the detection.
     pub fn from_corpus(corpus: &Corpus) -> Self {
         let mut aggregated = AggregatedLibraries::new();
         let mut exact_aliases = PrefixAliases::new();
@@ -211,13 +219,13 @@ fn scan(corpus: &Corpus) -> (Vec<AppDetections>, HashMap<String, DomainCategory>
             let Some(app) = corpus.apps.get(task - 1) else {
                 return (detections, domain_categories);
             };
-            let found = app.apk.dex().map_or_else(
+            let found = app.apk.dex_view().map_or_else(
                 |_| AppDetections::default(),
-                |dex| {
-                    let tree = PackageTree::new(&dex);
+                |view| {
+                    let mut table = FeatureTable::of_view(&view);
                     (
-                        corpus.library_db.detect_in(&dex, &tree),
-                        corpus.structural_index.detect_in(&dex, &tree),
+                        corpus.library_db.detect_in(&mut table),
+                        corpus.structural_index.detect_in(&mut table),
                     )
                 },
             );

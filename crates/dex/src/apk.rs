@@ -21,10 +21,11 @@ use std::fmt;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
-use crate::format::{parse_dex, write_dex, DexParseError};
+use crate::format::{write_dex, DexParseError};
 use crate::model::DexFile;
 use crate::sha256::{Digest, Sha256};
 use crate::sig::MethodSig;
+use crate::view::DexView;
 
 /// Magic bytes identifying the apk container format.
 pub const APK_MAGIC: &[u8; 8] = b"SAPK0001";
@@ -166,12 +167,22 @@ impl Apk {
     ///
     /// [`ApkError::Dex`] when `classes.dex` is missing or malformed.
     pub fn dex(&self) -> Result<DexFile, ApkError> {
+        Ok(self.dex_view()?.to_dex())
+    }
+
+    /// The borrowed, validated view of `classes.dex`: what
+    /// [`Apk::dex`] parses, before it is copied into an owned model.
+    ///
+    /// # Errors
+    ///
+    /// As [`Apk::dex`].
+    pub fn dex_view(&self) -> Result<DexView<'_>, ApkError> {
         let entry = self.entry("classes.dex").ok_or_else(|| {
             ApkError::Dex(DexParseError {
                 message: "missing classes.dex".into(),
             })
         })?;
-        Ok(parse_dex(&entry.data)?)
+        Ok(DexView::parse(&entry.data)?)
     }
 
     /// Native ABIs this apk ships shared libraries for, deduplicated in

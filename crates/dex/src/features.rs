@@ -25,7 +25,12 @@
 //!
 //! Detection profiles many prefixes of one dex; [`PackageTree`] indexes
 //! every package subtree of a dex once so that it does not rescan the
-//! method table per prefix.
+//! method table per prefix, and [`FeatureTable`] computes each method's
+//! features at most once, on first use, for both detection tiers: its
+//! exact-fingerprint line, descriptor shape, opcode histogram, distinct
+//! internal callees and class path. [`subtree_profile`] is the
+//! single-prefix profile over an owned dex, computed from scratch; the
+//! table's profiles equal it prefix for prefix.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -33,8 +38,9 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DexFile, Instruction, MethodRef, FNV_OFFSET, FNV_PRIME};
-use crate::sig::MethodSig;
+use crate::model::{DexFile, MethodRef, FNV_OFFSET, FNV_PRIME};
+use crate::sig::{self, MethodSig};
+use crate::view::{DexView, InstructionRef, TargetRef};
 
 /// A structural profile of one package subtree: a sorted multiset of
 /// hashed features.
@@ -66,27 +72,98 @@ impl StructuralProfile {
 }
 
 /// Incremental FNV-1a over tagged feature components.
+#[derive(Clone, Copy)]
 struct FeatureHasher(u64);
 
 impl FeatureHasher {
-    fn new(tag: &str) -> Self {
-        let mut h = FeatureHasher(FNV_OFFSET);
-        h.bytes(tag.as_bytes());
-        h
+    const fn new(tag: &str) -> Self {
+        FeatureHasher(FNV_OFFSET).bytes(tag.as_bytes())
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    const fn bytes(mut self, bytes: &[u8]) -> Self {
+        let mut at = 0;
+        while at < bytes.len() {
+            self.0 = (self.0 ^ bytes[at] as u64).wrapping_mul(FNV_PRIME);
+            at += 1;
+        }
+        self
+    }
+
+    const fn num(self, v: u64) -> Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// The invoke-degree feature of a method with `out` and `into` distinct
+/// intra-subtree edges, each capped at 3.
+const fn degree_feature(out: u64, into: u64) -> u64 {
+    const fn cap(v: u64) -> u64 {
+        if v < 3 {
+            v
+        } else {
+            3
         }
     }
+    FeatureHasher::new("deg")
+        .num(cap(out))
+        .num(cap(into))
+        .finish()
+}
 
-    fn num(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+/// [`degree_feature`] of every capped `(out, into)`, at `4 · out + into`.
+const DEGREE_FEATURES: [u64; 16] = {
+    let mut table = [0; 16];
+    let mut at = 0;
+    while at < 16 {
+        table[at] = degree_feature(at as u64 / 4, at as u64 % 4);
+        at += 1;
     }
+    table
+};
 
-    fn finish(self) -> u64 {
-        self.0
+/// The abstracted-signature feature: relative depth × descriptor shape.
+fn signature_feature(depth: u64, shape: &[u8]) -> u64 {
+    FeatureHasher::new("sig").num(depth).bytes(shape).finish()
+}
+
+/// The opcode-histogram feature: the shape and the counts of internal
+/// and external invokes, async invokes, network ops and returns.
+/// Nop/Const are junk-injection targets and deliberately uncounted.
+fn opcode_feature(shape: &[u8], counts: [u64; 5]) -> u64 {
+    let mut h = FeatureHasher::new("opc").bytes(shape);
+    for v in counts {
+        h = h.num(v);
+    }
+    h.finish()
+}
+
+/// The subtree totals: cross-class edges and method count, each
+/// log2-bucketed.
+fn total_features(cross_class_edges: u64, methods: usize) -> [u64; 2] {
+    [
+        FeatureHasher::new("xce")
+            .num(log2_bucket(cross_class_edges))
+            .finish(),
+        FeatureHasher::new("cnt")
+            .num(log2_bucket(methods as u64))
+            .finish(),
+    ]
+}
+
+/// The opcode-histogram slot of an instruction (internal invoke,
+/// external invoke, async invoke, network op, return), if it has one.
+fn histogram_slot(inst: InstructionRef<'_>) -> Option<usize> {
+    match inst {
+        InstructionRef::Invoke(TargetRef::Internal(_)) => Some(0),
+        InstructionRef::Invoke(TargetRef::External(_)) => Some(1),
+        InstructionRef::InvokeAsync { .. } => Some(2),
+        InstructionRef::Network(_) => Some(3),
+        InstructionRef::Return => Some(4),
+        InstructionRef::Nop | InstructionRef::Const(_) => None,
     }
 }
 
@@ -109,25 +186,30 @@ impl FeatureHasher {
 /// );
 /// ```
 pub fn shape_of(descriptor: &str) -> String {
-    let mut out = String::with_capacity(descriptor.len());
+    let mut out = Vec::with_capacity(descriptor.len());
+    push_shape(descriptor, &mut out);
+    String::from_utf8(out).expect("a shape keeps whole chars")
+}
+
+/// Appends the [`shape_of`] `descriptor` to `out`.
+fn push_shape(descriptor: &str, out: &mut Vec<u8>) {
     let bytes = descriptor.as_bytes();
     let mut idx = 0;
     while idx < bytes.len() {
         match bytes[idx] {
             b'L' => {
-                out.push('L');
+                out.push(b'L');
                 while idx < bytes.len() && bytes[idx] != b';' {
                     idx += 1;
                 }
                 idx += 1; // past ';'
             }
             other => {
-                out.push(other as char);
+                out.push(other);
                 idx += 1;
             }
         }
     }
-    out
 }
 
 /// A package path byte as the dotted package reads it: `/` as `.`.
@@ -218,35 +300,39 @@ fn cmp_dotted(a: &str, b: &str) -> Ordering {
     a.bytes().map(dotted).cmp(b.bytes().map(dotted))
 }
 
-/// The package hierarchy of one dex: its distinct packages, each with
-/// its methods, and every package prefix (each hierarchy level of each
-/// package) with the packages in its subtree.
+/// The package hierarchy of one dex: its distinct package paths, each
+/// with its methods, and every package prefix (each hierarchy level of
+/// each path) with the paths in its subtree.
 ///
 /// The tree borrows each method's package path from its smali and
-/// counts every subtree from the per-package method lists; a subtree's
-/// method indices are listed only when asked for
-/// ([`Subtree::members`]), so detection lists only the subtrees its
-/// size bounds let through.
+/// groups methods by hashing their paths (dex order does not group
+/// them). Every path is rendered dotted once, into one buffer; the
+/// levels of those renderings are sorted and grouped as bytes, so
+/// `com/foo` and `com.foo` fall under one prefix. Every subtree is
+/// counted from the per-path method lists; a subtree's method indices
+/// are listed only when asked for ([`Subtree::members`]), so detection
+/// lists only the subtrees its size checks let through.
 #[derive(Debug, Clone)]
 pub struct PackageTree<'a> {
     /// Package path of every method as its smali writes it, by method
     /// index.
     paths: Vec<&'a str>,
-    /// The ascending method indices of each distinct package, packages
-    /// in dotted order.
-    packages: Vec<Vec<u32>>,
+    /// The methods of every distinct path, each path's ascending.
+    methods: Vec<u32>,
+    /// Where each path's methods start in `methods`, and the end.
+    package_starts: Vec<u32>,
     /// Every package prefix, in dotted order.
     prefixes: Vec<Prefix<'a>>,
-    /// The packages of each prefix's subtree, one range per prefix.
+    /// The paths of each prefix's subtree, one range per prefix.
     under: Vec<u32>,
 }
 
 /// One package prefix of a [`PackageTree`].
 #[derive(Debug, Clone)]
 struct Prefix<'a> {
-    /// The prefix as the smali of one package under it writes it.
+    /// The prefix as the smali of one path under it writes it.
     path: &'a str,
-    /// Its subtree's packages: a range of `PackageTree::under`.
+    /// Its subtree's paths: a range of `PackageTree::under`.
     packages: Range<usize>,
     /// Number of methods in its subtree.
     methods: usize,
@@ -258,66 +344,96 @@ impl<'a> PackageTree<'a> {
     /// empty prefix's, and only a package with a leading dot creates
     /// that one.
     pub fn new(dex: &'a DexFile) -> Self {
-        let paths: Vec<&str> = dex.methods.iter().map(|m| m.sig.parts().0).collect();
-        let mut by_path: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (i, &path) in paths.iter().enumerate() {
-            by_path.entry(path).or_default().push(i as u32);
+        PackageTree::from_paths(dex.methods.iter().map(|m| m.sig.parts().0).collect())
+    }
+
+    /// [`PackageTree::new`] over a dex view.
+    pub fn of_view(view: &DexView<'a>) -> Self {
+        PackageTree::from_paths(view.signatures().map(|s| sig::parts_of(s).0).collect())
+    }
+
+    fn from_paths(paths: Vec<&'a str>) -> Self {
+        // Distinct paths in first-seen order, and each method's.
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let path_of: Vec<u32> = paths
+            .iter()
+            .map(|&path| {
+                *ids.entry(path).or_insert_with(|| {
+                    distinct.push(path);
+                    distinct.len() as u32 - 1
+                })
+            })
+            .collect();
+        // Each path's methods, ascending, by a counting sort.
+        let mut package_starts = vec![0u32; distinct.len() + 1];
+        for &path in &path_of {
+            package_starts[path as usize + 1] += 1;
         }
-        // Paths that read alike dotted are one package.
-        let mut by_path: Vec<(&str, Vec<u32>)> = by_path.into_iter().collect();
-        by_path.sort_unstable_by(|a, b| cmp_dotted(a.0, b.0).then(a.0.cmp(b.0)));
-        let mut by_package: Vec<(&str, Vec<u32>)> = Vec::with_capacity(by_path.len());
-        for (path, methods) in by_path {
-            match by_package.last_mut() {
-                Some((last, members)) if cmp_dotted(last, path).is_eq() => {
-                    members.extend(methods);
-                    members.sort_unstable();
-                }
-                _ => by_package.push((path, methods)),
-            }
+        for at in 1..package_starts.len() {
+            package_starts[at] += package_starts[at - 1];
         }
-        // Every prefix of every package: its path up to each separator,
-        // and the whole path. By `in_subtree`, the empty prefix (made
-        // by a leading dot) holds the default package too.
-        let leading_dot = by_package.iter().any(|(path, _)| path.starts_with('.'));
-        let mut levels: Vec<(&str, u32)> = Vec::new();
-        for (id, &(path, _)) in by_package.iter().enumerate() {
-            let id = id as u32;
+        let mut fill = package_starts.clone();
+        let mut methods = vec![0u32; paths.len()];
+        for (method, &path) in path_of.iter().enumerate() {
+            methods[fill[path as usize] as usize] = method as u32;
+            fill[path as usize] += 1;
+        }
+        // Every level of every path's dotted rendering: up to each
+        // separator, and the whole of it. The empty prefix (made by a
+        // leading dot) also holds the default package.
+        let leading_dot = distinct.iter().any(|path| path.starts_with('.'));
+        let mut text: Vec<u8> = Vec::new();
+        let mut levels: Vec<(usize, usize, u32)> = Vec::new();
+        for (id, path) in distinct.iter().enumerate() {
+            let (id, start) = (id as u32, text.len());
+            text.extend(path.bytes().map(dotted));
             if path.is_empty() {
                 if leading_dot {
-                    levels.push((path, id));
+                    levels.push((start, 0, id));
                 }
                 continue;
             }
-            for (at, b) in path.bytes().enumerate() {
-                if is_separator(b) {
-                    levels.push((&path[..at], id));
+            for (at, &b) in text[start..].iter().enumerate() {
+                if b == b'.' {
+                    levels.push((start, at, id));
                 }
             }
-            levels.push((path, id));
+            levels.push((start, path.len(), id));
         }
-        levels.sort_unstable_by(|a, b| cmp_dotted(a.0, b.0).then(a.1.cmp(&b.1)));
-        let packages: Vec<Vec<u32>> = by_package.into_iter().map(|(_, methods)| methods).collect();
+        let rendered = |(start, len): (usize, usize)| &text[start..start + len];
+        levels.sort_unstable_by(|a, b| {
+            rendered((a.0, a.1))
+                .cmp(rendered((b.0, b.1)))
+                .then(a.2.cmp(&b.2))
+        });
         let mut prefixes: Vec<Prefix<'a>> = Vec::new();
         let mut under = Vec::with_capacity(levels.len());
-        for (prefix, id) in levels {
-            let methods = packages[id as usize].len();
+        let mut last: Option<(usize, usize)> = None;
+        for (start, len, id) in levels {
+            let size = (package_starts[id as usize + 1] - package_starts[id as usize]) as usize;
             match prefixes.last_mut() {
-                Some(last) if cmp_dotted(last.path, prefix).is_eq() => {
-                    last.packages.end += 1;
-                    last.methods += methods;
+                Some(prefix)
+                    if last.is_some_and(|span| rendered(span) == rendered((start, len))) =>
+                {
+                    prefix.packages.end += 1;
+                    prefix.methods += size;
                 }
-                _ => prefixes.push(Prefix {
-                    path: prefix,
-                    packages: under.len()..under.len() + 1,
-                    methods,
-                }),
+                _ => {
+                    prefixes.push(Prefix {
+                        path: &distinct[id as usize][..len],
+                        packages: under.len()..under.len() + 1,
+                        methods: size,
+                    });
+                    last = Some((start, len));
+                }
             }
             under.push(id);
         }
         PackageTree {
             paths,
-            packages,
+            methods,
+            package_starts,
             prefixes,
             under,
         }
@@ -330,16 +446,35 @@ impl<'a> PackageTree<'a> {
             .map(move |prefix| Subtree { tree: self, prefix })
     }
 
+    /// Number of package prefixes.
+    pub fn len(&self) -> usize {
+        self.prefixes.len()
+    }
+
+    /// Returns `true` when the dex has no package prefix.
+    pub fn is_empty(&self) -> bool {
+        self.prefixes.is_empty()
+    }
+
+    /// Prefix number `id` of [`subtrees`](Self::subtrees) with its
+    /// subtree.
+    pub fn subtree(&self, id: usize) -> Subtree<'_, 'a> {
+        Subtree {
+            tree: self,
+            prefix: &self.prefixes[id],
+        }
+    }
+
     /// Package path of every method as its smali writes it (`/`- or
     /// `.`-separated), by method index.
     pub fn paths(&self) -> &[&'a str] {
         &self.paths
     }
 
-    /// The structural profile of `subtree`, one of
-    /// [`subtrees`](Self::subtrees) of this tree of `dex`.
-    pub fn profile(&self, dex: &DexFile, subtree: &Subtree<'_, 'a>) -> StructuralProfile {
-        profile_members(dex, &self.paths, subtree.prefix_len(), &subtree.members())
+    /// The ascending methods of distinct path `id`.
+    fn package(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.methods[self.package_starts[id] as usize..self.package_starts[id + 1] as usize]
     }
 }
 
@@ -370,15 +505,25 @@ impl Subtree<'_, '_> {
     /// The subtree's method indices in ascending order, listed anew on
     /// each call.
     pub fn members(&self) -> Vec<u32> {
-        let tree = self.tree;
-        let mut members = Vec::with_capacity(self.prefix.methods);
-        for &id in &tree.under[self.prefix.packages.clone()] {
-            members.extend_from_slice(&tree.packages[id as usize]);
+        let mut members = Vec::new();
+        self.members_into(&mut members);
+        members
+    }
+
+    /// [`members`](Self::members) into `out`, which is cleared first.
+    pub fn members_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        for &id in self.packages() {
+            out.extend_from_slice(self.tree.package(id));
         }
         if self.prefix.packages.len() > 1 {
-            members.sort_unstable();
+            out.sort_unstable();
         }
-        members
+    }
+
+    /// The ids of the distinct paths in the subtree.
+    fn packages(&self) -> &[u32] {
+        &self.tree.under[self.prefix.packages.clone()]
     }
 }
 
@@ -409,31 +554,17 @@ fn profile_members(
     for &i in members {
         let m = &dex.methods[i as usize];
         let shape = shape_of(m.sig.descriptor());
-        // Abstracted signature: relative depth × descriptor shape.
-        let mut h = FeatureHasher::new("sig");
-        h.num(depth_below(paths[i as usize], prefix_len));
-        h.bytes(shape.as_bytes());
-        hashes.push(h.finish());
-
-        // Opcode histogram over the semantic instruction set. Nop/Const
-        // are junk-injection targets and deliberately uncounted.
-        let (mut inv_int, mut inv_ext, mut asyncs, mut nets, mut rets) = (0u64, 0, 0, 0, 0);
+        hashes.push(signature_feature(
+            depth_below(paths[i as usize], prefix_len),
+            shape.as_bytes(),
+        ));
+        let mut counts = [0u64; 5];
         for inst in &m.code.instructions {
-            match inst {
-                Instruction::Invoke(MethodRef::Internal(_)) => inv_int += 1,
-                Instruction::Invoke(MethodRef::External(_)) => inv_ext += 1,
-                Instruction::InvokeAsync { .. } => asyncs += 1,
-                Instruction::Network(_) => nets += 1,
-                Instruction::Return => rets += 1,
-                Instruction::Nop | Instruction::Const(_) => {}
+            if let Some(slot) = histogram_slot(InstructionRef::of(inst)) {
+                counts[slot] += 1;
             }
         }
-        let mut h = FeatureHasher::new("opc");
-        h.bytes(shape.as_bytes());
-        for v in [inv_int, inv_ext, asyncs, nets, rets] {
-            h.num(v);
-        }
-        hashes.push(h.finish());
+        hashes.push(opcode_feature(shape.as_bytes(), counts));
     }
 
     // Intra-subtree invoke graph: distinct (caller, callee) edges where
@@ -471,26 +602,19 @@ fn profile_members(
         }
     }
     for (out, into) in out_deg.into_iter().zip(in_deg) {
-        let mut h = FeatureHasher::new("deg");
-        h.num(out.min(3));
-        h.num(into.min(3));
-        hashes.push(h.finish());
+        hashes.push(degree_feature(out, into));
     }
-
-    // Subtree-level totals, log2-bucketed.
     if !members.is_empty() {
-        let mut h = FeatureHasher::new("xce");
-        h.num(log2_bucket(cross_class_edges));
-        hashes.push(h.finish());
-        let mut h = FeatureHasher::new("cnt");
-        h.num(log2_bucket(members.len() as u64));
-        hashes.push(h.finish());
+        hashes.extend(total_features(cross_class_edges, members.len()));
     }
+    collapse(&mut hashes)
+}
 
-    // Collapse into the sorted multiset.
+/// The sorted multiset of `hashes` (sorted in place).
+fn collapse(hashes: &mut [u64]) -> StructuralProfile {
     hashes.sort_unstable();
     let mut features: Vec<(u64, u32)> = Vec::with_capacity(hashes.len());
-    for h in hashes {
+    for &h in hashes.iter() {
         match features.last_mut() {
             Some((last, c)) if *last == h => *c += 1,
             _ => features.push((h, 1)),
@@ -499,11 +623,282 @@ fn profile_members(
     StructuralProfile { features }
 }
 
+/// The dex a [`FeatureTable`] reads: a view, or an owned model.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    View(&'a DexView<'a>),
+    Dex(&'a DexFile),
+}
+
+impl<'a> Source<'a> {
+    fn sig(self, id: u32) -> &'a str {
+        match self {
+            Source::View(view) => view.sig(id),
+            Source::Dex(dex) => dex.methods[id as usize].sig.as_smali(),
+        }
+    }
+
+    fn instruction_count(self, id: u32) -> usize {
+        match self {
+            Source::View(view) => view.instructions(id).len(),
+            Source::Dex(dex) => dex.methods[id as usize].code.instructions.len(),
+        }
+    }
+
+    fn each_instruction(self, id: u32, f: impl FnMut(InstructionRef<'a>)) {
+        match self {
+            Source::View(view) => view.instructions(id).for_each(f),
+            Source::Dex(dex) => dex.methods[id as usize]
+                .code
+                .instructions
+                .iter()
+                .map(InstructionRef::of)
+                .for_each(f),
+        }
+    }
+}
+
+/// What a [`FeatureTable`] knows of one method once it is computed.
+#[derive(Debug, Clone, Copy, Default)]
+struct MethodFeatures {
+    /// Its feature line in `FeatureTable::lines`; empty until computed.
+    line: (u32, u32),
+    /// Its descriptor shape in `FeatureTable::shapes`.
+    shape: (u32, u32),
+    /// Its distinct internal callees in `FeatureTable::callees`.
+    callees: (u32, u32),
+    /// Its opcode-histogram feature.
+    opcodes: u64,
+    /// Length of its class path (the smali up to `;->`).
+    class_len: u32,
+    /// Separators in its package path.
+    separators: u32,
+}
+
+/// Marks a method outside the subtree being profiled.
+const OUTSIDE: u32 = u32::MAX;
+
+/// The package tree of one dex and each method's features, computed at
+/// most once, on first use, for both detection tiers.
+///
+/// A method's exact-fingerprint line is its dotted package path, then
+/// `|`-separated class, method, descriptor and opcode letters: the line
+/// of a subtree rooted at a prefix of `n` bytes is that line from byte
+/// `n`, so no line is built per subtree. The structural features are
+/// the descriptor shape, the opcode histogram's hash, the distinct
+/// internal callees and the class path's length; the invoke-degree
+/// feature takes one of 16 precomputed values. The per-subtree buffers
+/// (members, hashes, degrees, line order) are reused from subtree to
+/// subtree.
+#[derive(Debug, Clone)]
+pub struct FeatureTable<'a> {
+    source: Source<'a>,
+    tree: PackageTree<'a>,
+    /// Summed whole-path line length of each distinct path's methods.
+    package_bytes: Vec<u64>,
+    methods: Vec<MethodFeatures>,
+    lines: Vec<u8>,
+    shapes: Vec<u8>,
+    callees: Vec<u32>,
+    /// Each method's position in the subtree being profiled, or
+    /// [`OUTSIDE`].
+    slots: Vec<u32>,
+    members: Vec<u32>,
+    hashes: Vec<u64>,
+    degrees: Vec<(u64, u64)>,
+    order: Vec<(u32, u32)>,
+    text: Vec<u8>,
+}
+
+impl<'a> FeatureTable<'a> {
+    /// The table of a dex view.
+    pub fn of_view(view: &'a DexView<'a>) -> Self {
+        FeatureTable::new(Source::View(view), PackageTree::of_view(view))
+    }
+
+    /// The table of an owned dex.
+    pub fn of_dex(dex: &'a DexFile) -> Self {
+        FeatureTable::new(Source::Dex(dex), PackageTree::new(dex))
+    }
+
+    fn new(source: Source<'a>, tree: PackageTree<'a>) -> Self {
+        // A method's whole-path line: the smali minus its `L`, `;->` and
+        // the `/` before the class, plus four `|` and one letter per
+        // instruction.
+        let line_len = |id: u32| {
+            let path = tree.paths[id as usize];
+            (source.sig(id).len() + source.instruction_count(id) - usize::from(!path.is_empty()))
+                as u64
+        };
+        let package_bytes = (0..tree.package_starts.len() as u32 - 1)
+            .map(|id| tree.package(id).iter().map(|&m| line_len(m)).sum())
+            .collect();
+        let count = tree.paths.len();
+        FeatureTable {
+            source,
+            tree,
+            package_bytes,
+            methods: vec![MethodFeatures::default(); count],
+            lines: Vec::new(),
+            shapes: Vec::new(),
+            callees: Vec::new(),
+            slots: vec![OUTSIDE; count],
+            members: Vec::new(),
+            hashes: Vec::new(),
+            degrees: Vec::new(),
+            order: Vec::new(),
+            text: Vec::new(),
+        }
+    }
+
+    /// The dex's package tree.
+    pub fn tree(&self) -> &PackageTree<'a> {
+        &self.tree
+    }
+
+    /// Total bytes of the exact-fingerprint lines of subtree `id`
+    /// (newlines not counted), from per-package sums: no line is built.
+    pub fn line_bytes(&self, id: usize) -> u64 {
+        let subtree = self.tree.subtree(id);
+        let whole: u64 = subtree
+            .packages()
+            .iter()
+            .map(|&p| self.package_bytes[p as usize])
+            .sum();
+        whole - (subtree.methods() * subtree.prefix_len()) as u64
+    }
+
+    /// The exact-fingerprint lines of subtree `id`, sorted, each ended
+    /// by a newline: the bytes its fingerprint hashes.
+    pub fn sorted_lines(&mut self, id: usize) -> &[u8] {
+        let subtree = self.tree.subtree(id);
+        let prefix_len = subtree.prefix_len() as u32;
+        subtree.members_into(&mut self.members);
+        self.order.clear();
+        for at in 0..self.members.len() {
+            let method = self.computed(self.members[at]);
+            self.order.push((method.line.0 + prefix_len, method.line.1));
+        }
+        let lines = &self.lines;
+        let line = |(start, end): (u32, u32)| &lines[start as usize..end as usize];
+        self.order.sort_unstable_by(|&a, &b| line(a).cmp(line(b)));
+        self.text.clear();
+        for &range in &self.order {
+            self.text.extend_from_slice(line(range));
+            self.text.push(b'\n');
+        }
+        &self.text
+    }
+
+    /// The structural profile of subtree `id`: equal to
+    /// [`subtree_profile`] of its prefix.
+    pub fn profile(&mut self, id: usize) -> StructuralProfile {
+        let subtree = self.tree.subtree(id);
+        let prefix = subtree.prefix.path;
+        let prefix_separators = prefix.bytes().filter(|&b| is_separator(b)).count() as u64;
+        subtree.members_into(&mut self.members);
+        self.hashes.clear();
+        for at in 0..self.members.len() {
+            let id = self.members[at];
+            self.slots[id as usize] = at as u32;
+            let method = self.computed(id);
+            let shape = &self.shapes[method.shape.0 as usize..method.shape.1 as usize];
+            let depth = u64::from(method.separators) - prefix_separators;
+            self.hashes.push(signature_feature(depth, shape));
+            self.hashes.push(method.opcodes);
+        }
+        // Distinct intra-subtree invoke edges, as `profile_members`
+        // counts them.
+        self.degrees.clear();
+        self.degrees.resize(self.members.len(), (0, 0));
+        let mut cross_class_edges = 0u64;
+        for (caller, &id) in self.members.iter().enumerate() {
+            let method = self.methods[id as usize];
+            for &target in &self.callees[method.callees.0 as usize..method.callees.1 as usize] {
+                let callee = self.slots.get(target as usize).copied().unwrap_or(OUTSIDE);
+                if callee == OUTSIDE {
+                    continue;
+                }
+                self.degrees[caller].0 += 1;
+                self.degrees[callee as usize].1 += 1;
+                if !self.same_class(id, target) {
+                    cross_class_edges += 1;
+                }
+            }
+        }
+        for &(out, into) in &self.degrees {
+            self.hashes
+                .push(DEGREE_FEATURES[(4 * out.min(3) + into.min(3)) as usize]);
+        }
+        if !self.members.is_empty() {
+            self.hashes
+                .extend(total_features(cross_class_edges, self.members.len()));
+        }
+        for &id in &self.members {
+            self.slots[id as usize] = OUTSIDE;
+        }
+        collapse(&mut self.hashes)
+    }
+
+    /// Whether methods `a` and `b`, both computed, are of one class:
+    /// their class paths read alike dotted.
+    fn same_class(&self, a: u32, b: u32) -> bool {
+        let class = |id: u32| &self.source.sig(id)[..self.methods[id as usize].class_len as usize];
+        let (a, b) = (class(a), class(b));
+        a == b || same_class(a, b)
+    }
+
+    /// The features of method `id`, computed on first use.
+    fn computed(&mut self, id: u32) -> MethodFeatures {
+        if self.methods[id as usize].line.1 == 0 {
+            self.compute(id);
+        }
+        self.methods[id as usize]
+    }
+
+    fn compute(&mut self, id: u32) {
+        let smali = self.source.sig(id);
+        let (path, class, name, descriptor) = sig::parts_of(smali);
+        let lines = &mut self.lines;
+        let line_start = lines.len() as u32;
+        lines.extend(path.bytes().map(dotted));
+        for part in [class, name, descriptor] {
+            lines.push(b'|');
+            lines.extend_from_slice(part.as_bytes());
+        }
+        lines.push(b'|');
+        let callees = &mut self.callees;
+        let callee_start = callees.len();
+        let mut counts = [0u64; 5];
+        self.source.each_instruction(id, |inst| {
+            lines.push(inst.letter());
+            if let Some(slot) = histogram_slot(inst) {
+                counts[slot] += 1;
+            }
+            if let Some(TargetRef::Internal(target)) = inst.target() {
+                if !callees[callee_start..].contains(&target) {
+                    callees.push(target);
+                }
+            }
+        });
+        let shape_start = self.shapes.len();
+        push_shape(descriptor, &mut self.shapes);
+        let shape = &self.shapes[shape_start..];
+        self.methods[id as usize] = MethodFeatures {
+            line: (line_start, self.lines.len() as u32),
+            shape: (shape_start as u32, self.shapes.len() as u32),
+            callees: (callee_start as u32, self.callees.len() as u32),
+            opcodes: opcode_feature(shape, counts),
+            class_len: (smali.len() - descriptor.len() - name.len() - 3) as u32,
+            separators: path.bytes().filter(|&b| is_separator(b)).count() as u32,
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ClassDef, CodeItem, MethodDef};
-    use crate::sig::MethodSig;
+    use crate::model::{ClassDef, CodeItem, Instruction, MethodDef};
 
     fn lib_dex(root: &str, class_a: &str, class_b: &str, m0: &str, m1: &str) -> DexFile {
         let methods = vec![

@@ -41,11 +41,8 @@ use std::fmt;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::model::{
-    ClassDef, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef,
-    NetworkOp, WireShape,
-};
-use crate::sig::MethodSig;
+use crate::model::{Connector, DexFile, Dispatcher, Instruction, MethodRef, WireShape};
+use crate::view::DexView;
 
 /// Magic bytes identifying the format and version.
 pub const DEX_MAGIC: &[u8; 8] = b"SDEX0001";
@@ -58,7 +55,7 @@ pub struct DexParseError {
 }
 
 impl DexParseError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         DexParseError {
             message: message.into(),
         }
@@ -126,7 +123,7 @@ pub fn get_uleb128(buf: &mut &[u8]) -> Result<u64, Uleb128Error> {
     }
 }
 
-fn get_u8(buf: &mut &[u8]) -> Option<u8> {
+pub(crate) fn get_u8(buf: &mut &[u8]) -> Option<u8> {
     let (&byte, rest) = buf.split_first()?;
     *buf = rest;
     Some(byte)
@@ -272,208 +269,24 @@ pub fn write_dex(dex: &DexFile) -> Bytes {
     buf.freeze()
 }
 
-/// The parsed string pool, each string borrowed from the input.
-struct Pool<'a> {
-    strings: Vec<&'a str>,
-}
-
-impl<'a> Pool<'a> {
-    fn get(&self, id: u64) -> Result<&'a str, DexParseError> {
-        self.strings
-            .get(id as usize)
-            .copied()
-            .ok_or_else(|| DexParseError::new(format!("string id {id} out of range")))
-    }
-
-    /// String `id` parsed as a signature; `what` names its position in
-    /// an error.
-    fn sig(&self, id: u64, what: &str) -> Result<MethodSig, DexParseError> {
-        self.get(id)?
-            .parse()
-            .map_err(|e| DexParseError::new(format!("bad {what} signature: {e}")))
-    }
-}
-
 /// Parses binary dex bytes back into a [`DexFile`] — the dexlib2
 /// disassembly stand-in used by the Method Monitor and the offline
-/// pipeline.
+/// pipeline: the [`DexView`] of the bytes, owned.
 ///
 /// # Errors
 ///
 /// Returns [`DexParseError`] on bad magic, truncation, out-of-range
-/// string references, invalid opcodes, malformed signature strings, or
-/// trailing garbage.
+/// string references, invalid opcodes, malformed signature strings,
+/// trailing garbage, or a dex [`DexFile::validate`] rejects.
 pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
-    let Some(mut buf) = bytes.strip_prefix(DEX_MAGIC.as_slice()) else {
-        return Err(DexParseError::new("bad magic"));
-    };
-    let buf = &mut buf;
-    let string_count = get_uleb128(buf)? as usize;
-    if string_count > bytes.len() {
-        return Err(DexParseError::new("string count exceeds input size"));
-    }
-    let mut strings = Vec::with_capacity(string_count);
-    for _ in 0..string_count {
-        let len = get_uleb128(buf)? as usize;
-        if buf.len() < len {
-            return Err(DexParseError::new("truncated string"));
-        }
-        let (raw, rest) = buf.split_at(len);
-        *buf = rest;
-        strings
-            .push(std::str::from_utf8(raw).map_err(|_| DexParseError::new("string is not UTF-8"))?);
-    }
-    let pool = Pool { strings };
-    let method_count = get_uleb128(buf)? as usize;
-    if method_count > bytes.len() {
-        return Err(DexParseError::new("method count exceeds input size"));
-    }
-    let mut methods = Vec::with_capacity(method_count);
-    for _ in 0..method_count {
-        let sig_id = get_uleb128(buf)?;
-        let sig = pool.sig(sig_id, "method")?;
-        let inst_count = get_uleb128(buf)? as usize;
-        if inst_count > bytes.len() {
-            return Err(DexParseError::new("instruction count exceeds input size"));
-        }
-        let mut instructions = Vec::with_capacity(inst_count);
-        for _ in 0..inst_count {
-            let op = get_u8(buf).ok_or_else(|| DexParseError::new("truncated instruction"))?;
-            let inst = match op {
-                0 => Instruction::Nop,
-                1 => Instruction::Const(get_uleb128(buf)? as u32),
-                2 => Instruction::Invoke(MethodRef::Internal(get_uleb128(buf)? as u32)),
-                3 => {
-                    let sig_id = get_uleb128(buf)?;
-                    Instruction::Invoke(MethodRef::External(pool.sig(sig_id, "external")?))
-                }
-                4 => Instruction::Return,
-                5 => {
-                    let [dispatcher, tag, ..] = **buf else {
-                        return Err(DexParseError::new("truncated async invoke"));
-                    };
-                    *buf = &buf[2..];
-                    let dispatcher = match dispatcher {
-                        0 => Dispatcher::AsyncTask,
-                        1 => Dispatcher::Thread,
-                        2 => Dispatcher::Executor,
-                        other => {
-                            return Err(DexParseError::new(format!("invalid dispatcher {other}")))
-                        }
-                    };
-                    let target = match tag {
-                        0 => MethodRef::Internal(get_uleb128(buf)? as u32),
-                        1 => {
-                            let sig_id = get_uleb128(buf)?;
-                            MethodRef::External(pool.sig(sig_id, "async target")?)
-                        }
-                        other => {
-                            return Err(DexParseError::new(format!(
-                                "invalid method ref tag {other}"
-                            )))
-                        }
-                    };
-                    Instruction::InvokeAsync { dispatcher, target }
-                }
-                6 => {
-                    let domain_id = get_uleb128(buf)?;
-                    let domain = pool.get(domain_id)?.to_owned();
-                    let port = get_uleb128(buf)?;
-                    if port > u64::from(u16::MAX) {
-                        return Err(DexParseError::new("network port out of range"));
-                    }
-                    let send_bytes = get_uleb128(buf)?;
-                    let recv_bytes = get_uleb128(buf)?;
-                    let connector_byte =
-                        get_u8(buf).ok_or_else(|| DexParseError::new("truncated network op"))?;
-                    let connector = match connector_byte & 0x7f {
-                        0 => Connector::AndroidOkHttp,
-                        1 => Connector::ApacheHttp,
-                        2 => Connector::DirectSocket,
-                        other => {
-                            return Err(DexParseError::new(format!("invalid connector {other}")))
-                        }
-                    };
-                    let shape = if connector_byte & 0x80 == 0 {
-                        WireShape::Plain
-                    } else {
-                        match get_u8(buf)
-                            .ok_or_else(|| DexParseError::new("truncated network op"))?
-                        {
-                            1 => WireShape::V6,
-                            2 => WireShape::TlsSni,
-                            3 => WireShape::ConnectProxy,
-                            4 => {
-                                let streams = get_uleb128(buf)?;
-                                if streams == 0 || streams > u64::from(u32::MAX) {
-                                    return Err(DexParseError::new("invalid pooled stream count"));
-                                }
-                                WireShape::Pooled {
-                                    streams: streams as u32,
-                                }
-                            }
-                            // Tag 0 (plain-behind-the-flag) is rejected
-                            // so every shape has exactly one encoding.
-                            other => {
-                                return Err(DexParseError::new(format!(
-                                    "invalid wire shape {other}"
-                                )))
-                            }
-                        }
-                    };
-                    Instruction::Network(NetworkOp {
-                        domain,
-                        port: port as u16,
-                        send_bytes,
-                        recv_bytes,
-                        connector,
-                        shape,
-                    })
-                }
-                other => return Err(DexParseError::new(format!("invalid opcode {other}"))),
-            };
-            instructions.push(inst);
-        }
-        methods.push(MethodDef {
-            sig,
-            code: CodeItem { instructions },
-        });
-    }
-
-    let class_count = get_uleb128(buf)? as usize;
-    if class_count > bytes.len() {
-        return Err(DexParseError::new("class count exceeds input size"));
-    }
-    let mut classes = Vec::with_capacity(class_count);
-    for _ in 0..class_count {
-        let name_id = get_uleb128(buf)?;
-        let dotted_name = pool.get(name_id)?.to_owned();
-        let idx_count = get_uleb128(buf)? as usize;
-        if idx_count > bytes.len() {
-            return Err(DexParseError::new("class method count exceeds input size"));
-        }
-        let mut method_indices = Vec::with_capacity(idx_count);
-        for _ in 0..idx_count {
-            method_indices.push(get_uleb128(buf)? as u32);
-        }
-        classes.push(ClassDef {
-            dotted_name,
-            method_indices,
-        });
-    }
-
-    if !buf.is_empty() {
-        return Err(DexParseError::new("trailing bytes after class table"));
-    }
-    let dex = DexFile { methods, classes };
-    dex.validate().map_err(DexParseError::new)?;
-    Ok(dex)
+    DexView::parse(bytes).map(|view| view.to_dex())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ClassDef;
+    use crate::model::{ClassDef, CodeItem, MethodDef, NetworkOp};
+    use crate::sig::MethodSig;
 
     fn sample() -> DexFile {
         DexFile {

@@ -16,7 +16,11 @@
 //!   code items whose `invoke` instructions form the app's call graph,
 //! * a **binary encoding** ([`format`](mod@format)) with a string pool, id tables and
 //!   uleb128-coded code items, plus the matching parser (the dexlib2
-//!   stand-in used by the Method Monitor),
+//!   stand-in used by the Method Monitor): a borrowed, validated
+//!   [`view`] of the bytes, which `parse_dex` turns into the owned
+//!   model and the knowledge scan reads as it is,
+//! * the **package tree and per-method features** ([`features`]) both
+//!   library-detection tiers read,
 //! * an **apk container** ([`apk`]) carrying dex bytes, native-library
 //!   entries (so the ARM-only filter from §III-A has something to filter
 //!   on), manifest metadata, and
@@ -53,10 +57,12 @@ pub mod format;
 pub mod model;
 pub mod sha256;
 pub mod sig;
+pub mod view;
 
 pub use apk::{Apk, ApkEntry, ApkError, Manifest};
 pub use features::{
-    profile_total, scan_subtree, shape_of, subtree_profile, PackageTree, StructuralProfile, Subtree,
+    profile_total, scan_subtree, shape_of, subtree_profile, FeatureTable, PackageTree,
+    StructuralProfile, Subtree,
 };
 pub use format::{parse_dex, write_dex, DexParseError};
 pub use model::{
@@ -65,3 +71,4 @@ pub use model::{
 };
 pub use sha256::Sha256;
 pub use sig::{MethodSig, SigParseError};
+pub use view::{DexView, InstructionRef, NetworkRef, TargetRef};

@@ -220,34 +220,110 @@ impl DexFile {
     pub fn validate(&self) -> Result<(), String> {
         let n = self.methods.len() as u32;
         for class in &self.classes {
-            for &idx in &class.method_indices {
-                if idx >= n {
-                    return Err(format!(
-                        "class {} references method index {idx} out of range {n}",
-                        class.dotted_name
-                    ));
-                }
+            if let Some(&idx) = class.method_indices.iter().find(|&&idx| idx >= n) {
+                return Err(class_out_of_range(&class.dotted_name, idx, n));
             }
         }
         for method in &self.methods {
             for invoke in method.code.invokes() {
                 if let MethodRef::Internal(idx) = invoke {
                     if *idx >= n {
-                        return Err(format!(
-                            "method {} invokes internal index {idx} out of range {n}",
-                            method.sig
-                        ));
+                        return Err(invoke_out_of_range(method.sig.as_smali(), *idx, n));
                     }
                 }
             }
         }
-        let mut sigs: Vec<&MethodSig> = self.methods.iter().map(|m| &m.sig).collect();
-        sigs.sort();
-        if let Some(w) = sigs.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("duplicate method signature {}", w[0]));
-        }
-        Ok(())
+        check_unique(self.methods.len(), |i| self.methods[i].sig.as_smali())
     }
+}
+
+/// The message for a class member out of range.
+pub(crate) fn class_out_of_range(class: &str, idx: u32, n: u32) -> String {
+    format!("class {class} references method index {idx} out of range {n}")
+}
+
+/// The message for an internal invoke out of range.
+pub(crate) fn invoke_out_of_range(sig: &str, idx: u32, n: u32) -> String {
+    format!("method {sig} invokes internal index {idx} out of range {n}")
+}
+
+/// Checks that the `count` signatures `sig(0)`, `sig(1)`, … are
+/// distinct; the error names the least duplicate.
+///
+/// Each signature is hashed a word at a time and the `(hash, id)`
+/// pairs are sorted: a counting sort on the hashes' top bits into at
+/// least one bucket per signature, then a sort of each bucket, which
+/// holds a pair or two. Only a run of equal hashes is compared, sorted
+/// as strings. The hash is fixed, so a crafted dex can put every
+/// signature in one bucket and one run, which costs one sort of the
+/// pairs and one of the strings: the price of checking without hashing.
+pub(crate) fn check_unique<'s>(count: usize, sig: impl Fn(usize) -> &'s str) -> Result<(), String> {
+    check_unique_by(count, sig, word_hash)
+}
+
+/// [`check_unique`] with the hash a test picks.
+fn check_unique_by<'s>(
+    count: usize,
+    sig: impl Fn(usize) -> &'s str,
+    hash: impl Fn(&[u8]) -> u64,
+) -> Result<(), String> {
+    let hashed: Vec<(u64, u32)> = (0..count)
+        .map(|i| (hash(sig(i).as_bytes()), i as u32))
+        .collect();
+    let bits = usize::BITS - count.leading_zeros();
+    let bucket = |h: u64| (h >> (64 - bits)) as usize;
+    let mut starts = vec![0usize; 1 << bits];
+    for &(h, _) in &hashed {
+        starts[bucket(h)] += 1;
+    }
+    for at in 1..starts.len() {
+        starts[at] += starts[at - 1];
+    }
+    // Placing the pairs back to front turns each bucket's end into its
+    // start.
+    let mut keyed = vec![(0, 0); count];
+    for &(h, i) in hashed.iter().rev() {
+        let at = &mut starts[bucket(h)];
+        *at -= 1;
+        keyed[*at] = (h, i);
+    }
+    for (&start, &end) in starts.iter().zip(starts.iter().skip(1).chain([&count])) {
+        keyed[start..end].sort_unstable();
+    }
+    let mut least: Option<&str> = None;
+    let mut run: Vec<&str> = Vec::new();
+    for group in keyed.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() > 1) {
+        run.clear();
+        run.extend(group.iter().map(|&(_, i)| sig(i as usize)));
+        run.sort_unstable();
+        if let Some(w) = run.windows(2).find(|w| w[0] == w[1]) {
+            if least.is_none_or(|l| w[0] < l) {
+                least = Some(w[0]);
+            }
+        }
+    }
+    match least {
+        Some(dup) => Err(format!("duplicate method signature {dup}")),
+        None => Ok(()),
+    }
+}
+
+/// A multiplicative hash of `bytes`, eight at a time.
+fn word_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    h ^ (h >> 29)
 }
 
 /// Frame-translation table of the Socket Supervisor: dotted stack-frame
@@ -429,6 +505,56 @@ mod tests {
         let dup = dex.methods[0].clone();
         dex.methods.push(dup);
         assert!(dex.validate().is_err());
+    }
+
+    /// The least duplicate by sorting every signature: what
+    /// `check_unique` answered before it hashed.
+    fn least_duplicate_by_sorting(sigs: &[&str]) -> Result<(), String> {
+        let mut sorted = sigs.to_vec();
+        sorted.sort_unstable();
+        match sorted.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(format!("duplicate method signature {}", w[0])),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn duplicate_check_names_the_least_duplicate_whatever_collides() {
+        // Hashes that spread, that put everything in one bucket and one
+        // run (a crafted dex), that share top bits but differ, and that
+        // collide by length.
+        let hashes: [fn(&[u8]) -> u64; 4] = [
+            word_hash,
+            |_| 7,
+            |b| b.len() as u64,
+            |b| (b.len() as u64) << 58,
+        ];
+        let pool = [
+            "La/B;->m()V",
+            "La/B;->n()V",
+            "La/C;->m()V",
+            "Lb/B;->m(I)V",
+            "LA;->a()V",
+            "La/B;->m()J",
+        ];
+        let mut cases: Vec<Vec<&str>> = vec![vec![], vec![pool[0]], pool.to_vec()];
+        for skip in 0..pool.len() {
+            for dup in 0..pool.len() {
+                let mut sigs: Vec<&str> = pool.iter().copied().skip(skip).collect();
+                sigs.insert(sigs.len() / 2, pool[dup]);
+                sigs.push(pool[(dup + skip) % pool.len()]);
+                cases.push(sigs);
+            }
+        }
+        for sigs in &cases {
+            for hash in hashes {
+                assert_eq!(
+                    check_unique_by(sigs.len(), |i| sigs[i], hash),
+                    least_duplicate_by_sorting(sigs),
+                    "{sigs:?}"
+                );
+            }
+        }
     }
 
     #[test]

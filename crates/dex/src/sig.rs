@@ -221,16 +221,33 @@ impl FromStr for MethodSig {
     type Err = SigParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match check(s.as_bytes()) {
-            Ok(()) => Ok(MethodSig {
-                smali: s.to_owned(),
-            }),
-            Err(message) => Err(SigParseError {
-                message,
-                input: s.chars().take(120).collect(),
-            }),
+        validate(s)?;
+        Ok(MethodSig::from_checked(s))
+    }
+}
+
+impl MethodSig {
+    /// A signature from smali that [`validate`] accepted.
+    pub(crate) fn from_checked(smali: &str) -> Self {
+        MethodSig {
+            smali: smali.to_owned(),
         }
     }
+}
+
+/// Checks `s` as [`MethodSig::from_str`] does, without building the
+/// value.
+pub(crate) fn validate(s: &str) -> Result<(), SigParseError> {
+    check(s.as_bytes()).map_err(|message| SigParseError {
+        message,
+        input: s.chars().take(120).collect(),
+    })
+}
+
+/// The package path, class name, method name and descriptor of smali
+/// that [`validate`] accepted, as [`MethodSig::parts`] returns them.
+pub(crate) fn parts_of(smali: &str) -> (&str, &str, &str, &str) {
+    split(smali).expect("validated before")
 }
 
 /// Reads a signature through [`MethodSig::from_str`], so one taken from

@@ -12,7 +12,7 @@ use spector_dex::model::{
     ClassDef, CodeItem, DexFile, Instruction, MethodDef, MethodRef, WireShape,
 };
 use spector_dex::sig::MethodSig;
-use spector_dex::{parse_dex, write_dex};
+use spector_dex::{parse_dex, write_dex, DexView, InstructionRef};
 
 /// The earlier implementations, kept verbatim but for their names and
 /// for how the validator builds its accepted value.
@@ -340,9 +340,29 @@ mod frozen {
     }
 }
 
-/// Asserts the parser and the frozen parser agree on `bytes`.
+/// Asserts the parser and the frozen parser agree on `bytes`, and that
+/// the dex view accepts what they accept, with each method's signature
+/// and decoded instructions equal to theirs.
 fn agree(bytes: &[u8], what: &str) {
-    assert_eq!(parse_dex(bytes), frozen::parse_dex(bytes), "{what}");
+    let expected = frozen::parse_dex(bytes);
+    assert_eq!(parse_dex(bytes), expected, "{what}");
+    let view = DexView::parse(bytes);
+    match &expected {
+        Ok(dex) => {
+            let view = view.unwrap_or_else(|e| panic!("{what}: view rejects a valid dex: {e}"));
+            assert_eq!(view.len(), dex.methods.len(), "{what}");
+            for (id, method) in dex.methods.iter().enumerate() {
+                let id = id as u32;
+                assert_eq!(view.sig(id), method.sig.as_smali(), "{what}");
+                let decoded: Vec<Instruction> = view
+                    .instructions(id)
+                    .map(InstructionRef::to_instruction)
+                    .collect();
+                assert_eq!(decoded, method.code.instructions, "{what}");
+            }
+        }
+        Err(e) => assert_eq!(view.err().as_ref(), Some(e), "{what}"),
+    }
 }
 
 /// Methods kept from each generated dex: enough for every instruction
@@ -614,6 +634,50 @@ fn crafted_internal_and_async_references_agree() {
     let bytes = write_dex(&dex);
     assert_eq!(parse_dex(&bytes).unwrap(), dex);
     agree(&bytes, "signatures shared between definitions and invokes");
+}
+
+#[test]
+fn validation_failures_are_reported_in_the_validators_order() {
+    // Up to three failures at once: a class member out of range,
+    // out-of-range internal invokes in two methods (async first, then
+    // sync), and a duplicate signature. Every subset is tried, so each
+    // failure is the first one reported in some dex.
+    for mask in 0..8u8 {
+        let (bad_class, bad_invokes, duplicate) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
+        let invoke = |inst: Instruction| CodeItem {
+            instructions: if bad_invokes { vec![inst] } else { vec![] },
+        };
+        let dex = DexFile {
+            methods: vec![
+                MethodDef {
+                    sig: OK_A.parse().unwrap(),
+                    code: CodeItem::default(),
+                },
+                MethodDef {
+                    sig: OK_B.parse().unwrap(),
+                    code: invoke(Instruction::InvokeAsync {
+                        dispatcher: spector_dex::Dispatcher::Executor,
+                        target: MethodRef::Internal(8),
+                    }),
+                },
+                MethodDef {
+                    sig: if duplicate { OK_A } else { "Lcom/app/C;->c()V" }
+                        .parse()
+                        .unwrap(),
+                    code: invoke(Instruction::Invoke(MethodRef::Internal(9))),
+                },
+            ],
+            classes: vec![ClassDef {
+                dotted_name: "com.app.A".into(),
+                method_indices: vec![0, if bad_class { 5 } else { 2 }],
+            }],
+        };
+        assert_eq!(dex.validate(), frozen::validate(&dex), "mask {mask}");
+        agree(
+            &write_dex(&dex),
+            &format!("validation failures, mask {mask}"),
+        );
+    }
 }
 
 /// Characters that steer a signature through every branch of the

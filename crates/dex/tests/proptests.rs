@@ -7,8 +7,12 @@ use spector_dex::model::{
 };
 use spector_dex::sig::{prefix_levels, MethodSig};
 use spector_dex::{
-    parse_dex, profile_total, subtree_profile, write_dex, Apk, ApkEntry, PackageTree, Sha256,
+    parse_dex, profile_total, subtree_profile, write_dex, Apk, ApkEntry, DexView, FeatureTable,
+    PackageTree, Sha256,
 };
+
+#[path = "support/package_tree.rs"]
+mod reference_tree;
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,6}"
@@ -251,15 +255,133 @@ proptest! {
 
     #[test]
     fn profile_total_is_three_per_method_plus_two(dex in nested_dex()) {
-        let tree = PackageTree::new(&dex);
-        for subtree in tree.subtrees() {
-            let prefix = subtree.prefix();
+        let mut table = FeatureTable::of_dex(&dex);
+        for id in 0..table.tree().len() {
+            let subtree = table.tree().subtree(id);
+            let (prefix, methods) = (subtree.prefix(), subtree.methods());
             let profile = subtree_profile(&dex, &prefix);
-            prop_assert_eq!(profile.total(), 3 * subtree.methods() as u64 + 2, "prefix {}", prefix);
-            prop_assert_eq!(profile.total(), profile_total(subtree.methods()));
-            prop_assert_eq!(&tree.profile(&dex, &subtree), &profile);
+            prop_assert_eq!(profile.total(), 3 * methods as u64 + 2, "prefix {}", prefix);
+            prop_assert_eq!(profile.total(), profile_total(methods));
+            prop_assert_eq!(&table.profile(id), &profile);
         }
         prop_assert_eq!(subtree_profile(&dex, "zz").total(), profile_total(0));
+    }
+}
+
+/// A dex with ragged package paths: components that hold a `.` or a
+/// byte that sorts before it (`$`, `-`), joined by `/` or by a `.`
+/// inside one smali component (so `com/foo` and `com.foo` meet), the
+/// default package, packages with a leading dot, methods of one
+/// package interleaved with others', and internal invokes (sync and
+/// async) to arbitrary methods.
+fn ragged_dex() -> impl Strategy<Value = DexFile> {
+    const COMPONENTS: [&str; 6] = ["a", "b", "a$", "a-b", "a.b", "$"];
+    let method = (
+        proptest::collection::vec((0usize..COMPONENTS.len(), any::<bool>()), 0..4),
+        any::<bool>(),
+        0u8..3,
+        proptest::collection::vec((0u8..6, 0u32..64), 0..6),
+    );
+    proptest::collection::vec(method, 0..32).prop_map(|specs| {
+        let n = specs.len() as u32;
+        let methods = specs
+            .iter()
+            .enumerate()
+            .map(|(i, (path, lead, class, ops))| {
+                let mut smali = String::from("L");
+                if *lead && !path.is_empty() {
+                    smali.push('.');
+                }
+                for (k, &(c, dot)) in path.iter().enumerate() {
+                    if k > 0 {
+                        smali.push(if dot { '.' } else { '/' });
+                    }
+                    smali.push_str(COMPONENTS[c]);
+                }
+                if !path.is_empty() {
+                    smali.push('/');
+                }
+                let descriptor = ["()V", "(I)V", "([Ljava/lang/String;J)Ljava/lang/Object;"][i % 3];
+                smali.push_str(&format!(
+                    "{};->m{i}{descriptor}",
+                    ["K", "K$1", "a"][*class as usize]
+                ));
+                let target = |t: u32| MethodRef::Internal(t % n);
+                MethodDef {
+                    sig: smali.parse().expect("generated signatures are valid"),
+                    code: CodeItem {
+                        instructions: ops
+                            .iter()
+                            .map(|&(op, t)| match op {
+                                0 => Instruction::Nop,
+                                1 => Instruction::Return,
+                                2 => Instruction::Const(t),
+                                3 => Instruction::InvokeAsync {
+                                    dispatcher: spector_dex::Dispatcher::Thread,
+                                    target: target(t),
+                                },
+                                4 => Instruction::Invoke(MethodRef::External(MethodSig::new(
+                                    "java.net", "Socket", "connect", "()V",
+                                ))),
+                                _ => Instruction::Invoke(target(t)),
+                            })
+                            .collect(),
+                    },
+                }
+            })
+            .collect();
+        DexFile {
+            methods,
+            classes: vec![],
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The tree built from the view's signatures lists the subtrees the
+    /// old map-and-sort build lists: same prefixes in the same order,
+    /// same prefix lengths, method counts and members.
+    #[test]
+    fn package_tree_equals_the_reference_build_on_ragged_paths(dex in ragged_dex()) {
+        let expected = reference_tree::subtrees(&dex);
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        for tree in [PackageTree::new(&dex), PackageTree::of_view(&view)] {
+            prop_assert_eq!(tree.len(), expected.len());
+            for (subtree, want) in tree.subtrees().zip(&expected) {
+                let got = reference_tree::Subtree {
+                    prefix: subtree.prefix(),
+                    prefix_len: subtree.prefix_len(),
+                    methods: subtree.methods(),
+                    members: subtree.members(),
+                };
+                prop_assert_eq!(&got, want);
+            }
+        }
+    }
+
+    /// Every subtree's profile from the feature table, over the owned dex
+    /// and over its view, equals `subtree_profile` of its prefix, and
+    /// its line bytes count the sorted lines it hashes (less one newline
+    /// per method).
+    #[test]
+    fn feature_table_profiles_equal_subtree_profile(dex in ragged_dex()) {
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        for mut table in [FeatureTable::of_dex(&dex), FeatureTable::of_view(&view)] {
+            // Visit the subtrees out of order, so methods are computed
+            // first for a subtree other than the one they are read for.
+            for id in (0..table.tree().len()).rev() {
+                let subtree = table.tree().subtree(id);
+                let (prefix, methods) = (subtree.prefix(), subtree.methods());
+                let line_bytes = table.line_bytes(id);
+                prop_assert_eq!(table.profile(id), subtree_profile(&dex, &prefix), "{}", &prefix);
+                let lines = table.sorted_lines(id);
+                prop_assert_eq!(lines.len() as u64, line_bytes + methods as u64, "{}", &prefix);
+            }
+        }
     }
 }
 

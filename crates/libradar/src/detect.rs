@@ -10,11 +10,12 @@
 //! fingerprints, while first-party code (unique structure per app) never
 //! matches the database.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 
-use spector_dex::features::{scan_subtree, PackageTree};
-use spector_dex::model::{DexFile, Instruction, MethodRef};
+use spector_dex::features::{scan_subtree, FeatureTable};
+use spector_dex::model::DexFile;
 use spector_dex::sha256::{Digest, Sha256};
+use spector_dex::view::InstructionRef;
 
 use crate::category::LibCategory;
 
@@ -38,10 +39,10 @@ pub struct DetectedLibrary {
 #[derive(Debug, Clone, Default)]
 pub struct LibraryDb {
     by_fingerprint: HashMap<LibraryFingerprint, (String, LibCategory)>,
-    /// Method counts of the registered subtrees: an equal fingerprint
-    /// hashes an equal feature list, one line per method, so no other
-    /// subtree size can match.
-    method_counts: BTreeSet<usize>,
+    /// Method count and total feature-line bytes of each registered
+    /// subtree. An equal fingerprint hashes equal bytes, one line per
+    /// method, so a subtree whose pair is not here cannot match.
+    sizes: HashSet<(usize, u64)>,
 }
 
 impl LibraryDb {
@@ -55,9 +56,9 @@ impl LibraryDb {
     /// that prefix.
     pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
         let (paths, members) = scan_subtree(dex, name);
-        if let Some(fp) = fingerprint_members(dex, &paths, name.len(), &members) {
+        if let Some((fp, bytes)) = fingerprint_members(dex, &paths, name.len(), &members) {
             self.by_fingerprint.insert(fp, (name.to_owned(), category));
-            self.method_counts.insert(members.len());
+            self.sizes.insert((members.len(), bytes));
         }
     }
 
@@ -86,28 +87,27 @@ impl LibraryDb {
     /// its sub-packages registered separately), both are reported, which
     /// mirrors LibRadar's output granularity in Listing 2.
     pub fn detect(&self, dex: &DexFile) -> Vec<DetectedLibrary> {
-        self.detect_in(dex, &PackageTree::new(dex))
+        self.detect_in(&mut FeatureTable::of_dex(dex))
     }
 
-    /// [`detect`](Self::detect) over the prebuilt package tree of `dex`,
-    /// in prefix order. Only subtrees with as many methods as some
-    /// registered library are listed and fingerprinted.
-    pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<DetectedLibrary> {
+    /// [`detect`](Self::detect) over the feature table of a dex, in
+    /// prefix order. A subtree is fingerprinted only when its method
+    /// count and total line bytes, both known without building a line,
+    /// are those of some registered library.
+    pub fn detect_in(&self, table: &mut FeatureTable) -> Vec<DetectedLibrary> {
         let mut detected = Vec::new();
-        for subtree in tree.subtrees() {
-            if !self.method_counts.contains(&subtree.methods()) {
+        for id in 0..table.tree().len() {
+            let size = (table.tree().subtree(id).methods(), table.line_bytes(id));
+            if !self.sizes.contains(&size) {
                 continue;
             }
-            let members = subtree.members();
-            if let Some(fp) = fingerprint_members(dex, tree.paths(), subtree.prefix_len(), &members)
-            {
-                if let Some((name, category)) = self.lookup(&fp) {
-                    detected.push(DetectedLibrary {
-                        name: name.to_owned(),
-                        in_app_prefix: subtree.prefix(),
-                        category,
-                    });
-                }
+            let fp = LibraryFingerprint(Sha256::digest(table.sorted_lines(id)));
+            if let Some((name, category)) = self.lookup(&fp) {
+                detected.push(DetectedLibrary {
+                    name: name.to_owned(),
+                    in_app_prefix: table.tree().subtree(id).prefix(),
+                    category,
+                });
             }
         }
         detected
@@ -118,18 +118,19 @@ impl LibraryDb {
 /// lies beneath it. Returns `None` when no methods are in the subtree.
 pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerprint> {
     let (paths, members) = scan_subtree(dex, prefix);
-    fingerprint_members(dex, &paths, prefix.len(), &members)
+    fingerprint_members(dex, &paths, prefix.len(), &members).map(|(fp, _)| fp)
 }
 
 /// Fingerprints the subtree rooted at a prefix of `prefix_len` bytes
 /// whose method indices are `members`, given every method's package
-/// path. Returns `None` for an empty subtree.
+/// path, with the total bytes of its feature lines. Returns `None` for
+/// an empty subtree.
 fn fingerprint_members(
     dex: &DexFile,
     paths: &[&str],
     prefix_len: usize,
     members: &[u32],
-) -> Option<LibraryFingerprint> {
+) -> Option<(LibraryFingerprint, u64)> {
     if members.is_empty() {
         return None;
     }
@@ -152,15 +153,13 @@ fn fingerprint_members(
             feature.extend_from_slice(part.as_bytes());
             feature.push(b'|');
         }
-        feature.extend(method.code.instructions.iter().map(|inst| match inst {
-            Instruction::Nop => b'n',
-            Instruction::Const(_) => b'c',
-            Instruction::Invoke(MethodRef::Internal(_)) => b'i',
-            Instruction::Invoke(MethodRef::External(_)) => b'e',
-            Instruction::InvokeAsync { .. } => b'a',
-            Instruction::Network(_) => b'w',
-            Instruction::Return => b'r',
-        }));
+        feature.extend(
+            method
+                .code
+                .instructions
+                .iter()
+                .map(|inst| InstructionRef::of(inst).letter()),
+        );
         features.push(feature);
     }
     features.sort_unstable();
@@ -169,13 +168,15 @@ fn fingerprint_members(
         hasher.update(feature);
         hasher.update(b"\n");
     }
-    Some(LibraryFingerprint(hasher.finalize()))
+    let bytes = features.iter().map(|f| f.len() as u64).sum();
+    Some((LibraryFingerprint(hasher.finalize()), bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spector_dex::model::{CodeItem, MethodDef};
+    use spector_dex::features::PackageTree;
+    use spector_dex::model::{CodeItem, Instruction, MethodDef};
     use spector_dex::sig::MethodSig;
 
     /// Builds a dex whose methods live under `root`.

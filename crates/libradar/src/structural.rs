@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
-use spector_dex::features::{profile_total, subtree_profile, PackageTree, StructuralProfile};
+use spector_dex::features::{profile_total, subtree_profile, FeatureTable, StructuralProfile};
 use spector_dex::model::DexFile;
 
 use crate::category::LibCategory;
@@ -158,25 +158,40 @@ impl StructuralIndex {
     /// accumulated per library id through the shared-bucket posting lists
     /// so only libraries with overlap are scored.
     pub fn best_match(&self, profile: &StructuralProfile) -> Option<StructuralMatch> {
+        self.best_match_with(profile, &mut Overlaps::default())
+    }
+
+    /// [`best_match`](Self::best_match), accumulating in `overlaps`,
+    /// which it leaves zeroed: only the libraries that share a feature
+    /// with `profile` are added into and scored.
+    fn best_match_with(
+        &self,
+        profile: &StructuralProfile,
+        overlaps: &mut Overlaps,
+    ) -> Option<StructuralMatch> {
         let q_total = profile.total();
         if q_total < MIN_MATCH_FEATURES {
             return None;
         }
-        let mut min_sum = vec![0u64; self.libs.len()];
+        overlaps.sums.resize(self.libs.len(), 0);
         for &(hash, q_count) in &profile.features {
             if let Some(postings) = self.buckets.get(&hash) {
                 for &(lib, l_count) in postings {
-                    min_sum[lib as usize] += u64::from(q_count.min(l_count));
+                    let sum = &mut overlaps.sums[lib as usize];
+                    if *sum == 0 {
+                        overlaps.touched.push(lib);
+                    }
+                    *sum += u64::from(q_count.min(l_count));
                 }
             }
         }
         // Libraries are scored in id order and only a strictly higher
         // score replaces the best, so ties go to the lower library id.
+        overlaps.touched.sort_unstable();
         let mut best: Option<(usize, f64)> = None;
-        for (lib, &overlap) in min_sum.iter().enumerate() {
-            if overlap == 0 {
-                continue;
-            }
+        for &lib in &overlaps.touched {
+            let lib = lib as usize;
+            let overlap = std::mem::take(&mut overlaps.sums[lib]);
             let (_, _, l_total) = self.libs[lib];
             let union = q_total + l_total - overlap;
             let score = overlap as f64 / union as f64;
@@ -184,6 +199,7 @@ impl StructuralIndex {
                 best = Some((lib, score));
             }
         }
+        overlaps.touched.clear();
         let (lib, score) = best?;
         if score < MATCH_THRESHOLD {
             return None;
@@ -207,25 +223,34 @@ impl StructuralIndex {
     /// union, child prefixes lose the root's features — both fall below
     /// the threshold by construction.
     pub fn detect(&self, dex: &DexFile) -> Vec<StructuralMatch> {
-        self.detect_in(dex, &PackageTree::new(dex))
+        self.detect_in(&mut FeatureTable::of_dex(dex))
     }
 
-    /// [`detect`](Self::detect) over the prebuilt package tree of `dex`.
-    /// A subtree is listed and profiled only when its feature total,
-    /// known from its method count, is [admitted](Self::admits).
-    pub fn detect_in(&self, dex: &DexFile, tree: &PackageTree) -> Vec<StructuralMatch> {
+    /// [`detect`](Self::detect) over the feature table of a dex. A
+    /// subtree is listed and profiled only when its feature total, known
+    /// from its method count, is [admitted](Self::admits).
+    pub fn detect_in(&self, table: &mut FeatureTable) -> Vec<StructuralMatch> {
         let mut matches = Vec::new();
-        for subtree in tree.subtrees() {
-            if !self.admits(profile_total(subtree.methods())) {
+        let mut overlaps = Overlaps::default();
+        for id in 0..table.tree().len() {
+            if !self.admits(profile_total(table.tree().subtree(id).methods())) {
                 continue;
             }
-            if let Some(mut m) = self.best_match(&tree.profile(dex, &subtree)) {
-                m.in_app_prefix = subtree.prefix();
+            if let Some(mut m) = self.best_match_with(&table.profile(id), &mut overlaps) {
+                m.in_app_prefix = table.tree().subtree(id).prefix();
                 matches.push(m);
             }
         }
         matches
     }
+}
+
+/// Overlap sums by library id, zero outside a scoring, and the ids a
+/// scoring touched: reused from subtree to subtree.
+#[derive(Debug, Default)]
+struct Overlaps {
+    sums: Vec<u64>,
+    touched: Vec<u32>,
 }
 
 /// In-app prefix → canonical library package aliases, learned from
@@ -456,6 +481,33 @@ mod tests {
         assert!(idx.admits(40) && idx.admits(62));
         assert!(!idx.admits(63));
         assert!(!StructuralIndex::new().admits(50));
+    }
+
+    #[test]
+    fn ties_go_to_the_lower_library_id_whichever_shares_the_first_feature() {
+        // The query has features 0..10. Library 0 lacks feature 0 and
+        // library 1 lacks feature 9; each has one feature of its own,
+        // so both score 9 / 11. Library 1 is the first to share a
+        // feature with the query, and still loses the tie.
+        let profile = |features: Vec<u64>| StructuralProfile {
+            features: features.into_iter().map(|h| (h, 1)).collect(),
+        };
+        let mut idx = StructuralIndex::new();
+        idx.add_profile(
+            "lib0",
+            LibCategory::Utility,
+            &profile((1..10).chain([100]).collect()),
+        );
+        idx.add_profile(
+            "lib1",
+            LibCategory::Advertisement,
+            &profile((0..9).chain([101]).collect()),
+        );
+        let m = idx
+            .best_match(&profile((0..10).collect()))
+            .expect("both clear 0.8");
+        assert_eq!(m.name, "lib0");
+        assert!((m.score - 9.0 / 11.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef, MethodRef};
 use spector_dex::sig::MethodSig;
-use spector_dex::{subtree_profile, PackageTree};
+use spector_dex::{subtree_profile, write_dex, DexView, FeatureTable, PackageTree, Sha256};
+use spector_libradar::detect::LibraryFingerprint;
 use spector_libradar::structural::within_band;
 use spector_libradar::{
     detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists, StructuralIndex,
@@ -343,6 +344,84 @@ proptest! {
 // Obfuscator-backed properties: each case generates a small corpus and
 // runs the real synthetic obfuscator over it, so the case count is kept
 // low — the corpus itself already varies per seed.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The exact tier's size check is implied by a match: every prefix
+    /// whose fingerprint, computed from scratch, is registered is
+    /// reported by `detect`, and nothing else is. Copies are exact,
+    /// renamed, or lose or gain methods, so near-misses of equal method
+    /// count are common.
+    #[test]
+    fn size_check_never_rejects_a_registered_fingerprint(
+        libs in proptest::collection::vec(proptest::collection::vec(method_spec(), 2..9), 1..4),
+        dropped in proptest::collection::vec(0usize..2, 3),
+        extra in proptest::collection::vec(proptest::collection::vec(method_spec(), 0..2), 3),
+    ) {
+        let mut db = LibraryDb::new();
+        let mut app = DexFile::new();
+        for (k, specs) in libs.iter().enumerate() {
+            let name = format!("com.lib{k}");
+            let library = DexFile {
+                methods: copy_methods(&name, specs, 0),
+                classes: vec![],
+            };
+            db.add_library(&name, LibCategory::Utility, &library);
+            let mut copy = specs[..specs.len() - dropped[k]].to_vec();
+            copy.extend(extra[k].iter().cloned());
+            for root in [format!("qx.c{k}"), format!("qx.c{k}.d")] {
+                let offset = app.methods.len() as u32;
+                app.methods.extend(copy_methods(&root, &copy, offset));
+            }
+            let offset = app.methods.len() as u32;
+            app.methods.extend(copy_methods(&format!("org.v{k}"), specs, offset));
+        }
+        let unfiltered: Vec<(String, String)> = PackageTree::new(&app)
+            .subtrees()
+            .filter_map(|subtree| {
+                let prefix = subtree.prefix();
+                let fp = detect::fingerprint_subtree(&app, &prefix)?;
+                db.lookup(&fp).map(|(name, _)| (prefix, name.to_owned()))
+            })
+            .collect();
+        prop_assert!(!unfiltered.is_empty());
+        let detected: Vec<(String, String)> = db
+            .detect(&app)
+            .into_iter()
+            .map(|d| (d.in_app_prefix, d.name))
+            .collect();
+        prop_assert_eq!(detected, unfiltered);
+    }
+
+    /// The feature table's sorted lines hash to `fingerprint_subtree` of
+    /// every prefix, over the owned dex and over its view.
+    #[test]
+    fn feature_table_fingerprints_equal_fingerprint_subtree(
+        specs in proptest::collection::vec(method_spec(), 1..12),
+        roots in proptest::collection::vec(dense_package(), 1..4),
+    ) {
+        let mut app = DexFile::new();
+        for (k, root) in roots.iter().enumerate() {
+            let offset = app.methods.len() as u32;
+            let mut methods = copy_methods(root, &specs[k % specs.len()..], offset);
+            for method in &mut methods {
+                let smali = method.sig.as_smali().replace("->m", &format!("->r{k}m"));
+                method.sig = smali.parse().unwrap();
+            }
+            app.methods.extend(methods);
+        }
+        let bytes = write_dex(&app);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        for mut table in [FeatureTable::of_dex(&app), FeatureTable::of_view(&view)] {
+            for id in 0..table.tree().len() {
+                let prefix = table.tree().subtree(id).prefix();
+                let fp = LibraryFingerprint(Sha256::digest(table.sorted_lines(id)));
+                prop_assert_eq!(Some(fp), detect::fingerprint_subtree(&app, &prefix), "{}", prefix);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

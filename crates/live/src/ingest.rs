@@ -56,6 +56,14 @@
 //! the next connection is accepted, so a long-lived server keeps no
 //! thread for a past connection.
 //!
+//! # Connection cap
+//!
+//! At most `MAX_CONNECTIONS` (256) handlers are live at once. A
+//! connection accepted while that many are still running (after the
+//! finished ones are joined) is closed unread and counted in
+//! `spector_ingest_rejected_connections_total`;
+//! `spector_ingest_connections_total` counts the ones served.
+//!
 //! [`OverflowPolicy`]: crate::OverflowPolicy
 
 use std::io::{self, Read, Write};
@@ -78,6 +86,10 @@ pub const RECORD_HEADER_LEN: usize = 16;
 
 /// Bytes a connection's read buffer starts with.
 const READ_BUF_LEN: usize = 64 * 1024;
+
+/// Connection handlers one server runs at once; a connection beyond
+/// them is refused and counted.
+const MAX_CONNECTIONS: usize = 256;
 
 /// Listener tuning.
 #[derive(Debug, Clone)]
@@ -104,6 +116,7 @@ impl Default for IngestConfig {
 #[derive(Clone)]
 struct IngestCounters {
     connections: Counter,
+    rejected: Counter,
     records: Counter,
     malformed: Counter,
 }
@@ -112,6 +125,7 @@ impl IngestCounters {
     fn new(telemetry: &Telemetry) -> IngestCounters {
         IngestCounters {
             connections: telemetry.counter("spector_ingest_connections_total"),
+            rejected: telemetry.counter("spector_ingest_rejected_connections_total"),
             records: telemetry.counter("spector_ingest_records_total"),
             malformed: telemetry.counter("spector_ingest_malformed_records_total"),
         }
@@ -134,6 +148,15 @@ impl IngestServer {
     /// Binds the loopback listener on an ephemeral port and starts
     /// serving into `engine`.
     pub fn start(engine: LiveEngine, config: IngestConfig) -> io::Result<IngestServer> {
+        IngestServer::start_capped(engine, config, MAX_CONNECTIONS)
+    }
+
+    /// [`start`](Self::start) with at most `cap` live handlers.
+    pub(crate) fn start_capped(
+        engine: LiveEngine,
+        config: IngestConfig,
+        cap: usize,
+    ) -> io::Result<IngestServer> {
         let engine = Arc::new(engine);
         let counters = IngestCounters::new(engine.telemetry());
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
@@ -162,11 +185,16 @@ impl IngestServer {
                             break;
                         }
                     }
-                    counters.connections.inc();
                     // A thread nobody joins keeps its stack mapped.
                     for finished in handlers.extract_if(.., |handler| handler.is_finished()) {
                         reaped_panic |= finished.join().is_err();
                     }
+                    if handlers.len() >= cap {
+                        counters.rejected.inc();
+                        drop(stream);
+                        continue;
+                    }
+                    counters.connections.inc();
                     let engine = Arc::clone(&engine);
                     let shutdown = Arc::clone(&shutdown);
                     let config = config.clone();
@@ -553,6 +581,57 @@ mod tests {
             metrics.counter("spector_ingest_records_total"),
             frames as u64
         );
+    }
+
+    /// A connection beyond the cap is closed unread and counted, and
+    /// once a live handler finishes, connections are served again.
+    #[test]
+    fn connections_beyond_the_cap_are_refused_and_counted() {
+        let engine = LiveEngine::start(
+            knowledge(),
+            LiveConfig {
+                telemetry: Telemetry::enabled(),
+                ..Default::default()
+            },
+        );
+        let server = IngestServer::start_capped(engine, IngestConfig::default(), 1).unwrap();
+        let counts = || {
+            let metrics = server.engine.telemetry().snapshot();
+            (
+                metrics.counter("spector_ingest_connections_total"),
+                metrics.counter("spector_ingest_rejected_connections_total"),
+            )
+        };
+        // Sends one record, half-closes, and waits for the server to
+        // close the connection; on a refused one, any step may fail.
+        let one_record = |run: u32| {
+            let mut stream = TcpStream::connect(server.tcp_addr()).unwrap();
+            let _ = stream.write_all(&encode_record(run, 1, b"frame"));
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.read_to_end(&mut Vec::new());
+        };
+        // The one handler stays live while its client holds it open.
+        let mut held = TcpStream::connect(server.tcp_addr()).unwrap();
+        held.write_all(&encode_record(0, 1, b"frame")).unwrap();
+        wait_for_events(&server, 1);
+        one_record(1);
+        assert_eq!(counts(), (1, 1), "the second connection is refused");
+        held.shutdown(std::net::Shutdown::Write).unwrap();
+        let _ = held.read_to_end(&mut Vec::new());
+        // The held handler is done reading; it is joined, and a new
+        // connection served, as soon as its thread has ended.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut attempts = 2;
+        while counts().0 < 2 && Instant::now() < deadline {
+            one_record(2);
+            attempts += 1;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (served, rejected) = counts();
+        assert_eq!(served, 2);
+        assert_eq!(served + rejected, attempts);
+        let (summary, _) = server.shutdown().finish_with_metrics();
+        assert_eq!(summary.events, 2, "only served connections deliver records");
     }
 
     /// Polls until the engine has accepted `expected` events (the

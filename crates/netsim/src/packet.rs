@@ -22,7 +22,6 @@ use std::error::Error;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Length of an Ethernet II header.
@@ -320,92 +319,122 @@ fn mac_for(ip: IpAddr) -> [u8; 6] {
     [0x02, 0x00, o[12], o[13], o[14], o[15]]
 }
 
-/// Emits the Ethernet II + IP header for `pair`'s address family: a
-/// pair stored with two `IpAddr::V4` endpoints produces exactly the
-/// legacy IPv4 frame bytes; any stored v6 endpoint switches the frame
-/// to IPv6 (v4 members carried v4-mapped). The family dispatch here
-/// matches [`pseudo_header_sum`]'s exactly, so the transport checksum
-/// seed always agrees with the frame that carries it.
-fn encode_eth_ip(
-    buf: &mut BytesMut,
+/// A complete Ethernet frame for `pair` carrying `protocol` with a
+/// transport segment of `transport_len` bytes, which `transport` writes
+/// after the headers: one exactly-sized buffer, no copy.
+///
+/// The Ethernet II + IP header follows `pair`'s address family: a pair
+/// stored with two `IpAddr::V4` endpoints produces exactly the legacy
+/// IPv4 frame bytes; any stored v6 endpoint switches the frame to IPv6
+/// (v4 members carried v4-mapped). The family dispatch here matches
+/// [`pseudo_header_sum`]'s exactly, so the transport checksum seed
+/// always agrees with the frame that carries it.
+fn eth_ip_frame(
     pair: &SocketPair,
     protocol: u8,
-    transport_and_payload: &[u8],
-) {
-    // Ethernet II
-    buf.put_slice(&mac_for(pair.dst_ip));
-    buf.put_slice(&mac_for(pair.src_ip));
-    match (pair.src_ip, pair.dst_ip) {
-        (IpAddr::V4(src), IpAddr::V4(dst)) => {
-            buf.put_u16(ETHERTYPE_IPV4);
-            let total_len = (IPV4_HEADER_LEN + transport_and_payload.len()) as u16;
-            let mut ip = [0u8; IPV4_HEADER_LEN];
-            ip[0] = 0x45; // version 4, IHL 5
-            ip[1] = 0; // DSCP/ECN
+    transport_len: usize,
+    transport: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    let v4 = match (pair.src_ip, pair.dst_ip) {
+        (IpAddr::V4(src), IpAddr::V4(dst)) => Some((src, dst)),
+        _ => None,
+    };
+    let ip_len = if v4.is_some() {
+        IPV4_HEADER_LEN
+    } else {
+        IPV6_HEADER_LEN
+    };
+    let mut frame = vec![0u8; ETH_HEADER_LEN + ip_len + transport_len];
+    let (eth, rest) = frame.split_at_mut(ETH_HEADER_LEN);
+    let (ip, segment) = rest.split_at_mut(ip_len);
+    eth[0..6].copy_from_slice(&mac_for(pair.dst_ip));
+    eth[6..12].copy_from_slice(&mac_for(pair.src_ip));
+    match v4 {
+        Some((src, dst)) => {
+            eth[12..14].copy_from_slice(&ETHERTYPE_IPV4.to_be_bytes());
+            let total_len = (IPV4_HEADER_LEN + transport_len) as u16;
+            ip[0] = 0x45; // version 4, IHL 5; DSCP/ECN zero
             ip[2..4].copy_from_slice(&total_len.to_be_bytes());
             // identification / flags / fragment offset left zero
             ip[8] = 64; // TTL
             ip[9] = protocol;
             ip[12..16].copy_from_slice(&src.octets());
             ip[16..20].copy_from_slice(&dst.octets());
-            let csum = internet_checksum(0, &ip);
+            let csum = internet_checksum(0, ip);
             ip[10..12].copy_from_slice(&csum.to_be_bytes());
-            buf.put_slice(&ip);
         }
-        _ => {
-            buf.put_u16(ETHERTYPE_IPV6);
-            let mut ip = [0u8; IPV6_HEADER_LEN];
+        None => {
+            eth[12..14].copy_from_slice(&ETHERTYPE_IPV6.to_be_bytes());
             ip[0] = 0x60; // version 6, traffic class / flow label zero
-            ip[4..6].copy_from_slice(&(transport_and_payload.len() as u16).to_be_bytes());
+            ip[4..6].copy_from_slice(&(transport_len as u16).to_be_bytes());
             ip[6] = protocol; // next header
             ip[7] = 64; // hop limit
             ip[8..24].copy_from_slice(&v6_octets(pair.src_ip));
             ip[24..40].copy_from_slice(&v6_octets(pair.dst_ip));
-            buf.put_slice(&ip);
         }
     }
-    buf.put_slice(transport_and_payload);
+    transport(segment);
+    frame
 }
 
 /// Encodes a TCP segment into a complete Ethernet frame (IPv4 or IPv6
 /// per the pair's address family).
 pub fn encode_tcp(pair: &SocketPair, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
-    let mut tcp = vec![0u8; TCP_HEADER_LEN + payload.len()];
-    tcp[0..2].copy_from_slice(&pair.src_port.to_be_bytes());
-    tcp[2..4].copy_from_slice(&pair.dst_port.to_be_bytes());
-    tcp[4..8].copy_from_slice(&seq.to_be_bytes());
-    tcp[8..12].copy_from_slice(&ack.to_be_bytes());
-    tcp[12] = ((TCP_HEADER_LEN / 4) as u8) << 4; // data offset
-    tcp[13] = flags;
-    tcp[14..16].copy_from_slice(&65_535u16.to_be_bytes()); // window
-    tcp[TCP_HEADER_LEN..].copy_from_slice(payload);
-    let seed = pseudo_header_sum(pair.src_ip, pair.dst_ip, 6, tcp.len() as u32);
-    let csum = internet_checksum(seed, &tcp);
-    tcp[16..18].copy_from_slice(&csum.to_be_bytes());
+    tcp_frame(pair, seq, ack, flags, payload.len(), |out| {
+        out.copy_from_slice(payload)
+    })
+}
 
-    let mut buf = BytesMut::with_capacity(ETH_HEADER_LEN + IPV6_HEADER_LEN + tcp.len());
-    encode_eth_ip(&mut buf, pair, 6, &tcp);
-    buf.to_vec()
+/// [`encode_tcp`] of `len` filler bytes seeded by `seq`, written
+/// straight into the frame: byte `i` is `seq + 31·i`, truncated to a
+/// byte, so a capture of filler is reproducible.
+pub fn encode_tcp_filler(pair: &SocketPair, seq: u32, ack: u32, flags: u8, len: usize) -> Vec<u8> {
+    tcp_frame(pair, seq, ack, flags, len, |out| {
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = (seq as usize).wrapping_add(i.wrapping_mul(31)) as u8;
+        }
+    })
+}
+
+/// A TCP frame whose `len` payload bytes `payload` writes.
+fn tcp_frame(
+    pair: &SocketPair,
+    seq: u32,
+    ack: u32,
+    flags: u8,
+    len: usize,
+    payload: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    eth_ip_frame(pair, 6, TCP_HEADER_LEN + len, |tcp| {
+        tcp[0..2].copy_from_slice(&pair.src_port.to_be_bytes());
+        tcp[2..4].copy_from_slice(&pair.dst_port.to_be_bytes());
+        tcp[4..8].copy_from_slice(&seq.to_be_bytes());
+        tcp[8..12].copy_from_slice(&ack.to_be_bytes());
+        tcp[12] = ((TCP_HEADER_LEN / 4) as u8) << 4; // data offset
+        tcp[13] = flags;
+        tcp[14..16].copy_from_slice(&65_535u16.to_be_bytes()); // window
+        payload(&mut tcp[TCP_HEADER_LEN..]);
+        let seed = pseudo_header_sum(pair.src_ip, pair.dst_ip, 6, tcp.len() as u32);
+        let csum = internet_checksum(seed, tcp);
+        tcp[16..18].copy_from_slice(&csum.to_be_bytes());
+    })
 }
 
 /// Encodes a UDP datagram into a complete Ethernet frame (IPv4 or IPv6
 /// per the pair's address family).
 pub fn encode_udp(pair: &SocketPair, payload: &[u8]) -> Vec<u8> {
-    let mut udp = vec![0u8; UDP_HEADER_LEN + payload.len()];
-    udp[0..2].copy_from_slice(&pair.src_port.to_be_bytes());
-    udp[2..4].copy_from_slice(&pair.dst_port.to_be_bytes());
-    let udp_len = udp.len() as u16;
-    udp[4..6].copy_from_slice(&udp_len.to_be_bytes());
-    udp[UDP_HEADER_LEN..].copy_from_slice(payload);
-    let seed = pseudo_header_sum(pair.src_ip, pair.dst_ip, 17, udp.len() as u32);
-    let csum = internet_checksum(seed, &udp);
-    // Per RFC 768, a computed checksum of zero is transmitted as 0xffff.
-    let csum = if csum == 0 { 0xffff } else { csum };
-    udp[6..8].copy_from_slice(&csum.to_be_bytes());
-
-    let mut buf = BytesMut::with_capacity(ETH_HEADER_LEN + IPV6_HEADER_LEN + udp.len());
-    encode_eth_ip(&mut buf, pair, 17, &udp);
-    buf.to_vec()
+    eth_ip_frame(pair, 17, UDP_HEADER_LEN + payload.len(), |udp| {
+        udp[0..2].copy_from_slice(&pair.src_port.to_be_bytes());
+        udp[2..4].copy_from_slice(&pair.dst_port.to_be_bytes());
+        let udp_len = udp.len() as u16;
+        udp[4..6].copy_from_slice(&udp_len.to_be_bytes());
+        udp[UDP_HEADER_LEN..].copy_from_slice(payload);
+        let seed = pseudo_header_sum(pair.src_ip, pair.dst_ip, 17, udp.len() as u32);
+        let csum = internet_checksum(seed, udp);
+        // Per RFC 768, a computed checksum of zero is transmitted as 0xffff.
+        let csum = if csum == 0 { 0xffff } else { csum };
+        udp[6..8].copy_from_slice(&csum.to_be_bytes());
+    })
 }
 
 /// Decodes a raw Ethernet frame without copying the payload: the

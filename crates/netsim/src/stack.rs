@@ -289,18 +289,15 @@ impl NetStack {
         let mut moved = 0;
         while moved < len {
             let chunk = (len - moved).min(TCP_MSS as u64) as usize;
+            let flags = tcp_flags::PSH | tcp_flags::ACK;
             // Filler is seeded per segment by that segment's sequence
             // number, so captures are reproducible.
-            let filler;
-            let data = match payload {
-                Payload::Filler(_) => {
-                    filler = deterministic_payload(*seq, chunk);
-                    &filler[..]
+            self.emit(match payload {
+                Payload::Filler(_) => packet::encode_tcp_filler(&out, *seq, ack, flags, chunk),
+                Payload::Bytes(bytes) => {
+                    packet::encode_tcp(&out, *seq, ack, flags, &bytes[moved as usize..][..chunk])
                 }
-                Payload::Bytes(bytes) => &bytes[moved as usize..][..chunk],
-            };
-            let flags = tcp_flags::PSH | tcp_flags::ACK;
-            self.emit(packet::encode_tcp(&out, *seq, ack, flags, data));
+            });
             *seq = seq.wrapping_add(chunk as u32);
             moved += chunk as u64;
         }
@@ -390,14 +387,6 @@ pub fn local_ipv6_for(v4: Ipv4Addr) -> Ipv6Addr {
         u16::from_be_bytes([o[0], o[1]]),
         u16::from_be_bytes([o[2], o[3]]),
     )
-}
-
-/// Fills payload bytes deterministically from the sequence number so
-/// captures are reproducible.
-fn deterministic_payload(seed: u32, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| (seed as usize).wrapping_add(i.wrapping_mul(31)) as u8)
-        .collect()
 }
 
 #[cfg(test)]
