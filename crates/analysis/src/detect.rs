@@ -1,10 +1,12 @@
 //! Detection-quality harness: precision/recall of each cascade tier
 //! across synthetic obfuscation levels.
 //!
-//! For every [`ObfuscationTier`] the harness regenerates the same
-//! deterministic corpus, obfuscates a fresh copy (the knowledge bases
-//! stay canonical), and then evaluates the three detection tiers
-//! *independently* against the canonical ground truth:
+//! For every [`ObfuscationTier`] above `none` the harness regenerates
+//! the same deterministic corpus and obfuscates the copy (the knowledge
+//! bases stay canonical); `none` grades the canonical corpus itself.
+//! It then evaluates the three detection tiers *independently* against
+//! the canonical ground truth, reading each app's dex once, as one view
+//! and one feature table that the tiers share:
 //!
 //! * **trie** — longest-prefix matching on package names: a canonical
 //!   root counts as detected only if it still appears verbatim in the
@@ -27,6 +29,7 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 use spector_corpus::obfuscate::library_roots;
 use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
+use spector_dex::{FeatureTable, PackageTree};
 
 /// Harness settings: which deterministic corpus to grade the cascade on.
 #[derive(Debug, Clone)]
@@ -147,7 +150,8 @@ pub fn evaluate(config: &DetectQualityConfig) -> DetectQualityReport {
         .apps
         .iter()
         .map(|app| {
-            library_roots(&app.apk.dex().expect("generated apk has a valid dex"))
+            let view = app.apk.dex().expect("generated apk has a valid dex");
+            library_roots(&PackageTree::new(&view))
                 .into_iter()
                 .collect()
         })
@@ -155,10 +159,15 @@ pub fn evaluate(config: &DetectQualityConfig) -> DetectQualityReport {
 
     let mut levels = Vec::with_capacity(ObfuscationTier::ALL.len());
     for tier in ObfuscationTier::ALL {
-        let mut corpus = Corpus::generate(&corpus_config);
-        if tier != ObfuscationTier::None {
+        let obfuscated;
+        let corpus = if tier == ObfuscationTier::None {
+            &canonical
+        } else {
+            let mut corpus = Corpus::generate(&corpus_config);
             obfuscate_corpus(&mut corpus, tier, config.obfuscation_seed);
-        }
+            obfuscated = corpus;
+            &obfuscated
+        };
         let mut level = LevelQuality {
             level: tier.label().to_owned(),
             libraries: truth.iter().map(BTreeSet::len).sum(),
@@ -169,19 +178,20 @@ pub fn evaluate(config: &DetectQualityConfig) -> DetectQualityReport {
             structural_recovered: 0,
         };
         for (app, truth) in corpus.apps.iter().zip(&truth) {
-            let dex = app.apk.dex().expect("obfuscated apk has a valid dex");
+            let view = app.apk.dex().expect("obfuscated apk has a valid dex");
+            let mut table = FeatureTable::new(&view);
             // Trie tier: a canonical root survives only if it still
             // appears verbatim as a package prefix.
-            let trie: BTreeSet<&str> = library_roots(&dex).into_iter().collect();
+            let trie: BTreeSet<&str> = library_roots(table.tree()).into_iter().collect();
             let exact: BTreeSet<String> = corpus
                 .library_db
-                .detect(&dex)
+                .detect_in(&mut table)
                 .into_iter()
                 .map(|d| d.name)
                 .collect();
             let structural: BTreeSet<String> = corpus
                 .structural_index
-                .detect(&dex)
+                .detect_in(&mut table)
                 .into_iter()
                 .map(|m| m.name)
                 .collect();

@@ -158,7 +158,7 @@ fn bench_experiment_slice(c: &mut Criterion) {
     group.bench_function("app_image", |b| {
         b.iter(|| {
             for (apk, _) in &apps {
-                let index = SigIndex::new(Arc::new(apk.dex().unwrap()));
+                let index = SigIndex::new(Arc::new(apk.dex().unwrap().to_dex()));
                 std::hint::black_box((index, apk.sha256()));
             }
         });
@@ -278,7 +278,7 @@ fn bench_knowledge_scan(c: &mut Criterion) {
     let views: Vec<DexView<'_>> = corpus
         .apps
         .iter()
-        .map(|app| app.apk.dex_view().unwrap())
+        .map(|app| app.apk.dex().unwrap())
         .collect();
     let mut group = c.benchmark_group("perf/knowledge");
     group.sample_size(10);
@@ -286,21 +286,21 @@ fn bench_knowledge_scan(c: &mut Criterion) {
     group.bench_function("dex_view", |b| {
         b.iter(|| {
             for app in &corpus.apps {
-                std::hint::black_box(app.apk.dex_view().unwrap());
+                std::hint::black_box(app.apk.dex().unwrap());
             }
         });
     });
     group.bench_function("package_tree", |b| {
         b.iter(|| {
             for view in &views {
-                std::hint::black_box(PackageTree::of_view(view));
+                std::hint::black_box(PackageTree::new(view));
             }
         });
     });
     group.bench_function("detect", |b| {
         b.iter(|| {
             for view in &views {
-                let mut table = FeatureTable::of_view(view);
+                let mut table = FeatureTable::new(view);
                 std::hint::black_box((
                     corpus.library_db.detect_in(&mut table),
                     corpus.structural_index.detect_in(&mut table),
@@ -499,7 +499,7 @@ fn bench_substrates(c: &mut Criterion) {
     group.finish();
 
     // Dex disassembly (the Method Monitor's startup step).
-    let dex = corpus().apps[0].apk.dex().unwrap();
+    let dex = corpus().apps[0].apk.dex().unwrap().to_dex();
     let bytes = write_dex(&dex);
     let mut group = c.benchmark_group("perf/dex");
     group.throughput(Throughput::Bytes(bytes.len() as u64));

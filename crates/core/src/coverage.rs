@@ -250,7 +250,7 @@ mod tests {
         });
         for mode in MODES {
             for app in &corpus.apps {
-                let dex = Arc::new(app.apk.dex().unwrap());
+                let dex = Arc::new(app.apk.dex().unwrap().to_dex());
                 let manifest = app.apk.manifest().unwrap();
                 let mut rt = Runtime::new(
                     Arc::new(SigIndex::new(dex)),

@@ -150,7 +150,7 @@ pub fn run_app_with_hooks(
     extra_hooks: Vec<Box<dyn spector_runtime::RuntimeHook>>,
 ) -> Result<RawRun, ExperimentError> {
     let manifest = apk.manifest()?;
-    let index = Arc::new(SigIndex::new(Arc::new(apk.dex()?)));
+    let index = Arc::new(SigIndex::new(Arc::new(apk.dex()?.to_dex())));
     let digest = apk.sha256();
 
     // Fresh emulator: clock at zero, stock Android-emulator addressing.
@@ -267,7 +267,7 @@ mod tests {
         assert!(!raw.executed_methods.is_empty());
         assert_eq!(
             raw.executed_methods.method_count(),
-            app.apk.dex().unwrap().method_count()
+            app.apk.dex().unwrap().len()
         );
         assert!(raw.executed_methods.method_count() >= raw.executed_methods.len() / 2);
         assert_eq!(raw.monkey.events_issued, 60);

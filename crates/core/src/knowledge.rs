@@ -219,10 +219,10 @@ fn scan(corpus: &Corpus) -> (Vec<AppDetections>, HashMap<String, DomainCategory>
             let Some(app) = corpus.apps.get(task - 1) else {
                 return (detections, domain_categories);
             };
-            let found = app.apk.dex_view().map_or_else(
+            let found = app.apk.dex().map_or_else(
                 |_| AppDetections::default(),
                 |view| {
-                    let mut table = FeatureTable::of_view(&view);
+                    let mut table = FeatureTable::new(&view);
                     (
                         corpus.library_db.detect_in(&mut table),
                         corpus.structural_index.detect_in(&mut table),

@@ -451,7 +451,6 @@ pub fn generate_app(
         method_indices: vec![app_on_create_id],
     }];
     let dex = DexFile { methods, classes };
-    debug_assert_eq!(dex.validate(), Ok(()));
     let manifest = Manifest {
         package: package.clone(),
         version_code: 1 + (index % 40) as u32,
@@ -464,6 +463,7 @@ pub fn generate_app(
     // A minority of apps ship native code; most of those are fat apks.
     let extra = native_lib_entries(rng);
     let apk = Apk::build(&manifest, &dex, extra);
+    debug_assert!(apk.dex().is_ok(), "generated dex: {:?}", apk.dex().err());
 
     GeneratedApp {
         package,
@@ -692,8 +692,7 @@ mod tests {
     #[test]
     fn generated_apk_is_well_formed() {
         let app = quick_app(1, Archetype::Mixed);
-        let dex = app.apk.dex().expect("dex parses");
-        assert_eq!(dex.validate(), Ok(()));
+        let dex = app.apk.dex().expect("dex parses and validates").to_dex();
         let manifest = app.apk.manifest().expect("manifest parses");
         assert_eq!(manifest.package, app.package);
         assert_eq!(manifest.application_on_create.len(), 1);

@@ -25,7 +25,7 @@
 //!     ..Default::default()
 //! });
 //! assert_eq!(corpus.apps.len(), 5);
-//! assert!(corpus.apps[0].apk.dex().unwrap().method_count() > 0);
+//! assert!(corpus.apps[0].apk.dex().unwrap().len() > 0);
 //! ```
 
 pub mod appgen;
@@ -125,11 +125,12 @@ impl Corpus {
             ));
         }
 
+        let (library_db, structural_index) = libraries::build_library_indexes();
         Corpus {
             apps,
             domains,
-            library_db: libraries::build_library_db(),
-            structural_index: libraries::build_structural_index(),
+            library_db,
+            structural_index,
             lists: libraries::library_lists(),
         }
     }
@@ -144,6 +145,15 @@ impl Corpus {
             .find(|t| t.domain == domain)
     }
 }
+
+// The from-scratch profile and fingerprint live in test code; the unit
+// tests include them as the integration tests do.
+#[cfg(test)]
+#[path = "../../libradar/tests/support/fingerprint.rs"]
+mod fingerprint;
+#[cfg(test)]
+#[path = "../../dex/tests/support/subtree.rs"]
+mod subtree;
 
 #[cfg(test)]
 mod tests {

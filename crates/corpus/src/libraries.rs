@@ -26,6 +26,7 @@ use spector_dex::model::{
     fnv1a, CodeItem, Connector, DexFile, Dispatcher, Instruction, MethodDef, MethodRef, NetworkOp,
 };
 use spector_dex::sig::MethodSig;
+use spector_dex::{write_dex, DexView, FeatureTable};
 use spector_libradar::{LibCategory, LibraryDb, LibraryLists, StructuralIndex};
 
 /// One library in the universe.
@@ -817,45 +818,37 @@ pub fn instantiate(
     }
 }
 
-/// Builds the LibRadar fingerprint database over the whole universe
-/// (using placeholder operands — operands do not affect fingerprints).
-pub fn build_library_db() -> LibraryDb {
+/// Builds both detection tiers' knowledge bases over the whole
+/// universe: the LibRadar fingerprint database and the structural-profile
+/// index, its obfuscation-resistant twin. Each template is instantiated
+/// once (with placeholder operands, which affect neither fingerprints
+/// nor profiles), written and read back as a dex view, and registered
+/// in both from one feature table.
+pub fn build_library_indexes() -> (LibraryDb, StructuralIndex) {
     let mut db = LibraryDb::new();
-    let placeholder = LibraryOps {
-        bg0: placeholder_op(),
-        bg1: placeholder_op(),
-        refresh: placeholder_op(),
-    };
+    let mut index = StructuralIndex::new();
     for template in LIBRARY_TEMPLATES {
-        let instance = instantiate(template, 0, &placeholder);
-        let dex = DexFile {
-            methods: instance.methods,
-            classes: vec![],
-        };
-        db.add_library(template.package, template.category, &dex);
+        let bytes = write_dex(&placeholder_dex(template));
+        let view = DexView::parse(&bytes).expect("an instantiated template is a valid dex");
+        let mut table = FeatureTable::new(&view);
+        db.add_library(template.package, template.category, &mut table);
+        index.add_library(template.package, template.category, &mut table);
     }
-    db
+    (db, index)
 }
 
-/// Builds the structural-profile index over the whole universe — the
-/// obfuscation-resistant twin of [`build_library_db`]. Operands do not
-/// affect structural profiles either.
-pub fn build_structural_index() -> StructuralIndex {
-    let mut index = StructuralIndex::new();
+/// The dex of `template` alone, instantiated at method 0 with
+/// placeholder operands.
+fn placeholder_dex(template: &'static LibraryTemplate) -> DexFile {
     let placeholder = LibraryOps {
         bg0: placeholder_op(),
         bg1: placeholder_op(),
         refresh: placeholder_op(),
     };
-    for template in LIBRARY_TEMPLATES {
-        let instance = instantiate(template, 0, &placeholder);
-        let dex = DexFile {
-            methods: instance.methods,
-            classes: vec![],
-        };
-        index.add_library(template.package, template.category, &dex);
+    DexFile {
+        methods: instantiate(template, 0, &placeholder).methods,
+        classes: vec![],
     }
-    index
 }
 
 fn placeholder_op() -> NetworkOp {
@@ -892,21 +885,18 @@ mod tests {
 
     #[test]
     fn template_structural_profiles_are_pairwise_distinct() {
-        use spector_dex::subtree_profile;
-
-        let placeholder = LibraryOps {
-            bg0: placeholder_op(),
-            bg1: placeholder_op(),
-            refresh: placeholder_op(),
-        };
+        let (_, index) = build_library_indexes();
+        assert_eq!(index.len(), LIBRARY_TEMPLATES.len());
         let mut profiles = Vec::new();
         for template in LIBRARY_TEMPLATES {
-            let instance = instantiate(template, 0, &placeholder);
-            let dex = DexFile {
-                methods: instance.methods,
-                classes: vec![],
-            };
-            profiles.push((template.package, subtree_profile(&dex, template.package)));
+            let profile =
+                crate::subtree::subtree_profile(&placeholder_dex(template), template.package);
+            // The index holds the reference's profile of every template:
+            // it scores its own template exactly 1.
+            let matched = index.best_match(&profile).expect("a template matches");
+            assert_eq!(matched.name, template.package);
+            assert_eq!(matched.score, 1.0, "{}", template.package);
+            profiles.push((template.package, profile));
         }
         for (i, (name_a, a)) in profiles.iter().enumerate() {
             for (name_b, b) in &profiles[i + 1..] {
@@ -966,8 +956,23 @@ mod tests {
 
     #[test]
     fn db_detects_every_template() {
-        let db = build_library_db();
+        let (db, _) = build_library_indexes();
         assert_eq!(db.len(), LIBRARY_TEMPLATES.len());
+        // Every template is registered under the fingerprint the
+        // from-scratch reference computes.
+        for template in LIBRARY_TEMPLATES {
+            let fp = crate::fingerprint::fingerprint_subtree(
+                &placeholder_dex(template),
+                template.package,
+            )
+            .expect("a template has methods");
+            assert_eq!(
+                db.lookup(&fp),
+                Some((template.package, template.category)),
+                "{}",
+                template.package
+            );
+        }
         // Each template, instantiated with arbitrary operands at a
         // nonzero base, is still detected.
         for template in LIBRARY_TEMPLATES.iter().take(10) {
@@ -992,11 +997,11 @@ mod tests {
                 })
                 .collect();
             methods.extend(instance.methods);
-            let dex = DexFile {
+            let bytes = write_dex(&DexFile {
                 methods,
                 classes: vec![],
-            };
-            let detected = db.detect(&dex);
+            });
+            let detected = db.detect(&DexView::parse(&bytes).unwrap());
             assert!(
                 detected.iter().any(|d| d.name == template.package),
                 "{} not detected",

@@ -26,16 +26,15 @@
 //!   library method bodies. Structural profiles still survive: degrees
 //!   are identity-based and filler opcodes are uncounted.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
 use std::str::FromStr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spector_dex::model::{fnv1a, DexFile, Instruction, MethodRef};
 use spector_dex::sig::MethodSig;
-use spector_dex::Apk;
+use spector_dex::{Apk, PackageTree};
 
 use crate::appgen::GeneratedApp;
 use crate::libraries::LIBRARY_TEMPLATES;
@@ -103,22 +102,16 @@ const BLOCKED_FIRST: &[&str] = &[
     "com", "org", "net", "io", "uk", "java", "javax", "sun", "android", "dalvik", "junit",
 ];
 
-/// Canonical template roots instantiated in `dex`, in template order
-/// (component-aligned subtree membership; templates are prefix-free so
-/// matches are unique).
-pub fn library_roots(dex: &DexFile) -> Vec<&'static str> {
-    // Each method's package once; a root's subtree members sort
-    // contiguously from the root itself.
-    let packages: BTreeSet<String> = dex.methods.iter().map(|m| m.sig.package()).collect();
+/// Canonical template roots instantiated in the dex whose package tree
+/// is `tree`, in template order: a root is instantiated when some
+/// method's package is the root or lies beneath it, that is when the
+/// tree holds it as a prefix (templates are prefix-free, so matches
+/// are unique).
+pub fn library_roots(tree: &PackageTree) -> Vec<&'static str> {
     LIBRARY_TEMPLATES
         .iter()
         .map(|template| template.package)
-        .filter(|&root| {
-            packages
-                .range::<str, _>((Bound::Included(root), Bound::Unbounded))
-                .take_while(|pkg| pkg.starts_with(root))
-                .any(|pkg| in_subtree(pkg, root))
-        })
+        .filter(|root| tree.find(root).is_some())
         .collect()
 }
 
@@ -320,11 +313,11 @@ pub fn obfuscate_app(app: &mut GeneratedApp, tier: ObfuscationTier, seed: u64) -
     if tier == ObfuscationTier::None {
         return LibraryMapping::new();
     }
-    let mut dex = app.apk.dex().expect("generated apk has a valid dex");
+    let view = app.apk.dex().expect("generated apk has a valid dex");
+    let roots = library_roots(&PackageTree::new(&view));
+    let mut dex = view.to_dex();
     let manifest = app.apk.manifest().expect("generated apk has a manifest");
-    let roots = library_roots(&dex);
     let mapping = obfuscate_dex(&mut dex, &roots, tier, seed);
-    debug_assert_eq!(dex.validate(), Ok(()));
     for t in &mut app.truth {
         t.owner_package = map_package(&t.owner_package, &mapping);
         if let Some(origin) = &mut t.expected_origin {
@@ -339,6 +332,11 @@ pub fn obfuscate_app(app: &mut GeneratedApp, tier: ObfuscationTier, seed: u64) -
         .cloned()
         .collect();
     app.apk = Apk::build(&manifest, &dex, extras);
+    debug_assert!(
+        app.apk.dex().is_ok(),
+        "obfuscated dex: {:?}",
+        app.apk.dex().err()
+    );
     mapping
 }
 
@@ -362,7 +360,15 @@ pub fn obfuscate_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subtree::subtree_profile;
     use crate::{AppGenConfig, CorpusConfig, OpStyle};
+    use spector_dex::{write_dex, DexView, FeatureTable};
+
+    /// [`library_roots`] of an owned dex.
+    fn roots_of(dex: &DexFile) -> Vec<&'static str> {
+        let bytes = write_dex(dex);
+        library_roots(&PackageTree::new(&DexView::parse(&bytes).unwrap()))
+    }
 
     fn small_corpus() -> Corpus {
         Corpus::generate(&CorpusConfig {
@@ -400,14 +406,13 @@ mod tests {
         let canonical_roots: Vec<Vec<&'static str>> = corpus
             .apps
             .iter()
-            .map(|a| library_roots(&a.apk.dex().unwrap()))
+            .map(|a| library_roots(&PackageTree::new(&a.apk.dex().unwrap())))
             .collect();
         let mappings = obfuscate_corpus(&mut corpus, ObfuscationTier::Rename, 2);
         let mut saw_lib = false;
         for ((app, mapping), roots) in corpus.apps.iter().zip(&mappings).zip(&canonical_roots) {
             assert_eq!(mapping.len(), roots.len());
-            let dex = app.apk.dex().unwrap();
-            assert_eq!(dex.validate(), Ok(()));
+            let dex = app.apk.dex().expect("the dex validates").to_dex();
             for root in roots {
                 saw_lib = true;
                 let obf = &mapping[*root];
@@ -446,7 +451,7 @@ mod tests {
 
     #[test]
     fn exact_fingerprint_survives_rename_but_not_mangle() {
-        let db = crate::libraries::build_library_db();
+        let (db, _) = crate::libraries::build_library_indexes();
         for (tier, survives) in [
             (ObfuscationTier::Rename, true),
             (ObfuscationTier::Mangle, false),
@@ -478,8 +483,7 @@ mod tests {
             .collect();
         obfuscate_corpus(&mut corpus, ObfuscationTier::Junk, 4);
         for (app, domains) in corpus.apps.iter().zip(&truth_before) {
-            let dex = app.apk.dex().unwrap();
-            assert_eq!(dex.validate(), Ok(()));
+            app.apk.dex().expect("junk keeps the dex valid");
             let after: Vec<_> = app.truth.iter().map(|t| t.domain.clone()).collect();
             assert_eq!(&after, domains, "junk must not touch network operands");
         }
@@ -497,15 +501,20 @@ mod tests {
             let mappings = obfuscate_corpus(&mut obf, tier, 5);
             let mut compared = false;
             for ((orig, obf_app), mapping) in corpus.apps.iter().zip(&obf.apps).zip(&mappings) {
-                let odex = orig.apk.dex().unwrap();
-                let xdex = obf_app.apk.dex().unwrap();
+                let (oview, xview) = (orig.apk.dex().unwrap(), obf_app.apk.dex().unwrap());
+                let (mut otable, mut xtable) =
+                    (FeatureTable::new(&oview), FeatureTable::new(&xview));
+                let odex = oview.to_dex();
                 for (root, new_root) in mapping {
                     compared = true;
+                    // Every library root is a prefix of its dex's tree.
+                    let before = otable.profile(otable.tree().find(root).unwrap());
                     assert_eq!(
-                        spector_dex::features::subtree_profile(&odex, root),
-                        spector_dex::features::subtree_profile(&xdex, new_root),
+                        before,
+                        xtable.profile(xtable.tree().find(new_root).unwrap()),
                         "profile moved for {root} at {tier}"
                     );
+                    assert_eq!(before, subtree_profile(&odex, root), "{root}");
                 }
             }
             assert!(compared);
@@ -568,18 +577,18 @@ mod tests {
             classes: vec![],
         };
         assert_eq!(
-            library_roots(&edge),
+            roots_of(&edge),
             ["com.unity3d.ads", "com.vungle.publisher", "com.adcolony"]
         );
-        assert_eq!(library_roots(&edge), library_roots_scanned(&edge));
-        assert!(library_roots(&DexFile::new()).is_empty());
+        assert_eq!(roots_of(&edge), library_roots_scanned(&edge));
+        assert!(roots_of(&DexFile::new()).is_empty());
         let mut saw_roots = false;
         for tier in ObfuscationTier::ALL {
             let mut corpus = small_corpus();
             obfuscate_corpus(&mut corpus, tier, 5);
             for app in &corpus.apps {
-                let dex = app.apk.dex().unwrap();
-                let roots = library_roots(&dex);
+                let dex = app.apk.dex().unwrap().to_dex();
+                let roots = roots_of(&dex);
                 saw_roots |= !roots.is_empty();
                 assert_eq!(
                     roots,

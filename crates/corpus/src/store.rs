@@ -117,7 +117,7 @@ pub fn build_archive(apps: &[crate::appgen::GeneratedApp], seed: u64) -> Vec<Arc
         let Ok(manifest) = app.apk.manifest() else {
             continue;
         };
-        let Ok(dex) = app.apk.dex() else {
+        let Ok(dex) = app.apk.dex().map(|view| view.to_dex()) else {
             continue;
         };
         let older_versions = rng.gen_range(0..=2usize);

@@ -161,22 +161,13 @@ impl Apk {
         serde_json::from_slice(&entry.data).map_err(|e| ApkError::Manifest(e.to_string()))
     }
 
-    /// Disassembles and returns the dex file.
+    /// Disassembles `classes.dex` into its borrowed, validated view;
+    /// [`DexView::to_dex`] copies it into the owned model.
     ///
     /// # Errors
     ///
     /// [`ApkError::Dex`] when `classes.dex` is missing or malformed.
-    pub fn dex(&self) -> Result<DexFile, ApkError> {
-        Ok(self.dex_view()?.to_dex())
-    }
-
-    /// The borrowed, validated view of `classes.dex`: what
-    /// [`Apk::dex`] parses, before it is copied into an owned model.
-    ///
-    /// # Errors
-    ///
-    /// As [`Apk::dex`].
-    pub fn dex_view(&self) -> Result<DexView<'_>, ApkError> {
+    pub fn dex(&self) -> Result<DexView<'_>, ApkError> {
         let entry = self.entry("classes.dex").ok_or_else(|| {
             ApkError::Dex(DexParseError {
                 message: "missing classes.dex".into(),
@@ -336,7 +327,7 @@ mod tests {
     fn build_and_read_back() {
         let apk = Apk::build(&sample_manifest(), &sample_dex(), vec![]);
         assert_eq!(apk.manifest().unwrap(), sample_manifest());
-        assert_eq!(apk.dex().unwrap(), sample_dex());
+        assert_eq!(apk.dex().unwrap().to_dex(), sample_dex());
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //! multiset of those hashes. Profiles are deterministic: same dex, same
 //! prefix → same profile, independent of method-table order.
 //!
-//! Detection profiles many prefixes of one dex; [`PackageTree`] indexes
-//! every package subtree of a dex once so that it does not rescan the
-//! method table per prefix, and [`FeatureTable`] computes each method's
-//! features at most once, on first use, for both detection tiers: its
+//! [`FeatureTable`] is the one extractor: both detection tiers read it,
+//! to register known libraries as well as to detect them in apps. It
+//! reads a dex view; its [`PackageTree`] indexes every package subtree
+//! of the dex once, so no prefix rescans the method table, and it
+//! computes each method's features at most once, on first use: its
 //! exact-fingerprint line, descriptor shape, opcode histogram, distinct
-//! internal callees and class path. [`subtree_profile`] is the
-//! single-prefix profile over an owned dex, computed from scratch; the
-//! table's profiles equal it prefix for prefix.
+//! internal callees and class path. A library is registered under the
+//! subtree [`PackageTree::find`] names, so registration and detection
+//! fingerprint and profile alike. A single-prefix profile computed from
+//! scratch over an owned dex is kept in test code
+//! (`tests/support/subtree.rs`) as the reference the table is held to.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,8 +41,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DexFile, MethodRef, FNV_OFFSET, FNV_PRIME};
-use crate::sig::{self, MethodSig};
+use crate::model::{FNV_OFFSET, FNV_PRIME};
 use crate::view::{DexView, InstructionRef, TargetRef};
 
 /// A structural profile of one package subtree: a sorted multiset of
@@ -227,40 +229,6 @@ fn is_separator(b: u8) -> bool {
     b == b'.' || b == b'/'
 }
 
-/// Whether the package at `path` (as its smali writes it) lies inside
-/// the subtree rooted at the dotted `prefix`, the prefix itself
-/// included. Component-aligned: `com.foo` does not contain `com.foobar`.
-fn in_subtree(path: &str, prefix: &str) -> bool {
-    path.len() >= prefix.len()
-        && path
-            .bytes()
-            .zip(prefix.bytes())
-            .all(|(a, b)| dotted(a) == b)
-        && path
-            .as_bytes()
-            .get(prefix.len())
-            .is_none_or(|&b| is_separator(b))
-}
-
-/// Component depth of the package at `path` below a prefix of
-/// `prefix_len` bytes (0 when equal).
-fn depth_below(path: &str, prefix_len: usize) -> u64 {
-    path.as_bytes().get(prefix_len..).map_or(0, |below| {
-        below.iter().filter(|&&b| is_separator(b)).count() as u64
-    })
-}
-
-/// Every method's package path and the ascending indices of the methods
-/// in the subtree rooted at the dotted `prefix`, by one scan of the
-/// method table: the single-prefix counterpart of [`PackageTree`].
-pub fn scan_subtree<'a>(dex: &'a DexFile, prefix: &str) -> (Vec<&'a str>, Vec<u32>) {
-    let paths: Vec<&str> = dex.methods.iter().map(|m| m.sig.parts().0).collect();
-    let members = (0..paths.len() as u32)
-        .filter(|&i| in_subtree(paths[i as usize], prefix))
-        .collect();
-    (paths, members)
-}
-
 /// log2-style bucket for subtree totals: 0, 1, 2, 3-4, 5-8, 9-16, ...
 fn log2_bucket(n: u64) -> u64 {
     match n {
@@ -269,14 +237,8 @@ fn log2_bucket(n: u64) -> u64 {
     }
 }
 
-/// The smali type path of a method's class (up to its `;->`), which
-/// [`MethodSig::dotted_class`] renders with `/` read as `.`.
-fn class_path(sig: &MethodSig) -> &str {
-    let smali = sig.as_smali();
-    &smali[..smali.find(";->").unwrap_or(smali.len())]
-}
-
-/// Whether two [`class_path`]s have equal [`MethodSig::dotted_class`]
+/// Whether two class paths (a signature's smali up to its `;->`) have
+/// equal [`MethodSig::dotted_class`](crate::sig::MethodSig::dotted_class)
 /// renderings, compared without allocating.
 fn same_class(a: &str, b: &str) -> bool {
     a.len() == b.len() && cmp_dotted(a, b).is_eq()
@@ -339,20 +301,12 @@ struct Prefix<'a> {
 }
 
 impl<'a> PackageTree<'a> {
-    /// Builds the tree of `dex`. `.` and `/` both separate components.
-    /// Methods of the default (empty) package are in no subtree but the
-    /// empty prefix's, and only a package with a leading dot creates
-    /// that one.
-    pub fn new(dex: &'a DexFile) -> Self {
-        PackageTree::from_paths(dex.methods.iter().map(|m| m.sig.parts().0).collect())
-    }
-
-    /// [`PackageTree::new`] over a dex view.
-    pub fn of_view(view: &DexView<'a>) -> Self {
-        PackageTree::from_paths(view.signatures().map(|s| sig::parts_of(s).0).collect())
-    }
-
-    fn from_paths(paths: Vec<&'a str>) -> Self {
+    /// Builds the tree of the dex `view`. `.` and `/` both separate
+    /// components. Methods of the default (empty) package are in no
+    /// subtree but the empty prefix's, and only a package with a
+    /// leading dot creates that one.
+    pub fn new(view: &DexView<'a>) -> Self {
+        let paths: Vec<&'a str> = (0..view.len() as u32).map(|id| view.parts(id).0).collect();
         // Distinct paths in first-seen order, and each method's.
         let mut ids: HashMap<&str, u32> = HashMap::new();
         let mut distinct: Vec<&str> = Vec::new();
@@ -465,6 +419,18 @@ impl<'a> PackageTree<'a> {
         }
     }
 
+    /// The number of the prefix whose dotted rendering is `name`
+    /// (`com.unity3d.ads`), by a binary search over the prefixes, which
+    /// are sorted as dotted bytes, comparing without allocating. `None`
+    /// when no method's package is `name` or lies beneath it; a
+    /// `/`-spelled name is never a prefix, and the empty name is one
+    /// only when some package starts with a dot.
+    pub fn find(&self, name: &str) -> Option<usize> {
+        self.prefixes
+            .binary_search_by(|prefix| prefix.path.bytes().map(dotted).cmp(name.bytes()))
+            .ok()
+    }
+
     /// Package path of every method as its smali writes it (`/`- or
     /// `.`-separated), by method index.
     pub fn paths(&self) -> &[&'a str] {
@@ -527,89 +493,6 @@ impl Subtree<'_, '_> {
     }
 }
 
-/// Computes the structural profile of the package subtree rooted at
-/// `prefix`.
-///
-/// Deterministic and invariant under: package renaming (features only see
-/// depth relative to the root), class/method identifier mangling (no
-/// identifier reaches the hasher; class identity is positional), method
-/// reordering (per-method features are order-free, graph features use
-/// method identity, and the final multiset is sorted), and `Nop`/`Const`
-/// junk injection (filler opcodes are excluded from histograms).
-pub fn subtree_profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
-    let (paths, members) = scan_subtree(dex, prefix);
-    profile_members(dex, &paths, prefix.len(), &members)
-}
-
-/// The profile of the subtree rooted at a prefix of `prefix_len` bytes
-/// whose method indices are `members`, ascending; `paths` holds every
-/// method's package path.
-fn profile_members(
-    dex: &DexFile,
-    paths: &[&str],
-    prefix_len: usize,
-    members: &[u32],
-) -> StructuralProfile {
-    let mut hashes: Vec<u64> = Vec::with_capacity(profile_total(members.len()) as usize);
-    for &i in members {
-        let m = &dex.methods[i as usize];
-        let shape = shape_of(m.sig.descriptor());
-        hashes.push(signature_feature(
-            depth_below(paths[i as usize], prefix_len),
-            shape.as_bytes(),
-        ));
-        let mut counts = [0u64; 5];
-        for inst in &m.code.instructions {
-            if let Some(slot) = histogram_slot(InstructionRef::of(inst)) {
-                counts[slot] += 1;
-            }
-        }
-        hashes.push(opcode_feature(shape.as_bytes(), counts));
-    }
-
-    // Intra-subtree invoke graph: distinct (caller, callee) edges where
-    // both endpoints are members. Degrees are identity-based, so method
-    // reordering (with reference fixup) cannot change them; they are
-    // indexed by position in `members`. Class identity is positional:
-    // an edge counts as cross-class by whether its ends share a class,
-    // and which class it is never reaches a hash.
-    let mut out_deg = vec![0u64; members.len()];
-    let mut in_deg = vec![0u64; members.len()];
-    let mut cross_class_edges = 0u64;
-    let mut seen: Vec<u32> = Vec::new();
-    let classes: Vec<&str> = members
-        .iter()
-        .map(|&i| class_path(&dex.methods[i as usize].sig))
-        .collect();
-    for (caller, &i) in members.iter().enumerate() {
-        let m = &dex.methods[i as usize];
-        seen.clear();
-        for invoke in m.code.invokes() {
-            let MethodRef::Internal(t) = invoke else {
-                continue;
-            };
-            let Ok(callee) = members.binary_search(t) else {
-                continue;
-            };
-            if !seen.contains(t) {
-                seen.push(*t);
-                out_deg[caller] += 1;
-                in_deg[callee] += 1;
-                if !same_class(classes[caller], classes[callee]) {
-                    cross_class_edges += 1;
-                }
-            }
-        }
-    }
-    for (out, into) in out_deg.into_iter().zip(in_deg) {
-        hashes.push(degree_feature(out, into));
-    }
-    if !members.is_empty() {
-        hashes.extend(total_features(cross_class_edges, members.len()));
-    }
-    collapse(&mut hashes)
-}
-
 /// The sorted multiset of `hashes` (sorted in place).
 fn collapse(hashes: &mut [u64]) -> StructuralProfile {
     hashes.sort_unstable();
@@ -621,41 +504,6 @@ fn collapse(hashes: &mut [u64]) -> StructuralProfile {
         }
     }
     StructuralProfile { features }
-}
-
-/// The dex a [`FeatureTable`] reads: a view, or an owned model.
-#[derive(Debug, Clone, Copy)]
-enum Source<'a> {
-    View(&'a DexView<'a>),
-    Dex(&'a DexFile),
-}
-
-impl<'a> Source<'a> {
-    fn sig(self, id: u32) -> &'a str {
-        match self {
-            Source::View(view) => view.sig(id),
-            Source::Dex(dex) => dex.methods[id as usize].sig.as_smali(),
-        }
-    }
-
-    fn instruction_count(self, id: u32) -> usize {
-        match self {
-            Source::View(view) => view.instructions(id).len(),
-            Source::Dex(dex) => dex.methods[id as usize].code.instructions.len(),
-        }
-    }
-
-    fn each_instruction(self, id: u32, f: impl FnMut(InstructionRef<'a>)) {
-        match self {
-            Source::View(view) => view.instructions(id).for_each(f),
-            Source::Dex(dex) => dex.methods[id as usize]
-                .code
-                .instructions
-                .iter()
-                .map(InstructionRef::of)
-                .for_each(f),
-        }
-    }
 }
 
 /// What a [`FeatureTable`] knows of one method once it is computed.
@@ -678,8 +526,10 @@ struct MethodFeatures {
 /// Marks a method outside the subtree being profiled.
 const OUTSIDE: u32 = u32::MAX;
 
-/// The package tree of one dex and each method's features, computed at
-/// most once, on first use, for both detection tiers.
+/// The package tree of one dex view and each method's features,
+/// computed at most once, on first use, for both detection tiers: the
+/// one place a subtree is fingerprinted or profiled, when a library is
+/// registered as when an app is scanned.
 ///
 /// A method's exact-fingerprint line is its dotted package path, then
 /// `|`-separated class, method, descriptor and opcode letters: the line
@@ -692,7 +542,7 @@ const OUTSIDE: u32 = u32::MAX;
 /// subtree.
 #[derive(Debug, Clone)]
 pub struct FeatureTable<'a> {
-    source: Source<'a>,
+    view: &'a DexView<'a>,
     tree: PackageTree<'a>,
     /// Summed whole-path line length of each distinct path's methods.
     package_bytes: Vec<u64>,
@@ -711,23 +561,16 @@ pub struct FeatureTable<'a> {
 }
 
 impl<'a> FeatureTable<'a> {
-    /// The table of a dex view.
-    pub fn of_view(view: &'a DexView<'a>) -> Self {
-        FeatureTable::new(Source::View(view), PackageTree::of_view(view))
-    }
-
-    /// The table of an owned dex.
-    pub fn of_dex(dex: &'a DexFile) -> Self {
-        FeatureTable::new(Source::Dex(dex), PackageTree::new(dex))
-    }
-
-    fn new(source: Source<'a>, tree: PackageTree<'a>) -> Self {
+    /// The table of the dex `view`, over its package tree; no method's
+    /// features are computed yet.
+    pub fn new(view: &'a DexView<'a>) -> Self {
+        let tree = PackageTree::new(view);
         // A method's whole-path line: the smali minus its `L`, `;->` and
         // the `/` before the class, plus four `|` and one letter per
         // instruction.
         let line_len = |id: u32| {
             let path = tree.paths[id as usize];
-            (source.sig(id).len() + source.instruction_count(id) - usize::from(!path.is_empty()))
+            (view.sig(id).len() + view.instructions(id).len() - usize::from(!path.is_empty()))
                 as u64
         };
         let package_bytes = (0..tree.package_starts.len() as u32 - 1)
@@ -735,7 +578,7 @@ impl<'a> FeatureTable<'a> {
             .collect();
         let count = tree.paths.len();
         FeatureTable {
-            source,
+            view,
             tree,
             package_bytes,
             methods: vec![MethodFeatures::default(); count],
@@ -790,8 +633,15 @@ impl<'a> FeatureTable<'a> {
         &self.text
     }
 
-    /// The structural profile of subtree `id`: equal to
-    /// [`subtree_profile`] of its prefix.
+    /// The structural profile of subtree `id`.
+    ///
+    /// Deterministic and invariant under: package renaming (features
+    /// only see depth relative to the root), class/method identifier
+    /// mangling (no identifier reaches the hasher; class identity is
+    /// positional), method reordering (per-method features are
+    /// order-free, graph features use method identity, and the multiset
+    /// is sorted), and `Nop`/`Const` junk injection (filler opcodes are
+    /// excluded from histograms).
     pub fn profile(&mut self, id: usize) -> StructuralProfile {
         let subtree = self.tree.subtree(id);
         let prefix = subtree.prefix.path;
@@ -807,8 +657,9 @@ impl<'a> FeatureTable<'a> {
             self.hashes.push(signature_feature(depth, shape));
             self.hashes.push(method.opcodes);
         }
-        // Distinct intra-subtree invoke edges, as `profile_members`
-        // counts them.
+        // Distinct intra-subtree invoke edges, by caller and callee
+        // position: which method or class an edge joins never reaches a
+        // hash, only whether its ends share a class.
         self.degrees.clear();
         self.degrees.resize(self.members.len(), (0, 0));
         let mut cross_class_edges = 0u64;
@@ -843,7 +694,7 @@ impl<'a> FeatureTable<'a> {
     /// Whether methods `a` and `b`, both computed, are of one class:
     /// their class paths read alike dotted.
     fn same_class(&self, a: u32, b: u32) -> bool {
-        let class = |id: u32| &self.source.sig(id)[..self.methods[id as usize].class_len as usize];
+        let class = |id: u32| &self.view.sig(id)[..self.methods[id as usize].class_len as usize];
         let (a, b) = (class(a), class(b));
         a == b || same_class(a, b)
     }
@@ -857,8 +708,8 @@ impl<'a> FeatureTable<'a> {
     }
 
     fn compute(&mut self, id: u32) {
-        let smali = self.source.sig(id);
-        let (path, class, name, descriptor) = sig::parts_of(smali);
+        let smali = self.view.sig(id);
+        let (path, class, name, descriptor) = self.view.parts(id);
         let lines = &mut self.lines;
         let line_start = lines.len() as u32;
         lines.extend(path.bytes().map(dotted));
@@ -870,7 +721,7 @@ impl<'a> FeatureTable<'a> {
         let callees = &mut self.callees;
         let callee_start = callees.len();
         let mut counts = [0u64; 5];
-        self.source.each_instruction(id, |inst| {
+        self.view.instructions(id).for_each(|inst| {
             lines.push(inst.letter());
             if let Some(slot) = histogram_slot(inst) {
                 counts[slot] += 1;
@@ -898,7 +749,26 @@ impl<'a> FeatureTable<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ClassDef, CodeItem, Instruction, MethodDef};
+    use crate::format::write_dex;
+    use crate::model::{ClassDef, CodeItem, DexFile, Instruction, MethodDef, MethodRef};
+    use crate::sig::MethodSig;
+    use crate::subtree;
+
+    /// The table's profile of the subtree `prefix` names in `dex` (empty
+    /// when the tree has no such prefix), checked against the
+    /// from-scratch reference.
+    fn profile(dex: &DexFile, prefix: &str) -> StructuralProfile {
+        let bytes = write_dex(dex);
+        let view = DexView::parse(&bytes).expect("test dexes validate");
+        let mut table = FeatureTable::new(&view);
+        let profile = table
+            .tree()
+            .find(prefix)
+            .map(|id| table.profile(id))
+            .unwrap_or_default();
+        assert_eq!(profile, subtree::subtree_profile(dex, prefix), "{prefix}");
+        profile
+    }
 
     fn lib_dex(root: &str, class_a: &str, class_b: &str, m0: &str, m1: &str) -> DexFile {
         let methods = vec![
@@ -952,10 +822,10 @@ mod tests {
         let orig = lib_dex("com.unity3d.ads", "Sdk", "Fetcher", "init", "run");
         let renamed = lib_dex("qx.ab", "Sdk", "Fetcher", "init", "run");
         let mangled = lib_dex("qx.ab", "a", "b", "a", "a");
-        let p = subtree_profile(&orig, "com.unity3d.ads");
+        let p = profile(&orig, "com.unity3d.ads");
         assert!(!p.is_empty());
-        assert_eq!(p, subtree_profile(&renamed, "qx.ab"));
-        assert_eq!(p, subtree_profile(&mangled, "qx.ab"));
+        assert_eq!(p, profile(&renamed, "qx.ab"));
+        assert_eq!(p, profile(&mangled, "qx.ab"));
     }
 
     #[test]
@@ -967,10 +837,7 @@ mod tests {
             m.code.instructions.insert(at, Instruction::Nop);
             m.code.instructions.insert(at, Instruction::Const(99));
         }
-        assert_eq!(
-            subtree_profile(&clean, "com.lib"),
-            subtree_profile(&junked, "com.lib")
-        );
+        assert_eq!(profile(&clean, "com.lib"), profile(&junked, "com.lib"));
     }
 
     #[test]
@@ -989,10 +856,7 @@ mod tests {
             }
         }
         swapped.classes[0].method_indices = vec![1];
-        assert_eq!(
-            subtree_profile(&dex, "com.lib"),
-            subtree_profile(&swapped, "com.lib")
-        );
+        assert_eq!(profile(&dex, "com.lib"), profile(&swapped, "com.lib"));
     }
 
     #[test]
@@ -1002,20 +866,82 @@ mod tests {
         b.methods[0].code.instructions[1] = Instruction::Invoke(MethodRef::External(
             MethodSig::new("android.util", "Log", "d", "()V"),
         ));
-        assert_ne!(
-            subtree_profile(&a, "com.lib"),
-            subtree_profile(&b, "com.lib")
-        );
+        assert_ne!(profile(&a, "com.lib"), profile(&b, "com.lib"));
     }
 
     #[test]
     fn subtree_membership_is_component_aligned() {
         let dex = lib_dex("com.foobar", "A", "B", "m", "n");
-        assert!(subtree_profile(&dex, "com.foo").is_empty());
-        assert_eq!(subtree_profile(&dex, "com.foobar").total() as usize, {
+        assert!(profile(&dex, "com.foo").is_empty());
+        assert_eq!(profile(&dex, "com.foobar").total() as usize, {
             // 2 methods x (sig + opc + deg) + xce + cnt
             2 * 3 + 2
         });
+    }
+
+    #[test]
+    fn find_names_each_dotted_prefix_and_nothing_else() {
+        let dex = DexFile {
+            methods: [
+                "Lcom/foo/K;->a()V",
+                "Lcom.foo/bar/K;->b()V",
+                "Lcom/fooz/K;->c()V",
+            ]
+            .iter()
+            .map(|smali| MethodDef {
+                sig: smali.parse().unwrap(),
+                code: CodeItem::default(),
+            })
+            .collect(),
+            classes: vec![],
+        };
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).unwrap();
+        let tree = PackageTree::new(&view);
+        for (id, subtree) in tree.subtrees().enumerate() {
+            assert_eq!(tree.find(&subtree.prefix()), Some(id));
+        }
+        assert_eq!(tree.len(), 4);
+        for absent in [
+            "",
+            "co",
+            "com.fo",
+            "com/foo",
+            "com.foo.",
+            "com.foo.bar.K",
+            "org",
+        ] {
+            assert_eq!(tree.find(absent), None, "{absent}");
+        }
+    }
+
+    #[test]
+    fn the_empty_name_is_a_prefix_only_beside_a_leading_dot() {
+        let method = |smali: &str| MethodDef {
+            sig: smali.parse().unwrap(),
+            code: CodeItem {
+                instructions: vec![Instruction::Return],
+            },
+        };
+        let mut dex = DexFile {
+            methods: vec![method("LMain;->run()V"), method("Lcom/a/K;->m()V")],
+            classes: vec![],
+        };
+        // The reference selects the default package under `""`; the
+        // tree has no empty prefix, so the table profiles nothing.
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).unwrap();
+        assert_eq!(PackageTree::new(&view).find(""), None);
+        assert!(!subtree::subtree_profile(&dex, "").is_empty());
+        // A leading dot makes the empty prefix, holding the default
+        // package too, and then both agree.
+        dex.methods.push(method("L.x/K;->m()V"));
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).unwrap();
+        let tree = PackageTree::new(&view);
+        assert_eq!(tree.find(""), Some(0));
+        assert_eq!(tree.subtree(0).members(), [0, 2]);
+        assert_eq!(profile(&dex, "").total(), profile_total(2));
     }
 
     #[test]
@@ -1033,7 +959,7 @@ mod tests {
         for a in &sigs {
             for b in &sigs {
                 assert_eq!(
-                    same_class(class_path(a), class_path(b)),
+                    same_class(subtree::class_path(a), subtree::class_path(b)),
                     a.dotted_class() == b.dotted_class(),
                     "{a} vs {b}"
                 );

@@ -277,7 +277,8 @@ pub fn write_dex(dex: &DexFile) -> Bytes {
 ///
 /// Returns [`DexParseError`] on bad magic, truncation, out-of-range
 /// string references, invalid opcodes, malformed signature strings,
-/// trailing garbage, or a dex [`DexFile::validate`] rejects.
+/// trailing garbage, or an inconsistent dex, as [`DexView::parse`]
+/// reports them.
 pub fn parse_dex(bytes: &[u8]) -> Result<DexFile, DexParseError> {
     DexView::parse(bytes).map(|view| view.to_dex())
 }

@@ -17,10 +17,11 @@
 //! * a **binary encoding** ([`format`](mod@format)) with a string pool, id tables and
 //!   uleb128-coded code items, plus the matching parser (the dexlib2
 //!   stand-in used by the Method Monitor): a borrowed, validated
-//!   [`view`] of the bytes, which `parse_dex` turns into the owned
-//!   model and the knowledge scan reads as it is,
+//!   [`view`] of the bytes, which [`Apk::dex`] returns, `parse_dex`
+//!   turns into the owned model and library detection reads as it is,
 //! * the **package tree and per-method features** ([`features`]) both
-//!   library-detection tiers read,
+//!   library-detection tiers read, to register libraries and to detect
+//!   them,
 //! * an **apk container** ([`apk`]) carrying dex bytes, native-library
 //!   entries (so the ARM-only filter from §III-A has something to filter
 //!   on), manifest metadata, and
@@ -29,10 +30,10 @@
 //!   detection finds them (with SSSE3 and SSE4.1), on portable rounds
 //!   otherwise.
 //!
-//! A run parses its apk's dex once, behind an `Arc`, and builds the
-//! [`SigIndex`] that shares it (frame translation by dotted name, entry
-//! points by exact signature, neither copying a signature); the apk
-//! digest is hashed as the archive is framed.
+//! A run parses its apk's dex once into the owned model, behind an
+//! `Arc`, and builds the [`SigIndex`] that shares it (frame translation
+//! by dotted name, entry points by exact signature, neither copying a
+//! signature); the apk digest is hashed as the archive is framed.
 //!
 //! # Examples
 //!
@@ -61,8 +62,7 @@ pub mod view;
 
 pub use apk::{Apk, ApkEntry, ApkError, Manifest};
 pub use features::{
-    profile_total, scan_subtree, shape_of, subtree_profile, FeatureTable, PackageTree,
-    StructuralProfile, Subtree,
+    profile_total, shape_of, FeatureTable, PackageTree, StructuralProfile, Subtree,
 };
 pub use format::{parse_dex, write_dex, DexParseError};
 pub use model::{
@@ -72,3 +72,11 @@ pub use model::{
 pub use sha256::Sha256;
 pub use sig::{MethodSig, SigParseError};
 pub use view::{DexView, InstructionRef, NetworkRef, TargetRef};
+
+#[cfg(test)]
+extern crate self as spector_dex;
+// The from-scratch subtree profile lives in test code; unit tests
+// include it under the crate's own name, as the integration tests do.
+#[cfg(test)]
+#[path = "../tests/support/subtree.rs"]
+mod subtree;

@@ -210,31 +210,6 @@ impl DexFile {
     pub fn signatures(&self) -> impl Iterator<Item = &MethodSig> {
         self.methods.iter().map(|m| &m.sig)
     }
-
-    /// Validates internal consistency: class method indices in range,
-    /// internal invoke targets in range, no duplicate signatures.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.methods.len() as u32;
-        for class in &self.classes {
-            if let Some(&idx) = class.method_indices.iter().find(|&&idx| idx >= n) {
-                return Err(class_out_of_range(&class.dotted_name, idx, n));
-            }
-        }
-        for method in &self.methods {
-            for invoke in method.code.invokes() {
-                if let MethodRef::Internal(idx) = invoke {
-                    if *idx >= n {
-                        return Err(invoke_out_of_range(method.sig.as_smali(), *idx, n));
-                    }
-                }
-            }
-        }
-        check_unique(self.methods.len(), |i| self.methods[i].sig.as_smali())
-    }
 }
 
 /// The message for a class member out of range.
@@ -427,6 +402,8 @@ impl SigIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::write_dex;
+    use crate::view::DexView;
 
     /// The first method defined with exactly `sig`, by a linear scan:
     /// the reference [`SigIndex::find`] is held to.
@@ -477,16 +454,26 @@ mod tests {
         }
     }
 
+    /// What the view's validation says of `dex` once it is written.
+    fn validate(dex: &DexFile) -> Result<(), String> {
+        DexView::parse(&write_dex(dex))
+            .map(drop)
+            .map_err(|e| e.message)
+    }
+
     #[test]
     fn validate_accepts_consistent_dex() {
-        assert_eq!(sample_dex().validate(), Ok(()));
+        assert_eq!(validate(&sample_dex()), Ok(()));
     }
 
     #[test]
     fn validate_rejects_out_of_range_class_method() {
         let mut dex = sample_dex();
         dex.classes[0].method_indices.push(99);
-        assert!(dex.validate().is_err());
+        assert_eq!(
+            validate(&dex),
+            Err(class_out_of_range("com.app.Main", 99, 2))
+        );
     }
 
     #[test]
@@ -496,7 +483,10 @@ mod tests {
             .code
             .instructions
             .push(Instruction::Invoke(MethodRef::Internal(42)));
-        assert!(dex.validate().is_err());
+        assert_eq!(
+            validate(&dex),
+            Err(invoke_out_of_range(dex.methods[0].sig.as_smali(), 42, 2))
+        );
     }
 
     #[test]
@@ -504,7 +494,7 @@ mod tests {
         let mut dex = sample_dex();
         let dup = dex.methods[0].clone();
         dex.methods.push(dup);
-        assert!(dex.validate().is_err());
+        assert!(validate(&dex).is_err());
     }
 
     /// The least duplicate by sorting every signature: what
@@ -609,7 +599,7 @@ mod tests {
         dex.methods.extend([zed, ant]);
         // com.ads… sorts before com.app…, whatever the table order.
         assert_eq!(
-            dex.validate(),
+            validate(&dex),
             Err(format!("duplicate method signature {}", dex.methods[1].sig))
         );
     }

@@ -1,15 +1,19 @@
 //! A borrowed, validated view of dex bytes.
 //!
 //! [`DexView::parse`] reads the binary format of [`format`](crate::format)
-//! once and runs every check [`parse_dex`](crate::format::parse_dex)
-//! runs, in the same order and with the same messages, but copies
-//! nothing: the string pool is a list of `&str`s into the input, each
-//! method is its signature's `&str` and the bytes of its code, and
-//! instructions are decoded again on demand ([`DexView::instructions`]).
-//! `parse_dex` is this view turned into an owned [`DexFile`]
-//! ([`DexView::to_dex`]), so the format has one parser. The knowledge
-//! scan reads apps through the view and builds no `String` or
-//! `Vec<Instruction>` per method.
+//! once and runs every check the format has, each failure reported
+//! with its message in a fixed order, but copies nothing: the string
+//! pool is a list of `&str`s into the input, each method is its
+//! signature's `&str` and the bytes of its code, and instructions are
+//! decoded again on demand ([`DexView::instructions`]).
+//! [`Apk::dex`](crate::apk::Apk::dex) returns the view, and
+//! [`parse_dex`](crate::format::parse_dex) is the view turned into an
+//! owned [`DexFile`] ([`DexView::to_dex`]), so the format has one parser
+//! and one validator. Library detection reads apps through the view,
+//! for registration as for the knowledge scan, and builds no `String`
+//! or `Vec<Instruction>` per method; only a run of the app, the
+//! obfuscator (which rewrites the dex) and the archive builder (which
+//! frames it anew) build the owned model.
 
 use std::ops::Range;
 
@@ -100,35 +104,6 @@ impl<'a> InstructionRef<'a> {
                 shape: op.shape,
             }),
             InstructionRef::Return => Instruction::Return,
-        }
-    }
-
-    /// The borrowed form of an owned instruction.
-    pub fn of(inst: &'a Instruction) -> Self {
-        let target = |r: &'a MethodRef| match r {
-            MethodRef::Internal(id) => TargetRef::Internal(*id),
-            MethodRef::External(sig) => TargetRef::External(sig.as_smali()),
-        };
-        match inst {
-            Instruction::Nop => InstructionRef::Nop,
-            Instruction::Const(v) => InstructionRef::Const(*v),
-            Instruction::Invoke(r) => InstructionRef::Invoke(target(r)),
-            Instruction::InvokeAsync {
-                dispatcher,
-                target: r,
-            } => InstructionRef::InvokeAsync {
-                dispatcher: *dispatcher,
-                target: target(r),
-            },
-            Instruction::Network(op) => InstructionRef::Network(NetworkRef {
-                domain: &op.domain,
-                port: op.port,
-                send_bytes: op.send_bytes,
-                recv_bytes: op.recv_bytes,
-                connector: op.connector,
-                shape: op.shape,
-            }),
-            Instruction::Return => InstructionRef::Return,
         }
     }
 
@@ -287,9 +262,9 @@ impl<'a> DexView<'a> {
     ///
     /// Returns [`DexParseError`] on bad magic, truncation, out-of-range
     /// string references, invalid opcodes, malformed signature strings,
-    /// trailing garbage, and then on what [`DexFile::validate`] rejects:
-    /// out-of-range class members and internal invokes, duplicate
-    /// signatures.
+    /// trailing garbage, and then on what is inconsistent: out-of-range
+    /// class members, out-of-range internal invokes and duplicate
+    /// signatures, each reported at its first occurrence in that order.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, DexParseError> {
         let Some(mut buf) = bytes.strip_prefix(DEX_MAGIC.as_slice()) else {
             return Err(DexParseError::new("bad magic"));
@@ -317,7 +292,7 @@ impl<'a> DexView<'a> {
         }
         let n = method_count as u32;
         // The first internal invoke out of range, reported after the
-        // class section as `DexFile::validate` reports it.
+        // class members are checked.
         let mut bad_invoke = None;
         let mut methods = Vec::with_capacity(method_count);
         for _ in 0..method_count {
@@ -405,9 +380,11 @@ impl<'a> DexView<'a> {
         self.methods[id as usize].sig
     }
 
-    /// Every method's smali signature, in table order.
-    pub fn signatures(&self) -> impl ExactSizeIterator<Item = &'a str> + '_ {
-        self.methods.iter().map(|m| m.sig)
+    /// The package path (`/`- or `.`-separated, as the smali writes
+    /// it), class name, method name and descriptor of method `id`:
+    /// what [`MethodSig::parts`] returns.
+    pub fn parts(&self, id: u32) -> (&'a str, &'a str, &'a str, &'a str) {
+        sig::parts_of(self.sig(id))
     }
 
     /// The instructions of method `id`, decoded from its code bytes.

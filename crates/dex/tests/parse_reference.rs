@@ -115,7 +115,8 @@ mod frozen {
         }
     }
 
-    /// `DexFile::validate` before the hash-set duplicate check.
+    /// The dex validator (once `DexFile::validate`) before the hash-set
+    /// duplicate check.
     pub fn validate(dex: &DexFile) -> Result<(), String> {
         let n = dex.methods.len() as u32;
         for class in &dex.classes {
@@ -446,7 +447,7 @@ fn generated_dexes() -> Vec<(String, DexFile, Vec<u8>)> {
         for tier in ObfuscationTier::ALL {
             let mut app = base.apps[0].clone();
             obfuscate_app(&mut app, tier, 3);
-            let dex = cut(&app.apk.dex().unwrap());
+            let dex = cut(&app.apk.dex().unwrap().to_dex());
             let bytes = write_dex(&dex).to_vec();
             dexes.push((
                 format!("{} modern {modern_fraction}", tier.label()),
@@ -592,7 +593,7 @@ fn crafted_duplicate_signatures_are_named_alike() {
             .starts_with("duplicate method signature"));
         agree(&dex, "duplicates");
     }
-    // The same through `write_dex` and through `validate` directly.
+    // The same through `write_dex`.
     let method = |s: &str| MethodDef {
         sig: s.parse().unwrap(),
         code: CodeItem::default(),
@@ -602,7 +603,6 @@ fn crafted_duplicate_signatures_are_named_alike() {
             methods: order.iter().map(|&i| method(sigs[i])).collect(),
             classes: vec![],
         };
-        assert_eq!(dex.validate(), frozen::validate(&dex), "{order:?}");
         agree(&write_dex(&dex), "written duplicates");
     }
 }
@@ -672,7 +672,6 @@ fn validation_failures_are_reported_in_the_validators_order() {
                 method_indices: vec![0, if bad_class { 5 } else { 2 }],
             }],
         };
-        assert_eq!(dex.validate(), frozen::validate(&dex), "mask {mask}");
         agree(
             &write_dex(&dex),
             &format!("validation failures, mask {mask}"),

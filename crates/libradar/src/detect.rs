@@ -4,18 +4,22 @@
 //! features of a package subtree — features that survive package
 //! renaming but differ for unrelated code. The reproduction fingerprints
 //! a subtree as the SHA-256 of its *package-stripped* method structure:
-//! for every method under the prefix, the class-local part of its
-//! signature plus an opcode summary of its body, sorted. Two apps
-//! bundling the same library version therefore produce identical
-//! fingerprints, while first-party code (unique structure per app) never
-//! matches the database.
+//! for every method under the prefix, one line of the sub-package path
+//! below the prefix, the class, method and descriptor, and an opcode
+//! letter per instruction; the lines sorted, each ended by a newline.
+//! Two apps bundling the same library version therefore produce
+//! identical fingerprints, while first-party code (unique structure per
+//! app) never matches the database.
+//!
+//! The lines come from a [`FeatureTable`] both when a library is
+//! registered and when an app is scanned, so the two read one
+//! definition of a fingerprint.
 
 use std::collections::{HashMap, HashSet};
 
-use spector_dex::features::{scan_subtree, FeatureTable};
-use spector_dex::model::DexFile;
+use spector_dex::features::FeatureTable;
 use spector_dex::sha256::{Digest, Sha256};
-use spector_dex::view::InstructionRef;
+use spector_dex::view::DexView;
 
 use crate::category::LibCategory;
 
@@ -52,14 +56,19 @@ impl LibraryDb {
     }
 
     /// Registers a known library: `name` is its canonical package
-    /// prefix, `dex` contains (at least) the library's methods under
-    /// that prefix.
-    pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
-        let (paths, members) = scan_subtree(dex, name);
-        if let Some((fp, bytes)) = fingerprint_members(dex, &paths, name.len(), &members) {
-            self.by_fingerprint.insert(fp, (name.to_owned(), category));
-            self.sizes.insert((members.len(), bytes));
-        }
+    /// prefix, dotted, and `table` the feature table of a dex holding
+    /// (at least) the library's methods under that prefix. The subtree
+    /// the table's tree [finds](spector_dex::PackageTree::find) under
+    /// `name` is fingerprinted as [`detect_in`](Self::detect_in)
+    /// fingerprints an app's; a name the tree does not hold registers
+    /// nothing.
+    pub fn add_library(&mut self, name: &str, category: LibCategory, table: &mut FeatureTable) {
+        let Some(id) = table.tree().find(name) else {
+            return;
+        };
+        self.sizes.insert(size(table, id));
+        self.by_fingerprint
+            .insert(fingerprint(table, id), (name.to_owned(), category));
     }
 
     /// Number of registered fingerprints.
@@ -79,30 +88,29 @@ impl LibraryDb {
             .map(|(name, cat)| (name.as_str(), *cat))
     }
 
-    /// Detects all known libraries in `dex`.
+    /// Detects all known libraries in the dex `view`.
     ///
     /// Every package prefix present in the app is matched by its
     /// fingerprint (see [`detect_in`](Self::detect_in) for the prefixes
     /// it skips); when nested prefixes both match (a library plus one of
     /// its sub-packages registered separately), both are reported, which
     /// mirrors LibRadar's output granularity in Listing 2.
-    pub fn detect(&self, dex: &DexFile) -> Vec<DetectedLibrary> {
-        self.detect_in(&mut FeatureTable::of_dex(dex))
+    pub fn detect(&self, view: &DexView) -> Vec<DetectedLibrary> {
+        self.detect_in(&mut FeatureTable::new(view))
     }
 
     /// [`detect`](Self::detect) over the feature table of a dex, in
     /// prefix order. A subtree is fingerprinted only when its method
-    /// count and total line bytes, both known without building a line,
-    /// are those of some registered library.
+    /// count and total line bytes are those of some registered library:
+    /// an equal fingerprint hashes equal lines, so no other subtree can
+    /// match.
     pub fn detect_in(&self, table: &mut FeatureTable) -> Vec<DetectedLibrary> {
         let mut detected = Vec::new();
         for id in 0..table.tree().len() {
-            let size = (table.tree().subtree(id).methods(), table.line_bytes(id));
-            if !self.sizes.contains(&size) {
+            if !self.sizes.contains(&size(table, id)) {
                 continue;
             }
-            let fp = LibraryFingerprint(Sha256::digest(table.sorted_lines(id)));
-            if let Some((name, category)) = self.lookup(&fp) {
+            if let Some((name, category)) = self.lookup(&fingerprint(table, id)) {
                 detected.push(DetectedLibrary {
                     name: name.to_owned(),
                     in_app_prefix: table.tree().subtree(id).prefix(),
@@ -114,70 +122,27 @@ impl LibraryDb {
     }
 }
 
-/// Fingerprints the subtree of methods whose package equals `prefix` or
-/// lies beneath it. Returns `None` when no methods are in the subtree.
-pub fn fingerprint_subtree(dex: &DexFile, prefix: &str) -> Option<LibraryFingerprint> {
-    let (paths, members) = scan_subtree(dex, prefix);
-    fingerprint_members(dex, &paths, prefix.len(), &members).map(|(fp, _)| fp)
+/// The method count and total feature-line bytes of subtree `id`, both
+/// known without building a line: what an equal fingerprint implies.
+fn size(table: &FeatureTable, id: usize) -> (usize, u64) {
+    (table.tree().subtree(id).methods(), table.line_bytes(id))
 }
 
-/// Fingerprints the subtree rooted at a prefix of `prefix_len` bytes
-/// whose method indices are `members`, given every method's package
-/// path, with the total bytes of its feature lines. Returns `None` for
-/// an empty subtree.
-fn fingerprint_members(
-    dex: &DexFile,
-    paths: &[&str],
-    prefix_len: usize,
-    members: &[u32],
-) -> Option<(LibraryFingerprint, u64)> {
-    if members.is_empty() {
-        return None;
-    }
-    let mut features: Vec<Vec<u8>> = Vec::with_capacity(members.len());
-    for &i in members {
-        let method = &dex.methods[i as usize];
-        let path = paths[i as usize];
-        // Package-stripped structure: the sub-package path *relative to
-        // the prefix*, dotted, plus class/method/descriptor, plus an
-        // opcode string. Renaming the root package leaves all of this
-        // intact.
-        let relative = &path.as_bytes()[prefix_len.min(path.len())..];
-        let (_, class, name, descriptor) = method.sig.parts();
-        let mut feature = Vec::with_capacity(
-            relative.len() + method.sig.as_smali().len() + method.code.instructions.len() + 4,
-        );
-        feature.extend(relative.iter().map(|&b| if b == b'/' { b'.' } else { b }));
-        feature.push(b'|');
-        for part in [class, name, descriptor] {
-            feature.extend_from_slice(part.as_bytes());
-            feature.push(b'|');
-        }
-        feature.extend(
-            method
-                .code
-                .instructions
-                .iter()
-                .map(|inst| InstructionRef::of(inst).letter()),
-        );
-        features.push(feature);
-    }
-    features.sort_unstable();
-    let mut hasher = Sha256::new();
-    for feature in &features {
-        hasher.update(feature);
-        hasher.update(b"\n");
-    }
-    let bytes = features.iter().map(|f| f.len() as u64).sum();
-    Some((LibraryFingerprint(hasher.finalize()), bytes))
+/// The fingerprint of subtree `id`: the SHA-256 of its sorted feature
+/// lines.
+fn fingerprint(table: &mut FeatureTable, id: usize) -> LibraryFingerprint {
+    LibraryFingerprint(Sha256::digest(table.sorted_lines(id)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint;
+    use crate::tables::{add_library, detect, table_fingerprint};
     use spector_dex::features::PackageTree;
-    use spector_dex::model::{CodeItem, Instruction, MethodDef};
+    use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef};
     use spector_dex::sig::MethodSig;
+    use spector_dex::write_dex;
 
     /// Builds a dex whose methods live under `root`.
     fn lib_dex(root: &str) -> DexFile {
@@ -211,8 +176,8 @@ mod tests {
 
     #[test]
     fn fingerprint_survives_package_rename() {
-        let original = fingerprint_subtree(&lib_dex("com.vendor.sdk"), "com.vendor.sdk").unwrap();
-        let renamed = fingerprint_subtree(&lib_dex("obf.a.b"), "obf.a.b").unwrap();
+        let original = table_fingerprint(&lib_dex("com.vendor.sdk"), "com.vendor.sdk").unwrap();
+        let renamed = table_fingerprint(&lib_dex("obf.a.b"), "obf.a.b").unwrap();
         assert_eq!(original, renamed);
     }
 
@@ -224,7 +189,7 @@ mod tests {
         let expected = Sha256::digest(b".cache|Store|put|(I)V|nr\n|Loader|init|()V|cr\n");
         let dex = lib_dex("com.vendor.sdk");
         assert_eq!(
-            fingerprint_subtree(&dex, "com.vendor.sdk"),
+            table_fingerprint(&dex, "com.vendor.sdk"),
             Some(LibraryFingerprint(expected))
         );
         // A class path written with a `.` inside a smali component is
@@ -239,24 +204,24 @@ mod tests {
             .as_smali()
             .starts_with("Lcom.vendor/sdk/cache/"));
         let mut db = LibraryDb::new();
-        db.add_library("com.vendor.sdk", LibCategory::Utility, &dex);
-        let found = db.detect(&dotted);
+        add_library(&mut db, "com.vendor.sdk", LibCategory::Utility, &dex);
+        let found = detect(&db, &dotted);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].in_app_prefix, "com.vendor.sdk");
     }
 
     #[test]
     fn fingerprint_differs_for_different_structure() {
-        let a = fingerprint_subtree(&lib_dex("com.vendor.sdk"), "com.vendor.sdk").unwrap();
+        let a = table_fingerprint(&lib_dex("com.vendor.sdk"), "com.vendor.sdk").unwrap();
         let mut other = lib_dex("com.vendor.sdk");
         other.methods[0].code.instructions.push(Instruction::Nop);
-        let b = fingerprint_subtree(&other, "com.vendor.sdk").unwrap();
+        let b = table_fingerprint(&other, "com.vendor.sdk").unwrap();
         assert_ne!(a, b);
     }
 
     #[test]
     fn fingerprint_none_for_empty_subtree() {
-        assert!(fingerprint_subtree(&lib_dex("com.a"), "org.missing").is_none());
+        assert!(table_fingerprint(&lib_dex("com.a"), "org.missing").is_none());
     }
 
     #[test]
@@ -271,21 +236,22 @@ mod tests {
             });
             d
         };
-        let a = fingerprint_subtree(&dex, "com.vendor.sdk").unwrap();
-        let b = fingerprint_subtree(&with_sibling, "com.vendor.sdk").unwrap();
+        let a = table_fingerprint(&dex, "com.vendor.sdk").unwrap();
+        let b = table_fingerprint(&with_sibling, "com.vendor.sdk").unwrap();
         assert_eq!(a, b);
         dex.methods.push(MethodDef {
             sig: MethodSig::new("com.vendor.sdk.net", "Z", "w", "()V"),
             code: CodeItem::default(),
         });
-        let c = fingerprint_subtree(&dex, "com.vendor.sdk").unwrap();
+        let c = table_fingerprint(&dex, "com.vendor.sdk").unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn detect_finds_known_library_even_renamed() {
         let mut db = LibraryDb::new();
-        db.add_library(
+        add_library(
+            &mut db,
             "com.adnet.sdk",
             LibCategory::Advertisement,
             &lib_dex("com.adnet.sdk"),
@@ -301,7 +267,7 @@ mod tests {
                 instructions: vec![Instruction::Return],
             },
         });
-        let detected = db.detect(&app);
+        let detected = detect(&db, &app);
         assert_eq!(detected.len(), 1);
         assert_eq!(detected[0].name, "com.adnet.sdk");
         assert_eq!(detected[0].in_app_prefix, "x.y");
@@ -311,7 +277,8 @@ mod tests {
     #[test]
     fn first_party_code_not_detected() {
         let mut db = LibraryDb::new();
-        db.add_library(
+        add_library(
+            &mut db,
             "com.adnet.sdk",
             LibCategory::Advertisement,
             &lib_dex("com.adnet.sdk"),
@@ -325,13 +292,14 @@ mod tests {
             .code
             .instructions
             .insert(0, Instruction::Const(9));
-        assert!(db.detect(&app).is_empty());
+        assert!(detect(&db, &app).is_empty());
     }
 
     #[test]
     fn detect_reports_multiple_libraries() {
         let mut db = LibraryDb::new();
-        db.add_library(
+        add_library(
+            &mut db,
             "com.adnet.sdk",
             LibCategory::Advertisement,
             &lib_dex("com.adnet.sdk"),
@@ -341,18 +309,75 @@ mod tests {
             d.methods[1].code.instructions.push(Instruction::Nop);
             d
         };
-        db.add_library("io.metrics", LibCategory::MobileAnalytics, &analytics);
+        add_library(
+            &mut db,
+            "io.metrics",
+            LibCategory::MobileAnalytics,
+            &analytics,
+        );
         let app = merge(&[lib_dex("com.adnet.sdk"), analytics.clone()]);
-        let detected = db.detect(&app);
+        let detected = detect(&db, &app);
         let names: Vec<&str> = detected.iter().map(|d| d.name.as_str()).collect();
         assert!(names.contains(&"com.adnet.sdk"));
         assert!(names.contains(&"io.metrics"));
     }
 
     #[test]
+    fn registration_records_the_reference_fingerprint_and_size() {
+        let dex = lib_dex("com.vendor.sdk");
+        let (fp, methods, bytes) =
+            fingerprint::fingerprint_with_size(&dex, "com.vendor.sdk").unwrap();
+        let mut db = LibraryDb::new();
+        add_library(&mut db, "com.vendor.sdk", LibCategory::Utility, &dex);
+        assert_eq!(db.len(), 1);
+        assert_eq!(
+            db.lookup(&fp),
+            Some(("com.vendor.sdk", LibCategory::Utility))
+        );
+        assert_eq!(db.sizes, HashSet::from([(methods, bytes)]));
+        // A name that is no level of the tree registers nothing, as the
+        // reference finds no subtree there.
+        for absent in ["com.vendor.sd", "com/vendor/sdk", "org.missing"] {
+            let mut db = LibraryDb::new();
+            add_library(&mut db, absent, LibCategory::Utility, &dex);
+            assert!(db.is_empty(), "{absent}");
+            assert_eq!(fingerprint::fingerprint_subtree(&dex, absent), None);
+        }
+    }
+
+    #[test]
+    fn the_empty_name_registers_only_where_the_tree_has_an_empty_prefix() {
+        // Default-package methods and no package with a leading dot: the
+        // reference fingerprints them under `""`, but the tree has no
+        // empty prefix, so nothing is registered.
+        let mut dex = lib_dex("com.vendor.sdk");
+        dex.methods.push(MethodDef {
+            sig: MethodSig::new("", "Main", "run", "()V"),
+            code: CodeItem::default(),
+        });
+        assert!(fingerprint::fingerprint_subtree(&dex, "").is_some());
+        let mut db = LibraryDb::new();
+        add_library(&mut db, "", LibCategory::Utility, &dex);
+        assert!(db.is_empty());
+        // A leading dot makes the empty prefix; it holds the default
+        // package too, and registers as the reference says.
+        dex.methods.push(MethodDef {
+            sig: "L.x/K;->m()V".parse().unwrap(),
+            code: CodeItem::default(),
+        });
+        add_library(&mut db, "", LibCategory::Utility, &dex);
+        let (fp, methods, bytes) = fingerprint::fingerprint_with_size(&dex, "").unwrap();
+        assert_eq!(methods, 2);
+        assert_eq!(db.lookup(&fp), Some(("", LibCategory::Utility)));
+        assert!(db.sizes.contains(&(methods, bytes)));
+    }
+
+    #[test]
     fn package_prefixes_enumerates_all_levels() {
         let dex = lib_dex("com.vendor.sdk");
-        let tree = PackageTree::new(&dex);
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).unwrap();
+        let tree = PackageTree::new(&view);
         let prefixes: Vec<(String, Vec<u32>)> = tree
             .subtrees()
             .map(|subtree| (subtree.prefix(), subtree.members()))

@@ -23,7 +23,10 @@
 //! app-specific first-party code does not). [`detect`] reproduces that:
 //! a library's *fingerprint* is a SHA-256 over its package-stripped
 //! method structure, matched against a [`LibraryDb`] built from the
-//! library universe.
+//! library universe. Both tiers, [`LibraryDb`] and [`StructuralIndex`],
+//! register libraries and scan apps through the one feature extractor,
+//! `spector_dex::FeatureTable`; the from-scratch fingerprint and profile
+//! it replaced are the tests' references.
 //!
 //! The paper additionally uses Li et al.'s lists of common libraries
 //! (CL) and advertisement/tracker (AnT) libraries; [`lists::LibraryLists`]
@@ -45,3 +48,19 @@ pub use structural::{
     MIN_MATCH_FEATURES,
 };
 pub use trie::LibTrie;
+
+#[cfg(test)]
+extern crate self as spector_libradar;
+// The from-scratch profile and fingerprint, and the helpers that run
+// owned test dexes through the feature table, live in test code; unit
+// tests include them under the crates' own names, as the integration
+// tests do.
+#[cfg(test)]
+#[path = "../tests/support/fingerprint.rs"]
+mod fingerprint;
+#[cfg(test)]
+#[path = "../../dex/tests/support/subtree.rs"]
+mod subtree;
+#[cfg(test)]
+#[path = "../tests/support/tables.rs"]
+mod tables;

@@ -9,7 +9,9 @@
 //! similarity against every known library sharing at least one feature
 //! bucket. An unmodified (but arbitrarily renamed, mangled, reordered,
 //! junk-padded) library copy scores 1.0; unrelated code shares only
-//! generic features and stays far below the match threshold.
+//! generic features and stays far below the match threshold. Libraries
+//! are registered and apps scanned through one [`FeatureTable`] per
+//! dex, so both sides profile a subtree alike.
 //!
 //! The three tiers compose into a cascade, recorded per lookup as a
 //! [`DetectTier`]: `LibTrie` prefix (fast path, dies on package rename)
@@ -19,8 +21,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
-use spector_dex::features::{profile_total, subtree_profile, FeatureTable, StructuralProfile};
-use spector_dex::model::DexFile;
+use spector_dex::features::{profile_total, FeatureTable, StructuralProfile};
+use spector_dex::view::DexView;
 
 use crate::category::LibCategory;
 
@@ -106,9 +108,16 @@ impl StructuralIndex {
         Self::default()
     }
 
-    /// Registers a known library from its dex (methods under `name`).
-    pub fn add_library(&mut self, name: &str, category: LibCategory, dex: &DexFile) {
-        self.add_profile(name, category, &subtree_profile(dex, name));
+    /// Registers a known library: `name` is its canonical package
+    /// prefix, dotted, and `table` the feature table of a dex holding
+    /// (at least) the library's methods under that prefix. The profile
+    /// of the subtree the table's tree
+    /// [finds](spector_dex::PackageTree::find) under `name` is indexed;
+    /// a name the tree does not hold registers nothing.
+    pub fn add_library(&mut self, name: &str, category: LibCategory, table: &mut FeatureTable) {
+        if let Some(id) = table.tree().find(name) {
+            self.add_profile(name, category, &table.profile(id));
+        }
     }
 
     /// Registers a known library from a precomputed profile.
@@ -213,7 +222,7 @@ impl StructuralIndex {
         })
     }
 
-    /// Detects indexed libraries in `dex`: every package prefix that
+    /// Detects indexed libraries in the dex `view`: every package prefix that
     /// could match is profiled and scored (see
     /// [`detect_in`](Self::detect_in)); prefixes whose best match clears
     /// the threshold are reported, sorted by in-app prefix.
@@ -222,8 +231,8 @@ impl StructuralIndex {
     /// prefixes shift every depth-sensitive feature and dilute the
     /// union, child prefixes lose the root's features — both fall below
     /// the threshold by construction.
-    pub fn detect(&self, dex: &DexFile) -> Vec<StructuralMatch> {
-        self.detect_in(&mut FeatureTable::of_dex(dex))
+    pub fn detect(&self, view: &DexView) -> Vec<StructuralMatch> {
+        self.detect_in(&mut FeatureTable::new(view))
     }
 
     /// [`detect`](Self::detect) over the feature table of a dex. A
@@ -304,8 +313,28 @@ impl PrefixAliases {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spector_dex::model::{CodeItem, Instruction, MethodDef, MethodRef, NetworkOp};
+    use crate::subtree;
+    use crate::tables::with_table;
+    use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef, MethodRef, NetworkOp};
     use spector_dex::sig::MethodSig;
+    use spector_dex::write_dex;
+
+    /// Registers the library `name` of `dex` in `idx` through its feature
+    /// table, and checks that the index then holds what registering the
+    /// from-scratch reference's profile makes of it.
+    fn add_library(idx: &mut StructuralIndex, name: &str, category: LibCategory, dex: &DexFile) {
+        let mut reference = idx.clone();
+        reference.add_profile(name, category, &subtree::subtree_profile(dex, name));
+        with_table(dex, |table| idx.add_library(name, category, table));
+        assert_eq!(idx.libs, reference.libs, "{name}");
+        assert_eq!(idx.buckets, reference.buckets, "{name}");
+        assert_eq!(idx.totals, reference.totals, "{name}");
+    }
+
+    fn detect(idx: &StructuralIndex, dex: &DexFile) -> Vec<StructuralMatch> {
+        let bytes = write_dex(dex);
+        idx.detect(&DexView::parse(&bytes).expect("test dexes validate"))
+    }
 
     /// Two-class library with an internal call and a network op; `salt`
     /// varies the structure so different libraries stay distinct.
@@ -359,12 +388,14 @@ mod tests {
 
     fn index() -> StructuralIndex {
         let mut idx = StructuralIndex::new();
-        idx.add_library(
+        add_library(
+            &mut idx,
             "com.adnet.sdk",
             LibCategory::Advertisement,
             &lib_dex("com.adnet.sdk", 0),
         );
-        idx.add_library(
+        add_library(
+            &mut idx,
             "io.metrics",
             LibCategory::MobileAnalytics,
             &lib_dex("io.metrics", 1),
@@ -375,7 +406,7 @@ mod tests {
     #[test]
     fn identical_copy_scores_one() {
         let idx = index();
-        let profile = subtree_profile(&lib_dex("com.adnet.sdk", 0), "com.adnet.sdk");
+        let profile = subtree::subtree_profile(&lib_dex("com.adnet.sdk", 0), "com.adnet.sdk");
         let m = idx.best_match(&profile).expect("match");
         assert_eq!(m.name, "com.adnet.sdk");
         assert_eq!(m.category, LibCategory::Advertisement);
@@ -390,7 +421,7 @@ mod tests {
         for (i, m) in copy.methods.iter_mut().enumerate() {
             m.sig = MethodSig::new(&m.sig.package(), &format!("k{i}"), "a", m.sig.descriptor());
         }
-        let detected = idx.detect(&copy);
+        let detected = detect(&idx, &copy);
         assert!(detected
             .iter()
             .any(|m| m.name == "com.adnet.sdk" && m.in_app_prefix == "qx.ab"));
@@ -410,7 +441,7 @@ mod tests {
                 },
             });
         }
-        let matches = idx.detect(&app);
+        let matches = detect(&idx, &app);
         assert!(matches.iter().all(|m| m.in_app_prefix != "qx"));
         assert!(matches.iter().any(|m| m.in_app_prefix == "qx.ab"));
         // The child prefix qx.ab.net alone lacks the root's features.
@@ -434,7 +465,7 @@ mod tests {
                 },
             });
         }
-        assert!(idx.detect(&first_party).is_empty());
+        assert!(detect(&idx, &first_party).is_empty());
     }
 
     #[test]
@@ -447,9 +478,21 @@ mod tests {
                 instructions: vec![Instruction::Return],
             },
         });
-        let profile = subtree_profile(&dex, "a.b");
+        let profile = subtree::subtree_profile(&dex, "a.b");
         assert!(profile.total() < MIN_MATCH_FEATURES);
         assert!(idx.best_match(&profile).is_none());
+    }
+
+    #[test]
+    fn names_outside_the_tree_register_nothing() {
+        let dex = lib_dex("com.adnet.sdk", 0);
+        // Not a level, a slashed spelling, and the empty name beside a
+        // tree without an empty prefix.
+        for name in ["com.adnet.sd", "com/adnet/sdk", "org.missing", ""] {
+            let mut idx = StructuralIndex::new();
+            add_library(&mut idx, name, LibCategory::Utility, &dex);
+            assert!(idx.is_empty(), "{name}");
+        }
     }
 
     #[test]

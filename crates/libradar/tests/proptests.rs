@@ -1,20 +1,33 @@
 //! Property tests for library detection and the categorization
 //! heuristics.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use spector_dex::model::{CodeItem, DexFile, Instruction, MethodDef, MethodRef};
 use spector_dex::sig::MethodSig;
-use spector_dex::{subtree_profile, write_dex, DexView, FeatureTable, PackageTree, Sha256};
+use spector_dex::{write_dex, DexView, FeatureTable, PackageTree, Sha256};
 use spector_libradar::detect::LibraryFingerprint;
 use spector_libradar::structural::within_band;
 use spector_libradar::{
-    detect, AggregatedLibraries, LibCategory, LibraryDb, LibraryLists, StructuralIndex,
+    AggregatedLibraries, LibCategory, LibraryDb, LibraryLists, StructuralIndex, MIN_MATCH_FEATURES,
 };
 
+#[path = "support/fingerprint.rs"]
+mod fingerprint;
 #[path = "support/listing2.rs"]
 mod listing2;
+#[path = "../../dex/tests/support/ragged.rs"]
+mod ragged;
+#[path = "../../dex/tests/support/subtree.rs"]
+mod subtree;
+#[path = "support/tables.rs"]
+mod tables;
+
+use fingerprint::fingerprint_subtree;
+use ragged::ragged_dex;
+use subtree::subtree_profile;
+use tables::{add_library, detect, table_fingerprint};
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,5}"
@@ -63,8 +76,8 @@ proptest! {
     #[test]
     fn fingerprint_is_rename_invariant(a in package(), b in package(), salt in any::<u8>()) {
         prop_assume!(a != b);
-        let fp_a = detect::fingerprint_subtree(&library_dex(&a, salt), &a);
-        let fp_b = detect::fingerprint_subtree(&library_dex(&b, salt), &b);
+        let fp_a = table_fingerprint(&library_dex(&a, salt), &a);
+        let fp_b = table_fingerprint(&library_dex(&b, salt), &b);
         prop_assert_eq!(fp_a, fp_b);
     }
 
@@ -74,8 +87,8 @@ proptest! {
         // count ⇒ same fingerprint (operand values are invisible, like
         // LibRadar's obfuscation-resilient features), different count ⇒
         // different fingerprint.
-        let fp1 = detect::fingerprint_subtree(&library_dex(&root, s1), &root);
-        let fp2 = detect::fingerprint_subtree(&library_dex(&root, s2), &root);
+        let fp1 = table_fingerprint(&library_dex(&root, s1), &root);
+        let fp2 = table_fingerprint(&library_dex(&root, s2), &root);
         if s1 % 3 == s2 % 3 {
             prop_assert_eq!(fp1, fp2);
         } else {
@@ -91,9 +104,9 @@ proptest! {
         cat in category(),
     ) {
         let mut db = LibraryDb::new();
-        db.add_library(&canonical, cat, &library_dex(&canonical, salt));
+        add_library(&mut db, &canonical, cat, &library_dex(&canonical, salt));
         let app = library_dex(&in_app, salt);
-        let detected = db.detect(&app);
+        let detected = detect(&db, &app);
         prop_assert!(
             detected.iter().any(|d| d.name == canonical && d.in_app_prefix == in_app),
             "library not recognized under {in_app}"
@@ -319,7 +332,9 @@ proptest! {
             app.methods.extend(copy_methods(&format!("qx.c{k}"), &copy, offset));
         }
         let mut unpruned = Vec::new();
-        for subtree in PackageTree::new(&app).subtrees() {
+        let bytes = write_dex(&app);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        for subtree in PackageTree::new(&view).subtrees() {
             let prefix = subtree.prefix();
             let profile = subtree_profile(&app, &prefix);
             if let Some(matched) = index.best_match(&profile) {
@@ -333,7 +348,7 @@ proptest! {
             }
         }
         let pruned: Vec<(String, String)> = index
-            .detect(&app)
+            .detect(&view)
             .into_iter()
             .map(|m| (m.in_app_prefix, m.name))
             .collect();
@@ -366,7 +381,7 @@ proptest! {
                 methods: copy_methods(&name, specs, 0),
                 classes: vec![],
             };
-            db.add_library(&name, LibCategory::Utility, &library);
+            add_library(&mut db, &name, LibCategory::Utility, &library);
             let mut copy = specs[..specs.len() - dropped[k]].to_vec();
             copy.extend(extra[k].iter().cloned());
             for root in [format!("qx.c{k}"), format!("qx.c{k}.d")] {
@@ -376,25 +391,28 @@ proptest! {
             let offset = app.methods.len() as u32;
             app.methods.extend(copy_methods(&format!("org.v{k}"), specs, offset));
         }
-        let unfiltered: Vec<(String, String)> = PackageTree::new(&app)
+        let bytes = write_dex(&app);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        let unfiltered: Vec<(String, String)> = PackageTree::new(&view)
             .subtrees()
             .filter_map(|subtree| {
                 let prefix = subtree.prefix();
-                let fp = detect::fingerprint_subtree(&app, &prefix)?;
+                let fp = fingerprint_subtree(&app, &prefix)?;
                 db.lookup(&fp).map(|(name, _)| (prefix, name.to_owned()))
             })
             .collect();
         prop_assert!(!unfiltered.is_empty());
         let detected: Vec<(String, String)> = db
-            .detect(&app)
+            .detect(&view)
             .into_iter()
             .map(|d| (d.in_app_prefix, d.name))
             .collect();
         prop_assert_eq!(detected, unfiltered);
     }
 
-    /// The feature table's sorted lines hash to `fingerprint_subtree` of
-    /// every prefix, over the owned dex and over its view.
+    /// The feature table's sorted lines, over the dex's view, hash to the
+    /// from-scratch `fingerprint_subtree` of every prefix over the owned
+    /// dex.
     #[test]
     fn feature_table_fingerprints_equal_fingerprint_subtree(
         specs in proptest::collection::vec(method_spec(), 1..12),
@@ -412,11 +430,93 @@ proptest! {
         }
         let bytes = write_dex(&app);
         let view = DexView::parse(&bytes).expect("generated dexes validate");
-        for mut table in [FeatureTable::of_dex(&app), FeatureTable::of_view(&view)] {
-            for id in 0..table.tree().len() {
-                let prefix = table.tree().subtree(id).prefix();
-                let fp = LibraryFingerprint(Sha256::digest(table.sorted_lines(id)));
-                prop_assert_eq!(Some(fp), detect::fingerprint_subtree(&app, &prefix), "{}", prefix);
+        let mut table = FeatureTable::new(&view);
+        for id in 0..table.tree().len() {
+            let prefix = table.tree().subtree(id).prefix();
+            let fp = LibraryFingerprint(Sha256::digest(table.sorted_lines(id)));
+            prop_assert_eq!(Some(fp), fingerprint_subtree(&app, &prefix), "{}", prefix);
+        }
+    }
+}
+
+/// Names to register a library under in the dex of `tree`: every
+/// dotted prefix of the tree; each prefix cut short by a byte and
+/// lengthened by one past its end, which are mostly no level of the
+/// tree (`a.b` beside only `a.bc`); and each prefix spelled with `/`
+/// for `.`. The empty name is left out: the reference and the tree
+/// part on it by design (the unit tests pin both).
+fn registration_names(tree: &PackageTree) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for subtree in tree.subtrees() {
+        let prefix = subtree.prefix();
+        names.insert(prefix[..prefix.len().saturating_sub(1)].to_owned());
+        for extra in ["b", "$", "-"] {
+            names.insert(format!("{prefix}{extra}"));
+        }
+        names.insert(prefix.replace('.', "/"));
+        names.insert(prefix);
+    }
+    names.remove("");
+    names
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Registration through one feature table equals the from-scratch
+    /// reference under every name. Where the reference finds an empty
+    /// subtree, neither tier registers anything. Elsewhere the tree
+    /// finds the name, the subtree's (method count, line bytes) pair and
+    /// profile are the reference's, the exact tier registers the
+    /// reference's fingerprint and detects the subtree again (so the
+    /// size it recorded admits it), and the structural tier indexes one
+    /// library, which the reference's profile matches exactly once it is
+    /// large enough to be scored.
+    #[test]
+    fn registration_through_the_table_equals_the_reference(dex in ragged_dex()) {
+        let bytes = write_dex(&dex);
+        let view = DexView::parse(&bytes).expect("generated dexes validate");
+        let mut table = FeatureTable::new(&view);
+        for name in registration_names(table.tree()) {
+            let mut db = LibraryDb::new();
+            let mut index = StructuralIndex::new();
+            db.add_library(&name, LibCategory::Utility, &mut table);
+            index.add_library(&name, LibCategory::Utility, &mut table);
+            let Some((fp, methods, line_bytes)) = fingerprint::fingerprint_with_size(&dex, &name)
+            else {
+                prop_assert!(db.is_empty() && index.is_empty(), "{:?}", &name);
+                continue;
+            };
+            let id = table.tree().find(&name);
+            prop_assert!(id.is_some(), "{:?} not found", &name);
+            let id = id.unwrap();
+            let subtree = table.tree().subtree(id);
+            let prefix = subtree.prefix();
+            prop_assert_eq!(
+                (subtree.methods(), table.line_bytes(id)),
+                (methods, line_bytes),
+                "size of {:?}", &name
+            );
+            let profile = subtree_profile(&dex, &name);
+            prop_assert_eq!(&table.profile(id), &profile, "profile of {:?}", &name);
+            prop_assert_eq!(
+                (db.len(), db.lookup(&fp)),
+                (1, Some((name.as_str(), LibCategory::Utility))),
+                "fingerprint of {:?}", &name
+            );
+            let detected = db.detect_in(&mut table);
+            prop_assert!(
+                detected.iter().any(|d| d.name == name && d.in_app_prefix == prefix),
+                "{:?} not detected again", &name
+            );
+            prop_assert_eq!(index.len(), 1, "{:?}", &name);
+            if profile.total() >= MIN_MATCH_FEATURES {
+                let matched = index.best_match(&profile);
+                prop_assert_eq!(
+                    matched.map(|m| (m.name, m.score)),
+                    Some((name.clone(), 1.0)),
+                    "indexed profile of {:?}", &name
+                );
             }
         }
     }
@@ -435,7 +535,6 @@ proptest! {
     ) {
         use spector_corpus::obfuscate::{library_roots, obfuscate_dex};
         use spector_corpus::{AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
-        use spector_dex::subtree_profile;
 
         let corpus = Corpus::generate(&CorpusConfig {
             apps: 2,
@@ -444,19 +543,27 @@ proptest! {
             ..Default::default()
         });
         for app in &corpus.apps {
-            let original = app.apk.dex().unwrap();
-            let roots = library_roots(&original);
+            let view = app.apk.dex().unwrap();
+            let mut table = FeatureTable::new(&view);
+            let roots = library_roots(table.tree());
+            let original = view.to_dex();
             prop_assume!(!roots.is_empty());
             for tier in [ObfuscationTier::Rename, ObfuscationTier::Mangle, ObfuscationTier::Junk] {
                 let mut obfuscated = original.clone();
                 let mapping = obfuscate_dex(&mut obfuscated, &roots, tier, obf_seed);
+                let bytes = write_dex(&obfuscated);
+                let obfuscated_view = DexView::parse(&bytes).expect("obfuscated dexes validate");
+                let mut obfuscated_table = FeatureTable::new(&obfuscated_view);
                 for root in &roots {
                     let renamed = mapping.get(*root).map(String::as_str).unwrap_or(root);
+                    // Every library root is a prefix of its dex's tree.
+                    let before = table.profile(table.tree().find(root).unwrap());
                     prop_assert_eq!(
-                        subtree_profile(&original, root),
-                        subtree_profile(&obfuscated, renamed),
+                        &before,
+                        &obfuscated_table.profile(obfuscated_table.tree().find(renamed).unwrap()),
                         "profile of {} drifted at {:?}", root, tier
                     );
+                    prop_assert_eq!(&before, &subtree_profile(&original, root), "{}", root);
                 }
             }
         }
@@ -481,11 +588,11 @@ proptest! {
             ..Default::default()
         });
         for app in &mut corpus.apps {
-            let truth: std::collections::BTreeSet<&str> =
-                library_roots(&app.apk.dex().unwrap()).into_iter().collect();
+            let truth: BTreeSet<&str> = library_roots(&PackageTree::new(&app.apk.dex().unwrap()))
+                .into_iter()
+                .collect();
             obfuscate_app(app, ObfuscationTier::Junk, obf_seed);
-            let dex = app.apk.dex().unwrap();
-            for matched in corpus.structural_index.detect(&dex) {
+            for matched in corpus.structural_index.detect(&app.apk.dex().unwrap()) {
                 prop_assert!(
                     truth.contains(matched.name.as_str()),
                     "structural tier claimed {} (score {:.3}) which {} does not instantiate",

@@ -1,22 +1,30 @@
 //! The corpus scan against a serial, unpruned rescan.
 //!
-//! `Knowledge::from_corpus` detects libraries over one package tree per
-//! dex, skips subtrees whose size rules a match out, and detects apps in
-//! parallel. The reference here does none of that: for every app in
-//! order it enumerates every package prefix, fingerprints and profiles
-//! each one from scratch, scores every profile, and merges as it goes.
-//! Both must agree on the aggregate, both alias tables and the domain
-//! table, clean and at every obfuscation tier.
+//! `Knowledge::from_corpus` detects libraries over one feature table
+//! per dex view, skips subtrees whose size rules a match out, and
+//! detects apps in parallel. The reference here does none of that: for
+//! every app in order it parses the owned dex, enumerates every package
+//! prefix, fingerprints and profiles each one from scratch with the
+//! frozen references under `crates/*/tests/support/`, scores every
+//! profile, and merges as it goes. Both must agree on the aggregate,
+//! both alias tables and the domain table, clean and at every
+//! obfuscation tier.
 
 use std::collections::{BTreeSet, HashMap};
 
 use libspector::knowledge::Knowledge;
 use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
 use spector_dex::model::DexFile;
-use spector_dex::subtree_profile;
-use spector_libradar::detect::fingerprint_subtree;
 use spector_libradar::{AggregatedLibraries, PrefixAliases};
 use spector_vtcat::{DomainCategory, Tokenizer};
+
+#[path = "../crates/libradar/tests/support/fingerprint.rs"]
+mod fingerprint;
+#[path = "../crates/dex/tests/support/subtree.rs"]
+mod subtree;
+
+use fingerprint::fingerprint_subtree;
+use subtree::subtree_profile;
 
 /// Every package prefix (each hierarchy level) of the dex's methods.
 fn every_package_prefix(dex: &DexFile) -> BTreeSet<String> {
@@ -46,7 +54,7 @@ fn serial_rescan(corpus: &Corpus) -> Reference {
     let mut exact_aliases = PrefixAliases::new();
     let mut structural_aliases = PrefixAliases::new();
     for app in &corpus.apps {
-        let Ok(dex) = app.apk.dex() else {
+        let Ok(dex) = app.apk.dex().map(|view| view.to_dex()) else {
             continue;
         };
         let prefixes = every_package_prefix(&dex);
