@@ -311,6 +311,53 @@ fn bench_knowledge_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// Corpus generation and obfuscation, each over one 50-app slice of
+/// the frozen benchmark's workloads (`elem/s` is apps per second):
+/// `generate` is `Corpus::generate` for the campaign slice (method scale
+/// 0.02, a tenth of the paper's byte volume; the plans on the calling
+/// thread, then the apps and the library indexes in parallel), and
+/// `obfuscate` is `obfuscate_corpus` at Mangle over the live-ingest
+/// slice (method scale 0.01, half the traffic modern), each iteration
+/// on a fresh copy of the clean apps (the copy shares their apk bytes).
+fn bench_corpus(c: &mut Criterion) {
+    use spector_corpus::{obfuscate_corpus, AppGenConfig, Corpus, CorpusConfig, ObfuscationTier};
+
+    let campaign = CorpusConfig {
+        apps: 50,
+        seed: 7_781,
+        appgen: AppGenConfig {
+            method_scale: 0.02,
+            volume_scale: 0.1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut live = Corpus::generate(&CorpusConfig {
+        apps: 50,
+        seed: 7_783,
+        appgen: AppGenConfig {
+            method_scale: 0.01,
+            modern_fraction: 0.5,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let clean = live.apps.clone();
+    let mut group = c.benchmark_group("perf/corpus");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(campaign.apps as u64));
+    group.bench_function("generate", |b| {
+        b.iter(|| Corpus::generate(&campaign));
+    });
+    group.bench_function("obfuscate", |b| {
+        b.iter(|| {
+            live.apps.clone_from(&clean);
+            obfuscate_corpus(&mut live, ObfuscationTier::Mangle, 7_783 ^ 0x0bf5)
+        });
+    });
+    group.finish();
+}
+
 /// Cost of the fault-injection layer when it is armed but rolls no
 /// faults — the price every chaos-enabled campaign pays on its happy
 /// path. `perturb_*` isolates the wire-perturbation pass over the 400
@@ -612,6 +659,7 @@ criterion_group!(
     bench_analysis_throughput,
     bench_knowledge_build,
     bench_knowledge_scan,
+    bench_corpus,
     bench_chaos_overhead,
     bench_telemetry_overhead,
     bench_substrates,

@@ -73,7 +73,7 @@ USAGE:
                                        needs --store, same settings)
   libspector live   --apps N [--seed S] [--events E] [--workers W]
                     [--shards K] [--batch-events B] [--snapshot-every N]
-                    [--modern-fraction F]
+                    [--method-scale F] [--modern-fraction F]
                     [--sample-rate F] [--trace-budget N [--trace-budget-window MICROS]]
                     [--metrics FILE] [--store DIR] [--store-seal-every N]
   libspector query  --store DIR [--campaign N | --campaigns N1,N2,...]
@@ -94,37 +94,88 @@ USAGE:
                     [--obf-seed S]   (cascade precision/recall per obfuscation level)
 ";
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The flags one subcommand invocation gave: exactly the flags its
+/// `USAGE` lines list, each value flag with its value.
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value {raw:?} for {name}")),
+impl Flags {
+    /// Reads `args` as `command`'s flags: the value flags `values`
+    /// (each followed by its value) and the boolean flags `switches`.
+    /// Any other token, or a value flag without its value, is an error
+    /// that names it.
+    fn parse(
+        command: &str,
+        args: &[String],
+        values: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Flags, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut tokens = args.iter();
+        while let Some(token) = tokens.next() {
+            if let Some(&name) = switches.iter().find(|&&name| name == token) {
+                flags.switches.push(name);
+            } else if let Some(&name) = values.iter().find(|&&name| name == token) {
+                match tokens.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        flags.values.push((name, value.clone()));
+                    }
+                    _ => return Err(format!("{command}: {name} needs a value")),
+                }
+            } else {
+                return Err(format!(
+                    "{command}: unknown flag {token:?} (see libspector --help)"
+                ));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of flag `name`, if given (the first, if repeated).
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The value of flag `name` parsed, or `default` when not given.
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("invalid value {raw:?} for {name}")),
+        }
+    }
+
+    /// Whether the boolean flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
     }
 }
 
 /// Parses the shared sampling/budget flags. The inclusion seed is
 /// derived from the campaign seed so reruns are reproducible, but
 /// offset so changing the rate never perturbs the monkey workload.
-fn parse_sampling(args: &[String], seed: u64) -> Result<SamplingConfig, String> {
-    let rate: f64 = parse_flag(args, "--sample-rate", 1.0)?;
+fn parse_sampling(flags: &Flags, seed: u64) -> Result<SamplingConfig, String> {
+    let rate: f64 = flags.parse_or("--sample-rate", 1.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--sample-rate {rate} outside [0, 1]"));
     }
-    let budget: Option<u64> = match flag(args, "--trace-budget") {
-        None => None,
-        Some(raw) => Some(
+    let budget: Option<u64> = flags
+        .value("--trace-budget")
+        .map(|raw| {
             raw.parse()
-                .map_err(|_| format!("invalid value {raw:?} for --trace-budget"))?,
-        ),
-    };
-    let window_micros: u64 = parse_flag(args, "--trace-budget-window", 0)?;
+                .map_err(|_| format!("invalid value {raw:?} for --trace-budget"))
+        })
+        .transpose()?;
+    let window_micros: u64 = flags.parse_or("--trace-budget-window", 0)?;
     Ok(SamplingConfig {
         rate,
         seed: seed ^ 0x5a4d_9a17_c0ff_ee01,
@@ -147,18 +198,34 @@ fn write_metrics(snapshot: &spector_telemetry::MetricsSnapshot, path: &str) -> R
     Ok(())
 }
 
-fn build_corpus(apps: usize, seed: u64, method_scale: f64, modern_fraction: f64) -> Corpus {
+/// Generates the corpus and scans it for the knowledge base, timing
+/// each as one call of its stage span (`corpus/generate`,
+/// `knowledge/from_corpus`) in `telemetry`.
+fn build_corpus(
+    apps: usize,
+    seed: u64,
+    method_scale: f64,
+    modern_fraction: f64,
+    telemetry: &Telemetry,
+) -> (Corpus, Knowledge) {
     eprintln!("generating corpus: {apps} apps, seed {seed}");
-    Corpus::generate(&CorpusConfig {
-        apps,
-        seed,
-        appgen: AppGenConfig {
-            method_scale,
-            modern_fraction,
+    let corpus = telemetry.stage_recorder("corpus/generate").time(|| {
+        Corpus::generate(&CorpusConfig {
+            apps,
+            seed,
+            appgen: AppGenConfig {
+                method_scale,
+                modern_fraction,
+                ..Default::default()
+            },
             ..Default::default()
-        },
-        ..Default::default()
-    })
+        })
+    });
+    eprintln!("scanning corpus (LibRadar aggregate + domain labels)");
+    let knowledge = telemetry
+        .stage_recorder("knowledge/from_corpus")
+        .time(|| Knowledge::from_corpus(&corpus));
+    (corpus, knowledge)
 }
 
 /// Opens `dir` as a store for this invocation's campaign. `run`
@@ -206,25 +273,47 @@ fn seal_store(
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let apps: usize = parse_flag(args, "--apps", 100)?;
-    let seed: u64 = parse_flag(args, "--seed", 42)?;
-    let events: u32 = parse_flag(args, "--events", 1_000)?;
-    let workers: usize = parse_flag(args, "--workers", 0)?;
-    let method_scale: f64 = parse_flag(args, "--method-scale", 0.02)?;
-    let modern_fraction: f64 = parse_flag(args, "--modern-fraction", 0.0)?;
-    let chaos_profile: FaultProfile = parse_flag(args, "--chaos", FaultProfile::none())?;
-    let chaos_seed: u64 = parse_flag(args, "--chaos-seed", seed)?;
-    let max_failures: usize = parse_flag(args, "--max-failures", 0)?;
-    let metrics_out: Option<String> = flag(args, "--metrics");
-    let store_dir: Option<String> = flag(args, "--store");
-    let seal_every: usize = parse_flag(args, "--store-seal-every", DEFAULT_SEAL_EVERY)?;
-    let resume = args.iter().any(|a| a == "--resume");
+    let flags = Flags::parse(
+        "run",
+        args,
+        &[
+            "--apps",
+            "--seed",
+            "--events",
+            "--workers",
+            "--method-scale",
+            "--modern-fraction",
+            "--chaos",
+            "--chaos-seed",
+            "--max-failures",
+            "--sample-rate",
+            "--trace-budget",
+            "--trace-budget-window",
+            "--metrics",
+            "--store",
+            "--store-seal-every",
+        ],
+        &["--resume"],
+    )?;
+    let apps: usize = flags.parse_or("--apps", 100)?;
+    let seed: u64 = flags.parse_or("--seed", 42)?;
+    let events: u32 = flags.parse_or("--events", 1_000)?;
+    let workers: usize = flags.parse_or("--workers", 0)?;
+    let method_scale: f64 = flags.parse_or("--method-scale", 0.02)?;
+    let modern_fraction: f64 = flags.parse_or("--modern-fraction", 0.0)?;
+    let chaos_profile: FaultProfile = flags.parse_or("--chaos", FaultProfile::none())?;
+    let chaos_seed: u64 = flags.parse_or("--chaos-seed", seed)?;
+    let max_failures: usize = flags.parse_or("--max-failures", 0)?;
+    let metrics_out = flags.value("--metrics");
+    let store_dir = flags.value("--store");
+    let seal_every: usize = flags.parse_or("--store-seal-every", DEFAULT_SEAL_EVERY)?;
+    let resume = flags.has("--resume");
     if resume && store_dir.is_none() {
         return Err(
             "--resume needs --store DIR (it continues that store's unsealed campaign)".into(),
         );
     }
-    let sampling = parse_sampling(args, seed)?;
+    let sampling = parse_sampling(&flags, seed)?;
 
     let mut dispatch = DispatchConfig {
         workers,
@@ -276,7 +365,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // The store opens before the corpus is built, so a refused resume
     // costs nothing.
     let store = store_dir
-        .as_deref()
         .map(|dir| {
             let fingerprint = config.fingerprint(apps);
             open_store_writer(
@@ -289,9 +377,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         })
         .transpose()?;
 
-    let corpus = build_corpus(apps, seed, method_scale, modern_fraction);
-    eprintln!("scanning corpus (LibRadar aggregate + domain labels)");
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let (corpus, knowledge) = build_corpus(apps, seed, method_scale, modern_fraction, &telemetry);
     eprintln!("running campaign ({events} monkey events per app)");
     let progress = |done: usize| {
         if done.is_multiple_of(50) {
@@ -323,7 +409,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             outcome.injected.total()
         );
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         write_metrics(&telemetry.snapshot(), path)?;
     }
     println!("{}", FullReport::build(&outcome.analyses).render());
@@ -339,23 +425,48 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_live(args: &[String]) -> Result<(), String> {
     use spector_live::{LiveConfig, LiveEngine, LiveSummary};
 
-    let apps: usize = parse_flag(args, "--apps", 50)?;
-    let seed: u64 = parse_flag(args, "--seed", 42)?;
-    let events: u32 = parse_flag(args, "--events", 500)?;
-    let workers: usize = parse_flag(args, "--workers", 0)?;
-    let shards: usize = parse_flag(args, "--shards", 2)?;
-    let batch_events: usize = parse_flag(args, "--batch-events", 64)?;
-    let method_scale: f64 = parse_flag(args, "--method-scale", 0.02)?;
-    let modern_fraction: f64 = parse_flag(args, "--modern-fraction", 0.0)?;
-    let snapshot_every: usize = parse_flag(args, "--snapshot-every", 10)?;
-    let metrics_out: Option<String> = flag(args, "--metrics");
-    let store_dir: Option<String> = flag(args, "--store");
-    let seal_every: usize = parse_flag(args, "--store-seal-every", DEFAULT_SEAL_EVERY)?;
-    let sampling = parse_sampling(args, seed)?;
+    let flags = Flags::parse(
+        "live",
+        args,
+        &[
+            "--apps",
+            "--seed",
+            "--events",
+            "--workers",
+            "--shards",
+            "--batch-events",
+            "--snapshot-every",
+            "--method-scale",
+            "--modern-fraction",
+            "--sample-rate",
+            "--trace-budget",
+            "--trace-budget-window",
+            "--metrics",
+            "--store",
+            "--store-seal-every",
+        ],
+        &[],
+    )?;
+    let apps: usize = flags.parse_or("--apps", 50)?;
+    let seed: u64 = flags.parse_or("--seed", 42)?;
+    let events: u32 = flags.parse_or("--events", 500)?;
+    let workers: usize = flags.parse_or("--workers", 0)?;
+    let shards: usize = flags.parse_or("--shards", 2)?;
+    let batch_events: usize = flags.parse_or("--batch-events", 64)?;
+    let method_scale: f64 = flags.parse_or("--method-scale", 0.02)?;
+    let modern_fraction: f64 = flags.parse_or("--modern-fraction", 0.0)?;
+    let snapshot_every: usize = flags.parse_or("--snapshot-every", 10)?;
+    let metrics_out = flags.value("--metrics");
+    let store_dir = flags.value("--store");
+    let seal_every: usize = flags.parse_or("--store-seal-every", DEFAULT_SEAL_EVERY)?;
+    let sampling = parse_sampling(&flags, seed)?;
 
-    let corpus = build_corpus(apps, seed, method_scale, modern_fraction);
-    eprintln!("scanning corpus (LibRadar aggregate + domain labels)");
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let telemetry = if metrics_out.is_some() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
+    let (corpus, knowledge) = build_corpus(apps, seed, method_scale, modern_fraction, &telemetry);
     let mut dispatch = DispatchConfig {
         workers,
         ..Default::default()
@@ -367,11 +478,6 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         eprintln!("sampled tracing: rate {}", sampling.rate);
     }
 
-    let telemetry = if metrics_out.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
     let meta = CampaignMeta {
         seed,
         apps,
@@ -379,7 +485,6 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         kind: CampaignKind::Live,
     };
     let store = store_dir
-        .as_deref()
         .map(|dir| open_store_writer(dir, &meta, None, seal_every, &telemetry))
         .transpose()?;
     let live = LiveEngine::start(
@@ -422,7 +527,7 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
         seal_store(writer, &meta, &outcome.failures)?;
     }
     let (live, live_metrics) = live.finish_with_metrics();
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         write_metrics(&live_metrics, path)?;
     }
     print!("{}", spector_analysis::live::render(&live));
@@ -449,9 +554,9 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
 
 /// Opens `--store DIR` for reading and reports on stderr what open
 /// found: rejected segments, orphans, unsealed campaigns.
-fn open_store_reader(args: &[String], telemetry: &Telemetry) -> Result<StoreReader, String> {
-    let dir = flag(args, "--store").ok_or("missing --store DIR")?;
-    let reader = StoreReader::open_with(Path::new(&dir), StoreTelemetry::new(telemetry))
+fn open_store_reader(flags: &Flags, telemetry: &Telemetry) -> Result<StoreReader, String> {
+    let dir = flags.value("--store").ok_or("missing --store DIR")?;
+    let reader = StoreReader::open_with(Path::new(dir), StoreTelemetry::new(telemetry))
         .map_err(|e| format!("opening store {dir}: {e}"))?;
     let integrity = reader.integrity();
     for (file, kind) in &integrity.rejected {
@@ -470,8 +575,8 @@ fn open_store_reader(args: &[String], telemetry: &Telemetry) -> Result<StoreRead
 /// The campaigns `--campaign N` or `--campaigns N1,N2,...` select, or
 /// `None` for neither. An id the manifest does not list is an error,
 /// never an empty answer.
-fn selected_campaigns(args: &[String], reader: &StoreReader) -> Result<Option<Vec<u32>>, String> {
-    let ids: Vec<u32> = match (flag(args, "--campaign"), flag(args, "--campaigns")) {
+fn selected_campaigns(flags: &Flags, reader: &StoreReader) -> Result<Option<Vec<u32>>, String> {
+    let ids: Vec<u32> = match (flags.value("--campaign"), flags.value("--campaigns")) {
         (None, None) => return Ok(None),
         (Some(_), Some(_)) => {
             return Err("--campaign and --campaigns are mutually exclusive".into());
@@ -499,8 +604,8 @@ fn selected_campaigns(args: &[String], reader: &StoreReader) -> Result<Option<Ve
 
 /// The one campaign a command reads: the selected one, or the store's
 /// only campaign.
-fn one_campaign(args: &[String], reader: &StoreReader) -> Result<u32, String> {
-    match selected_campaigns(args, reader)?.as_deref() {
+fn one_campaign(flags: &Flags, reader: &StoreReader) -> Result<u32, String> {
+    match selected_campaigns(flags, reader)?.as_deref() {
         Some([id]) => Ok(*id),
         Some(_) => Err("this command reads exactly one campaign".into()),
         None => match reader.campaigns() {
@@ -513,46 +618,55 @@ fn one_campaign(args: &[String], reader: &StoreReader) -> Result<u32, String> {
 
 /// The analyses of the one campaign `--store DIR [--campaign N]`
 /// selects, in corpus order.
-fn stored_analyses(args: &[String]) -> Result<Vec<AppAnalysis>, String> {
-    let reader = open_store_reader(args, &Telemetry::disabled())?;
-    let id = one_campaign(args, &reader)?;
+fn stored_analyses(flags: &Flags) -> Result<Vec<AppAnalysis>, String> {
+    let reader = open_store_reader(flags, &Telemetry::disabled())?;
+    let id = one_campaign(flags, &reader)?;
     Ok(reader.campaign_analyses(id))
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let top: usize = parse_flag(args, "--top", spector_analysis::storeq::DEFAULT_TOP)?;
-    let report = args.iter().any(|a| a == "--report");
-    let metrics_out: Option<String> = flag(args, "--metrics");
+    let flags = Flags::parse(
+        "query",
+        args,
+        &["--store", "--campaign", "--campaigns", "--top", "--metrics"],
+        &["--report"],
+    )?;
+    let top: usize = flags.parse_or("--top", spector_analysis::storeq::DEFAULT_TOP)?;
+    let report = flags.has("--report");
+    let metrics_out = flags.value("--metrics");
 
     let telemetry = if metrics_out.is_some() {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
     };
-    let reader = open_store_reader(args, &telemetry)?;
+    let reader = open_store_reader(&flags, &telemetry)?;
     if report {
         // The stored campaign's standard report: byte-identical to the
         // stdout `libspector run` produced for the same campaign.
-        let id = one_campaign(args, &reader)?;
+        let id = one_campaign(&flags, &reader)?;
         let full = spector_analysis::storeq::report_from_store(&reader, id);
         println!("{}", full.render());
     } else {
-        let campaigns = selected_campaigns(args, &reader)?;
+        let campaigns = selected_campaigns(&flags, &reader)?;
         let stats = spector_analysis::storeq::compute(&reader, campaigns.as_deref());
         print!("{}", spector_analysis::storeq::render(&stats, top));
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         write_metrics(&telemetry.snapshot(), path)?;
     }
     Ok(())
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let path = flag(args, "--file").ok_or("missing --file FILE (a --metrics JSON snapshot)")?;
-    let raw = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let flags = Flags::parse("metrics", args, &["--file"], &["--prometheus"])?;
+    let path = flags
+        .value("--file")
+        .ok_or("missing --file FILE (a --metrics JSON snapshot)")?;
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let snapshot: spector_telemetry::MetricsSnapshot =
         serde_json::from_str(&raw).map_err(|e| format!("parsing {path}: {e}"))?;
-    if args.iter().any(|a| a == "--prometheus") {
+    if flags.has("--prometheus") {
         print!("{}", spector_telemetry::render_prometheus(&snapshot));
     } else {
         print!("{}", spector_analysis::profile::render_profile(&snapshot));
@@ -561,9 +675,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let apps: usize = parse_flag(args, "--apps", 50)?;
-    let seed: u64 = parse_flag(args, "--seed", 42)?;
-    let raw_events = flag(args, "--events").unwrap_or_else(|| "10,100,500,1000".to_owned());
+    let flags = Flags::parse("sweep", args, &["--apps", "--seed", "--events"], &[])?;
+    let apps: usize = flags.parse_or("--apps", 50)?;
+    let seed: u64 = flags.parse_or("--seed", 42)?;
+    let raw_events = flags.value("--events").unwrap_or("10,100,500,1000");
     let budgets: Vec<u32> = raw_events
         .split(',')
         .map(|s| {
@@ -573,8 +688,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let corpus = build_corpus(apps, seed, 0.02, 0.0);
-    let knowledge = Knowledge::from_corpus(&corpus);
+    let (corpus, knowledge) = build_corpus(apps, seed, 0.02, 0.0, &Telemetry::disabled());
     println!(
         "{:>8} {:>14} {:>12}",
         "events", "mean coverage", "mean MB/app"
@@ -600,7 +714,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let comparison = libspector::baseline::compare(&stored_analyses(args)?);
+    let flags = Flags::parse("baseline", args, &["--store", "--campaign"], &[])?;
+    let comparison = libspector::baseline::compare(&stored_analyses(&flags)?);
     println!("DNS-only baseline vs context-aware attribution");
     println!(
         "  total {:.2} MB | agree {:.2} MB | conflict {:.2} MB | invisible {:.2} MB",
@@ -620,8 +735,9 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
 
 fn cmd_policy(args: &[String]) -> Result<(), String> {
     use libspector::policy::{apply, suggest_blacklist, Action, Matcher, Policy};
-    let min_mb: f64 = parse_flag(args, "--min-mb", 0.5)?;
-    let analyses = stored_analyses(args)?;
+    let flags = Flags::parse("policy", args, &["--store", "--campaign", "--min-mb"], &[])?;
+    let min_mb: f64 = flags.parse_or("--min-mb", 0.5)?;
+    let analyses = stored_analyses(&flags)?;
     let suggestions = suggest_blacklist(&analyses, (min_mb * 1_048_576.0) as u64);
     if suggestions.is_empty() {
         println!("no AnT origin exceeds {min_mb} MB; nothing to suggest");
@@ -650,9 +766,10 @@ fn cmd_policy(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out").ok_or("missing --out DIR")?;
-    let report = FullReport::build(&stored_analyses(args)?);
-    let written = spector_analysis::export::export_all(&report, &PathBuf::from(&out))
+    let flags = Flags::parse("export", args, &["--store", "--campaign", "--out"], &[])?;
+    let out = flags.value("--out").ok_or("missing --out DIR")?;
+    let report = FullReport::build(&stored_analyses(&flags)?);
+    let written = spector_analysis::export::export_all(&report, &PathBuf::from(out))
         .map_err(|e| e.to_string())?;
     println!(
         "wrote {} CSV files to {out}: {}",
@@ -665,12 +782,18 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 fn cmd_detect_quality(args: &[String]) -> Result<(), String> {
     use spector_analysis::detect::{evaluate, render, DetectQualityConfig};
 
+    let flags = Flags::parse(
+        "detect-quality",
+        args,
+        &["--apps", "--seed", "--method-scale", "--obf-seed"],
+        &[],
+    )?;
     let defaults = DetectQualityConfig::default();
     let config = DetectQualityConfig {
-        apps: parse_flag(args, "--apps", defaults.apps)?,
-        seed: parse_flag(args, "--seed", defaults.seed)?,
-        method_scale: parse_flag(args, "--method-scale", defaults.method_scale)?,
-        obfuscation_seed: parse_flag(args, "--obf-seed", defaults.obfuscation_seed)?,
+        apps: flags.parse_or("--apps", defaults.apps)?,
+        seed: flags.parse_or("--seed", defaults.seed)?,
+        method_scale: flags.parse_or("--method-scale", defaults.method_scale)?,
+        obfuscation_seed: flags.parse_or("--obf-seed", defaults.obfuscation_seed)?,
     };
     eprintln!(
         "grading detection cascade: {} apps per obfuscation level, seed {}",
@@ -681,7 +804,8 @@ fn cmd_detect_quality(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_shapes(args: &[String]) -> Result<(), String> {
-    let report = FullReport::build(&stored_analyses(args)?);
+    let flags = Flags::parse("shapes", args, &["--store", "--campaign"], &[])?;
+    let report = FullReport::build(&stored_analyses(&flags)?);
     let checks = spector_analysis::paper::compare_to_paper(&report);
     print!("{}", spector_analysis::paper::render_checks(&checks));
     let holding = checks.iter().filter(|c| c.holds).count();

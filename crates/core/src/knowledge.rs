@@ -12,7 +12,9 @@
 //! method), and both detection tiers share one [`FeatureTable`] per
 //! app: each method's features are computed at most once, on first
 //! use, and a subtree is fingerprinted or profiled only when its size
-//! could match.
+//! could match. The apps are scanned, and the domains classified, as
+//! the tasks of the corpus crate's in-order parallel map, the one the
+//! corpus is built with.
 //!
 //! Domain categories are precomputed once per campaign (the Table I
 //! tokenizer runs once per distinct vendor label, not once per *flow*)
@@ -24,10 +26,8 @@
 //! dispatch worker and live shard reads it without a lock.
 
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use spector_corpus::Corpus;
+use spector_corpus::{parallel, Corpus};
 use spector_dex::features::FeatureTable;
 use spector_libradar::{
     AggregatedLibraries, DetectTier, DetectedLibrary, LibCategory, LibraryLists, PrefixAliases,
@@ -185,72 +185,50 @@ impl Knowledge {
 /// What both detection tiers found in one app.
 type AppDetections = (Vec<DetectedLibrary>, Vec<StructuralMatch>);
 
+/// One task of the scan.
+enum Scanned {
+    Domains(HashMap<String, DomainCategory>),
+    App(AppDetections),
+}
+
 /// Runs both detection tiers over every app of `corpus`, and the
-/// Table I classification over every domain of its universe, on one
-/// scoped thread per available CPU. The threads take tasks from one
-/// counter: task 0 classifies the domains, task `i + 1` detects app
-/// `i`, so the classification overlaps the detection instead of
-/// following it. Returns the detections in app order and the domain
-/// table. An app whose dex does not parse contributes nothing.
+/// Table I classification over every domain of its universe, as the
+/// tasks of one in-order parallel map (`spector_corpus::parallel::map`):
+/// task 0 classifies the domains, task `i + 1` detects app `i`, so the
+/// classification overlaps the detection instead of following it.
+/// Returns the detections in app order and the domain table. An app
+/// whose dex does not parse contributes nothing.
 fn scan(corpus: &Corpus) -> (Vec<AppDetections>, HashMap<String, DomainCategory>) {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(corpus.apps.len() + 1);
-    // Relaxed: the counter only hands out tasks; the results come back
-    // through `join`.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut detections = Vec::new();
-        let mut domain_categories = None;
-        loop {
-            let task = next.fetch_add(1, Ordering::Relaxed);
-            if task == 0 {
-                domain_categories = Some(
-                    Tokenizer::new().classify_domains(
-                        corpus
-                            .domains
-                            .domains()
-                            .iter()
-                            .map(|d| (d.name.clone(), d.vendor_labels.as_slice())),
-                    ),
-                );
-                continue;
-            }
-            let Some(app) = corpus.apps.get(task - 1) else {
-                return (detections, domain_categories);
-            };
-            let found = app.apk.dex().map_or_else(
-                |_| AppDetections::default(),
-                |view| {
-                    let mut table = FeatureTable::new(&view);
-                    (
-                        corpus.library_db.detect_in(&mut table),
-                        corpus.structural_index.detect_in(&mut table),
-                    )
-                },
-            );
-            detections.push((task - 1, found));
-        }
-    };
-    let mut detections = Vec::with_capacity(corpus.apps.len());
-    let mut domain_categories = None;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-        for worker in workers {
-            let (found, domains) = worker
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            detections.extend(found);
-            if domains.is_some() {
-                domain_categories = domains;
-            }
-        }
+    let scanned = parallel::map(corpus.apps.len() + 1, |task| match task.checked_sub(1) {
+        None => Scanned::Domains(
+            Tokenizer::new().classify_domains(
+                corpus
+                    .domains
+                    .domains()
+                    .iter()
+                    .map(|d| (d.name.clone(), d.vendor_labels.as_slice())),
+            ),
+        ),
+        Some(app) => Scanned::App(corpus.apps[app].apk.dex().map_or_else(
+            |_| AppDetections::default(),
+            |view| {
+                let mut table = FeatureTable::new(&view);
+                (
+                    corpus.library_db.detect_in(&mut table),
+                    corpus.structural_index.detect_in(&mut table),
+                )
+            },
+        )),
     });
-    detections.sort_unstable_by_key(|&(app, _)| app);
-    (
-        detections.into_iter().map(|(_, found)| found).collect(),
-        domain_categories.expect("task 0 is always taken"),
-    )
+    let mut detections = Vec::with_capacity(corpus.apps.len());
+    let mut domain_categories = HashMap::new();
+    for found in scanned {
+        match found {
+            Scanned::Domains(table) => domain_categories = table,
+            Scanned::App(found) => detections.push(found),
+        }
+    }
+    (detections, domain_categories)
 }
 
 // The corpus dependency is dev-facing: Knowledge::from_corpus is the

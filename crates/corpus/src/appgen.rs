@@ -7,6 +7,16 @@
 //! categories, and the op's list memberships. The original authors had
 //! no ground truth for 25,000 real apps; the simulation does, and the
 //! integration tests exploit it.
+//!
+//! Generation has two phases. `plan_app` makes every draw an app
+//! takes from the corpus generator, in a fixed order, and records the
+//! first-party and system ground truth. `AppPlan::build` draws
+//! nothing: it instantiates the planned libraries (each template seeds
+//! its own generator from its package name), lays out the method table
+//! and writes the apk, all as pure functions of the plan. A corpus
+//! therefore makes its plans in app order on one thread and builds the
+//! apps on every core, and the bytes do not depend on which thread
+//! built which app.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -24,7 +34,7 @@ use crate::categories::{game_share, mean_volume_multiplier, AppCategory};
 use crate::domains::DomainUniverse;
 use crate::fig9;
 use crate::libraries::{
-    instantiate, template_connector, templates_of, InstantiatedLibrary, LibraryOps, LibraryTemplate,
+    instantiate, template_connector, templates_of, LibraryOps, LibraryTemplate,
 };
 
 /// Traffic archetypes (§IV-A: 35 % of apps had AnT-only traffic, ~89 %
@@ -180,18 +190,56 @@ fn sample_unused<'u>(
     fallback
 }
 
-/// Generates one app.
-#[allow(clippy::too_many_lines)]
-pub fn generate_app(
+/// A library instance planned into an app: its template, the three ops
+/// drawn for it (two background fetches and the refresh fetch), and
+/// the domain category each op's domain was sampled from.
+#[derive(Debug)]
+struct LibraryPlan {
+    template: &'static LibraryTemplate,
+    ops: LibraryOps,
+    domain_categories: [DomainCategory; 3],
+}
+
+/// Every draw one app takes from the corpus generator, made in order by
+/// [`plan_app`]. [`AppPlan::build`] turns the plan into the app and
+/// draws nothing, so a corpus plans its apps in order on one thread and
+/// builds them on any.
+#[derive(Debug)]
+pub(crate) struct AppPlan {
+    index: usize,
+    package: String,
+    category: &'static AppCategory,
+    archetype: Archetype,
+    /// Library instances, in method-table order.
+    libraries: Vec<LibraryPlan>,
+    /// The first-party async loader's op and the inline fetch's op.
+    first_party: Option<(NetworkOp, NetworkOp)>,
+    /// Per activity, per click handler: the library whose refresh entry
+    /// the handler invokes, if any.
+    handlers: Vec<Vec<Option<usize>>>,
+    /// Method count the filler pads the dex to.
+    target_methods: usize,
+    system_ops: Vec<SystemOp>,
+    /// First-party and system ground truth, in order; the build puts
+    /// each library's rows ahead of it.
+    truth: Vec<FlowTruth>,
+    native_abis: &'static [&'static str],
+}
+
+/// Plans one app: every draw [`AppPlan::build`] needs, in generation
+/// order — the volume spread, the template picks with each template's
+/// three ops, the two first-party ops, the activity and handler counts
+/// with each handler's refresh pick, the method-count target, the two
+/// system ops, and the native ABIs.
+pub(crate) fn plan_app(
     index: usize,
     category: &'static AppCategory,
     archetype: Archetype,
     universe: &DomainUniverse,
     config: &AppGenConfig,
     rng: &mut SmallRng,
-) -> GeneratedApp {
+) -> AppPlan {
     let package = format!("com.dev{}.app{index}", index % 911);
-    let mut methods: Vec<MethodDef> = Vec::new();
     let mut truth: Vec<FlowTruth> = Vec::new();
     let mut used_domains: std::collections::HashSet<String> = std::collections::HashSet::new();
 
@@ -203,7 +251,7 @@ pub fn generate_app(
         category.volume_multiplier / mean_volume_multiplier() * spread * config.volume_scale;
 
     // --- Library composition ---------------------------------------------
-    let mut libraries: Vec<(InstantiatedLibrary, f64)> = Vec::new(); // (instance, volume bytes)
+    let mut libraries = Vec::new();
     for lib_category in fig9::LIB_ORDER {
         if lib_category == LibCategory::Unknown {
             continue; // first-party, handled below
@@ -240,18 +288,14 @@ pub fn generate_app(
         let picked = pick_templates(lib_category, instances, rng);
         for template in picked {
             let share = target_bytes / instances as f64;
-            let instance = build_instance(
+            libraries.push(plan_library(
                 template,
-                methods.len() as u32,
                 share,
                 universe,
                 config,
                 rng,
-                &mut truth,
                 &mut used_domains,
-            );
-            methods.extend(instance.methods.iter().cloned());
-            libraries.push((instance, share));
+            ));
         }
     }
 
@@ -261,21 +305,11 @@ pub fn generate_app(
     } else {
         fig9::per_app_mb(LibCategory::Unknown) * MB * factor / 0.65
     };
-    let app_on_create_sig = MethodSig::new(&package, "App", "onCreate", "()V");
-    let mut app_on_create_code: Vec<Instruction> = vec![Instruction::Const(0)];
-    for (lib, _) in &libraries {
-        let id = methods
-            .iter()
-            .position(|m| m.sig == lib.init_entry)
-            .expect("init entry exists") as u32;
-        app_on_create_code.push(Instruction::Invoke(MethodRef::Internal(id)));
-    }
     // First-party network: an async loader plus an inline (synchronous)
     // fetch — both attribute to the app package.
-    if fp_target > 1.0 {
+    let first_party = (fp_target > 1.0).then(|| {
         let (async_share, sync_share) = (fp_target * 0.6, fp_target * 0.4);
-        let loader_sig = MethodSig::new(&format!("{package}.net"), "Loader", "run", "()V");
-        let op = first_party_op(
+        let loader = first_party_op(
             async_share,
             universe,
             config,
@@ -287,22 +321,11 @@ pub fn generate_app(
         // The async loader runs on its own thread, so attribution lands
         // on the loader's own (sub-)package rather than the app root.
         if let Some(t) = truth.last_mut() {
-            t.owner_package = loader_sig.package();
-            t.expected_origin = Some(loader_sig.package());
+            let loader_package = loader_sig(&package).package();
+            t.owner_package = loader_package.clone();
+            t.expected_origin = Some(loader_package);
         }
-        let loader_id = methods.len() as u32;
-        methods.push(MethodDef {
-            sig: loader_sig,
-            code: CodeItem {
-                instructions: vec![Instruction::Network(op), Instruction::Return],
-            },
-        });
-        app_on_create_code.push(Instruction::InvokeAsync {
-            dispatcher: Dispatcher::Executor,
-            target: MethodRef::Internal(loader_id),
-        });
-        // Synchronous first-party fetch inside onCreate itself.
-        let op = first_party_op(
+        let inline = first_party_op(
             sync_share,
             universe,
             config,
@@ -311,87 +334,27 @@ pub fn generate_app(
             &mut truth,
             &mut used_domains,
         );
-        app_on_create_code.push(Instruction::Network(op));
-    }
-    app_on_create_code.push(Instruction::Return);
-    let app_on_create_id = methods.len() as u32;
-    methods.push(MethodDef {
-        sig: app_on_create_sig.clone(),
-        code: CodeItem {
-            instructions: app_on_create_code,
-        },
+        (loader, inline)
     });
 
     // --- Activities and handlers -------------------------------------------
     let activity_count = rng.gen_range(1..=4usize);
-    let mut activities = Vec::with_capacity(activity_count);
-    for a in 0..activity_count {
-        let class = format!("{package}.Activity{a}");
-        let on_create_sig = MethodSig::new(
-            &package,
-            &format!("Activity{a}"),
-            "onCreate",
-            "(Landroid/os/Bundle;)V",
-        );
-        methods.push(MethodDef {
-            sig: on_create_sig.clone(),
-            code: CodeItem {
-                instructions: vec![Instruction::Const(a as u32), Instruction::Return],
-            },
-        });
+    let mut handlers = Vec::with_capacity(activity_count);
+    for _ in 0..activity_count {
         let handler_count = rng.gen_range(2..=5usize);
-        let mut handlers = Vec::with_capacity(handler_count);
-        for h in 0..handler_count {
-            let sig = MethodSig::new(
-                &package,
-                &format!("Activity{a}"),
-                &format!("onClick{h}"),
-                "(Landroid/view/View;)V",
-            );
-            let mut instructions = vec![Instruction::Const(h as u32)];
-            // Some handlers poke a library refresh entry (sparse:
-            // most UI interactions do not trigger a banner rotation).
-            if !libraries.is_empty() && rng.gen_bool(0.05) {
-                let (lib, _) = &libraries[rng.gen_range(0..libraries.len())];
-                let id = methods
-                    .iter()
-                    .position(|m| m.sig == lib.refresh_entry)
-                    .expect("refresh entry exists") as u32;
-                instructions.push(Instruction::Invoke(MethodRef::Internal(id)));
-            }
-            instructions.push(Instruction::Return);
-            methods.push(MethodDef {
-                sig: sig.clone(),
-                code: CodeItem { instructions },
-            });
-            handlers.push(sig);
+        let mut refreshes = Vec::with_capacity(handler_count);
+        for _ in 0..handler_count {
+            // Some handlers poke a library refresh entry (sparse: most
+            // UI interactions do not trigger a banner rotation).
+            let refresh = (!libraries.is_empty() && rng.gen_bool(0.05))
+                .then(|| rng.gen_range(0..libraries.len()));
+            refreshes.push(refresh);
         }
-        activities.push(ActivityDecl {
-            class,
-            handlers,
-            on_create: vec![on_create_sig],
-        });
+        handlers.push(refreshes);
     }
 
-    // --- Filler to reach the method-count target ---------------------------
+    // --- Filler target -------------------------------------------------------
     let target_methods = (49_138.0 * config.method_scale * lognormal(rng, 0.55)).max(40.0) as usize;
-    let mut filler_index = 0usize;
-    while methods.len() < target_methods {
-        let sub = ["", ".data", ".ui", ".sync"][filler_index % 4];
-        let sig = MethodSig::new(
-            &format!("{package}{sub}"),
-            &format!("F{}", filler_index / 4),
-            &format!("f{filler_index}"),
-            "()V",
-        );
-        methods.push(MethodDef {
-            sig,
-            code: CodeItem {
-                instructions: vec![Instruction::Const(filler_index as u32), Instruction::Return],
-            },
-        });
-        filler_index += 1;
-    }
 
     // --- System (platform) traffic -----------------------------------------
     let mut system_ops = Vec::new();
@@ -445,33 +408,197 @@ pub fn generate_app(
         }
     }
 
-    // --- Assemble the apk ----------------------------------------------------
-    let classes = vec![ClassDef {
-        dotted_name: format!("{package}.App"),
-        method_indices: vec![app_on_create_id],
-    }];
-    let dex = DexFile { methods, classes };
-    let manifest = Manifest {
-        package: package.clone(),
-        version_code: 1 + (index % 40) as u32,
-        category: category.name.to_owned(),
-        dex_timestamp: 1_400_000_000 + (index as u64 * 7_919) % 160_000_000,
-        vt_scan_date: Some(1_560_000_000 + (index as u64 * 104_729) % 30_000_000),
-        application_on_create: vec![app_on_create_sig],
-        activities,
-    };
-    // A minority of apps ship native code; most of those are fat apks.
-    let extra = native_lib_entries(rng);
-    let apk = Apk::build(&manifest, &dex, extra);
-    debug_assert!(apk.dex().is_ok(), "generated dex: {:?}", apk.dex().err());
-
-    GeneratedApp {
+    AppPlan {
+        index,
         package,
         category,
-        apk,
-        truth,
-        system_ops,
         archetype,
+        libraries,
+        first_party,
+        handlers,
+        target_methods,
+        system_ops,
+        truth,
+        native_abis: native_abis(rng),
+    }
+}
+
+/// The first-party async loader, in the app's `.net` sub-package.
+fn loader_sig(package: &str) -> MethodSig {
+    MethodSig::new(&format!("{package}.net"), "Loader", "run", "()V")
+}
+
+impl AppPlan {
+    /// Builds the planned app: instantiates each library at its place
+    /// in the method table (adding its three ground-truth rows ahead of
+    /// the planned ones), lays out `Application.onCreate`, the
+    /// activities and their handlers, pads with filler to the method
+    /// target, and writes the apk. Draws nothing: the result is a pure
+    /// function of the plan.
+    pub(crate) fn build(&self) -> GeneratedApp {
+        let package = &self.package;
+        let mut methods: Vec<MethodDef> = Vec::with_capacity(self.target_methods);
+        let mut truth = Vec::with_capacity(3 * self.libraries.len() + self.truth.len());
+        // Method ids of each library's init and refresh entries.
+        let mut entries = Vec::with_capacity(self.libraries.len());
+
+        // --- Library instances -------------------------------------------
+        for library in &self.libraries {
+            let template = library.template;
+            let base = methods.len() as u32;
+            let instance = instantiate(template, base, &library.ops);
+            let styles = [OpStyle::Startup, OpStyle::Startup, OpStyle::Refresh];
+            for ((sig, op), (domain_category, style)) in instance
+                .owned_ops
+                .iter()
+                .zip(library.domain_categories.into_iter().zip(styles))
+            {
+                truth.push(FlowTruth {
+                    domain: op.domain.clone(),
+                    port: op.port,
+                    send_bytes: op.send_bytes,
+                    recv_bytes: op.recv_bytes,
+                    owner_package: sig.package(),
+                    expected_origin: Some(sig.package()),
+                    lib_category: template.category,
+                    domain_category,
+                    is_ant: template.is_ant,
+                    is_common: template.is_common,
+                    style,
+                    shape: op.shape,
+                });
+            }
+            let id_of = |entry: &MethodSig| {
+                let offset = instance.methods.iter().position(|m| m.sig == *entry);
+                base + offset.expect("an instance defines its entries") as u32
+            };
+            entries.push((id_of(&instance.init_entry), id_of(&instance.refresh_entry)));
+            methods.extend(instance.methods);
+        }
+        truth.extend(self.truth.iter().cloned());
+
+        // --- First-party code (the Unknown column) ------------------------
+        let app_on_create_sig = MethodSig::new(package, "App", "onCreate", "()V");
+        let mut app_on_create_code: Vec<Instruction> = vec![Instruction::Const(0)];
+        for &(init, _) in &entries {
+            app_on_create_code.push(Instruction::Invoke(MethodRef::Internal(init)));
+        }
+        if let Some((loader, inline)) = &self.first_party {
+            let loader_id = methods.len() as u32;
+            methods.push(MethodDef {
+                sig: loader_sig(package),
+                code: CodeItem {
+                    instructions: vec![Instruction::Network(loader.clone()), Instruction::Return],
+                },
+            });
+            app_on_create_code.push(Instruction::InvokeAsync {
+                dispatcher: Dispatcher::Executor,
+                target: MethodRef::Internal(loader_id),
+            });
+            // Synchronous first-party fetch inside onCreate itself.
+            app_on_create_code.push(Instruction::Network(inline.clone()));
+        }
+        app_on_create_code.push(Instruction::Return);
+        let app_on_create_id = methods.len() as u32;
+        methods.push(MethodDef {
+            sig: app_on_create_sig.clone(),
+            code: CodeItem {
+                instructions: app_on_create_code,
+            },
+        });
+
+        // --- Activities and handlers ---------------------------------------
+        let mut activities = Vec::with_capacity(self.handlers.len());
+        for (a, refreshes) in self.handlers.iter().enumerate() {
+            let class = format!("{package}.Activity{a}");
+            let on_create_sig = MethodSig::new(
+                package,
+                &format!("Activity{a}"),
+                "onCreate",
+                "(Landroid/os/Bundle;)V",
+            );
+            methods.push(MethodDef {
+                sig: on_create_sig.clone(),
+                code: CodeItem {
+                    instructions: vec![Instruction::Const(a as u32), Instruction::Return],
+                },
+            });
+            let mut handlers = Vec::with_capacity(refreshes.len());
+            for (h, refresh) in refreshes.iter().enumerate() {
+                let sig = MethodSig::new(
+                    package,
+                    &format!("Activity{a}"),
+                    &format!("onClick{h}"),
+                    "(Landroid/view/View;)V",
+                );
+                let mut instructions = vec![Instruction::Const(h as u32)];
+                if let Some(library) = refresh {
+                    let (_, refresh_id) = entries[*library];
+                    instructions.push(Instruction::Invoke(MethodRef::Internal(refresh_id)));
+                }
+                instructions.push(Instruction::Return);
+                methods.push(MethodDef {
+                    sig: sig.clone(),
+                    code: CodeItem { instructions },
+                });
+                handlers.push(sig);
+            }
+            activities.push(ActivityDecl {
+                class,
+                handlers,
+                on_create: vec![on_create_sig],
+            });
+        }
+
+        // --- Filler to reach the method-count target -----------------------
+        let mut filler_index = 0usize;
+        while methods.len() < self.target_methods {
+            let sub = ["", ".data", ".ui", ".sync"][filler_index % 4];
+            let sig = MethodSig::new(
+                &format!("{package}{sub}"),
+                &format!("F{}", filler_index / 4),
+                &format!("f{filler_index}"),
+                "()V",
+            );
+            methods.push(MethodDef {
+                sig,
+                code: CodeItem {
+                    instructions: vec![
+                        Instruction::Const(filler_index as u32),
+                        Instruction::Return,
+                    ],
+                },
+            });
+            filler_index += 1;
+        }
+
+        // --- Assemble the apk ------------------------------------------------
+        let index = self.index;
+        let classes = vec![ClassDef {
+            dotted_name: format!("{package}.App"),
+            method_indices: vec![app_on_create_id],
+        }];
+        let dex = DexFile { methods, classes };
+        let manifest = Manifest {
+            package: package.clone(),
+            version_code: 1 + (index % 40) as u32,
+            category: self.category.name.to_owned(),
+            dex_timestamp: 1_400_000_000 + (index as u64 * 7_919) % 160_000_000,
+            vt_scan_date: Some(1_560_000_000 + (index as u64 * 104_729) % 30_000_000),
+            application_on_create: vec![app_on_create_sig],
+            activities,
+        };
+        let apk = Apk::build(&manifest, &dex, native_lib_entries(self.native_abis));
+        debug_assert!(apk.dex().is_ok(), "generated dex: {:?}", apk.dex().err());
+
+        GeneratedApp {
+            package: package.clone(),
+            category: self.category,
+            apk,
+            truth,
+            system_ops: self.system_ops.clone(),
+            archetype: self.archetype,
+        }
     }
 }
 
@@ -504,22 +631,19 @@ fn pick_templates(
 /// with default hit rates.
 const EXPECTED_REFRESH_INVOCATIONS: f64 = 7.0;
 
-/// Builds one library instance carrying `target_bytes` of session
-/// volume, recording ground truth.
-#[allow(clippy::too_many_arguments)] // generation context is inherently wide
-fn build_instance(
+/// Plans one library instance carrying `target_bytes` of session
+/// volume: its three ops, with their domains, ports and ratios.
+fn plan_library(
     template: &'static LibraryTemplate,
-    base_index: u32,
     target_bytes: f64,
     universe: &DomainUniverse,
     config: &AppGenConfig,
     rng: &mut SmallRng,
-    truth: &mut Vec<FlowTruth>,
     used_domains: &mut std::collections::HashSet<String>,
-) -> InstantiatedLibrary {
+) -> LibraryPlan {
     let connector = template_connector(template);
     let dist = fig9::domain_distribution(template.category);
-    let mut make_op = |bytes: f64, style: OpStyle| {
+    let mut make_op = |bytes: f64| {
         let domain_category = sample_weighted(&dist, rng);
         let domain = sample_unused(universe, domain_category, rng, used_domains);
         let recv = bytes.max(64.0) as u64;
@@ -532,41 +656,16 @@ fn build_instance(
             connector,
             shape: shape_for_op(config.modern_fraction, template.package, &domain.name),
         };
-        (op, domain_category, style)
+        (op, domain_category)
     };
-    let (bg0, cat0, _) = make_op(target_bytes * 0.55, OpStyle::Startup);
-    let (bg1, cat1, _) = make_op(target_bytes * 0.30, OpStyle::Startup);
-    let (refresh, catr, _) = make_op(
-        target_bytes * 0.15 / EXPECTED_REFRESH_INVOCATIONS,
-        OpStyle::Refresh,
-    );
-    let ops = LibraryOps {
-        bg0: bg0.clone(),
-        bg1: bg1.clone(),
-        refresh: refresh.clone(),
-    };
-    let instance = instantiate(template, base_index, &ops);
-    for ((sig, op), (domain_category, style)) in instance.owned_ops.iter().zip([
-        (cat0, OpStyle::Startup),
-        (cat1, OpStyle::Startup),
-        (catr, OpStyle::Refresh),
-    ]) {
-        truth.push(FlowTruth {
-            domain: op.domain.clone(),
-            port: op.port,
-            send_bytes: op.send_bytes,
-            recv_bytes: op.recv_bytes,
-            owner_package: sig.package(),
-            expected_origin: Some(sig.package()),
-            lib_category: template.category,
-            domain_category,
-            is_ant: template.is_ant,
-            is_common: template.is_common,
-            style,
-            shape: op.shape,
-        });
+    let (bg0, cat0) = make_op(target_bytes * 0.55);
+    let (bg1, cat1) = make_op(target_bytes * 0.30);
+    let (refresh, catr) = make_op(target_bytes * 0.15 / EXPECTED_REFRESH_INVOCATIONS);
+    LibraryPlan {
+        template,
+        ops: LibraryOps { bg0, bg1, refresh },
+        domain_categories: [cat0, cat1, catr],
     }
-    instance
 }
 
 /// Creates a first-party network op of roughly `bytes` and records its
@@ -647,17 +746,21 @@ fn lognormal(rng: &mut SmallRng, sigma: f64) -> f64 {
     (sigma * z - sigma * sigma / 2.0).exp()
 }
 
-/// Native-library entries: ~72 % pure Java, ~20 % fat (arm+x86), ~8 %
+/// Native-library ABIs: ~72 % pure Java, ~20 % fat (arm+x86), ~8 %
 /// ARM-only (those get filtered out during app selection, §III-A).
-fn native_lib_entries(rng: &mut SmallRng) -> Vec<ApkEntry> {
+fn native_abis(rng: &mut SmallRng) -> &'static [&'static str] {
     let roll: f64 = rng.gen();
-    let abis: &[&str] = if roll < 0.72 {
+    if roll < 0.72 {
         &[]
     } else if roll < 0.92 {
         &["armeabi-v7a", "x86"]
     } else {
         &["armeabi-v7a", "arm64-v8a"]
-    };
+    }
+}
+
+/// One stub native library per ABI.
+fn native_lib_entries(abis: &[&str]) -> Vec<ApkEntry> {
     abis.iter()
         .map(|abi| ApkEntry {
             name: format!("lib/{abi}/libnative.so"),
@@ -671,6 +774,18 @@ mod tests {
     use super::*;
     use crate::categories::APP_CATEGORIES;
     use rand::SeedableRng;
+
+    /// One app, planned and built.
+    fn generate_app(
+        index: usize,
+        category: &'static AppCategory,
+        archetype: Archetype,
+        universe: &DomainUniverse,
+        config: &AppGenConfig,
+        rng: &mut SmallRng,
+    ) -> GeneratedApp {
+        plan_app(index, category, archetype, universe, config, rng).build()
+    }
 
     fn quick_app(seed: u64, archetype: Archetype) -> GeneratedApp {
         let universe = DomainUniverse::generate(1, 400);

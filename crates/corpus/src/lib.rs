@@ -11,8 +11,11 @@
 //!   VirusTotal-style vendor labels;
 //! * [`libraries`] — ~70 third-party library templates (real-world
 //!   names) that instantiate into fingerprint-stable dex code;
-//! * [`appgen`] — per-app composition with complete ground truth;
-//! * [`store`] — the AndroidRank/AndroZoo selection rules.
+//! * [`appgen`] — per-app composition with complete ground truth,
+//!   planned in order and built in parallel;
+//! * [`store`] — the AndroidRank/AndroZoo selection rules;
+//! * [`parallel`] — the in-order parallel map the builder, the
+//!   obfuscator and the knowledge scan share.
 //!
 //! # Examples
 //!
@@ -34,6 +37,7 @@ pub mod domains;
 pub mod fig9;
 pub mod libraries;
 pub mod obfuscate;
+pub mod parallel;
 pub mod store;
 
 use rand::rngs::SmallRng;
@@ -69,6 +73,12 @@ impl Default for CorpusConfig {
     }
 }
 
+/// One build task of [`Corpus::generate`].
+enum Built {
+    Indexes((LibraryDb, StructuralIndex)),
+    App(GeneratedApp),
+}
+
 /// A generated corpus: apps with ground truth, the domain universe, and
 /// the library knowledge bases the pipeline needs.
 #[derive(Debug)]
@@ -88,6 +98,14 @@ pub struct Corpus {
 
 impl Corpus {
     /// Generates a corpus.
+    ///
+    /// The calling thread builds the domain universe, then plans every
+    /// app in order: its category and archetype rolls, then every draw
+    /// `appgen::plan_app` makes, all from one generator seeded with
+    /// `config.seed`. The builds draw nothing, so they then run as
+    /// parallel tasks ([`parallel::map`]) beside the library indexes,
+    /// and the apps are assembled in app order: the corpus is the same,
+    /// byte for byte, on any number of cores.
     pub fn generate(config: &CorpusConfig) -> Self {
         let domain_count = config
             .domain_count
@@ -96,7 +114,7 @@ impl Corpus {
         let mut rng = SmallRng::seed_from_u64(config.seed);
 
         let total_weight: f64 = categories::APP_CATEGORIES.iter().map(|c| c.weight).sum();
-        let mut apps = Vec::with_capacity(config.apps);
+        let mut plans = Vec::with_capacity(config.apps);
         for index in 0..config.apps {
             // Category: weight-proportional.
             let mut roll = rng.gen::<f64>() * total_weight;
@@ -115,7 +133,7 @@ impl Corpus {
                 r if r < 0.89 => Archetype::Mixed,
                 _ => Archetype::NoAnt,
             };
-            apps.push(appgen::generate_app(
+            plans.push(appgen::plan_app(
                 index,
                 category,
                 archetype,
@@ -125,7 +143,20 @@ impl Corpus {
             ));
         }
 
-        let (library_db, structural_index) = libraries::build_library_indexes();
+        // Task 0, the longest, builds the library indexes; task i + 1
+        // builds app i.
+        let mut indexes = None;
+        let mut apps = Vec::with_capacity(plans.len());
+        for built in parallel::map(plans.len() + 1, |task| match task.checked_sub(1) {
+            None => Built::Indexes(libraries::build_library_indexes()),
+            Some(app) => Built::App(plans[app].build()),
+        }) {
+            match built {
+                Built::Indexes(built) => indexes = Some(built),
+                Built::App(app) => apps.push(app),
+            }
+        }
+        let (library_db, structural_index) = indexes.expect("task 0 builds the indexes");
         Corpus {
             apps,
             domains,

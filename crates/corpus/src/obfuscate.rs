@@ -25,10 +25,15 @@
 //!   (references fixed up) and `Nop`/`Const` filler is injected into
 //!   library method bodies. Structural profiles still survive: degrees
 //!   are identity-based and filler opcodes are uncounted.
+//!
+//! Every draw an app's obfuscation makes comes from generators seeded
+//! by the app's own seed, so [`obfuscate_corpus`] obfuscates the apps
+//! in parallel and gets the bytes a serial loop would.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +43,7 @@ use spector_dex::{Apk, PackageTree};
 
 use crate::appgen::GeneratedApp;
 use crate::libraries::LIBRARY_TEMPLATES;
-use crate::Corpus;
+use crate::{parallel, Corpus};
 
 /// Cumulative obfuscation levels, weakest to strongest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -340,21 +345,25 @@ pub fn obfuscate_app(app: &mut GeneratedApp, tier: ObfuscationTier, seed: u64) -
     mapping
 }
 
-/// Obfuscates every app in `corpus` at `tier`. Returns one mapping per
-/// app, in corpus order. The library knowledge bases (`library_db`,
-/// `structural_index`, `lists`) are left canonical — that asymmetry is
-/// the point: detection must bridge obfuscated apps back to canonical
-/// knowledge.
+/// Obfuscates every app in `corpus` at `tier`, one parallel task per
+/// app ([`parallel::map`]). Each app's seed is `seed ^ fnv1a(package)`,
+/// which no other app affects, so the result is the same on any number
+/// of cores. Returns one mapping per app, in corpus order. The library
+/// knowledge bases (`library_db`, `structural_index`, `lists`) are left
+/// canonical — that asymmetry is the point: detection must bridge
+/// obfuscated apps back to canonical knowledge.
 pub fn obfuscate_corpus(
     corpus: &mut Corpus,
     tier: ObfuscationTier,
     seed: u64,
 ) -> Vec<LibraryMapping> {
-    corpus
-        .apps
-        .iter_mut()
-        .map(|app| obfuscate_app(app, tier, seed ^ fnv1a(app.package.bytes())))
-        .collect()
+    // One task claims each app, so no lock is ever contended.
+    let apps: Vec<Mutex<&mut GeneratedApp>> = corpus.apps.iter_mut().map(Mutex::new).collect();
+    parallel::map(apps.len(), |index| {
+        let mut app = apps[index].lock().expect("only its own task locks an app");
+        let app_seed = seed ^ fnv1a(app.package.bytes());
+        obfuscate_app(&mut app, tier, app_seed)
+    })
 }
 
 #[cfg(test)]
@@ -534,6 +543,29 @@ mod tests {
         let mut c = small_corpus();
         let mc = obfuscate_corpus(&mut c, ObfuscationTier::Junk, 10);
         assert_ne!(ma, mc, "different seed should pick different roots");
+    }
+
+    #[test]
+    fn corpus_obfuscation_equals_the_sequential_per_app_loop() {
+        for tier in ObfuscationTier::ALL {
+            let mut corpus = small_corpus();
+            let mut apps = corpus.apps.clone();
+            let mappings = obfuscate_corpus(&mut corpus, tier, 77);
+            let expected: Vec<LibraryMapping> = apps
+                .iter_mut()
+                .map(|app| obfuscate_app(app, tier, 77 ^ fnv1a(app.package.bytes())))
+                .collect();
+            assert_eq!(mappings, expected, "{tier}");
+            for (app, expected) in corpus.apps.iter().zip(&apps) {
+                assert_eq!(app.truth, expected.truth, "{tier} {}", app.package);
+                assert_eq!(
+                    app.apk.to_bytes(),
+                    expected.apk.to_bytes(),
+                    "{tier} {}",
+                    app.package
+                );
+            }
+        }
     }
 
     /// `library_roots` as a per-template scan of every method's package.

@@ -381,9 +381,11 @@ pub fn run_campaign(
 }
 
 /// [`run_campaign`] with a durable write path: every successful
-/// analysis is appended to `store` the moment the collector loop sees
-/// it, so a campaign's records hit disk as it runs instead of only
-/// living in the returned [`CampaignOutcome`].
+/// analysis is appended to `store` as soon as it and every earlier
+/// app's result have arrived, so a campaign's records hit disk as it
+/// runs instead of only living in the returned [`CampaignOutcome`],
+/// and they hit it in app order: the store's bytes are the same for
+/// every worker count and every arrival order.
 ///
 /// A writer reopened over a killed campaign hands over the analyses
 /// that campaign already sealed; those apps are prefilled, not re-run.
@@ -485,26 +487,35 @@ pub fn run_campaign_stored(
         }
         drop(job_rx);
         drop(result_tx);
+        // Analyses reach the store in app order, whatever order they
+        // arrive in, so the store's bytes do not depend on worker
+        // timing: `stored` counts the pending apps already handed to
+        // the store (or skipped as failures).
+        let mut stored = 0;
         for (index, result, stats, extra_attempts) in result_rx.iter() {
             retried += extra_attempts as usize;
             instruments.retries.add(extra_attempts as u64);
             injected.merge(&stats);
             instruments.faults.record(&stats);
             match &result {
-                Ok(analysis) => {
-                    instruments.apps_ok.inc();
-                    if let Some(store) = store {
-                        if store_error.is_none() {
-                            let mut writer = store.lock().expect("store writer poisoned");
-                            if let Err(error) = writer.append_analysis(index as u32, analysis) {
-                                store_error = Some(error.into());
-                            }
-                        }
-                    }
-                }
+                Ok(_) => instruments.apps_ok.inc(),
                 Err(_) => instruments.apps_failed.inc(),
             }
             results[index] = Some(result);
+            while let Some(&next) = pending.get(stored) {
+                let Some(arrived) = &results[next] else {
+                    break;
+                };
+                if let (Some(store), Ok(analysis)) = (store, arrived) {
+                    if store_error.is_none() {
+                        let mut writer = store.lock().expect("store writer poisoned");
+                        if let Err(error) = writer.append_analysis(next as u32, analysis) {
+                            store_error = Some(error.into());
+                        }
+                    }
+                }
+                stored += 1;
+            }
         }
     })
     .expect("worker panicked outside isolation");

@@ -9,6 +9,7 @@
 //! uninterrupted outcome. Byte identity is asserted on the serialized
 //! outcome, not field samples.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -386,6 +387,104 @@ fn resumed_campaign_matches_uninterrupted_run() {
         FullReport::build(&uninterrupted.analyses).render()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of the store in `dir`, by name, with its bytes.
+fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn store_bytes_do_not_depend_on_the_worker_count() {
+    silence_panics();
+    let corpus = tiny_corpus(5, 42);
+    let knowledge = Knowledge::from_corpus(&corpus);
+    // Two analyses per segment, so a segment's rows and the manifest
+    // both record the order the analyses were appended in.
+    let options = || StoreOptions {
+        seal_every: 2,
+        ..StoreOptions::default()
+    };
+    let open = |dir: &Path, config: &CampaignConfig, resume: bool| {
+        let fingerprint = config.fingerprint(corpus.apps.len());
+        StoreWriter::open(
+            dir,
+            &store_meta(&corpus, config),
+            &fingerprint,
+            resume,
+            options(),
+        )
+        .unwrap()
+    };
+    // Boot failures are retryable: the chaos leg retries some apps,
+    // so results arrive out of app order on 3 workers.
+    let mut retrying = FaultProfile::light();
+    retrying.boot_failure = 0.5;
+    for (name, profile) in [("clean", FaultProfile::none()), ("chaos", retrying)] {
+        let plan = FaultPlan::new(45, profile);
+        let mut stores = Vec::new();
+        let mut fresh = None;
+        for workers in [1, 3] {
+            let config = chaos_config(workers, plan);
+            let dir = temp_store(&format!("workers-{name}-{workers}"));
+            let outcome = run_stored(
+                &corpus,
+                &knowledge,
+                &config,
+                open(&dir, &config, false),
+                None,
+            );
+            if name == "chaos" {
+                assert!(outcome.retried > 0, "the chaos plan retries no app");
+            }
+            let reader = StoreReader::open(&dir).unwrap();
+            fresh = Some((outcome, storeq::report_from_store(&reader, 0).render()));
+            stores.push(store_files(&dir));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(
+            stores[0], stores[1],
+            "{name}: 1 and 3 workers wrote different stores"
+        );
+
+        // A campaign killed after its first sealed segment and resumed
+        // on 3 workers reports what the uninterrupted campaign did.
+        let (uninterrupted, report) = fresh.unwrap();
+        let config = chaos_config(3, plan);
+        let dir = temp_store(&format!("workers-{name}-resumed"));
+        let mut writer = open(&dir, &config, false);
+        for analysis in uninterrupted.analyses.iter().take(2) {
+            let index = corpus
+                .apps
+                .iter()
+                .position(|app| app.package == analysis.package)
+                .unwrap();
+            writer.append_analysis(index as u32, analysis).unwrap();
+        }
+        std::mem::forget(writer);
+        run_stored(
+            &corpus,
+            &knowledge,
+            &config,
+            open(&dir, &config, true),
+            None,
+        );
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.campaigns()[0].sealed);
+        assert_eq!(
+            storeq::report_from_store(&reader, 0).render(),
+            report,
+            "{name}: the resumed campaign reports differently"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -14,7 +14,9 @@ cd "$(dirname "$0")/.."
 # (perf/pipeline/attribute: the footnote 2 filter and origin pick),
 # throughput, the 400-app knowledge build (perf/knowledge/from_corpus)
 # and its Table I classification of the domain universe alone
-# (perf/knowledge/classify_domains), substrates, and the
+# (perf/knowledge/classify_domains), corpus generation and
+# obfuscation over a 50-app slice each (perf/corpus/generate,
+# perf/corpus/obfuscate), substrates, and the
 # sampled-tracing layer (perf/sampling_overhead — the exact path must
 # stay within noise of the unsampled pipeline).
 cargo bench -p spector-bench --bench perf -- --quick "$@"

@@ -53,6 +53,41 @@ fn help_succeeds_and_unknown_command_fails() {
 }
 
 #[test]
+fn run_rejects_unknown_flags_and_missing_values() {
+    // `run` has no --obfuscation; a misspelt flag must not fall back
+    // to a default either.
+    for (args, named) in [
+        (
+            &["run", "--apps", "2", "--obfuscation", "mangle"][..],
+            "--obfuscation",
+        ),
+        (&["run", "--apps", "2", "--evnets", "5"][..], "--evnets"),
+        (&["run", "--apps", "2", "stray"][..], "stray"),
+    ] {
+        let output = libspector(args);
+        assert!(!output.status.success(), "{args:?} succeeded");
+        let stderr = stderr_of(&output);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stdout_of(&output).is_empty(), "{args:?} printed a report");
+    }
+    // A value flag given last, or followed by another flag, has no
+    // value.
+    for args in [
+        &["run", "--seed", "5", "--apps"][..],
+        &["run", "--apps", "--seed", "5"][..],
+    ] {
+        let output = libspector(args);
+        assert!(!output.status.success(), "{args:?} succeeded");
+        let stderr = stderr_of(&output);
+        assert!(
+            stderr.contains("--apps needs a value"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn chaos_run_with_checkpoint_and_metrics_balances() {
     let dir = scratch("chaos-metrics");
     let store = dir.join("store");
@@ -108,11 +143,18 @@ fn chaos_run_with_checkpoint_and_metrics_balances() {
         "pipeline join balance violated"
     );
 
-    // Stage histograms rode along with sane call counts.
+    // Stage histograms rode along with sane call counts: corpus
+    // generation and the knowledge build are one call each.
     assert!(snapshot
         .histograms
         .keys()
         .any(|k| MetricKey::parse(k).name == "spector_stage_micros"));
+    for stage in ["corpus/generate", "knowledge/from_corpus"] {
+        let calls = MetricKey::labeled("spector_stage_micros_calls_total", "stage", stage);
+        assert_eq!(counter(&snapshot, &calls.render()), 1, "{stage}");
+        let micros = MetricKey::labeled("spector_stage_micros", "stage", stage).render();
+        assert!(snapshot.histograms.contains_key(&micros), "{stage}");
+    }
 
     // The Prometheus twin exists and is well-formed text exposition.
     let prom =
